@@ -16,8 +16,9 @@
 
 #include "bench_common.hpp"
 #include "common/clock.hpp"
+#include "net/frame_protocol.hpp"
+#include "net/remote_broker.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 
 namespace {
@@ -36,7 +37,8 @@ int main() {
   options.k = 3;
   options.history_capacity = 100'000;
   core::XSearchProxy proxy(bed->engine.get(), authority, options);
-  core::ClientBroker broker(proxy, authority, proxy.measurement(), 5);
+  net::RemoteBroker broker(net::in_process_connector(proxy), authority,
+                           proxy.measurement(), 5);
 
   constexpr std::size_t kQueries = 300;
   const auto before = proxy.enclave().transition_stats();
@@ -72,8 +74,8 @@ int main() {
   switchless_options.switchless.pickup_patience = kSecond;
   core::XSearchProxy ring_proxy(bed->engine.get(), authority,
                                 switchless_options);
-  core::ClientBroker ring_broker(ring_proxy, authority,
-                                 ring_proxy.measurement(), 5);
+  net::RemoteBroker ring_broker(net::in_process_connector(ring_proxy),
+                                authority, ring_proxy.measurement(), 5);
   const auto ring_before = ring_proxy.enclave().transition_stats();
   const Nanos ring_t0 = wall_now();
   for (std::size_t i = 0; i < kQueries; ++i) {

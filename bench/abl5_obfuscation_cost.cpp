@@ -9,8 +9,9 @@
 
 #include "bench_common.hpp"
 #include "common/clock.hpp"
+#include "net/frame_protocol.hpp"
+#include "net/remote_broker.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 
 namespace {
@@ -35,7 +36,8 @@ int main() {
       options.history_capacity = 100'000;
       options.contact_engine = false;
       core::XSearchProxy proxy(nullptr, authority, options);
-      core::ClientBroker broker(proxy, authority, proxy.measurement(), 1);
+      net::RemoteBroker broker(net::in_process_connector(proxy), authority,
+                               proxy.measurement(), 1);
       for (std::size_t i = 0; i < 200; ++i) {  // warm history + caches
         (void)broker.search(bed->split.train.records()[i].text);
       }
@@ -55,7 +57,8 @@ int main() {
       options.k = k;
       options.history_capacity = 100'000;
       core::XSearchProxy proxy(bed->engine.get(), authority, options);
-      core::ClientBroker broker(proxy, authority, proxy.measurement(), 2);
+      net::RemoteBroker broker(net::in_process_connector(proxy), authority,
+                               proxy.measurement(), 2);
       for (std::size_t i = 0; i < 100; ++i) {
         (void)broker.search(bed->split.train.records()[i].text);
       }

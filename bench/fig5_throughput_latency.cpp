@@ -90,7 +90,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -109,15 +108,14 @@
 #include "loadgen/loadgen.hpp"
 #include "net/chaos.hpp"
 #include "net/fleet_supervisor.hpp"
+#include "net/frame_protocol.hpp"
 #include "net/proxy_fleet.hpp"
 #include "net/proxy_server.hpp"
 #include "net/remote_broker.hpp"
 #include "net/frame.hpp"
 #include "netsim/netsim.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
-#include "xsearch/wire.hpp"
 
 namespace {
 
@@ -218,8 +216,9 @@ void run_session_sweep(const api::ClientConfig& config) {
     threads.reserve(sessions);
     for (std::size_t s = 0; s < sessions; ++s) {
       threads.emplace_back([&, s] {
-        core::ClientBroker broker(*proxy.value(), authority,
-                                  proxy.value()->measurement(), 9000 + s);
+        net::RemoteBroker broker(net::in_process_connector(*proxy.value()),
+                                 authority, proxy.value()->measurement(),
+                                 9000 + s);
         // Handshake before the clock starts: attestation serializes on
         // handshake_mutex_ and would bias S=1 vs S=8 if timed.
         const bool connected = broker.connect().is_ok();
@@ -286,8 +285,9 @@ void run_switchless_sweep(const api::ClientConfig& config) {
     threads.reserve(kSessions);
     for (std::size_t s = 0; s < kSessions; ++s) {
       threads.emplace_back([&, s] {
-        core::ClientBroker broker(*proxy.value(), authority,
-                                  proxy.value()->measurement(), 9500 + s);
+        net::RemoteBroker broker(net::in_process_connector(*proxy.value()),
+                                 authority, proxy.value()->measurement(),
+                                 9500 + s);
         const bool connected = broker.connect().is_ok();
         ready.fetch_add(1, std::memory_order_release);
         if (!connected) return;
@@ -831,76 +831,29 @@ class ThreadPerConnectionServer {
   }
 
   void serve(net::TcpStream& stream) {
-    bool peer_v2 = false;
-    const auto send_error = [&](const Status& status) {
-      if (peer_v2) {
-        return net::write_frame(stream, net::FrameType::kErrorStatus,
-                                net::encode_error_status(status));
-      }
-      return net::write_frame(stream, net::FrameType::kError,
-                              to_bytes(status.to_string()));
-    };
+    // The reactor's frame protocol, driven by this connection's thread:
+    // each frame read off the socket runs through an in-process connection
+    // to the proxy, and its one reply frame goes back out.
+    auto connection = net::in_process_connector(*proxy_)();
+    if (!connection) return;
+    net::ByteStream& protocol = *connection.value();
     while (!stopping_.load(std::memory_order_relaxed)) {
       auto frame = net::read_frame(stream);
       if (!frame) return;  // clean close or broken peer
-      if (frame.value().v2) peer_v2 = true;
-      switch (frame.value().type) {
-        case net::FrameType::kHello: {
-          if (frame.value().payload.size() != crypto::kX25519KeySize) {
-            (void)send_error(invalid_argument("bad hello"));
-            return;
-          }
-          crypto::X25519Key client_pub;
-          std::memcpy(client_pub.data(), frame.value().payload.data(),
-                      client_pub.size());
-          auto response = proxy_->handshake(client_pub);
-          if (!response) {
-            (void)send_error(response.status());
-            return;
-          }
-          Bytes payload;
-          core::wire::put_u64(payload, response.value().session_id);
-          const Bytes quote = response.value().quote.serialize();
-          core::wire::put_u32(payload,
-                              static_cast<std::uint32_t>(quote.size()));
-          append(payload, quote);
-          append(payload, response.value().server_ephemeral_pub);
-          if (!net::write_frame(stream, net::FrameType::kHelloReply, payload)
-                   .is_ok()) {
-            return;
-          }
-          break;
-        }
-        case net::FrameType::kQuery:
-        case net::FrameType::kBatchQuery: {
-          const net::FrameType reply_type =
-              frame.value().type == net::FrameType::kQuery
-                  ? net::FrameType::kQueryReply
-                  : net::FrameType::kBatchReply;
-          std::size_t offset = 0;
-          const auto session =
-              core::wire::get_u64(frame.value().payload, offset);
-          if (!session) {
-            (void)send_error(invalid_argument("bad query frame"));
-            return;
-          }
-          auto response = proxy_->handle_query_record(
-              session.value(),
-              ByteSpan(frame.value().payload).subspan(offset));
-          if (!response) {
-            if (!send_error(response.status()).is_ok()) return;
-            break;
-          }
-          if (!net::write_frame(stream, reply_type, response.value())
-                   .is_ok()) {
-            return;
-          }
-          break;
-        }
-        default:
-          (void)send_error(invalid_argument("unexpected frame"));
-          return;
+      net::FrameWriteOptions forward;
+      forward.budget_millis = frame.value().budget_millis;
+      if (!net::write_frame(protocol, frame.value().type,
+                            frame.value().payload, forward)
+               .is_ok()) {
+        return;
       }
+      auto reply = net::read_frame(protocol);
+      if (!reply || !net::write_frame(stream, reply.value().type,
+                                      reply.value().payload)
+                         .is_ok()) {
+        return;
+      }
+      if (!protocol.valid()) return;  // the protocol closed the connection
     }
   }
 

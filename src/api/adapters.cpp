@@ -1,28 +1,35 @@
-// The five built-in mechanisms behind the unified PrivateSearchClient API.
+// The five built-in mechanisms behind the unified PrivateSearchClient API,
+// plus the remote X-Search client of api/remote.hpp.
 //
 // Each adapter owns its mechanism's whole stack — Direct nothing, TrackMeNot
 // a simulated RSS feed, Tor an in-process relay chain, PEAS the two-proxy
-// chain, X-Search the enclave proxy — and exposes it through the same
-// session/search/batch surface. Batch lanes are `spawn_sibling` clients
-// sharing the stack (same relays, same issuer, same enclave proxy), which is
-// exactly the multi-client deployment the paper load-tests in Figure 5.
+// chain, X-Search the enclave proxy (or, remotely, just its address) — and
+// exposes it through the same session/search/batch surface. Batch lanes
+// are `spawn_sibling` clients sharing the stack (same relays, same issuer,
+// same enclave proxy), which is exactly the multi-client deployment the
+// paper load-tests in Figure 5.
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "api/client.hpp"
 #include "api/registry.hpp"
+#include "api/remote.hpp"
 #include "baselines/direct/direct.hpp"
 #include "baselines/peas/peas.hpp"
 #include "baselines/tmn/trackmenot.hpp"
 #include "baselines/tor/tor.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
-#include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "api/xsearch_options.hpp"
+#include "net/frame_protocol.hpp"
+#include "net/remote_broker.hpp"
+#include "sgx/attestation.hpp"
 #include "xsearch/proxy.hpp"
+#include "xsearch/wire.hpp"
 
 namespace xsearch::api {
 namespace {
@@ -281,19 +288,23 @@ class PeasAdapter final : public PrivateSearchClient {
 
 class XSearchAdapter final : public PrivateSearchClient {
  public:
-  /// The cloud-side deployment shared by all siblings: the attestation
-  /// root and the enclave proxy it vouches for. The proxy keeps a pointer
-  /// to the authority, so the authority member must outlive it (declared
-  /// first, destroyed last).
-  struct Deployment {
-    explicit Deployment(Bytes root_secret)
-        : authority(std::move(root_secret)) {}
-    sgx::AttestationAuthority authority;
-    std::unique_ptr<core::XSearchProxy> proxy;
+  /// Where the adapter family's brokers connect and whom they trust,
+  /// shared by all siblings. The in-process and remote clients differ only
+  /// here: an in-process endpoint owns its enclave proxy (and the
+  /// attestation root the proxy points to, declared first so it is
+  /// destroyed last) and connects to it through the proxy's own frame
+  /// protocol; a remote one connects over TCP.
+  struct Endpoint {
+    std::string mechanism;
+    net::Connector connect;
+    const sgx::AttestationAuthority* authority = nullptr;
+    sgx::Measurement measurement{};
+    std::unique_ptr<sgx::AttestationAuthority> local_authority;
+    std::unique_ptr<core::XSearchProxy> local_proxy;
   };
 
-  XSearchAdapter(const ClientConfig& config, std::shared_ptr<Deployment> deployment)
-      : PrivateSearchClient(config), deployment_(std::move(deployment)) {}
+  XSearchAdapter(const ClientConfig& config, std::shared_ptr<Endpoint> endpoint)
+      : PrivateSearchClient(config), endpoint_(std::move(endpoint)) {}
   ~XSearchAdapter() override { shutdown_async(); }
 
   [[nodiscard]] bool connected() const override {
@@ -302,28 +313,33 @@ class XSearchAdapter final : public PrivateSearchClient {
 
   [[nodiscard]] PrivacyProperties privacy_properties() const override {
     PrivacyProperties props;
-    props.mechanism = "xsearch";
+    props.mechanism = endpoint_->mechanism;
     props.identity_exposed = false;  // the engine sees only the proxy
     props.query_exposed = false;     // hidden among k real past queries
-    props.k = deployment_->proxy->options().k;
+    props.k = config().k;
     props.trust_assumption =
         "SGX attestation only; no proxy operator trust (collusion-resistant)";
-    props.enclave_transitions =
-        deployment_->proxy->enclave().transition_stats().ecalls +
-        deployment_->proxy->enclave().transition_stats().ocalls;
+    if (const auto* proxy = endpoint_->local_proxy.get(); proxy != nullptr) {
+      const auto transitions = proxy->enclave().transition_stats();
+      props.enclave_transitions = transitions.ecalls + transitions.ocalls;
+    }
     return props;
   }
 
   [[nodiscard]] Status prime(const std::vector<std::string>& past_queries) override {
-    deployment_->proxy->warm_history(past_queries);
+    if (endpoint_->local_proxy == nullptr) {
+      return PrivateSearchClient::prime(past_queries);
+    }
+    endpoint_->local_proxy->warm_history(past_queries);
     return Status::ok();
   }
 
  protected:
   [[nodiscard]] Status do_connect() override {
     if (!broker_.has_value()) {
-      broker_.emplace(*deployment_->proxy, deployment_->authority,
-                      deployment_->proxy->measurement(), config().seed);
+      broker_.emplace(endpoint_->connect, *endpoint_->authority,
+                      endpoint_->measurement, config().seed,
+                      remote_broker_options(config()));
     }
     return broker_->connect();
   }
@@ -338,15 +354,46 @@ class XSearchAdapter final : public PrivateSearchClient {
     return take_top(std::move(results).value(), top_k);
   }
 
+  [[nodiscard]] std::vector<Result<SearchResults>> do_search_batch(
+      const std::vector<BatchQuery>& queries) override {
+    // One kBatchQuery frame per chunk: one round trip and one AEAD
+    // seal/open regardless of chunk size (chunks only appear when the
+    // caller coalesces beyond the wire bound).
+    std::vector<Result<SearchResults>> outcomes;
+    outcomes.reserve(queries.size());
+    for (std::size_t start = 0; start < queries.size();
+         start += core::wire::kMaxBatchQueries) {
+      const std::size_t count =
+          std::min(core::wire::kMaxBatchQueries, queries.size() - start);
+      std::vector<std::string> chunk;
+      chunk.reserve(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        chunk.push_back(queries[start + i].query);
+      }
+      auto batch = broker_->search_batch(chunk);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!batch.is_ok()) {
+          outcomes.emplace_back(batch.status());
+        } else if (auto& outcome = batch.value()[i]; !outcome.status.is_ok()) {
+          outcomes.emplace_back(outcome.status);
+        } else {
+          outcomes.emplace_back(take_top(std::move(outcome.results),
+                                         queries[start + i].top_k));
+        }
+      }
+    }
+    return outcomes;
+  }
+
   [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
     ClientConfig sibling_config = config();
     sibling_config.seed = seed;
-    return std::make_unique<XSearchAdapter>(sibling_config, deployment_);
+    return std::make_unique<XSearchAdapter>(sibling_config, endpoint_);
   }
 
  private:
-  std::shared_ptr<Deployment> deployment_;
-  std::optional<core::ClientBroker> broker_;
+  std::shared_ptr<Endpoint> endpoint_;
+  std::optional<net::RemoteBroker> broker_;
 };
 
 // --- factories ---------------------------------------------------------------
@@ -385,18 +432,33 @@ Result<ClientPtr> make_peas(const Backend& backend, const ClientConfig& config) 
 }
 
 Result<ClientPtr> make_xsearch(const Backend& backend, const ClientConfig& config) {
-  const core::XSearchProxy::Options options = xsearch_proxy_options(config);
-  auto deployment = std::make_shared<XSearchAdapter::Deployment>(
+  auto endpoint = std::make_shared<XSearchAdapter::Endpoint>();
+  endpoint->local_authority = std::make_unique<sgx::AttestationAuthority>(
       to_bytes("api-attestation-root"));
-  auto proxy =
-      core::XSearchProxy::create(backend.engine, deployment->authority, options);
+  auto proxy = core::XSearchProxy::create(
+      backend.engine, *endpoint->local_authority, xsearch_proxy_options(config));
   if (!proxy.is_ok()) return proxy.status();
-  deployment->proxy = std::move(proxy).value();
-  return ClientPtr(
-      std::make_unique<XSearchAdapter>(config, std::move(deployment)));
+  endpoint->local_proxy = std::move(proxy).value();
+  endpoint->mechanism = "xsearch";
+  endpoint->connect = net::in_process_connector(*endpoint->local_proxy);
+  endpoint->authority = endpoint->local_authority.get();
+  endpoint->measurement = endpoint->local_proxy->measurement();
+  return ClientPtr(std::make_unique<XSearchAdapter>(config, std::move(endpoint)));
 }
 
 }  // namespace
+
+ClientPtr make_remote_client(std::string host, std::uint16_t port,
+                             const sgx::AttestationAuthority& authority,
+                             const sgx::Measurement& expected_measurement,
+                             const ClientConfig& config) {
+  auto endpoint = std::make_shared<XSearchAdapter::Endpoint>();
+  endpoint->mechanism = "xsearch-remote";
+  endpoint->connect = net::tcp_connector(std::move(host), port);
+  endpoint->authority = &authority;
+  endpoint->measurement = expected_measurement;
+  return std::make_unique<XSearchAdapter>(config, std::move(endpoint));
+}
 
 core::XSearchProxy::Options xsearch_proxy_options(const ClientConfig& config) {
   core::XSearchProxy::Options options;

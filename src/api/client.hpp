@@ -48,11 +48,12 @@ struct RecoveryConfig {
   Nanos probe_budget = kSecond;
 };
 
-/// End-to-end robustness knobs for the remote X-Search transport: request
+/// End-to-end robustness knobs for the X-Search client broker: request
 /// deadlines, budgeted retries with backoff, and a client-side circuit
 /// breaker. All default to the historical behavior (no deadline, retry
-/// exactly once, breaker off); in-process mechanisms ignore the transport
-/// knobs but share the retry attempt cap.
+/// exactly once, breaker off). The in-process and the remote X-Search
+/// clients run the same broker and honour every knob; the other
+/// mechanisms ignore them.
 struct RobustnessConfig {
   /// End-to-end budget per search/batch call, covering every attempt,
   /// backoff pause and socket operation; also carried on the wire so the
@@ -113,8 +114,7 @@ struct ClientConfig {
   std::size_t history_capacity = 100'000;
   /// Bound on live X-Search client sessions held in enclave memory; the
   /// least recently used session beyond it is evicted and its client must
-  /// re-handshake (both the in-process and remote brokers do so
-  /// transparently).
+  /// re-handshake (the client broker does so transparently).
   std::size_t session_capacity = 4096;
   /// Idle time after which an X-Search session expires (0 = never).
   Nanos session_idle_ttl = 0;
@@ -131,14 +131,14 @@ struct ClientConfig {
   /// overflow instead of blocking.
   std::size_t batch_queue_capacity = 4096;
   /// Maximum `submit()`s coalesced into ONE mechanism round trip (1 = off).
-  /// Mechanisms with a wire protocol (the remote X-Search client) answer a
-  /// coalesced batch with one sealed record each way, amortizing AEAD and
-  /// syscall cost over the batch; others just loop. Capped by the wire
-  /// protocol's batch bound.
+  /// The X-Search clients (in-process and remote) answer a coalesced batch
+  /// with one batch frame — one sealed record and one query ecall each way —
+  /// amortizing AEAD, crossing and syscall cost over the batch; others just
+  /// loop. Capped by the wire protocol's batch bound.
   std::size_t batch_coalesce = 1;
   /// Crash-recovery configuration (checkpointing + fleet supervision).
   RecoveryConfig recovery;
-  /// Deadlines, retries and circuit breaking (remote transport mostly).
+  /// Deadlines, retries and circuit breaking (X-Search client broker).
   RobustnessConfig robustness;
   /// Enclave-boundary configuration (switchless request path).
   EnclaveConfig enclave;
@@ -281,7 +281,7 @@ class PrivateSearchClient {
 
   /// One round trip for many searches; `top_k`s are already resolved. The
   /// default loops over `do_search`; mechanisms with a batched wire format
-  /// (remote X-Search) override it to send one frame. Must return exactly
+  /// (X-Search) override it to send one frame. Must return exactly
   /// `queries.size()` outcomes, index-aligned.
   [[nodiscard]] virtual std::vector<Result<SearchResults>> do_search_batch(
       const std::vector<BatchQuery>& queries);

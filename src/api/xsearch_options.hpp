@@ -46,8 +46,8 @@ struct FleetConfig {
     const ClientConfig& config);
 
 /// ClientConfig::robustness → net::RemoteBroker::Options (deadlines,
-/// budgeted retries, client-side breaker), the transport half of the
-/// robustness config. The remote adapter applies this per broker.
+/// budgeted retries, client-side breaker). Both X-Search clients apply
+/// this per broker.
 [[nodiscard]] net::RemoteBroker::Options remote_broker_options(
     const ClientConfig& config);
 

@@ -2,6 +2,11 @@
 
 namespace xsearch::net {
 
+namespace {
+// Length word + budget word; the type byte follows.
+constexpr std::size_t kHeaderBytes = 8;
+}  // namespace
+
 FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
   Step step;
   if (buffered.size() < 4) {
@@ -9,19 +14,18 @@ FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
     step.need = 4;
     return step;
   }
-  const std::uint32_t raw = load_be32(buffered.data());
-  const bool v2 = (raw & kFrameV2Bit) != 0;
-  const std::uint32_t length = raw & ~kFrameV2Bit;
+  // Validate the length word as soon as it is in, before waiting for the
+  // budget word: a garbage header is refused on its first four bytes.
+  const std::uint32_t length = load_be32(buffered.data());
   if (length == 0 || length > kMaxFramePayload + 1) {
     step.state = State::kError;
     step.error = data_loss("frame length out of range");
     return step;
   }
-  const std::size_t header_bytes = v2 ? 8 : 4;
-  const std::size_t total = header_bytes + length;
-  if (buffered.size() < header_bytes) {
+  const std::size_t total = kHeaderBytes + length;
+  if (buffered.size() < kHeaderBytes) {
     step.state = State::kNeedHeader;
-    step.need = header_bytes;
+    step.need = kHeaderBytes;
     return step;
   }
   if (buffered.size() < total) {
@@ -31,10 +35,9 @@ FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
   }
 
   step.state = State::kFrame;
-  step.frame.v2 = v2;
-  if (v2) step.frame.budget_millis = load_be32(buffered.data() + 4);
-  step.frame.type = static_cast<FrameType>(buffered[header_bytes]);
-  step.frame.payload = buffered.subspan(header_bytes + 1, length - 1);
+  step.frame.budget_millis = load_be32(buffered.data() + 4);
+  step.frame.type = static_cast<FrameType>(buffered[kHeaderBytes]);
+  step.frame.payload = buffered.subspan(kHeaderBytes + 1, length - 1);
   step.frame.frame_bytes = total;
   return step;
 }
@@ -44,18 +47,10 @@ Result<Bytes> encode_frame_header(FrameType type, std::size_t payload_size,
   if (payload_size > kMaxFramePayload) {
     return invalid_argument("frame payload too large");
   }
-  const auto length = static_cast<std::uint32_t>(payload_size + 1);
-  Bytes header;
-  if (options.carry_budget) {
-    header.resize(9);
-    store_be32(header.data(), kFrameV2Bit | length);
-    store_be32(header.data() + 4, options.budget_millis);
-    header[8] = static_cast<std::uint8_t>(type);
-  } else {
-    header.resize(5);
-    store_be32(header.data(), length);
-    header[4] = static_cast<std::uint8_t>(type);
-  }
+  Bytes header(kHeaderBytes + 1);
+  store_be32(header.data(), static_cast<std::uint32_t>(payload_size + 1));
+  store_be32(header.data() + 4, options.budget_millis);
+  header[kHeaderBytes] = static_cast<std::uint8_t>(type);
   return header;
 }
 
@@ -82,7 +77,6 @@ Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {
         Frame frame;
         frame.type = step.frame.type;
         frame.budget_millis = step.frame.budget_millis;
-        frame.v2 = step.frame.v2;
         frame.payload.assign(step.frame.payload.begin(),
                              step.frame.payload.end());
         return frame;

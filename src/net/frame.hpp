@@ -1,23 +1,20 @@
 // Length-prefixed message framing over a ByteStream.
 //
-// Every message on the client↔proxy wire is `u32_be length || type byte ||
-// payload`. The framing layer is deliberately dumb: all confidentiality and
-// integrity comes from the SecureChannel records *inside* the frames, so a
-// network attacker tampering with frames only produces authentication
-// failures at the enclave boundary.
+// Every message on the client↔proxy wire is one frame:
 //
-// Version 2 frames carry the request's remaining deadline budget. The top
-// bit of the length word (free: payloads are capped at 4 MiB) marks a v2
-// frame, which inserts a `u32_be budget_millis` between length and type:
+//   u32_be length || u32_be budget_millis || type || payload
 //
-//   v1:  u32_be length          || type || payload
-//   v2:  u32_be (V2 | length)   || u32_be budget_millis || type || payload
+// `length` counts the type byte and the payload (so it is never 0, and at
+// most kMaxFramePayload + 1). `budget_millis` is the request's *remaining*
+// deadline budget, not an absolute time (the endpoints share no clock);
+// 0 means "no deadline". Errors travel as kErrorStatus frames carrying a
+// typed status code, so a client can tell a shed request from a dead
+// session from a refused handshake.
 //
-// budget_millis is *remaining budget*, not an absolute time (the endpoints
-// share no clock); 0 means "no deadline". v1 frames read as "no deadline",
-// so old peers interoperate unchanged, and a receiver answers in the version
-// the sender spoke (negotiation is per-connection, keyed off the first
-// frame received — see ProxyServer).
+// The framing layer is deliberately dumb: all confidentiality and integrity
+// comes from the SecureChannel records *inside* the frames, so a network
+// attacker tampering with frames only produces authentication failures at
+// the enclave boundary.
 #pragma once
 
 #include <cstdint>
@@ -38,31 +35,23 @@ enum class FrameType : std::uint8_t {
   kBatchQuery = 0x03,     // session id + encrypted batch record (many
                           // queries, ONE seal/open for the whole batch)
   kBatchReply = 0x83,     // encrypted batch response record
-  kErrorStatus = 0x7e,    // u8 status code || human-readable message (v2)
-  kError = 0x7f,          // human-readable error string
+  kErrorStatus = 0x7e,    // u8 status code || human-readable message
 };
 
 struct Frame {
-  FrameType type = FrameType::kError;
+  FrameType type = FrameType::kErrorStatus;
   Bytes payload;
-  /// Remaining request budget carried by a v2 frame; 0 = no deadline.
+  /// Remaining request budget; 0 = no deadline.
   std::uint32_t budget_millis = 0;
-  /// Whether the peer sent this frame with the v2 marker.
-  bool v2 = false;
 };
 
 /// Hard cap keeps a malicious peer from forcing giant allocations.
 inline constexpr std::size_t kMaxFramePayload = 4u * 1024 * 1024;
 
-/// Length-word top bit marking a v2 (budget-carrying) frame.
-inline constexpr std::uint32_t kFrameV2Bit = 0x8000'0000u;
-
 struct FrameWriteOptions {
   /// Deadline for the socket writes themselves (infinite by default).
   Deadline io_deadline;
-  /// Emit a v2 frame carrying `budget_millis`. Off by default: a frame
-  /// written without options is byte-identical to the historical protocol.
-  bool carry_budget = false;
+  /// Remaining request budget carried on the wire (0 = no deadline).
   std::uint32_t budget_millis = 0;
 };
 
@@ -90,15 +79,14 @@ class FrameCursor {
  public:
   /// A parsed frame borrowed from the buffer.
   struct View {
-    FrameType type = FrameType::kError;
+    FrameType type = FrameType::kErrorStatus;
     ByteSpan payload;                  // view into the parsed buffer
-    std::uint32_t budget_millis = 0;   // v2 deadline budget (0 = none)
-    bool v2 = false;
+    std::uint32_t budget_millis = 0;   // deadline budget (0 = none)
     std::size_t frame_bytes = 0;       // total wire size; consume this much
   };
 
   enum class State : std::uint8_t {
-    kNeedHeader,  // length word (or v2 budget word) incomplete
+    kNeedHeader,  // length or budget word incomplete
     kNeedBody,    // length known, body incomplete
     kFrame,       // `frame` holds one complete frame
     kError,       // malformed input; the connection is unrecoverable
@@ -121,8 +109,7 @@ class FrameCursor {
   [[nodiscard]] static Step parse(ByteSpan buffered);
 };
 
-/// Serializes a frame header (length word, optional budget word, type
-/// byte) for `payload_size` payload bytes. The write side of FrameCursor:
+/// Serializes a frame header (length word, budget word, type byte) for `payload_size` payload bytes. The write side of FrameCursor:
 /// queue the header and the payload as separate buffers and a vectored
 /// write sends both without gluing them into a fresh allocation.
 [[nodiscard]] Result<Bytes> encode_frame_header(
@@ -134,7 +121,7 @@ class FrameCursor {
                                  ByteSpan payload,
                                  const FrameWriteOptions& options = {});
 
-/// Reads one frame (either version); DATA_LOSS on malformed/oversized input
+/// Reads one frame; DATA_LOSS on malformed/oversized input
 /// or mid-frame EOF, DEADLINE_EXCEEDED past the read options' deadlines.
 [[nodiscard]] Result<Frame> read_frame(ByteStream& stream,
                                        const FrameReadOptions& options = {});

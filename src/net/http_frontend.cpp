@@ -4,6 +4,8 @@
 #include <cctype>
 #include <string>
 
+#include "net/frame_protocol.hpp"
+
 namespace xsearch::net {
 
 namespace {
@@ -150,9 +152,9 @@ Result<std::unique_ptr<HttpFrontend>> HttpFrontend::start(
 HttpFrontend::HttpFrontend(core::ProxyHandler& proxy,
                            const sgx::AttestationAuthority& authority)
     : proxy_(&proxy), authority_(&authority) {
-  broker_ = std::make_unique<core::ClientBroker>(*proxy_, *authority_,
-                                                 proxy_->measurement(),
-                                                 /*seed=*/0x477f);
+  broker_ = std::make_unique<RemoteBroker>(in_process_connector(*proxy_),
+                                           *authority_, proxy_->measurement(),
+                                           /*seed=*/0x477f);
 }
 
 HttpFrontend::~HttpFrontend() { stop(); }

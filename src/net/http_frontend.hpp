@@ -2,7 +2,8 @@
 //
 // Lets unmodified third-party clients (wget, curl, wrk2) use X-Search with
 // regular `GET /search?q=...` requests. The frontend terminates HTTP,
-// forwards the query through an internal attested broker into the enclave,
+// forwards the query through an internal attested broker (in-process, over
+// the proxy's own frame protocol) into the enclave,
 // and renders the filtered results as JSON.
 //
 // Connections are served by the same net::Reactor event loops as the
@@ -22,8 +23,8 @@
 #include "common/mutex.hpp"
 #include "net/http.hpp"
 #include "net/reactor.hpp"
+#include "net/remote_broker.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 
 namespace xsearch::net {
@@ -66,7 +67,7 @@ class HttpFrontend {
   // One attested broker shared by all dispatch workers, serialized: the
   // SecureChannel record counters require ordered use.
   Mutex broker_mutex_;
-  std::unique_ptr<core::ClientBroker> broker_ XS_PT_GUARDED_BY(broker_mutex_);
+  std::unique_ptr<RemoteBroker> broker_ XS_PT_GUARDED_BY(broker_mutex_);
 
   std::atomic<std::uint64_t> requests_{0};
   std::unique_ptr<Reactor> reactor_;

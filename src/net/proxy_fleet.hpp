@@ -38,8 +38,8 @@
 // heartbeat probes per worker, drain+respawn after a failure threshold.
 //
 // The fleet implements core::ProxyHandler, so net::ProxyServer fronts a
-// fleet exactly as it fronts a single proxy, and core::ClientBroker /
-// net::RemoteBroker work against it unchanged.
+// fleet exactly as it fronts a single proxy, and net::RemoteBroker works
+// against it unchanged, over TCP or in-process.
 #pragma once
 
 #include <atomic>

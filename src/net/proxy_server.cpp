@@ -1,192 +1,11 @@
 #include "net/proxy_server.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
-#include "net/frame.hpp"
-#include "xsearch/wire.hpp"
+#include "net/frame_protocol.hpp"
 
 namespace xsearch::net {
-
-namespace {
-
-/// Per-connection protocol: incremental frame parsing on the loop thread,
-/// enclave/handler work on dispatch workers. Job bytes are
-/// `[type byte][frame payload]` — the single copy out of the recv buffer.
-class FrameProtocol final : public ConnectionProtocol {
- public:
-  explicit FrameProtocol(core::ProxyHandler* proxy) : proxy_(proxy) {}
-
-  Action on_input(ByteSpan buffered) override {
-    Action action;
-    const FrameCursor::Step step = FrameCursor::parse(buffered);
-    switch (step.state) {
-      case FrameCursor::State::kError:
-        // Malformed length word: unrecoverable, mirror the historical
-        // silent close (read_frame's DATA_LOSS never produced a reply).
-        action.close = true;
-        return action;
-      case FrameCursor::State::kNeedHeader:
-      case FrameCursor::State::kNeedBody:
-        action.need = step.need;
-        // Once the length word is in, the frame has started: the reactor's
-        // io budget bounds finishing it (anti-slowloris, as before).
-        action.mid_message = buffered.size() >= 4;
-        return action;
-      case FrameCursor::State::kFrame:
-        break;
-    }
-
-    const FrameCursor::View& frame = step.frame;
-    action.consumed = frame.frame_bytes;
-    if (frame.v2) peer_v2_ = true;
-    const Deadline request_deadline =
-        frame.v2 ? Deadline::from_budget_millis(frame.budget_millis)
-                 : Deadline();
-
-    switch (frame.type) {
-      case FrameType::kHello:
-        if (frame.payload.size() != crypto::kX25519KeySize) {
-          action.reply = encode_error(invalid_argument("bad hello"));
-          action.close = true;
-          return action;
-        }
-        break;
-      case FrameType::kQuery:
-      case FrameType::kBatchQuery:
-        if (frame.payload.size() < 8) {
-          action.reply = encode_error(invalid_argument("bad query frame"));
-          action.close = true;
-          return action;
-        }
-        break;
-      default:
-        action.reply = encode_error(invalid_argument("unexpected frame"));
-        action.close = true;
-        return action;
-    }
-
-    action.dispatch = true;
-    action.deadline = request_deadline;
-    action.job.reserve(1 + frame.payload.size());
-    action.job.push_back(static_cast<std::uint8_t>(frame.type));
-    append(action.job, frame.payload);
-    return action;
-  }
-
-  JobResult run_job(ByteSpan job, const Deadline& deadline) override {
-    JobResult result;
-    const auto type = static_cast<FrameType>(job[0]);
-    const ByteSpan payload = job.subspan(1);
-
-    switch (type) {
-      case FrameType::kHello: {
-        crypto::X25519Key client_pub;
-        std::memcpy(client_pub.data(), payload.data(), client_pub.size());
-        auto response = proxy_->handshake(client_pub);
-        if (!response) {
-          result.reply.push_back(encode_error(response.status()));
-          result.close = true;
-          return result;
-        }
-        Bytes body;
-        core::wire::put_u64(body, response.value().session_id);
-        const Bytes quote = response.value().quote.serialize();
-        core::wire::put_u32(body, static_cast<std::uint32_t>(quote.size()));
-        append(body, quote);
-        append(body, response.value().server_ephemeral_pub);
-        push_frame(result.reply, FrameType::kHelloReply, std::move(body));
-        return result;
-      }
-
-      case FrameType::kQuery:
-      case FrameType::kBatchQuery: {
-        // Identical host-side handling: the frame carries session id + one
-        // sealed record; whether that record holds one query or a batch is
-        // decided inside the enclave. Only the reply type mirrors the
-        // request's.
-        const FrameType reply_type = type == FrameType::kQuery
-                                         ? FrameType::kQueryReply
-                                         : FrameType::kBatchReply;
-        std::size_t offset = 0;
-        auto session = core::wire::get_u64(payload, offset);
-        if (!session) {
-          result.reply.push_back(encode_error(invalid_argument("bad query frame")));
-          result.close = true;
-          return result;
-        }
-        auto response = proxy_->handle_query_record(
-            session.value(), payload.subspan(offset), deadline);
-        if (!response) {
-          Status status = response.status();
-          if (peer_v2_ && status.code() == StatusCode::kUnavailable) {
-            // On the query path UNAVAILABLE means the handler's own
-            // dependency (fleet worker, enclave) is the problem — tell the
-            // client so it stops retrying a proxy that cannot help it.
-            status = upstream_down(status.message());
-          }
-          result.reply.push_back(encode_error(status));
-          return result;  // connection keeps serving, as before
-        }
-        push_frame(result.reply, reply_type, std::move(response).value());
-        return result;
-      }
-
-      default:
-        result.reply.push_back(encode_error(invalid_argument("unexpected frame")));
-        result.close = true;
-        return result;
-    }
-  }
-
-  JobResult shed(const Status& status) override {
-    // Shed replies are always typed: a v1-only peer that gets shed reads
-    // an unknown frame type and treats the connection as failed, which is
-    // the correct outcome for it anyway.
-    JobResult result;
-    result.reply.push_back(encode_shed_frame(status));
-    result.close = true;
-    return result;
-  }
-
-  /// One contiguous kErrorStatus frame (header glued to payload — error
-  /// paths are cold, a copy is fine).
-  [[nodiscard]] static Bytes encode_shed_frame(const Status& status) {
-    Bytes payload = encode_error_status(status);
-    Bytes frame = encode_frame_header(FrameType::kErrorStatus, payload.size())
-                      .value();
-    append(frame, payload);
-    return frame;
-  }
-
- private:
-  /// Typed kErrorStatus for v2 peers, legacy kError text otherwise.
-  [[nodiscard]] Bytes encode_error(const Status& status) const {
-    Bytes payload = peer_v2_ ? encode_error_status(status)
-                             : to_bytes(status.to_string());
-    const FrameType type =
-        peer_v2_ ? FrameType::kErrorStatus : FrameType::kError;
-    Bytes frame = encode_frame_header(type, payload.size()).value();
-    append(frame, payload);
-    return frame;
-  }
-
-  /// Queues header + payload as separate buffers; the reactor's vectored
-  /// write sends both without a gluing copy.
-  static void push_frame(std::vector<Bytes>& out, FrameType type,
-                         Bytes payload) {
-    out.push_back(encode_frame_header(type, payload.size()).value());
-    out.push_back(std::move(payload));
-  }
-
-  core::ProxyHandler* proxy_;
-  /// Set once the peer sends any v2 frame; only ever touched by the one
-  /// thread currently driving this connection (see reactor.hpp).
-  bool peer_v2_ = false;
-};
-
-}  // namespace
 
 Result<std::unique_ptr<ProxyServer>> ProxyServer::start(core::ProxyHandler& proxy,
                                                         std::uint16_t port) {
@@ -209,13 +28,10 @@ Result<std::unique_ptr<ProxyServer>> ProxyServer::start(core::ProxyHandler& prox
   reactor_options.idle_ttl = options.idle_ttl;
   reactor_options.max_connections = options.max_connections;
   reactor_options.accept_fault = std::move(options.accept_fault);
-  core::ProxyHandler* handler = &proxy;
-  reactor_options.protocol_factory = [handler] {
-    return std::make_unique<FrameProtocol>(handler);
+  reactor_options.protocol_factory = [&proxy] {
+    return make_frame_protocol(proxy);
   };
-  reactor_options.encode_shed = [](const Status& status) {
-    return FrameProtocol::encode_shed_frame(status);
-  };
+  reactor_options.encode_shed = encode_error_frame;
 
   auto reactor = Reactor::start(std::move(listener).value(),
                                 std::move(reactor_options));

@@ -22,12 +22,11 @@
 // whose own deadline expired while queued is shed with a typed error
 // before the handler runs.
 //
-// Deadline handling: v2 frames carry the client's remaining budget; the
-// server converts it to a local Deadline, refuses already-expired requests
-// before the handler runs (typed DEADLINE_EXCEEDED, exactly-once safe).
-// Clients that ever sent a v2 frame get typed kErrorStatus replies
-// (OVERLOADED/UPSTREAM_DOWN/...); v1 peers keep the legacy kError text
-// frames, byte for byte.
+// Deadline handling: every frame carries the client's remaining budget;
+// the server converts it to a local Deadline and refuses already-expired
+// requests before the handler runs (typed DEADLINE_EXCEEDED, exactly-once
+// safe). Every error reply is a typed kErrorStatus frame. The protocol
+// itself lives in net/frame_protocol.hpp, shared with in-process clients.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,46 @@
 
 namespace xsearch::net {
 
+namespace {
+
+/// Validates a client-visible batch size against the wire bound.
+Status check_batch_request_size(std::size_t count) {
+  if (count == 0 || count > core::wire::kMaxBatchQueries) {
+    return invalid_argument("broker: batch size must be 1.." +
+                            std::to_string(core::wire::kMaxBatchQueries));
+  }
+  return Status::ok();
+}
+
+/// Decodes the proxy's reply to a batch of `expected` queries into
+/// per-item outcomes.
+Result<std::vector<BatchOutcome>> decode_batch_reply(
+    core::wire::ClientMessage message, std::size_t expected) {
+  if (message.type == core::wire::ClientMessageType::kError) {
+    return unavailable("proxy error: " + message.error);
+  }
+  if (message.type != core::wire::ClientMessageType::kResultsBatch) {
+    return data_loss("broker: expected a results batch from the proxy");
+  }
+  if (message.batch.size() != expected) {
+    return data_loss("broker: batch reply size mismatch");
+  }
+  std::vector<BatchOutcome> outcomes;
+  outcomes.reserve(expected);
+  for (auto& item : message.batch) {
+    BatchOutcome outcome;
+    if (item.ok) {
+      outcome.results = std::move(item.results);
+    } else {
+      outcome.status = unavailable("proxy error: " + item.error);
+    }
+    outcomes.push_back(std::move(outcome));
+  }
+  return outcomes;
+}
+
+}  // namespace
+
 RemoteBroker::RemoteBroker(std::string host, std::uint16_t port,
                            const sgx::AttestationAuthority& authority,
                            const sgx::Measurement& expected_measurement,
@@ -19,8 +59,14 @@ RemoteBroker::RemoteBroker(std::string host, std::uint16_t port,
                            const sgx::AttestationAuthority& authority,
                            const sgx::Measurement& expected_measurement,
                            std::uint64_t seed, Options options)
-    : host_(std::move(host)),
-      port_(port),
+    : RemoteBroker(tcp_connector(std::move(host), port), authority,
+                   expected_measurement, seed, std::move(options)) {}
+
+RemoteBroker::RemoteBroker(Connector connect,
+                           const sgx::AttestationAuthority& authority,
+                           const sgx::Measurement& expected_measurement,
+                           std::uint64_t seed, Options options)
+    : connect_(std::move(connect)),
       authority_(&authority),
       expected_measurement_(expected_measurement),
       rng_(crypto::domain_seed(seed, /*tag=*/0xb0)),  // remote-broker domain separation
@@ -44,13 +90,9 @@ Status RemoteBroker::connect_within(const Deadline& deadline) {
     effective = effective.min(Deadline::after(options_.connect_budget));
   }
 
-  auto stream = TcpStream::connect(host_, port_);
+  auto stream = connect_();
   if (!stream) return stream.status();
-  if (options_.wrap_stream) {
-    stream_ = options_.wrap_stream(std::move(stream).value());
-  } else {
-    stream_ = std::make_unique<TcpStream>(std::move(stream).value());
-  }
+  stream_ = std::move(stream).value();
 
   const auto ephemeral = crypto::x25519_keypair_from_seed(rng_.key());
 
@@ -62,9 +104,6 @@ Status RemoteBroker::connect_within(const Deadline& deadline) {
   read_options.io_deadline = effective;
   auto reply = read_frame(*stream_, read_options);
   if (!reply) return reply.status();
-  if (reply.value().type == FrameType::kError) {
-    return unavailable("proxy: " + to_string(reply.value().payload));
-  }
   if (reply.value().type == FrameType::kErrorStatus) {
     return decode_error_status(reply.value().payload);
   }
@@ -184,12 +223,9 @@ Result<core::wire::ClientMessage> RemoteBroker::round_trip(
   append(payload, channel_->seal(message));
   FrameWriteOptions write_options;
   write_options.io_deadline = deadline;
-  if (!deadline.is_infinite()) {
-    // Carry the REMAINING budget (not the original) so every hop downstream
-    // sees how much time the request really has left.
-    write_options.carry_budget = true;
-    write_options.budget_millis = deadline.budget_millis();
-  }
+  // Carry the REMAINING budget (not the original) so every hop downstream
+  // sees how much time the request really has left (0 = no deadline).
+  write_options.budget_millis = deadline.budget_millis();
   if (auto written = write_frame(*stream_, type, payload, write_options);
       !written.is_ok()) {
     // The frame never reached the transport: retrying cannot duplicate
@@ -207,19 +243,13 @@ Result<core::wire::ClientMessage> RemoteBroker::round_trip(
     retryable = true;
     return reply.status();
   }
-  if (reply.value().type == FrameType::kError) {
-    // A frame-level error means the proxy never opened our record (unknown
-    // session, auth failure, busy server): our send counter advanced but
-    // the proxy's receive counter did not, so the channel is unusable —
-    // and since nothing was executed, a retry cannot duplicate work.
-    retryable = true;
-    delivered = false;
-    return unavailable("proxy: " + to_string(reply.value().payload));
-  }
   if (reply.value().type == FrameType::kErrorStatus) {
-    // Same exactly-once refusal, but typed: deadline shed, overload shed,
-    // breaker open, unknown session — the caller (and its breaker) can
-    // tell them apart.
+    // A frame-level error means the proxy never opened our record (unknown
+    // session, auth failure, deadline or overload shed, breaker open): our
+    // send counter advanced but the proxy's receive counter did not, so the
+    // channel is unusable — and since nothing was executed, a retry cannot
+    // duplicate work. The typed code lets the caller (and its breaker)
+    // tell the cases apart.
     retryable = true;
     delivered = false;
     return decode_error_status(reply.value().payload);
@@ -254,7 +284,7 @@ Result<std::vector<engine::SearchResult>> RemoteBroker::search_once(
   return std::move(message).value().results;
 }
 
-Result<std::vector<core::BatchOutcome>> RemoteBroker::search_batch(
+Result<std::vector<BatchOutcome>> RemoteBroker::search_batch(
     const std::vector<std::string>& queries) {
   const Deadline deadline = request_deadline();
   retry_budget_.record_request();
@@ -279,16 +309,16 @@ Result<std::vector<core::BatchOutcome>> RemoteBroker::search_batch(
   }
 }
 
-Result<std::vector<core::BatchOutcome>> RemoteBroker::search_batch_once(
+Result<std::vector<BatchOutcome>> RemoteBroker::search_batch_once(
     const std::vector<std::string>& queries, const Deadline& deadline,
     bool& retryable, bool& delivered) {
-  XS_RETURN_IF_ERROR(core::check_batch_request_size(queries.size()));
+  XS_RETURN_IF_ERROR(check_batch_request_size(queries.size()));
   auto message = round_trip(FrameType::kBatchQuery, FrameType::kBatchReply,
                             core::wire::frame_query_batch(queries), deadline,
                             retryable, delivered);
   if (!message) return message.status();
   queries_sent_ += queries.size();
-  return core::decode_batch_reply(std::move(message).value(), queries.size());
+  return decode_batch_reply(std::move(message).value(), queries.size());
 }
 
 }  // namespace xsearch::net

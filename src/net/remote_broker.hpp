@@ -1,15 +1,23 @@
-// Network client broker: the client-side daemon of §4.2 speaking to a
-// ProxyServer over TCP instead of in-process calls.
+// Client-side query broker (paper §4.2).
 //
-// Behaviour is identical to core::ClientBroker — attest the enclave behind
-// the server before trusting it, then exchange encrypted records — with the
-// frames of net/frame.hpp as transport.
+// "This broker runs within the client's domain, such as a local daemon
+// process executing alongside the client's Web browser. The broker is in
+// charge of the SGX attestation step." On first use it performs the
+// attested handshake — verifying the enclave quote against the expected
+// measurement before trusting the channel key — then exchanges sealed
+// records with the enclave in the frames of net/frame.hpp.
+//
+// The broker reaches the proxy through a `Connector`: over TCP
+// (`tcp_connector`, what the host/port constructors use) or in-process
+// (`in_process_connector` in net/frame_protocol.hpp), which runs the
+// server's own frame protocol without sockets. Either way, every request
+// goes through the same framing, typed errors and deadline handling.
 //
 // Robustness model (one request = one `search`/`search_batch` call):
 //
 //  * Every call runs under an end-to-end deadline derived from
 //    `Options::request_budget` (0 = none). The deadline bounds every socket
-//    operation, rides the wire as the v2 frame budget so the server can
+//    operation, rides the wire as the frame budget so the server can
 //    refuse work it cannot finish in time, and caps the retry loop.
 //  * The proxy's session table is bounded (LRU + idle TTL), so an
 //    established session can legitimately disappear between two queries;
@@ -25,7 +33,6 @@
 //    never touch the wire, then half-open probes restore service.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,36 +48,50 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/wire.hpp"
 
 namespace xsearch::net {
 
+/// Client-side outcome of one query inside a batch round trip. The batch
+/// travels as ONE sealed record each way; failures of individual queries
+/// (engine refusing one of them) surface here per item.
+struct BatchOutcome {
+  Status status;
+  std::vector<engine::SearchResult> results;
+};
+
+/// Robustness knobs of a RemoteBroker (see the file comment).
+struct RemoteBrokerOptions {
+  /// End-to-end budget for one `search`/`search_batch` call, covering
+  /// every attempt, backoff pause, and socket operation. 0 = unbounded
+  /// (the historical behavior). Also carried on the wire so the server
+  /// sheds work whose budget already expired.
+  Nanos request_budget = 0;
+  /// Budget for connect + attested handshake (0 = unbounded). Always
+  /// additionally capped by the remaining request budget.
+  Nanos connect_budget = 0;
+  /// Attempt cap + backoff curve for session-recovery retries. The
+  /// default (two attempts) preserves the historical retry-exactly-once.
+  RetryPolicy retry;
+  /// Token bucket damping retry storms across the connection's lifetime.
+  RetryBudget::Options retry_budget;
+  /// Client-side breaker over transport-level outcomes. Disabled by
+  /// default; when enabled, open-state calls fail fast without wire I/O.
+  bool breaker_enabled = false;
+  CircuitBreaker::Options breaker;
+};
+
 class RemoteBroker {
  public:
-  struct Options {
-    /// End-to-end budget for one `search`/`search_batch` call, covering
-    /// every attempt, backoff pause, and socket operation. 0 = unbounded
-    /// (the historical behavior). Also carried on the wire (v2 frames) so
-    /// the server sheds work whose budget already expired.
-    Nanos request_budget = 0;
-    /// Budget for connect + attested handshake (0 = unbounded). Always
-    /// additionally capped by the remaining request budget.
-    Nanos connect_budget = 0;
-    /// Attempt cap + backoff curve for session-recovery retries. The
-    /// default (two attempts) preserves the historical retry-exactly-once.
-    RetryPolicy retry;
-    /// Token bucket damping retry storms across the connection's lifetime.
-    RetryBudget::Options retry_budget;
-    /// Client-side breaker over transport-level outcomes. Disabled by
-    /// default; when enabled, open-state calls fail fast without wire I/O.
-    bool breaker_enabled = false;
-    CircuitBreaker::Options breaker;
-    /// Test seam: wraps the freshly connected TcpStream (e.g. in a
-    /// ChaosSocket). Default: the plain stream.
-    std::function<std::unique_ptr<ByteStream>(TcpStream)> wrap_stream;
-  };
+  using Options = RemoteBrokerOptions;
 
+  /// The broker opens every connection (initial and after each failure)
+  /// through `connect`. Fault-injection tests wrap the stream it returns,
+  /// e.g. in a ChaosSocket.
+  RemoteBroker(Connector connect, const sgx::AttestationAuthority& authority,
+               const sgx::Measurement& expected_measurement, std::uint64_t seed,
+               Options options = {});
+  /// Over TCP to host:port.
   RemoteBroker(std::string host, std::uint16_t port,
                const sgx::AttestationAuthority& authority,
                const sgx::Measurement& expected_measurement, std::uint64_t seed);
@@ -90,7 +111,7 @@ class RemoteBroker {
       std::string_view query);
 
   /// Many private searches in one kBatchQuery frame: ONE sealed record
-  /// each way and one TCP round trip, so AEAD and syscall cost amortize
+  /// each way and one round trip, so AEAD and syscall cost amortize
   /// over the batch (bounded by core::wire::kMaxBatchQueries).
   /// Whole-batch transport failures are the returned status; per-query
   /// failures are per-item. Re-handshakes and retries like `search`.
@@ -108,7 +129,7 @@ class RemoteBroker {
   ///    history entries and engine traffic, no channel-safety impact).
   ///    These retries are counted in `at_least_once_retries()` so
   ///    deployments can observe the duplication risk they actually took.
-  [[nodiscard]] Result<std::vector<core::BatchOutcome>> search_batch(
+  [[nodiscard]] Result<std::vector<BatchOutcome>> search_batch(
       const std::vector<std::string>& queries);
 
   [[nodiscard]] bool connected() const { return channel_.has_value(); }
@@ -151,7 +172,7 @@ class RemoteBroker {
   [[nodiscard]] Result<std::vector<engine::SearchResult>> search_once(
       std::string_view query, const Deadline& deadline, bool& retryable,
       bool& delivered);
-  [[nodiscard]] Result<std::vector<core::BatchOutcome>> search_batch_once(
+  [[nodiscard]] Result<std::vector<BatchOutcome>> search_batch_once(
       const std::vector<std::string>& queries, const Deadline& deadline,
       bool& retryable, bool& delivered);
   /// Shared query/batch transport: seals `message`, sends it as `type`,
@@ -173,8 +194,7 @@ class RemoteBroker {
   [[nodiscard]] bool prepare_retry(RetryState& retry, const Deadline& deadline,
                                    bool retryable, bool delivered);
 
-  std::string host_;
-  std::uint16_t port_;
+  Connector connect_;
   const sgx::AttestationAuthority* authority_;
   sgx::Measurement expected_measurement_;
   crypto::SecureRandom rng_;

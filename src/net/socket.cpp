@@ -58,6 +58,15 @@ Result<TcpStream> TcpStream::connect(const std::string& host, std::uint16_t port
   return TcpStream(std::move(fd));
 }
 
+Connector tcp_connector(std::string host, std::uint16_t port) {
+  return [host = std::move(host), port]() -> Result<std::unique_ptr<ByteStream>> {
+    auto stream = TcpStream::connect(host, port);
+    if (!stream) return stream.status();
+    return std::unique_ptr<ByteStream>(
+        std::make_unique<TcpStream>(std::move(stream).value()));
+  };
+}
+
 Status TcpStream::arm_timeout(int option, const Deadline& deadline,
                               bool& armed) {
   if (deadline.is_infinite() && !armed) return Status::ok();

@@ -28,6 +28,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -178,6 +180,14 @@ class TcpStream : public ByteStream {
   bool recv_timeout_armed_ = false;
   bool send_timeout_armed_ = false;
 };
+
+/// Opens a fresh connection to one peer — the seam a client is built on,
+/// so the same client runs over TCP (`tcp_connector`), in-process
+/// (net/frame_protocol.hpp) or through a fault injector wrapping either.
+using Connector = std::function<Result<std::unique_ptr<ByteStream>>()>;
+
+/// Connects to host:port over TCP on every call.
+[[nodiscard]] Connector tcp_connector(std::string host, std::uint16_t port);
 
 /// A listening TCP socket bound to 127.0.0.1.
 ///

@@ -16,6 +16,7 @@
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
+#include "xsearch/wire.hpp"
 
 namespace xsearch::api {
 namespace {
@@ -278,6 +279,34 @@ TEST(ApiRegistryTest, DuplicateRegistrationIsRejected) {
         return not_found("never called");
       });
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+// --- X-Search batch path ------------------------------------------------------
+
+// The in-process X-Search client runs the same broker as the remote one, so
+// a batch travels as one batch frame per wire-bound chunk: one query ecall
+// per chunk, not one per query.
+TEST(ApiXSearchTest, InProcessBatchTakesOneQueryEcallPerChunk) {
+  ClientConfig config;
+  config.contact_engine = false;  // no engine ocalls: transitions = ecalls
+  auto client = make_client("xsearch", Backend{}, config);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  ASSERT_TRUE(client.value()->connect().is_ok());  // the handshake ecall
+  const auto before = client.value()->privacy_properties().enclave_transitions;
+
+  constexpr std::size_t kChunks = 3;
+  const std::size_t count = (kChunks - 1) * core::wire::kMaxBatchQueries + 1;
+  std::vector<PrivateSearchClient::BatchQuery> queries;
+  for (std::size_t i = 0; i < count; ++i) {
+    queries.push_back({"batched query " + std::to_string(i), 0});
+  }
+  const auto outcomes = client.value()->search_batch(queries);
+  ASSERT_EQ(outcomes.size(), count);
+  for (const auto& outcome : outcomes) {
+    EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  }
+  EXPECT_EQ(client.value()->privacy_properties().enclave_transitions - before,
+            kChunks);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 // underlying envelope primitive.
 #include <gtest/gtest.h>
 
+#include "broker_util.hpp"
 #include "crypto/envelope.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/engine_gateway.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/wire.hpp"
@@ -126,7 +126,8 @@ TEST_F(EngineLinkTest, SearchWorksOverEncryptedLink) {
   options.k = 2;
   options.history_capacity = 5'000;
   XSearchProxy proxy(gateway_, authority_, options);
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 1);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
 
   const auto results = broker.search(log_.records()[5].text);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
@@ -143,7 +144,8 @@ TEST_F(EngineLinkTest, EngineStillSeesObfuscatedQuery) {
   options.k = 2;
   options.history_capacity = 5'000;
   XSearchProxy proxy(gateway_, authority_, options);
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 2);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 2);
   for (std::size_t i = 0; i < 10; ++i) {
     (void)broker.search(log_.records()[i].text);
   }
@@ -164,8 +166,10 @@ TEST_F(EngineLinkTest, ResultsMatchPlainLink) {
   XSearchProxy encrypted(gateway_, authority_, options);
   XSearchProxy plain(&engine_, authority_, options);
 
-  ClientBroker b1(encrypted, authority_, encrypted.measurement(), 3);
-  ClientBroker b2(plain, authority_, plain.measurement(), 4);
+  auto b1 = testutil::in_process_broker(encrypted, authority_,
+                                        encrypted.measurement(), 3);
+  auto b2 =
+      testutil::in_process_broker(plain, authority_, plain.measurement(), 4);
   const auto& query = log_.records()[7].text;
   const auto r1 = b1.search(query);
   const auto r2 = b2.search(query);

@@ -19,11 +19,11 @@
 #include <thread>
 #include <vector>
 
+#include "broker_util.hpp"
 #include "common/rng.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/history.hpp"
 #include "xsearch/proxy.hpp"
 
@@ -68,8 +68,10 @@ class ParallelObfuscationTest : public ::testing::Test {
     engine_.set_observer(
         [&observed](std::string_view q) { observed.emplace_back(q); });
 
-    ClientBroker alice(proxy, authority_, proxy.measurement(), 1);
-    ClientBroker bob(proxy, authority_, proxy.measurement(), 2);
+    auto alice =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
+    auto bob =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 2);
     EXPECT_TRUE(alice.connect().is_ok());
     EXPECT_TRUE(bob.connect().is_ok());
     for (std::size_t i = 0; i < 10; ++i) {
@@ -119,8 +121,10 @@ TEST_F(ParallelObfuscationTest, SessionsHaveIndependentStreams) {
   std::vector<std::string> observed;
   engine_.set_observer(
       [&observed](std::string_view q) { observed.emplace_back(q); });
-  ClientBroker alice(proxy, authority_, proxy.measurement(), 1);
-  ClientBroker bob(proxy, authority_, proxy.measurement(), 2);
+  auto alice =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
+  auto bob =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 2);
   const std::string query = log_.records()[300].text;
   ASSERT_TRUE(alice.search(query).is_ok());
   ASSERT_TRUE(bob.search(query).is_ok());
@@ -145,8 +149,10 @@ TEST_F(ParallelObfuscationTest, ManyThreadsManySessionsRaceFree) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ClientBroker a(proxy, authority_, proxy.measurement(), 10 + 2 * t);
-      ClientBroker b(proxy, authority_, proxy.measurement(), 11 + 2 * t);
+      auto a = testutil::in_process_broker(proxy, authority_,
+                                           proxy.measurement(), 10 + 2 * t);
+      auto b = testutil::in_process_broker(proxy, authority_,
+                                           proxy.measurement(), 11 + 2 * t);
       for (int i = 0; i < kQueries; ++i) {
         if (!a.search("thread " + std::to_string(t) + " q" + std::to_string(i))
                  .is_ok()) {

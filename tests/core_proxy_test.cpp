@@ -5,12 +5,12 @@
 
 #include <thread>
 
+#include "broker_util.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/analytics.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
 #include "text/tokenizer.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 
 namespace xsearch::core {
@@ -79,7 +79,8 @@ TEST_F(ProxyTest, CreateValidatesOptions) {
 
   auto proxy = XSearchProxy::create(&engine_, authority_, options());
   ASSERT_TRUE(proxy.is_ok()) << proxy.status().to_string();
-  ClientBroker broker(*proxy.value(), authority_, proxy.value()->measurement(), 7);
+  auto broker = testutil::in_process_broker(*proxy.value(), authority_,
+                                            proxy.value()->measurement(), 7);
   EXPECT_TRUE(broker.connect().is_ok());
 }
 
@@ -94,12 +95,14 @@ TEST_F(ProxyTest, WarmHistoryPreloadsDecoys) {
 TEST_F(ProxyTest, BrokerSearchReturnsResults) {
   XSearchProxy proxy(&engine_, authority_, options());
   // Warm the history so obfuscation has decoys.
-  ClientBroker warm(proxy, authority_, proxy.measurement(), 1);
+  auto warm =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
   for (std::size_t i = 0; i < 20; ++i) {
     (void)warm.search(log_.records()[i].text);
   }
 
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 2);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 2);
   const auto& query = log_.records()[50].text;
   const auto results = broker.search(query);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
@@ -108,7 +111,8 @@ TEST_F(ProxyTest, BrokerSearchReturnsResults) {
 
 TEST_F(ProxyTest, ResultsAreScrubbedOfTracking) {
   XSearchProxy proxy(&engine_, authority_, options());
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 3);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 3);
   const auto results = broker.search(log_.records()[10].text);
   ASSERT_TRUE(results.is_ok());
   for (const auto& r : results.value()) {
@@ -121,7 +125,8 @@ TEST_F(ProxyTest, EngineNeverSeesRawQueryOnceWarm) {
   std::vector<std::string> observed;
   engine_.set_observer([&observed](std::string_view q) { observed.emplace_back(q); });
 
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 4);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 4);
   // Warm-up queries fill the history.
   for (std::size_t i = 0; i < 30; ++i) {
     (void)broker.search(log_.records()[i].text);
@@ -140,7 +145,8 @@ TEST_F(ProxyTest, EngineNeverSeesRawQueryOnceWarm) {
 
 TEST_F(ProxyTest, HistoryGrowsWithQueries) {
   XSearchProxy proxy(&engine_, authority_, options());
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 5);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 5);
   EXPECT_EQ(proxy.history_size(), 0u);
   for (std::size_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(broker.search(log_.records()[i].text).is_ok());
@@ -151,7 +157,8 @@ TEST_F(ProxyTest, HistoryGrowsWithQueries) {
 TEST_F(ProxyTest, TransitionCountsMatchNarrowInterface) {
   XSearchProxy proxy(&engine_, authority_, options());
   const auto before = proxy.enclave().transition_stats();
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 6);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 6);
   ASSERT_TRUE(broker.search(log_.records()[0].text).is_ok());
   const auto after = proxy.enclave().transition_stats();
   // 1 handshake ecall + 1 query ecall; 4 socket ocalls per engine trip.
@@ -163,7 +170,7 @@ TEST_F(ProxyTest, WrongMeasurementRejectedByBroker) {
   XSearchProxy proxy(&engine_, authority_, options());
   sgx::Measurement wrong{};
   wrong.fill(0xab);
-  ClientBroker broker(proxy, authority_, wrong, 7);
+  auto broker = testutil::in_process_broker(proxy, authority_, wrong, 7);
   const auto results = broker.search("query");
   EXPECT_FALSE(results.is_ok());
   EXPECT_EQ(results.status().code(), StatusCode::kPermissionDenied);
@@ -172,13 +179,15 @@ TEST_F(ProxyTest, WrongMeasurementRejectedByBroker) {
 TEST_F(ProxyTest, WrongAuthorityRejectedByBroker) {
   XSearchProxy proxy(&engine_, authority_, options());
   sgx::AttestationAuthority rogue(to_bytes("rogue-root"));
-  ClientBroker broker(proxy, rogue, proxy.measurement(), 8);
+  auto broker =
+      testutil::in_process_broker(proxy, rogue, proxy.measurement(), 8);
   EXPECT_FALSE(broker.search("query").is_ok());
 }
 
 TEST_F(ProxyTest, TamperedRecordRejected) {
   XSearchProxy proxy(&engine_, authority_, options());
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 9);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 9);
   ASSERT_TRUE(broker.connect().is_ok());
 
   // Forge a record outside any channel: the enclave must refuse it.
@@ -196,8 +205,10 @@ TEST_F(ProxyTest, UnknownSessionRejected) {
 
 TEST_F(ProxyTest, MultipleIndependentClients) {
   XSearchProxy proxy(&engine_, authority_, options());
-  ClientBroker alice(proxy, authority_, proxy.measurement(), 10);
-  ClientBroker bob(proxy, authority_, proxy.measurement(), 11);
+  auto alice =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 10);
+  auto bob =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 11);
   ASSERT_TRUE(alice.search(log_.records()[0].text).is_ok());
   ASSERT_TRUE(bob.search(log_.records()[1].text).is_ok());
   ASSERT_TRUE(alice.search(log_.records()[2].text).is_ok());
@@ -211,8 +222,9 @@ TEST_F(ProxyTest, ConcurrentClients) {
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      ClientBroker broker(proxy, authority_, proxy.measurement(),
-                          static_cast<std::uint64_t>(100 + c));
+      auto broker =
+          testutil::in_process_broker(proxy, authority_, proxy.measurement(),
+                                      static_cast<std::uint64_t>(100 + c));
       for (int i = 0; i < kQueriesEach; ++i) {
         const auto& q = log_.records()[static_cast<std::size_t>(c * kQueriesEach + i)].text;
         if (!broker.search(q).is_ok()) ++failures;
@@ -229,7 +241,8 @@ TEST_F(ProxyTest, SaturationModeSkipsEngine) {
   XSearchProxy::Options opt = options();
   opt.contact_engine = false;
   XSearchProxy proxy(nullptr, authority_, opt);
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 12);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 12);
   const auto results = broker.search("a query");
   ASSERT_TRUE(results.is_ok());
   EXPECT_TRUE(results.value().empty());
@@ -240,7 +253,8 @@ TEST_F(ProxyTest, SaturationModeSkipsEngine) {
 
 TEST_F(ProxyTest, FilteredResultsRelateToOriginal) {
   XSearchProxy proxy(&engine_, authority_, options(/*k=*/2));
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 13);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 13);
   for (std::size_t i = 0; i < 40; ++i) {
     (void)broker.search(log_.records()[i].text);
   }
@@ -264,7 +278,8 @@ TEST_F(ProxyTest, FilteredResultsRelateToOriginal) {
 
 TEST_F(ProxyTest, EpcUsageVisible) {
   XSearchProxy proxy(&engine_, authority_, options());
-  ClientBroker broker(proxy, authority_, proxy.measurement(), 14);
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 14);
   const std::size_t before = proxy.enclave().epc().in_use();
   for (std::size_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(broker.search(log_.records()[i].text).is_ok());

@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "broker_util.hpp"
 #include "crypto/x25519.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/checkpoint.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/session_table.hpp"
@@ -50,7 +50,8 @@ TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
   {
     XSearchProxy proxy(nullptr, authority_, checkpointing_options());
     ASSERT_TRUE(proxy.init_status().is_ok());
-    ClientBroker broker(proxy, authority_, proxy.measurement(), 1);
+    auto broker =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(broker.search("query " + std::to_string(i)).is_ok());
     }
@@ -72,14 +73,16 @@ TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
   EXPECT_EQ(restarted.history_size(), 8u);
 
   // The restored table feeds obfuscation immediately: no cold start.
-  ClientBroker broker(restarted, authority_, restarted.measurement(), 2);
+  auto broker = testutil::in_process_broker(restarted, authority_,
+                                            restarted.measurement(), 2);
   EXPECT_TRUE(broker.search("after restart").is_ok());
 }
 
 TEST_F(RecoveryTest, ExplicitCheckpointCapturesFullDepth) {
   {
     XSearchProxy proxy(nullptr, authority_, checkpointing_options(/*interval=*/0));
-    ClientBroker broker(proxy, authority_, proxy.measurement(), 3);
+    auto broker =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 3);
     for (int i = 0; i < 7; ++i) {
       ASSERT_TRUE(broker.search("q" + std::to_string(i)).is_ok());
     }
@@ -106,7 +109,8 @@ TEST_F(RecoveryTest, CheckpointNowWithoutDirIsRefused) {
 TEST_F(RecoveryTest, TamperedCheckpointFallsBackToCleanColdStart) {
   {
     XSearchProxy proxy(nullptr, authority_, checkpointing_options());
-    ClientBroker broker(proxy, authority_, proxy.measurement(), 4);
+    auto broker =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 4);
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(broker.search("secret " + std::to_string(i)).is_ok());
     }
@@ -127,14 +131,16 @@ TEST_F(RecoveryTest, TamperedCheckpointFallsBackToCleanColdStart) {
   EXPECT_EQ(restarted.history_size(), 0u);  // cold, never a partial window
 
   // And the cold proxy serves normally.
-  ClientBroker broker(restarted, authority_, restarted.measurement(), 5);
+  auto broker = testutil::in_process_broker(restarted, authority_,
+                                            restarted.measurement(), 5);
   EXPECT_TRUE(broker.search("fresh query").is_ok());
 }
 
 TEST_F(RecoveryTest, TruncatedCheckpointFallsBackToCleanColdStart) {
   {
     XSearchProxy proxy(nullptr, authority_, checkpointing_options());
-    ClientBroker broker(proxy, authority_, proxy.measurement(), 6);
+    auto broker =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 6);
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(broker.search("will truncate " + std::to_string(i)).is_ok());
     }
@@ -159,7 +165,8 @@ TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
     XSearchProxy::Options wide = checkpointing_options(/*interval=*/0);
     wide.history_capacity = 100;
     XSearchProxy proxy(nullptr, authority_, wide);
-    ClientBroker broker(proxy, authority_, proxy.measurement(), 7);
+    auto broker =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 7);
     for (int i = 0; i < 30; ++i) {
       ASSERT_TRUE(broker.search("wide " + std::to_string(i)).is_ok());
     }
@@ -177,7 +184,8 @@ TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
 TEST_F(RecoveryTest, CheckpointSealsPerSessionState) {
   {
     XSearchProxy proxy(nullptr, authority_, checkpointing_options(/*interval=*/0));
-    ClientBroker broker(proxy, authority_, proxy.measurement(), 8);
+    auto broker =
+        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 8);
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(broker.search("session state " + std::to_string(i)).is_ok());
     }

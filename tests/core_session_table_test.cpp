@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "broker_util.hpp"
 #include "crypto/x25519.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/wire.hpp"
 
@@ -200,20 +200,25 @@ XSearchProxy::Options saturation_options() {
   return options;
 }
 
-TEST(ProxySessions, EvictedSessionQueryReturnsNotFound) {
+using testutil::Transport;
+
+class ProxySessionsEviction : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(ProxySessionsEviction, EvictedSessionQueryReturnsNotFound) {
   sgx::AttestationAuthority authority(to_bytes("session-test-root"));
   auto options = saturation_options();
   options.session_capacity = 1;
   options.session_shards = 1;
   XSearchProxy proxy(nullptr, authority, options);
+  const testutil::ServedProxy served(GetParam(), proxy);
 
-  ClientBroker first(proxy, authority, proxy.measurement(), 1);
-  ASSERT_TRUE(first.connect().is_ok());  // session id 1
-  ASSERT_TRUE(first.search("while still resident").is_ok());
+  auto first = served.broker(authority, proxy.measurement(), 1);
+  ASSERT_TRUE(first->connect().is_ok());  // session id 1
+  ASSERT_TRUE(first->search("while still resident").is_ok());
 
   // The second handshake exceeds the capacity-1 table and evicts `first`.
-  ClientBroker second(proxy, authority, proxy.measurement(), 2);
-  ASSERT_TRUE(second.connect().is_ok());
+  auto second = served.broker(authority, proxy.measurement(), 2);
+  ASSERT_TRUE(second->connect().is_ok());
   EXPECT_EQ(proxy.session_stats().evicted_lru, 1u);
 
   // A record for the evicted session id is refused with NOT_FOUND at the
@@ -223,10 +228,15 @@ TEST(ProxySessions, EvictedSessionQueryReturnsNotFound) {
   EXPECT_EQ(raw.status().code(), StatusCode::kNotFound);
 
   // The broker recovers transparently: one fresh handshake, one retry.
-  EXPECT_TRUE(first.search("after eviction").is_ok());
-  EXPECT_EQ(first.reconnects(), 1u);
+  EXPECT_TRUE(first->search("after eviction").is_ok());
+  EXPECT_EQ(first->reconnects(), 1u);
   EXPECT_EQ(proxy.session_stats().evicted_lru, 2u);  // it evicted `second`
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, ProxySessionsEviction,
+                         ::testing::Values(Transport::kTcp,
+                                           Transport::kInProcess),
+                         testutil::transport_name);
 
 TEST(ProxySessions, IdleSessionExpiresThroughProxy) {
   sgx::AttestationAuthority authority(to_bytes("session-test-root"));
@@ -237,7 +247,8 @@ TEST(ProxySessions, IdleSessionExpiresThroughProxy) {
   options.session_idle_ttl = 200 * kMilli;
   XSearchProxy proxy(nullptr, authority, options);
 
-  ClientBroker broker(proxy, authority, proxy.measurement(), 3);
+  auto broker =
+      testutil::in_process_broker(proxy, authority, proxy.measurement(), 3);
   ASSERT_TRUE(broker.search("fresh").is_ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   // The idle session expired; the broker re-handshakes and retries once.

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "broker_util.hpp"
 #include "test_util.hpp"
 
 #include "dataset/synthetic.hpp"
@@ -25,7 +26,6 @@
 #include "net/proxy_server.hpp"
 #include "net/remote_broker.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/wire.hpp"
 
@@ -48,7 +48,8 @@ class FaultTest : public ::testing::Test {
         engine_(corpus_),
         authority_(to_bytes("fault-root")),
         proxy_(&engine_, authority_, make_options()),
-        broker_(proxy_, authority_, proxy_.measurement(), 1) {}
+        broker_(net::in_process_connector(proxy_), authority_,
+                proxy_.measurement(), 1) {}
 
   static XSearchProxy::Options make_options() {
     XSearchProxy::Options options;
@@ -67,7 +68,7 @@ class FaultTest : public ::testing::Test {
   engine::SearchEngine engine_;
   sgx::AttestationAuthority authority_;
   XSearchProxy proxy_;
-  ClientBroker broker_;
+  net::RemoteBroker broker_;
 };
 
 TEST_F(FaultTest, BaselineWorks) {
@@ -147,7 +148,8 @@ TEST_F(FaultTest, RecoveryAfterTransientFault) {
   // enclave sends its error through the secure channel (counters stay in
   // sync on both ends).
   XSearchProxy fresh_proxy(&engine_, authority_, make_options());
-  ClientBroker fresh_broker(fresh_proxy, authority_, fresh_proxy.measurement(), 2);
+  auto fresh_broker = testutil::in_process_broker(
+      fresh_proxy, authority_, fresh_proxy.measurement(), 2);
   EXPECT_TRUE(fresh_broker.search(log_.records()[7].text).is_ok());
   // And on the original proxy too:
   host_enclave().register_ocall(sgx::OcallId::kSend, [this](ByteSpan payload) -> Result<Bytes> {

@@ -8,12 +8,12 @@
 
 #include "attack/simattack.hpp"
 #include "baselines/peas/peas.hpp"
+#include "broker_util.hpp"
 #include "common/rng.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/filter.hpp"
 #include "xsearch/history.hpp"
 #include "xsearch/obfuscator.hpp"
@@ -146,7 +146,8 @@ TEST_F(SystemTest, Claim5_EndToEndThroughProxyKeepsQueryPrivate) {
     engine_saw.emplace_back(q);
   });
 
-  core::ClientBroker broker(proxy, authority, proxy.measurement(), 503);
+  auto broker =
+      testutil::in_process_broker(proxy, authority, proxy.measurement(), 503);
   for (std::size_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(broker.search(split_.train.records()[i * 7].text).is_ok());
   }
@@ -175,7 +176,8 @@ TEST_F(SystemTest, Claim6_EpcBudgetHolds) {
   options.k = 2;
   options.history_capacity = 1'000'000;
   core::XSearchProxy proxy(engine_.get(), authority, options);
-  core::ClientBroker broker(proxy, authority, proxy.measurement(), 504);
+  auto broker =
+      testutil::in_process_broker(proxy, authority, proxy.measurement(), 504);
   for (std::size_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(broker.search(split_.train.records()[i % split_.train.size()].text)
                     .is_ok());

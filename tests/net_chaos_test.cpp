@@ -1,4 +1,4 @@
-// Deterministic wire-level chaos harness (ISSUE 8 acceptance suite).
+// Deterministic wire-level chaos harness.
 //
 // Three layers, bottom up:
 //  * frame-level fault satellites — partial writes/reads, dropped and
@@ -9,8 +9,9 @@
 //    without wire I/O while open and recovers through half-open probes on an
 //    injected clock; the XSearchProxy's engine-path breaker stops calling a
 //    dead engine and recovers the same way;
-//  * the end-to-end chaos run — broker → ProxyServer → ProxyFleet under a
-//    seeded FaultPlan, for several seeds: every request completes within its
+//  * the end-to-end chaos run — broker → ProxyServer → ProxyFleet, and the
+//    same broker in-process → ProxyFleet, under a seeded FaultPlan, for
+//    several seeds: every request completes within its
 //    deadline with a typed outcome, duplicates stay inside the documented
 //    at-least-once window, and once the plan is exhausted the path serves
 //    cleanly again.
@@ -28,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "broker_util.hpp"
 #include "common/circuit_breaker.hpp"
 #include "common/deadline.hpp"
 #include "dataset/synthetic.hpp"
@@ -40,7 +42,6 @@
 #include "net/socket.hpp"
 #include "sgx/attestation.hpp"
 #include "test_util.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 
 namespace xsearch::net {
@@ -103,29 +104,27 @@ std::shared_ptr<FaultPlan> single_fault_plan(FaultAction action,
 
 // --- frame-level satellites --------------------------------------------------
 
-TEST(ChaosFrame, V2RoundTripPreservesBudget) {
+TEST(ChaosFrame, BudgetRoundTripsAndZeroMeansNoDeadline) {
   Loopback wire = make_loopback();
   const Bytes payload = to_bytes("budgeted query record");
   FrameWriteOptions write_options;
-  write_options.carry_budget = true;
   write_options.budget_millis = 1234;
   ASSERT_TRUE(write_frame(wire.client, FrameType::kQuery, payload, write_options)
                   .is_ok());
   auto frame = read_frame(wire.server);
   ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
-  EXPECT_TRUE(frame.value().v2);
   EXPECT_EQ(frame.value().budget_millis, 1234u);
   EXPECT_EQ(frame.value().type, FrameType::kQuery);
   EXPECT_EQ(frame.value().payload, payload);
-}
 
-TEST(ChaosFrame, V1FrameReadsAsNoDeadline) {
-  Loopback wire = make_loopback();
+  // A frame written without a budget carries 0, which reads back as an
+  // infinite deadline.
   ASSERT_TRUE(write_frame(wire.client, FrameType::kQuery, to_bytes("q")).is_ok());
-  auto frame = read_frame(wire.server);
-  ASSERT_TRUE(frame.is_ok());
-  EXPECT_FALSE(frame.value().v2);
-  EXPECT_EQ(frame.value().budget_millis, 0u);  // wire meaning: no deadline
+  auto unbounded = read_frame(wire.server);
+  ASSERT_TRUE(unbounded.is_ok());
+  EXPECT_EQ(unbounded.value().budget_millis, 0u);
+  EXPECT_TRUE(
+      Deadline::from_budget_millis(unbounded.value().budget_millis).is_infinite());
 }
 
 TEST(ChaosFrame, TruncatedFrameIsDataLoss) {
@@ -153,6 +152,15 @@ TEST(ChaosFrame, ZeroAndOversizedLengthsAreDataLoss) {
     // Length far past the 4 MiB cap: refused before any allocation.
     const Bytes huge = {0x7f, 0xff, 0xff, 0xff};
     ASSERT_TRUE(wire.client.write_all(huge).is_ok());
+    auto frame = read_frame(wire.server);
+    ASSERT_FALSE(frame.is_ok());
+    EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+  }
+  {
+    Loopback wire = make_loopback();
+    // A length word with the top bit set is out of range like any other.
+    const Bytes marked = {0x80, 0x00, 0x00, 0x05};
+    ASSERT_TRUE(wire.client.write_all(marked).is_ok());
     auto frame = read_frame(wire.server);
     ASSERT_FALSE(frame.is_ok());
     EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
@@ -256,12 +264,97 @@ core::XSearchProxy::Options proxy_only_options() {
   return options;
 }
 
-TEST(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
+using testutil::Transport;
+
+/// A proxy the test takes down and brings back, over either transport.
+/// While it is down, connects are refused; connections opened before an
+/// outage stay dead after it — what a crashed and restarted server does.
+class RestartableProxy {
+ public:
+  RestartableProxy(Transport transport, core::ProxyHandler& proxy)
+      : transport_(transport), proxy_(proxy) {
+    EXPECT_TRUE(start().is_ok());
+  }
+
+  [[nodiscard]] Connector connector() const {
+    if (transport_ == Transport::kTcp) return tcp_connector("127.0.0.1", port_);
+    return [state = state_, inner = in_process_connector(proxy_)]()
+               -> Result<std::unique_ptr<ByteStream>> {
+      if (state->down) return unavailable("connect: connection refused");
+      auto stream = inner();
+      if (!stream) return stream.status();
+      return std::unique_ptr<ByteStream>(std::make_unique<OutageStream>(
+          std::move(stream).value(), state, state->generation));
+    };
+  }
+
+  void stop() {
+    if (server_ != nullptr) server_->stop();
+    state_->down = true;
+    ++state_->generation;
+  }
+
+  [[nodiscard]] Status start() {
+    state_->down = false;
+    if (transport_ == Transport::kInProcess) return Status::ok();
+    auto server = ProxyServer::start(proxy_, port_);
+    if (!server) return server.status();
+    server_ = std::move(server).value();
+    port_ = server_->port();  // the first start picks the port; later ones reuse it
+    return Status::ok();
+  }
+
+ private:
+  struct State {
+    bool down = false;
+    std::uint64_t generation = 0;
+  };
+
+  /// An in-process connection that dies with the outage it was opened
+  /// before.
+  class OutageStream final : public ByteStream {
+   public:
+    OutageStream(std::unique_ptr<ByteStream> inner,
+                 std::shared_ptr<const State> state, std::uint64_t generation)
+        : inner_(std::move(inner)), state_(std::move(state)),
+          generation_(generation) {}
+    using ByteStream::read_exact;
+    using ByteStream::write_all;
+    Status write_all(ByteSpan data, const Deadline& deadline) override {
+      if (!alive()) return unavailable("send: connection reset");
+      return inner_->write_all(data, deadline);
+    }
+    Result<Bytes> read_exact(std::size_t n, const Deadline& deadline) override {
+      if (!alive()) return data_loss("peer closed mid-message");
+      return inner_->read_exact(n, deadline);
+    }
+    void shutdown_both() override { inner_->shutdown_both(); }
+    [[nodiscard]] bool valid() const override {
+      return alive() && inner_->valid();
+    }
+
+   private:
+    [[nodiscard]] bool alive() const {
+      return !state_->down && state_->generation == generation_;
+    }
+    std::unique_ptr<ByteStream> inner_;
+    std::shared_ptr<const State> state_;
+    std::uint64_t generation_;
+  };
+
+  Transport transport_;
+  core::ProxyHandler& proxy_;
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+  std::unique_ptr<ProxyServer> server_;
+  std::uint16_t port_ = 0;
+};
+
+class ChaosBreaker : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   sgx::AttestationAuthority authority(to_bytes("chaos-breaker-root"));
   core::XSearchProxy proxy(nullptr, authority, proxy_only_options());
-  auto server = ProxyServer::start(proxy);
-  ASSERT_TRUE(server.is_ok());
-  const std::uint16_t port = server.value()->port();
+  RestartableProxy served(GetParam(), proxy);
 
   // Breaker on an injected clock: the test steps the cooldown by hand.
   Nanos fake_now = 0;
@@ -274,13 +367,13 @@ TEST(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   options.breaker.open_cooldown = 50 * kMilli;
   options.breaker.half_open_probes = 1;
   options.breaker.now = [&fake_now] { return fake_now; };
-  RemoteBroker broker("127.0.0.1", port, authority, proxy.measurement(), 5,
+  RemoteBroker broker(served.connector(), authority, proxy.measurement(), 5,
                       options);
   ASSERT_TRUE(broker.search("baseline through a healthy proxy").is_ok());
 
   // Proxy goes away: both attempts of the next call fail, tripping the
   // breaker (window min_samples=2, ratio 0.5).
-  server.value()->stop();
+  served.stop();
   EXPECT_FALSE(broker.search("server is down").is_ok());
   EXPECT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kOpen);
   EXPECT_GE(broker.breaker_stats().trips, 1u);
@@ -295,11 +388,10 @@ TEST(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   EXPECT_EQ(broker.frames_sent(), frames_before);
   EXPECT_GE(broker.breaker_stats().rejected, 1u);
 
-  // The proxy returns on the same port; stepping the clock past the
+  // The proxy returns at the same address; stepping the clock past the
   // cooldown admits half-open probes, and the first success closes the
   // breaker (half_open_probes = 1).
-  auto revived = ProxyServer::start(proxy, port);
-  ASSERT_TRUE(revived.is_ok()) << revived.status().to_string();
+  ASSERT_TRUE(served.start().is_ok());
   bool recovered = false;
   for (int i = 0; i < 5 && !recovered; ++i) {
     fake_now += options.breaker.open_cooldown;
@@ -307,8 +399,13 @@ TEST(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   }
   EXPECT_TRUE(recovered);
   EXPECT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kClosed);
-  revived.value()->stop();
+  served.stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, ChaosBreaker,
+                         ::testing::Values(Transport::kTcp,
+                                           Transport::kInProcess),
+                         testutil::transport_name);
 
 // --- engine-path circuit breaker ---------------------------------------------
 
@@ -349,7 +446,8 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
     return Status::ok();
   };
   core::XSearchProxy proxy(&engine, authority, options);
-  core::ClientBroker broker(proxy, authority, proxy.measurement(), 11);
+  auto broker =
+      testutil::in_process_broker(proxy, authority, proxy.measurement(), 11);
   ASSERT_TRUE(broker.connect().is_ok());
 
   // Engine down: queries fail with a SEALED per-query error (the record was
@@ -390,16 +488,19 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
 
 // --- end-to-end chaos run ----------------------------------------------------
 
-// The acceptance run (ISSUE 8): for each seed, a broker with an end-to-end
-// request budget drives a ProxyServer + two-worker ProxyFleet through a
-// ChaosSocket until the fault plan is exhausted. Invariants:
+// The acceptance run: for each seed, a broker with an end-to-end request
+// budget drives a two-worker ProxyFleet — behind a ProxyServer, or
+// in-process — through a ChaosSocket until the fault plan is exhausted.
+// Invariants:
 //  * every call returns within its budget (plus bounded slack) with either
 //    results or a typed error — no hangs;
 //  * executions on the fleet stay inside the documented at-least-once
 //    envelope (each execution is a success, a counted at-least-once retry,
 //    or the delivered final attempt of a failure);
 //  * after the last injected fault, the path serves cleanly again.
-TEST(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
+class ChaosEndToEnd : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
   sgx::AttestationAuthority authority(to_bytes("chaos-e2e-root"));
   for (const std::uint64_t seed : {7u, 21u, 42u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -414,8 +515,8 @@ TEST(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
     server_options.workers = 4;
     server_options.queue_timeout = 500 * kMilli;
     server_options.io_budget = 500 * kMilli;
-    auto server = ProxyServer::start(*fleet.value(), 0, server_options);
-    ASSERT_TRUE(server.is_ok());
+    const testutil::ServedProxy served(GetParam(), *fleet.value(),
+                                       server_options);
 
     FaultPlan::Options plan_options;
     plan_options.seed = seed;
@@ -429,11 +530,15 @@ TEST(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
     broker_options.retry.initial_backoff = kMilli;
     broker_options.retry.max_backoff = 10 * kMilli;
     broker_options.retry_budget.capacity = 1000.0;  // chaos phase may retry a lot
-    broker_options.wrap_stream = [plan](TcpStream stream) {
-      return std::make_unique<ChaosSocket>(std::move(stream), plan);
+    const Connector chaotic = [plan, inner = served.connector()]()
+        -> Result<std::unique_ptr<ByteStream>> {
+      auto stream = inner();
+      if (!stream) return stream.status();
+      return std::unique_ptr<ByteStream>(
+          std::make_unique<ChaosSocket>(std::move(stream).value(), plan));
     };
-    RemoteBroker broker("127.0.0.1", server.value()->port(), authority,
-                        fleet.value()->measurement(), seed, broker_options);
+    RemoteBroker broker(chaotic, authority, fleet.value()->measurement(), seed,
+                        broker_options);
 
     int successes = 0;
     int failures = 0;
@@ -479,10 +584,9 @@ TEST(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
               static_cast<std::size_t>(successes) +
                   static_cast<std::size_t>(failures) +
                   broker.at_least_once_retries());
-
-    server.value()->stop();
   }
 }
+
 
 // Switchless chaos case: every enclave's ring workers are parked mid-burst.
 // The fault is invisible to the wire — frames flow, the proxy answers — so
@@ -490,7 +594,7 @@ TEST(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
 // ecall fallback within its pickup patience. Requests must keep completing
 // within budget (no hang behind the parked ring), and unpausing must return
 // traffic to the exitless path.
-TEST(ChaosEndToEnd, ParkedSwitchlessWorkersDegradeToEcallsNotHangs) {
+TEST_P(ChaosEndToEnd, ParkedSwitchlessWorkersDegradeToEcallsNotHangs) {
   sgx::AttestationAuthority authority(to_bytes("chaos-switchless-root"));
 
   ProxyFleet::Options fleet_options;
@@ -507,13 +611,13 @@ TEST(ChaosEndToEnd, ParkedSwitchlessWorkersDegradeToEcallsNotHangs) {
   server_options.workers = 4;
   server_options.queue_timeout = 500 * kMilli;
   server_options.io_budget = 500 * kMilli;
-  auto server = ProxyServer::start(*fleet.value(), 0, server_options);
-  ASSERT_TRUE(server.is_ok());
+  const testutil::ServedProxy served(GetParam(), *fleet.value(),
+                                     server_options);
 
   RemoteBroker::Options broker_options;
   broker_options.request_budget = 2 * kSecond;
   broker_options.connect_budget = kSecond;
-  RemoteBroker broker("127.0.0.1", server.value()->port(), authority,
+  RemoteBroker broker(served.connector(), authority,
                       fleet.value()->measurement(), 33, broker_options);
 
   // Warm burst: the ring is live, queries ride it.
@@ -559,9 +663,12 @@ TEST(ChaosEndToEnd, ParkedSwitchlessWorkersDegradeToEcallsNotHangs) {
   }
   EXPECT_GT(fleet.value()->fleet_stats().ring.jobs_switchless,
             warm.jobs_switchless);
-
-  server.value()->stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, ChaosEndToEnd,
+                         ::testing::Values(Transport::kTcp,
+                                           Transport::kInProcess),
+                         testutil::transport_name);
 
 }  // namespace
 }  // namespace xsearch::net

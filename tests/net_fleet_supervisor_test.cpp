@@ -7,15 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
 
+#include "broker_util.hpp"
 #include "common/mutex.hpp"
 #include "net/proxy_fleet.hpp"
 #include "sgx/attestation.hpp"
 #include "test_util.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 
 namespace xsearch::net {
@@ -26,14 +27,21 @@ using testutil::eventually;
 class FleetSupervisorTest : public ::testing::Test {
  protected:
   FleetSupervisorTest()
-      : dir_(std::filesystem::temp_directory_path() /
-             ("xs_supervisor_" + std::string(::testing::UnitTest::GetInstance()
-                                                 ->current_test_info()
-                                                 ->name()))),
+      : dir_(std::filesystem::temp_directory_path() / checkpoint_dir_name()),
         authority_(to_bytes("supervisor-test-root")) {
     std::filesystem::remove_all(dir_);
   }
   ~FleetSupervisorTest() override { std::filesystem::remove_all(dir_); }
+
+  /// Per-test directory name ('/' of parameterized names flattened).
+  static std::string checkpoint_dir_name() {
+    std::string name = "xs_supervisor_" +
+                       std::string(::testing::UnitTest::GetInstance()
+                                       ->current_test_info()
+                                       ->name());
+    std::replace(name.begin(), name.end(), '/', '_');
+    return name;
+  }
 
   ProxyFleet::Options fleet_options(std::size_t workers,
                                     bool checkpointing = true) const {
@@ -72,18 +80,41 @@ TEST_F(FleetSupervisorTest, HealthyFleetIsProbedNotRespawned) {
   EXPECT_EQ(fleet.value()->fleet_stats().auto_respawns, 0u);
 }
 
-TEST_F(FleetSupervisorTest, CrashedWorkerIsRespawnedWarm) {
+TEST_F(FleetSupervisorTest, ColdRespawnCountsAsMiss) {
+  auto fleet = ProxyFleet::create(nullptr, authority_,
+                                  fleet_options(2, /*checkpointing=*/false));
+  ASSERT_TRUE(fleet.is_ok());
+  FleetSupervisor supervisor(*fleet.value(), fast_probe());
+  ASSERT_TRUE(fleet.value()->kill_worker(0).is_ok());
+  EXPECT_TRUE(
+      eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
+  supervisor.stop();
+  const auto stats = fleet.value()->fleet_stats();
+  EXPECT_EQ(stats.restore_hits, 0u);
+  EXPECT_GE(stats.restore_misses, 1u);
+  EXPECT_DOUBLE_EQ(stats.warm_start_ratio, 0.0);
+  EXPECT_EQ(fleet.value()->worker_history_depth(0), 0u);  // cold
+}
+
+// Crash and rolling-restart recovery, seen by a broker over either
+// transport: both re-attest onto the restored arc.
+using testutil::Transport;
+
+class FleetRecoveryTest : public FleetSupervisorTest,
+                          public ::testing::WithParamInterface<Transport> {};
+
+TEST_P(FleetRecoveryTest, CrashedWorkerIsRespawnedWarm) {
   auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
+  const testutil::ServedProxy served(GetParam(), *fleet.value());
 
   // Park a session on a known worker and warm its history past the
   // checkpoint interval.
-  core::ClientBroker broker(*fleet.value(), authority_,
-                            fleet.value()->measurement(), 1);
-  ASSERT_TRUE(broker.connect().is_ok());
-  const std::size_t victim = fleet.value()->owner_of(broker.session_id());
+  auto broker = served.broker(authority_, fleet.value()->measurement(), 1);
+  ASSERT_TRUE(broker->connect().is_ok());
+  const std::size_t victim = fleet.value()->owner_of(broker->session_id());
   for (int i = 0; i < 9; ++i) {
-    ASSERT_TRUE(broker.search("warmup " + std::to_string(i)).is_ok());
+    ASSERT_TRUE(broker->search("warmup " + std::to_string(i)).is_ok());
   }
   const std::size_t checkpointed_depth = 8;  // interval 4, 9 queries → seal at 8
   EXPECT_EQ(fleet.value()->worker_stats(victim).checkpoint.written, 2u);
@@ -109,35 +140,19 @@ TEST_F(FleetSupervisorTest, CrashedWorkerIsRespawnedWarm) {
 
   // The arc re-attests: the broker's next search lands after exactly one
   // transparent re-handshake.
-  EXPECT_TRUE(broker.search("after recovery").is_ok());
+  EXPECT_TRUE(broker->search("after recovery").is_ok());
 }
 
-TEST_F(FleetSupervisorTest, ColdRespawnCountsAsMiss) {
-  auto fleet = ProxyFleet::create(nullptr, authority_,
-                                  fleet_options(2, /*checkpointing=*/false));
-  ASSERT_TRUE(fleet.is_ok());
-  FleetSupervisor supervisor(*fleet.value(), fast_probe());
-  ASSERT_TRUE(fleet.value()->kill_worker(0).is_ok());
-  EXPECT_TRUE(
-      eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
-  supervisor.stop();
-  const auto stats = fleet.value()->fleet_stats();
-  EXPECT_EQ(stats.restore_hits, 0u);
-  EXPECT_GE(stats.restore_misses, 1u);
-  EXPECT_DOUBLE_EQ(stats.warm_start_ratio, 0.0);
-  EXPECT_EQ(fleet.value()->worker_history_depth(0), 0u);  // cold
-}
-
-TEST_F(FleetSupervisorTest, DrainSealsFinalCheckpointForRollingRestart) {
+TEST_P(FleetRecoveryTest, DrainSealsFinalCheckpointForRollingRestart) {
   auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
-  core::ClientBroker broker(*fleet.value(), authority_,
-                            fleet.value()->measurement(), 2);
-  ASSERT_TRUE(broker.connect().is_ok());
-  const std::size_t target = fleet.value()->owner_of(broker.session_id());
+  const testutil::ServedProxy served(GetParam(), *fleet.value());
+  auto broker = served.broker(authority_, fleet.value()->measurement(), 2);
+  ASSERT_TRUE(broker->connect().is_ok());
+  const std::size_t target = fleet.value()->owner_of(broker->session_id());
   // 6 queries with interval 4: the periodic path sealed at depth 4 only.
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(broker.search("rolling " + std::to_string(i)).is_ok());
+    ASSERT_TRUE(broker->search("rolling " + std::to_string(i)).is_ok());
   }
 
   // Graceful drain seals the full depth; the respawn restores all 6 —
@@ -147,8 +162,13 @@ TEST_F(FleetSupervisorTest, DrainSealsFinalCheckpointForRollingRestart) {
   ASSERT_TRUE(fleet.value()->respawn(target).is_ok());
   EXPECT_EQ(fleet.value()->worker_history_depth(target), 6u);
   EXPECT_GE(fleet.value()->fleet_stats().restore_hits, 1u);
-  EXPECT_TRUE(broker.search("after rolling restart").is_ok());
+  EXPECT_TRUE(broker->search("after rolling restart").is_ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, FleetRecoveryTest,
+                         ::testing::Values(Transport::kTcp,
+                                           Transport::kInProcess),
+                         testutil::transport_name);
 
 TEST_F(FleetSupervisorTest, HungWorkerProbeTimesOutAndIsRespawned) {
   // A HUNG enclave (wedged ecall, not a crashed one) used to block the
@@ -211,8 +231,8 @@ TEST_F(FleetSupervisorTest, FleetRestartOverExistingCheckpointsIsWarm) {
   {
     auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
     ASSERT_TRUE(fleet.is_ok());
-    core::ClientBroker broker(*fleet.value(), authority_,
-                              fleet.value()->measurement(), 3);
+    auto broker = testutil::in_process_broker(*fleet.value(), authority_,
+                                              fleet.value()->measurement(), 3);
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(broker.search("persisted " + std::to_string(i)).is_ok());
     }

@@ -23,10 +23,10 @@
 
 #include "api/client.hpp"
 #include "api/remote.hpp"
+#include "broker_util.hpp"
 #include "net/proxy_server.hpp"
 #include "net/remote_broker.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/wire.hpp"
 
@@ -137,12 +137,12 @@ TEST(ProxyFleet, SessionsFanOutAndStayPinned) {
   auto fleet = ProxyFleet::create(nullptr, authority, fleet_options(4));
   ASSERT_TRUE(fleet.is_ok()) << fleet.status().to_string();
 
-  // In-process brokers against the fleet (ClientBroker speaks to any
+  // In-process brokers against the fleet (the broker speaks to any
   // ProxyHandler). Every query of a session must reach the same worker.
   std::set<std::size_t> workers_used;
   for (int s = 0; s < 16; ++s) {
-    core::ClientBroker broker(*fleet.value(), authority,
-                              fleet.value()->measurement(), 100 + s);
+    auto broker = testutil::in_process_broker(
+        *fleet.value(), authority, fleet.value()->measurement(), 100 + s);
     ASSERT_TRUE(broker.connect().is_ok());
     auto first = broker.search("pinned session probe");
     ASSERT_TRUE(first.is_ok()) << first.status().to_string();
@@ -228,17 +228,21 @@ TEST(ProxyFleet, EightConcurrentSessionsAcrossFourWorkersPreserveOrder) {
   server.value()->stop();
 }
 
-TEST(ProxyFleet, DrainMigratesOnlyTheDrainedWorkersSessions) {
+using testutil::Transport;
+
+class ProxyFleetDrain : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(ProxyFleetDrain, DrainMigratesOnlyTheDrainedWorkersSessions) {
   sgx::AttestationAuthority authority(to_bytes("fleet-test-root"));
   auto fleet = ProxyFleet::create(nullptr, authority, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
+  const testutil::ServedProxy served(GetParam(), *fleet.value());
 
   // Establish sessions until both workers own at least one.
-  std::vector<std::unique_ptr<core::ClientBroker>> brokers;
-  std::vector<std::size_t> owners;
+  std::vector<std::unique_ptr<RemoteBroker>> brokers;
   for (int s = 0; s < 8; ++s) {
-    brokers.push_back(std::make_unique<core::ClientBroker>(
-        *fleet.value(), authority, fleet.value()->measurement(), 500 + s));
+    brokers.push_back(
+        served.broker(authority, fleet.value()->measurement(), 500 + s));
     ASSERT_TRUE(brokers.back()->connect().is_ok());
     ASSERT_TRUE(brokers.back()->search("warm").is_ok());
   }
@@ -289,6 +293,11 @@ TEST(ProxyFleet, DrainMigratesOnlyTheDrainedWorkersSessions) {
         << "session " << s;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, ProxyFleetDrain,
+                         ::testing::Values(Transport::kTcp,
+                                           Transport::kInProcess),
+                         testutil::transport_name);
 
 // A host-proposed id must not be able to corrupt a proxy whose counter
 // later reaches the same id: the counter skips occupied ids (a silent

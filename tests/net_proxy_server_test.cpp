@@ -22,7 +22,6 @@
 #include "net/socket.hpp"
 #include "sgx/attestation.hpp"
 #include "test_util.hpp"
-#include "xsearch/broker.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/wire.hpp"
 

@@ -8,8 +8,8 @@
 //    slow reader through partial vectored writes and EPOLLOUT;
 //  * timer-wheel housekeeping — idle-TTL reaping that spares active
 //    sessions;
-//  * layered shedding — dispatch-queue overflow, requests whose v2 deadline
-//    expired while queued, and EMFILE/ENFILE accept backoff (bounded retry
+//  * layered shedding — dispatch-queue overflow, requests whose frame
+//    deadline expired while queued, and EMFILE/ENFILE accept backoff (bounded retry
 //    rate, typed counter, full recovery);
 //  * wire chaos — a seeded client-side FaultPlan (drops, resets, garbage)
 //    produces typed failures only, never hangs, and the server serves
@@ -30,6 +30,7 @@
 
 #include "net/chaos.hpp"
 #include "net/frame.hpp"
+#include "net/frame_protocol.hpp"
 #include "net/socket.hpp"
 #include "net/timer_wheel.hpp"
 #include "test_util.hpp"
@@ -76,9 +77,7 @@ class EchoProtocol final : public ConnectionProtocol {
       action.close = true;
       return action;
     }
-    if (step.frame.v2) {
-      action.deadline = Deadline::from_budget_millis(step.frame.budget_millis);
-    }
+    action.deadline = Deadline::from_budget_millis(step.frame.budget_millis);
     action.dispatch = true;
     action.job.assign(step.frame.payload.begin(), step.frame.payload.end());
     return action;
@@ -101,7 +100,7 @@ class EchoProtocol final : public ConnectionProtocol {
       payload = to_bytes("gated");
     } else {
       JobResult result;
-      result.reply.push_back(encode_shed_frame(invalid_argument(command)));
+      result.reply.push_back(encode_error_frame(invalid_argument(command)));
       result.close = true;
       return result;
     }
@@ -114,17 +113,9 @@ class EchoProtocol final : public ConnectionProtocol {
 
   JobResult shed(const Status& status) override {
     JobResult result;
-    result.reply.push_back(encode_shed_frame(status));
+    result.reply.push_back(encode_error_frame(status));
     result.close = true;
     return result;
-  }
-
-  [[nodiscard]] static Bytes encode_shed_frame(const Status& status) {
-    Bytes payload = encode_error_status(status);
-    Bytes frame =
-        encode_frame_header(FrameType::kErrorStatus, payload.size()).value();
-    append(frame, payload);
-    return frame;
   }
 
  private:
@@ -143,9 +134,7 @@ EchoServer start_echo(Reactor::Options options = {}) {
   options.protocol_factory = [env] {
     return std::make_unique<EchoProtocol>(env);
   };
-  options.encode_shed = [](const Status& status) {
-    return EchoProtocol::encode_shed_frame(status);
-  };
+  options.encode_shed = encode_error_frame;
   auto listener = TcpListener::bind(0);
   EXPECT_TRUE(listener.is_ok()) << listener.status().to_string();
   auto reactor = Reactor::start(std::move(listener).value(), std::move(options));
@@ -157,10 +146,7 @@ EchoServer start_echo(Reactor::Options options = {}) {
 Status send_query(TcpStream& stream, const std::string& command,
                   std::uint32_t budget_millis = 0) {
   FrameWriteOptions options;
-  if (budget_millis > 0) {
-    options.carry_budget = true;
-    options.budget_millis = budget_millis;
-  }
+  options.budget_millis = budget_millis;
   return write_frame(stream, FrameType::kQuery, to_bytes(command), options);
 }
 
@@ -173,8 +159,9 @@ Result<Frame> read_reply(TcpStream& stream, Nanos timeout = 5 * kSecond) {
 // --- FrameCursor satellites --------------------------------------------------
 
 TEST(FrameCursor, ParsesOneByteAtATime) {
-  // v1 frame.
-  Bytes wire = encode_frame_header(FrameType::kQuery, 11).value();
+  FrameWriteOptions options;
+  options.budget_millis = 1234;
+  Bytes wire = encode_frame_header(FrameType::kQuery, 11, options).value();
   append(wire, to_bytes("hello world"));
   for (std::size_t len = 0; len < wire.size(); ++len) {
     const auto step = FrameCursor::parse(ByteSpan(wire.data(), len));
@@ -186,30 +173,13 @@ TEST(FrameCursor, ParsesOneByteAtATime) {
   const auto done = FrameCursor::parse(wire);
   ASSERT_EQ(done.state, FrameCursor::State::kFrame);
   EXPECT_EQ(done.frame.type, FrameType::kQuery);
+  EXPECT_EQ(done.frame.budget_millis, 1234u);
   EXPECT_EQ(to_string(done.frame.payload), "hello world");
-  EXPECT_FALSE(done.frame.v2);
   EXPECT_EQ(done.frame.frame_bytes, wire.size());
-
-  // v2 frame: budget survives, payload view is identical.
-  FrameWriteOptions v2;
-  v2.carry_budget = true;
-  v2.budget_millis = 1234;
-  Bytes wire2 = encode_frame_header(FrameType::kQuery, 2, v2).value();
-  append(wire2, to_bytes("hi"));
-  for (std::size_t len = 0; len < wire2.size(); ++len) {
-    const auto step = FrameCursor::parse(ByteSpan(wire2.data(), len));
-    ASSERT_NE(step.state, FrameCursor::State::kFrame) << "at " << len;
-    ASSERT_NE(step.state, FrameCursor::State::kError) << "at " << len;
-  }
-  const auto done2 = FrameCursor::parse(wire2);
-  ASSERT_EQ(done2.state, FrameCursor::State::kFrame);
-  EXPECT_TRUE(done2.frame.v2);
-  EXPECT_EQ(done2.frame.budget_millis, 1234u);
-  EXPECT_EQ(to_string(done2.frame.payload), "hi");
 
   // The payload is a view into the caller's buffer, not a copy.
   EXPECT_EQ(static_cast<const void*>(done.frame.payload.data()),
-            static_cast<const void*>(wire.data() + 5));
+            static_cast<const void*>(wire.data() + 9));
 }
 
 TEST(FrameCursor, RejectsBadLengths) {
@@ -383,8 +353,8 @@ TEST(ReactorTest, DeadlineExpiredWhileQueuedIsShedTyped) {
   ASSERT_TRUE(send_query(holder.value(), "gate").is_ok());
   ASSERT_TRUE(eventually([&] { return server.env->gate_entered.load() == 1; }));
 
-  // This request's own end-to-end budget (v2 frame) expires while it waits
-  // for the worker.
+  // This request's own end-to-end budget (carried in its frame) expires
+  // while it waits for the worker.
   auto doomed = TcpStream::connect("127.0.0.1", server.reactor->port());
   ASSERT_TRUE(doomed.is_ok());
   ASSERT_TRUE(send_query(doomed.value(), "echo:too late",

@@ -18,11 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "broker_util.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
 #include "sgx/attestation.hpp"
-#include "xsearch/broker.hpp"
 
 namespace xsearch::net {
 namespace {
@@ -83,9 +83,11 @@ TEST_F(SwitchlessE2eTest, SwitchlessAndFallbackReturnIdenticalResults) {
   // placement inputs and client-side randomness are identical; only the
   // boundary transport differs.
   for (std::uint64_t seed : {11u, 12u, 13u}) {
-    core::ClientBroker ring_broker(*ring_fleet.value(), authority_,
-                                   ring_fleet.value()->measurement(), seed);
-    core::ClientBroker ecall_broker(*ecall_fleet.value(), authority_,
+    auto ring_broker =
+        testutil::in_process_broker(*ring_fleet.value(), authority_,
+                                    ring_fleet.value()->measurement(), seed);
+    auto ecall_broker =
+        testutil::in_process_broker(*ecall_fleet.value(), authority_,
                                     ecall_fleet.value()->measurement(), seed);
     for (const auto& query : queries) {
       auto via_ring = ring_broker.search(query);
@@ -121,8 +123,8 @@ TEST_F(SwitchlessE2eTest, PausedFleetWorkersDegradeToEcallsMidStream) {
   auto fleet = ProxyFleet::create(&engine_, authority_, options);
   ASSERT_TRUE(fleet.is_ok()) << fleet.status().to_string();
 
-  core::ClientBroker broker(*fleet.value(), authority_,
-                            fleet.value()->measurement(), 21);
+  auto broker = testutil::in_process_broker(*fleet.value(), authority_,
+                                            fleet.value()->measurement(), 21);
   auto warm = broker.search("before the pause");
   ASSERT_TRUE(warm.is_ok()) << warm.status().to_string();
 

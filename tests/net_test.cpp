@@ -251,7 +251,9 @@ TEST_F(NetworkedProxyTest, MalformedFramesDoNotCrashServer) {
     ASSERT_TRUE(write_frame(stream.value(), FrameType::kHello, to_bytes("short")).is_ok());
     auto reply = read_frame(stream.value());
     ASSERT_TRUE(reply.is_ok());
-    EXPECT_EQ(reply.value().type, FrameType::kError);
+    ASSERT_EQ(reply.value().type, FrameType::kErrorStatus);
+    EXPECT_EQ(decode_error_status(reply.value().payload).code(),
+              StatusCode::kInvalidArgument);
   }
   // Query without handshake.
   {
@@ -261,7 +263,10 @@ TEST_F(NetworkedProxyTest, MalformedFramesDoNotCrashServer) {
     ASSERT_TRUE(write_frame(stream.value(), FrameType::kQuery, payload).is_ok());
     auto reply = read_frame(stream.value());
     ASSERT_TRUE(reply.is_ok());
-    EXPECT_EQ(reply.value().type, FrameType::kError);
+    ASSERT_EQ(reply.value().type, FrameType::kErrorStatus);
+    // Unknown session: the record was never opened.
+    EXPECT_EQ(decode_error_status(reply.value().payload).code(),
+              StatusCode::kNotFound);
   }
   // The server still works afterwards.
   RemoteBroker broker("127.0.0.1", server.value()->port(), authority_,
