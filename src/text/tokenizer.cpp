@@ -33,27 +33,18 @@ std::vector<std::string> tokenize(std::string_view text) {
 
 void tokenize_views_into(std::string_view text, std::string& buffer,
                          std::vector<std::string_view>& tokens) {
-  // Lower-case the whole input once into the reusable buffer; token views
-  // are slices of it, so no per-token string is ever constructed.
+  // The lower-cased tokens are packed back to back into the buffer, which
+  // is sized for the whole input up front, so it never reallocates under
+  // the views.
   buffer.resize(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    buffer[i] = to_lower_ascii(static_cast<unsigned char>(text[i]));
-  }
-  const std::string_view lowered(buffer);
-  std::size_t i = 0;
-  while (i < lowered.size()) {
-    if (!is_token_char(static_cast<unsigned char>(lowered[i]))) {
-      ++i;
-      continue;
+  char* out = buffer.data();
+  scan_tokens(text, [&](std::size_t begin, std::size_t length) {
+    for (std::size_t i = 0; i < length; ++i) {
+      out[i] = to_lower_ascii(static_cast<unsigned char>(text[begin + i]));
     }
-    std::size_t end = i + 1;
-    while (end < lowered.size() &&
-           is_token_char(static_cast<unsigned char>(lowered[end]))) {
-      ++end;
-    }
-    tokens.push_back(lowered.substr(i, end - i));
-    i = end;
-  }
+    tokens.emplace_back(out, length);
+    out += length;
+  });
 }
 
 std::vector<std::string_view> tokenize_views(std::string_view text,

@@ -7,13 +7,20 @@
 // if the *original* query's score is the maximum. The filter also rewrites
 // analytics tracking URLs back to their target (paper §4.1).
 //
-// The implementation scores tokenize-once: each of the k+1 sub-queries and
-// each result's title/description is tokenized exactly once per `filter`
-// call — O(k+1+R) tokenizations instead of the O((k+1)·R) a per-pair scorer
-// pays — and scoring runs over precomputed token→sub-query postings (the
-// cosine ablation shares one vocabulary across the batch). See
-// tests/core_filter_equivalence_test.cpp for the proof that this keeps the
-// exact result set (including ties) of the paper's per-pair formulation.
+// The common-words scorer reads each result field in a single pass and
+// makes no lower-cased copy. Per call it indexes the distinct lower-cased
+// sub-query tokens in a small open-addressing table (slot count a power of
+// two at least 4x the token count) and gives each sub-query a bitset of its
+// token ids. Per field, `text::scan_tokens` finds the token boundaries; each
+// token is folded and hashed from word loads and probed once, and each hit
+// sets a bit in the field's bitset, which counts a repeated word once; then
+// score[q] += popcount(hit & mask[q]). Result text comes from the engine, an
+// untrusted party: the scan accepts any bytes and any length, and a probe
+// walks one cluster of a table that only the sub-query tokens fill, so its
+// cost is bounded. The cosine ablation shares one vocabulary across the
+// batch. See tests/core_filter_equivalence_test.cpp for the proof that both
+// keep the exact result set (including ties) of the paper's per-pair
+// formulation.
 #pragma once
 
 #include <string>

@@ -1,5 +1,6 @@
 #include "xsearch/history.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 #include <utility>
@@ -46,34 +47,40 @@ void QueryHistory::add(std::string_view query) {
   }
 }
 
-std::vector<std::string> QueryHistory::sample(std::size_t k, Rng& rng) const {
+std::vector<std::string> QueryHistory::sample(
+    std::size_t k, Rng& rng, std::optional<std::string_view> exclude) const {
   ReaderLock lock(mutex_);
   std::vector<std::string> out;
   if (count_ == 0 || k == 0) return out;
-  out.reserve(k);
+  out.reserve(std::min(k, count_));
+  const auto excluded = [&](const std::string& entry) { return exclude && entry == *exclude; };
 
   if (k >= count_) {
     // Degenerate window: return everything we have (shuffled).
-    out.assign(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(count_));
+    for (std::size_t i = 0; i < count_; ++i) {
+      if (!excluded(ring_[i])) out.push_back(ring_[i]);
+    }
     for (std::size_t i = out.size(); i > 1; --i) {
       std::swap(out[i - 1], out[rng.uniform(i)]);
     }
     return out;
   }
 
-  // Sample k distinct positions with a partial Fisher–Yates shuffle over a
+  // Sample distinct positions with a partial Fisher–Yates shuffle over a
   // sparse displacement map: O(k) draws regardless of how close k is to
-  // count (rejection sampling degraded toward O(k·count) there).
+  // count (rejection sampling degraded toward O(k·count) there). A draw of
+  // an excluded entry is discarded and the shuffle continues, so the
+  // window yields k picks or runs out.
   std::unordered_map<std::size_t, std::size_t> displaced;
   displaced.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
+  for (std::size_t i = 0; i < count_ && out.size() < k; ++i) {
     const std::size_t j =
         i + static_cast<std::size_t>(rng.uniform(count_ - i));
     const auto at_j = displaced.find(j);
     const std::size_t pick = at_j == displaced.end() ? j : at_j->second;
     const auto at_i = displaced.find(i);
     displaced[j] = at_i == displaced.end() ? i : at_i->second;
-    out.push_back(ring_[pick]);
+    if (!excluded(ring_[pick])) out.push_back(ring_[pick]);
   }
   return out;
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,10 +41,13 @@ class QueryHistory {
   void add(std::string_view query);
 
   /// Samples `k` past queries uniformly at random (with replacement across
-  /// calls, without replacement within one call when possible). Returns
-  /// fewer than `k` when the table holds fewer entries. Thread-safe, and
-  /// concurrent samples proceed in parallel (shared lock).
-  [[nodiscard]] std::vector<std::string> sample(std::size_t k, Rng& rng) const;
+  /// calls, without replacement within one call when possible), skipping
+  /// every entry whose text equals `exclude` — pass the real query, which
+  /// must never be its own decoy. Returns fewer than `k` when the table
+  /// holds fewer other entries. Thread-safe, and concurrent samples proceed
+  /// in parallel (shared lock).
+  [[nodiscard]] std::vector<std::string> sample(
+      std::size_t k, Rng& rng, std::optional<std::string_view> exclude = std::nullopt) const;
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

@@ -14,7 +14,7 @@ std::string ObfuscatedQuery::to_query_string() const {
 ObfuscatedQuery Obfuscator::obfuscate(std::string_view query, Rng& rng) const {
   ObfuscatedQuery result;
   result.original = std::string(query);
-  result.fakes = history_->sample(k_, rng);
+  result.fakes = history_->sample(k_, rng, query);
 
   // Insert the original at a random position among the fakes (the random
   // `index` of Algorithm 1).
@@ -24,8 +24,8 @@ ObfuscatedQuery Obfuscator::obfuscate(std::string_view query, Rng& rng) const {
       result.sub_queries.begin() + static_cast<std::ptrdiff_t>(position),
       result.original);
 
-  // Algorithm 1 line 9: H <- Q. Done after sampling so a query is never its
-  // own decoy.
+  // Algorithm 1 line 9: H <- Q. Done after sampling, which skips the
+  // query's text, so a query is never its own decoy.
   history_->add(query);
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <unordered_set>
 
@@ -225,6 +226,21 @@ TEST(Obfuscator, QueryNeverItsOwnDecoy) {
   Rng rng(6);
   const auto q = obf.obfuscate("unique-snowflake", rng);
   for (const auto& fake : q.fakes) EXPECT_NE(fake, "unique-snowflake");
+
+  // A repeated query is already in the window: its earlier copies must not
+  // be drawn as decoys either, whether the window holds more entries than
+  // k (partial shuffle) or fewer (everything is returned).
+  for (const std::size_t others : {std::size_t{20}, std::size_t{2}}) {
+    QueryHistory repeated(100);
+    for (int i = 0; i < 10; ++i) repeated.add("repeated query");
+    for (std::size_t i = 0; i < others; ++i) repeated.add("other " + std::to_string(i));
+    Obfuscator again(repeated, 5);
+    for (int trial = 0; trial < 50; ++trial) {
+      const auto r = again.obfuscate("repeated query", rng);
+      EXPECT_EQ(r.fakes.size(), std::min<std::size_t>(5, others));
+      EXPECT_EQ(std::count(r.sub_queries.begin(), r.sub_queries.end(), "repeated query"), 1);
+    }
+  }
 }
 
 TEST(Obfuscator, ToQueryStringJoinsWithOr) {
