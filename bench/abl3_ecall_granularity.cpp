@@ -8,10 +8,6 @@
 // that crosses once per pipeline step (decrypt, k samples, store, send,
 // recv, filter, encrypt), and prices both with the canonical ~8 us
 // SGX transition cost from the literature.
-//
-// A third column prices the exitless (switchless) path: the same query
-// stream through the job ring, where the only ecall is the one long-running
-// run_workers entry and steady-state crossings per query tend to zero.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -64,56 +60,16 @@ int main() {
   const double chatty_overhead_us = crossings_chatty * kTransitionMicros;
 
   std::printf("queries                       %zu\n", kQueries);
-  // Switchless: same proxy options plus the job ring. Queries ride the ring
-  // (run_workers is the only new ecall); the engine ocalls still cross, so
-  // the ocall delta isolates what the exitless path actually removes.
-  core::XSearchProxy::Options switchless_options = options;
-  switchless_options.switchless.enabled = true;
-  switchless_options.switchless.ring_depth = 64;
-  switchless_options.switchless.workers = 1;
-  switchless_options.switchless.pickup_patience = kSecond;
-  core::XSearchProxy ring_proxy(bed->engine.get(), authority,
-                                switchless_options);
-  net::RemoteBroker ring_broker(net::in_process_connector(ring_proxy),
-                                authority, ring_proxy.measurement(), 5);
-  const auto ring_before = ring_proxy.enclave().transition_stats();
-  const Nanos ring_t0 = wall_now();
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    (void)ring_broker.search(
-        bed->split.test.records()[i % bed->split.test.size()].text);
-  }
-  const Nanos ring_elapsed = wall_now() - ring_t0;
-  const auto ring_after = ring_proxy.enclave().transition_stats();
-  const auto ring_stats = ring_proxy.ring_stats();
-
-  const double crossings_switchless =
-      static_cast<double>((ring_after.ecalls - ring_before.ecalls) +
-                          (ring_after.ocalls - ring_before.ocalls)) /
-      static_cast<double>(kQueries);
-  const double ring_per_query_us =
-      static_cast<double>(ring_elapsed) / static_cast<double>(kQueries) / 1000.0;
-  const double switchless_overhead_us = crossings_switchless * kTransitionMicros;
-
   std::printf("crossings/query (narrow)      %.1f\n", crossings_narrow);
   std::printf("crossings/query (chatty)      %.1f\n", crossings_chatty);
-  std::printf("crossings/query (switchless)  %.2f  (%llu rode the ring, %llu fell back)\n",
-              crossings_switchless,
-              static_cast<unsigned long long>(ring_stats.jobs_switchless),
-              static_cast<unsigned long long>(ring_stats.fallback_ecalls));
-  std::printf("proxy compute/query           %.1f us (ecall)  %.1f us (ring)\n",
-              per_query_us, ring_per_query_us);
+  std::printf("proxy compute/query           %.1f us\n", per_query_us);
   std::printf("transition overhead (narrow)  %.1f us (%.1f%% of compute)\n",
               narrow_overhead_us, 100.0 * narrow_overhead_us / per_query_us);
   std::printf("transition overhead (chatty)  %.1f us (%.1f%% of compute)\n",
               chatty_overhead_us, 100.0 * chatty_overhead_us / per_query_us);
-  std::printf("transition overhead (switchless) %.1f us (%.1f%% of compute)\n",
-              switchless_overhead_us,
-              100.0 * switchless_overhead_us / ring_per_query_us);
   std::printf("chatty/narrow overhead ratio  %.2fx\n",
               chatty_overhead_us / narrow_overhead_us);
   std::printf("\n# expectation: the narrow interface crosses ~5x/query; a chatty\n");
-  std::printf("# one would nearly double per-query SGX overhead at k=3; the\n");
-  std::printf("# switchless ring drops the per-query ECALL to ~0 (the engine\n");
-  std::printf("# ocalls remain), at the price of one pinned worker ecall\n");
+  std::printf("# one would nearly double per-query SGX overhead at k=3\n");
   return 0;
 }

@@ -35,12 +35,6 @@
 // serialization point (on a 1-core container it stays level; the thing to
 // check is that it does not *collapse* as sessions are added).
 //
-// The special name "xsearch-switchless" is the boundary-transport mode:
-// the same 4-session closed loop run twice against one saturation proxy —
-// classic per-request ecall vs the exitless job ring — reporting achieved
-// qps, real enclave transitions per query (the ring drives this to ~0) and
-// the ring's fallback/park/wakeup counters. See run_switchless_sweep below.
-//
 // The special name "xsearch-fleet" is the scale-out mode: a ProxyFleet of
 // {1,2,4} consistent-hash-routed workers behind one ProxyServer, swept
 // against wire batch sizes {1,4,16} (one AEAD seal/open and one TCP round
@@ -80,8 +74,8 @@
 // Run: ./build/bench/fig5_throughput_latency [--json=PATH] [--mode=NAME]
 //      [mechanism...]
 //      (default: xsearch peas tor; any registered name, xsearch-remote,
-//      xsearch-sessions, xsearch-switchless, xsearch-fleet,
-//      xsearch-recovery, xsearch-degraded or xsearch-idle-sweep;
+//      xsearch-sessions, xsearch-fleet, xsearch-recovery,
+//      xsearch-degraded or xsearch-idle-sweep;
 //      --mode=NAME is shorthand for appending NAME to the mechanism list)
 #include <sys/resource.h>
 
@@ -249,94 +243,6 @@ void run_session_sweep(const api::ClientConfig& config) {
                       sessions});
   }
   std::printf("# *closed-loop: column is concurrent sessions, not offered rps\n");
-}
-
-/// Switchless-boundary sweep: the same 4-session closed loop against one
-/// saturation proxy, once on the classic one-ecall-per-request path and
-/// once through the exitless job ring. The figure of merit is the last
-/// column — real enclave transitions per query — which the ring drives to
-/// ~0 while the throughput columns show what the extra scheduler hop costs
-/// on this box (hardware SGX would bank ~8us per avoided crossing instead).
-void run_switchless_sweep(const api::ClientConfig& config) {
-  xsearch::sgx::AttestationAuthority authority(
-      xsearch::to_bytes("fig5-switchless-root"));
-  constexpr std::size_t kSessions = 4;
-  constexpr auto kDuration = std::chrono::milliseconds(400);
-
-  for (const bool switchless : {false, true}) {
-    core::XSearchProxy::Options options = api::xsearch_proxy_options(config);
-    options.contact_engine = false;
-    options.switchless.enabled = switchless;
-    options.switchless.ring_depth = 64;
-    options.switchless.workers = 2;
-    options.switchless.pickup_patience = 20 * kMilli;
-    auto proxy = core::XSearchProxy::create(nullptr, authority, options);
-    if (!proxy.is_ok()) {
-      std::fprintf(stderr, "xsearch-switchless proxy: %s\n",
-                   proxy.status().to_string().c_str());
-      return;
-    }
-
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> ready{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kSessions);
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      threads.emplace_back([&, s] {
-        net::RemoteBroker broker(net::in_process_connector(*proxy.value()),
-                                 authority, proxy.value()->measurement(),
-                                 9500 + s);
-        const bool connected = broker.connect().is_ok();
-        ready.fetch_add(1, std::memory_order_release);
-        if (!connected) return;
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        std::uint64_t done = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          if (broker.search("switchless boundary probe").is_ok()) ++done;
-        }
-        completed.fetch_add(done, std::memory_order_relaxed);
-      });
-    }
-    while (ready.load(std::memory_order_acquire) < kSessions)
-      std::this_thread::yield();
-    const auto before = proxy.value()->enclave().transition_stats();
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(kDuration);
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : threads) t.join();
-    const auto after = proxy.value()->enclave().transition_stats();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const std::uint64_t queries = completed.load();
-    const double rps = static_cast<double>(queries) / secs;
-    const double transitions_per_query =
-        queries == 0 ? 0.0
-                     : static_cast<double>(after.ecalls - before.ecalls) /
-                           static_cast<double>(queries);
-    const auto ring = proxy.value()->ring_stats();
-    const char* phase = switchless ? "switchless" : "ecall";
-
-    std::printf("%-16s %9zu* %12.1f %10s %10s %10s %8.3f\n",
-                "xsearch-switchless", kSessions, rps, "-", "-",
-                phase, transitions_per_query);
-    std::printf(
-        "# %s: %llu queries, %.3f new ecalls/query, ring: %llu switchless / "
-        "%llu fallback / %llu ring-full / %llu parks / %llu wakeups\n",
-        phase, static_cast<unsigned long long>(queries), transitions_per_query,
-        static_cast<unsigned long long>(ring.jobs_switchless),
-        static_cast<unsigned long long>(ring.fallback_ecalls),
-        static_cast<unsigned long long>(ring.ring_full_rejects),
-        static_cast<unsigned long long>(ring.worker_parks),
-        static_cast<unsigned long long>(ring.worker_wakeups));
-    g_rows.push_back({"xsearch-switchless", 0.0, rps, 0.0, 0.0, 0.0, 0,
-                      kSessions, 0, 0, phase, ""});
-  }
-  std::printf(
-      "# *closed-loop: last column is real enclave transitions per query\n");
 }
 
 /// Fleet scale-out sweep: {1,2,4} consistent-hash-routed proxy workers
@@ -1134,10 +1040,6 @@ int main(int argc, char** argv) {
 
     if (name == "xsearch-sessions") {
       run_session_sweep(config);
-      continue;
-    }
-    if (name == "xsearch-switchless") {
-      run_switchless_sweep(config);
       continue;
     }
     if (name == "xsearch-fleet") {

@@ -398,14 +398,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- boundary: 2-ecall path vs switchless job ring ----------------------
+  // ---- boundary: one request ecall -----------------------------------------
   //
-  // Same trivial request handler, two transports. The simulation charges no
-  // per-transition cost (hardware SGX pays ~8us per crossing), so the
-  // structural win of the exitless path — ZERO transitions per request,
-  // printed below — does not show up as wall-clock here; on this box the
-  // ring adds scheduler hops instead. The JSON keeps both so the trend
-  // tracker catches regressions in either transport's constant factor.
+  // A trivial request handler behind the typed dispatch table: the constant
+  // factor of the simulated crossing itself. The simulation charges no
+  // per-transition cost (hardware SGX pays ~8us per crossing); see
+  // ARCHITECTURE.md "Boundary crossings".
   {
     sgx::EnclaveRuntime enclave(
         {.code_identity = to_bytes("microbench-boundary-enclave")});
@@ -415,37 +413,12 @@ int main(int argc, char** argv) {
     const Bytes payload(256, 0x42);
     const std::size_t iters = 20'000;
 
-    auto t0 = Clock::now();
+    const auto t0 = Clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
       auto r = enclave.ecall(sgx::EcallId::kRequest, payload);
       if (!r.is_ok()) return 1;
     }
     report("boundary/ecall", us_per_op(t0, Clock::now(), iters));
-    const auto ecall_transitions = enclave.transition_stats().ecalls;
-
-    sgx::SwitchlessOptions switchless;
-    switchless.ring_depth = 64;
-    switchless.workers = 1;
-    switchless.pickup_patience = kSecond;  // live worker: measure the ring
-    enclave.start_switchless(switchless);
-    const auto before_ring = enclave.transition_stats().ecalls;
-    t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      auto r = enclave.submit(sgx::EcallId::kRequest, payload);
-      if (!r.is_ok()) return 1;
-    }
-    report("boundary/switchless", us_per_op(t0, Clock::now(), iters));
-    const auto ring_transitions = enclave.transition_stats().ecalls - before_ring;
-    const auto ring = enclave.ring_stats();
-    enclave.stop_switchless();
-    std::printf(
-        "%-24s %zu requests: %llu transitions on the ecall path, %llu on the "
-        "ring (%llu rode it switchlessly, %llu fell back)\n",
-        "transitions", iters,
-        static_cast<unsigned long long>(ecall_transitions),
-        static_cast<unsigned long long>(ring_transitions),
-        static_cast<unsigned long long>(ring.jobs_switchless),
-        static_cast<unsigned long long>(ring.fallback_ecalls));
   }
 
   // ---- JSON ---------------------------------------------------------------

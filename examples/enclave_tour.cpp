@@ -72,24 +72,5 @@ int main() {
               static_cast<unsigned long long>(stats.ecalls),
               static_cast<unsigned long long>(stats.ocalls));
 
-  // --- Switchless (exitless) requests ------------------------------------------------
-  // Persistent trusted workers (entered via ONE long-running run_workers
-  // ecall each) drain a job ring in untrusted memory, so steady-state
-  // requests stop paying the crossing entirely.
-  sgx::SwitchlessOptions switchless;
-  switchless.workers = 1;
-  genuine.start_switchless(switchless);
-  const auto before = genuine.transition_stats();
-  for (int i = 0; i < 5; ++i) {
-    (void)genuine.submit(sgx::EcallId::kRequest, to_bytes("x"));
-  }
-  const auto after = genuine.transition_stats();
-  const auto ring = genuine.ring_stats();
-  genuine.stop_switchless();
-  std::printf("switchless: 5 more requests cost %llu new ecalls "
-              "(%llu rode the ring, %llu fell back).\n",
-              static_cast<unsigned long long>(after.ecalls - before.ecalls),
-              static_cast<unsigned long long>(ring.jobs_switchless),
-              static_cast<unsigned long long>(ring.fallback_ecalls));
   return 0;
 }

@@ -472,10 +472,6 @@ core::XSearchProxy::Options xsearch_proxy_options(const ClientConfig& config) {
   options.session_shards = config.session_shards;
   options.checkpoint_dir = config.recovery.checkpoint_dir;
   options.checkpoint_interval_queries = config.recovery.checkpoint_interval_queries;
-  options.switchless.enabled = config.enclave.switchless;
-  options.switchless.ring_depth = config.enclave.ring_depth;
-  options.switchless.workers = config.enclave.enclave_workers;
-  options.switchless.spin_budget = config.enclave.spin_budget;
   return options;
 }
 

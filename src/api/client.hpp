@@ -71,27 +71,6 @@ struct RobustnessConfig {
   bool breaker_enabled = false;
 };
 
-/// Enclave-boundary knobs for X-Search mechanisms: the switchless
-/// (exitless) request path. When enabled, each proxy enclave starts
-/// persistent trusted workers — entered once via a long-running
-/// `run_workers` ecall — that drain a bounded job ring in untrusted
-/// memory, so steady-state queries stop paying the per-request enclave
-/// transition. Requests fall back to the classic 2-ecall path whenever
-/// the ring is full or workers are not running. Ignored by mechanisms
-/// without an enclave (Direct, Tor, TrackMeNot, PEAS).
-struct EnclaveConfig {
-  /// Master switch for the switchless request path (off = historical
-  /// one-ecall-per-request behavior).
-  bool switchless = false;
-  /// Job-ring depth in slots; rounded up to a power of two. Must be > 0
-  /// when switchless is on.
-  std::size_t ring_depth = 64;
-  /// Persistent in-enclave worker threads. Must be in [1, ring_depth].
-  std::size_t enclave_workers = 1;
-  /// Empty polls a worker burns before parking on the doorbell.
-  std::uint32_t spin_budget = 256;
-};
-
 /// Mechanism-agnostic client configuration. Every knob that several
 /// mechanisms interpret (top_k, k, seeds) is routed through here so no
 /// mechanism hard-codes its own default.
@@ -140,8 +119,6 @@ struct ClientConfig {
   RecoveryConfig recovery;
   /// Deadlines, retries and circuit breaking (X-Search client broker).
   RobustnessConfig robustness;
-  /// Enclave-boundary configuration (switchless request path).
-  EnclaveConfig enclave;
 };
 
 /// What a mechanism exposes to whom — the §2 taxonomy, made introspectable.

@@ -17,9 +17,6 @@ namespace xsearch::api {
 /// The exact translation the built-in "xsearch" adapter applies (including
 /// seed domain separation). `contact_engine` follows the config; callers
 /// deploying without an engine must also clear it there.
-/// ClientConfig::enclave maps onto Options::switchless (job-ring depth,
-/// in-enclave workers, spin budget), mirroring how RecoveryConfig and
-/// RobustnessConfig flow through this translation.
 [[nodiscard]] core::XSearchProxy::Options xsearch_proxy_options(
     const ClientConfig& config);
 

@@ -130,7 +130,6 @@ ProxyFleet::WorkerStats ProxyFleet::worker_stats(std::size_t index) const {
   out.sessions = worker.proxy->session_stats();
   out.checkpoint = worker.proxy->checkpoint_stats();
   out.engine_breaker = worker.proxy->engine_breaker_stats();
-  out.ring = worker.proxy->ring_stats();
   return out;
 }
 
@@ -152,7 +151,6 @@ ProxyFleet::FleetStats ProxyFleet::fleet_stats() const {
     }
     out.engine_breaker_rejected += breaker.rejected;
     out.engine_breaker_trips += breaker.trips;
-    out.ring += worker->proxy->ring_stats();
   }
   return out;
 }

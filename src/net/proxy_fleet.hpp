@@ -84,8 +84,6 @@ class ProxyFleet : public core::ProxyHandler {
     core::XSearchProxy::CheckpointStats checkpoint;
     /// Worker's proxy→engine circuit breaker (zeroed when disabled).
     CircuitBreaker::Stats engine_breaker;
-    /// Worker's switchless job-ring counters (zeroed when disabled).
-    sgx::RingStats ring;
   };
 
   /// Fleet-wide recovery counters. A worker start is a restore *hit* when
@@ -107,10 +105,6 @@ class ProxyFleet : public core::ProxyHandler {
     std::size_t engine_breakers_tripped_now = 0;
     std::uint64_t engine_breaker_rejected = 0;
     std::uint64_t engine_breaker_trips = 0;
-    /// Switchless-path totals summed over live workers (all zero when the
-    /// fleet runs with switchless disabled). `ring.fallback_ecalls` vs
-    /// `ring.jobs_switchless` is the fleet's exitless hit ratio.
-    sgx::RingStats ring;
   };
 
   /// Builds `options.workers` proxies over the shared `engine` (which may

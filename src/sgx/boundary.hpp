@@ -4,20 +4,13 @@
 // 4 ocalls out (§5.3.3). This header pins that surface as enums with a
 // compile-time-sized name table, so:
 //
-//  * dispatch is an array index, not a string hash — ring slots on the
-//    exitless path (see enclave.hpp) carry a one-byte id;
+//  * dispatch is an array index, not a string hash;
 //  * the surface cannot drift silently: tools/tcb_lint.py cross-checks the
 //    name arrays below against the pinned lists in tools/tcb_boundary.toml,
 //    and adding an enumerator without updating the toml fails CI;
 //  * call sites read as what they are (`ecall(EcallId::kRequest, ...)`),
 //    and an id outside the table is unrepresentable rather than NOT_FOUND
 //    at runtime.
-//
-// `kRunWorkers` is the one addition over the paper's 2-ecall surface: the
-// long-running entry that parks persistent trusted workers inside the
-// enclave for the switchless job ring. It is entered once per worker at
-// startup, so it does not change the per-request crossing count — that is
-// the whole point.
 #pragma once
 
 #include <array>
@@ -29,9 +22,8 @@ namespace xsearch::sgx {
 
 /// Trusted entry points reachable from the untrusted host.
 enum class EcallId : std::uint8_t {
-  kInit = 0,        // one-time enclave state bootstrap (+ checkpoint restore)
-  kRequest = 1,     // tagged request mux: handshake/query/heartbeat/checkpoint
-  kRunWorkers = 2,  // long-running: parks a switchless worker in the enclave
+  kInit = 0,     // one-time enclave state bootstrap (+ checkpoint restore)
+  kRequest = 1,  // tagged request mux: handshake/query/heartbeat/checkpoint
 };
 
 /// Untrusted host services the enclave may call out to.
@@ -42,13 +34,13 @@ enum class OcallId : std::uint8_t {
   kClose = 3,
 };
 
-inline constexpr std::size_t kEcallCount = 3;
+inline constexpr std::size_t kEcallCount = 2;
 inline constexpr std::size_t kOcallCount = 4;
 
 /// Wire/debug names, indexed by enumerator value. Must match [boundary] in
 /// tools/tcb_boundary.toml entry-for-entry (tcb_lint.py enforces this).
 inline constexpr std::array<std::string_view, kEcallCount> kEcallNames = {
-    "init", "request", "run_workers"};
+    "init", "request"};
 inline constexpr std::array<std::string_view, kOcallCount> kOcallNames = {
     "sock_connect", "send", "recv", "close"};
 

@@ -1,8 +1,6 @@
 #include "sgx/enclave.hpp"
 
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "crypto/hmac.hpp"
 
@@ -11,27 +9,7 @@ namespace xsearch::sgx {
 namespace {
 constexpr char kSealingInfo[] = "sgx-sealing-key-mrenclave-v1";
 constexpr std::uint32_t kSealNoncePrefix = 0x5345414c;  // "SEAL"
-
-// Submitter-side wait tuning: a short yield burst (the common case on a
-// loaded box is sub-microsecond pickup) before dropping to a coarse sleep
-// so a parked-worker stall does not burn a core for the whole
-// pickup_patience window.
-constexpr std::uint32_t kSubmitYieldBurst = 64;
-constexpr std::chrono::microseconds kSubmitNap(50);
-
-thread_local Deadline t_host_request_deadline;  // default: infinite
 }  // namespace
-
-Deadline host_request_deadline() { return t_host_request_deadline; }
-
-HostDeadlineScope::HostDeadlineScope(Deadline deadline)
-    : previous_(t_host_request_deadline) {
-  t_host_request_deadline = deadline;
-}
-
-HostDeadlineScope::~HostDeadlineScope() {
-  t_host_request_deadline = previous_;
-}
 
 EnclaveRuntime::EnclaveRuntime(Config config)
     : measurement_(crypto::Sha256::hash(config.code_identity)),
@@ -42,15 +20,7 @@ EnclaveRuntime::EnclaveRuntime(Config config)
   sealing_key_ = crypto::hkdf(/*salt=*/{}, measurement_, to_bytes(kSealingInfo),
                               crypto::kAeadKeySize)
                      .slice<crypto::kAeadKeySize>();
-  // The run_workers entry is part of the runtime, not application code: it
-  // parks a switchless worker in the enclave until stop/crash.
-  WriterLock lock(mutex_);
-  ecalls_[index_of(EcallId::kRunWorkers)] = [this](ByteSpan) {
-    return worker_loop();
-  };
 }
-
-EnclaveRuntime::~EnclaveRuntime() { stop_switchless(); }
 
 void EnclaveRuntime::register_ecall(EcallId id, Handler handler) {
   WriterLock lock(mutex_);
@@ -64,8 +34,6 @@ void EnclaveRuntime::register_ocall(OcallId id, Handler handler) {
 
 void EnclaveRuntime::crash() {
   crashed_.store(true, std::memory_order_release);
-  // Parked workers must notice and exit their run_workers ecall.
-  ring_doorbell(/*wake_all=*/true);
 }
 
 Result<Bytes> EnclaveRuntime::ecall(EcallId id, ByteSpan input) {
@@ -102,277 +70,6 @@ Result<Bytes> EnclaveRuntime::ocall(OcallId id, ByteSpan input) {
 TransitionStats EnclaveRuntime::transition_stats() const {
   return TransitionStats{ecall_count_.load(std::memory_order_relaxed),
                          ocall_count_.load(std::memory_order_relaxed)};
-}
-
-// --- Switchless path ---------------------------------------------------------
-
-void EnclaveRuntime::ring_doorbell(bool wake_all) {
-  {
-    MutexLock lock(bell_mutex_);
-    ++bell_ticks_;
-  }
-  if (wake_all) {
-    bell_cv_.notify_all();
-  } else {
-    bell_cv_.notify_one();
-  }
-}
-
-void EnclaveRuntime::start_switchless(SwitchlessOptions options) {
-  MutexLock lifecycle(lifecycle_mutex_);
-  stop_switchless_locked();
-  if (crashed()) return;
-  if (options.ring_depth == 0) options.ring_depth = 1;
-  if (options.workers == 0) options.workers = 1;
-  {
-    WriterLock lock(mutex_);
-    ring_ = std::make_shared<JobRing>(options.ring_depth);
-  }
-  switchless_options_ = options;
-  pickup_patience_ns_.store(options.pickup_patience, std::memory_order_relaxed);
-  stop_workers_.store(false, std::memory_order_release);
-  paused_.store(false, std::memory_order_release);
-  switchless_running_.store(true, std::memory_order_release);
-  worker_threads_.reserve(options.workers);
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    // Each worker is ONE long-running ecall for its whole lifetime: this is
-    // the only transition the exitless path ever pays per worker.
-    worker_threads_.emplace_back(
-        [this] { (void)ecall(EcallId::kRunWorkers, ByteSpan()); });
-  }
-}
-
-void EnclaveRuntime::stop_switchless() {
-  MutexLock lifecycle(lifecycle_mutex_);
-  stop_switchless_locked();
-}
-
-void EnclaveRuntime::stop_switchless_locked() {
-  switchless_running_.store(false, std::memory_order_release);
-  stop_workers_.store(true, std::memory_order_release);
-  ring_doorbell(/*wake_all=*/true);
-  for (auto& thread : worker_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  worker_threads_.clear();
-  // ring_ stays allocated: a concurrent submitter may still hold a
-  // reference; its jobs are simply never picked up and it falls back.
-}
-
-void EnclaveRuntime::pause_switchless(bool paused) {
-  paused_.store(paused, std::memory_order_release);
-  ring_doorbell(/*wake_all=*/true);
-  if (!paused) return;
-  // Quiesce: a worker mid-poll-pass has not observed the flag yet and may
-  // drain one more job. Wait until every live worker is parked — the flag
-  // is doorbell-synchronized, so once parked under pause a worker can only
-  // re-park, never poll. stop/crash empty the crew and end the wait.
-  MutexLock lifecycle(lifecycle_mutex_);
-  const std::size_t crew = worker_threads_.size();
-  while (switchless_running() && !crashed() &&
-         parked_now_.load(std::memory_order_acquire) < crew) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-RingStats EnclaveRuntime::ring_stats() const {
-  RingStats stats;
-  stats.jobs_switchless = jobs_switchless_.load(std::memory_order_relaxed);
-  stats.fallback_ecalls = fallback_ecalls_.load(std::memory_order_relaxed);
-  stats.ring_full_rejects = ring_full_rejects_.load(std::memory_order_relaxed);
-  stats.worker_parks = worker_parks_.load(std::memory_order_relaxed);
-  stats.worker_wakeups = worker_wakeups_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-Result<Bytes> EnclaveRuntime::worker_loop() {
-  std::shared_ptr<JobRing> ring;
-  {
-    ReaderLock lock(mutex_);
-    ring = ring_;
-  }
-  if (!ring) return Bytes{};
-  // Copied once at worker start (ordered by thread creation), so a later
-  // restart rewriting switchless_options_ cannot race this worker.
-  const std::uint32_t spin_budget = switchless_options_.spin_budget;
-  for (;;) {
-    if (stop_workers_.load(std::memory_order_acquire) || crashed()) {
-      return Bytes{};
-    }
-    // Record the doorbell BEFORE the empty-poll pass: an enqueue that lands
-    // after a failed poll necessarily bumps the ticks we compare against,
-    // so parking below can never miss it.
-    std::uint64_t seen;
-    {
-      MutexLock lock(bell_mutex_);
-      seen = bell_ticks_;
-    }
-    if (!paused_.load(std::memory_order_acquire)) {
-      bool executed = false;
-      for (std::uint32_t spin = 0; spin <= spin_budget; ++spin) {
-        Job job;
-        if (ring->try_dequeue(job)) {
-          execute_job(job);
-          executed = true;
-          break;
-        }
-        std::this_thread::yield();
-      }
-      if (executed) continue;
-    }
-    // Spin budget exhausted (or paused): park until the doorbell moves.
-    bool parked = false;
-    {
-      MutexLock lock(bell_mutex_);
-      while (bell_ticks_ == seen &&
-             !stop_workers_.load(std::memory_order_acquire) && !crashed()) {
-        if (!parked) {
-          parked = true;
-          worker_parks_.fetch_add(1, std::memory_order_relaxed);
-          parked_now_.fetch_add(1, std::memory_order_release);
-        }
-        bell_cv_.wait(bell_mutex_);
-      }
-    }
-    if (parked) {
-      parked_now_.fetch_sub(1, std::memory_order_release);
-      worker_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void EnclaveRuntime::execute_job(Job& job) {
-  const std::shared_ptr<JobCompletion> completion = std::move(job.completion);
-  if (!completion) return;
-  std::uint32_t expected = JobCompletion::kPending;
-  if (!completion->state.compare_exchange_strong(expected,
-                                                 JobCompletion::kPicked,
-                                                 std::memory_order_acq_rel)) {
-    return;  // submitter already shed it (deadline or fallback): drop
-  }
-  Handler handler;
-  {
-    ReaderLock lock(mutex_);
-    handler = ecalls_[index_of(job.id)];
-  }
-  Result<Bytes> result = [&]() -> Result<Bytes> {
-    if (crashed()) {
-      return unavailable("enclave crashed: no trusted code is running");
-    }
-    if (!handler) {
-      return not_found("unregistered ecall: " +
-                       std::string(ecall_name(job.id)));
-    }
-    // Publish the job's deadline to host-side ocall handlers on THIS
-    // thread (the submitter's thread-local is invisible here). Note: no
-    // ecall_count_ bump — the job entered through the ring, not a
-    // transition; that is the exitless win transition_stats() reports.
-    HostDeadlineScope scope(job.deadline);
-    return handler(ByteSpan(job.input));
-  }();
-  {
-    MutexLock lock(completion->mutex);
-    if (result.is_ok()) {
-      completion->output = std::move(result).value();
-    } else {
-      completion->status = result.status();
-    }
-    // State store + notify under the mutex so the submitter's CondVar wait
-    // (which checks state under the same mutex) cannot miss the wakeup.
-    completion->state.store(JobCompletion::kDone, std::memory_order_release);
-    completion->done_cv.notify_all();
-  }
-}
-
-Result<Bytes> EnclaveRuntime::submit(EcallId id, ByteSpan input,
-                                     Deadline deadline) {
-  if (crashed()) {
-    return unavailable("enclave crashed: no trusted code is running");
-  }
-  if (deadline.expired()) {
-    return deadline_exceeded("deadline expired before submission: job shed");
-  }
-  if (!switchless_running()) {
-    fallback_ecalls_.fetch_add(1, std::memory_order_relaxed);
-    HostDeadlineScope scope(deadline);
-    return ecall(id, input);
-  }
-  std::shared_ptr<JobRing> ring;
-  {
-    ReaderLock lock(mutex_);
-    ring = ring_;
-  }
-  auto completion = std::make_shared<JobCompletion>();
-  if (!ring ||
-      !ring->try_enqueue(id, Bytes(input.begin(), input.end()), deadline,
-                         completion)) {
-    // Backpressure: a full ring means the workers are saturated; adding a
-    // transition is cheaper than queueing unboundedly.
-    ring_full_rejects_.fetch_add(1, std::memory_order_relaxed);
-    fallback_ecalls_.fetch_add(1, std::memory_order_relaxed);
-    HostDeadlineScope scope(deadline);
-    return ecall(id, input);
-  }
-  ring_doorbell(/*wake_all=*/false);
-
-  // Await pickup. The submitter owns the job until a worker's
-  // kPending->kPicked CAS wins; until then it may still shed (deadline) or
-  // reclaim (patience) the job with a kPending->kCancelled CAS and walk
-  // away — the shared completion block keeps the loser's pointer valid.
-  const Deadline patience =
-      Deadline::after(pickup_patience_ns_.load(std::memory_order_relaxed))
-          .min(deadline);
-  std::uint32_t state = completion->state.load(std::memory_order_acquire);
-  std::uint32_t spins = 0;
-  while (state == JobCompletion::kPending) {
-    if (deadline.expired()) {
-      std::uint32_t expected = JobCompletion::kPending;
-      if (completion->state.compare_exchange_strong(
-              expected, JobCompletion::kCancelled,
-              std::memory_order_acq_rel)) {
-        return deadline_exceeded(
-            "deadline expired before enclave pickup: job shed");
-      }
-      state = expected;  // a worker won the race: it owns the job now
-      continue;
-    }
-    if (patience.expired()) {
-      std::uint32_t expected = JobCompletion::kPending;
-      if (completion->state.compare_exchange_strong(
-              expected, JobCompletion::kCancelled,
-              std::memory_order_acq_rel)) {
-        // Workers parked/paused/wedged: degrade to the 2-ecall path.
-        fallback_ecalls_.fetch_add(1, std::memory_order_relaxed);
-        HostDeadlineScope scope(deadline);
-        return ecall(id, input);
-      }
-      state = expected;
-      continue;
-    }
-    if (++spins <= kSubmitYieldBurst) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(kSubmitNap);
-    }
-    state = completion->state.load(std::memory_order_acquire);
-  }
-
-  // Picked: the worker owns the slot's input and WILL publish a result;
-  // waiting untimed here is what keeps the shared state machine simple.
-  Status status;
-  Bytes output;
-  {
-    MutexLock lock(completion->mutex);
-    while (completion->state.load(std::memory_order_acquire) !=
-           JobCompletion::kDone) {
-      completion->done_cv.wait(completion->mutex);
-    }
-    status = std::move(completion->status);
-    output = std::move(completion->output);
-  }
-  jobs_switchless_.fetch_add(1, std::memory_order_relaxed);
-  if (!status.is_ok()) return status;
-  return output;
 }
 
 // --- Sealing -----------------------------------------------------------------

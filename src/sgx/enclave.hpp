@@ -11,106 +11,40 @@
 //    of 2 ecalls / 4 ocalls) — the surface is *typed*: handlers key on the
 //    EcallId/OcallId enums pinned in sgx/boundary.hpp, and dispatch is an
 //    array index, never a string lookup;
-//  * an *exitless path*: a switchless job ring (sgx/job_ring.hpp) drained by
-//    persistent trusted workers, each parked inside one long-running
-//    `run_workers` ecall, so steady-state requests cross the boundary
-//    without a transition and EnclaveStats-style ecall counts grow
-//    sub-linearly in requests served;
 //  * *EPC metering* of all enclave-resident state via EpcAccountant;
 //  * *sealed storage*: AEAD encryption under a key derived from the
 //    measurement, so only the same enclave code can unseal.
 //
 // What hardware SGX adds beyond this model — actual memory encryption and
 // isolation enforcement — does not change control flow or capacity limits,
-// which is what the reproduced figures measure (see DESIGN.md §2).
+// which is what the reproduced figures measure. The one hardware cost it
+// leaves out, the price of each crossing, is discussed in ARCHITECTURE.md
+// ("Boundary crossings").
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/bytes.hpp"
-#include "common/deadline.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/sha256.hpp"
 #include "sgx/boundary.hpp"
 #include "sgx/epc.hpp"
-#include "sgx/job_ring.hpp"
 
 namespace xsearch::sgx {
 
 using Measurement = crypto::Sha256Digest;
 
-/// Counters for *real* enclave boundary crossings. Switchless ring jobs do
-/// not count here — not crossing is what the exitless path is for — so
-/// `ecalls` is the number the paper prices at ~8us each.
+/// Counters for enclave boundary crossings — the number the paper prices
+/// at ~8us each.
 struct TransitionStats {
   std::uint64_t ecalls = 0;
   std::uint64_t ocalls = 0;
-};
-
-/// Tuning for the switchless job ring (see enclave.hpp file comment and
-/// ARCHITECTURE.md "Switchless boundary").
-struct SwitchlessOptions {
-  /// Consumed by XSearchProxy::Options: submit queries through the ring
-  /// instead of a per-request ecall. EnclaveRuntime itself keys off
-  /// start_switchless()/stop_switchless(), not this flag.
-  bool enabled = false;
-  /// Ring capacity in job slots; rounded up to a power of two.
-  std::size_t ring_depth = 64;
-  /// Persistent in-enclave worker threads (each costs exactly one
-  /// long-running `run_workers` ecall for its whole lifetime).
-  std::size_t workers = 1;
-  /// Empty ring polls a worker burns before parking on the doorbell.
-  std::uint32_t spin_budget = 256;
-  /// How long a submitter waits for a worker to pick its job up before it
-  /// cancels the job and falls back to a plain ecall. Bounds the damage of
-  /// parked/paused/saturated workers: traffic degrades to the 2-ecall path
-  /// instead of hanging.
-  Nanos pickup_patience = 2 * kMilli;
-};
-
-/// Switchless-path counters (monotonic, relaxed).
-struct RingStats {
-  std::uint64_t jobs_switchless = 0;   // completed through the ring
-  std::uint64_t fallback_ecalls = 0;   // degraded to a plain ecall
-  std::uint64_t ring_full_rejects = 0; // backpressure events (subset of above)
-  std::uint64_t worker_parks = 0;
-  std::uint64_t worker_wakeups = 0;
-};
-
-inline RingStats& operator+=(RingStats& a, const RingStats& b) {
-  a.jobs_switchless += b.jobs_switchless;
-  a.fallback_ecalls += b.fallback_ecalls;
-  a.ring_full_rejects += b.ring_full_rejects;
-  a.worker_parks += b.worker_parks;
-  a.worker_wakeups += b.worker_wakeups;
-  return a;
-}
-
-/// The deadline of the request currently executing trusted code on this
-/// thread, visible to host-side ocall handlers (the proxy's `send` handler
-/// sheds engine round trips whose budget is already gone). Default-infinite.
-[[nodiscard]] Deadline host_request_deadline();
-
-/// RAII save/restore of host_request_deadline() for the current thread.
-/// Nesting-safe: submit()'s internal ecall fallback re-scopes inside a
-/// caller's scope and restores the previous value on exit, not infinite.
-class HostDeadlineScope {
- public:
-  explicit HostDeadlineScope(Deadline deadline);
-  ~HostDeadlineScope();
-
-  HostDeadlineScope(const HostDeadlineScope&) = delete;
-  HostDeadlineScope& operator=(const HostDeadlineScope&) = delete;
-
- private:
-  Deadline previous_;
 };
 
 class EnclaveRuntime {
@@ -122,7 +56,6 @@ class EnclaveRuntime {
   };
 
   explicit EnclaveRuntime(Config config);
-  ~EnclaveRuntime();
 
   EnclaveRuntime(const EnclaveRuntime&) = delete;
   EnclaveRuntime& operator=(const EnclaveRuntime&) = delete;
@@ -155,48 +88,13 @@ class EnclaveRuntime {
   /// gone: every subsequent ecall fails with UNAVAILABLE — which is exactly
   /// what a fleet supervisor's heartbeat probe observes on a crashed worker.
   /// Only *sealed* state survives a crash; the recovery tests and the fig5
-  /// kill-and-recover bench crash enclaves through this. Parked switchless
-  /// workers wake and exit their run_workers ecall.
+  /// kill-and-recover bench crash enclaves through this.
   void crash();
   [[nodiscard]] bool crashed() const {
     return crashed_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] TransitionStats transition_stats() const;
-
-  // --- Switchless (exitless) path ----------------------------------------
-
-  /// Spawns `options.workers` persistent trusted workers, each entering the
-  /// enclave once through a long-running `run_workers` ecall and polling
-  /// the job ring until stop/crash. Idempotent restart: stops any previous
-  /// worker set first.
-  void start_switchless(SwitchlessOptions options);
-
-  /// Signals workers, rings the doorbell, and joins them. Jobs still queued
-  /// are never picked up; their submitters shed them via pickup_patience
-  /// and fall back to a plain ecall. Safe to call repeatedly.
-  void stop_switchless();
-
-  /// Chaos hook: paused workers re-park without draining the ring, so
-  /// in-flight submitters must degrade to the ecall path (fallback, not
-  /// hang). Pausing QUIESCES: it returns only once every live worker is
-  /// parked (a worker mid-poll-pass may drain one last job first), so
-  /// after it returns no submit can ride the ring. Unpausing rings the
-  /// doorbell and returns immediately.
-  void pause_switchless(bool paused);
-
-  [[nodiscard]] bool switchless_running() const {
-    return switchless_running_.load(std::memory_order_acquire);
-  }
-
-  /// Submits a request to the exitless path, falling back to `ecall(id)`
-  /// when the ring is not running or full, and shedding jobs whose deadline
-  /// expires before any worker picks them up. The deadline is published to
-  /// host_request_deadline() on whichever thread executes the handler.
-  [[nodiscard]] Result<Bytes> submit(EcallId id, ByteSpan input,
-                                     Deadline deadline = Deadline());
-
-  [[nodiscard]] RingStats ring_stats() const;
 
   // --- Memory ------------------------------------------------------------
 
@@ -213,64 +111,20 @@ class EnclaveRuntime {
   [[nodiscard]] Result<Bytes> unseal(ByteSpan sealed) const;
 
  private:
-  /// Body of the long-running `run_workers` ecall: poll, execute, park.
-  Result<Bytes> worker_loop();
-
-  /// Runs one claimed job: CAS kPending->kPicked (drops jobs the submitter
-  /// already shed), dispatches WITHOUT advancing ecall_count_ — the job
-  /// entered through the ring, not a transition — and publishes the result.
-  void execute_job(Job& job);
-
-  /// Bumps the doorbell so parked workers re-check ring/stop/pause state.
-  void ring_doorbell(bool wake_all);
-
-  void stop_switchless_locked() XS_REQUIRES(lifecycle_mutex_);
-
   Measurement measurement_;
   crypto::AeadKey sealing_key_;
   EpcAccountant epc_;
 
   // Written only by register_* (exclusive); dispatch reads take a shared
   // lock and copy the handler out before invoking it outside the lock.
-  // The ring pointer rides the same lock: submit()/worker_loop() copy the
-  // shared_ptr out, so the ring is never freed under a concurrent user.
   mutable SharedMutex mutex_;
   std::array<Handler, kEcallCount> ecalls_ XS_GUARDED_BY(mutex_);
   std::array<Handler, kOcallCount> ocalls_ XS_GUARDED_BY(mutex_);
-  std::shared_ptr<JobRing> ring_ XS_GUARDED_BY(mutex_);
 
   std::atomic<bool> crashed_{false};
   std::atomic<std::uint64_t> ecall_count_{0};
   std::atomic<std::uint64_t> ocall_count_{0};
   std::atomic<std::uint64_t> seal_counter_{0};
-
-  // Switchless lifecycle. start/stop serialize on lifecycle_mutex_; the
-  // hot path only touches the atomics and the doorbell.
-  Mutex lifecycle_mutex_;
-  std::vector<std::thread> worker_threads_ XS_GUARDED_BY(lifecycle_mutex_);
-  SwitchlessOptions switchless_options_;  // workers copy it at thread start
-  // Hot-path copy of pickup_patience: submitters may race a restart's
-  // rewrite of switchless_options_, so they read this atomic instead.
-  std::atomic<Nanos> pickup_patience_ns_{2 * kMilli};
-  std::atomic<bool> switchless_running_{false};
-  std::atomic<bool> stop_workers_{false};
-  std::atomic<bool> paused_{false};
-
-  // Doorbell: submitters bump ticks after enqueue; workers record ticks
-  // before their empty-poll pass and park only while nothing changed, so
-  // the classic missed-wakeup race cannot happen.
-  Mutex bell_mutex_;
-  CondVar bell_cv_;
-  std::uint64_t bell_ticks_ XS_GUARDED_BY(bell_mutex_) = 0;
-
-  std::atomic<std::uint64_t> jobs_switchless_{0};
-  std::atomic<std::uint64_t> fallback_ecalls_{0};
-  std::atomic<std::uint64_t> ring_full_rejects_{0};
-  std::atomic<std::uint64_t> worker_parks_{0};
-  std::atomic<std::uint64_t> worker_wakeups_{0};
-  // Gauge (not a counter): workers currently parked on the doorbell.
-  // pause_switchless(true) waits on it to quiesce the poll crews.
-  std::atomic<std::size_t> parked_now_{0};
 };
 
 /// STL-compatible allocator charging an EpcAccountant, so containers owned

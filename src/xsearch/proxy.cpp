@@ -23,15 +23,33 @@ constexpr char kCheckpointFileName[] = "history.ckpt";
 
 constexpr char kCodeIdentity[] =
     "xsearch-enclave v1.1: history+obfuscation+filtering, "
-    "ecalls{init,request,run_workers} ocalls{sock_connect,send,recv,close}";
+    "ecalls{init,request} ocalls{sock_connect,send,recv,close}";
 
-// Per-request deadline context now lives in sgx::host_request_deadline():
-// with the switchless ring, the thread *executing* trusted code (and thus
-// triggering the ocalls) may be an in-enclave worker rather than the
-// submitter, so the runtime — which knows which thread runs the job —
-// owns the thread_local. Trusted code never reads it (or any clock); the
-// deadline is host input, enforced host-side only: before submission
-// (EnclaveRuntime::submit) and before the engine call (`send` ocall).
+// The deadline of the query whose `request` ecall is running on this
+// thread. The ecall executes on the caller's thread, so the `send` ocall
+// body (host code) reads the budget here without it ever crossing into
+// the enclave. Trusted code never reads it (or any clock); the deadline is
+// host input, enforced host-side only: before the ecall
+// (handle_query_record) and before the engine call (`send` ocall).
+thread_local Deadline t_host_request_deadline;  // default: infinite
+
+/// Publishes a request's deadline for the duration of its ecall and
+/// restores the previous value on exit, so it never leaks into the next
+/// request served by the same thread.
+class HostDeadlineScope {
+ public:
+  explicit HostDeadlineScope(Deadline deadline)
+      : previous_(t_host_request_deadline) {
+    t_host_request_deadline = deadline;
+  }
+  ~HostDeadlineScope() { t_host_request_deadline = previous_; }
+
+  HostDeadlineScope(const HostDeadlineScope&) = delete;
+  HostDeadlineScope& operator=(const HostDeadlineScope&) = delete;
+
+ private:
+  Deadline previous_;
+};
 
 }  // namespace
 
@@ -53,16 +71,6 @@ Status XSearchProxy::Options::validate() const {
   if (session_capacity == 0) {
     return invalid_argument("options.session_capacity must be >= 1: the "
                             "proxy could never hold a client session");
-  }
-  if (switchless.enabled && switchless.ring_depth == 0) {
-    return invalid_argument("options.switchless.ring_depth must be >= 1: a "
-                            "zero-depth ring could never carry a job");
-  }
-  if (switchless.enabled &&
-      (switchless.workers == 0 || switchless.workers > switchless.ring_depth)) {
-    return invalid_argument(
-        "options.switchless.workers must be in [1, ring_depth]: more "
-        "workers than slots just spin on an empty ring");
   }
   return Status::ok();
 }
@@ -204,7 +212,7 @@ Status XSearchProxy::install_boundary() {
         return injected;
       }
     }
-    if (sgx::host_request_deadline().expired()) {
+    if (t_host_request_deadline.expired()) {
       // The engine (real or injected-slow) would answer too late anyway;
       // an engine path that burns whole budgets counts against the breaker.
       if (engine_breaker_ != nullptr) engine_breaker_->record_failure();
@@ -275,15 +283,7 @@ Status XSearchProxy::install_boundary() {
   Bytes init_payload;
   wire::put_u32(init_payload, static_cast<std::uint32_t>(options_.k));
   wire::put_u32(init_payload, options_.results_per_subquery);
-  const Status inited = enclave_->ecall(sgx::EcallId::kInit, init_payload).status();
-  if (!inited.is_ok()) return inited;
-
-  // Exitless path: park persistent trusted workers in the enclave AFTER the
-  // trusted state is configured. Each worker is one long-running ecall.
-  if (options_.switchless.enabled) {
-    enclave_->start_switchless(options_.switchless);
-  }
-  return Status::ok();
+  return enclave_->ecall(sgx::EcallId::kInit, init_payload).status();
 }
 
 std::filesystem::path XSearchProxy::checkpoint_path() const {
@@ -359,9 +359,6 @@ Status XSearchProxy::checkpoint_locked() {
 }
 
 Status XSearchProxy::heartbeat() {
-  // Deliberately a *plain* ecall even when switchless is on: the probe must
-  // measure an enclave transition (what a supervisor keys respawns on), not
-  // the ring's health.
   Bytes payload;
   payload.push_back(kTagHeartbeat);
   return enclave_->ecall(sgx::EcallId::kRequest, payload).status();
@@ -573,20 +570,18 @@ Result<std::vector<engine::SearchResult>> XSearchProxy::query_engine(
   } else {
     append(send_payload, request_bytes);
   }
-  if (auto sent = enclave_->ocall(sgx::OcallId::kSend, send_payload); !sent) {
-    return sent.status();
-  }
-
-  // recv
-  Bytes recv_payload;
-  wire::put_u64(recv_payload, sock.value());
-  auto response = enclave_->ocall(sgx::OcallId::kRecv, recv_payload);
+  // send, then recv; close runs on every exit once the socket exists, so a
+  // failed round trip (open breaker, injected fault, spent budget, missing
+  // engine) never strands the host's socket buffer.
+  Bytes sock_payload;
+  wire::put_u64(sock_payload, sock.value());
+  auto response = [&]() -> Result<Bytes> {
+    XS_RETURN_IF_ERROR(
+        enclave_->ocall(sgx::OcallId::kSend, send_payload).status());
+    return enclave_->ocall(sgx::OcallId::kRecv, sock_payload);
+  }();
+  (void)enclave_->ocall(sgx::OcallId::kClose, sock_payload);
   if (!response) return response.status();
-
-  // close
-  Bytes close_payload;
-  wire::put_u64(close_payload, sock.value());
-  (void)enclave_->ocall(sgx::OcallId::kClose, close_payload);
 
   if (options_.engine_tls_public_key.has_value()) {
     auto plain = crypto::envelope_reply_open(
@@ -604,7 +599,6 @@ Result<XSearchProxy::HandshakeResponse> XSearchProxy::handshake(
   payload.push_back(kTagHandshake);
   append(payload, client_ephemeral_pub);
   if (proposed_session_id != 0) wire::put_u64(payload, proposed_session_id);
-  // Handshakes are rare and order-sensitive; they keep the ecall path.
   auto raw = enclave_->ecall(sgx::EcallId::kRequest, payload);
   if (!raw) return raw.status();
 
@@ -646,17 +640,8 @@ Result<Bytes> XSearchProxy::handle_query_record(std::uint64_t session_id,
   payload.push_back(kTagQuery);
   wire::put_u64(payload, session_id);
   append(payload, record);
-  // The exitless path: with switchless configured this enqueues into the
-  // job ring (no transition); when the ring is full or the workers parked,
-  // submit() degrades to the plain request ecall. The deadline rides along
-  // for the engine ocall's budget check on whichever thread executes the
-  // trusted handler. With switchless off entirely, this is the historical
-  // one-ecall-per-request path and every RingStats counter stays zero.
-  auto response = [&]() -> Result<Bytes> {
-    if (options_.switchless.enabled) {
-      return enclave_->submit(sgx::EcallId::kRequest, payload, deadline);
-    }
-    sgx::HostDeadlineScope scope(deadline);
+  auto response = [&] {
+    HostDeadlineScope scope(deadline);
     return enclave_->ecall(sgx::EcallId::kRequest, payload);
   }();
   // Periodic checkpoint poll, host side: the trusted counter says how many
@@ -664,13 +649,6 @@ Result<Bytes> XSearchProxy::handle_query_record(std::uint64_t session_id,
   // sealed record) ran since the last seal.
   if (response.is_ok()) maybe_checkpoint();
   return response;
-}
-
-XSearchProxy::~XSearchProxy() {
-  // Member destruction runs in reverse declaration order, which would tear
-  // down the session/history tables while in-enclave workers may still be
-  // executing trusted handlers over them. Join the workers first.
-  if (enclave_ != nullptr) enclave_->stop_switchless();
 }
 
 }  // namespace xsearch::core

@@ -2,12 +2,11 @@
 //
 // Runs the paper's trusted logic inside a (simulated) SGX enclave on an
 // untrusted cloud host. The enclave interface is the narrowed one of
-// §5.3.3 — ecalls `init` and `request` plus the long-running `run_workers`
-// switchless entry; ocalls `sock_connect`, `send`, `recv`, `close` — typed
-// as sgx::EcallId/OcallId, so every piece of sensitive data crosses the
-// boundary encrypted, and transition counts are observable for the
-// ablation bench. With Options::switchless enabled, steady-state queries
-// ride the exitless job ring instead of paying a per-request transition.
+// §5.3.3 — ecalls `init` and `request`; ocalls `sock_connect`, `send`,
+// `recv`, `close` — typed as sgx::EcallId/OcallId, so every piece of
+// sensitive data crosses the boundary encrypted, and transition counts are
+// observable for the ablation bench. A query costs exactly one `request`
+// ecall plus the four socket ocalls of its engine round trip.
 //
 // Data flow per query (paper Figure 2):
 //   1. client broker sends an encrypted record into the enclave (ecall);
@@ -148,14 +147,6 @@ class XSearchProxy : public ProxyHandler {
     /// ocall body before the engine is contacted; a non-OK status fails the
     /// round trip. Used by the chaos harness and the fig5 degraded bench.
     std::function<Status()> engine_fault_hook;
-    /// Exitless request path: when `switchless.enabled`, queries submit
-    /// into the enclave's job ring (sgx/job_ring.hpp) and are executed by
-    /// persistent trusted workers instead of paying a per-request ecall.
-    /// Handshake, heartbeat and checkpoint keep the plain ecall path (rare,
-    /// and the supervisor's probe must measure a *transition*). Fallback to
-    /// the 2-ecall path is automatic when the ring is full or workers are
-    /// parked; see EnclaveRuntime::submit and ring_stats().
-    sgx::SwitchlessOptions switchless;
     /// Queries between periodic checkpoints (0 = only explicit
     /// `checkpoint_now` calls write). Ignored without `checkpoint_dir`.
     /// The seal + write runs synchronously on the query thread that
@@ -169,9 +160,8 @@ class XSearchProxy : public ProxyHandler {
 
     /// Rejects configurations the proxy would otherwise silently mishandle:
     /// `k == 0` (no obfuscation), an empty history window, a zero per-sub-
-    /// query fetch size, a zero session capacity, a zero-depth switchless
-    /// ring, or more in-enclave workers than ring slots. Gateway consistency
-    /// is checked by `create`.
+    /// query fetch size, or a zero session capacity. Gateway consistency is
+    /// checked by `create`.
     [[nodiscard]] Status validate() const;
   };
 
@@ -204,11 +194,6 @@ class XSearchProxy : public ProxyHandler {
 
   XSearchProxy(const XSearchProxy&) = delete;
   XSearchProxy& operator=(const XSearchProxy&) = delete;
-
-  /// Joins the switchless workers BEFORE member teardown: the enclave is
-  /// declared before the history/session tables, so without this the
-  /// workers could execute trusted handlers over already-destroyed state.
-  ~XSearchProxy() override;
 
   // --- untrusted host API -------------------------------------------------
 
@@ -303,19 +288,6 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] CircuitBreaker::Stats engine_breaker_stats() const {
     if (engine_breaker_ == nullptr) return {};
     return engine_breaker_->stats();
-  }
-
-  /// Switchless-path counters (all zero when Options::switchless.enabled is
-  /// false and nothing ever submitted). Aggregated into net::FleetStats.
-  [[nodiscard]] sgx::RingStats ring_stats() const {
-    return enclave_->ring_stats();
-  }
-
-  /// Chaos hook: park/unpark the in-enclave switchless workers without
-  /// stopping them. While parked, submitted queries must degrade to the
-  /// plain ecall path via pickup_patience — never hang.
-  void pause_switchless_workers(bool paused) {
-    enclave_->pause_switchless(paused);
   }
 
   /// Outcome of the `init` ecall performed at construction. The raw

@@ -3,15 +3,23 @@
 // through the ocall boundary, filtering, and failure paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 
 #include "broker_util.hpp"
+#include "common/deadline.hpp"
+#include "crypto/secure_channel.hpp"
+#include "crypto/x25519.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/analytics.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
+#include "sgx/attestation.hpp"
 #include "text/tokenizer.hpp"
 #include "xsearch/proxy.hpp"
+#include "xsearch/wire.hpp"
 
 namespace xsearch::core {
 namespace {
@@ -40,6 +48,38 @@ class ProxyTest : public ::testing::Test {
     opt.history_capacity = 10'000;
     opt.seed = 99;
     return opt;
+  }
+
+  /// A client session keyed by hand rather than through a broker, so a test
+  /// can hand the proxy a real sealed record under a deadline of its choice.
+  struct ManualSession {
+    std::uint64_t id = 0;
+    crypto::SecureChannel channel;
+
+    [[nodiscard]] Bytes seal_query(std::string_view query) {
+      return channel.seal(wire::frame_query(query));
+    }
+    [[nodiscard]] Result<wire::ClientMessage> open_reply(ByteSpan reply) {
+      auto plain = channel.open(reply);
+      if (!plain) return plain.status();
+      return wire::parse_client_message(plain.value());
+    }
+  };
+
+  std::optional<ManualSession> open_manual_session(XSearchProxy& proxy) {
+    crypto::X25519Key seed{};
+    seed[0] = 0x42;
+    const auto ephemeral =
+        crypto::x25519_keypair_from_seed(crypto::X25519Secret(seed));
+    auto handshake = proxy.handshake(ephemeral.public_key);
+    if (!handshake) return std::nullopt;
+    auto static_pub = sgx::verify_and_extract_channel_key(
+        authority_, handshake.value().quote, proxy.measurement());
+    if (!static_pub) return std::nullopt;
+    return ManualSession{
+        handshake.value().session_id,
+        crypto::SecureChannel::initiator(ephemeral, static_pub.value(),
+                                         handshake.value().server_ephemeral_pub)};
   }
 
   dataset::QueryLog log_;
@@ -164,6 +204,106 @@ TEST_F(ProxyTest, TransitionCountsMatchNarrowInterface) {
   // 1 handshake ecall + 1 query ecall; 4 socket ocalls per engine trip.
   EXPECT_EQ(after.ecalls - before.ecalls, 2u);
   EXPECT_EQ(after.ocalls - before.ocalls, 4u);
+}
+
+// A request whose budget is already spent is refused before the request
+// ecall: no trusted work runs and the record is never opened, so the same
+// record still goes through afterwards on the same session.
+TEST_F(ProxyTest, ExpiredDeadlineIsRefusedBeforeTheEcall) {
+  XSearchProxy proxy(&engine_, authority_, options());
+  auto session = open_manual_session(proxy);
+  ASSERT_TRUE(session.has_value());
+  const Bytes record = session->seal_query(log_.records()[0].text);
+
+  const auto before = proxy.enclave().transition_stats();
+  const auto refused =
+      proxy.handle_query_record(session->id, record, Deadline::after(0));
+  EXPECT_EQ(refused.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(proxy.enclave().transition_stats().ecalls, before.ecalls);
+  EXPECT_EQ(proxy.enclave().transition_stats().ocalls, before.ocalls);
+  EXPECT_EQ(proxy.history_size(), 0u);
+
+  const auto served = proxy.handle_query_record(session->id, record, Deadline());
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  const auto reply = session->open_reply(served.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value().type, wire::ClientMessageType::kResults);
+  EXPECT_EQ(proxy.history_size(), 1u);
+}
+
+// The budget runs out while the host is reaching the engine: the `send`
+// ocall sheds the round trip, so the engine never sees the OR query and the
+// client gets a sealed DEADLINE_EXCEEDED.
+TEST_F(ProxyTest, SendShedsTheEngineCallOnceTheBudgetIsSpent) {
+  std::atomic<int> hook_calls{0};
+  XSearchProxy::Options opt = options();
+  opt.engine_fault_hook = [&hook_calls] {
+    ++hook_calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    return Status::ok();
+  };
+  XSearchProxy proxy(&engine_, authority_, opt);
+  std::vector<std::string> observed;
+  engine_.set_observer([&observed](std::string_view q) { observed.emplace_back(q); });
+  auto session = open_manual_session(proxy);
+  ASSERT_TRUE(session.has_value());
+
+  const auto response = proxy.handle_query_record(
+      session->id, session->seal_query(log_.records()[0].text),
+      Deadline::after(20 * kMilli));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  const auto reply = session->open_reply(response.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value().type, wire::ClientMessageType::kError);
+  EXPECT_EQ(reply.value().error.rfind("DEADLINE_EXCEEDED", 0), 0u)
+      << reply.value().error;
+  EXPECT_EQ(hook_calls.load(), 1);
+  EXPECT_TRUE(observed.empty());
+}
+
+// The deadline is scoped to its own request: once a request has shed on its
+// budget, neither host code on the same thread nor the next request, which
+// has no deadline, is shed by the stale budget.
+TEST_F(ProxyTest, RequestDeadlineDoesNotLeakIntoTheNextRequest) {
+  std::atomic<bool> slow{true};
+  XSearchProxy::Options opt = options();
+  opt.engine_fault_hook = [&slow] {
+    if (slow.load()) std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    return Status::ok();
+  };
+  XSearchProxy proxy(&engine_, authority_, opt);
+  auto session = open_manual_session(proxy);
+  ASSERT_TRUE(session.has_value());
+
+  const auto shed = proxy.handle_query_record(
+      session->id, session->seal_query(log_.records()[0].text),
+      Deadline::after(20 * kMilli));
+  ASSERT_TRUE(shed.is_ok()) << shed.status().to_string();
+  const auto shed_reply = session->open_reply(shed.value());
+  ASSERT_TRUE(shed_reply.is_ok());
+  ASSERT_EQ(shed_reply.value().type, wire::ClientMessageType::kError);
+
+  // The first deadline has passed by now. Host code on this thread reaching
+  // the engine outside any request must not inherit it...
+  slow.store(false);
+  auto sock = proxy.host_enclave().ocall(sgx::OcallId::kSockConnect, Bytes{});
+  ASSERT_TRUE(sock.is_ok());
+  Bytes send_payload = sock.value();
+  wire::EngineRequest request;
+  request.sub_queries = {log_.records()[2].text};
+  request.top_k_each = 5;
+  append(send_payload, wire::serialize_engine_request(request));
+  EXPECT_TRUE(proxy.host_enclave().ocall(sgx::OcallId::kSend, send_payload).is_ok());
+  (void)proxy.host_enclave().ocall(sgx::OcallId::kClose, sock.value());
+
+  // ...and neither must the next request, which carries no deadline.
+  const auto served = proxy.handle_query_record(
+      session->id, session->seal_query(log_.records()[1].text));
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  const auto reply = session->open_reply(served.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value().type, wire::ClientMessageType::kResults)
+      << reply.value().error;
 }
 
 TEST_F(ProxyTest, WrongMeasurementRejectedByBroker) {

@@ -13,6 +13,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "broker_util.hpp"
@@ -63,12 +65,55 @@ class FaultTest : public ::testing::Test {
   /// the boundary lint bans casting away the enclave's constness).
   sgx::EnclaveRuntime& host_enclave() { return proxy_.host_enclave(); }
 
+  /// Host socket stubs that remember which ids are open, with `failing`
+  /// (send or recv) refusing every call — an engine brownout as the socket
+  /// layer sees it.
+  void track_sockets_and_fail(sgx::OcallId failing) {
+    host_enclave().register_ocall(sgx::OcallId::kSockConnect, [this](ByteSpan) -> Result<Bytes> {
+      std::lock_guard<std::mutex> lock(sockets_mutex_);
+      const std::uint64_t id = next_socket_++;
+      open_sockets_.insert(id);
+      Bytes out;
+      wire::put_u64(out, id);
+      return out;
+    });
+    host_enclave().register_ocall(sgx::OcallId::kClose, [this](ByteSpan payload) -> Result<Bytes> {
+      std::size_t offset = 0;
+      auto sock = wire::get_u64(payload, offset);
+      if (!sock) return sock.status();
+      std::lock_guard<std::mutex> lock(sockets_mutex_);
+      open_sockets_.erase(sock.value());
+      return Bytes{};
+    });
+    for (const sgx::OcallId id : {sgx::OcallId::kSend, sgx::OcallId::kRecv}) {
+      host_enclave().register_ocall(id, [id, failing](ByteSpan) -> Result<Bytes> {
+        if (id == failing) return unavailable("engine brownout");
+        return Bytes{};
+      });
+    }
+  }
+
+  /// Runs `searches` failing searches and returns how many sockets the
+  /// host still holds open afterwards.
+  std::size_t sockets_left_open_after(std::size_t searches) {
+    for (std::size_t i = 0; i < searches; ++i) {
+      EXPECT_FALSE(broker_.search(log_.records()[i].text).is_ok());
+    }
+    std::lock_guard<std::mutex> lock(sockets_mutex_);
+    EXPECT_EQ(next_socket_, searches + 1);  // every search reached connect
+    return open_sockets_.size();
+  }
+
   dataset::QueryLog log_;
   engine::Corpus corpus_;
   engine::SearchEngine engine_;
   sgx::AttestationAuthority authority_;
   XSearchProxy proxy_;
   net::RemoteBroker broker_;
+
+  std::mutex sockets_mutex_;
+  std::set<std::uint64_t> open_sockets_;
+  std::uint64_t next_socket_ = 1;
 };
 
 TEST_F(FaultTest, BaselineWorks) {
@@ -89,6 +134,18 @@ TEST_F(FaultTest, FailingSendSurfacesAsProxyError) {
     return unavailable("network down");
   });
   EXPECT_FALSE(broker_.search(log_.records()[2].text).is_ok());
+}
+
+// A failed engine round trip still closes its socket; otherwise every
+// failed search during an engine brownout strands a host socket buffer.
+TEST_F(FaultTest, FailedSendClosesItsSocket) {
+  track_sockets_and_fail(sgx::OcallId::kSend);
+  EXPECT_EQ(sockets_left_open_after(20), 0u);
+}
+
+TEST_F(FaultTest, FailedRecvClosesItsSocket) {
+  track_sockets_and_fail(sgx::OcallId::kRecv);
+  EXPECT_EQ(sockets_left_open_after(20), 0u);
 }
 
 TEST_F(FaultTest, GarbageRecvRejectedByEnclaveParser) {

@@ -25,7 +25,6 @@
 #include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -587,83 +586,6 @@ TEST_P(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
   }
 }
 
-
-// Switchless chaos case: every enclave's ring workers are parked mid-burst.
-// The fault is invisible to the wire — frames flow, the proxy answers — so
-// the only acceptable behavior is the submit path degrading to the plain
-// ecall fallback within its pickup patience. Requests must keep completing
-// within budget (no hang behind the parked ring), and unpausing must return
-// traffic to the exitless path.
-TEST_P(ChaosEndToEnd, ParkedSwitchlessWorkersDegradeToEcallsNotHangs) {
-  sgx::AttestationAuthority authority(to_bytes("chaos-switchless-root"));
-
-  ProxyFleet::Options fleet_options;
-  fleet_options.workers = 2;
-  fleet_options.proxy = proxy_only_options();
-  fleet_options.proxy.switchless.enabled = true;
-  fleet_options.proxy.switchless.ring_depth = 8;
-  fleet_options.proxy.switchless.workers = 1;
-  fleet_options.proxy.switchless.pickup_patience = 5 * kMilli;
-  auto fleet = ProxyFleet::create(nullptr, authority, fleet_options);
-  ASSERT_TRUE(fleet.is_ok()) << fleet.status().to_string();
-
-  ProxyServer::Options server_options;
-  server_options.workers = 4;
-  server_options.queue_timeout = 500 * kMilli;
-  server_options.io_budget = 500 * kMilli;
-  const testutil::ServedProxy served(GetParam(), *fleet.value(),
-                                     server_options);
-
-  RemoteBroker::Options broker_options;
-  broker_options.request_budget = 2 * kSecond;
-  broker_options.connect_budget = kSecond;
-  RemoteBroker broker(served.connector(), authority,
-                      fleet.value()->measurement(), 33, broker_options);
-
-  // Warm burst: the ring is live, queries ride it.
-  for (int i = 0; i < 6; ++i) {
-    auto results = broker.search("warm burst " + std::to_string(i));
-    ASSERT_TRUE(results.is_ok()) << results.status().to_string();
-  }
-  const auto warm = fleet.value()->fleet_stats().ring;
-  EXPECT_GE(warm.jobs_switchless, 1u);
-
-  // Park every worker's ring crew mid-burst. A crew mid-poll-pass can still
-  // drain one last job after the pause lands; wait for the park counters to
-  // confirm every crew re-parked before asserting on the degraded burst.
-  const auto parks_before = fleet.value()->fleet_stats().ring.worker_parks;
-  for (std::size_t w = 0; w < fleet.value()->worker_count(); ++w) {
-    fleet.value()->worker_proxy(w)->pause_switchless_workers(true);
-  }
-  for (int i = 0; i < 2000 && fleet.value()->fleet_stats().ring.worker_parks <
-                                  parks_before + fleet.value()->worker_count();
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int i = 0; i < 6; ++i) {
-    const auto started = std::chrono::steady_clock::now();
-    auto results = broker.search("parked burst " + std::to_string(i));
-    const auto elapsed = std::chrono::steady_clock::now() - started;
-    ASSERT_TRUE(results.is_ok()) << results.status().to_string();
-    EXPECT_LT(elapsed, std::chrono::seconds(10));  // degraded, never hung
-  }
-  const auto parked = fleet.value()->fleet_stats().ring;
-  EXPECT_GE(parked.fallback_ecalls - warm.fallback_ecalls, 6u);
-  EXPECT_EQ(parked.jobs_switchless, warm.jobs_switchless);
-
-  // Unpause: traffic returns to the exitless path. Give the woken workers
-  // a beat to sweep the cancelled carcasses out of the ring first.
-  for (std::size_t w = 0; w < fleet.value()->worker_count(); ++w) {
-    fleet.value()->worker_proxy(w)->pause_switchless_workers(false);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  for (int i = 0; i < 4; ++i) {
-    auto results = broker.search("revived burst " + std::to_string(i));
-    ASSERT_TRUE(results.is_ok()) << results.status().to_string();
-  }
-  EXPECT_GT(fleet.value()->fleet_stats().ring.jobs_switchless,
-            warm.jobs_switchless);
-}
 
 INSTANTIATE_TEST_SUITE_P(Transports, ChaosEndToEnd,
                          ::testing::Values(Transport::kTcp,
