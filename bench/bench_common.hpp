@@ -24,8 +24,8 @@ struct Testbed {
   std::vector<dataset::UserId> top_users;
   dataset::QueryLog top_log;        // only the most active users
   dataset::TrainTestSplit split;    // of top_log (train = adversary knowledge)
-  // Held by pointer: SearchEngine keeps a reference into Corpus, so both
-  // must stay at stable addresses.
+  // Held by pointer: proxies and benches keep pointers to the engine, so
+  // it must stay at a stable address.
   std::unique_ptr<engine::Corpus> corpus;
   std::unique_ptr<engine::SearchEngine> engine;
 };

@@ -4,17 +4,17 @@
 // by their title and body terms (title terms carry a configurable field
 // boost) and queries are scored with Okapi BM25.
 //
-// Scoring accumulates into a dense per-document array owned by a reusable
-// `Scratch`, not a per-call hash map: an OR query evaluates its k+1
-// sub-queries through one Scratch, so the score state, the touched-doc
-// list and the ranking buffer are allocated once per OR query instead of
-// once per sub-query.
+// The index is immutable: the constructor indexes the whole document list
+// and computes every posting's BM25 contribution (its impact) once, so a
+// query only adds precomputed impacts into a dense per-document
+// accumulator, in query-term order, and keeps the best `top_k` in a
+// bounded heap. The accumulator lives in per-thread scratch: it is
+// allocated and cleared once per thread (and again only when the thread
+// meets a larger index or its epoch counter wraps), never per query.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/document.hpp"
@@ -36,50 +36,30 @@ struct ScoredDoc {
 
 class InvertedIndex {
  public:
-  explicit InvertedIndex(Bm25Params params = {}) : params_(params) {}
-
-  /// Reusable per-search state; see the header comment. A default-
-  /// constructed Scratch works with any index and grows on first use.
-  /// First touch of a doc is detected by epoch stamp, not by a zero score
-  /// (a zero-weight posting, e.g. title_boost = 0, must not re-touch).
-  struct Scratch {
-    std::vector<double> scores;            // dense per-doc accumulator
-    std::vector<std::uint32_t> stamps;     // epoch of each doc's last touch
-    std::uint32_t epoch = 0;               // current search's stamp value
-    std::vector<DocId> touched;            // docs scored by the current query
-    std::vector<text::TermId> terms;       // deduplicated query terms
-    std::string token_buffer;              // tokenize_views backing store
-    std::vector<std::string_view> tokens;  // token views into token_buffer
-  };
-
-  /// Indexes one document (id must be unique).
-  void add_document(const Document& doc);
+  /// Indexes `documents`; document i must have id i.
+  explicit InvertedIndex(const std::vector<Document>& documents, Bm25Params params = {});
 
   /// Top-k documents for a free-text query, BM25-ranked, deterministic
-  /// tie-break by doc id. Unknown terms are ignored.
+  /// tie-break by doc id. Unknown and repeated query terms are ignored.
   [[nodiscard]] std::vector<ScoredDoc> search(std::string_view query,
                                               std::size_t top_k) const;
 
-  /// Same, accumulating through caller-owned scratch so consecutive
-  /// searches (the k+1 sub-queries of an OR query) share one allocation.
-  /// `out` is cleared and filled with the ranked top-k.
-  void search_with(std::string_view query, std::size_t top_k, Scratch& scratch,
+  /// Same, into a caller-owned vector (cleared first), so a caller that
+  /// searches repeatedly can reuse its allocation.
+  void search_with(std::string_view query, std::size_t top_k,
                    std::vector<ScoredDoc>& out) const;
 
-  [[nodiscard]] std::size_t document_count() const { return doc_lengths_.size(); }
+  [[nodiscard]] std::size_t document_count() const { return document_count_; }
   [[nodiscard]] std::size_t term_count() const { return vocab_.size(); }
 
  private:
-  struct Posting {
-    DocId doc;
-    float weight;  // field-boosted term frequency
-  };
-
-  Bm25Params params_;
   text::Vocabulary vocab_;
-  std::unordered_map<text::TermId, std::vector<Posting>> postings_;
-  std::vector<double> doc_lengths_;  // boosted length per doc
-  double total_length_ = 0.0;
+  std::size_t document_count_ = 0;
+  // Postings of term t are [term_begin_[t], term_begin_[t + 1]) of the two
+  // parallel arrays, in ascending doc order.
+  std::vector<std::size_t> term_begin_;
+  std::vector<DocId> posting_docs_;
+  std::vector<double> posting_impacts_;
 };
 
 }  // namespace xsearch::engine

@@ -24,7 +24,9 @@ namespace xsearch::engine {
 
 class SearchEngine {
  public:
-  /// Indexes the corpus; `snippet_words` controls description length.
+  /// Indexes the corpus and renders every document's result entry once;
+  /// `snippet_words` controls description length. Keeps no reference to
+  /// the corpus.
   explicit SearchEngine(const Corpus& corpus, std::size_t snippet_words = 25,
                         Bm25Params params = {});
 
@@ -34,8 +36,8 @@ class SearchEngine {
 
   /// OR query over several sub-queries: each sub-query is evaluated
   /// independently for `top_k_each` results and the result sets are merged
-  /// (deduplicated by document, keeping the best score, interleaved by
-  /// per-sub-query rank so no sub-query dominates the head of the list).
+  /// (deduplicated by document, keeping its first-seen score, interleaved
+  /// by per-sub-query rank so no sub-query dominates the head of the list).
   [[nodiscard]] std::vector<SearchResult> search_or(
       const std::vector<std::string>& sub_queries, std::size_t top_k_each) const;
 
@@ -50,9 +52,10 @@ class SearchEngine {
  private:
   [[nodiscard]] SearchResult decorate(const ScoredDoc& sd) const;
 
-  const std::vector<Document>* documents_;
   InvertedIndex index_;
-  std::size_t snippet_words_;
+  // One entry per document with title, snippet and tracking URL filled in
+  // (they depend only on the document); decorate adds the score.
+  std::vector<SearchResult> rendered_;
   std::function<void(std::string_view)> observer_;
 };
 

@@ -32,9 +32,9 @@ class Bm25Grid : public ::testing::TestWithParam<std::tuple<double, double>> {
 };
 
 TEST_P(Bm25Grid, ExactMatchOutranksPartialMatch) {
-  InvertedIndex index(params());
-  index.add_document(doc(0, "alpha beta gamma", "alpha beta gamma content"));
-  index.add_document(doc(1, "alpha delta", "alpha unrelated content"));
+  const InvertedIndex index({doc(0, "alpha beta gamma", "alpha beta gamma content"),
+                             doc(1, "alpha delta", "alpha unrelated content")},
+                            params());
   const auto results = index.search("alpha beta gamma", 2);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].doc, 0u);
@@ -42,12 +42,13 @@ TEST_P(Bm25Grid, ExactMatchOutranksPartialMatch) {
 }
 
 TEST_P(Bm25Grid, RareTermWeighsMoreThanCommonTerm) {
-  InvertedIndex index(params());
   // "common" appears in every document; "rare" in one.
+  std::vector<Document> docs;
   for (DocId i = 0; i < 20; ++i) {
-    index.add_document(doc(i, "common topic " + std::to_string(i),
-                           i == 7 ? "rare common words" : "common words"));
+    docs.push_back(doc(i, "common topic " + std::to_string(i),
+                       i == 7 ? "rare common words" : "common words"));
   }
+  const InvertedIndex index(docs, params());
   const auto results = index.search("rare", 20);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].doc, 7u);
@@ -58,7 +59,7 @@ TEST_P(Bm25Grid, RareTermWeighsMoreThanCommonTerm) {
 }
 
 TEST_P(Bm25Grid, ScoresArePositiveAndSorted) {
-  InvertedIndex index(params());
+  std::vector<Document> docs;
   Rng rng(3);
   const std::vector<std::string> words = {"web", "search", "privacy", "pasta",
                                           "code", "music", "news",   "game"};
@@ -68,8 +69,9 @@ TEST_P(Bm25Grid, ScoresArePositiveAndSorted) {
       body += words[rng.uniform(words.size())];
       body += ' ';
     }
-    index.add_document(doc(i, words[rng.uniform(words.size())], body));
+    docs.push_back(doc(i, words[rng.uniform(words.size())], body));
   }
+  const InvertedIndex index(docs, params());
   const auto results = index.search("web privacy", 50);
   ASSERT_FALSE(results.empty());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -79,18 +81,16 @@ TEST_P(Bm25Grid, ScoresArePositiveAndSorted) {
 }
 
 TEST_P(Bm25Grid, AddingUnrelatedDocumentsKeepsTopResult) {
-  InvertedIndex small(params());
-  small.add_document(doc(0, "target phrase here", "the target phrase body"));
-  small.add_document(doc(1, "noise one", "noise body one"));
+  std::vector<Document> docs = {doc(0, "target phrase here", "the target phrase body"),
+                                doc(1, "noise one", "noise body one")};
+  const InvertedIndex small(docs, params());
   const auto before = small.search("target phrase", 1);
   ASSERT_EQ(before.size(), 1u);
 
-  InvertedIndex large(params());
-  large.add_document(doc(0, "target phrase here", "the target phrase body"));
-  large.add_document(doc(1, "noise one", "noise body one"));
   for (DocId i = 2; i < 50; ++i) {
-    large.add_document(doc(i, "irrelevant stuff", "completely different words"));
+    docs.push_back(doc(i, "irrelevant stuff", "completely different words"));
   }
+  const InvertedIndex large(docs, params());
   const auto after = large.search("target phrase", 1);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].doc, before[0].doc);
@@ -109,13 +109,13 @@ TEST_P(OrMergeGrid, MergeIsSupersetOfEachSubQueryHead) {
   const std::size_t n_subs = GetParam();
   // One dedicated document per topic.
   std::vector<std::string> sub_queries;
-  InvertedIndex index;
+  std::vector<Document> docs;
   for (std::size_t t = 0; t < n_subs; ++t) {
     const std::string topic = "topic" + std::to_string(t);
     sub_queries.push_back(topic);
-    index.add_document(doc(static_cast<DocId>(t), topic + " page",
-                           topic + " body " + topic));
+    docs.push_back(doc(static_cast<DocId>(t), topic + " page", topic + " body " + topic));
   }
+  const InvertedIndex index(docs);
   // Each sub-query's top hit is its own topic document; the OR-merge must
   // contain all of them (rank-interleaved).
   std::unordered_set<DocId> expected;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <thread>
 #include <unordered_set>
 
 #include "dataset/synthetic.hpp"
@@ -45,13 +48,11 @@ Document make_doc(DocId id, std::string title, std::string body) {
 
 class IndexTest : public ::testing::Test {
  protected:
-  IndexTest() {
-    index_.add_document(make_doc(0, "private web search", "search engines and privacy"));
-    index_.add_document(make_doc(1, "cooking pasta", "boil water add salt pasta"));
-    index_.add_document(make_doc(2, "web browsers", "browser market share web"));
-    index_.add_document(make_doc(3, "pasta recipes", "pasta sauce tomato recipes"));
-  }
-  InvertedIndex index_;
+  InvertedIndex index_{std::vector<Document>{
+      make_doc(0, "private web search", "search engines and privacy"),
+      make_doc(1, "cooking pasta", "boil water add salt pasta"),
+      make_doc(2, "web browsers", "browser market share web"),
+      make_doc(3, "pasta recipes", "pasta sauce tomato recipes")}};
 };
 
 TEST_F(IndexTest, FindsMatchingDocuments) {
@@ -87,9 +88,8 @@ TEST_F(IndexTest, MultiTermMatchRanksHigher) {
 TEST_F(IndexTest, TitleBoostMatters) {
   // "pasta" in title (doc 1 and 3 both have it in title) — build a case
   // where only the boost separates: doc A body-only vs doc B title.
-  InvertedIndex idx;
-  idx.add_document(make_doc(0, "unrelated title", "keyword in the body text here"));
-  idx.add_document(make_doc(1, "keyword headline", "completely different content"));
+  const InvertedIndex idx({make_doc(0, "unrelated title", "keyword in the body text here"),
+                           make_doc(1, "keyword headline", "completely different content")});
   const auto results = idx.search("keyword", 2);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].doc, 1u);
@@ -100,9 +100,8 @@ TEST_F(IndexTest, EmptyQuery) { EXPECT_TRUE(index_.search("", 10).empty()); }
 TEST_F(IndexTest, ZeroTopK) { EXPECT_TRUE(index_.search("web", 0).empty()); }
 
 TEST_F(IndexTest, DeterministicTieBreakById) {
-  InvertedIndex idx;
-  idx.add_document(make_doc(0, "same words", "same words"));
-  idx.add_document(make_doc(1, "same words", "same words"));
+  const InvertedIndex idx(
+      {make_doc(0, "same words", "same words"), make_doc(1, "same words", "same words")});
   const auto results = idx.search("same", 2);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].doc, 0u);
@@ -113,9 +112,9 @@ TEST_F(IndexTest, ZeroWeightPostingsNeverDuplicateDocs) {
   // title_boost = 0 produces postings with weight 0 and thus score
   // contributions of exactly 0.0; first-touch tracking must not rely on a
   // zero score, or a doc matched by several such terms is emitted twice.
-  InvertedIndex idx(Bm25Params{.title_boost = 0.0});
-  idx.add_document(make_doc(0, "alpha beta", ""));
-  idx.add_document(make_doc(1, "gamma", "alpha beta body"));
+  const InvertedIndex idx(
+      {make_doc(0, "alpha beta", ""), make_doc(1, "gamma", "alpha beta body")},
+      Bm25Params{.title_boost = 0.0});
   const auto results = idx.search("alpha beta", 10);
   std::unordered_set<DocId> seen;
   for (const auto& r : results) {
@@ -123,13 +122,12 @@ TEST_F(IndexTest, ZeroWeightPostingsNeverDuplicateDocs) {
   }
 }
 
-TEST_F(IndexTest, ScratchReuseAcrossQueriesMatchesFreshSearch) {
-  // The OR path reuses one Scratch for all sub-queries; results must be
-  // identical to independent fresh searches.
-  InvertedIndex::Scratch scratch;
+TEST_F(IndexTest, ReusedOutputMatchesFreshSearch) {
+  // The OR path reuses one output vector (and the thread's scratch) for all
+  // sub-queries; results must be identical to independent fresh searches.
   std::vector<ScoredDoc> reused;
   for (const std::string_view q : {"web search", "pasta", "private web", ""}) {
-    index_.search_with(q, 5, scratch, reused);
+    index_.search_with(q, 5, reused);
     const auto fresh = index_.search(q, 5);
     ASSERT_EQ(reused.size(), fresh.size()) << q;
     for (std::size_t i = 0; i < fresh.size(); ++i) {
@@ -232,6 +230,51 @@ TEST_F(EngineTest, OrMergeCoversAllSubQueries) {
   for (const auto& r : merged) merged_docs.insert(r.doc);
   EXPECT_TRUE(merged_docs.contains(r1[0].doc));
   EXPECT_TRUE(merged_docs.contains(r2[0].doc));
+}
+
+TEST_F(EngineTest, OrMergeWithHugeTopKStopsAtLongestList) {
+  // top_k_each comes off the engine link as a u32; the merge must stop at
+  // the longest ranked list instead of walking every requested rank.
+  const std::vector<std::string> subs = {log_.records()[0].text,
+                                         log_.records()[log_.size() / 2].text};
+  const auto start = std::chrono::steady_clock::now();
+  const auto huge = engine_.search_or(subs, UINT32_MAX);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(huge, engine_.search_or(subs, engine_.document_count()));
+  EXPECT_FALSE(huge.empty());
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST_F(EngineTest, ConcurrentOrSearchesMatchSequential) {
+  // Each thread scores through its own scratch; four threads sharing one
+  // engine must get exactly the sequential answers.
+  std::vector<std::vector<std::string>> queries;
+  for (std::size_t i = 0; i < 24; ++i) {
+    std::vector<std::string> subs;
+    for (std::size_t j = 0; j < 4; ++j) {
+      subs.push_back(log_.records()[(i * 97 + j * 211) % log_.size()].text);
+    }
+    queries.push_back(std::move(subs));
+  }
+  std::vector<std::vector<SearchResult>> expected;
+  for (const auto& subs : queries) expected.push_back(engine_.search_or(subs, 10));
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          // Start each thread at a different query so they interleave.
+          const std::size_t q = (i + t * 7) % queries.size();
+          if (engine_.search_or(queries[q], 10) != expected[q]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST_F(EngineTest, ObserverSeesQueries) {
