@@ -8,9 +8,10 @@
 //
 // Every mechanism is driven through the unified PrivateSearchClient API:
 // the client is built by name from the MechanismRegistry, and the load is
-// offered through the asynchronous batch path (submit/poll on the client's
-// own worker lanes), so any registered mechanism — including a sixth one —
-// is benchable by passing its name on the command line.
+// offered by loadgen::run_open_loop, whose worker w searches through
+// sibling w (spawn_sibling: another user of the same deployment), so any
+// registered mechanism — including a sixth one — is benchable by passing
+// its name on the command line.
 //
 // What is real here: every request executes the full proxy compute path
 // (X-Search: channel AEAD open/seal + Algorithm 1 + history update inside
@@ -22,7 +23,7 @@
 //
 // The special name "xsearch-remote" drives the same saturation load over
 // real TCP: an in-process ProxyServer fronts the proxy, the unified client
-// is api::make_remote_client, and each batch lane holds its own attested
+// is api::make_remote_client, and each sibling holds its own attested
 // session — so the bench exercises the bounded SessionTable and the
 // pool-served connection path concurrently, end to end, and reports the
 // session-lifecycle counters afterwards.
@@ -93,7 +94,6 @@
 #include <vector>
 
 #include "api/client.hpp"
-#include "api/load_driver.hpp"
 #include "api/registry.hpp"
 #include "api/remote.hpp"
 #include "api/xsearch_options.hpp"
@@ -948,6 +948,9 @@ loadgen::LoadConfig config_for(double rps) {
   loadgen::LoadConfig config;
   config.target_rps = rps;
   config.duration = 400 * kMilli;
+  config.workers = kWorkers;
+  // Requests beyond this many queued are dropped, not delayed.
+  config.queue_capacity = 4096;
   return config;
 }
 
@@ -1035,7 +1038,6 @@ int main(int argc, char** argv) {
     config.k = 3;
     config.top_k = 20;
     config.history_capacity = 100'000;
-    config.batch_workers = kWorkers;
     config.seed = seed += 100;
 
     if (name == "xsearch-sessions") {
@@ -1087,15 +1089,28 @@ int main(int argc, char** argv) {
       continue;
     }
 
+    // One sibling per load worker. Each connects here, serially: some
+    // mechanisms mutate shared backend state on session establishment (Tor
+    // circuit extension), which must not race with other siblings'
+    // searches.
+    std::vector<api::ClientPtr> siblings;
+    for (std::size_t i = 0; i < kWorkers; ++i) {
+      siblings.push_back(client_ptr->spawn_sibling(config.seed + 1000 + i));
+      (void)siblings.back()->connect();
+    }
     for (const double rps : rate_grid(name)) {
-      const auto report = api::run_open_loop_batch(
-          *client_ptr, [&] { return sample_query; }, config_for(rps));
+      const auto report = loadgen::run_open_loop(
+          [&](std::size_t worker) {
+            (void)siblings[worker]->search(sample_query);
+          },
+          config_for(rps));
       print_row(name, report);
     }
+    siblings.clear();
     client_ptr->close();
 
     if (remote) {
-      // One attested session per batch lane, all concurrently live: the
+      // One attested session per sibling, all concurrently live: the
       // multi-threaded shared-table claim of §4.1, measured.
       const auto stats = deployment->proxy->session_stats();
       std::printf("# %s sessions: peak=%zu created=%llu evicted=%llu "

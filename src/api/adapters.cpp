@@ -4,10 +4,10 @@
 // Each adapter owns its mechanism's whole stack — Direct nothing, TrackMeNot
 // a simulated RSS feed, Tor an in-process relay chain, PEAS the two-proxy
 // chain, X-Search the enclave proxy (or, remotely, just its address) — and
-// exposes it through the same session/search/batch surface. Batch lanes
-// are `spawn_sibling` clients sharing the stack (same relays, same issuer,
-// same enclave proxy), which is exactly the multi-client deployment the
-// paper load-tests in Figure 5.
+// exposes it through the same session/search/batch surface. Siblings
+// (`spawn_sibling`) are further users of the same stack (same relays, same
+// issuer, same enclave proxy), which is exactly the multi-client
+// deployment the paper load-tests in Figure 5.
 #include <algorithm>
 #include <cassert>
 #include <memory>
@@ -47,9 +47,16 @@ class DirectAdapter final : public PrivateSearchClient {
  public:
   DirectAdapter(const Backend& backend, const ClientConfig& config)
       : PrivateSearchClient(config), engine_(backend.engine) {}
-  ~DirectAdapter() override { shutdown_async(); }
 
   [[nodiscard]] bool connected() const override { return connected_; }
+
+  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
+    ClientConfig sibling_config = config();
+    sibling_config.seed = seed;
+    Backend backend;
+    backend.engine = engine_;
+    return std::make_unique<DirectAdapter>(backend, sibling_config);
+  }
 
   [[nodiscard]] PrivacyProperties privacy_properties() const override {
     PrivacyProperties props;
@@ -74,14 +81,6 @@ class DirectAdapter final : public PrivateSearchClient {
     return engine_->search(query, top_k);
   }
 
-  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
-    ClientConfig sibling_config = config();
-    sibling_config.seed = seed;
-    Backend backend;
-    backend.engine = engine_;
-    return std::make_unique<DirectAdapter>(backend, sibling_config);
-  }
-
  private:
   const engine::SearchEngine* engine_;
   bool connected_ = false;
@@ -97,9 +96,16 @@ class TmnAdapter final : public PrivateSearchClient {
         engine_(backend.engine),
         generator_(std::move(generator)),
         rng_(config.seed) {}
-  ~TmnAdapter() override { shutdown_async(); }
 
   [[nodiscard]] bool connected() const override { return connected_; }
+
+  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
+    ClientConfig sibling_config = config();
+    sibling_config.seed = seed;
+    Backend backend;
+    backend.engine = engine_;
+    return std::make_unique<TmnAdapter>(backend, sibling_config, generator_);
+  }
 
   [[nodiscard]] PrivacyProperties privacy_properties() const override {
     PrivacyProperties props;
@@ -136,14 +142,6 @@ class TmnAdapter final : public PrivateSearchClient {
     return engine_->search(query, top_k);
   }
 
-  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
-    ClientConfig sibling_config = config();
-    sibling_config.seed = seed;
-    Backend backend;
-    backend.engine = engine_;
-    return std::make_unique<TmnAdapter>(backend, sibling_config, generator_);
-  }
-
  private:
   const engine::SearchEngine* engine_;
   std::shared_ptr<const baselines::tmn::TmnGenerator> generator_;
@@ -172,9 +170,16 @@ class TorAdapter final : public PrivateSearchClient {
       : PrivateSearchClient(config),
         engine_(backend.engine),
         chain_(std::move(chain)) {}
-  ~TorAdapter() override { shutdown_async(); }
 
   [[nodiscard]] bool connected() const override { return client_.has_value(); }
+
+  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
+    ClientConfig sibling_config = config();
+    sibling_config.seed = seed;
+    Backend backend;
+    backend.engine = engine_;
+    return std::make_unique<TorAdapter>(backend, sibling_config, chain_);
+  }
 
   [[nodiscard]] PrivacyProperties privacy_properties() const override {
     PrivacyProperties props;
@@ -204,14 +209,6 @@ class TorAdapter final : public PrivateSearchClient {
     return client_->search(query, static_cast<std::uint32_t>(top_k));
   }
 
-  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
-    ClientConfig sibling_config = config();
-    sibling_config.seed = seed;
-    Backend backend;
-    backend.engine = engine_;
-    return std::make_unique<TorAdapter>(backend, sibling_config, chain_);
-  }
-
  private:
   const engine::SearchEngine* engine_;
   std::shared_ptr<RelayChain> chain_;
@@ -239,9 +236,18 @@ class PeasAdapter final : public PrivateSearchClient {
       : PrivateSearchClient(config),
         engine_(backend.engine),
         chain_(std::move(chain)) {}
-  ~PeasAdapter() override { shutdown_async(); }
 
   [[nodiscard]] bool connected() const override { return client_.has_value(); }
+
+  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
+    ClientConfig sibling_config = config();
+    sibling_config.seed = seed;
+    sibling_config.client_id =
+        config().client_id + 1000 + static_cast<std::uint32_t>(seed % 1000);
+    Backend backend;
+    backend.engine = engine_;
+    return std::make_unique<PeasAdapter>(backend, sibling_config, chain_);
+  }
 
   [[nodiscard]] PrivacyProperties privacy_properties() const override {
     PrivacyProperties props;
@@ -266,16 +272,6 @@ class PeasAdapter final : public PrivateSearchClient {
   [[nodiscard]] Result<SearchResults> do_search(std::string_view query,
                                                 std::size_t top_k) override {
     return client_->search(query, static_cast<std::uint32_t>(top_k));
-  }
-
-  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
-    ClientConfig sibling_config = config();
-    sibling_config.seed = seed;
-    sibling_config.client_id =
-        config().client_id + 1000 + static_cast<std::uint32_t>(seed % 1000);
-    Backend backend;
-    backend.engine = engine_;
-    return std::make_unique<PeasAdapter>(backend, sibling_config, chain_);
   }
 
  private:
@@ -305,10 +301,15 @@ class XSearchAdapter final : public PrivateSearchClient {
 
   XSearchAdapter(const ClientConfig& config, std::shared_ptr<Endpoint> endpoint)
       : PrivateSearchClient(config), endpoint_(std::move(endpoint)) {}
-  ~XSearchAdapter() override { shutdown_async(); }
 
   [[nodiscard]] bool connected() const override {
     return broker_.has_value() && broker_->connected();
+  }
+
+  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
+    ClientConfig sibling_config = config();
+    sibling_config.seed = seed;
+    return std::make_unique<XSearchAdapter>(sibling_config, endpoint_);
   }
 
   [[nodiscard]] PrivacyProperties privacy_properties() const override {
@@ -356,9 +357,9 @@ class XSearchAdapter final : public PrivateSearchClient {
 
   [[nodiscard]] std::vector<Result<SearchResults>> do_search_batch(
       const std::vector<BatchQuery>& queries) override {
-    // One kBatchQuery frame per chunk: one round trip and one AEAD
-    // seal/open regardless of chunk size (chunks only appear when the
-    // caller coalesces beyond the wire bound).
+    // One query frame per chunk of up to kMaxBatchQueries: one round trip
+    // and one AEAD seal/open regardless of chunk size. Only callers passing
+    // more than the wire bound see more than one chunk.
     std::vector<Result<SearchResults>> outcomes;
     outcomes.reserve(queries.size());
     for (std::size_t start = 0; start < queries.size();
@@ -383,12 +384,6 @@ class XSearchAdapter final : public PrivateSearchClient {
       }
     }
     return outcomes;
-  }
-
-  [[nodiscard]] ClientPtr spawn_sibling(std::uint64_t seed) override {
-    ClientConfig sibling_config = config();
-    sibling_config.seed = seed;
-    return std::make_unique<XSearchAdapter>(sibling_config, endpoint_);
   }
 
  private:

@@ -1,57 +1,11 @@
 #include "api/client.hpp"
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-
-#include "common/thread_pool.hpp"
 #include "netsim/netsim.hpp"
 
 namespace xsearch::api {
 
-/// One submit() parked for coalescing (batch_coalesce > 1): everything a
-/// flusher needs to execute and complete the request later.
-struct PrivateSearchClient::PendingRequest {
-  Ticket ticket = kInvalidTicket;
-  std::string query;
-  std::size_t top_k = 0;  // already resolved
-  std::function<void(SearchOutcome)> on_done;
-  Nanos submitted_at = 0;
-};
-
-// Batch machinery: a thread pool whose lanes are sibling clients sharing
-// the primary's backend, plus the ticket ledger. Workers and lanes are
-// matched 1:1 in count, so round-robin lane selection keeps collisions
-// (two tasks serializing on one sibling) transient.
-//
-// With batch_coalesce > 1 the pool stops carrying one task per request:
-// submits append to `pending` and up to lanes.size() *flusher* tasks drain
-// it, each taking up to batch_coalesce requests per mechanism round trip
-// (one sealed frame for the whole batch on the remote client).
-struct PrivateSearchClient::AsyncEngine {
-  std::vector<ClientPtr> siblings;
-  std::vector<PrivateSearchClient*> lanes;  // sibling or the primary itself
-  std::unique_ptr<ThreadPool> pool;
-  std::atomic<std::size_t> next_lane{0};
-
-  Mutex mutex;
-  CondVar done_cv;
-  std::unordered_map<Ticket, SearchOutcome> done XS_GUARDED_BY(mutex);
-  std::unordered_set<Ticket> inflight XS_GUARDED_BY(mutex);
-  Ticket next_ticket XS_GUARDED_BY(mutex) = 1;
-
-  // Coalescing state. `space_cv` signals room in `pending`, which is
-  // bounded by batch_queue_capacity like the pool queue.
-  std::deque<PendingRequest> pending XS_GUARDED_BY(mutex);
-  std::size_t active_flushers XS_GUARDED_BY(mutex) = 0;
-  CondVar space_cv;
-};
-
 PrivateSearchClient::PrivateSearchClient(ClientConfig config)
     : config_(config) {}
-
-PrivateSearchClient::~PrivateSearchClient() { shutdown_async(); }
 
 Status PrivateSearchClient::connect() {
   MutexLock lock(sync_mutex_);
@@ -61,7 +15,6 @@ Status PrivateSearchClient::connect() {
 }
 
 void PrivateSearchClient::close() {
-  shutdown_async();
   MutexLock lock(sync_mutex_);
   do_close();
 }
@@ -133,306 +86,12 @@ Status PrivateSearchClient::prime(const std::vector<std::string>&) {
   return Status::ok();
 }
 
-std::unique_ptr<PrivateSearchClient> PrivateSearchClient::spawn_sibling(
-    std::uint64_t) {
-  return nullptr;
-}
-
 Stats PrivateSearchClient::stats() const {
   Stats out;
   out.connects = connects_.load(std::memory_order_relaxed);
   out.searches = searches_.load(std::memory_order_relaxed);
   out.failures = failures_.load(std::memory_order_relaxed);
-  out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.completed = completed_.load(std::memory_order_relaxed);
   return out;
-}
-
-PrivateSearchClient::AsyncEngine& PrivateSearchClient::async() {
-  MutexLock lock(async_init_mutex_);
-  if (!async_) {
-    auto engine = std::make_unique<AsyncEngine>();
-    const std::size_t workers = config_.batch_workers == 0 ? 1 : config_.batch_workers;
-    for (std::size_t i = 0; i < workers; ++i) {
-      auto sibling = spawn_sibling(config_.seed + 1000 + i);
-      if (sibling) {
-        // Connect eagerly, while lane setup is still serial: some mechanisms
-        // mutate shared backend state on session establishment (Tor circuit
-        // extension), which must not race with other lanes' searches.
-        (void)sibling->connect();
-        engine->lanes.push_back(sibling.get());
-        engine->siblings.push_back(std::move(sibling));
-      } else {
-        engine->lanes.push_back(this);
-      }
-    }
-    engine->pool =
-        std::make_unique<ThreadPool>(workers, config_.batch_queue_capacity);
-    async_ = std::move(engine);
-  }
-  return *async_;
-}
-
-PrivateSearchClient::AsyncEngine* PrivateSearchClient::async_if_built() {
-  MutexLock lock(async_init_mutex_);
-  return async_.get();
-}
-
-void PrivateSearchClient::shutdown_async() {
-  std::unique_ptr<AsyncEngine> engine;
-  {
-    MutexLock lock(async_init_mutex_);
-    engine = std::move(async_);
-  }
-  // Shutdown drains queued tasks before joining, so every accepted ticket
-  // still completes; only then are the lane siblings destroyed.
-  if (engine) engine->pool->shutdown();
-}
-
-Ticket PrivateSearchClient::submit(std::string query, std::size_t top_k) {
-  return submit_impl(std::move(query), top_k, nullptr, /*blocking=*/true);
-}
-
-Ticket PrivateSearchClient::try_submit(std::string query, std::size_t top_k) {
-  return submit_impl(std::move(query), top_k, nullptr, /*blocking=*/false);
-}
-
-void PrivateSearchClient::submit(std::string query, std::size_t top_k,
-                                 std::function<void(SearchOutcome)> on_done) {
-  (void)submit_impl(std::move(query), top_k, std::move(on_done),
-                    /*blocking=*/true);
-}
-
-Ticket PrivateSearchClient::submit_impl(
-    std::string query, std::size_t top_k,
-    std::function<void(SearchOutcome)> on_done, bool blocking) {
-  AsyncEngine& engine = async();
-  if (config_.batch_coalesce > 1) {
-    return submit_coalesced(engine, std::move(query), top_k, std::move(on_done),
-                            blocking);
-  }
-
-  Ticket ticket = kInvalidTicket;
-  {
-    MutexLock lock(engine.mutex);
-    ticket = engine.next_ticket++;
-    engine.inflight.insert(ticket);
-  }
-
-  const Nanos submitted_at = wall_now();
-  const bool ticketed = on_done == nullptr;
-  auto task = [this, &engine, ticket, ticketed, submitted_at,
-               top_k = resolve_top_k(top_k), query = std::move(query),
-               on_done = std::move(on_done)]() mutable {
-    PrivateSearchClient* lane = engine.lanes[engine.next_lane.fetch_add(
-                                                 1, std::memory_order_relaxed) %
-                                             engine.lanes.size()];
-    auto result = lane->search(query, top_k);
-
-    SearchOutcome outcome;
-    outcome.ticket = ticket;
-    outcome.status = result.status();
-    if (result.is_ok()) outcome.results = std::move(result).value();
-    outcome.latency = wall_now() - submitted_at;
-
-    // Siblings keep their own search counters; mirror theirs into the
-    // primary's. A fallback lane (lane == this) already counted itself.
-    if (lane != this) {
-      searches_.fetch_add(1, std::memory_order_relaxed);
-      if (!outcome.status.is_ok()) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-
-    // The callback must finish before the ticket leaves the in-flight set,
-    // so drain() returning guarantees every callback has run.
-    if (!ticketed) on_done(std::move(outcome));
-    {
-      MutexLock lock(engine.mutex);
-      engine.inflight.erase(ticket);
-      if (ticketed) engine.done.emplace(ticket, std::move(outcome));
-    }
-    engine.done_cv.notify_all();
-  };
-
-  const bool accepted = blocking ? engine.pool->submit(std::move(task))
-                                 : engine.pool->try_submit(std::move(task));
-  if (!accepted) {
-    MutexLock lock(engine.mutex);
-    engine.inflight.erase(ticket);
-    return kInvalidTicket;
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  return ticket;
-}
-
-Ticket PrivateSearchClient::submit_coalesced(
-    AsyncEngine& engine, std::string query, std::size_t top_k,
-    std::function<void(SearchOutcome)> on_done, bool blocking) {
-  PendingRequest request;
-  request.query = std::move(query);
-  request.top_k = resolve_top_k(top_k);
-  request.on_done = std::move(on_done);
-  request.submitted_at = wall_now();
-
-  bool spawn_flusher = false;
-  Ticket ticket = kInvalidTicket;
-  {
-    MutexLock lock(engine.mutex);
-    if (engine.pending.size() >= config_.batch_queue_capacity) {
-      if (!blocking) return kInvalidTicket;
-      while (engine.pending.size() >= config_.batch_queue_capacity) {
-        engine.space_cv.wait(engine.mutex);
-      }
-    }
-    ticket = engine.next_ticket++;
-    request.ticket = ticket;
-    engine.inflight.insert(ticket);
-    engine.pending.push_back(std::move(request));
-    // Keep at most one flusher per lane busy: enough to use every lane,
-    // few enough that batches actually fill.
-    if (engine.active_flushers < engine.lanes.size()) {
-      engine.active_flushers += 1;
-      spawn_flusher = true;
-    }
-  }
-
-  if (spawn_flusher) {
-    const bool accepted =
-        engine.pool->submit([this, &engine] { flush_loop(engine); });
-    if (!accepted) {
-      // Pool shutting down: no new flusher will ever drain our parked
-      // request. If it is still parked, withdraw it and report rejection
-      // (mirroring the per-request path); if a live flusher already took
-      // it, it will complete normally.
-      MutexLock lock(engine.mutex);
-      engine.active_flushers -= 1;
-      for (auto it = engine.pending.begin(); it != engine.pending.end(); ++it) {
-        if (it->ticket == ticket) {
-          engine.pending.erase(it);
-          engine.inflight.erase(ticket);
-          return kInvalidTicket;
-        }
-      }
-    }
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  return ticket;
-}
-
-void PrivateSearchClient::flush_loop(AsyncEngine& engine) {
-  const std::size_t max_batch = config_.batch_coalesce;
-  for (;;) {
-    std::vector<PendingRequest> batch;
-    {
-      MutexLock lock(engine.mutex);
-      while (!engine.pending.empty() && batch.size() < max_batch) {
-        batch.push_back(std::move(engine.pending.front()));
-        engine.pending.pop_front();
-      }
-      if (batch.empty()) {
-        engine.active_flushers -= 1;
-        return;
-      }
-    }
-    engine.space_cv.notify_all();
-
-    PrivateSearchClient* lane =
-        engine.lanes[engine.next_lane.fetch_add(1, std::memory_order_relaxed) %
-                     engine.lanes.size()];
-    std::vector<BatchQuery> queries;
-    queries.reserve(batch.size());
-    for (auto& request : batch) {  // queries are not needed again: move them
-      queries.push_back({std::move(request.query), request.top_k});
-    }
-    auto results = lane->search_batch(std::move(queries));
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      SearchOutcome outcome;
-      outcome.ticket = batch[i].ticket;
-      if (i < results.size()) {
-        outcome.status = results[i].status();
-        if (results[i].is_ok()) outcome.results = std::move(results[i]).value();
-      } else {
-        outcome.status = internal_error("batch: missing outcome slot");
-      }
-      outcome.latency = wall_now() - batch[i].submitted_at;
-
-      // The lane counted its own searches; mirror into the primary like the
-      // per-request path does.
-      if (lane != this) {
-        searches_.fetch_add(1, std::memory_order_relaxed);
-        if (!outcome.status.is_ok()) {
-          failures_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      completed_.fetch_add(1, std::memory_order_relaxed);
-
-      const bool ticketed = batch[i].on_done == nullptr;
-      if (!ticketed) batch[i].on_done(std::move(outcome));
-      {
-        MutexLock lock(engine.mutex);
-        engine.inflight.erase(batch[i].ticket);
-        if (ticketed) engine.done.emplace(batch[i].ticket, std::move(outcome));
-      }
-      engine.done_cv.notify_all();
-    }
-  }
-}
-
-std::optional<SearchOutcome> PrivateSearchClient::poll(Ticket ticket) {
-  AsyncEngine* built = async_if_built();
-  if (built == nullptr) {
-    // Nothing was ever submitted; don't spin up lanes just to say so.
-    SearchOutcome unknown;
-    unknown.ticket = ticket;
-    unknown.status = not_found("poll: unknown or already collected ticket");
-    return unknown;
-  }
-  AsyncEngine& engine = *built;
-  MutexLock lock(engine.mutex);
-  if (const auto it = engine.done.find(ticket); it != engine.done.end()) {
-    SearchOutcome outcome = std::move(it->second);
-    engine.done.erase(it);
-    return outcome;
-  }
-  if (engine.inflight.contains(ticket)) return std::nullopt;
-  SearchOutcome unknown;
-  unknown.ticket = ticket;
-  unknown.status = not_found("poll: unknown or already collected ticket");
-  return unknown;
-}
-
-SearchOutcome PrivateSearchClient::wait(Ticket ticket) {
-  AsyncEngine* built = async_if_built();
-  if (built == nullptr) {
-    SearchOutcome unknown;
-    unknown.ticket = ticket;
-    unknown.status = not_found("wait: unknown or already collected ticket");
-    return unknown;
-  }
-  AsyncEngine& engine = *built;
-  MutexLock lock(engine.mutex);
-  while (!engine.done.contains(ticket) && engine.inflight.contains(ticket)) {
-    engine.done_cv.wait(engine.mutex);
-  }
-  if (const auto it = engine.done.find(ticket); it != engine.done.end()) {
-    SearchOutcome outcome = std::move(it->second);
-    engine.done.erase(it);
-    return outcome;
-  }
-  SearchOutcome unknown;
-  unknown.ticket = ticket;
-  unknown.status = not_found("wait: unknown or already collected ticket");
-  return unknown;
-}
-
-void PrivateSearchClient::drain() {
-  AsyncEngine* built = async_if_built();
-  if (built == nullptr) return;
-  MutexLock lock(built->mutex);
-  while (!built->inflight.empty()) built->done_cv.wait(built->mutex);
 }
 
 }  // namespace xsearch::api

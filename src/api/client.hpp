@@ -5,16 +5,14 @@
 // and example talks to this one interface instead of the five unrelated
 // concrete APIs. A `PrivateSearchClient` owns a mechanism's whole stack
 // (relays, proxies, enclave, ...), exposes an explicit session lifecycle,
-// a synchronous `search`, an asynchronous batch path (`submit`/`poll`/`wait`
-// executed on a `common::ThreadPool`), and uniform introspection of the
-// mechanism's privacy properties. Concrete mechanisms are produced by name
-// through `api/registry.hpp`.
+// a synchronous `search` and `search_batch`, siblings (`spawn_sibling`:
+// more users of the same deployment, for parallel load), and uniform
+// introspection of the mechanism's privacy properties. Concrete mechanisms
+// are produced by name through `api/registry.hpp`.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,7 +82,7 @@ struct ClientConfig {
   /// Deterministic seed for all client-side randomness.
   std::uint64_t seed = 1;
   /// Client identity as seen by identity-observing components (PEAS
-  /// receiver; also used to diversify batch-lane siblings).
+  /// receiver; also used to diversify siblings).
   std::uint32_t client_id = 0;
   /// When false, mechanisms reply without contacting the engine — the
   /// saturation configuration of the Figure 5 bench (§6.3).
@@ -104,17 +102,6 @@ struct ClientConfig {
   /// search — the proxy network/OS-stack work the in-process simulation
   /// does not otherwise execute (Figure 5 saturation bench; 0 = off).
   Nanos stack_cost_per_request = 0;
-  /// Worker threads of the asynchronous batch path.
-  std::size_t batch_workers = 4;
-  /// Pending-request capacity of the batch queue; `try_submit` reports
-  /// overflow instead of blocking.
-  std::size_t batch_queue_capacity = 4096;
-  /// Maximum `submit()`s coalesced into ONE mechanism round trip (1 = off).
-  /// The X-Search clients (in-process and remote) answer a coalesced batch
-  /// with one batch frame — one sealed record and one query ecall each way —
-  /// amortizing AEAD, crossing and syscall cost over the batch; others just
-  /// loop. Capped by the wire protocol's batch bound.
-  std::size_t batch_coalesce = 1;
   /// Crash-recovery configuration (checkpointing + fleet supervision).
   RecoveryConfig recovery;
   /// Deadlines, retries and circuit breaking (X-Search client broker).
@@ -140,31 +127,15 @@ struct PrivacyProperties {
 /// Uniform operation counters, same fields for every mechanism.
 struct Stats {
   std::uint64_t connects = 0;
-  std::uint64_t searches = 0;   // sync + batch searches executed
-  std::uint64_t failures = 0;   // searches that returned a non-OK status
-  std::uint64_t submitted = 0;  // batch requests accepted
-  std::uint64_t completed = 0;  // batch requests finished (either way)
+  std::uint64_t searches = 0;  // queries executed (a batch counts each)
+  std::uint64_t failures = 0;  // searches that returned a non-OK status
 };
 
 using SearchResults = std::vector<engine::SearchResult>;
 
-/// Handle for one asynchronous batch request.
-using Ticket = std::uint64_t;
-constexpr Ticket kInvalidTicket = 0;
-
-/// Completion record of one batch request.
-struct SearchOutcome {
-  Ticket ticket = kInvalidTicket;
-  Status status;
-  SearchResults results;
-  /// submit() entry to completion, wall clock — queueing included, so an
-  /// open-loop driver sees coordinated-omission-free latency.
-  Nanos latency = 0;
-};
-
 class PrivateSearchClient {
  public:
-  virtual ~PrivateSearchClient();
+  virtual ~PrivateSearchClient() = default;
 
   PrivateSearchClient(const PrivateSearchClient&) = delete;
   PrivateSearchClient& operator=(const PrivateSearchClient&) = delete;
@@ -176,10 +147,8 @@ class PrivateSearchClient {
   /// Direct/TrackMeNot. Idempotent; `search` calls it lazily.
   [[nodiscard]] Status connect();
 
-  /// Stops the batch path (draining in-flight requests) and tears down the
-  /// session. The client may be `connect`ed again afterwards. Must not be
-  /// called concurrently with submit/poll/wait/drain — quiesce batch
-  /// producers first (the batch lanes themselves are drained here).
+  /// Tears down the session. The client may be `connect`ed again
+  /// afterwards.
   void close();
 
   [[nodiscard]] virtual bool connected() const = 0;
@@ -187,7 +156,7 @@ class PrivateSearchClient {
   // --- synchronous path -----------------------------------------------------
 
   /// One private search for `config().top_k` results. Thread-safe
-  /// (serialized on this client; use the batch path for parallelism).
+  /// (serialized on this client; use siblings for parallelism).
   [[nodiscard]] Result<SearchResults> search(std::string_view query);
 
   /// Same, with an explicit result budget (0 means `config().top_k`).
@@ -205,33 +174,14 @@ class PrivateSearchClient {
   [[nodiscard]] std::vector<Result<SearchResults>> search_batch(
       std::vector<BatchQuery> queries);
 
-  // --- asynchronous batch path ---------------------------------------------
-
-  /// Enqueues a search on the batch thread pool and returns its ticket.
-  /// Blocks for back-pressure when the batch queue is full.
-  [[nodiscard]] Ticket submit(std::string query, std::size_t top_k = 0);
-
-  /// Non-blocking variant for open-loop load generation: returns
-  /// `kInvalidTicket` when the batch queue is full (the request is dropped,
-  /// as a saturated server would reset it).
-  [[nodiscard]] Ticket try_submit(std::string query, std::size_t top_k = 0);
-
-  /// Fire-and-forget variant: `on_done` is invoked from a batch worker
-  /// thread instead of parking the outcome for `poll`.
-  void submit(std::string query, std::size_t top_k,
-              std::function<void(SearchOutcome)> on_done);
-
-  /// Non-blocking completion check. Empty optional: still in flight.
-  /// Engaged with `kNotFound`: unknown (or already collected) ticket.
-  /// Each completed outcome is returned exactly once.
-  [[nodiscard]] std::optional<SearchOutcome> poll(Ticket ticket);
-
-  /// Blocks until `ticket` completes and returns its outcome (or an
-  /// outcome carrying `kNotFound` for unknown/collected tickets).
-  [[nodiscard]] SearchOutcome wait(Ticket ticket);
-
-  /// Blocks until no batch request is in flight.
-  void drain();
+  /// A new client of the same deployment (same proxy, relays, issuer) —
+  /// another user, with its own session and `seed` — so several users can
+  /// search in parallel, one sibling per thread. Siblings keep their own
+  /// stats. The caller connects them; mechanisms whose session setup
+  /// mutates shared backend state (Tor circuit extension) need that done
+  /// serially, before siblings search concurrently.
+  [[nodiscard]] virtual std::unique_ptr<PrivateSearchClient> spawn_sibling(
+      std::uint64_t seed) = 0;
 
   // --- introspection --------------------------------------------------------
 
@@ -263,31 +213,7 @@ class PrivateSearchClient {
   [[nodiscard]] virtual std::vector<Result<SearchResults>> do_search_batch(
       const std::vector<BatchQuery>& queries);
 
-  /// A new client sharing this one's backend (same proxy/relays/issuer),
-  /// used as an independent batch lane so batch workers run in parallel.
-  /// Called serially before batch workers start. Returning nullptr makes
-  /// the batch path fall back to serializing through this client.
-  [[nodiscard]] virtual std::unique_ptr<PrivateSearchClient> spawn_sibling(
-      std::uint64_t seed);
-
-  /// Stops the batch pool and destroys the lane siblings. Subclasses whose
-  /// siblings reference subclass-owned state MUST call this first thing in
-  /// their destructor (the base destructor would run too late).
-  void shutdown_async();
-
  private:
-  struct AsyncEngine;
-  struct PendingRequest;
-
-  [[nodiscard]] AsyncEngine& async();
-  [[nodiscard]] AsyncEngine* async_if_built();
-  [[nodiscard]] Ticket submit_impl(std::string query, std::size_t top_k,
-                                   std::function<void(SearchOutcome)> on_done,
-                                   bool blocking);
-  [[nodiscard]] Ticket submit_coalesced(
-      AsyncEngine& engine, std::string query, std::size_t top_k,
-      std::function<void(SearchOutcome)> on_done, bool blocking);
-  void flush_loop(AsyncEngine& engine);
   [[nodiscard]] std::size_t resolve_top_k(std::size_t top_k) const {
     return top_k == 0 ? config_.top_k : top_k;
   }
@@ -295,17 +221,10 @@ class PrivateSearchClient {
   ClientConfig config_;
 
   mutable Mutex sync_mutex_;  // serializes do_connect/do_search
-  // Guards the engine *slot*; the engine itself has its own mutex and
-  // stays alive until shutdown_async() reclaims it, so references
-  // handed out by async() remain valid outside this lock.
-  Mutex async_init_mutex_;
-  std::unique_ptr<AsyncEngine> async_ XS_GUARDED_BY(async_init_mutex_);
 
   std::atomic<std::uint64_t> connects_{0};
   std::atomic<std::uint64_t> searches_{0};
   std::atomic<std::uint64_t> failures_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
 };
 
 using ClientPtr = std::unique_ptr<PrivateSearchClient>;

@@ -18,7 +18,7 @@ namespace xsearch::api {
 /// Builds a client whose searches travel over TCP to the ProxyServer at
 /// `host:port`. `authority`/`expected_measurement` gate attestation exactly
 /// as for the in-process client; both must outlive the client. Sessions
-/// (including batch-lane siblings) each open their own connection.
+/// (including siblings) each open their own connection.
 [[nodiscard]] ClientPtr make_remote_client(
     std::string host, std::uint16_t port,
     const sgx::AttestationAuthority& authority,

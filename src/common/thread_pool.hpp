@@ -2,7 +2,7 @@
 //
 // The X-Search paper notes the proxy "uses multiple threads" with the query
 // table shared among them (§4.1); this pool backs that design in the proxy
-// server and the load-generation harness.
+// server's dispatch stage.
 #pragma once
 
 #include <functional>
@@ -30,12 +30,9 @@ class ThreadPool {
 
   ~ThreadPool() { shutdown(); }
 
-  /// Enqueues a task; blocks if the queue is full. Returns false after
-  /// shutdown() has been called.
-  bool submit(std::function<void()> task) { return tasks_.push(std::move(task)); }
-
-  /// Non-blocking enqueue; returns false when the queue is full or closed.
-  bool try_submit(std::function<void()> task) {
+  /// Non-blocking enqueue; returns false when the queue is full or after
+  /// shutdown() has been called (the caller sheds the task).
+  bool submit(std::function<void()> task) {
     return tasks_.try_push(std::move(task));
   }
 

@@ -15,7 +15,7 @@ struct Ticket {
 };
 }  // namespace
 
-LoadReport run_open_loop(const std::function<void()>& handler,
+LoadReport run_open_loop(const std::function<void(std::size_t worker)>& handler,
                          const LoadConfig& config) {
   LoadReport report;
   report.offered_rps = config.target_rps;
@@ -32,10 +32,10 @@ LoadReport run_open_loop(const std::function<void()>& handler,
   std::vector<std::thread> workers;
   workers.reserve(config.workers);
   for (std::size_t w = 0; w < config.workers; ++w) {
-    workers.emplace_back([&] {
+    workers.emplace_back([&, w] {
       Histogram local;
       while (auto ticket = queue.pop()) {
-        handler();
+        handler(w);
         local.record(wall_now() - ticket->scheduled);
         completed.fetch_add(1, std::memory_order_relaxed);
       }

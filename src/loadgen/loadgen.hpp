@@ -49,9 +49,11 @@ struct LoadReport {
 };
 
 /// Runs `handler` under the configured offered load and reports latency.
-/// `handler` is invoked concurrently from `config.workers` threads and must
-/// be thread-safe.
-[[nodiscard]] LoadReport run_open_loop(const std::function<void()>& handler,
-                                       const LoadConfig& config);
+/// `handler` is invoked concurrently from `config.workers` threads, each
+/// passing its own worker index in [0, workers) — so a caller can give each
+/// worker a client of its own — and must be thread-safe across workers.
+[[nodiscard]] LoadReport run_open_loop(
+    const std::function<void(std::size_t worker)>& handler,
+    const LoadConfig& config);
 
 }  // namespace xsearch::loadgen

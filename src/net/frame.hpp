@@ -30,11 +30,9 @@ namespace xsearch::net {
 enum class FrameType : std::uint8_t {
   kHello = 0x01,          // client ephemeral public key
   kHelloReply = 0x81,     // session id + quote + server ephemeral key
-  kQuery = 0x02,          // session id + encrypted query record
-  kQueryReply = 0x82,     // encrypted response record
-  kBatchQuery = 0x03,     // session id + encrypted batch record (many
-                          // queries, ONE seal/open for the whole batch)
-  kBatchReply = 0x83,     // encrypted batch response record
+  kQuery = 0x02,          // session id + encrypted query-batch record
+                          // (ONE seal/open for the whole batch)
+  kQueryReply = 0x82,     // encrypted results-batch record
   kErrorStatus = 0x7e,    // u8 status code || human-readable message
 };
 

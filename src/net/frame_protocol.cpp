@@ -49,7 +49,6 @@ class FrameProtocol final : public ConnectionProtocol {
         }
         break;
       case FrameType::kQuery:
-      case FrameType::kBatchQuery:
         if (frame.payload.size() < 8) {
           action.reply = encode_error_frame(invalid_argument("bad query frame"));
           action.close = true;
@@ -94,13 +93,8 @@ class FrameProtocol final : public ConnectionProtocol {
       return result;
     }
 
-    // kQuery / kBatchQuery (on_input admits nothing else). Identical
-    // host-side handling: the frame carries session id + one sealed record;
-    // whether that record holds one query or a batch is decided inside the
-    // enclave. Only the reply type mirrors the request's.
-    const FrameType reply_type = type == FrameType::kQuery
-                                     ? FrameType::kQueryReply
-                                     : FrameType::kBatchReply;
+    // kQuery (on_input admits nothing else): session id + one sealed
+    // query-batch record, opened only inside the enclave.
     std::size_t offset = 0;
     const std::uint64_t session = core::wire::get_u64(payload, offset).value();
     auto response =
@@ -116,7 +110,8 @@ class FrameProtocol final : public ConnectionProtocol {
       result.reply.push_back(encode_error_frame(status));
       return result;  // the connection keeps serving
     }
-    push_frame(result.reply, reply_type, std::move(response).value());
+    push_frame(result.reply, FrameType::kQueryReply,
+               std::move(response).value());
     return result;
   }
 

@@ -2,7 +2,7 @@
 //
 // `make_frame_protocol` is the per-connection state machine behind the
 // framed wire of net/frame.hpp: HELLO (attested handshake) then any number
-// of QUERY or BATCH_QUERY frames, every error a typed kErrorStatus frame.
+// of QUERY frames, every error a typed kErrorStatus frame.
 // The reactor (net/proxy_server.hpp) drives it from epoll loops and
 // dispatch workers.
 //

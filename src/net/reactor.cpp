@@ -534,7 +534,7 @@ void Reactor::dispatch_job(Shard& shard, Connection& conn, Bytes job,
   const std::uint64_t id = conn.id;
   auto protocol = conn.protocol;
   Shard* shard_ptr = &shard;
-  const bool queued = pool_->try_submit(
+  const bool queued = pool_->submit(
       [this, shard_ptr, id, generation, protocol, job = std::move(job),
        deadline, queue_deadline]() mutable {
         run_dispatched(*shard_ptr, id, generation, protocol, std::move(job),
@@ -542,7 +542,7 @@ void Reactor::dispatch_job(Shard& shard, Connection& conn, Bytes job,
       });
   if (!queued) {
     // Dispatch queue full: shed this request right here on the loop thread
-    // (the protocol object is ours again the moment try_submit refused).
+    // (the protocol object is ours again the moment submit refused).
     shed_.fetch_add(1, std::memory_order_relaxed);
     auto result =
         conn.protocol->shed(overloaded("server busy: dispatch queue full"));

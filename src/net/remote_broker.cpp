@@ -1,5 +1,6 @@
 #include "net/remote_broker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -23,9 +24,6 @@ Status check_batch_request_size(std::size_t count) {
 /// per-item outcomes.
 Result<std::vector<BatchOutcome>> decode_batch_reply(
     core::wire::ClientMessage message, std::size_t expected) {
-  if (message.type == core::wire::ClientMessageType::kError) {
-    return unavailable("proxy error: " + message.error);
-  }
   if (message.type != core::wire::ClientMessageType::kResultsBatch) {
     return data_loss("broker: expected a results batch from the proxy");
   }
@@ -44,6 +42,22 @@ Result<std::vector<BatchOutcome>> decode_batch_reply(
     outcomes.push_back(std::move(outcome));
   }
   return outcomes;
+}
+
+/// Health signals: the proxy (or its engine) is unreachable, shedding, or
+/// too slow. Everything else is a deterministic verdict (bad argument,
+/// auth failure, unknown session) that says nothing about proxy health.
+bool is_health_failure(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kUnavailable:
+    case StatusCode::kDeadlineExceeded:
+    case StatusCode::kDataLoss:
+    case StatusCode::kOverloaded:
+    case StatusCode::kUpstreamDown:
+      return true;
+    default:
+      return false;
+  }
 }
 
 }  // namespace
@@ -144,26 +158,24 @@ void RemoteBroker::reset_session() {
   session_id_ = 0;
 }
 
-void RemoteBroker::record_breaker_outcome(const Status& status) {
+void RemoteBroker::record_breaker_outcome(
+    const Result<std::vector<BatchOutcome>>& attempt) {
   if (breaker_ == nullptr) return;
-  if (status.is_ok()) {
+  // Exactly one outcome per allowed attempt, or a half-open probe is never
+  // returned. The attempt failed if the transport did, or if every item
+  // did, with a health code; a deterministic verdict is a proxy that
+  // answered.
+  const bool failed =
+      attempt.is_ok()
+          ? std::all_of(attempt.value().begin(), attempt.value().end(),
+                        [](const BatchOutcome& outcome) {
+                          return is_health_failure(outcome.status);
+                        })
+          : is_health_failure(attempt.status());
+  if (failed) {
+    breaker_->record_failure();
+  } else {
     breaker_->record_success();
-    return;
-  }
-  switch (status.code()) {
-    // Transport/dependency health signals: the proxy (or its engine) is
-    // unreachable, shedding, or too slow. These trip the breaker.
-    case StatusCode::kUnavailable:
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kDataLoss:
-    case StatusCode::kOverloaded:
-    case StatusCode::kUpstreamDown:
-      breaker_->record_failure();
-      break;
-    default:
-      // Deterministic verdicts (bad argument, auth failure, unknown
-      // session) say nothing about proxy health.
-      break;
   }
 }
 
@@ -190,6 +202,19 @@ bool RemoteBroker::prepare_retry(RetryState& retry, const Deadline& deadline,
 }
 
 Result<std::vector<engine::SearchResult>> RemoteBroker::search(std::string_view query) {
+  auto batch = search_batch({std::string(query)});
+  if (!batch) return batch.status();
+  BatchOutcome& outcome = batch.value().front();
+  if (!outcome.status.is_ok()) return outcome.status;
+  return std::move(outcome.results);
+}
+
+Result<std::vector<BatchOutcome>> RemoteBroker::search_batch(
+    const std::vector<std::string>& queries) {
+  // Validated before the breaker is consulted: a refused call must not
+  // take a half-open probe it will never return.
+  XS_RETURN_IF_ERROR(check_batch_request_size(queries.size()));
+  const Bytes request = core::wire::frame_query_batch(queries);
   const Deadline deadline = request_deadline();
   retry_budget_.record_request();
   RetryState retry(options_.retry);
@@ -200,33 +225,39 @@ Result<std::vector<engine::SearchResult>> RemoteBroker::search(std::string_view 
     }
     bool retryable = false;
     bool delivered = false;
-    auto attempt = search_once(query, deadline, retryable, delivered);
+    auto attempt =
+        round_trip(request, queries.size(), deadline, retryable, delivered);
     retry.note_attempt();
-    record_breaker_outcome(attempt.status());
+    record_breaker_outcome(attempt);
     if (attempt.is_ok()) return attempt;
-    // The session died under us (bounded-table eviction, idle expiry,
-    // broken or shed connection) or the channel desynced: fresh attested
-    // handshake, bounded retries with jittered backoff. If the frame had
-    // already been delivered, the retry may re-execute the query on the
-    // proxy (at-least-once, counted).
+    // Only transport/session-level failures reach here: per-item failures
+    // in a parsed reply are final verdicts, and a blind re-send would
+    // duplicate the successful items. The session died under us
+    // (bounded-table eviction, idle expiry, broken or shed connection) or
+    // the channel desynced: fresh attested handshake, bounded retries with
+    // jittered backoff. A frame that never hit the wire retries
+    // exactly-once; one that did is the counted at-least-once case — the
+    // reply was lost, so the whole frame (the smallest unit the proxy can
+    // execute) must be re-sent.
     if (!prepare_retry(retry, deadline, retryable, delivered)) return attempt;
   }
 }
 
-Result<core::wire::ClientMessage> RemoteBroker::round_trip(
-    FrameType type, FrameType reply_type, ByteSpan message,
-    const Deadline& deadline, bool& retryable, bool& delivered) {
+Result<std::vector<BatchOutcome>> RemoteBroker::round_trip(
+    ByteSpan request, std::size_t count, const Deadline& deadline,
+    bool& retryable, bool& delivered) {
   XS_RETURN_IF_ERROR(connect_within(deadline));
 
   Bytes payload;
   core::wire::put_u64(payload, session_id_);
-  append(payload, channel_->seal(message));
+  append(payload, channel_->seal(request));
   FrameWriteOptions write_options;
   write_options.io_deadline = deadline;
   // Carry the REMAINING budget (not the original) so every hop downstream
   // sees how much time the request really has left (0 = no deadline).
   write_options.budget_millis = deadline.budget_millis();
-  if (auto written = write_frame(*stream_, type, payload, write_options);
+  if (auto written =
+          write_frame(*stream_, FrameType::kQuery, payload, write_options);
       !written.is_ok()) {
     // The frame never reached the transport: retrying cannot duplicate
     // work on the proxy.
@@ -254,7 +285,7 @@ Result<core::wire::ClientMessage> RemoteBroker::round_trip(
     delivered = false;
     return decode_error_status(reply.value().payload);
   }
-  if (reply.value().type != reply_type) {
+  if (reply.value().type != FrameType::kQueryReply) {
     retryable = true;
     return data_loss("unexpected frame type in query reply");
   }
@@ -264,61 +295,10 @@ Result<core::wire::ClientMessage> RemoteBroker::round_trip(
     retryable = true;
     return plaintext.status();
   }
-  return core::wire::parse_client_message(plaintext.value());
-}
-
-Result<std::vector<engine::SearchResult>> RemoteBroker::search_once(
-    std::string_view query, const Deadline& deadline, bool& retryable,
-    bool& delivered) {
-  auto message =
-      round_trip(FrameType::kQuery, FrameType::kQueryReply,
-                 core::wire::frame_query(query), deadline, retryable, delivered);
+  auto message = core::wire::parse_client_message(plaintext.value());
   if (!message) return message.status();
-  ++queries_sent_;
-  if (message.value().type == core::wire::ClientMessageType::kError) {
-    return unavailable("proxy error: " + message.value().error);
-  }
-  if (message.value().type != core::wire::ClientMessageType::kResults) {
-    return data_loss("unexpected message type from proxy");
-  }
-  return std::move(message).value().results;
-}
-
-Result<std::vector<BatchOutcome>> RemoteBroker::search_batch(
-    const std::vector<std::string>& queries) {
-  const Deadline deadline = request_deadline();
-  retry_budget_.record_request();
-  RetryState retry(options_.retry);
-  for (;;) {
-    if (breaker_ != nullptr && !breaker_->allow()) {
-      return upstream_down("broker: circuit breaker open");
-    }
-    bool retryable = false;
-    bool delivered = false;
-    auto attempt = search_batch_once(queries, deadline, retryable, delivered);
-    retry.note_attempt();
-    record_breaker_outcome(attempt.status());
-    if (attempt.is_ok()) return attempt;
-    // A parsed reply with per-item failures is NOT retryable (those
-    // verdicts are final and a blind batch re-send would duplicate the
-    // successful items); only transport/session-level failures reach here.
-    // A batch that never hit the wire retries exactly-once; one that did is
-    // the counted at-least-once case — the reply was lost, so the whole
-    // frame (the smallest unit the proxy can execute) must be re-sent.
-    if (!prepare_retry(retry, deadline, retryable, delivered)) return attempt;
-  }
-}
-
-Result<std::vector<BatchOutcome>> RemoteBroker::search_batch_once(
-    const std::vector<std::string>& queries, const Deadline& deadline,
-    bool& retryable, bool& delivered) {
-  XS_RETURN_IF_ERROR(check_batch_request_size(queries.size()));
-  auto message = round_trip(FrameType::kBatchQuery, FrameType::kBatchReply,
-                            core::wire::frame_query_batch(queries), deadline,
-                            retryable, delivered);
-  if (!message) return message.status();
-  queries_sent_ += queries.size();
-  return decode_batch_reply(std::move(message).value(), queries.size());
+  queries_sent_ += count;
+  return decode_batch_reply(std::move(message).value(), count);
 }
 
 }  // namespace xsearch::net

@@ -13,6 +13,8 @@
 // server's own frame protocol without sockets. Either way, every request
 // goes through the same framing, typed errors and deadline handling.
 //
+// Every request is a query batch; `search` is a batch of one.
+//
 // Robustness model (one request = one `search`/`search_batch` call):
 //
 //  * Every call runs under an end-to-end deadline derived from
@@ -28,8 +30,8 @@
 //    per-connection `RetryBudget` has tokens and the deadline has time.
 //    Failures during the initial attestation itself (wrong measurement,
 //    rogue authority, refused connection) are never retried.
-//  * A client-side `CircuitBreaker` (optional) watches transport-level
-//    outcomes; while it is open, calls fail fast with UPSTREAM_DOWN and
+//  * A client-side `CircuitBreaker` (optional) watches each attempt's
+//    outcome; while it is open, calls fail fast with UPSTREAM_DOWN and
 //    never touch the wire, then half-open probes restore service.
 #pragma once
 
@@ -103,18 +105,19 @@ class RemoteBroker {
   /// Connects, attests, establishes the channel. Idempotent.
   [[nodiscard]] Status connect();
 
-  /// One private search over the network, within the request budget.
-  /// Transparently re-handshakes and retries (policy- and budget-capped)
-  /// when the proxy evicted/expired the session or the connection broke
-  /// mid-query.
+  /// One private search: a batch of one through `search_batch`. A failed
+  /// item surfaces as the returned status.
   [[nodiscard]] Result<std::vector<engine::SearchResult>> search(
       std::string_view query);
 
-  /// Many private searches in one kBatchQuery frame: ONE sealed record
-  /// each way and one round trip, so AEAD and syscall cost amortize
-  /// over the batch (bounded by core::wire::kMaxBatchQueries).
-  /// Whole-batch transport failures are the returned status; per-query
-  /// failures are per-item. Re-handshakes and retries like `search`.
+  /// Many private searches in one kQuery frame: ONE sealed record each way
+  /// and one round trip, so AEAD and syscall cost amortize over the batch
+  /// (1..core::wire::kMaxBatchQueries queries; other sizes are refused
+  /// with INVALID_ARGUMENT before any wire or breaker work). Whole-batch
+  /// transport failures are the returned status; per-query failures are
+  /// per-item. Runs within the request budget and transparently
+  /// re-handshakes and retries (policy- and budget-capped) when the proxy
+  /// evicted/expired the session or the connection broke mid-request.
   ///
   /// Retry semantics are *at-least-once*, and only where unavoidable. The
   /// batch travels as one frame, so per-item delivery states do not exist:
@@ -129,6 +132,11 @@ class RemoteBroker {
   ///    history entries and engine traffic, no channel-safety impact).
   ///    These retries are counted in `at_least_once_retries()` so
   ///    deployments can observe the duplication risk they actually took.
+  ///
+  /// With the breaker enabled, each attempt records one outcome: a failure
+  /// when the transport failed, or every item failed, with a health code
+  /// (UNAVAILABLE, DEADLINE_EXCEEDED, DATA_LOSS, OVERLOADED,
+  /// UPSTREAM_DOWN); a success otherwise, since the proxy answered.
   [[nodiscard]] Result<std::vector<BatchOutcome>> search_batch(
       const std::vector<std::string>& queries);
 
@@ -137,7 +145,7 @@ class RemoteBroker {
   /// Times the broker had to tear down and re-establish the session.
   [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
 
-  /// Retries that re-sent a query/batch frame whose reply was LOST after
+  /// Retries that re-sent a query frame whose reply was LOST after
   /// delivery (dead connection, garbled reply): the at-least-once window,
   /// where the proxy may have executed the work twice. Never-delivered
   /// frames and frame-level error replies (the proxy refused the record
@@ -165,21 +173,15 @@ class RemoteBroker {
   }
 
  private:
-  /// One attempt; sets `retryable` when the failure left the session
-  /// unusable (channel nonce desync or dead transport) and a fresh
-  /// handshake may succeed, and `delivered` once the request frame was
-  /// handed to the transport (after which a retry is at-least-once).
-  [[nodiscard]] Result<std::vector<engine::SearchResult>> search_once(
-      std::string_view query, const Deadline& deadline, bool& retryable,
-      bool& delivered);
-  [[nodiscard]] Result<std::vector<BatchOutcome>> search_batch_once(
-      const std::vector<std::string>& queries, const Deadline& deadline,
+  /// One attempt: seals `request` (a framed batch of `count` queries),
+  /// sends it as a kQuery frame and decodes the reply. Sets `retryable`
+  /// when the failure left the session unusable (channel nonce desync or
+  /// dead transport) and a fresh handshake may succeed, and `delivered`
+  /// once the frame was handed to the transport (after which a retry is
+  /// at-least-once).
+  [[nodiscard]] Result<std::vector<BatchOutcome>> round_trip(
+      ByteSpan request, std::size_t count, const Deadline& deadline,
       bool& retryable, bool& delivered);
-  /// Shared query/batch transport: seals `message`, sends it as `type`,
-  /// expects `reply_type`, opens and parses the reply.
-  [[nodiscard]] Result<core::wire::ClientMessage> round_trip(
-      FrameType type, FrameType reply_type, ByteSpan message,
-      const Deadline& deadline, bool& retryable, bool& delivered);
   [[nodiscard]] Status connect_within(const Deadline& deadline);
   void reset_session();
   /// Overall deadline for one client call.
@@ -188,7 +190,7 @@ class RemoteBroker {
                                        : Deadline();
   }
   /// Breaker bookkeeping for one attempt's outcome.
-  void record_breaker_outcome(const Status& status);
+  void record_breaker_outcome(const Result<std::vector<BatchOutcome>>& attempt);
   /// Decides whether to go around the retry loop again; on yes, resets the
   /// session, sleeps out the backoff (deadline-capped) and returns true.
   [[nodiscard]] bool prepare_retry(RetryState& retry, const Deadline& deadline,

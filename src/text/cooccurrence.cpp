@@ -70,7 +70,7 @@ std::string CooccurrenceMatrix::sample_term(Rng& rng) const {
   if (unigram_.empty()) return {};
   TermId picked;
   {
-    // Shared-generator hot path: PEAS batch lanes sample concurrently, and
+    // Shared-generator hot path: PEAS siblings sample concurrently, and
     // any of them may observe the cache dirty and rebuild it.
     MutexLock lock(sampling_mutex_);
     if (sampling_dirty_) rebuild_sampling_table();

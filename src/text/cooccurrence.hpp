@@ -59,8 +59,8 @@ class CooccurrenceMatrix {
   std::unordered_map<TermId, std::uint64_t> unigram_;
 
   // Lazily rebuilt cumulative table for global unigram sampling. Unlike the
-  // maps above this cache is mutated from const readers, which PEAS batch
-  // lanes call concurrently on a shared generator — hence its own lock.
+  // maps above this cache is mutated from const readers, which PEAS
+  // siblings call concurrently on a shared generator — hence its own lock.
   mutable Mutex sampling_mutex_;
   mutable std::vector<TermId> sample_terms_ XS_GUARDED_BY(sampling_mutex_);
   mutable std::vector<std::uint64_t> sample_cumulative_

@@ -9,20 +9,15 @@ namespace xsearch::core {
 
 namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x58534850;  // "XSHP"
-constexpr std::uint32_t kCheckpointVersionV1 = 1;
-constexpr std::uint32_t kCheckpointVersionV2 = 2;
+constexpr std::uint32_t kCheckpointVersion = 2;
 }  // namespace
-
-Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history) {
-  return seal_history(enclave, history, {});
-}
 
 Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
                    const SessionObfuscationCounts& sessions) {
   const auto entries = history.snapshot();
   Bytes plain;
   wire::put_u32(plain, kCheckpointMagic);
-  wire::put_u32(plain, kCheckpointVersionV2);
+  wire::put_u32(plain, kCheckpointVersion);
   wire::put_u32(plain, static_cast<std::uint32_t>(entries.size()));
   for (const auto& q : entries) wire::put_string(plain, q);
   wire::put_u32(plain, static_cast<std::uint32_t>(sessions.size()));
@@ -46,8 +41,7 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, ByteSpan sealed,
     return data_loss("checkpoint: bad magic");
   }
   auto version = wire::get_u32(raw, offset);
-  if (!version || (version.value() != kCheckpointVersionV1 &&
-                   version.value() != kCheckpointVersionV2)) {
+  if (!version || version.value() != kCheckpointVersion) {
     return data_loss("checkpoint: unsupported version");
   }
   auto count = wire::get_u32(raw, offset);
@@ -62,17 +56,15 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, ByteSpan sealed,
     if (!q) return q.status();
     if (i >= skip) history.add(q.value());
   }
-  if (version.value() >= kCheckpointVersionV2) {
-    auto session_count = wire::get_u32(raw, offset);
-    if (!session_count) return session_count.status();
-    for (std::uint32_t i = 0; i < session_count.value(); ++i) {
-      auto id = wire::get_u64(raw, offset);
-      if (!id) return id.status();
-      auto obfuscations = wire::get_u64(raw, offset);
-      if (!obfuscations) return obfuscations.status();
-      if (sessions != nullptr) {
-        sessions->emplace_back(id.value(), obfuscations.value());
-      }
+  auto session_count = wire::get_u32(raw, offset);
+  if (!session_count) return session_count.status();
+  for (std::uint32_t i = 0; i < session_count.value(); ++i) {
+    auto id = wire::get_u64(raw, offset);
+    if (!id) return id.status();
+    auto obfuscations = wire::get_u64(raw, offset);
+    if (!obfuscations) return obfuscations.status();
+    if (sessions != nullptr) {
+      sessions->emplace_back(id.value(), obfuscations.value());
     }
   }
   if (offset != raw.size()) return data_loss("checkpoint: trailing bytes");

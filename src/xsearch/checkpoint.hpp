@@ -7,13 +7,12 @@
 // enclave running the same code — and only such an enclave — can restore
 // it. The queries never touch the host in plaintext.
 //
-// Format v2 (still restorable from v1 blobs) additionally carries
-// per-session obfuscator state: how many obfuscations each live session had
-// performed at seal time. A restored proxy folds those counts into the
-// per-session RNG derivation, so a session resumed under its old id draws a
-// *fresh* decoy stream instead of replaying the pre-crash one — replayed
-// decoys would let an engine-side observer link pre- and post-restart
-// traffic of the same session.
+// Format v2 additionally carries per-session obfuscator state: how many
+// obfuscations each live session had performed at seal time. A restored
+// proxy folds those counts into the per-session RNG derivation, so a
+// session resumed under its old id draws a *fresh* decoy stream instead of
+// replaying the pre-crash one — replayed decoys would let an engine-side
+// observer link pre- and post-restart traffic of the same session.
 //
 // This is an extension beyond the paper's prototype, built from the
 // sealing primitive its §2.3 describes.
@@ -30,29 +29,28 @@
 
 namespace xsearch::core {
 
-/// Per-session obfuscator state carried by a v2 checkpoint: (session id,
+/// Per-session obfuscator state carried by a checkpoint: (session id,
 /// obfuscations performed). Ids are untrusted routing metadata; the counts
 /// are privacy-relevant (see header comment) and therefore sealed.
 using SessionObfuscationCounts =
     std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-/// Serializes the full history contents (oldest first) — plus, when given,
-/// the per-session obfuscation counts — and seals them to `enclave`'s
+/// Serializes the full history contents (oldest first) plus the
+/// per-session obfuscation counts and seals them to `enclave`'s
 /// measurement (format v2). Runs inside the trusted side.
 [[nodiscard]] Bytes seal_history(sgx::EnclaveRuntime& enclave,
-                                 const QueryHistory& history);
-[[nodiscard]] Bytes seal_history(sgx::EnclaveRuntime& enclave,
                                  const QueryHistory& history,
-                                 const SessionObfuscationCounts& sessions);
+                                 const SessionObfuscationCounts& sessions = {});
 
-/// Unseals a v1 or v2 checkpoint and replays it into `history` (appending,
-/// in the checkpointed order). A checkpoint holding more entries than
+/// Unseals a v2 checkpoint and replays it into `history` (appending, in the
+/// checkpointed order). A checkpoint holding more entries than
 /// `history.capacity()` replays only the *newest* capacity entries — the
 /// older ones would be evicted by the very replay that inserted them.
-/// When `sessions` is non-null, a v2 blob's per-session obfuscation counts
-/// are written there (cleared otherwise). Fails if the blob was sealed by
-/// different enclave code or tampered with; `history` may then hold a
-/// partial replay and should be discarded.
+/// When `sessions` is non-null, the blob's per-session obfuscation counts
+/// are written there. Fails if the blob was sealed by different enclave
+/// code or tampered with; a blob of any other version is refused with
+/// "unsupported version" before `history` is touched. After other
+/// failures `history` may hold a partial replay and should be discarded.
 [[nodiscard]] Status restore_history(const sgx::EnclaveRuntime& enclave,
                                      ByteSpan sealed, QueryHistory& history,
                                      SessionObfuscationCounts* sessions = nullptr);

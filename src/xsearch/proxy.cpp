@@ -473,36 +473,27 @@ Result<Bytes> XSearchProxy::trusted_query(ByteSpan payload) {
   auto message = wire::parse_client_message(plaintext.value());
   if (!message) return message.status();
 
-  if (message.value().type == wire::ClientMessageType::kQuery) {
-    auto filtered = run_trusted_query(message.value().query, session);
-    if (!filtered) {
-      return Bytes(channel.seal(wire::frame_error(filtered.status().to_string())));
-    }
-    return Bytes(channel.seal(wire::frame_results(filtered.value())));
+  if (message.value().type != wire::ClientMessageType::kQueryBatch) {
+    return invalid_argument("query: expected a query-batch message");
   }
-
-  if (message.value().type == wire::ClientMessageType::kQueryBatch) {
-    // The whole batch was opened with ONE AEAD operation and is answered
-    // with one sealed reply — the per-query channel-crypto and boundary
-    // cost amortizes over the batch. Item failures (engine refusing one
-    // query) stay per-item so they cannot poison their neighbours.
-    std::vector<wire::BatchItem> items;
-    items.reserve(message.value().queries.size());
-    for (const auto& query : message.value().queries) {
-      wire::BatchItem item;
-      auto filtered = run_trusted_query(query, session);
-      if (filtered) {
-        item.ok = true;
-        item.results = std::move(filtered).value();
-      } else {
-        item.error = filtered.status().to_string();
-      }
-      items.push_back(std::move(item));
+  // The whole batch was opened with ONE AEAD operation and is answered with
+  // one sealed reply — the per-query channel-crypto and boundary cost
+  // amortizes over the batch. Item failures (engine refusing one query)
+  // stay per-item so they cannot poison their neighbours.
+  std::vector<wire::BatchItem> items;
+  items.reserve(message.value().queries.size());
+  for (const auto& query : message.value().queries) {
+    wire::BatchItem item;
+    auto filtered = run_trusted_query(query, session);
+    if (filtered) {
+      item.ok = true;
+      item.results = std::move(filtered).value();
+    } else {
+      item.error = filtered.status().to_string();
     }
-    return Bytes(channel.seal(wire::frame_results_batch(items)));
+    items.push_back(std::move(item));
   }
-
-  return invalid_argument("query: expected a query or query-batch message");
+  return Bytes(channel.seal(wire::frame_results_batch(items)));
 }
 
 Result<Bytes> XSearchProxy::trusted_heartbeat() {

@@ -76,8 +76,8 @@ class ProxyHandler {
     return handshake(client_ephemeral_pub, 0);
   }
 
-  /// Processes one encrypted record (single query or batch); returns the
-  /// encrypted response record.
+  /// Processes one encrypted query-batch record; returns the encrypted
+  /// results-batch record.
   [[nodiscard]] virtual Result<Bytes> handle_query_record(
       std::uint64_t session_id, ByteSpan record) = 0;
 
@@ -208,8 +208,9 @@ class XSearchProxy : public ProxyHandler {
       const crypto::X25519Key& client_ephemeral_pub,
       std::uint64_t proposed_session_id) override;
 
-  /// Processes one encrypted query record — a single query or a batch
-  /// (one AEAD open/seal per batch); returns the encrypted response record
+  /// Processes one encrypted query-batch record (one AEAD open/seal per
+  /// batch, a single search being a batch of one); returns the encrypted
+  /// results-batch record
   /// (routed through the `request` ecall). When periodic checkpointing is
   /// configured, the host persists a freshly sealed checkpoint every
   /// `checkpoint_interval_queries` queries from here.
@@ -327,9 +328,9 @@ class XSearchProxy : public ProxyHandler {
   /// Seal + persist. Caller holds `checkpoint_mutex_`.
   [[nodiscard]] Status checkpoint_locked() XS_REQUIRES(checkpoint_mutex_);
 
-  /// One query's trusted work — obfuscate, engine round trip, filter —
-  /// shared by the single-query and batch paths. The caller holds the
-  /// session lock (the RNG streams and channel ordering depend on it).
+  /// One batch item's trusted work — obfuscate, engine round trip,
+  /// filter. The caller holds the session lock (the RNG streams and
+  /// channel ordering depend on it).
   [[nodiscard]] Result<std::vector<engine::SearchResult>> run_trusted_query(
       const std::string& query, SessionTable::LockedSession& session);
 

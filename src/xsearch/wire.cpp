@@ -169,28 +169,6 @@ Result<EngineRequest> parse_engine_request(ByteSpan raw) {
   return req;
 }
 
-Bytes frame_query(std::string_view query) {
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(ClientMessageType::kQuery));
-  put_string(out, query);
-  return out;
-}
-
-Bytes frame_results(const std::vector<engine::SearchResult>& results) {
-  Bytes out;
-  out.reserve(1 + results_wire_size(results));
-  out.push_back(static_cast<std::uint8_t>(ClientMessageType::kResults));
-  serialize_results_into(out, results);
-  return out;
-}
-
-Bytes frame_error(std::string_view message) {
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(ClientMessageType::kError));
-  put_string(out, message);
-  return out;
-}
-
 Bytes frame_query_batch(const std::vector<std::string>& queries) {
   std::size_t size = 1 + 4;
   for (const auto& q : queries) size += 4 + q.size();
@@ -230,27 +208,6 @@ Result<ClientMessage> parse_client_message(ByteSpan raw) {
   const ByteSpan payload = raw.subspan(1);
   std::size_t offset = 0;
   switch (type) {
-    case ClientMessageType::kQuery: {
-      auto q = get_string(payload, offset);
-      if (!q) return q.status();
-      msg.type = ClientMessageType::kQuery;
-      msg.query = std::move(q).value();
-      return msg;
-    }
-    case ClientMessageType::kResults: {
-      auto results = parse_results(payload);
-      if (!results) return results.status();
-      msg.type = ClientMessageType::kResults;
-      msg.results = std::move(results).value();
-      return msg;
-    }
-    case ClientMessageType::kError: {
-      auto e = get_string(payload, offset);
-      if (!e) return e.status();
-      msg.type = ClientMessageType::kError;
-      msg.error = std::move(e).value();
-      return msg;
-    }
     case ClientMessageType::kQueryBatch: {
       auto count = get_u32(payload, offset);
       if (!count) return count.status();

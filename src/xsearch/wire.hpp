@@ -1,6 +1,6 @@
 // Wire formats used across the X-Search deployment:
 //
-//  * client <-> proxy: framed handshake / query / response messages carried
+//  * client <-> proxy: query batches and their per-item results carried
 //    inside SecureChannel records;
 //  * enclave <-> host <-> engine: the "socket" payloads crossing the ocall
 //    boundary (an OR-query request and a serialized result list).
@@ -56,10 +56,8 @@ struct EngineRequest {
 // --- client messages (inside SecureChannel records) ------------------------
 
 enum class ClientMessageType : std::uint8_t {
-  kQuery = 1,
-  kResults = 2,
-  kError = 3,
-  kQueryBatch = 4,    // many queries sealed as ONE channel record
+  // Tags 1-3 are retired and parse as unknown: a search is a batch of one.
+  kQueryBatch = 4,    // 1..kMaxBatchQueries queries sealed as ONE record
   kResultsBatch = 5,  // per-item results/errors, sealed as one record
 };
 
@@ -77,15 +75,6 @@ struct BatchItem {
   std::string error;                          // !ok
 };
 
-/// Frames a query message (client -> enclave plaintext).
-[[nodiscard]] Bytes frame_query(std::string_view query);
-
-/// Frames a results message (enclave -> client plaintext).
-[[nodiscard]] Bytes frame_results(const std::vector<engine::SearchResult>& results);
-
-/// Frames an error message.
-[[nodiscard]] Bytes frame_error(std::string_view message);
-
 /// Frames a query batch (client -> enclave plaintext): 1..kMaxBatchQueries
 /// queries carried in one sealed record, so a batch costs one AEAD
 /// seal/open instead of one per query.
@@ -95,12 +84,9 @@ struct BatchItem {
 [[nodiscard]] Bytes frame_results_batch(const std::vector<BatchItem>& items);
 
 struct ClientMessage {
-  ClientMessageType type = ClientMessageType::kError;
-  std::string query;                          // kQuery
-  std::vector<engine::SearchResult> results;  // kResults
-  std::string error;                          // kError
-  std::vector<std::string> queries;           // kQueryBatch
-  std::vector<BatchItem> batch;               // kResultsBatch
+  ClientMessageType type = ClientMessageType::kQueryBatch;
+  std::vector<std::string> queries;  // kQueryBatch
+  std::vector<BatchItem> batch;      // kResultsBatch
 };
 
 [[nodiscard]] Result<ClientMessage> parse_client_message(ByteSpan raw);

@@ -1,7 +1,8 @@
 // The unified-API contract, asserted identically across all five
-// mechanisms: session lifecycle, sync search, the asynchronous batch path,
-// introspection, and error paths. Value-parameterized on the registered
-// mechanism name, so a sixth mechanism joins the suite by adding its name.
+// mechanisms: session lifecycle, sync search, siblings searching in
+// parallel, introspection, and error paths. Value-parameterized on the
+// registered mechanism name, so a sixth mechanism joins the suite by adding
+// its name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,13 +10,19 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/client.hpp"
 #include "api/registry.hpp"
+#include "api/remote.hpp"
+#include "api/xsearch_options.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
+#include "net/proxy_server.hpp"
+#include "sgx/attestation.hpp"
+#include "xsearch/proxy.hpp"
 #include "xsearch/wire.hpp"
 
 namespace xsearch::api {
@@ -67,7 +74,6 @@ class ApiClientTest : public ::testing::TestWithParam<const char*> {
     config.top_k = 10;
     config.seed = 42;
     config.history_capacity = 10'000;
-    config.batch_workers = 2;
     return config;
   }
 
@@ -134,62 +140,31 @@ TEST_P(ApiClientTest, ResultBudgetIsBounded) {
   EXPECT_LE(results.value().size(), 5 * (config.k + 1));
 }
 
-TEST_P(ApiClientTest, BatchSubmitWaitCompletesEveryTicket) {
+TEST_P(ApiClientTest, SiblingsSearchConcurrently) {
   const auto client = make();
   ASSERT_NE(client, nullptr);
-  constexpr std::size_t kBatch = 12;
-  std::vector<Ticket> tickets;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    const Ticket t = client->submit(a_query(200 + i * 3));
-    ASSERT_NE(t, kInvalidTicket);
-    tickets.push_back(t);
+  // Siblings connect serially (Tor extends circuits through shared relays),
+  // then search from their own threads.
+  std::vector<ClientPtr> siblings;
+  for (std::uint64_t seed : {7u, 8u}) {
+    siblings.push_back(client->spawn_sibling(seed));
+    ASSERT_NE(siblings.back(), nullptr);
+    ASSERT_TRUE(siblings.back()->connect().is_ok());
   }
-  for (const Ticket t : tickets) {
-    const SearchOutcome outcome = client->wait(t);
-    EXPECT_EQ(outcome.ticket, t);
-    EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
-    EXPECT_FALSE(outcome.results.empty());
-    EXPECT_GE(outcome.latency, 0);
+  std::vector<Status> statuses(siblings.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < siblings.size(); ++i) {
+    threads.emplace_back([&, i] {
+      statuses[i] = siblings[i]->search(a_query(200 + i * 3)).status();
+    });
   }
-  const auto stats = client->stats();
-  EXPECT_EQ(stats.submitted, kBatch);
-  EXPECT_EQ(stats.completed, kBatch);
-}
-
-TEST_P(ApiClientTest, BatchPollEventuallyDeliversEachOutcomeOnce) {
-  const auto client = make();
-  ASSERT_NE(client, nullptr);
-  const Ticket t = client->submit(a_query(300));
-  ASSERT_NE(t, kInvalidTicket);
-  client->drain();
-  const auto outcome = client->poll(t);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_TRUE(outcome->status.is_ok());
-  // Outcomes are delivered exactly once; a second poll reports NOT_FOUND.
-  const auto again = client->poll(t);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->status.code(), StatusCode::kNotFound);
-}
-
-TEST_P(ApiClientTest, BatchCallbackFires) {
-  const auto client = make();
-  ASSERT_NE(client, nullptr);
-  std::atomic<int> fired{0};
-  client->submit(a_query(123), 0, [&](SearchOutcome outcome) {
-    EXPECT_TRUE(outcome.status.is_ok());
-    fired.fetch_add(1);
-  });
-  client->drain();
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST_P(ApiClientTest, PollOnUnknownTicketReportsNotFound) {
-  const auto client = make();
-  ASSERT_NE(client, nullptr);
-  const auto outcome = client->poll(777'777);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(client->wait(777'777).status.code(), StatusCode::kNotFound);
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < siblings.size(); ++i) {
+    EXPECT_TRUE(statuses[i].is_ok()) << statuses[i].to_string();
+    EXPECT_EQ(siblings[i]->stats().searches, 1u);
+    EXPECT_EQ(siblings[i]->privacy_properties().mechanism, GetParam());
+  }
+  EXPECT_EQ(client->stats().searches, 0u);  // siblings keep their own stats
 }
 
 TEST_P(ApiClientTest, SaturationModeAnswersWithoutAnEngine) {
@@ -307,6 +282,47 @@ TEST(ApiXSearchTest, InProcessBatchTakesOneQueryEcallPerChunk) {
   }
   EXPECT_EQ(client.value()->privacy_properties().enclave_transitions - before,
             kChunks);
+}
+
+// Siblings are further users of ONE deployment: two X-Search siblings
+// searching at once hold two sessions on the same proxy, and the proxy's
+// enclave runs both of their searches.
+TEST(ApiXSearchTest, ConcurrentSiblingsShareOneProxy) {
+  sgx::AttestationAuthority authority(to_bytes("api-sibling-root"));
+  ClientConfig config;
+  config.contact_engine = false;  // no engine ocalls: transitions = ecalls
+  auto proxy = core::XSearchProxy::create(nullptr, authority,
+                                          xsearch_proxy_options(config));
+  ASSERT_TRUE(proxy.is_ok()) << proxy.status().to_string();
+  auto server = net::ProxyServer::start(*proxy.value());
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  const auto client =
+      make_remote_client("127.0.0.1", server.value()->port(), authority,
+                         proxy.value()->measurement(), config);
+  const auto before = proxy.value()->enclave().transition_stats();
+
+  std::vector<ClientPtr> siblings;
+  siblings.push_back(client->spawn_sibling(config.seed + 1000));
+  siblings.push_back(client->spawn_sibling(config.seed + 1001));
+  std::vector<Status> statuses(siblings.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < siblings.size(); ++i) {
+    threads.emplace_back([&, i] {
+      statuses[i] =
+          siblings[i]->search("sibling query " + std::to_string(i)).status();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+  }
+
+  EXPECT_EQ(proxy.value()->session_stats().active, 2u);
+  // One handshake ecall and one query ecall per sibling.
+  const auto after = proxy.value()->enclave().transition_stats();
+  EXPECT_EQ(after.ecalls - before.ecalls, 4u);
+  siblings.clear();
+  server.value()->stop();
 }
 
 }  // namespace

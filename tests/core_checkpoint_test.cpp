@@ -196,10 +196,10 @@ TEST(Checkpoint, V2CarriesPerSessionObfuscatorState) {
   EXPECT_EQ(restored.size(), 1u);
 }
 
-TEST(Checkpoint, V1BlobStillRestorable) {
+TEST(Checkpoint, V1BlobIsRefused) {
   // Hand-build a v1 plaintext (magic, version=1, entries — no session
-  // section) and seal it: v2 readers must keep accepting pre-upgrade
-  // checkpoints.
+  // section) and seal it under the right measurement: format v1 is
+  // retired, so the restore is refused before any entry is replayed.
   auto enclave = make_enclave();
   Bytes plain;
   wire::put_u32(plain, 0x58534850);  // "XSHP"
@@ -210,10 +210,12 @@ TEST(Checkpoint, V1BlobStillRestorable) {
   const Bytes sealed = enclave.seal(plain);
 
   QueryHistory restored(10);
-  SessionObfuscationCounts sessions = {{1, 1}};  // must be cleared
-  ASSERT_TRUE(restore_history(enclave, sealed, restored, &sessions).is_ok());
-  EXPECT_EQ(restored.snapshot(), (std::vector<std::string>{"old one", "old two"}));
-  EXPECT_TRUE(sessions.empty());
+  restored.add("already here");
+  const Status status = restore_history(enclave, sealed, restored);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
+      << status.to_string();
+  EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
 }
 
 TEST(Checkpoint, RestoredHistoryFeedsObfuscation) {

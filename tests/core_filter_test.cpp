@@ -145,27 +145,23 @@ TEST(Wire, EngineRequestRoundTrip) {
   EXPECT_EQ(parsed.value().top_k_each, 17u);
 }
 
-TEST(Wire, ClientQueryMessageRoundTrip) {
-  const auto parsed = wire::parse_client_message(wire::frame_query("my secret query"));
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed.value().type, wire::ClientMessageType::kQuery);
-  EXPECT_EQ(parsed.value().query, "my secret query");
-}
-
-TEST(Wire, ClientResultsMessageRoundTrip) {
-  const auto parsed = wire::parse_client_message(
-      wire::frame_results({make_result("t", "d", "https://u.example/")}));
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed.value().type, wire::ClientMessageType::kResults);
-  ASSERT_EQ(parsed.value().results.size(), 1u);
-  EXPECT_EQ(parsed.value().results[0].title, "t");
-}
-
-TEST(Wire, ClientErrorMessageRoundTrip) {
-  const auto parsed = wire::parse_client_message(wire::frame_error("engine down"));
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed.value().type, wire::ClientMessageType::kError);
-  EXPECT_EQ(parsed.value().error, "engine down");
+// Tags 1-3 once carried single-query/results/error messages. A search is a
+// batch of one now, so the retired tags must parse as unknown, whatever
+// payload follows them.
+TEST(Wire, RetiredSingleQueryTagsAreRejected) {
+  Bytes query{1};
+  wire::put_string(query, "my secret query");
+  Bytes results{2};
+  append(results, wire::serialize_results({make_result("t", "d", "u")}));
+  Bytes error{3};
+  wire::put_string(error, "engine down");
+  for (const Bytes& retired : {query, results, error}) {
+    const auto parsed = wire::parse_client_message(retired);
+    ASSERT_FALSE(parsed.is_ok()) << "tag " << static_cast<int>(retired[0]);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(parsed.status().message().find("unknown client message type"),
+              std::string::npos);
+  }
 }
 
 TEST(Wire, ClientMessageRejectsEmpty) {

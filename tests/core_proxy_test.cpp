@@ -56,13 +56,21 @@ class ProxyTest : public ::testing::Test {
     std::uint64_t id = 0;
     crypto::SecureChannel channel;
 
+    /// A search is a batch of one.
     [[nodiscard]] Bytes seal_query(std::string_view query) {
-      return channel.seal(wire::frame_query(query));
+      return channel.seal(wire::frame_query_batch({std::string(query)}));
     }
-    [[nodiscard]] Result<wire::ClientMessage> open_reply(ByteSpan reply) {
+    /// The reply's single batch item.
+    [[nodiscard]] Result<wire::BatchItem> open_reply(ByteSpan reply) {
       auto plain = channel.open(reply);
       if (!plain) return plain.status();
-      return wire::parse_client_message(plain.value());
+      auto message = wire::parse_client_message(plain.value());
+      if (!message) return message.status();
+      if (message.value().type != wire::ClientMessageType::kResultsBatch ||
+          message.value().batch.size() != 1) {
+        return data_loss("expected a results batch of one");
+      }
+      return std::move(message.value().batch.front());
     }
   };
 
@@ -227,13 +235,13 @@ TEST_F(ProxyTest, ExpiredDeadlineIsRefusedBeforeTheEcall) {
   ASSERT_TRUE(served.is_ok()) << served.status().to_string();
   const auto reply = session->open_reply(served.value());
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
-  EXPECT_EQ(reply.value().type, wire::ClientMessageType::kResults);
+  EXPECT_TRUE(reply.value().ok) << reply.value().error;
   EXPECT_EQ(proxy.history_size(), 1u);
 }
 
 // The budget runs out while the host is reaching the engine: the `send`
 // ocall sheds the round trip, so the engine never sees the OR query and the
-// client gets a sealed DEADLINE_EXCEEDED.
+// client gets a sealed per-item DEADLINE_EXCEEDED.
 TEST_F(ProxyTest, SendShedsTheEngineCallOnceTheBudgetIsSpent) {
   std::atomic<int> hook_calls{0};
   XSearchProxy::Options opt = options();
@@ -254,7 +262,7 @@ TEST_F(ProxyTest, SendShedsTheEngineCallOnceTheBudgetIsSpent) {
   ASSERT_TRUE(response.is_ok()) << response.status().to_string();
   const auto reply = session->open_reply(response.value());
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
-  EXPECT_EQ(reply.value().type, wire::ClientMessageType::kError);
+  EXPECT_FALSE(reply.value().ok);
   EXPECT_EQ(reply.value().error.rfind("DEADLINE_EXCEEDED", 0), 0u)
       << reply.value().error;
   EXPECT_EQ(hook_calls.load(), 1);
@@ -281,7 +289,7 @@ TEST_F(ProxyTest, RequestDeadlineDoesNotLeakIntoTheNextRequest) {
   ASSERT_TRUE(shed.is_ok()) << shed.status().to_string();
   const auto shed_reply = session->open_reply(shed.value());
   ASSERT_TRUE(shed_reply.is_ok());
-  ASSERT_EQ(shed_reply.value().type, wire::ClientMessageType::kError);
+  ASSERT_FALSE(shed_reply.value().ok);
 
   // The first deadline has passed by now. Host code on this thread reaching
   // the engine outside any request must not inherit it...
@@ -302,8 +310,7 @@ TEST_F(ProxyTest, RequestDeadlineDoesNotLeakIntoTheNextRequest) {
   ASSERT_TRUE(served.is_ok()) << served.status().to_string();
   const auto reply = session->open_reply(served.value());
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
-  EXPECT_EQ(reply.value().type, wire::ClientMessageType::kResults)
-      << reply.value().error;
+  EXPECT_TRUE(reply.value().ok) << reply.value().error;
 }
 
 TEST_F(ProxyTest, WrongMeasurementRejectedByBroker) {

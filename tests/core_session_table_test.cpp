@@ -310,7 +310,7 @@ TEST(ProxySessions, OneSessionHammeredFromManyThreads) {
   int ok = 0;
   for (int i = 0; i < 50; ++i) {
     const Bytes record =
-        channel.seal(wire::frame_query("query " + std::to_string(i)));
+        channel.seal(wire::frame_query_batch({"query " + std::to_string(i)}));
     auto response = proxy.handle_query_record(session_id, record);
     ASSERT_TRUE(response.is_ok()) << "query " << i << ": "
                                   << response.status().to_string();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 
@@ -17,7 +18,8 @@ TEST(LoadGen, CompletesAllRequestsUnderLowLoad) {
   config.target_rps = 500;
   config.duration = 200 * kMilli;
   config.workers = 2;
-  const auto report = run_open_loop([&handled] { ++handled; }, config);
+  const auto report =
+      run_open_loop([&handled](std::size_t) { ++handled; }, config);
   EXPECT_EQ(report.completed, report.issued);
   EXPECT_EQ(report.dropped, 0u);
   EXPECT_EQ(handled.load(), static_cast<int>(report.completed));
@@ -30,7 +32,8 @@ TEST(LoadGen, LatencyLowWhenUnderCapacity) {
   config.duration = 200 * kMilli;
   config.workers = 2;
   const auto report =
-      run_open_loop([] { netsim::busy_wait(100 * kMicro); }, config);
+      run_open_loop([](std::size_t) { netsim::busy_wait(100 * kMicro); },
+                    config);
   // Service time 0.1 ms at 200 rps on 2 workers: far from saturation.
   EXPECT_LT(report.p50_ms(), 5.0);
 }
@@ -41,9 +44,10 @@ TEST(LoadGen, LatencyExplodesBeyondCapacity) {
   config.workers = 2;
   // Capacity = 2 workers / 1 ms = 2000 rps.
   config.target_rps = 1000;
-  const auto under = run_open_loop([] { netsim::busy_wait(1 * kMilli); }, config);
+  const auto busy_1ms = [](std::size_t) { netsim::busy_wait(1 * kMilli); };
+  const auto under = run_open_loop(busy_1ms, config);
   config.target_rps = 6000;
-  const auto over = run_open_loop([] { netsim::busy_wait(1 * kMilli); }, config);
+  const auto over = run_open_loop(busy_1ms, config);
   EXPECT_GT(over.p50_ms(), 4 * under.p50_ms());
 }
 
@@ -52,7 +56,8 @@ TEST(LoadGen, ThroughputCapsAtCapacity) {
   config.duration = 250 * kMilli;
   config.workers = 2;
   config.target_rps = 8000;  // far beyond 2 workers / 1ms = 2000 rps
-  const auto report = run_open_loop([] { netsim::busy_wait(1 * kMilli); }, config);
+  const auto report = run_open_loop(
+      [](std::size_t) { netsim::busy_wait(1 * kMilli); }, config);
   // Nominal capacity is workers / 1 ms, but busy-wait workers cannot exceed
   // the machine's core count (minus the spinning dispatcher, when possible).
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -63,10 +68,43 @@ TEST(LoadGen, ThroughputCapsAtCapacity) {
   EXPECT_GT(report.achieved_rps, 0.6 * capacity_rps);
 }
 
+TEST(LoadGen, EveryWorkerIndexIsUsedAndNoOther) {
+  LoadConfig config;
+  config.target_rps = 2000;
+  config.duration = 200 * kMilli;
+  config.workers = 3;
+  constexpr std::size_t kSlots = 8;  // room to catch out-of-range indices
+  std::array<std::atomic<int>, kSlots> calls{};
+  std::atomic<int> out_of_range{0};
+  const auto report = run_open_loop(
+      [&](std::size_t worker) {
+        if (worker >= kSlots) {
+          ++out_of_range;
+          return;
+        }
+        ++calls[worker];
+        // 2000 rps x 1 ms keeps at least two workers busy, so the queue
+        // hands requests to all three.
+        netsim::busy_wait(1 * kMilli);
+      },
+      config);
+  EXPECT_EQ(out_of_range.load(), 0);
+  int total = 0;
+  for (std::size_t w = 0; w < kSlots; ++w) {
+    if (w < config.workers) {
+      EXPECT_GT(calls[w].load(), 0) << "worker " << w << " never ran";
+    } else {
+      EXPECT_EQ(calls[w].load(), 0) << "index " << w << " is out of range";
+    }
+    total += calls[w].load();
+  }
+  EXPECT_EQ(static_cast<std::uint64_t>(total), report.completed);
+}
+
 TEST(LoadGen, ZeroRateProducesNothing) {
   LoadConfig config;
   config.target_rps = 0;
-  const auto report = run_open_loop([] {}, config);
+  const auto report = run_open_loop([](std::size_t) {}, config);
   EXPECT_EQ(report.issued, 0u);
 }
 
@@ -74,7 +112,8 @@ TEST(LoadGen, ReportPercentilesOrdered) {
   LoadConfig config;
   config.target_rps = 1000;
   config.duration = 200 * kMilli;
-  const auto report = run_open_loop([] { netsim::busy_wait(50 * kMicro); }, config);
+  const auto report = run_open_loop(
+      [](std::size_t) { netsim::busy_wait(50 * kMicro); }, config);
   EXPECT_LE(report.p50_ms(), report.p99_ms());
 }
 

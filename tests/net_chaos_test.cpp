@@ -6,9 +6,10 @@
 //    body budget — each forced deterministically through a single-fault
 //    FaultPlan (probability 1 for the targeted action);
 //  * circuit breakers — the RemoteBroker's client-side breaker fast-fails
-//    without wire I/O while open and recovers through half-open probes on an
-//    injected clock; the XSearchProxy's engine-path breaker stops calling a
-//    dead engine and recovers the same way;
+//    without wire I/O while open, counts one outcome per attempt (a batch
+//    fails only when every item does), and recovers through half-open
+//    probes on an injected clock; the XSearchProxy's engine-path breaker
+//    stops calling a dead engine and recovers the same way;
 //  * the end-to-end chaos run — broker → ProxyServer → ProxyFleet, and the
 //    same broker in-process → ProxyFleet, under a seeded FaultPlan, for
 //    several seeds: every request completes within its
@@ -23,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -255,6 +257,24 @@ TEST(ChaosSocketFaults, GarbageCorruptionNeverReadsAsTheOriginalFrame) {
 
 // --- client-side circuit breaker --------------------------------------------
 
+/// A small live engine for the tests that need real engine round trips.
+struct SmallEngine {
+  static dataset::QueryLog make_log() {
+    dataset::SyntheticLogConfig config;
+    config.num_users = 10;
+    config.total_queries = 300;
+    config.vocab_size = 400;
+    config.num_topics = 6;
+    config.words_per_topic = 40;
+    return dataset::generate_synthetic_log(config);
+  }
+
+  dataset::QueryLog log = make_log();
+  engine::Corpus corpus{log,
+                        engine::CorpusConfig{.seed = 4, .num_documents = 200}};
+  engine::SearchEngine search_engine{corpus};
+};
+
 core::XSearchProxy::Options proxy_only_options() {
   core::XSearchProxy::Options options;
   options.k = 2;
@@ -348,15 +368,10 @@ class RestartableProxy {
   std::uint16_t port_ = 0;
 };
 
-class ChaosBreaker : public ::testing::TestWithParam<Transport> {};
-
-TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
-  sgx::AttestationAuthority authority(to_bytes("chaos-breaker-root"));
-  core::XSearchProxy proxy(nullptr, authority, proxy_only_options());
-  RestartableProxy served(GetParam(), proxy);
-
-  // Breaker on an injected clock: the test steps the cooldown by hand.
-  Nanos fake_now = 0;
+/// Client breaker on an injected clock (the test steps the cooldown by
+/// hand): trips once two of the last eight attempts failed, then admits
+/// one half-open probe.
+RemoteBroker::Options client_breaker_options(Nanos& fake_now) {
   RemoteBroker::Options options;
   options.request_budget = 2 * kSecond;
   options.breaker_enabled = true;
@@ -366,6 +381,18 @@ TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   options.breaker.open_cooldown = 50 * kMilli;
   options.breaker.half_open_probes = 1;
   options.breaker.now = [&fake_now] { return fake_now; };
+  return options;
+}
+
+class ChaosBreaker : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
+  sgx::AttestationAuthority authority(to_bytes("chaos-breaker-root"));
+  core::XSearchProxy proxy(nullptr, authority, proxy_only_options());
+  RestartableProxy served(GetParam(), proxy);
+
+  Nanos fake_now = 0;
+  RemoteBroker::Options options = client_breaker_options(fake_now);
   RemoteBroker broker(served.connector(), authority, proxy.measurement(), 5,
                       options);
   ASSERT_TRUE(broker.search("baseline through a healthy proxy").is_ok());
@@ -401,6 +428,128 @@ TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   served.stop();
 }
 
+// Regression: a call refused locally (empty batch) used to take the
+// half-open probe after allow() and never return it, so the breaker stayed
+// half-open with its probe slot spent — every later call failed fast with
+// "circuit breaker open", forever.
+TEST_P(ChaosBreaker, RefusedEmptyBatchDoesNotWedgeTheHalfOpenBreaker) {
+  sgx::AttestationAuthority authority(to_bytes("chaos-breaker-root"));
+  core::XSearchProxy proxy(nullptr, authority, proxy_only_options());
+  RestartableProxy served(GetParam(), proxy);
+
+  Nanos fake_now = 0;
+  RemoteBroker::Options options = client_breaker_options(fake_now);
+  RemoteBroker broker(served.connector(), authority, proxy.measurement(), 5,
+                      options);
+  served.stop();
+  EXPECT_FALSE(broker.search("server is down").is_ok());
+  EXPECT_FALSE(broker.search("still down").is_ok());
+  ASSERT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kOpen);
+  ASSERT_TRUE(served.start().is_ok());
+
+  // Past the cooldown the breaker admits one probe (half_open_probes = 1).
+  // An empty batch is refused before it can take that probe...
+  fake_now += options.breaker.open_cooldown;
+  const auto refused = broker.search_batch({});
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  // ...so the next search is the probe, reaches the healthy proxy, and
+  // closes the breaker.
+  const auto probe = broker.search("probe after the refused batch");
+  EXPECT_TRUE(probe.is_ok()) << probe.status().to_string();
+  EXPECT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kClosed);
+  served.stop();
+}
+
+/// A proxy over a live engine whose calls fail while `failing` says so
+/// (call index in, verdict out), injected through the host-side fault hook.
+core::XSearchProxy::Options failing_engine_options(
+    std::function<bool(std::uint64_t call)> failing) {
+  core::XSearchProxy::Options options;
+  options.k = 2;
+  options.history_capacity = 4096;
+  options.engine_fault_hook =
+      [failing = std::move(failing),
+       calls = std::make_shared<std::atomic<std::uint64_t>>(0)]() -> Status {
+    if (failing(calls->fetch_add(1, std::memory_order_relaxed))) {
+      return unavailable("chaos: engine outage");
+    }
+    return Status::ok();
+  };
+  return options;
+}
+
+bool always_fail(std::uint64_t /*call*/) { return true; }
+
+// An engine outage reaches the client as a sealed per-item failure, not a
+// transport error; through `search` (a batch of one) it still counts
+// against the proxy and trips the client breaker.
+TEST_P(ChaosBreaker, EngineOutageSeenThroughSearchTripsTheBreaker) {
+  const SmallEngine small;
+  sgx::AttestationAuthority authority(to_bytes("chaos-breaker-root"));
+  core::XSearchProxy proxy(&small.search_engine, authority,
+                           failing_engine_options(always_fail));
+  const testutil::ServedProxy served(GetParam(), proxy);
+  Nanos fake_now = 0;
+  const auto broker = served.broker(authority, proxy.measurement(), 12,
+                                    client_breaker_options(fake_now));
+
+  for (int i = 0; i < 2; ++i) {
+    const auto results = broker->search(small.log.records()[i].text);
+    ASSERT_FALSE(results.is_ok());
+    EXPECT_EQ(results.status().code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(broker->breaker_stats().state, CircuitBreaker::State::kOpen);
+
+  const std::uint64_t frames_before = broker->frames_sent();
+  const auto rejected = broker->search(small.log.records()[2].text);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kUpstreamDown);
+  EXPECT_EQ(broker->frames_sent(), frames_before);
+}
+
+// A batch counts as a failed attempt only when every item failed with a
+// health code: one healthy item means the proxy and its engine answered.
+TEST_P(ChaosBreaker, BatchTripsTheBreakerOnlyWhenEveryItemFails) {
+  const SmallEngine small;
+  sgx::AttestationAuthority authority(to_bytes("chaos-breaker-root"));
+  const std::vector<std::string> queries = {small.log.records()[0].text,
+                                            small.log.records()[1].text};
+
+  // Every second engine call fails: each batch of two has one failed item.
+  core::XSearchProxy flaky(
+      &small.search_engine, authority,
+      failing_engine_options([](std::uint64_t call) { return call % 2 == 1; }));
+  const testutil::ServedProxy served_flaky(GetParam(), flaky);
+  Nanos fake_now = 0;
+  const auto mixed = served_flaky.broker(authority, flaky.measurement(), 13,
+                                         client_breaker_options(fake_now));
+  for (int i = 0; i < 3; ++i) {
+    const auto outcomes = mixed->search_batch(queries);
+    ASSERT_TRUE(outcomes.is_ok()) << outcomes.status().to_string();
+    EXPECT_TRUE(outcomes.value()[0].status.is_ok());
+    EXPECT_FALSE(outcomes.value()[1].status.is_ok());
+  }
+  EXPECT_EQ(mixed->breaker_stats().state, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(mixed->breaker_stats().trips, 0u);
+
+  // Every engine call fails: two all-failed batches trip the breaker.
+  core::XSearchProxy dead(&small.search_engine, authority,
+                          failing_engine_options(always_fail));
+  const testutil::ServedProxy served_dead(GetParam(), dead);
+  const auto failing = served_dead.broker(authority, dead.measurement(), 14,
+                                          client_breaker_options(fake_now));
+  for (int i = 0; i < 2; ++i) {
+    const auto outcomes = failing->search_batch(queries);
+    ASSERT_TRUE(outcomes.is_ok()) << outcomes.status().to_string();
+    for (const auto& outcome : outcomes.value()) {
+      EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
+    }
+  }
+  EXPECT_EQ(failing->breaker_stats().state, CircuitBreaker::State::kOpen);
+  const auto rejected = failing->search_batch(queries);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kUpstreamDown);
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, ChaosBreaker,
                          ::testing::Values(Transport::kTcp,
                                            Transport::kInProcess),
@@ -409,16 +558,9 @@ INSTANTIATE_TEST_SUITE_P(Transports, ChaosBreaker,
 // --- engine-path circuit breaker ---------------------------------------------
 
 TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
-  dataset::SyntheticLogConfig log_config;
-  log_config.num_users = 10;
-  log_config.total_queries = 300;
-  log_config.vocab_size = 400;
-  log_config.num_topics = 6;
-  log_config.words_per_topic = 40;
-  const dataset::QueryLog log = dataset::generate_synthetic_log(log_config);
-  const engine::Corpus corpus(log,
-                              engine::CorpusConfig{.seed = 4, .num_documents = 200});
-  const engine::SearchEngine engine(corpus);
+  const SmallEngine small;
+  const dataset::QueryLog& log = small.log;
+  const engine::SearchEngine& engine = small.search_engine;
   sgx::AttestationAuthority authority(to_bytes("engine-breaker-root"));
 
   // Engine outage switch + call counter, injected through the host-side

@@ -7,8 +7,7 @@
 //    nonce counters make reordering an AEAD failure, so success IS the
 //    ordering proof);
 //  * drain/respawn: only the drained/crashed worker's sessions re-attest;
-//  * client-side coalescing: batch_coalesce folds many submits into few
-//    wire records.
+//  * remote client: a search_batch over the fleet travels as one record.
 //
 // Run under ThreadSanitizer in CI (label: concurrency).
 #include "net/proxy_fleet.hpp"
@@ -324,9 +323,9 @@ TEST(ProxyFleet, CounterSessionIdsSkipHostProposedIds) {
   EXPECT_EQ(proxy.session_stats().active, 5u);
 }
 
-// --- client-side coalescing --------------------------------------------------
+// --- remote client batches ---------------------------------------------------
 
-TEST(ProxyFleet, ClientCoalescingFoldsSubmitsIntoBatchedFrames) {
+TEST(ProxyFleet, RemoteClientBatchTravelsAsOneRecord) {
   sgx::AttestationAuthority authority(to_bytes("fleet-test-root"));
   auto fleet = ProxyFleet::create(nullptr, authority, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
@@ -335,51 +334,27 @@ TEST(ProxyFleet, ClientCoalescingFoldsSubmitsIntoBatchedFrames) {
 
   api::ClientConfig config;
   config.contact_engine = false;
-  config.batch_workers = 2;
-  config.batch_coalesce = 16;
   config.seed = 4242;
   auto client = api::make_remote_client("127.0.0.1", server.value()->port(),
                                         authority, fleet.value()->measurement(),
                                         config);
-  ASSERT_TRUE(client->connect().is_ok());
-
-  constexpr std::size_t kSubmits = 64;
-  std::vector<api::Ticket> tickets;
-  tickets.reserve(kSubmits);
-  for (std::size_t i = 0; i < kSubmits; ++i) {
-    tickets.push_back(client->submit("coalesce me " + std::to_string(i)));
-    ASSERT_NE(tickets.back(), api::kInvalidTicket);
+  auto outcomes = client->search_batch(
+      {{"sync batch a", 0}, {"sync batch b", 0}, {"sync batch c", 0}});
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (const auto& outcome : outcomes) {
+    EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
   }
-  for (const auto ticket : tickets) {
-    const auto outcome = client->wait(ticket);
-    EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
-  }
-  const auto stats = client->stats();
-  EXPECT_EQ(stats.submitted, kSubmits);
-  EXPECT_EQ(stats.completed, kSubmits);
+  EXPECT_EQ(client->stats().searches, 3u);
   client->close();
 
-  // Coalescing must have folded the 64 submits into far fewer query
-  // records than one-per-query (handshakes excluded from the bound).
+  // Three queries, one query record routed (handshakes excluded).
   std::uint64_t routed = 0, handshakes = 0;
   for (std::size_t w = 0; w < 2; ++w) {
     const auto worker = fleet.value()->worker_stats(w);
     routed += worker.routed;
     handshakes += worker.sessions.created;
   }
-  EXPECT_LT(routed - handshakes, kSubmits / 2);
-
-  // Synchronous batch API agrees end to end as well.
-  auto direct = api::make_remote_client("127.0.0.1", server.value()->port(),
-                                        authority, fleet.value()->measurement(),
-                                        config);
-  auto outcomes = direct->search_batch(
-      {{"sync batch a", 0}, {"sync batch b", 0}, {"sync batch c", 0}});
-  ASSERT_EQ(outcomes.size(), 3u);
-  for (const auto& outcome : outcomes) {
-    EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-  }
-  direct->close();
+  EXPECT_EQ(routed - handshakes, 1u);
   server.value()->stop();
 }
 

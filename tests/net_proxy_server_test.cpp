@@ -318,7 +318,7 @@ void serve_lossy_host(TcpListener& listener, core::XSearchProxy& proxy) {
             write_frame(stream.value(), FrameType::kHelloReply, payload).is_ok());
         continue;
       }
-      ASSERT_EQ(frame.value().type, FrameType::kBatchQuery);
+      ASSERT_EQ(frame.value().type, FrameType::kQuery);
       std::size_t offset = 0;
       auto session = core::wire::get_u64(frame.value().payload, offset);
       ASSERT_TRUE(session.is_ok());
@@ -327,7 +327,7 @@ void serve_lossy_host(TcpListener& listener, core::XSearchProxy& proxy) {
           session.value(), ByteSpan(frame.value().payload).subspan(offset));
       ASSERT_TRUE(response.is_ok());
       if (!drop_reply) {  // …but on conn 0 the reply dies with the connection.
-        ASSERT_TRUE(write_frame(stream.value(), FrameType::kBatchReply,
+        ASSERT_TRUE(write_frame(stream.value(), FrameType::kQueryReply,
                                 response.value())
                         .is_ok());
       }
