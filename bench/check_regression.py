@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over BENCH_micro.json.
+"""Perf-regression gate over BENCH_micro.json and BENCH_fig5.json.
 
-Compares the current microbench run against the committed baseline
-(bench/baselines/BENCH_micro.baseline.json) and fails when any stage
-regresses beyond the threshold.
+Compares the current run against a committed baseline
+(bench/baselines/BENCH_micro.baseline.json or BENCH_fig5.baseline.json)
+and fails when any gated stage regresses beyond the threshold. A microbench
+stage is gated on its us_per_op. A fig5 row is gated on its p99_ms and
+named by its system and sweep labels, e.g. "xsearch-fleet/workers=2/batch=1";
+only the rows the baseline holds are gated.
 
 Raw microsecond comparisons across machines gate nothing but CPU models,
 so the comparator normalizes first: it computes the median speed ratio
@@ -19,9 +22,9 @@ Usage:
   check_regression.py BASELINE CURRENT [--threshold 0.25] [--absolute]
                       [--inject STAGE=FACTOR] [--summary PATH]
 
---inject multiplies STAGE's current us/op by FACTOR before comparing —
-the CI self-test proving the gate is live: injecting a 2x slowdown into
-any stage MUST make this script fail.
+--inject multiplies STAGE's current value by FACTOR before comparing —
+the CI self-test proving the gate is live: injecting a slowdown past the
+threshold into any stage MUST make this script fail.
 
 --summary appends the markdown table to PATH (defaults to
 $GITHUB_STEP_SUMMARY when set, so the job summary shows the pre/post
@@ -35,10 +38,22 @@ import statistics
 import sys
 
 
+# The sweep-label keys a fig5 row may carry, in the order fig5 writes them.
+FIG5_LABELS = ("mode", "offered_rps", "sessions", "workers", "batch", "phase")
+
+
+def fig5_row_name(row):
+    labels = [f"{key}={row[key]}" for key in FIG5_LABELS if key in row]
+    return "/".join([row["system"]] + labels)
+
+
 def load_stages(path):
     with open(path) as fh:
         doc = json.load(fh)
-    stages = {s["name"]: float(s["us_per_op"]) for s in doc.get("stages", [])}
+    if "rows" in doc:
+        stages = {fig5_row_name(r): float(r["p99_ms"]) for r in doc["rows"]}
+    else:
+        stages = {s["name"]: float(s["us_per_op"]) for s in doc.get("stages", [])}
     if not stages:
         raise ValueError(f"{path}: no stages")
     return stages
@@ -66,7 +81,7 @@ def main():
         return 1
 
     if args.inject:
-        stage, _, factor = args.inject.partition("=")
+        stage, _, factor = args.inject.rpartition("=")
         if stage not in current:
             print(f"check_regression: --inject: unknown stage {stage!r}",
                   file=sys.stderr)
@@ -86,10 +101,10 @@ def main():
 
     bar = scale * (1.0 + args.threshold)
     lines = [
-        f"# microbench regression gate (threshold {args.threshold:.0%}, "
+        f"# regression gate (threshold {args.threshold:.0%}, "
         f"machine-speed scale {scale:.2f}x)",
         "",
-        "| stage | baseline us/op | current us/op | normalized | verdict |",
+        "| stage | baseline | current | normalized | verdict |",
         "|---|---|---|---|---|",
     ]
     failed = []
@@ -100,11 +115,11 @@ def main():
         if not ok:
             failed.append(name)
         lines.append(
-            f"| {name} | {baseline[name]:.2f} | {current[name]:.2f} "
+            f"| {name} | {baseline[name]:.4g} | {current[name]:.4g} "
             f"| {normalized:.2f}x | {'ok' if ok else '**REGRESSED**'} |")
     for name in missing:
         failed.append(name)
-        lines.append(f"| {name} | {baseline[name]:.2f} | missing | - | **MISSING** |")
+        lines.append(f"| {name} | {baseline[name]:.4g} | missing | - | **MISSING** |")
 
     table = "\n".join(lines)
     print(table)

@@ -82,4 +82,50 @@ LoadReport run_open_loop(const std::function<void(std::size_t worker)>& handler,
   return report;
 }
 
+LoadReport run_closed_loop(const std::function<void(std::size_t worker)>& handler,
+                           std::size_t workers, Nanos duration) {
+  LoadReport report;
+  if (workers == 0 || duration <= 0) return report;
+
+  // Every thread is spawned before the clock starts; `end` stays 0 until
+  // then, and each worker spins on it so none gets a head start.
+  std::atomic<Nanos> end{0};
+  std::atomic<std::uint64_t> completed{0};
+  Mutex histogram_mutex;
+  Histogram latency;
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      Nanos stop = 0;
+      while ((stop = end.load(std::memory_order_acquire)) == 0) {
+        std::this_thread::yield();
+      }
+      Histogram local;
+      std::uint64_t done = 0;
+      for (Nanos start = wall_now(); start < stop; ++done) {
+        handler(w);
+        const Nanos finished = wall_now();
+        local.record(finished - start);
+        start = finished;
+      }
+      completed.fetch_add(done, std::memory_order_relaxed);
+      MutexLock lock(histogram_mutex);
+      latency.merge(local);
+    });
+  }
+
+  const Nanos start = wall_now();
+  end.store(start + duration, std::memory_order_release);
+  for (auto& t : threads) t.join();
+
+  const Nanos elapsed = wall_now() - start;
+  report.issued = report.completed = completed.load();
+  report.latency = std::move(latency);
+  report.achieved_rps = static_cast<double>(report.completed) *
+                        static_cast<double>(kSecond) /
+                        static_cast<double>(elapsed);
+  return report;
+}
+
 }  // namespace xsearch::loadgen

@@ -7,6 +7,10 @@
 // reproduces that: a dispatcher emits requests on a fixed schedule into a
 // bounded queue served by a worker pool, and per-request latency is
 // completion_time - scheduled_time.
+//
+// `run_closed_loop` is the other discipline, for questions an offered rate
+// cannot ask (how fast do C users go when each waits for its reply): C
+// workers each issue the next request as soon as the previous one returns.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,9 @@ struct LoadReport {
   std::uint64_t issued = 0;
   std::uint64_t completed = 0;
   std::uint64_t dropped = 0;
-  Histogram latency;  // nanoseconds, scheduled-send to completion
+  /// Nanoseconds from each request's intended start to its completion:
+  /// the scheduled send (open loop) or the previous reply (closed loop).
+  Histogram latency;
 
   [[nodiscard]] double p50_ms() const {
     return static_cast<double>(latency.percentile(50)) / static_cast<double>(kMilli);
@@ -55,5 +61,15 @@ struct LoadReport {
 [[nodiscard]] LoadReport run_open_loop(
     const std::function<void(std::size_t worker)>& handler,
     const LoadConfig& config);
+
+/// Runs `handler` back to back on `workers` threads for `duration`: each
+/// worker passes its own index in [0, workers) and starts its next call as
+/// soon as the previous one returns, so a call's latency is measured from
+/// its own start (its intended start — the previous reply released it).
+/// No call starts after `duration`, so the run ends within `duration` plus
+/// one handler call. `offered_rps` stays 0 and nothing is dropped.
+[[nodiscard]] LoadReport run_closed_loop(
+    const std::function<void(std::size_t worker)>& handler,
+    std::size_t workers, Nanos duration);
 
 }  // namespace xsearch::loadgen

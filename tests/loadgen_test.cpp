@@ -117,6 +117,72 @@ TEST(LoadGen, ReportPercentilesOrdered) {
   EXPECT_LE(report.p50_ms(), report.p99_ms());
 }
 
+TEST(ClosedLoop, EveryWorkerIndexIsUsedAndNoOther) {
+  constexpr std::size_t kWorkers = 3;
+  constexpr std::size_t kSlots = 8;  // room to catch out-of-range indices
+  std::array<std::atomic<int>, kSlots> calls{};
+  std::atomic<int> out_of_range{0};
+  const auto report = run_closed_loop(
+      [&](std::size_t worker) {
+        if (worker >= kSlots) {
+          ++out_of_range;
+          return;
+        }
+        ++calls[worker];
+        netsim::busy_wait(100 * kMicro);
+      },
+      kWorkers, 100 * kMilli);
+  EXPECT_EQ(out_of_range.load(), 0);
+  int total = 0;
+  for (std::size_t w = 0; w < kSlots; ++w) {
+    if (w < kWorkers) {
+      EXPECT_GT(calls[w].load(), 0) << "worker " << w << " never ran";
+    } else {
+      EXPECT_EQ(calls[w].load(), 0) << "index " << w << " is out of range";
+    }
+    total += calls[w].load();
+  }
+  EXPECT_EQ(static_cast<std::uint64_t>(total), report.completed);
+}
+
+TEST(ClosedLoop, RecordsOneLatencyPerCompletedCall) {
+  const auto report = run_closed_loop(
+      [](std::size_t) { netsim::busy_wait(200 * kMicro); }, 2, 100 * kMilli);
+  EXPECT_GT(report.completed, 0u);
+  EXPECT_EQ(report.latency.count(), report.completed);
+  EXPECT_EQ(report.dropped, 0u);
+  // Each call is timed from its own start, so no latency undercuts the
+  // handler's service time.
+  EXPECT_GE(report.latency.min(), 200 * kMicro);
+  EXPECT_GT(report.achieved_rps, 0.0);
+}
+
+TEST(ClosedLoop, EndsWithinDurationPlusOneCall) {
+  constexpr Nanos kDuration = 100 * kMilli;
+  constexpr Nanos kCall = 30 * kMilli;
+  const Nanos start = wall_now();
+  const auto report = run_closed_loop(
+      [](std::size_t) { netsim::busy_wait(kCall); }, 2, kDuration);
+  const Nanos elapsed = wall_now() - start;
+  // Slack covers thread start and join, not another call.
+  EXPECT_LT(elapsed, kDuration + kCall + 25 * kMilli);
+  EXPECT_GE(elapsed, kDuration);
+  EXPECT_EQ(report.latency.count(), report.completed);
+}
+
+TEST(ClosedLoop, ZeroWorkersOrDurationGiveAnEmptyReport) {
+  std::atomic<int> calls{0};
+  const auto count = [&calls](std::size_t) { ++calls; };
+  for (const auto& report : {run_closed_loop(count, 0, 100 * kMilli),
+                             run_closed_loop(count, 2, 0)}) {
+    EXPECT_EQ(report.completed, 0u);
+    EXPECT_EQ(report.issued, 0u);
+    EXPECT_EQ(report.latency.count(), 0u);
+    EXPECT_EQ(report.achieved_rps, 0.0);
+  }
+  EXPECT_EQ(calls.load(), 0);
+}
+
 TEST(NetSim, LinkModelSamplesAroundMedian) {
   netsim::LinkModel link{.median_ms = 100.0, .sigma = 0.2, .min_ms = 1.0};
   Rng rng(1);
