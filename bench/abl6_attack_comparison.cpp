@@ -85,6 +85,6 @@ int main() {
   std::printf("\n# paper §5.3.1 (on AOL): SimAttack >= the ML attack. On the synthetic\n");
   std::printf("# log the NB baseline is comparable and can edge ahead — synthetic users\n");
   std::printf("# repeat exact queries more than AOL users, which frequency-based NB\n");
-  std::printf("# exploits. Deviation documented in EXPERIMENTS.md (A6).\n");
+  std::printf("# exploits.\n");
   return 0;
 }

@@ -94,7 +94,7 @@ int main() {
                 tmn_ccdf[i], xs_ccdf[i]);
   }
 
-  // Headline numbers mirrored in EXPERIMENTS.md.
+  // Headline numbers.
   const auto frac_below = [](const std::vector<double>& sims, double t) {
     std::size_t n = 0;
     for (const double s : sims) n += (s < t);

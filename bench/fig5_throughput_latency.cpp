@@ -23,12 +23,16 @@
 // past queries. A worker the supervisor respawns is not primed: the
 // recovery scenario contrasts a checkpointed (warm) restart with a cold one.
 //
-// Real: the full proxy compute path of every request (X-Search: channel
-// AEAD + Algorithm 1 + history update inside the enclave boundary; PEAS:
-// envelope decryption + co-occurrence fakes; Tor: three onion layers each
-// way). Calibrated: the in-process mechanisms' per-request stack cost
-// (netsim::service_costs::for_mechanism), sized so the saturation knees land
-// at the paper's magnitudes. TCP scenarios pay real socket costs instead.
+// Measured: X-Search's Figure 5 rows run over the real TCP stack — a
+// ProxyServer's reactor, frame parsing, dispatch and channel AEAD around
+// Algorithm 1 and the history update inside the enclave boundary. `xsearch`
+// is the paper's configuration (the proxy replies without an engine);
+// `xsearch-engine` adds the engine round trip and the Algorithm-2 filter to
+// every request. Modelled: PEAS and Tor have no real relay hops here. Their
+// rows execute the mechanisms' compute (envelope decryption + co-occurrence
+// fakes; three onion layers each way) and then charge a calibrated per-call
+// cost (`Scenario::modelled`, busy CPU on the load worker), which every such
+// row reports as `modelled_us`.
 //
 // Every row carries `system` (the scenario name), its sweep labels,
 // completed and failed queries (failed includes open-loop drops),
@@ -189,6 +193,10 @@ struct Scenario {
   bool supervised = false;
   /// Proxies contact the testbed engine instead of replying immediately.
   bool live_engine = false;
+  /// Calibrated cost charged as busy CPU once per call, before the search:
+  /// relay-stack work nothing here executes (0 = none; rows then carry no
+  /// `modelled_us`).
+  Nanos modelled = 0;
   /// Open-loop offered rates (req/s); empty = closed loop.
   std::vector<double> rates;
   /// Load workers; 0 = one per held session.
@@ -314,6 +322,7 @@ bool run_point(const Scenario& s, const bench::Testbed& bed,
     state[w] = {.cursor = w * stream.size() / drivers, .session = w};
   }
   const auto handler = [&](std::size_t w) {
+    netsim::busy_wait(s.modelled);
     Driver& driver = state[w];
     api::PrivateSearchClient& client = *d->sessions[driver.session];
     driver.session += drivers;
@@ -386,6 +395,10 @@ void run_scenario(const Scenario& s, const bench::Testbed& bed,
         last_held = held;
         for (const double rate : rates) {
           std::vector<Field> labels = s.labels;
+          if (s.modelled > 0) {
+            labels.push_back(num("modelled_us",
+                                 static_cast<double>(s.modelled) / kMicro, 0));
+          }
           if (!s.rates.empty()) labels.push_back(num("offered_rps", rate, 0));
           if (s.sessions.size() > 1) labels.push_back(count("sessions", held));
           if (s.workers.size() > 1) labels.push_back(count("workers", workers));
@@ -400,18 +413,6 @@ void run_scenario(const Scenario& s, const bench::Testbed& bed,
 }
 
 // ---- the scenarios ----------------------------------------------------------
-
-/// An in-process mechanism on an open-loop grid, charged its calibrated
-/// per-request stack cost.
-Scenario open_loop(std::string name, std::vector<double> rates) {
-  Scenario s{.name = name, .rates = std::move(rates), .clients = kOpenLoopWorkers};
-  s.configure = [name](Deployment&, api::ClientConfig& config,
-                       core::XSearchProxy::Options&) {
-    config.stack_cost_per_request =
-        netsim::service_costs::for_mechanism(name).cost_per_request;
-  };
-  return s;
-}
 
 std::size_t busiest_worker(const net::ProxyFleet& fleet) {
   std::size_t best = 0;
@@ -524,18 +525,35 @@ Scenario degraded() {
   return s;
 }
 
+// Modelled relay-stack cost per call. With kOpenLoopWorkers load workers,
+// capacity = workers / cost, landing the saturation knees at the paper's
+// ~1k (PEAS: two proxy processes, store-and-forward, group decryption) and
+// ~100 (Tor: three bandwidth-limited volunteer relays) req/s.
+constexpr Nanos kPeasModelled = 3'800 * kMicro;
+constexpr Nanos kTorModelled = 38 * kMilli;
+
 const std::vector<Scenario> kScenarios = {
-    open_loop("xsearch", {1000, 5000, 10000, 15000, 20000, 24000, 27000, 30000}),
-    open_loop("peas", {100, 300, 600, 800, 1000, 1200, 1500}),
-    open_loop("tor", {10, 25, 50, 75, 100, 120, 150}),
-    // The saturation grid over real TCP: sockets supply the stack cost.
-    {.name = "xsearch-remote",
+    // Proxy capacity over real TCP, replying without an engine.
+    {.name = "xsearch",
      .topology = Topology::kProxy,
+     .rates = {1000, 4000, 8000, 16000, 24000, 32000, 48000},
+     .clients = kOpenLoopWorkers},
+    // The same deployment with the engine round trip and the filter.
+    {.name = "xsearch-engine",
+     .topology = Topology::kProxy,
+     .live_engine = true,
      .rates = {1000, 2000, 4000, 8000, 12000, 16000},
      .clients = kOpenLoopWorkers},
-    // S closed-loop sessions against one shared in-process proxy, without
-    // the calibrated stack cost: what the enclave path itself does as
-    // sessions are added.
+    {.name = "peas",
+     .modelled = kPeasModelled,
+     .rates = {100, 300, 600, 800, 1000, 1200, 1500},
+     .clients = kOpenLoopWorkers},
+    {.name = "tor",
+     .modelled = kTorModelled,
+     .rates = {10, 25, 50, 75, 100, 120, 150},
+     .clients = kOpenLoopWorkers},
+    // S closed-loop sessions against one shared in-process proxy: what the
+    // enclave path itself does as sessions are added.
     {.name = "xsearch-sessions", .mechanism = "xsearch", .sessions = {1, 2, 4, 8}},
     // Scale-out: consistent-hash-routed workers × wire batch size, four
     // closed-loop TCP clients. A batch pays one AEAD seal/open and one
@@ -625,8 +643,10 @@ int main(int argc, char** argv) {
       run_scenario(s, *bed, stream);
     }
     if (!in_table) {
-      run_scenario(open_loop(name, {1000, 5000, 10000, 20000, 40000}), *bed,
-                   stream);
+      run_scenario({.name = name,
+                    .rates = {1000, 5000, 10000, 20000, 40000},
+                    .clients = kOpenLoopWorkers},
+                   *bed, stream);
     }
   }
 

@@ -10,7 +10,10 @@
 //                a verbatim copy of the pre-optimization per-pair scorer —
 //                so the optimized filter's speedup is re-measurable forever
 //   search_or    the engine's k+1-sub-query OR evaluation + merge
-//   seal_open    one channel AEAD round trip at a typical record size
+//   seal_open    one channel AEAD round trip at a query-sized (64 B), a
+//                typical filtered-results (4 KiB) and a raw engine-reply
+//                (22 KiB) record
+//   x25519       one key agreement, as each attested handshake pays
 //
 // Output: a human-readable table on stdout and machine-readable JSON
 // (default BENCH_micro.json, first CLI arg overrides), uploaded by the CI
@@ -326,17 +329,32 @@ int main(int argc, char** argv) {
     crypto::SecureChannel server = crypto::SecureChannel::responder(
         server_static, server_eph, client_eph.public_key);
 
-    const Bytes payload(4096, 0x5a);  // a typical filtered-results frame
-    const std::size_t iters = 20'000;
+    struct Record {
+      const char* name;
+      std::size_t bytes;
+      std::size_t iters;
+    };
+    for (const Record& record : {Record{"seal_open/64B", 64, 20'000},
+                                 Record{"seal_open/4KiB", 4096, 20'000},
+                                 Record{"seal_open/22KiB", 22 * 1024, 4'000}}) {
+      const Bytes payload(record.bytes, 0x5a);
+      const auto t0 = Clock::now();
+      for (std::size_t i = 0; i < record.iters; ++i) {
+        auto opened = server.open(client.seal(payload));
+        if (!opened) {
+          std::fprintf(stderr, "seal/open failed\n");
+          return 1;
+        }
+      }
+      report(record.name, us_per_op(t0, Clock::now(), record.iters));
+    }
+
+    const std::size_t iters = 2'000;
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      auto opened = server.open(client.seal(payload));
-      if (!opened) {
-        std::fprintf(stderr, "seal/open failed\n");
-        return 1;
-      }
+      (void)crypto::x25519(client_eph.private_key, server_static.public_key);
     }
-    report("seal_open/4KiB", us_per_op(t0, Clock::now(), iters));
+    report("x25519/agree", us_per_op(t0, Clock::now(), iters));
   }
 
   // ---- frame parse: blocking copy path vs zero-copy cursor ----------------

@@ -102,7 +102,7 @@ int main() {
 
   auto fleet = net::ProxyFleet::create(
       &search_engine, intel,
-      api::fleet_options(fleet_config, {.workers = 2, .virtual_nodes = 64}));
+      {.workers = 2, .proxy = api::xsearch_proxy_options(fleet_config)});
   if (!fleet.is_ok()) {
     std::fprintf(stderr, "fleet: %s\n", fleet.status().to_string().c_str());
     return 1;

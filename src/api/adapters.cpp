@@ -132,10 +132,10 @@ class TmnAdapter final : public PrivateSearchClient {
     if (engine_ == nullptr) return SearchResults{};  // saturation mode
     // TrackMeNot interleaves machine-generated queries with the user's
     // stream; the user's own query still goes out in the clear. The cover
-    // queries ride separate requests in reality (netsim::wan models them as
-    // not lengthening the user-perceived path); issuing them inline here
-    // adds only their in-process retrieval compute — microseconds against
-    // the modelled ~0.5 s WAN round trip.
+    // queries ride separate requests in reality (the Figure 7 WAN model
+    // treats them as not lengthening the user-perceived path); issuing them
+    // inline here adds only their in-process retrieval compute —
+    // microseconds against the modelled ~0.5 s WAN round trip.
     for (std::size_t i = 0; i < config().k; ++i) {
       (void)engine_->search(generator_->fake_query(rng_), top_k);
     }
@@ -463,8 +463,6 @@ core::XSearchProxy::Options xsearch_proxy_options(const ClientConfig& config) {
   options.seed = config.seed ^ 0x5eed;
   options.contact_engine = config.contact_engine;
   options.session_capacity = config.session_capacity;
-  options.session_idle_ttl = config.session_idle_ttl;
-  options.session_shards = config.session_shards;
   options.checkpoint_dir = config.recovery.checkpoint_dir;
   options.checkpoint_interval_queries = config.recovery.checkpoint_interval_queries;
   return options;
@@ -474,7 +472,6 @@ net::FleetSupervisor::Options supervisor_options(const ClientConfig& config) {
   net::FleetSupervisor::Options options;
   options.probe_interval = config.recovery.probe_interval;
   options.failure_threshold = config.recovery.failure_threshold;
-  options.probe_budget = config.recovery.probe_budget;
   return options;
 }
 
@@ -485,16 +482,6 @@ net::RemoteBroker::Options remote_broker_options(const ClientConfig& config) {
   options.retry.max_attempts = config.robustness.retry_attempts;
   options.retry.initial_backoff = config.robustness.retry_initial_backoff;
   options.retry.max_backoff = config.robustness.retry_max_backoff;
-  options.breaker_enabled = config.robustness.breaker_enabled;
-  return options;
-}
-
-net::ProxyFleet::Options fleet_options(const ClientConfig& config,
-                                       const FleetConfig& fleet) {
-  net::ProxyFleet::Options options;
-  options.workers = fleet.workers;
-  options.virtual_nodes = fleet.virtual_nodes;
-  options.proxy = xsearch_proxy_options(config);
   return options;
 }
 

@@ -1,7 +1,5 @@
 #include "api/client.hpp"
 
-#include "netsim/netsim.hpp"
-
 namespace xsearch::api {
 
 PrivateSearchClient::PrivateSearchClient(ClientConfig config)
@@ -30,9 +28,6 @@ Result<SearchResults> PrivateSearchClient::search(std::string_view query,
     XS_RETURN_IF_ERROR(do_connect());
     connects_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (config_.stack_cost_per_request > 0) {
-    netsim::busy_wait(config_.stack_cost_per_request);
-  }
   auto result = do_search(query, resolve_top_k(top_k));
   searches_.fetch_add(1, std::memory_order_relaxed);
   if (!result.is_ok()) failures_.fetch_add(1, std::memory_order_relaxed);
@@ -57,11 +52,6 @@ std::vector<Result<SearchResults>> PrivateSearchClient::search_batch(
     }
     connects_.fetch_add(1, std::memory_order_relaxed);
   }
-  // One stack-cost charge per round trip, not per query: amortizing the
-  // per-request network/OS work is exactly what batching buys.
-  if (config_.stack_cost_per_request > 0) {
-    netsim::busy_wait(config_.stack_cost_per_request);
-  }
   outcomes = do_search_batch(queries);
   searches_.fetch_add(outcomes.size(), std::memory_order_relaxed);
   for (const auto& outcome : outcomes) {
@@ -73,7 +63,7 @@ std::vector<Result<SearchResults>> PrivateSearchClient::search_batch(
 std::vector<Result<SearchResults>> PrivateSearchClient::do_search_batch(
     const std::vector<BatchQuery>& queries) {
   // Mechanisms without a batched wire format just loop; the batch still
-  // pays connect and stack cost once.
+  // pays connect once.
   std::vector<Result<SearchResults>> outcomes;
   outcomes.reserve(queries.size());
   for (const auto& q : queries) {

@@ -40,16 +40,12 @@ struct RecoveryConfig {
   Nanos probe_interval = 20 * kMilli;
   /// Consecutive heartbeat failures before a worker is auto-respawned.
   std::uint32_t failure_threshold = 3;
-  /// Deadline for one heartbeat probe; a probe overrunning it means the
-  /// worker is HUNG (not crashed) and counts as a failure. 0 = probe
-  /// without a deadline (a hung worker then wedges the probe loop).
-  Nanos probe_budget = kSecond;
 };
 
 /// End-to-end robustness knobs for the X-Search client broker: request
-/// deadlines, budgeted retries with backoff, and a client-side circuit
-/// breaker. All default to the historical behavior (no deadline, retry
-/// exactly once, breaker off). The in-process and the remote X-Search
+/// deadlines and budgeted retries with backoff. All default to the
+/// historical behavior (no deadline, retry exactly once; the broker's
+/// client-side breaker stays off). The in-process and the remote X-Search
 /// clients run the same broker and honour every knob; the other
 /// mechanisms ignore them.
 struct RobustnessConfig {
@@ -64,9 +60,6 @@ struct RobustnessConfig {
   /// Backoff curve between attempts (capped decorrelated jitter).
   Nanos retry_initial_backoff = kMilli;
   Nanos retry_max_backoff = 50 * kMilli;
-  /// Client-side circuit breaker: while open, calls fail fast with
-  /// UPSTREAM_DOWN and never touch the wire.
-  bool breaker_enabled = false;
 };
 
 /// Mechanism-agnostic client configuration. Every knob that several
@@ -93,18 +86,9 @@ struct ClientConfig {
   /// least recently used session beyond it is evicted and its client must
   /// re-handshake (the client broker does so transparently).
   std::size_t session_capacity = 4096;
-  /// Idle time after which an X-Search session expires (0 = never).
-  Nanos session_idle_ttl = 0;
-  /// Lock shards of the X-Search session table (more shards = less
-  /// contention between concurrent sessions).
-  std::size_t session_shards = 8;
-  /// Calibrated per-request service cost charged (as busy CPU) before each
-  /// search — the proxy network/OS-stack work the in-process simulation
-  /// does not otherwise execute (Figure 5 saturation bench; 0 = off).
-  Nanos stack_cost_per_request = 0;
   /// Crash-recovery configuration (checkpointing + fleet supervision).
   RecoveryConfig recovery;
-  /// Deadlines, retries and circuit breaking (X-Search client broker).
+  /// Deadlines and retries (X-Search client broker).
   RobustnessConfig robustness;
 };
 

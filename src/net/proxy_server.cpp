@@ -37,12 +37,11 @@ Result<std::unique_ptr<ProxyServer>> ProxyServer::start(core::ProxyHandler& prox
                                 std::move(reactor_options));
   if (!reactor) return reactor.status();
   return std::unique_ptr<ProxyServer>(
-      new ProxyServer(proxy, std::move(reactor).value()));
+      new ProxyServer(std::move(reactor).value()));
 }
 
-ProxyServer::ProxyServer(core::ProxyHandler& proxy,
-                         std::unique_ptr<Reactor> reactor)
-    : proxy_(&proxy), reactor_(std::move(reactor)) {}
+ProxyServer::ProxyServer(std::unique_ptr<Reactor> reactor)
+    : reactor_(std::move(reactor)) {}
 
 ProxyServer::~ProxyServer() { stop(); }
 

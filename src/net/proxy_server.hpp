@@ -126,9 +126,8 @@ class ProxyServer {
   }
 
  private:
-  ProxyServer(core::ProxyHandler& proxy, std::unique_ptr<Reactor> reactor);
+  explicit ProxyServer(std::unique_ptr<Reactor> reactor);
 
-  core::ProxyHandler* proxy_;
   std::unique_ptr<Reactor> reactor_;
 };
 

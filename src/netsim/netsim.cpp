@@ -41,29 +41,6 @@ LinkModel client_to_engine() { return {.median_ms = 25.0, .sigma = 0.25, .min_ms
 
 }  // namespace links
 
-void ServiceCostModel::charge() const { busy_wait(cost_per_request); }
-
-namespace service_costs {
-
-// Calibration (see EXPERIMENTS.md): with the 4 worker threads the Figure 5
-// bench uses, capacity = workers / service_time, landing the saturation
-// knees at the paper's ~25k (X-Search), ~1k (PEAS) and ~100 (Tor) req/s.
-ServiceCostModel xsearch_proxy() { return {.cost_per_request = 150 * kMicro}; }
-ServiceCostModel peas_chain() { return {.cost_per_request = 3'800 * kMicro}; }
-ServiceCostModel tor_circuit() { return {.cost_per_request = 38 * kMilli}; }
-
-ServiceCostModel for_mechanism(std::string_view mechanism) {
-  if (mechanism == "xsearch" || mechanism == "xsearch-remote") {
-    return xsearch_proxy();
-  }
-  if (mechanism == "peas") return peas_chain();
-  if (mechanism == "tor") return tor_circuit();
-  // "direct" and "tmn" talk to the engine without an intermediary stack.
-  return {.cost_per_request = 0};
-}
-
-}  // namespace service_costs
-
 namespace wan {
 
 Nanos sample_search_rtt(std::string_view mechanism, std::size_t k, Rng& rng) {

@@ -1,13 +1,14 @@
-// Wide-area network latency models.
+// Wide-area network latency models and a CPU spin helper.
 //
-// The paper's Figures 5 and 7 include components that were measured on live
+// The paper's Figure 7 includes components that were measured on live
 // networks (the Tor overlay in May 2017, Bing's serving latency). Those are
 // not reproducible computationally, so this module provides explicitly
 // *calibrated* stochastic models — log-normal link latencies whose medians
-// match the medians the paper reports — while all computational costs
-// (crypto, obfuscation, filtering, index lookups) are really executed by
-// the benches. EXPERIMENTS.md spells out which part of each figure is
-// model and which part is measurement.
+// match the medians the paper reports — for the WAN hops and the engine's
+// serving time, while all computational costs (crypto, obfuscation,
+// filtering, index lookups) are really executed by the benches.
+// `busy_wait` spins the calling thread for a given time; benches use it to
+// charge a cost that nothing in this repo executes.
 #pragma once
 
 #include <cstdint>
@@ -54,31 +55,6 @@ namespace links {
 
 }  // namespace links
 
-/// Per-request service cost of a proxy's network/OS stack that the
-/// in-process simulation does not otherwise execute (socket handling,
-/// TLS record framing, scheduling). Used by the Figure 5 bench; values are
-/// calibrated so saturation points land at the paper's orders of magnitude.
-struct ServiceCostModel {
-  Nanos cost_per_request = 0;
-
-  /// Spin-waits the configured cost (busy CPU, like real packet work).
-  void charge() const;
-};
-
-/// Calibrated per-request stack costs (see EXPERIMENTS.md, Figure 5).
-namespace service_costs {
-/// X-Search proxy: single enclave crossing + in-memory processing.
-[[nodiscard]] ServiceCostModel xsearch_proxy();
-/// PEAS: two proxy processes, store-and-forward, group decryption.
-[[nodiscard]] ServiceCostModel peas_chain();
-/// Tor: three bandwidth-limited volunteer relays.
-[[nodiscard]] ServiceCostModel tor_circuit();
-/// Stack cost by registered mechanism name ("xsearch", "peas", "tor");
-/// mechanisms without an intermediary stack ("direct", "tmn") and unknown
-/// names cost nothing.
-[[nodiscard]] ServiceCostModel for_mechanism(std::string_view mechanism);
-}  // namespace service_costs
-
 /// WAN path composition by mechanism name, for user-perceived end-to-end
 /// figures (Figure 7). The compute share of each request is *measured* by
 /// the benches; only the wide-area hops and the engine's serving time are
@@ -92,7 +68,7 @@ namespace wan {
                                       Rng& rng);
 }  // namespace wan
 
-/// Busy-waits for `duration` (coarse; intended for service-cost injection).
+/// Busy-waits for `duration` (coarse; burns CPU like real packet work).
 void busy_wait(Nanos duration);
 
 }  // namespace xsearch::netsim

@@ -215,12 +215,5 @@ TEST(NetSim, BusyWaitZeroReturnsImmediately) {
   EXPECT_LT(wall_now() - start, 1 * kMilli);
 }
 
-TEST(NetSim, CalibratedCostsOrdered) {
-  EXPECT_LT(netsim::service_costs::xsearch_proxy().cost_per_request,
-            netsim::service_costs::peas_chain().cost_per_request);
-  EXPECT_LT(netsim::service_costs::peas_chain().cost_per_request,
-            netsim::service_costs::tor_circuit().cost_per_request);
-}
-
 }  // namespace
 }  // namespace xsearch::loadgen

@@ -101,19 +101,5 @@ TEST(CalibratedLinks, Fig7MediansInOrder) {
   EXPECT_NEAR(static_cast<double>(tor) / static_cast<double>(kSecond), 1.1, 0.25);
 }
 
-TEST(ServiceCost, ChargeBurnsConfiguredTime) {
-  const ServiceCostModel cost{.cost_per_request = 2 * kMilli};
-  const Nanos t0 = wall_now();
-  cost.charge();
-  EXPECT_GE(wall_now() - t0, 2 * kMilli);
-}
-
-TEST(ServiceCost, ZeroCostIsFree) {
-  const ServiceCostModel cost{.cost_per_request = 0};
-  const Nanos t0 = wall_now();
-  for (int i = 0; i < 1000; ++i) cost.charge();
-  EXPECT_LT(wall_now() - t0, 10 * kMilli);
-}
-
 }  // namespace
 }  // namespace xsearch::netsim
