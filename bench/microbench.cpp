@@ -1,6 +1,6 @@
 // Query hot-path microbenchmarks — the per-PR perf trajectory tracker.
 //
-// Times the four stages a query pays inside the proxy, in isolation:
+// Times the stages a query pays inside the proxy, in isolation:
 //
 //   obfuscate    Algorithm 1: history sample + shuffle + history add
 //   obfuscate_mt same, from N threads over one shared history (the
@@ -10,6 +10,8 @@
 //                a verbatim copy of the pre-optimization per-pair scorer —
 //                so the optimized filter's speedup is re-measurable forever
 //   search_or    the engine's k+1-sub-query OR evaluation + merge
+//   reply_path   the enclave's side of one OR answer: the engine's encoded
+//                reply -> result views -> filter -> plaintext reply frame
 //   seal_open    one channel AEAD round trip at a query-sized (64 B), a
 //                typical filtered-results (4 KiB) and a raw engine-reply
 //                (22 KiB) record
@@ -35,12 +37,14 @@
 #include "net/socket.hpp"
 #include "sgx/enclave.hpp"
 #include "crypto/x25519.hpp"
+#include "engine/analytics.hpp"
 #include "text/sparse_vector.hpp"
 #include "text/tokenizer.hpp"
 #include "text/vocabulary.hpp"
 #include "xsearch/filter.hpp"
 #include "xsearch/history.hpp"
 #include "xsearch/obfuscator.hpp"
+#include "xsearch/wire.hpp"
 
 namespace {
 
@@ -310,6 +314,40 @@ int main(int argc, char** argv) {
       (void)bed->engine->search_or(obf.sub_queries, kResultsPerSubquery);
     }
     report("search_or", us_per_op(t0, Clock::now(), iters));
+
+    // reply_path: what the enclave does with one OR query's answer, from
+    // the engine's encoding to the plaintext reply frame — encode, parse
+    // views, filter, strip tracking and write the kept results. The
+    // obfuscations are drawn up front so the stage times only the reply.
+    std::vector<core::ObfuscatedQuery> queries;
+    for (std::size_t i = 0; i < iters; ++i) {
+      queries.push_back(obfuscator.obfuscate(test[i % test.size()].text, rng));
+    }
+    const core::ResultFilter filter;
+    std::size_t reply_bytes = 0;
+    const auto t1 = Clock::now();
+    for (const core::ObfuscatedQuery& obf : queries) {
+      const Bytes answer = bed->engine->search_or_encoded(obf.sub_queries, kResultsPerSubquery);
+      auto views = core::wire::parse_result_views(answer);
+      if (!views) {
+        std::fprintf(stderr, "reply_path: %s\n", views.status().to_string().c_str());
+        return 1;
+      }
+      std::vector<engine::ResultView>& results = views.value();
+      const std::vector<std::size_t> kept = filter.keep(obf.original, obf.fakes, results);
+      for (const std::size_t k : kept) {
+        results[k].url = engine::extract_target_url(results[k].url).value_or(results[k].url);
+      }
+      Bytes reply;
+      core::wire::begin_results_batch(reply, 1);
+      core::wire::put_results_item(reply, results, kept, crypto::kAeadTagSize);
+      reply_bytes += reply.size();
+    }
+    report("reply_path", us_per_op(t1, Clock::now(), iters));
+    if (reply_bytes == 0) {
+      std::fprintf(stderr, "reply_path: no reply bytes\n");
+      return 1;
+    }
   }
 
   // ---- seal_open ----------------------------------------------------------

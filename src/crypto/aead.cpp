@@ -17,45 +17,65 @@ namespace {
   return mac_key;
 }
 
-/// MAC input = aad || pad16 || ciphertext || pad16 || le64(|aad|) || le64(|ct|).
+/// The zero bytes that pad `size` bytes to a 16-byte boundary.
+[[nodiscard]] ByteSpan pad16(std::size_t size) {
+  static constexpr std::array<std::uint8_t, 16> kZeros{};
+  return ByteSpan(kZeros).first((16 - size % 16) % 16);
+}
+
+/// MAC input = aad || pad16 || ciphertext || pad16 || le64(|aad|) || le64(|ct|),
+/// streamed from where each part lies.
 [[nodiscard]] Poly1305Tag compute_tag(const Poly1305Key& mac_key, ByteSpan aad,
                                       ByteSpan ciphertext) {
-  Bytes mac_data;
-  mac_data.reserve(aad.size() + ciphertext.size() + 32);
-  append(mac_data, aad);
-  mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
-  append(mac_data, ciphertext);
-  mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
+  Poly1305 mac(mac_key);
+  mac.update(aad);
+  mac.update(pad16(aad.size()));
+  mac.update(ciphertext);
+  mac.update(pad16(ciphertext.size()));
   std::uint8_t lengths[16];
   store_le64(lengths, aad.size());
   store_le64(lengths + 8, ciphertext.size());
-  append(mac_data, ByteSpan(lengths, 16));
-  return poly1305(mac_key, mac_data);
+  mac.update(ByteSpan(lengths, 16));
+  return mac.finish();
 }
 
 }  // namespace
 
+void aead_seal_in_place(const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
+                        Bytes& record) {
+  chacha20_xor_inplace(key, nonce, 1, record);
+  const Poly1305Tag tag = compute_tag(derive_mac_key(key, nonce), aad, record);
+  append(record, tag);
+}
+
+std::optional<std::span<std::uint8_t>> aead_open_in_place(
+    const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
+    std::span<std::uint8_t> sealed) {
+  if (sealed.size() < kAeadTagSize) return std::nullopt;
+  const std::span<std::uint8_t> ciphertext = sealed.first(sealed.size() - kAeadTagSize);
+  const Poly1305Tag expected = compute_tag(derive_mac_key(key, nonce), aad, ciphertext);
+  if (!constant_time_equal(expected, sealed.last(kAeadTagSize))) return std::nullopt;
+  chacha20_xor_inplace(key, nonce, 1, ciphertext);
+  return ciphertext;
+}
+
 Bytes aead_seal(const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
                 ByteSpan plaintext) {
-  // One allocation for the whole record: ciphertext is encrypted in place
-  // in a buffer reserved with room for the tag.
+  // One allocation for the whole record, reserved with room for the tag.
   Bytes out;
   out.reserve(plaintext.size() + kAeadTagSize);
   out.assign(plaintext.begin(), plaintext.end());
-  chacha20_xor_inplace(key, nonce, 1, out);
-  const Poly1305Tag tag = compute_tag(derive_mac_key(key, nonce), aad, out);
-  append(out, tag);
+  aead_seal_in_place(key, nonce, aad, out);
   return out;
 }
 
 std::optional<Bytes> aead_open(const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
                                ByteSpan sealed) {
-  if (sealed.size() < kAeadTagSize) return std::nullopt;
-  const ByteSpan ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  const ByteSpan tag = sealed.last(kAeadTagSize);
-  const Poly1305Tag expected = compute_tag(derive_mac_key(key, nonce), aad, ciphertext);
-  if (!constant_time_equal(expected, tag)) return std::nullopt;
-  return chacha20_xor(key, nonce, 1, ciphertext);
+  Bytes out(sealed.begin(), sealed.end());
+  const auto plaintext = aead_open_in_place(key, nonce, aad, out);
+  if (!plaintext) return std::nullopt;
+  out.resize(plaintext->size());
+  return out;
 }
 
 AeadNonce make_nonce(std::uint32_t prefix, std::uint64_t counter) {

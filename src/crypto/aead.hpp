@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "crypto/chacha20.hpp"
@@ -28,6 +29,19 @@ using AeadNonce = ChaChaNonce;
 /// Verifies and decrypts; returns nullopt on any authentication failure.
 [[nodiscard]] std::optional<Bytes> aead_open(const AeadKey& key, const AeadNonce& nonce,
                                              ByteSpan aad, ByteSpan sealed);
+
+/// `aead_seal` where the plaintext lies: encrypts `record` and appends the
+/// tag. A buffer with kAeadTagSize bytes of spare capacity is sealed with
+/// no copy and no allocation.
+void aead_seal_in_place(const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
+                        Bytes& record);
+
+/// `aead_open` where the record lies: verifies ciphertext || tag, then
+/// decrypts the ciphertext in place and returns it (a prefix of `sealed`).
+/// On failure returns nullopt and leaves `sealed` as it was.
+[[nodiscard]] std::optional<std::span<std::uint8_t>> aead_open_in_place(
+    const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
+    std::span<std::uint8_t> sealed);
 
 /// Builds a 12-byte nonce from a 64-bit counter (low 8 bytes, LE) and a
 /// 4-byte channel/direction prefix, the standard record-layer construction.

@@ -75,19 +75,36 @@ SecureChannel SecureChannel::responder(const X25519KeyPair& local_static,
 }
 
 Bytes SecureChannel::seal(ByteSpan plaintext) {
+  Bytes record;
+  record.reserve(plaintext.size() + kAeadTagSize);
+  record.assign(plaintext.begin(), plaintext.end());
+  seal_in_place(record);
+  return record;
+}
+
+void SecureChannel::seal_in_place(Bytes& record) {
   // Directions use distinct keys, so a shared nonce prefix is safe.
   const AeadNonce nonce = make_nonce(kDirInitiatorToResponder, send_counter_++);
-  return aead_seal(send_key_, nonce, session_id_, plaintext);
+  aead_seal_in_place(send_key_, nonce, session_id_, record);
 }
 
 Result<Bytes> SecureChannel::open(ByteSpan record) {
+  Bytes buffer(record.begin(), record.end());
+  auto plain = open_in_place(buffer);
+  if (!plain) return plain.status();
+  buffer.resize(plain.value().size());
+  return buffer;
+}
+
+Result<std::span<std::uint8_t>> SecureChannel::open_in_place(
+    std::span<std::uint8_t> record) {
   const AeadNonce nonce = make_nonce(kDirInitiatorToResponder, recv_counter_);
-  auto plain = aead_open(recv_key_, nonce, session_id_, record);
+  const auto plain = aead_open_in_place(recv_key_, nonce, session_id_, record);
   if (!plain) {
     return permission_denied("secure channel: record authentication failed");
   }
   ++recv_counter_;
-  return *std::move(plain);
+  return *plain;
 }
 
 }  // namespace xsearch::crypto

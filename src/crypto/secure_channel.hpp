@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
@@ -39,9 +40,18 @@ class SecureChannel {
   /// Encrypts one record for the peer. Thread-compatible (single writer).
   [[nodiscard]] Bytes seal(ByteSpan plaintext);
 
+  /// `seal` where the plaintext lies: `record` becomes the sealed record
+  /// (ciphertext || tag). Reserve kAeadTagSize spare bytes to avoid a copy.
+  void seal_in_place(Bytes& record);
+
   /// Decrypts the next record from the peer; fails on tampering, replay,
   /// truncation or reordering.
   [[nodiscard]] Result<Bytes> open(ByteSpan record);
+
+  /// `open` where the record lies: decrypts `record` in place and returns
+  /// the plaintext, a prefix of `record`.
+  [[nodiscard]] Result<std::span<std::uint8_t>> open_in_place(
+      std::span<std::uint8_t> record);
 
   /// Session identifier (hash of the handshake transcript); both ends agree.
   [[nodiscard]] const Bytes& session_id() const { return session_id_; }

@@ -20,8 +20,8 @@ namespace xsearch::engine {
 /// True if `url` is a tracking redirect of this engine.
 [[nodiscard]] bool is_tracking_url(std::string_view url);
 
-/// Recovers the target URL from a tracking redirect; nullopt if `url` is
-/// not a tracking URL.
-[[nodiscard]] std::optional<std::string> extract_target_url(std::string_view url);
+/// Recovers the target URL from a tracking redirect, as a view into `url`;
+/// nullopt if `url` is not a tracking URL.
+[[nodiscard]] std::optional<std::string_view> extract_target_url(std::string_view url);
 
 }  // namespace xsearch::engine

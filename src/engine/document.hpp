@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace xsearch::engine {
 
@@ -28,5 +29,20 @@ struct SearchResult {
 
   friend bool operator==(const SearchResult&, const SearchResult&) = default;
 };
+
+/// A SearchResult read in place from a wire-encoded result list
+/// (xsearch/wire.hpp): the strings view the buffer it was parsed from, which
+/// must outlive the view.
+struct ResultView {
+  DocId doc = 0;
+  std::string_view title;
+  std::string_view description;
+  std::string_view url;
+  double score = 0.0;
+};
+
+[[nodiscard]] inline ResultView view_of(const SearchResult& r) {
+  return {r.doc, r.title, r.description, r.url, r.score};
+}
 
 }  // namespace xsearch::engine

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "engine/corpus.hpp"
 #include "engine/document.hpp"
 #include "engine/index.hpp"
@@ -24,9 +25,9 @@ namespace xsearch::engine {
 
 class SearchEngine {
  public:
-  /// Indexes the corpus and renders every document's result entry once;
-  /// `snippet_words` controls description length. Keeps no reference to
-  /// the corpus.
+  /// Indexes the corpus and wire-encodes every document's result entry
+  /// once; `snippet_words` controls description length. Keeps no reference
+  /// to the corpus.
   explicit SearchEngine(const Corpus& corpus, std::size_t snippet_words = 25,
                         Bm25Params params = {});
 
@@ -41,6 +42,13 @@ class SearchEngine {
   [[nodiscard]] std::vector<SearchResult> search_or(
       const std::vector<std::string>& sub_queries, std::size_t top_k_each) const;
 
+  /// The same answer as `search_or`, as it goes on the wire: byte for byte
+  /// `core::wire::serialize_results(search_or(sub_queries, top_k_each))`.
+  /// Each result's entry is copied once from the pre-encoded entries; no
+  /// SearchResult is built.
+  [[nodiscard]] Bytes search_or_encoded(const std::vector<std::string>& sub_queries,
+                                        std::size_t top_k_each) const;
+
   /// Registers an observer invoked with every query string the engine
   /// receives — the adversary's vantage point.
   void set_observer(std::function<void(std::string_view)> observer) {
@@ -50,12 +58,21 @@ class SearchEngine {
   [[nodiscard]] std::size_t document_count() const { return index_.document_count(); }
 
  private:
-  [[nodiscard]] SearchResult decorate(const ScoredDoc& sd) const;
+  /// The ranked OR answer both renderers serve: notifies the observer once,
+  /// searches each sub-query and merges the lists rank by rank.
+  [[nodiscard]] std::vector<ScoredDoc> rank_or(const std::vector<std::string>& sub_queries,
+                                               std::size_t top_k_each) const;
+
+  /// Decodes document `sd.doc`'s entry and adds the score.
+  [[nodiscard]] SearchResult decode(const ScoredDoc& sd) const;
 
   InvertedIndex index_;
-  // One entry per document with title, snippet and tracking URL filled in
-  // (they depend only on the document); decorate adds the score.
-  std::vector<SearchResult> rendered_;
+  // Every document's wire entry without its score, back to back: u32 doc
+  // id, then title, description snippet and tracking URL as u32-length-
+  // prefixed strings, all big-endian. Document d's entry is
+  // [entry_begin_[d], entry_begin_[d + 1]).
+  Bytes entries_;
+  std::vector<std::size_t> entry_begin_;
   std::function<void(std::string_view)> observer_;
 };
 

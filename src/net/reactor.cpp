@@ -461,7 +461,7 @@ void Reactor::process_input(Shard& shard, Connection& conn) {
     const std::size_t buffered = conn.rbuf.size() - conn.rpos;
     if (buffered < conn.need) return;  // protocol asked for more bytes
 
-    const ConnectionProtocol::Action action = conn.protocol->on_input(
+    ConnectionProtocol::Action action = conn.protocol->on_input(
         ByteSpan(conn.rbuf.data() + conn.rpos, buffered));
 
     if (action.consumed > 0) {
@@ -497,7 +497,7 @@ void Reactor::process_input(Shard& shard, Connection& conn) {
 
     if (!action.reply.empty()) {
       std::vector<Bytes> chunks;
-      chunks.push_back(std::move(const_cast<Bytes&>(action.reply)));
+      chunks.push_back(std::move(action.reply));
       enqueue_reply(conn, std::move(chunks), /*close=*/false);
       conn.state = Connection::State::kWriting;
       if (!flush_writes(shard, conn)) return;
@@ -506,8 +506,7 @@ void Reactor::process_input(Shard& shard, Connection& conn) {
     }
 
     if (action.dispatch) {
-      dispatch_job(shard, conn, std::move(const_cast<Bytes&>(action.job)),
-                   action.deadline);
+      dispatch_job(shard, conn, std::move(action.job), action.deadline);
       return;
     }
 

@@ -290,7 +290,9 @@ Result<std::vector<BatchOutcome>> RemoteBroker::round_trip(
     return data_loss("unexpected frame type in query reply");
   }
 
-  auto plaintext = channel_->open(reply.value().payload);
+  // Opened where it lies: the reply frame's payload buffer becomes the
+  // plaintext, with no copy.
+  auto plaintext = channel_->open_in_place(reply.value().payload);
   if (!plaintext) {
     retryable = true;
     return plaintext.status();

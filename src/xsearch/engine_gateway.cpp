@@ -23,13 +23,12 @@ Result<Bytes> SecureEngineGateway::handle(ByteSpan envelope) const {
   auto request = wire::parse_engine_request(opened.value().plaintext);
   if (!request) return request.status();
 
-  std::vector<engine::SearchResult> results;
-  if (engine_ != nullptr) {
-    results = engine_->search_or(request.value().sub_queries,
-                                 request.value().top_k_each);
-  }
+  const Bytes results =
+      engine_ != nullptr ? engine_->search_or_encoded(request.value().sub_queries,
+                                                      request.value().top_k_each)
+                         : wire::serialize_results({});
   return crypto::envelope_reply_seal(opened.value().response_key, to_bytes(kLinkAad),
-                                     wire::serialize_results(results));
+                                     results);
 }
 
 }  // namespace xsearch::core

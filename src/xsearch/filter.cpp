@@ -212,21 +212,32 @@ class SubQueryTokens {
 std::vector<engine::SearchResult> ResultFilter::filter(
     std::string_view original, const std::vector<std::string>& fakes,
     std::vector<engine::SearchResult> results) const {
-  std::vector<engine::SearchResult> kept =
-      scoring_ == FilterScoring::kCommonWords
-          ? filter_common_words(original, fakes, std::move(results))
-          : filter_cosine(original, fakes, std::move(results));
+  std::vector<engine::ResultView> views;
+  views.reserve(results.size());
+  for (const auto& r : results) views.push_back(engine::view_of(r));
+  const std::vector<std::size_t> kept_at = keep(original, fakes, views);
+  std::vector<engine::SearchResult> kept;
+  kept.reserve(kept_at.size());
+  for (const std::size_t i : kept_at) kept.push_back(std::move(results[i]));
   strip_tracking(kept);
   return kept;
 }
 
-std::vector<engine::SearchResult> ResultFilter::filter_common_words(
+std::vector<std::size_t> ResultFilter::keep(
     std::string_view original, const std::vector<std::string>& fakes,
-    std::vector<engine::SearchResult> results) const {
+    std::span<const engine::ResultView> results) const {
+  return scoring_ == FilterScoring::kCommonWords
+             ? keep_common_words(original, fakes, results)
+             : keep_cosine(original, fakes, results);
+}
+
+std::vector<std::size_t> ResultFilter::keep_common_words(
+    std::string_view original, const std::vector<std::string>& fakes,
+    std::span<const engine::ResultView> results) const {
   const SubQueryTokens index(original, fakes);
   const std::size_t words = index.words();
 
-  std::vector<engine::SearchResult> kept;
+  std::vector<std::size_t> kept;
   kept.reserve(results.size());
   std::vector<std::uint64_t> hit(words);
   std::vector<std::size_t> scores(index.query_count());
@@ -245,10 +256,10 @@ std::vector<engine::SearchResult> ResultFilter::filter_common_words(
     }
   };
 
-  for (auto& r : results) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
     std::fill(scores.begin(), scores.end(), 0);
-    accumulate_field(r.title);
-    accumulate_field(r.description);
+    accumulate_field(results[i].title);
+    accumulate_field(results[i].description);
     const std::size_t original_score = scores[0];
     bool is_max = true;
     for (std::size_t q = 1; q < scores.size(); ++q) {
@@ -257,14 +268,14 @@ std::vector<engine::SearchResult> ResultFilter::filter_common_words(
         break;
       }
     }
-    if (is_max) kept.push_back(std::move(r));
+    if (is_max) kept.push_back(i);
   }
   return kept;
 }
 
-std::vector<engine::SearchResult> ResultFilter::filter_cosine(
+std::vector<std::size_t> ResultFilter::keep_cosine(
     std::string_view original, const std::vector<std::string>& fakes,
-    std::vector<engine::SearchResult> results) const {
+    std::span<const engine::ResultView> results) const {
   // One vocabulary for the whole batch; each sub-query's TF vector is built
   // exactly once. Cosine depends only on term identity, not id values, so
   // sharing the vocabulary leaves every score unchanged.
@@ -274,13 +285,13 @@ std::vector<engine::SearchResult> ResultFilter::filter_cosine(
   query_vecs.push_back(text::tf_vector(vocab, original));
   for (const auto& fake : fakes) query_vecs.push_back(text::tf_vector(vocab, fake));
 
-  std::vector<engine::SearchResult> kept;
+  std::vector<std::size_t> kept;
   kept.reserve(results.size());
   std::string textual;
-  for (auto& r : results) {
-    textual.assign(r.title);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    textual.assign(results[i].title);
     textual += ' ';
-    textual += r.description;
+    textual += results[i].description;
     const text::SparseVector r_vec = text::tf_vector(vocab, textual);
     const double original_score = query_vecs[0].cosine(r_vec);
     bool is_max = true;
@@ -290,15 +301,15 @@ std::vector<engine::SearchResult> ResultFilter::filter_cosine(
         break;
       }
     }
-    if (is_max) kept.push_back(std::move(r));
+    if (is_max) kept.push_back(i);
   }
   return kept;
 }
 
 void ResultFilter::strip_tracking(std::vector<engine::SearchResult>& results) {
   for (auto& r : results) {
-    if (auto target = engine::extract_target_url(r.url)) {
-      r.url = *std::move(target);
+    if (const auto target = engine::extract_target_url(r.url)) {
+      r.url = std::string(*target);
     }
   }
 }

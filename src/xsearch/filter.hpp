@@ -23,6 +23,8 @@
 // formulation.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,20 +45,28 @@ class ResultFilter {
   /// Algorithm 2: keep results whose best-matching sub-query is the
   /// original. Ties in favour of the original (score[original] == max keeps
   /// the result, as in the paper's pseudocode).
+  /// Returns the kept results with their tracking URLs stripped.
   [[nodiscard]] std::vector<engine::SearchResult> filter(
       std::string_view original, const std::vector<std::string>& fakes,
       std::vector<engine::SearchResult> results) const;
+
+  /// The same decision over results read in place: the indices, ascending,
+  /// of the results to keep. Copies nothing; `filter` is this plus the
+  /// copy of the kept results and `strip_tracking`.
+  [[nodiscard]] std::vector<std::size_t> keep(
+      std::string_view original, const std::vector<std::string>& fakes,
+      std::span<const engine::ResultView> results) const;
 
   /// Strips analytics redirection from a result list in place.
   static void strip_tracking(std::vector<engine::SearchResult>& results);
 
  private:
-  [[nodiscard]] std::vector<engine::SearchResult> filter_common_words(
+  [[nodiscard]] std::vector<std::size_t> keep_common_words(
       std::string_view original, const std::vector<std::string>& fakes,
-      std::vector<engine::SearchResult> results) const;
-  [[nodiscard]] std::vector<engine::SearchResult> filter_cosine(
+      std::span<const engine::ResultView> results) const;
+  [[nodiscard]] std::vector<std::size_t> keep_cosine(
       std::string_view original, const std::vector<std::string>& fakes,
-      std::vector<engine::SearchResult> results) const;
+      std::span<const engine::ResultView> results) const;
 
   FilterScoring scoring_;
 };

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "crypto/envelope.hpp"
+#include "engine/analytics.hpp"
 #include "xsearch/checkpoint.hpp"
 #include "xsearch/wire.hpp"
 
@@ -237,8 +238,8 @@ Status XSearchProxy::install_boundary() {
         if (engine_breaker_ != nullptr) engine_breaker_->record_failure();
         return unavailable("no engine connected");
       }
-      response = wire::serialize_results(engine_->search_or(
-          request.value().sub_queries, request.value().top_k_each));
+      response = engine_->search_or_encoded(request.value().sub_queries,
+                                            request.value().top_k_each);
     }
     if (engine_breaker_ != nullptr) engine_breaker_->record_success();
     SocketShard& shard = socket_shard(sock.value());
@@ -479,21 +480,18 @@ Result<Bytes> XSearchProxy::trusted_query(ByteSpan payload) {
   // The whole batch was opened with ONE AEAD operation and is answered with
   // one sealed reply — the per-query channel-crypto and boundary cost
   // amortizes over the batch. Item failures (engine refusing one query)
-  // stay per-item so they cannot poison their neighbours.
-  std::vector<wire::BatchItem> items;
-  items.reserve(message.value().queries.size());
-  for (const auto& query : message.value().queries) {
-    wire::BatchItem item;
-    auto filtered = run_trusted_query(query, session);
-    if (filtered) {
-      item.ok = true;
-      item.results = std::move(filtered).value();
-    } else {
-      item.error = filtered.status().to_string();
-    }
-    items.push_back(std::move(item));
+  // stay per-item so they cannot poison their neighbours. The items are
+  // written into the reply frame as they finish, and the frame is sealed
+  // where it lies.
+  const std::vector<std::string>& queries = message.value().queries;
+  Bytes reply;
+  wire::begin_results_batch(reply, queries.size());
+  for (const auto& query : queries) {
+    const Status status = run_trusted_query(query, session, reply);
+    if (!status.is_ok()) wire::put_error_item(reply, status.to_string());
   }
-  return Bytes(channel.seal(wire::frame_results_batch(items)));
+  channel.seal_in_place(reply);
+  return reply;
 }
 
 Result<Bytes> XSearchProxy::trusted_heartbeat() {
@@ -512,8 +510,9 @@ Result<Bytes> XSearchProxy::trusted_checkpoint() {
       seal_history(*enclave_, *history_, sessions_->checkpoint_generations()));
 }
 
-Result<std::vector<engine::SearchResult>> XSearchProxy::run_trusted_query(
-    const std::string& query, SessionTable::LockedSession& session) {
+Status XSearchProxy::run_trusted_query(const std::string& query,
+                                      SessionTable::LockedSession& session,
+                                      Bytes& reply) {
   // Algorithm 1 inside the enclave. Randomness comes from this session's
   // private stream (guarded by the held session lock), so concurrent
   // sessions obfuscate in parallel: no global RNG lock exists on this path.
@@ -521,19 +520,30 @@ Result<std::vector<engine::SearchResult>> XSearchProxy::run_trusted_query(
   session.note_obfuscation();
   queries_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
 
-  std::vector<engine::SearchResult> filtered;
-  if (options_.contact_engine) {
-    auto results = query_engine(obfuscated, session.secure_rng());
-    if (!results) return results.status();
-    // Algorithm 2 inside the enclave, plus analytics scrubbing.
-    filtered = filter_.filter(obfuscated.original, obfuscated.fakes,
-                              std::move(results).value());
+  if (!options_.contact_engine) {
+    wire::put_results_item(reply, {}, {}, crypto::kAeadTagSize);
+    return Status::ok();
   }
-  return filtered;
+  auto answer = query_engine(obfuscated, session.secure_rng());
+  if (!answer) return answer.status();
+  // Algorithm 2 inside the enclave, over views of the engine's answer where
+  // it lies: nothing is copied until the kept results, analytics
+  // redirection stripped, are written once into the reply.
+  auto parsed = wire::parse_result_views(answer.value());
+  if (!parsed) return parsed.status();
+  std::vector<engine::ResultView> results = std::move(parsed).value();
+  const std::vector<std::size_t> kept =
+      filter_.keep(obfuscated.original, obfuscated.fakes, results);
+  for (const std::size_t i : kept) {
+    results[i].url = engine::extract_target_url(results[i].url).value_or(results[i].url);
+  }
+  // Room for the tag too, so sealing the reply in place does not reallocate.
+  wire::put_results_item(reply, results, kept, crypto::kAeadTagSize);
+  return Status::ok();
 }
 
-Result<std::vector<engine::SearchResult>> XSearchProxy::query_engine(
-    const ObfuscatedQuery& obfuscated, crypto::SecureRandom& session_rng) {
+Result<Bytes> XSearchProxy::query_engine(const ObfuscatedQuery& obfuscated,
+                                         crypto::SecureRandom& session_rng) {
   // sock_connect
   auto sock_raw =
       enclave_->ocall(sgx::OcallId::kSockConnect, to_bytes("search.example:443"));
@@ -575,12 +585,10 @@ Result<std::vector<engine::SearchResult>> XSearchProxy::query_engine(
   if (!response) return response.status();
 
   if (options_.engine_tls_public_key.has_value()) {
-    auto plain = crypto::envelope_reply_open(
+    return crypto::envelope_reply_open(
         response_key, to_bytes("xsearch-engine-link-v1"), response.value());
-    if (!plain) return plain.status();
-    return wire::parse_results(plain.value());
   }
-  return wire::parse_results(response.value());
+  return response;
 }
 
 Result<XSearchProxy::HandshakeResponse> XSearchProxy::handshake(

@@ -329,17 +329,20 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] Status checkpoint_locked() XS_REQUIRES(checkpoint_mutex_);
 
   /// One batch item's trusted work — obfuscate, engine round trip,
-  /// filter. The caller holds the session lock (the RNG streams and
-  /// channel ordering depend on it).
-  [[nodiscard]] Result<std::vector<engine::SearchResult>> run_trusted_query(
-      const std::string& query, SessionTable::LockedSession& session);
+  /// filter — appended to the results-batch frame `reply` as a results
+  /// item. On failure nothing is appended. The caller holds the session
+  /// lock (the RNG streams and channel ordering depend on it).
+  [[nodiscard]] Status run_trusted_query(const std::string& query,
+                                         SessionTable::LockedSession& session,
+                                         Bytes& reply);
 
-  /// Performs the engine round trip through the four socket ocalls.
+  /// Performs the engine round trip through the four socket ocalls and
+  /// returns the engine's encoded result list, in plaintext.
   /// `session_rng` is the calling session's private DRBG (used for the
   /// encrypted engine link's envelope seal); the caller holds the session
   /// lock for the duration.
-  [[nodiscard]] Result<std::vector<engine::SearchResult>> query_engine(
-      const ObfuscatedQuery& obfuscated, crypto::SecureRandom& session_rng);
+  [[nodiscard]] Result<Bytes> query_engine(const ObfuscatedQuery& obfuscated,
+                                           crypto::SecureRandom& session_rng);
 
   [[nodiscard]] Status install_boundary();
 

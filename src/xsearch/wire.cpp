@@ -48,71 +48,90 @@ Result<double> get_double(ByteSpan in, std::size_t& offset) {
 
 void put_string(Bytes& out, std::string_view s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
-  append(out, to_bytes(s));
-}
-
-Result<std::string> get_string(ByteSpan in, std::size_t& offset) {
-  auto len = get_u32(in, offset);
-  if (!len) return len.status();
-  if (offset + len.value() > in.size()) return data_loss("wire: truncated string");
-  std::string s(reinterpret_cast<const char*>(in.data() + offset), len.value());
-  offset += len.value();
-  return s;
+  out.insert(out.end(), s.begin(), s.end());
 }
 
 namespace {
 
-// Exact wire size of a serialized result list, so the seal/frame path can
-// reserve once instead of growing geometrically.
-std::size_t results_wire_size(const std::vector<engine::SearchResult>& results) {
-  std::size_t size = 4;  // count
-  for (const auto& r : results) {
-    size += 4 + 8;  // doc + score
-    size += 4 + r.title.size() + 4 + r.description.size() + 4 + r.url.size();
-  }
-  return size;
+/// Reads a u32-length-prefixed string as a view of `in`, advancing `offset`.
+Result<std::string_view> get_view(ByteSpan in, std::size_t& offset) {
+  auto len = get_u32(in, offset);
+  if (!len) return len.status();
+  if (len.value() > in.size() - offset) return data_loss("wire: truncated string");
+  const std::string_view s(reinterpret_cast<const char*>(in.data() + offset), len.value());
+  offset += len.value();
+  return s;
 }
 
-void serialize_results_into(Bytes& out,
-                            const std::vector<engine::SearchResult>& results) {
-  out.reserve(out.size() + results_wire_size(results));
-  put_u32(out, static_cast<std::uint32_t>(results.size()));
-  for (const auto& r : results) {
-    put_u32(out, r.doc);
-    put_string(out, r.title);
-    put_string(out, r.description);
-    put_string(out, r.url);
-    put_double(out, r.score);
-  }
+/// Encoded size of `put_result(out, r)`.
+std::size_t result_wire_size(const engine::ResultView& r) {
+  return kMinResultBytes + r.title.size() + r.description.size() + r.url.size();
 }
+
+}  // namespace
+
+Result<std::string> get_string(ByteSpan in, std::size_t& offset) {
+  auto s = get_view(in, offset);
+  if (!s) return s.status();
+  return std::string(s.value());
+}
+
+void put_result(Bytes& out, const engine::ResultView& r) {
+  put_u32(out, r.doc);
+  put_string(out, r.title);
+  put_string(out, r.description);
+  put_string(out, r.url);
+  put_double(out, r.score);
+}
+
+namespace {
 
 /// Parses one result list *prefix* of `raw` starting at `offset`. The batch
-/// framing concatenates several lists, so unlike parse_results this must
-/// not require the list to exhaust the input.
-Result<std::vector<engine::SearchResult>> parse_results_at(ByteSpan raw,
-                                                           std::size_t& offset) {
+/// framing concatenates several lists, so unlike parse_result_views this
+/// must not require the list to exhaust the input. The count is checked
+/// against the bytes that follow before anything is reserved, so a short
+/// hostile list cannot force a large allocation.
+Result<std::vector<engine::ResultView>> parse_result_views_at(ByteSpan raw,
+                                                              std::size_t& offset) {
   auto count = get_u32(raw, offset);
   if (!count) return count.status();
-  std::vector<engine::SearchResult> results;
-  results.reserve(std::min<std::uint32_t>(count.value(), 1 << 16));
+  if (count.value() > (raw.size() - offset) / kMinResultBytes) {
+    return data_loss("wire: result count exceeds the bytes that follow");
+  }
+  std::vector<engine::ResultView> results;
+  results.reserve(count.value());
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    engine::SearchResult r;
+    engine::ResultView r;
     auto doc = get_u32(raw, offset);
     if (!doc) return doc.status();
     r.doc = doc.value();
-    auto title = get_string(raw, offset);
+    auto title = get_view(raw, offset);
     if (!title) return title.status();
-    r.title = std::move(title).value();
-    auto desc = get_string(raw, offset);
+    r.title = title.value();
+    auto desc = get_view(raw, offset);
     if (!desc) return desc.status();
-    r.description = std::move(desc).value();
-    auto url = get_string(raw, offset);
+    r.description = desc.value();
+    auto url = get_view(raw, offset);
     if (!url) return url.status();
-    r.url = std::move(url).value();
+    r.url = url.value();
     auto score = get_double(raw, offset);
     if (!score) return score.status();
     r.score = score.value();
-    results.push_back(std::move(r));
+    results.push_back(r);
+  }
+  return results;
+}
+
+/// The owning form of parse_result_views_at.
+Result<std::vector<engine::SearchResult>> parse_results_at(ByteSpan raw,
+                                                           std::size_t& offset) {
+  auto views = parse_result_views_at(raw, offset);
+  if (!views) return views.status();
+  std::vector<engine::SearchResult> results;
+  results.reserve(views.value().size());
+  for (const engine::ResultView& v : views.value()) {
+    results.push_back({v.doc, std::string(v.title), std::string(v.description),
+                       std::string(v.url), v.score});
   }
   return results;
 }
@@ -128,14 +147,26 @@ Status check_batch_count(std::uint32_t count) {
 }  // namespace
 
 Bytes serialize_results(const std::vector<engine::SearchResult>& results) {
+  std::size_t size = 4;  // count
+  for (const auto& r : results) size += result_wire_size(engine::view_of(r));
   Bytes out;
-  serialize_results_into(out, results);
+  out.reserve(size);
+  put_u32(out, static_cast<std::uint32_t>(results.size()));
+  for (const auto& r : results) put_result(out, engine::view_of(r));
   return out;
 }
 
 Result<std::vector<engine::SearchResult>> parse_results(ByteSpan raw) {
   std::size_t offset = 0;
   auto results = parse_results_at(raw, offset);
+  if (!results) return results.status();
+  if (offset != raw.size()) return data_loss("wire: trailing bytes after results");
+  return results;
+}
+
+Result<std::vector<engine::ResultView>> parse_result_views(ByteSpan raw) {
+  std::size_t offset = 0;
+  auto results = parse_result_views_at(raw, offset);
   if (!results) return results.status();
   if (offset != raw.size()) return data_loss("wire: trailing bytes after results");
   return results;
@@ -180,25 +211,24 @@ Bytes frame_query_batch(const std::vector<std::string>& queries) {
   return out;
 }
 
-Bytes frame_results_batch(const std::vector<BatchItem>& items) {
-  std::size_t size = 1 + 4;
-  for (const auto& item : items) {
-    size += 1;
-    size += item.ok ? results_wire_size(item.results) : 4 + item.error.size();
-  }
-  Bytes out;
-  out.reserve(size);
+void begin_results_batch(Bytes& out, std::size_t items) {
   out.push_back(static_cast<std::uint8_t>(ClientMessageType::kResultsBatch));
-  put_u32(out, static_cast<std::uint32_t>(items.size()));
-  for (const auto& item : items) {
-    out.push_back(item.ok ? 1 : 0);
-    if (item.ok) {
-      serialize_results_into(out, item.results);
-    } else {
-      put_string(out, item.error);
-    }
-  }
-  return out;
+  put_u32(out, static_cast<std::uint32_t>(items));
+}
+
+void put_results_item(Bytes& out, std::span<const engine::ResultView> results,
+                      std::span<const std::size_t> kept, std::size_t spare) {
+  std::size_t size = 1 + 4;
+  for (const std::size_t i : kept) size += result_wire_size(results[i]);
+  out.reserve(out.size() + size + spare);
+  out.push_back(1);
+  put_u32(out, static_cast<std::uint32_t>(kept.size()));
+  for (const std::size_t i : kept) put_result(out, results[i]);
+}
+
+void put_error_item(Bytes& out, std::string_view error) {
+  out.push_back(0);
+  put_string(out, error);
 }
 
 Result<ClientMessage> parse_client_message(ByteSpan raw) {

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -37,9 +39,27 @@ void put_double(Bytes& out, double v);
 [[nodiscard]] Result<double> get_double(ByteSpan in, std::size_t& offset);
 
 // --- result lists ---------------------------------------------------------
+//
+// u32 count, then per result: u32 doc, title, description and url as
+// u32-length-prefixed strings, f64 score (all big-endian). The engine
+// appends pre-encoded entries in this format (SearchEngine::
+// search_or_encoded).
+
+/// The smallest encoded result: doc + three empty strings + score. A count
+/// claiming more results than the remaining bytes can hold at this size is
+/// refused before anything is reserved.
+inline constexpr std::size_t kMinResultBytes = 4 + 3 * 4 + 8;
 
 [[nodiscard]] Bytes serialize_results(const std::vector<engine::SearchResult>& results);
 [[nodiscard]] Result<std::vector<engine::SearchResult>> parse_results(ByteSpan raw);
+
+/// `parse_results` without the copies: the same bounds, count and
+/// trailing-byte checks, but each result's strings view `raw`, which must
+/// outlive the views.
+[[nodiscard]] Result<std::vector<engine::ResultView>> parse_result_views(ByteSpan raw);
+
+/// Appends one result in the list format.
+void put_result(Bytes& out, const engine::ResultView& result);
 
 // --- engine request (crosses the ocall "socket") --------------------------
 
@@ -80,8 +100,19 @@ struct BatchItem {
 /// seal/open instead of one per query.
 [[nodiscard]] Bytes frame_query_batch(const std::vector<std::string>& queries);
 
-/// Frames the per-item outcomes of a batch (enclave -> client plaintext).
-[[nodiscard]] Bytes frame_results_batch(const std::vector<BatchItem>& items);
+/// A results batch (enclave -> client plaintext) is written item by item
+/// into one buffer, so the enclave encodes results straight from the views
+/// it filtered: begin_results_batch, then one put_results_item or
+/// put_error_item per item.
+void begin_results_batch(Bytes& out, std::size_t items);
+
+/// Appends a results item holding `results[i]` for each i of `kept`, in
+/// that order. Reserves the item's exact size plus `spare` bytes first (the
+/// enclave keeps room for the seal's tag).
+void put_results_item(Bytes& out, std::span<const engine::ResultView> results,
+                      std::span<const std::size_t> kept, std::size_t spare);
+
+void put_error_item(Bytes& out, std::string_view error);
 
 struct ClientMessage {
   ClientMessageType type = ClientMessageType::kQueryBatch;

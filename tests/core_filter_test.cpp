@@ -135,6 +135,29 @@ TEST(Wire, ParseResultsRejectsTrailingGarbage) {
   EXPECT_FALSE(wire::parse_results(raw).is_ok());
 }
 
+// A hostile engine's 8-byte reply claiming 65,535 results must be refused
+// before the parser reserves room for them: each result takes at least
+// kMinResultBytes on the wire, and none follow.
+TEST(Wire, ResultCountBeyondRemainingBytesIsDataLoss) {
+  Bytes raw;
+  wire::put_u32(raw, 65'535);
+  wire::put_u32(raw, 0);
+  ASSERT_EQ(raw.size(), 8u);
+  const auto owned = wire::parse_results(raw);
+  ASSERT_FALSE(owned.is_ok());
+  EXPECT_EQ(owned.status().code(), StatusCode::kDataLoss);
+  const auto views = wire::parse_result_views(raw);
+  ASSERT_FALSE(views.is_ok());
+  EXPECT_EQ(views.status().code(), StatusCode::kDataLoss);
+
+  // The bound is exact: one minimal result fits in kMinResultBytes.
+  Bytes minimal = wire::serialize_results({engine::SearchResult{}});
+  ASSERT_EQ(minimal.size(), 4 + wire::kMinResultBytes);
+  EXPECT_TRUE(wire::parse_result_views(minimal).is_ok());
+  store_be32(minimal.data(), 2);
+  EXPECT_EQ(wire::parse_result_views(minimal).status().code(), StatusCode::kDataLoss);
+}
+
 TEST(Wire, EngineRequestRoundTrip) {
   wire::EngineRequest req;
   req.sub_queries = {"alpha", "beta gamma", "delta"};

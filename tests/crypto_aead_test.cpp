@@ -142,5 +142,33 @@ TEST(Aead, LargePayloadRoundTrip) {
   EXPECT_EQ(*opened, big);
 }
 
+// The in-place forms produce the same record as the copying ones, and a
+// rejected record is left exactly as it was.
+TEST(Aead, InPlaceSealAndOpenMatchCopyingForms) {
+  const auto key = key_from_hex(
+      "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f");
+  const auto nonce = nonce_from_hex("070000004041424344454647");
+  const Bytes aad = hex_decode("50515253c0c1c2c3c4c5c6c7");
+  for (const std::size_t len : {0u, 1u, 16u, 255u, 257u, 7000u}) {
+    Bytes plaintext(len);
+    for (std::size_t i = 0; i < len; ++i) plaintext[i] = static_cast<std::uint8_t>(i);
+
+    Bytes record = plaintext;
+    aead_seal_in_place(key, nonce, aad, record);
+    EXPECT_EQ(record, aead_seal(key, nonce, aad, plaintext)) << "len=" << len;
+
+    Bytes tampered = record;
+    tampered[tampered.size() / 2] ^= 1;
+    const Bytes before = tampered;
+    EXPECT_FALSE(aead_open_in_place(key, nonce, aad, tampered).has_value());
+    EXPECT_EQ(tampered, before);
+
+    const auto opened = aead_open_in_place(key, nonce, aad, record);
+    ASSERT_TRUE(opened.has_value()) << "len=" << len;
+    EXPECT_EQ(opened->data(), record.data());
+    EXPECT_EQ(Bytes(opened->begin(), opened->end()), plaintext);
+  }
+}
+
 }  // namespace
 }  // namespace xsearch::crypto

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bytes.hpp"
@@ -92,6 +93,36 @@ TEST(ChaCha20, CounterOffsetsKeystream) {
   Bytes combined = first;
   append(combined, second);
   EXPECT_EQ(full, combined);
+}
+
+// The XOR runs four blocks at a time in vector code and finishes the last
+// 0..255 bytes one block at a time. Around each of those boundaries, and
+// across a wrap of the 32-bit block counter, it must give exactly the
+// keystream of the one-block function.
+TEST(ChaCha20, FourBlockPathMatchesOneBlockReference) {
+  const auto key = key_from_hex(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  const auto nonce = nonce_from_hex("000000090000004a00000000");
+  for (const std::uint32_t counter : {0u, 1u, 0xfffffffeu}) {
+    for (const std::size_t len : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u, 4095u,
+                                  4096u, 4097u}) {
+      Bytes msg(len);
+      for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i * 7 + 3);
+      Bytes expected = msg;
+      for (std::size_t block = 0; block * 64 < len; ++block) {
+        const auto keystream =
+            chacha20_block(key, nonce, counter + static_cast<std::uint32_t>(block));
+        for (std::size_t i = block * 64; i < std::min(len, block * 64 + 64); ++i) {
+          expected[i] ^= keystream[i - block * 64];
+        }
+      }
+      EXPECT_EQ(chacha20_xor(key, nonce, counter, msg), expected)
+          << "counter=" << counter << " len=" << len;
+      Bytes in_place = msg;
+      chacha20_xor_inplace(key, nonce, counter, in_place);
+      EXPECT_EQ(in_place, expected) << "counter=" << counter << " len=" << len;
+    }
+  }
 }
 
 TEST(ChaCha20, DifferentNoncesDifferentStreams) {

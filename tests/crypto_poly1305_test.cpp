@@ -102,5 +102,27 @@ TEST(Poly1305, NonBlockAlignedLengths) {
   }
 }
 
+// Streaming: any split of the message into two updates, and a feed of one
+// byte at a time, gives the one-shot tag. Lengths cover an empty message,
+// whole blocks and partial final blocks.
+TEST(Poly1305, StreamingMatchesOneShotAtEverySplit) {
+  const auto key = key_from_hex(
+      "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  for (const std::size_t len : {0u, 1u, 15u, 16u, 17u, 47u, 64u, 100u}) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(0xff - i * 13);
+    const Poly1305Tag one_shot = poly1305(key, msg);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Poly1305 mac(key);
+      mac.update(ByteSpan(msg).first(split));
+      mac.update(ByteSpan(msg).subspan(split));
+      EXPECT_EQ(mac.finish(), one_shot) << "len=" << len << " split=" << split;
+    }
+    Poly1305 bytewise(key);
+    for (std::size_t i = 0; i < len; ++i) bytewise.update(ByteSpan(msg).subspan(i, 1));
+    EXPECT_EQ(bytewise.finish(), one_shot) << "len=" << len;
+  }
+}
+
 }  // namespace
 }  // namespace xsearch::crypto

@@ -29,6 +29,8 @@
 #include "engine/search_engine.hpp"
 #include "text/tokenizer.hpp"
 #include "text/vocabulary.hpp"
+#include "xsearch/wire.hpp"
+#include "../bench/bench_common.hpp"
 
 namespace xsearch::engine {
 namespace {
@@ -309,6 +311,29 @@ TEST_P(EngineEquivalence, EngineSearchAndOrMatchReference) {
     }
     expect_same_results(engine.search(query, 20), expected);
   }
+}
+
+// The pre-encoded renderer puts on the wire exactly what serializing the
+// owning answer would, so the client, PEAS and Tor wire is unchanged. Swept
+// over the figure benches' testbed: every test-split query OR'd with the
+// seven queries after it, as the proxy's k = 7 sends them.
+TEST(EngineEncoding, EncodedAnswerIsSerializedSearchOr) {
+  const auto bed = bench::make_testbed(
+      {.num_users = 50, .total_queries = 4'000, .num_documents = 2'000});
+  std::size_t observed = 0;
+  bed->engine->set_observer([&observed](std::string_view) { ++observed; });
+  const auto& test = bed->split.test.records();
+  ASSERT_FALSE(test.empty());
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    std::vector<std::string> subs;
+    for (std::size_t j = 0; j < 8; ++j) subs.push_back(test[(i + j) % test.size()].text);
+    for (const std::size_t top_k : {std::size_t{0}, std::size_t{10}}) {
+      const Bytes encoded = bed->engine->search_or_encoded(subs, top_k);
+      ASSERT_EQ(encoded, core::wire::serialize_results(bed->engine->search_or(subs, top_k)))
+          << "query " << i << " top_k " << top_k;
+    }
+  }
+  EXPECT_EQ(observed, 4 * test.size());  // once per OR query, either renderer
 }
 
 INSTANTIATE_TEST_SUITE_P(Bm25Grid, EngineEquivalence,

@@ -59,20 +59,16 @@ TEST(WireBatch, QueryBatchRoundTrip) {
 }
 
 TEST(WireBatch, ResultsBatchRoundTripMixedOutcomes) {
-  std::vector<core::wire::BatchItem> items(3);
-  items[0].ok = true;
-  engine::SearchResult r;
-  r.doc = 7;
-  r.title = "title";
-  r.description = "description";
-  r.url = "https://example.test/7";
-  r.score = 0.25;
-  items[0].results.push_back(r);
-  items[1].ok = false;
-  items[1].error = "engine unavailable";
-  items[2].ok = true;  // empty result list
+  // Written item by item, the way the enclave writes a reply.
+  const engine::SearchResult r{7, "title", "description", "https://example.test/7", 0.25};
+  const engine::ResultView view = engine::view_of(r);
+  const std::size_t kept = 0;
+  Bytes framed;
+  core::wire::begin_results_batch(framed, 3);
+  core::wire::put_results_item(framed, {&view, 1}, {&kept, 1}, 0);
+  core::wire::put_error_item(framed, "engine unavailable");
+  core::wire::put_results_item(framed, {}, {}, 0);  // empty result list
 
-  const Bytes framed = core::wire::frame_results_batch(items);
   auto message = core::wire::parse_client_message(framed);
   ASSERT_TRUE(message.is_ok()) << message.status().to_string();
   EXPECT_EQ(message.value().type, core::wire::ClientMessageType::kResultsBatch);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <tuple>
 #include <unordered_set>
 
@@ -168,6 +170,26 @@ INSTANTIATE_TEST_SUITE_P(Windows, HistoryGrid,
 
 class WireGrid : public ::testing::TestWithParam<int> {};
 
+std::vector<engine::SearchResult> random_results(Rng& rng, std::size_t max_count) {
+  const auto rand_string = [&rng](std::size_t max_len) {
+    std::string s;
+    const std::size_t len = rng.uniform(max_len + 1);
+    for (std::size_t j = 0; j < len; ++j) {
+      s.push_back(static_cast<char>(rng.uniform_int(32, 126)));
+    }
+    return s;
+  };
+  std::vector<engine::SearchResult> results(1 + rng.uniform(max_count));
+  for (auto& r : results) {
+    r.doc = static_cast<engine::DocId>(rng.next());
+    r.title = rand_string(60);
+    r.description = rand_string(200);
+    r.url = rand_string(80);
+    r.score = rng.normal(0, 100);
+  }
+  return results;
+}
+
 TEST_P(WireGrid, ResultListRoundTripsForRandomContent) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   std::vector<engine::SearchResult> results;
@@ -204,6 +226,79 @@ TEST_P(WireGrid, TruncationNeverCrashesParser) {
   for (std::size_t cut = 0; cut < raw.size(); ++cut) {
     // Every strict prefix must be cleanly rejected (totality).
     EXPECT_FALSE(wire::parse_results(ByteSpan(raw.data(), cut)).is_ok()) << cut;
+  }
+}
+
+// Views must agree with the owning parser field for field and point into
+// the buffer they were parsed from.
+TEST_P(WireGrid, ResultViewsRoundTripFieldForField) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) ^ 0x5eed);
+  const std::vector<engine::SearchResult> results = random_results(rng, 30);
+  const Bytes raw = wire::serialize_results(results);
+  const auto views = wire::parse_result_views(raw);
+  ASSERT_TRUE(views.is_ok()) << views.status().to_string();
+  ASSERT_EQ(views.value().size(), results.size());
+  const auto* begin = reinterpret_cast<const char*>(raw.data());
+  const auto* end = begin + raw.size();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const engine::ResultView& v = views.value()[i];
+    EXPECT_EQ(v.doc, results[i].doc);
+    EXPECT_EQ(v.title, results[i].title);
+    EXPECT_EQ(v.description, results[i].description);
+    EXPECT_EQ(v.url, results[i].url);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.score),
+              std::bit_cast<std::uint64_t>(results[i].score));
+    for (const std::string_view field : {v.title, v.description, v.url}) {
+      EXPECT_TRUE(field.data() >= begin && field.data() + field.size() <= end);
+    }
+  }
+}
+
+TEST_P(WireGrid, ResultViewParserRefusesEveryTruncationAndATrailingByte) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) ^ 0x7a11);
+  const Bytes raw = wire::serialize_results(random_results(rng, 6));
+  for (std::size_t cut = 0; cut < raw.size(); ++cut) {
+    EXPECT_FALSE(wire::parse_result_views(ByteSpan(raw.data(), cut)).is_ok()) << cut;
+  }
+  Bytes trailing = raw;
+  trailing.push_back(0);
+  EXPECT_FALSE(wire::parse_result_views(trailing).is_ok());
+}
+
+// Seeded byte mutations of a valid list: the parser either refuses the
+// bytes or returns views that lie inside them, and it agrees with the
+// owning parser. Each input sits in an exactly sized heap block, so an
+// out-of-bounds read fails the sanitizer builds.
+TEST_P(WireGrid, ResultViewParserStaysInBoundsUnderByteMutations) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) ^ 0xb17e);
+  const Bytes raw = wire::serialize_results(random_results(rng, 8));
+  constexpr std::size_t kMutations = 10'000 / 8;  // 10k across the 8 seeds
+  for (std::size_t m = 0; m < kMutations; ++m) {
+    Bytes mutated = raw;
+    const std::size_t flips = 1 + rng.uniform(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.uniform(mutated.size())] = static_cast<std::uint8_t>(rng.uniform(256));
+    }
+    const std::size_t size = rng.uniform(mutated.size() + 1);
+    const auto block = std::make_unique<std::uint8_t[]>(size);
+    std::copy_n(mutated.begin(), size, block.get());
+    const ByteSpan input(block.get(), size);
+
+    const auto views = wire::parse_result_views(input);
+    const auto owned = wire::parse_results(input);
+    ASSERT_EQ(views.is_ok(), owned.is_ok()) << "mutation " << m;
+    if (!views.is_ok()) continue;
+    const auto* begin = reinterpret_cast<const char*>(block.get());
+    ASSERT_EQ(views.value().size(), owned.value().size());
+    for (std::size_t i = 0; i < views.value().size(); ++i) {
+      const engine::ResultView& v = views.value()[i];
+      for (const std::string_view field : {v.title, v.description, v.url}) {
+        ASSERT_TRUE(field.empty() ||
+                    (field.data() >= begin && field.data() + field.size() <= begin + size));
+      }
+      EXPECT_EQ(v.title, owned.value()[i].title);
+      EXPECT_EQ(v.url, owned.value()[i].url);
+    }
   }
 }
 
