@@ -37,18 +37,20 @@ int main() {
                            proxy.measurement(), 5);
 
   constexpr std::size_t kQueries = 300;
-  const auto before = proxy.enclave().transition_stats();
+  const auto crossings = [&proxy] {
+    const metrics::Snapshot stats = proxy.metrics();
+    return stats.value("enclave.ecalls") + stats.value("enclave.ocalls");
+  };
+  const std::uint64_t before = crossings();
   const Nanos t0 = wall_now();
   for (std::size_t i = 0; i < kQueries; ++i) {
     (void)broker.search(bed->split.test.records()[i % bed->split.test.size()].text);
   }
   const Nanos elapsed = wall_now() - t0;
-  const auto after = proxy.enclave().transition_stats();
+  const std::uint64_t after = crossings();
 
   const double crossings_narrow =
-      static_cast<double>((after.ecalls - before.ecalls) +
-                          (after.ocalls - before.ocalls)) /
-      static_cast<double>(kQueries);
+      static_cast<double>(after - before) / static_cast<double>(kQueries);
   // Chatty design: one crossing per pipeline step.
   const double crossings_chatty = 1 /*decrypt*/ + static_cast<double>(options.k) /*samples*/ +
                                   1 /*store*/ + 1 /*send*/ + 1 /*recv*/ +

@@ -415,9 +415,13 @@ void run_scenario(const Scenario& s, const bench::Testbed& bed,
 // ---- the scenarios ----------------------------------------------------------
 
 std::size_t busiest_worker(const net::ProxyFleet& fleet) {
+  const metrics::Snapshot stats = fleet.metrics();
+  const auto routed = [&](std::size_t w) {
+    return stats.value("worker.routed", net::worker_label(w));
+  };
   std::size_t best = 0;
   for (std::size_t w = 1; w < fleet.worker_count(); ++w) {
-    if (fleet.worker_stats(w).routed > fleet.worker_stats(best).routed) best = w;
+    if (routed(w) > routed(best)) best = w;
   }
   return best;
 }
@@ -459,9 +463,11 @@ Scenario recovery(bool warm) {
     const net::ProxyFleet& fleet = *d.fleet;
     const std::size_t depth =
         phase == 0 ? fleet.worker_history_depth(busiest_worker(fleet))
-                   : fleet.worker_stats(d.victim).checkpoint.restored_entries;
+                   : fleet.metrics().value("checkpoint.restored_entries",
+                                           net::worker_label(d.victim));
     return {count("history_depth", depth),
-            count("auto_respawns", fleet.fleet_stats().auto_respawns)};
+            count("auto_respawns",
+                  d.supervisor->metrics().value("supervisor.auto_respawns"))};
   };
   return s;
 }
@@ -512,15 +518,10 @@ Scenario degraded() {
     proxy.engine_breaker.half_open_probes = 2;
   };
   s.extras = [](Deployment& d, std::size_t) -> std::vector<Field> {
-    std::uint64_t trips = 0;
-    std::uint64_t rejected = 0;
-    for (std::size_t w = 0; w < d.fleet->worker_count(); ++w) {
-      const auto breaker = d.fleet->worker_stats(w).engine_breaker;
-      trips += breaker.trips;
-      rejected += breaker.rejected;
-    }
+    const metrics::Snapshot stats = d.fleet->metrics();
     return {count("engine_faults", d.engine_faults->faults_injected()),
-            count("breaker_trips", trips), count("breaker_rejected", rejected)};
+            count("breaker_trips", stats.sum("breaker.trips")),
+            count("breaker_rejected", stats.sum("breaker.rejected"))};
   };
   return s;
 }
@@ -564,14 +565,13 @@ const std::vector<Scenario> kScenarios = {
      .workers = {1, 2, 4},
      .batches = {1, 4, 16},
      .extras = [](Deployment& d, std::size_t) -> std::vector<Field> {
-       std::uint64_t routed = 0;
+       const metrics::Snapshot stats = d.fleet->metrics();
        std::uint64_t with_sessions = 0;
        for (std::size_t w = 0; w < d.fleet->worker_count(); ++w) {
-         const auto stats = d.fleet->worker_stats(w);
-         routed += stats.routed;
-         with_sessions += stats.sessions.created > 0 ? 1 : 0;
+         with_sessions +=
+             stats.value("sessions.created", net::worker_label(w)) > 0 ? 1 : 0;
        }
-       return {count("routed", routed),
+       return {count("routed", stats.sum("worker.routed")),
                count("workers_with_sessions", with_sessions)};
      }},
     recovery(true),

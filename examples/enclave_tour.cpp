@@ -66,11 +66,11 @@ int main() {
   for (int i = 0; i < 5; ++i) {
     (void)genuine.ecall(sgx::EcallId::kRequest, to_bytes("x"));
   }
-  const auto stats = genuine.transition_stats();
+  const auto stats = genuine.metrics();
   std::printf("after 5 requests: %llu ecalls, %llu ocalls — every crossing costs\n"
               "~8us on hardware, which is why X-Search keeps the interface narrow.\n",
-              static_cast<unsigned long long>(stats.ecalls),
-              static_cast<unsigned long long>(stats.ocalls));
+              static_cast<unsigned long long>(stats.value("enclave.ecalls")),
+              static_cast<unsigned long long>(stats.value("enclave.ocalls")));
 
   return 0;
 }

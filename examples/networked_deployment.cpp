@@ -85,7 +85,8 @@ int main() {
 
   server.value()->stop();
   std::printf("served %llu connections; server stopped cleanly\n",
-              static_cast<unsigned long long>(server.value()->connections_served()));
+              static_cast<unsigned long long>(
+                  server.value()->metrics().value("reactor.accepted")));
 
   // --- Kill-and-recover: supervised fleet with sealed checkpoints. -----------
   const auto checkpoint_dir =
@@ -145,18 +146,21 @@ int main() {
   // replacement restores the sealed checkpoint. Client searches keep
   // working throughout — the broker re-attests transparently.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fleet.value()->fleet_stats().auto_respawns == 0 &&
+  const auto auto_respawns = [&supervisor] {
+    return supervisor.metrics().value("supervisor.auto_respawns");
+  };
+  while (auto_respawns() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     (void)carol->search(log.records()[321].text);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const auto stats = fleet.value()->fleet_stats();
-  const auto worker = fleet.value()->worker_stats(victim);
-  std::printf("supervisor auto-respawned it: restored %zu of %zu queries from "
+  const auto stats = fleet.value()->metrics();
+  std::printf("supervisor auto-respawned it: restored %llu of %zu queries from "
               "the sealed checkpoint (auto_respawns=%llu, warm_start_ratio=%.2f)\n",
-              worker.checkpoint.restored_entries, depth_before,
-              static_cast<unsigned long long>(stats.auto_respawns),
-              stats.warm_start_ratio);
+              static_cast<unsigned long long>(stats.value(
+                  "checkpoint.restored_entries", net::worker_label(victim))),
+              depth_before, static_cast<unsigned long long>(auto_respawns()),
+              net::warm_start_ratio(stats));
   const auto after = carol->search(log.records()[999].text);
   std::printf("carol's search after recovery: %s\n",
               after.is_ok() ? "ok" : after.status().to_string().c_str());
@@ -165,6 +169,6 @@ int main() {
   std::filesystem::remove_all(checkpoint_dir);
   std::printf("\nfleet served %llu connections; recovered without a cold start\n",
               static_cast<unsigned long long>(
-                  fleet_server.value()->connections_served()));
+                  fleet_server.value()->metrics().value("reactor.accepted")));
   return 0;
 }

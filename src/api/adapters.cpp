@@ -320,11 +320,15 @@ class XSearchAdapter final : public PrivateSearchClient {
     props.k = config().k;
     props.trust_assumption =
         "SGX attestation only; no proxy operator trust (collusion-resistant)";
-    if (const auto* proxy = endpoint_->local_proxy.get(); proxy != nullptr) {
-      const auto transitions = proxy->enclave().transition_stats();
-      props.enclave_transitions = transitions.ecalls + transitions.ocalls;
-    }
     return props;
+  }
+
+  [[nodiscard]] metrics::Snapshot metrics() const override {
+    metrics::Snapshot out = PrivateSearchClient::metrics();
+    if (const auto* proxy = endpoint_->local_proxy.get(); proxy != nullptr) {
+      out.merge(proxy->enclave().metrics());
+    }
+    return out;
   }
 
   [[nodiscard]] Status prime(const std::vector<std::string>& past_queries) override {

@@ -8,7 +8,7 @@ PrivateSearchClient::PrivateSearchClient(ClientConfig config)
 Status PrivateSearchClient::connect() {
   MutexLock lock(sync_mutex_);
   const Status status = do_connect();
-  if (status.is_ok()) connects_.fetch_add(1, std::memory_order_relaxed);
+  if (status.is_ok()) connects_.inc();
   return status;
 }
 
@@ -26,11 +26,11 @@ Result<SearchResults> PrivateSearchClient::search(std::string_view query,
   MutexLock lock(sync_mutex_);
   if (!connected()) {
     XS_RETURN_IF_ERROR(do_connect());
-    connects_.fetch_add(1, std::memory_order_relaxed);
+    connects_.inc();
   }
   auto result = do_search(query, resolve_top_k(top_k));
-  searches_.fetch_add(1, std::memory_order_relaxed);
-  if (!result.is_ok()) failures_.fetch_add(1, std::memory_order_relaxed);
+  searches_.inc();
+  if (!result.is_ok()) failures_.inc();
   return result;
 }
 
@@ -46,16 +46,16 @@ std::vector<Result<SearchResults>> PrivateSearchClient::search_batch(
       for (std::size_t i = 0; i < queries.size(); ++i) {
         outcomes.emplace_back(status);
       }
-      failures_.fetch_add(queries.size(), std::memory_order_relaxed);
-      searches_.fetch_add(queries.size(), std::memory_order_relaxed);
+      failures_.inc(queries.size());
+      searches_.inc(queries.size());
       return outcomes;
     }
-    connects_.fetch_add(1, std::memory_order_relaxed);
+    connects_.inc();
   }
   outcomes = do_search_batch(queries);
-  searches_.fetch_add(outcomes.size(), std::memory_order_relaxed);
+  searches_.inc(outcomes.size());
   for (const auto& outcome : outcomes) {
-    if (!outcome.is_ok()) failures_.fetch_add(1, std::memory_order_relaxed);
+    if (!outcome.is_ok()) failures_.inc();
   }
   return outcomes;
 }
@@ -74,14 +74,6 @@ std::vector<Result<SearchResults>> PrivateSearchClient::do_search_batch(
 
 Status PrivateSearchClient::prime(const std::vector<std::string>&) {
   return Status::ok();
-}
-
-Stats PrivateSearchClient::stats() const {
-  Stats out;
-  out.connects = connects_.load(std::memory_order_relaxed);
-  out.searches = searches_.load(std::memory_order_relaxed);
-  out.failures = failures_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace xsearch::api

@@ -11,13 +11,13 @@
 // are produced by name through `api/registry.hpp`.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "engine/document.hpp"
@@ -103,16 +103,6 @@ struct PrivacyProperties {
   std::size_t k = 0;
   /// Who must be honest for the protection to hold.
   std::string trust_assumption;
-  /// Enclave boundary crossings so far (0 for mechanisms without a TEE);
-  /// the ablation benches chart these.
-  std::uint64_t enclave_transitions = 0;
-};
-
-/// Uniform operation counters, same fields for every mechanism.
-struct Stats {
-  std::uint64_t connects = 0;
-  std::uint64_t searches = 0;  // queries executed (a batch counts each)
-  std::uint64_t failures = 0;  // searches that returned a non-OK status
 };
 
 using SearchResults = std::vector<engine::SearchResult>;
@@ -161,7 +151,7 @@ class PrivateSearchClient {
   /// A new client of the same deployment (same proxy, relays, issuer) —
   /// another user, with its own session and `seed` — so several users can
   /// search in parallel, one sibling per thread. Siblings keep their own
-  /// stats. The caller connects them; mechanisms whose session setup
+  /// metrics. The caller connects them; mechanisms whose session setup
   /// mutates shared backend state (Tor circuit extension) need that done
   /// serially, before siblings search concurrently.
   [[nodiscard]] virtual std::unique_ptr<PrivateSearchClient> spawn_sibling(
@@ -170,7 +160,11 @@ class PrivateSearchClient {
   // --- introspection --------------------------------------------------------
 
   [[nodiscard]] virtual PrivacyProperties privacy_properties() const = 0;
-  [[nodiscard]] Stats stats() const;
+  /// `client.*`: connects, searches (a batch counts each query), failures.
+  /// The in-process X-Search client adds its proxy's `enclave.*`.
+  [[nodiscard]] virtual metrics::Snapshot metrics() const {
+    return metrics_.snapshot();
+  }
   [[nodiscard]] const ClientConfig& config() const { return config_; }
 
   /// Preloads mechanism state as if `past_queries` had been searched by
@@ -206,9 +200,10 @@ class PrivateSearchClient {
 
   mutable Mutex sync_mutex_;  // serializes do_connect/do_search
 
-  std::atomic<std::uint64_t> connects_{0};
-  std::atomic<std::uint64_t> searches_{0};
-  std::atomic<std::uint64_t> failures_{0};
+  metrics::Registry metrics_{"client"};
+  metrics::Counter& connects_ = metrics_.counter("connects");
+  metrics::Counter& searches_ = metrics_.counter("searches");
+  metrics::Counter& failures_ = metrics_.counter("failures");
 };
 
 using ClientPtr = std::unique_ptr<PrivateSearchClient>;

@@ -46,8 +46,6 @@ class NaiveBayesAttack {
   [[nodiscard]] std::optional<Identification> attack(
       const std::vector<std::string>& sub_queries) const;
 
-  [[nodiscard]] std::size_t user_count() const { return users_.size(); }
-
  private:
   struct UserModel {
     std::unordered_map<text::TermId, std::uint64_t> term_counts;

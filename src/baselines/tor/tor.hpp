@@ -50,8 +50,6 @@ class TorRelay {
   /// Adds this relay's layer to a backward (response) cell.
   [[nodiscard]] Result<Bytes> wrap(CircuitId circuit, ByteSpan payload);
 
-  [[nodiscard]] std::size_t active_circuits() const { return circuits_.size(); }
-
  private:
   struct CircuitState {
     crypto::AeadKey key{};

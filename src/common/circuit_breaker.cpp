@@ -44,14 +44,14 @@ bool CircuitBreaker::allow() {
     case State::kClosed:
       return true;
     case State::kOpen:
-      ++rejected_;
+      rejected_.inc();
       return false;
     case State::kHalfOpen:
       if (half_open_granted_ < options_.half_open_probes) {
         ++half_open_granted_;
         return true;
       }
-      ++rejected_;
+      rejected_.inc();
       return false;
   }
   return true;  // unreachable
@@ -60,7 +60,7 @@ bool CircuitBreaker::allow() {
 void CircuitBreaker::trip_open_locked() {
   state_ = State::kOpen;
   opened_at_ = now_();
-  ++trips_;
+  trips_.inc();
 }
 
 void CircuitBreaker::note_outcome_locked(bool failed) {
@@ -114,13 +114,9 @@ CircuitBreaker::State CircuitBreaker::state() const {
   return effective_state_locked();
 }
 
-CircuitBreaker::Stats CircuitBreaker::stats() const {
-  MutexLock lock(mutex_);
-  Stats stats;
-  stats.state = effective_state_locked();
-  stats.rejected = rejected_;
-  stats.trips = trips_;
-  return stats;
+metrics::Snapshot CircuitBreaker::metrics() const {
+  state_gauge_.set(static_cast<std::uint64_t>(state()));
+  return metrics_.snapshot();
 }
 
 }  // namespace xsearch

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 
@@ -37,12 +38,6 @@ class CircuitBreaker {
     std::function<Nanos()> now;
   };
 
-  struct Stats {
-    State state = State::kClosed;
-    std::uint64_t rejected = 0;  // calls refused while open / probe-saturated
-    std::uint64_t trips = 0;     // closed-or-half-open → open transitions
-  };
-
   CircuitBreaker() : CircuitBreaker(Options{}) {}
   explicit CircuitBreaker(Options options);
 
@@ -57,7 +52,10 @@ class CircuitBreaker {
   void record_failure();
 
   [[nodiscard]] State state() const;
-  [[nodiscard]] Stats stats() const;
+  /// `breaker.rejected` (calls refused while open / probe-saturated),
+  /// `breaker.trips` (closed-or-half-open → open transitions) and the
+  /// `breaker.state` gauge (the State value, sampled here like state()).
+  [[nodiscard]] metrics::Snapshot metrics() const;
 
   [[nodiscard]] static const char* state_name(State state);
 
@@ -80,8 +78,11 @@ class CircuitBreaker {
   Nanos opened_at_ XS_GUARDED_BY(mutex_) = 0;
   std::uint32_t half_open_granted_ XS_GUARDED_BY(mutex_) = 0;
   std::uint32_t half_open_successes_ XS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t rejected_ XS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t trips_ XS_GUARDED_BY(mutex_) = 0;
+
+  metrics::Registry metrics_{"breaker"};
+  metrics::Counter& rejected_ = metrics_.counter("rejected");
+  metrics::Counter& trips_ = metrics_.counter("trips");
+  metrics::Gauge& state_gauge_ = metrics_.gauge("state");
 };
 
 }  // namespace xsearch

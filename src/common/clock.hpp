@@ -49,9 +49,6 @@ class Stopwatch {
  public:
   Stopwatch() : start_(wall_now()) {}
   [[nodiscard]] Nanos elapsed() const { return wall_now() - start_; }
-  [[nodiscard]] double elapsed_seconds() const {
-    return static_cast<double>(elapsed()) / static_cast<double>(kSecond);
-  }
   void restart() { start_ = wall_now(); }
 
  private:

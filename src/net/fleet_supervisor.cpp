@@ -136,13 +136,13 @@ void FleetSupervisor::probe_once() {
   for (std::size_t i = 0; i < consecutive_failures_.size(); ++i) {
     bool timed_out = false;
     const Status alive = probe_worker(i, timed_out);
-    probes_.fetch_add(1, std::memory_order_relaxed);
+    probes_.inc();
     if (alive.is_ok()) {
       consecutive_failures_[i] = 0;
       continue;
     }
-    probe_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (timed_out) probe_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    probe_failures_.inc();
+    if (timed_out) probe_timeouts_.inc();
     if (++consecutive_failures_[i] < options_.failure_threshold) continue;
 
     // Declared dead: migrate its arc first (drain is refused for the last
@@ -153,20 +153,11 @@ void FleetSupervisor::probe_once() {
     // final checkpoint — the seal ecall could wedge just like the probe —
     // so its recovery point is the last periodic checkpoint.
     (void)fleet_->drain(i, /*seal_final=*/!timed_out);
-    if (fleet_->auto_respawn(i).is_ok()) {
-      auto_respawns_.fetch_add(1, std::memory_order_relaxed);
+    if (fleet_->respawn(i).is_ok()) {
+      auto_respawns_.inc();
       consecutive_failures_[i] = 0;
     }
   }
-}
-
-FleetSupervisor::Stats FleetSupervisor::stats() const {
-  Stats out;
-  out.probes = probes_.load(std::memory_order_relaxed);
-  out.probe_failures = probe_failures_.load(std::memory_order_relaxed);
-  out.probe_timeouts = probe_timeouts_.load(std::memory_order_relaxed);
-  out.auto_respawns = auto_respawns_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace xsearch::net

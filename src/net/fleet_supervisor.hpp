@@ -27,13 +27,13 @@
 // respawns is availability loss, not privacy loss.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "net/proxy_fleet.hpp"
 
@@ -53,13 +53,6 @@ class FleetSupervisor {
     Nanos probe_budget = kSecond;
   };
 
-  struct Stats {
-    std::uint64_t probes = 0;          // heartbeats sent
-    std::uint64_t probe_failures = 0;  // heartbeats failed (incl. timeouts)
-    std::uint64_t probe_timeouts = 0;  // probes that overran probe_budget
-    std::uint64_t auto_respawns = 0;   // workers this supervisor revived
-  };
-
   /// Starts supervising `fleet` (which must outlive this object) on a
   /// background thread. Stops on destruction.
   FleetSupervisor(ProxyFleet& fleet, Options options);
@@ -74,7 +67,10 @@ class FleetSupervisor {
   /// the destructor calls it.
   void stop();
 
-  [[nodiscard]] Stats stats() const;
+  /// `supervisor.*`: probes, probe_failures (incl. timeouts),
+  /// probe_timeouts, auto_respawns — the one count of supervisor-driven
+  /// respawns (`fleet.respawns` counts every respawn).
+  [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
 
   /// One synchronous probe sweep over all workers (exactly what the
   /// background thread runs per interval). Exposed so tests and the
@@ -118,10 +114,11 @@ class FleetSupervisor {
   /// when the stuck ecall returns; stop() joins them.
   std::vector<std::thread> abandoned_probers_ XS_GUARDED_BY(sweep_mutex_);
 
-  std::atomic<std::uint64_t> probes_{0};
-  std::atomic<std::uint64_t> probe_failures_{0};
-  std::atomic<std::uint64_t> probe_timeouts_{0};
-  std::atomic<std::uint64_t> auto_respawns_{0};
+  metrics::Registry metrics_{"supervisor"};
+  metrics::Counter& probes_ = metrics_.counter("probes");
+  metrics::Counter& probe_failures_ = metrics_.counter("probe_failures");
+  metrics::Counter& probe_timeouts_ = metrics_.counter("probe_timeouts");
+  metrics::Counter& auto_respawns_ = metrics_.counter("auto_respawns");
 
   Mutex stop_mutex_;
   CondVar stop_cv_;

@@ -143,37 +143,6 @@ Result<HttpRequest> parse_http_request(ByteSpan raw) {
   return request;
 }
 
-Result<HttpRequest> read_http_request(TcpStream& stream) {
-  // Read byte-by-byte batches until the blank line (bounded).
-  Bytes buffer;
-  while (buffer.size() < kMaxHeaderBytes) {
-    auto chunk = stream.read_exact(1);
-    if (!chunk) return chunk.status();
-    buffer.push_back(chunk.value()[0]);
-    if (buffer.size() >= 4 &&
-        std::string_view(reinterpret_cast<const char*>(buffer.data()), buffer.size())
-            .ends_with("\r\n\r\n")) {
-      break;
-    }
-  }
-  auto request = parse_http_request(buffer);
-  if (!request) return request.status();
-
-  const auto cl = request.value().headers.find("content-length");
-  if (cl != request.value().headers.end()) {
-    std::size_t length = 0;
-    const auto [ptr, ec] = std::from_chars(
-        cl->second.data(), cl->second.data() + cl->second.size(), length);
-    if (ec != std::errc() || length > kMaxBodyBytes) {
-      return data_loss("http: bad content-length");
-    }
-    auto body = stream.read_exact(length);
-    if (!body) return body.status();
-    request.value().body = to_string(body.value());
-  }
-  return request;
-}
-
 Bytes make_http_response(int status, std::string_view reason,
                          std::string_view content_type, std::string_view body) {
   std::string head = "HTTP/1.1 " + std::to_string(status) + " " + std::string(reason) +

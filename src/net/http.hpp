@@ -41,10 +41,6 @@ struct HttpRequest {
 /// including the blank line and any Content-Length body).
 [[nodiscard]] Result<HttpRequest> parse_http_request(ByteSpan raw);
 
-/// Reads one HTTP/1.1 request from a stream (bounded at 64 KiB of headers,
-/// 1 MiB of body).
-[[nodiscard]] Result<HttpRequest> read_http_request(TcpStream& stream);
-
 /// Serializes a response with Content-Length framing.
 [[nodiscard]] Bytes make_http_response(int status, std::string_view reason,
                                        std::string_view content_type,

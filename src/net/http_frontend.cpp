@@ -10,8 +10,7 @@ namespace xsearch::net {
 
 namespace {
 
-// Same bounds read_http_request enforced: a peer may not hold more than
-// this much unparsed request in our memory.
+// A peer may not hold more than this much unparsed request in our memory.
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
 
@@ -99,7 +98,7 @@ class HttpProtocol final : public ConnectionProtocol {
       result.close = true;
       return result;
     }
-    frontend_->requests_.fetch_add(1, std::memory_order_relaxed);
+    frontend_->requests_.inc();
     result.reply.push_back(frontend_->handle_request(request.value()));
     // keep-alive: the connection goes back to reading the next request.
     return result;
@@ -161,6 +160,14 @@ HttpFrontend::~HttpFrontend() { stop(); }
 
 void HttpFrontend::stop() {
   if (reactor_) reactor_->stop();
+}
+
+metrics::Snapshot HttpFrontend::metrics() const {
+  metrics::Snapshot out = metrics_.snapshot();
+  out.merge(reactor_->metrics());
+  MutexLock lock(broker_mutex_);
+  out.merge(broker_->metrics());
+  return out;
 }
 
 Bytes HttpFrontend::handle_request(const HttpRequest& request) {

@@ -17,9 +17,9 @@
 // obfuscation are unaffected, since both happen at the proxy.
 #pragma once
 
-#include <atomic>
 #include <memory>
 
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "net/http.hpp"
 #include "net/reactor.hpp"
@@ -49,9 +49,9 @@ class HttpFrontend {
 
   void stop();
 
-  [[nodiscard]] std::uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
+  /// `http.requests` (well-formed requests handled) merged with the
+  /// serving reactor's `reactor.*` and the internal broker's `broker.*`.
+  [[nodiscard]] metrics::Snapshot metrics() const;
 
  private:
   friend class HttpProtocol;
@@ -66,10 +66,11 @@ class HttpFrontend {
 
   // One attested broker shared by all dispatch workers, serialized: the
   // SecureChannel record counters require ordered use.
-  Mutex broker_mutex_;
+  mutable Mutex broker_mutex_;
   std::unique_ptr<RemoteBroker> broker_ XS_PT_GUARDED_BY(broker_mutex_);
 
-  std::atomic<std::uint64_t> requests_{0};
+  metrics::Registry metrics_{"http"};
+  metrics::Counter& requests_ = metrics_.counter("requests");
   std::unique_ptr<Reactor> reactor_;
 };
 

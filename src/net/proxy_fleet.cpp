@@ -41,6 +41,7 @@ Result<std::unique_ptr<ProxyFleet>> ProxyFleet::create(
     fleet->account_restore(*proxy.value(), /*initial_spawn=*/true);
     auto worker = std::make_unique<Worker>();
     worker->proxy = std::move(proxy).value();
+    worker->live.set(1);
     fleet->workers_.push_back(std::move(worker));
   }
   fleet->rebuild_ring_locked();
@@ -60,7 +61,7 @@ core::XSearchProxy::Options ProxyFleet::worker_options(std::size_t index) const 
   // the respawn count so a respawned worker never replays its predecessor's
   // draws.
   const std::uint64_t generation =
-      workers_.size() > index ? workers_[index]->respawns : 0;
+      workers_.size() > index ? workers_[index]->respawns.value() : 0;
   worker.seed = mix64(options_.proxy.seed ^ mix64((index + 1) * 0x9e3779b97f4a7c15ULL +
                                                   generation));
   // Each worker checkpoints under its own subdirectory, named by slot (not
@@ -75,11 +76,10 @@ core::XSearchProxy::Options ProxyFleet::worker_options(std::size_t index) const 
 
 void ProxyFleet::account_restore(const core::XSearchProxy& proxy,
                                  bool initial_spawn) {
-  const auto stats = proxy.checkpoint_stats();
-  if (stats.restore_hit) {
-    restore_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (proxy.metrics().value("checkpoint.restore_hits") > 0) {
+    restore_hits_.inc();
   } else if (!initial_spawn) {
-    restore_misses_.fetch_add(1, std::memory_order_relaxed);
+    restore_misses_.inc();
   }
 }
 
@@ -87,7 +87,7 @@ void ProxyFleet::rebuild_ring_locked() {
   ring_.clear();
   ring_.reserve(workers_.size() * options_.virtual_nodes);
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!workers_[w]->live) continue;
+    if (workers_[w]->live.value() == 0) continue;
     for (std::size_t v = 0; v < options_.virtual_nodes; ++v) {
       const std::uint64_t point =
           mix64(mix64(w + 1) ^ (v * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL));
@@ -112,47 +112,26 @@ std::size_t ProxyFleet::owner_of(std::uint64_t session_id) const {
   return owner_locked(session_id);
 }
 
-std::size_t ProxyFleet::live_workers() const {
+metrics::Snapshot ProxyFleet::metrics() const {
+  metrics::Snapshot out = metrics_.snapshot();
   ReaderLock lock(mutex_);
-  std::size_t live = 0;
-  for (const auto& worker : workers_) live += worker->live ? 1 : 0;
-  return live;
-}
-
-ProxyFleet::WorkerStats ProxyFleet::worker_stats(std::size_t index) const {
-  ReaderLock lock(mutex_);
-  WorkerStats out;
-  if (index >= workers_.size()) return out;
-  const Worker& worker = *workers_[index];
-  out.live = worker.live;
-  out.routed = worker.routed.load(std::memory_order_relaxed);
-  out.respawns = worker.respawns;
-  out.sessions = worker.proxy->session_stats();
-  out.checkpoint = worker.proxy->checkpoint_stats();
-  out.engine_breaker = worker.proxy->engine_breaker_stats();
-  return out;
-}
-
-ProxyFleet::FleetStats ProxyFleet::fleet_stats() const {
-  FleetStats out;
-  out.respawns = respawns_total_.load(std::memory_order_relaxed);
-  out.auto_respawns = auto_respawns_.load(std::memory_order_relaxed);
-  out.restore_hits = restore_hits_.load(std::memory_order_relaxed);
-  out.restore_misses = restore_misses_.load(std::memory_order_relaxed);
-  const std::uint64_t total = out.restore_hits + out.restore_misses;
-  out.warm_start_ratio =
-      total == 0 ? 1.0
-                 : static_cast<double>(out.restore_hits) / static_cast<double>(total);
-  ReaderLock lock(mutex_);
-  for (const auto& worker : workers_) {
-    const auto breaker = worker->proxy->engine_breaker_stats();
-    if (breaker.state != CircuitBreaker::State::kClosed) {
-      ++out.engine_breakers_tripped_now;
-    }
-    out.engine_breaker_rejected += breaker.rejected;
-    out.engine_breaker_trips += breaker.trips;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    metrics::Snapshot part = workers_[i]->metrics.snapshot();
+    part.merge(workers_[i]->proxy->metrics());
+    // secret-lint: allow(metric-name-literal) a worker index, bounded by Options::workers, never client data
+    out.merge(part, "worker", std::to_string(i));
   }
   return out;
+}
+
+std::string worker_label(std::size_t index) {
+  return metrics::label("worker", std::to_string(index));
+}
+
+double warm_start_ratio(const metrics::Snapshot& fleet) {
+  const std::uint64_t hits = fleet.value("fleet.restore_hits");
+  const std::uint64_t total = hits + fleet.value("fleet.restore_misses");
+  return total == 0 ? 1.0 : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 std::size_t ProxyFleet::worker_history_depth(std::size_t index) const {
@@ -218,7 +197,7 @@ Result<core::HandshakeResponse> ProxyFleet::handshake(
         return unavailable("fleet: no live workers");
       }
       Worker& worker = *workers_[owner];
-      worker.routed.fetch_add(1, std::memory_order_relaxed);
+      worker.routed.inc();
       proxy = worker.proxy;
     }
     auto response = proxy->handshake(client_ephemeral_pub, session_id);
@@ -248,7 +227,7 @@ Result<Bytes> ProxyFleet::handle_query_record(std::uint64_t session_id,
       return unavailable("fleet: no live workers");
     }
     Worker& worker = *workers_[owner];
-    worker.routed.fetch_add(1, std::memory_order_relaxed);
+    worker.routed.inc();
     proxy = worker.proxy;
   }
   // The call runs WITHOUT the fleet lock: shared ownership pins the proxy,
@@ -264,13 +243,13 @@ Status ProxyFleet::drain(std::size_t index, bool seal_final) {
   {
     WriterLock lock(mutex_);
     if (index >= workers_.size()) return invalid_argument("fleet: no such worker");
-    if (!workers_[index]->live) return Status::ok();  // idempotent
+    if (workers_[index]->live.value() == 0) return Status::ok();  // idempotent
     std::size_t live = 0;
-    for (const auto& worker : workers_) live += worker->live ? 1 : 0;
+    for (const auto& worker : workers_) live += worker->live.value();
     if (live <= 1) {
       return failed_precondition("fleet: refusing to drain the last live worker");
     }
-    workers_[index]->live = false;
+    workers_[index]->live.set(0);
     rebuild_ring_locked();
   }
   // Graceful exit: seal what the worker learned so its successor restores
@@ -285,7 +264,7 @@ Status ProxyFleet::drain(std::size_t index, bool seal_final) {
   {
     ReaderLock lock(mutex_);
     Worker& worker = *workers_[index];
-    if (!worker.live && !worker.proxy->checkpoint_path().empty()) {
+    if (worker.live.value() == 0 && !worker.proxy->checkpoint_path().empty()) {
       proxy = worker.proxy;
     }
   }
@@ -298,7 +277,7 @@ Status ProxyFleet::respawn(std::size_t index) {
   {
     WriterLock lock(mutex_);
     if (index >= workers_.size()) return invalid_argument("fleet: no such worker");
-    workers_[index]->respawns += 1;
+    workers_[index]->respawns.inc();
     options = worker_options(index);
   }
   // The expensive part — enclave init plus reading and replaying the
@@ -312,24 +291,16 @@ Status ProxyFleet::respawn(std::size_t index) {
   // The fresh proxy already ran its restore in create(): with a sealed
   // checkpoint on disk this respawn was warm, otherwise cold.
   account_restore(*proxy.value(), /*initial_spawn=*/false);
-  respawns_total_.fetch_add(1, std::memory_order_relaxed);
+  respawns_.inc();
   std::shared_ptr<core::XSearchProxy> retired;
   {
     WriterLock lock(mutex_);
     retired = std::move(workers_[index]->proxy);  // destroyed after unlock
     workers_[index]->proxy = std::move(proxy).value();
-    workers_[index]->live = true;
+    workers_[index]->live.set(1);
     rebuild_ring_locked();
   }
   return Status::ok();
-}
-
-Status ProxyFleet::auto_respawn(std::size_t index) {
-  const Status respawned = respawn(index);
-  if (respawned.is_ok()) {
-    auto_respawns_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return respawned;
 }
 
 }  // namespace xsearch::net

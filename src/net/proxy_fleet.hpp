@@ -42,22 +42,29 @@
 // against it unchanged, over TCP or in-process.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "common/circuit_breaker.hpp"
 #include "common/deadline.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "engine/search_engine.hpp"
 #include "sgx/attestation.hpp"
 #include "xsearch/proxy.hpp"
-#include "xsearch/session_table.hpp"
 
 namespace xsearch::net {
+
+/// The label on worker `index`'s series in a fleet's metrics():
+/// worker="<index>".
+[[nodiscard]] std::string worker_label(std::size_t index);
+
+/// restore_hits / (restore_hits + restore_misses) of a fleet's metrics();
+/// 1.0 when no restart has happened yet (nothing was ever cold).
+[[nodiscard]] double warm_start_ratio(const metrics::Snapshot& fleet);
 
 class ProxyFleet : public core::ProxyHandler {
  public:
@@ -72,39 +79,6 @@ class ProxyFleet : public core::ProxyHandler {
     /// separated from `proxy.seed` by its index, so workers draw
     /// independent key material while a fleet run stays reproducible.
     core::XSearchProxy::Options proxy;
-  };
-
-  struct WorkerStats {
-    bool live = false;
-    /// Requests (handshakes + records) routed to this worker.
-    std::uint64_t routed = 0;
-    /// Times this worker was respawned.
-    std::uint64_t respawns = 0;
-    core::SessionTable::Stats sessions;
-    core::XSearchProxy::CheckpointStats checkpoint;
-    /// Worker's proxy→engine circuit breaker (zeroed when disabled).
-    CircuitBreaker::Stats engine_breaker;
-  };
-
-  /// Fleet-wide recovery counters. A worker start is a restore *hit* when
-  /// it came back with its sealed history, and a *miss* when a respawn had
-  /// to cold-start (no checkpointing, no file yet, or a truncated/tampered
-  /// blob that was rejected). The initial boot of a worker is counted only
-  /// when it actually restored (a fleet restarted over existing checkpoints
-  /// is warm; a first-ever boot is not a failed recovery).
-  struct FleetStats {
-    std::uint64_t respawns = 0;       // manual + automatic
-    std::uint64_t auto_respawns = 0;  // supervisor-initiated (auto_respawn)
-    std::uint64_t restore_hits = 0;
-    std::uint64_t restore_misses = 0;
-    /// restore_hits / (restore_hits + restore_misses); 1.0 when no
-    /// restart has happened yet (nothing was ever cold).
-    double warm_start_ratio = 1.0;
-    /// Engine-breaker health across the fleet: workers whose proxy→engine
-    /// breaker is currently NOT closed, and lifetime fast-fail/trip totals.
-    std::size_t engine_breakers_tripped_now = 0;
-    std::uint64_t engine_breaker_rejected = 0;
-    std::uint64_t engine_breaker_trips = 0;
   };
 
   /// Builds `options.workers` proxies over the shared `engine` (which may
@@ -158,15 +132,11 @@ class ProxyFleet : public core::ProxyHandler {
 
   /// Replaces worker `index` with a freshly keyed proxy and restores its
   /// ring arc. The replacement restores the worker's sealed checkpoint
-  /// when one exists (warm restart; counted in FleetStats), and falls
+  /// when one exists (warm restart; counted in `fleet.restore_hits`), and falls
   /// back to an empty history otherwise (cold — the pre-checkpoint crash
   /// model). Works on both live workers (crash + restart) and drained
   /// ones (rolling restart).
   [[nodiscard]] Status respawn(std::size_t index);
-
-  /// `respawn` as invoked by the supervisor's failure path: additionally
-  /// counted in FleetStats::auto_respawns.
-  [[nodiscard]] Status auto_respawn(std::size_t index);
 
   /// Probes worker `index`'s enclave with a heartbeat ecall. UNAVAILABLE
   /// once the enclave crashed; the supervisor respawns after a threshold
@@ -197,9 +167,14 @@ class ProxyFleet : public core::ProxyHandler {
     ReaderLock lock(mutex_);
     return workers_.size();
   }
-  [[nodiscard]] std::size_t live_workers() const;
-  [[nodiscard]] WorkerStats worker_stats(std::size_t index) const;
-  [[nodiscard]] FleetStats fleet_stats() const;
+
+  /// `fleet.*` — respawns, restore_hits (a start that came back with its
+  /// sealed history), restore_misses (a respawn that cold-started; an
+  /// initial boot counts only when it restored) — plus, labelled
+  /// worker_label(i), slot i's `worker.*` (routed, respawns, live — 1 while
+  /// on the ring) and its current proxy's series. Only the proxy series
+  /// restart on respawn.
+  [[nodiscard]] metrics::Snapshot metrics() const;
 
   /// History depth of worker `index` right now — the decoy-quality number
   /// the recovery bench charts across a respawn (0 on a cold start).
@@ -216,9 +191,12 @@ class ProxyFleet : public core::ProxyHandler {
     /// calls are in flight on the retired proxy — it is destroyed when the
     /// last in-flight call returns, never under a caller.
     std::shared_ptr<core::XSearchProxy> proxy;
-    bool live = true;
-    std::uint64_t respawns = 0;
-    std::atomic<std::uint64_t> routed{0};
+    metrics::Registry metrics{"worker"};
+    /// 1 while on the ring (routing state, written under the exclusive lock).
+    metrics::Gauge& live = metrics.gauge("live");
+    /// Also the generation a respawned worker's seed is mixed with.
+    metrics::Counter& respawns = metrics.counter("respawns");
+    metrics::Counter& routed = metrics.counter("routed");
   };
 
   explicit ProxyFleet(const engine::SearchEngine* engine,
@@ -262,10 +240,10 @@ class ProxyFleet : public core::ProxyHandler {
   Mutex rng_mutex_;
   Rng session_id_rng_ XS_GUARDED_BY(rng_mutex_);
 
-  std::atomic<std::uint64_t> respawns_total_{0};
-  std::atomic<std::uint64_t> auto_respawns_{0};
-  std::atomic<std::uint64_t> restore_hits_{0};
-  std::atomic<std::uint64_t> restore_misses_{0};
+  metrics::Registry metrics_{"fleet"};
+  metrics::Counter& respawns_ = metrics_.counter("respawns");
+  metrics::Counter& restore_hits_ = metrics_.counter("restore_hits");
+  metrics::Counter& restore_misses_ = metrics_.counter("restore_misses");
 };
 
 }  // namespace xsearch::net

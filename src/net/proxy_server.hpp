@@ -15,7 +15,7 @@
 // session costs a buffer and a table entry, which is what lets one proxy
 // host the paper's tens of thousands of mostly-idle clients.
 //
-// Overload behavior is typed and layered (all counted in stats): accept
+// Overload behavior is typed and layered (all counted in metrics()): accept
 // past `max_connections` answers OVERLOADED and closes; EMFILE/ENFILE at
 // accept pauses the accept loop briefly instead of spinning; a request
 // that finds the dispatch queue full, waited past `queue_timeout`, or
@@ -89,40 +89,13 @@ class ProxyServer {
   /// dispatch workers. Idempotent; the port rebinds immediately after.
   void stop();
 
-  /// Connections accepted over the server's lifetime.
+  /// The reactor's `reactor.*` series (see Reactor::metrics).
+  [[nodiscard]] metrics::Snapshot metrics() const { return reactor_->metrics(); }
+
+  /// Connections accepted over the server's lifetime; a thin read of
+  /// `reactor.accepted`, kept for the end-to-end benchmark.
   [[nodiscard]] std::uint64_t connections_served() const {
-    return reactor_->accepted();
-  }
-  /// Connections fully torn down (finished, failed, or shed).
-  [[nodiscard]] std::uint64_t connections_reaped() const {
-    return reactor_->reaped();
-  }
-  /// Connections/requests refused with a typed "server busy" error.
-  [[nodiscard]] std::uint64_t connections_shed() const {
-    return reactor_->shed();
-  }
-  /// Requests shed because they waited past `queue_timeout` (also counted
-  /// in `connections_shed`).
-  [[nodiscard]] std::uint64_t queue_expired() const {
-    return reactor_->queue_expired();
-  }
-  /// Requests refused (typed DEADLINE_EXCEEDED) because their own deadline
-  /// expired while queued, before the handler ran.
-  [[nodiscard]] std::uint64_t deadline_expired() const {
-    return reactor_->deadline_expired();
-  }
-  /// Accept attempts that hit EMFILE/ENFILE; each pauses the accept loop
-  /// briefly instead of spinning.
-  [[nodiscard]] std::uint64_t fd_exhausted() const {
-    return reactor_->fd_exhausted();
-  }
-  /// Sessions reaped by `idle_ttl`.
-  [[nodiscard]] std::uint64_t idle_reaped() const {
-    return reactor_->idle_reaped();
-  }
-  /// Connections currently live.
-  [[nodiscard]] std::size_t active_connections() const {
-    return reactor_->active_connections();
+    return metrics().value("reactor.accepted");
   }
 
  private:

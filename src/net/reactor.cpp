@@ -292,19 +292,19 @@ void Reactor::drain_accept(Shard& shard) {
       // Out of descriptors: the pending connection stays in the kernel
       // backlog. Retrying immediately would spin on the same error, so
       // park the accept loop and let the timer wheel resume it.
-      fd_exhausted_.fetch_add(1, std::memory_order_relaxed);
+      fd_exhausted_.inc();
       pause_accept(shard);
       return;
     }
 
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    accepted_.inc();
     if (options_.max_connections > 0 &&
-        active_.load(std::memory_order_relaxed) >= options_.max_connections) {
+        active_.value() >= options_.max_connections) {
       // Typed accept-time shed: tell the client it hit a full server, not a
       // dead one. Best effort — the socket is fresh, so a single
       // nonblocking write virtually always takes the few error bytes.
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      reaped_.fetch_add(1, std::memory_order_relaxed);
+      shed_.inc();
+      reaped_.inc();
       if (options_.encode_shed) {
         const Bytes reply = options_.encode_shed(
             overloaded("server busy: connection limit reached"));
@@ -314,7 +314,7 @@ void Reactor::drain_accept(Shard& shard) {
       continue;  // stream destructor closes the fd
     }
 
-    active_.fetch_add(1, std::memory_order_relaxed);
+    active_.add();
     const std::uint64_t id =
         next_id_.fetch_add(1, std::memory_order_relaxed);
     Shard& target = *shards_[id % shards_.size()];
@@ -363,8 +363,8 @@ void Reactor::adopt_connection(Shard& shard, TcpStream stream,
   ev.data.u64 = id;
   if (::epoll_ctl(shard.epoll.get(), EPOLL_CTL_ADD, conn->stream.native_fd(),
                   &ev) != 0) {
-    active_.fetch_sub(1, std::memory_order_relaxed);
-    reaped_.fetch_add(1, std::memory_order_relaxed);
+    active_.sub();
+    reaped_.inc();
     return;
   }
   Connection& ref = *conn;
@@ -385,8 +385,8 @@ void Reactor::destroy_connection(Shard& shard, std::uint64_t id) {
   (void)::epoll_ctl(shard.epoll.get(), EPOLL_CTL_DEL,
                     it->second->stream.native_fd(), nullptr);
   shard.conns.erase(it);
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  reaped_.fetch_add(1, std::memory_order_relaxed);
+  active_.sub();
+  reaped_.inc();
 }
 
 void Reactor::schedule_conn_timer(Shard& shard, Connection& conn, Nanos due) {
@@ -542,7 +542,7 @@ void Reactor::dispatch_job(Shard& shard, Connection& conn, Bytes job,
   if (!queued) {
     // Dispatch queue full: shed this request right here on the loop thread
     // (the protocol object is ours again the moment submit refused).
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    shed_.inc();
     auto result =
         conn.protocol->shed(overloaded("server busy: dispatch queue full"));
     apply_completion(shard, id, generation, std::move(result.reply),
@@ -560,14 +560,14 @@ void Reactor::run_dispatched(Shard& shard, std::uint64_t id,
   if (queue_deadline.expired()) {
     // Waited past the queue timeout: its client has likely timed out, so
     // shed instead of burning a worker on abandoned work.
-    queue_expired_.fetch_add(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    queue_expired_.inc();
+    shed_.inc();
     result = protocol->shed(
         overloaded("server busy: request expired in dispatch queue"));
   } else if (deadline.expired()) {
     // The request's own end-to-end budget ran out while queued. Refusing
     // before the handler runs is exactly-once safe: no record was opened.
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    deadline_expired_.inc();
     result = protocol->shed(
         deadline_exceeded("request deadline expired while queued"));
   } else {
@@ -748,7 +748,7 @@ void Reactor::on_timer(Shard& shard, std::uint64_t id, Nanos now) {
       conn.state == Connection::State::kReadingHeader &&
       conn.wqueue.empty() && conn.rbuf.size() == conn.rpos &&
       now - conn.last_activity >= options_.idle_ttl) {
-    idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+    idle_reaped_.inc();
     destroy_connection(shard, id);
     return;
   }

@@ -39,6 +39,7 @@
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "common/deadline.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
@@ -149,41 +150,10 @@ class Reactor {
   /// rebindable afterwards.
   void stop();
 
-  // ---- stats -----------------------------------------------------------
-
-  /// Connections accepted over the reactor's lifetime (incl. shed ones).
-  [[nodiscard]] std::uint64_t accepted() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
-  /// Connections fully torn down (finished, failed, or shed).
-  [[nodiscard]] std::uint64_t reaped() const {
-    return reaped_.load(std::memory_order_relaxed);
-  }
-  /// Requests/connections refused to protect the server (accept cap,
-  /// dispatch queue full, queue expiry).
-  [[nodiscard]] std::uint64_t shed() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
-  /// Jobs shed because they waited past `queue_timeout`.
-  [[nodiscard]] std::uint64_t queue_expired() const {
-    return queue_expired_.load(std::memory_order_relaxed);
-  }
-  /// Jobs shed because their request deadline expired while queued.
-  [[nodiscard]] std::uint64_t deadline_expired() const {
-    return deadline_expired_.load(std::memory_order_relaxed);
-  }
-  /// Accept attempts that hit EMFILE/ENFILE (each backs off, not spins).
-  [[nodiscard]] std::uint64_t fd_exhausted() const {
-    return fd_exhausted_.load(std::memory_order_relaxed);
-  }
-  /// Connections reaped by the idle TTL.
-  [[nodiscard]] std::uint64_t idle_reaped() const {
-    return idle_reaped_.load(std::memory_order_relaxed);
-  }
-  /// Connections currently live.
-  [[nodiscard]] std::size_t active_connections() const {
-    return active_.load(std::memory_order_relaxed);
-  }
+  /// `reactor.*`: accepted, reaped, shed (accept cap, full queue, queue
+  /// expiry), queue_expired, deadline_expired (while queued), fd_exhausted
+  /// (EMFILE/ENFILE accepts), idle_reaped; gauge active (live connections).
+  [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
 
  private:
   struct Shard;
@@ -234,14 +204,15 @@ class Reactor {
   bool accept_paused_ = false;
 
   std::atomic<std::uint64_t> next_id_{2};  // 0 = wake tag, 1 = listener tag
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> reaped_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> queue_expired_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> fd_exhausted_{0};
-  std::atomic<std::uint64_t> idle_reaped_{0};
-  std::atomic<std::size_t> active_{0};
+  metrics::Registry metrics_{"reactor"};
+  metrics::Counter& accepted_ = metrics_.counter("accepted");
+  metrics::Counter& reaped_ = metrics_.counter("reaped");
+  metrics::Counter& shed_ = metrics_.counter("shed");
+  metrics::Counter& queue_expired_ = metrics_.counter("queue_expired");
+  metrics::Counter& deadline_expired_ = metrics_.counter("deadline_expired");
+  metrics::Counter& fd_exhausted_ = metrics_.counter("fd_exhausted");
+  metrics::Counter& idle_reaped_ = metrics_.counter("idle_reaped");
+  metrics::Gauge& active_ = metrics_.gauge("active");
 };
 
 }  // namespace xsearch::net

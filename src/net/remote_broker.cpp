@@ -94,6 +94,12 @@ RemoteBroker::RemoteBroker(Connector connect,
 
 Status RemoteBroker::connect() { return connect_within(request_deadline()); }
 
+metrics::Snapshot RemoteBroker::metrics() const {
+  metrics::Snapshot out = metrics_.snapshot();
+  if (breaker_ != nullptr) out.merge(breaker_->metrics());
+  return out;
+}
+
 Status RemoteBroker::connect_within(const Deadline& deadline) {
   if (channel_.has_value()) return Status::ok();
 
@@ -185,12 +191,12 @@ bool RemoteBroker::prepare_retry(RetryState& retry, const Deadline& deadline,
   if (!retry_budget_.try_spend()) {
     // Bucket empty: a persistently failing proxy degrades this connection
     // to one attempt per request instead of multiplying load.
-    ++retries_budget_denied_;
+    retries_budget_denied_.inc();
     return false;
   }
-  if (delivered) ++at_least_once_retries_;
+  if (delivered) at_least_once_retries_.inc();
   reset_session();
-  ++reconnects_;
+  reconnects_.inc();
   Nanos pause = retry.next_backoff(jitter_rng_);
   if (!deadline.is_infinite() && pause > deadline.remaining()) {
     pause = deadline.remaining();
@@ -265,7 +271,7 @@ Result<std::vector<BatchOutcome>> RemoteBroker::round_trip(
     return written;
   }
   delivered = true;
-  ++frames_sent_;
+  frames_sent_.inc();
 
   FrameReadOptions read_options;
   read_options.io_deadline = deadline;
@@ -299,7 +305,7 @@ Result<std::vector<BatchOutcome>> RemoteBroker::round_trip(
   }
   auto message = core::wire::parse_client_message(plaintext.value());
   if (!message) return message.status();
-  queries_sent_ += count;
+  queries_sent_.inc(count);
   return decode_batch_reply(std::move(message).value(), count);
 }
 

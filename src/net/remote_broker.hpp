@@ -42,6 +42,7 @@
 
 #include "common/circuit_breaker.hpp"
 #include "common/deadline.hpp"
+#include "common/metrics.hpp"
 #include "common/retry.hpp"
 #include "common/rng.hpp"
 #include "crypto/random.hpp"
@@ -130,7 +131,7 @@ class RemoteBroker {
   ///    garbled reply) is the ambiguous case: the proxy may have executed
   ///    the whole batch, and the retry may execute it again (duplicate
   ///    history entries and engine traffic, no channel-safety impact).
-  ///    These retries are counted in `at_least_once_retries()` so
+  ///    These retries are counted in `broker.at_least_once_retries` so
   ///    deployments can observe the duplication risk they actually took.
   ///
   /// With the breaker enabled, each attempt records one outcome: a failure
@@ -142,35 +143,14 @@ class RemoteBroker {
 
   [[nodiscard]] bool connected() const { return channel_.has_value(); }
 
-  /// Times the broker had to tear down and re-establish the session.
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
-
-  /// Retries that re-sent a query frame whose reply was LOST after
-  /// delivery (dead connection, garbled reply): the at-least-once window,
-  /// where the proxy may have executed the work twice. Never-delivered
-  /// frames and frame-level error replies (the proxy refused the record
-  /// without opening it) do not count — those retries are exactly-once.
-  [[nodiscard]] std::uint64_t at_least_once_retries() const {
-    return at_least_once_retries_;
-  }
-
-  /// Retries the token bucket refused (storm damping kicked in).
-  [[nodiscard]] std::uint64_t retries_budget_denied() const {
-    return retries_budget_denied_;
-  }
-
   /// Current session id (0 before connect). Routing metadata only.
   [[nodiscard]] std::uint64_t session_id() const { return session_id_; }
 
-  /// Wire round trips (frames) and queries carried — the amortization the
-  /// fleet bench reports as seal/open ops per query.
-  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
-  [[nodiscard]] std::uint64_t queries_sent() const { return queries_sent_; }
-
-  /// Client-side breaker state ({} when the breaker is disabled).
-  [[nodiscard]] CircuitBreaker::Stats breaker_stats() const {
-    return breaker_ != nullptr ? breaker_->stats() : CircuitBreaker::Stats{};
-  }
+  /// `broker.*`: reconnects, at_least_once_retries (frames re-sent after
+  /// their reply was LOST, so the proxy may have run them twice; see
+  /// search_batch), retries_budget_denied, frames_sent, queries_sent —
+  /// plus the client breaker's `breaker.*` when it is enabled.
+  [[nodiscard]] metrics::Snapshot metrics() const;
 
  private:
   /// One attempt: seals `request` (a framed batch of `count` queries),
@@ -208,11 +188,13 @@ class RemoteBroker {
   std::unique_ptr<ByteStream> stream_;
   std::optional<crypto::SecureChannel> channel_;
   std::uint64_t session_id_ = 0;
-  std::uint64_t reconnects_ = 0;
-  std::uint64_t at_least_once_retries_ = 0;
-  std::uint64_t retries_budget_denied_ = 0;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t queries_sent_ = 0;
+
+  metrics::Registry metrics_{"broker"};
+  metrics::Counter& reconnects_ = metrics_.counter("reconnects");
+  metrics::Counter& at_least_once_retries_ = metrics_.counter("at_least_once_retries");
+  metrics::Counter& retries_budget_denied_ = metrics_.counter("retries_budget_denied");
+  metrics::Counter& frames_sent_ = metrics_.counter("frames_sent");
+  metrics::Counter& queries_sent_ = metrics_.counter("queries_sent");
 };
 
 }  // namespace xsearch::net

@@ -48,7 +48,7 @@ Result<Bytes> EnclaveRuntime::ecall(EcallId id, ByteSpan input) {
   if (!handler) {
     return not_found("unregistered ecall: " + std::string(ecall_name(id)));
   }
-  ecall_count_.fetch_add(1, std::memory_order_relaxed);
+  ecall_count_.inc();
   // Parameters are copied into enclave memory at the boundary; the copy is
   // implicit in the ByteSpan-to-Bytes conversions done by handlers.
   return handler(input);
@@ -63,13 +63,8 @@ Result<Bytes> EnclaveRuntime::ocall(OcallId id, ByteSpan input) {
   if (!handler) {
     return not_found("unregistered ocall: " + std::string(ocall_name(id)));
   }
-  ocall_count_.fetch_add(1, std::memory_order_relaxed);
+  ocall_count_.inc();
   return handler(input);
-}
-
-TransitionStats EnclaveRuntime::transition_stats() const {
-  return TransitionStats{ecall_count_.load(std::memory_order_relaxed),
-                         ocall_count_.load(std::memory_order_relaxed)};
 }
 
 // --- Sealing -----------------------------------------------------------------

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "crypto/aead.hpp"
@@ -40,8 +41,9 @@ namespace xsearch::sgx {
 
 using Measurement = crypto::Sha256Digest;
 
-/// Counters for enclave boundary crossings — the number the paper prices
-/// at ~8us each.
+/// Enclave boundary crossings — the number the paper prices at ~8us each.
+/// A view of the `enclave.ecalls`/`enclave.ocalls` series, kept for the
+/// end-to-end benchmark's per-query counts.
 struct TransitionStats {
   std::uint64_t ecalls = 0;
   std::uint64_t ocalls = 0;
@@ -94,7 +96,11 @@ class EnclaveRuntime {
     return crashed_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] TransitionStats transition_stats() const;
+  [[nodiscard]] TransitionStats transition_stats() const {
+    return {ecall_count_.value(), ocall_count_.value()};
+  }
+  /// `enclave.ecalls` and `enclave.ocalls`.
+  [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
 
   // --- Memory ------------------------------------------------------------
 
@@ -122,8 +128,9 @@ class EnclaveRuntime {
   std::array<Handler, kOcallCount> ocalls_ XS_GUARDED_BY(mutex_);
 
   std::atomic<bool> crashed_{false};
-  std::atomic<std::uint64_t> ecall_count_{0};
-  std::atomic<std::uint64_t> ocall_count_{0};
+  metrics::Registry metrics_{"enclave"};
+  metrics::Counter& ecall_count_ = metrics_.counter("ecalls");
+  metrics::Counter& ocall_count_ = metrics_.counter("ocalls");
   std::atomic<std::uint64_t> seal_counter_{0};
 };
 

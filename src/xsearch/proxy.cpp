@@ -296,7 +296,7 @@ void XSearchProxy::restore_checkpoint() {
   if (options_.checkpoint_dir.empty()) return;
   auto blob = read_checkpoint_file(checkpoint_path());
   if (!blob) return;  // no checkpoint yet: plain cold start
-  restore_attempted_ = true;
+  restore_attempts_.inc();
 
   SessionObfuscationCounts sessions;
   const Status restored =
@@ -309,9 +309,9 @@ void XSearchProxy::restore_checkpoint() {
     obfuscator_ = std::make_unique<Obfuscator>(*history_, options_.k);
     return;
   }
-  restore_hit_ = true;
-  restored_entries_ = history_->size();
-  restored_sessions_ = sessions.size();
+  restore_hits_.inc();
+  restored_entries_.set(history_->size());
+  restored_sessions_.set(sessions.size());
   sessions_->set_resume_generations(std::move(sessions));
 }
 
@@ -347,14 +347,14 @@ Status XSearchProxy::checkpoint_locked() {
   payload.push_back(kTagCheckpoint);
   auto sealed = enclave_->ecall(sgx::EcallId::kRequest, payload);
   if (!sealed) {
-    checkpoint_write_failures_.fetch_add(1, std::memory_order_relaxed);
+    checkpoint_write_failures_.inc();
     return sealed.status();
   }
   const Status written = write_checkpoint_file(checkpoint_path(), sealed.value());
   if (written.is_ok()) {
-    checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+    checkpoints_written_.inc();
   } else {
-    checkpoint_write_failures_.fetch_add(1, std::memory_order_relaxed);
+    checkpoint_write_failures_.inc();
   }
   return written;
 }
@@ -365,15 +365,11 @@ Status XSearchProxy::heartbeat() {
   return enclave_->ecall(sgx::EcallId::kRequest, payload).status();
 }
 
-XSearchProxy::CheckpointStats XSearchProxy::checkpoint_stats() const {
-  CheckpointStats out;
-  out.enabled = !options_.checkpoint_dir.empty();
-  out.restore_attempted = restore_attempted_;
-  out.restore_hit = restore_hit_;
-  out.restored_entries = restored_entries_;
-  out.restored_sessions = restored_sessions_;
-  out.written = checkpoints_written_.load(std::memory_order_relaxed);
-  out.write_failures = checkpoint_write_failures_.load(std::memory_order_relaxed);
+metrics::Snapshot XSearchProxy::metrics() const {
+  metrics::Snapshot out = metrics_.snapshot();
+  out.merge(enclave_->metrics());
+  out.merge(sessions_->metrics());
+  if (engine_breaker_ != nullptr) out.merge(engine_breaker_->metrics());
   return out;
 }
 
@@ -594,9 +590,12 @@ Result<Bytes> XSearchProxy::query_engine(const ObfuscatedQuery& obfuscated,
 Result<XSearchProxy::HandshakeResponse> XSearchProxy::handshake(
     const crypto::X25519Key& client_ephemeral_pub,
     std::uint64_t proposed_session_id) {
-  Bytes payload;
-  payload.push_back(kTagHandshake);
-  append(payload, client_ephemeral_pub);
+  // Sized once, then filled: a push_back followed by an append here draws
+  // a spurious GCC -Warray-bounds from the inlined reallocation.
+  Bytes payload(1 + client_ephemeral_pub.size());
+  payload[0] = kTagHandshake;
+  std::memcpy(payload.data() + 1, client_ephemeral_pub.data(),
+              client_ephemeral_pub.size());
   if (proposed_session_id != 0) wire::put_u64(payload, proposed_session_id);
   auto raw = enclave_->ecall(sgx::EcallId::kRequest, payload);
   if (!raw) return raw.status();

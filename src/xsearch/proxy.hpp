@@ -28,6 +28,7 @@
 #include "common/bytes.hpp"
 #include "common/circuit_breaker.hpp"
 #include "common/deadline.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "crypto/random.hpp"
@@ -139,8 +140,8 @@ class XSearchProxy : public ProxyHandler {
     /// lives in the `send` ocall *body* — untrusted host code — so trusted
     /// logic never reads a clock: after a rolling window of engine failures
     /// (including deadline expiries) it fast-fails the round trip with
-    /// UPSTREAM_DOWN instead of hammering a dead engine. State is surfaced
-    /// via engine_breaker_stats() and the fleet's FleetStats.
+    /// UPSTREAM_DOWN instead of hammering a dead engine. Its `breaker.*`
+    /// series are part of metrics().
     bool engine_breaker_enabled = false;
     CircuitBreaker::Options engine_breaker;
     /// Host-side fault injection on the engine path, called in the `send`
@@ -251,18 +252,6 @@ class XSearchProxy : public ProxyHandler {
   /// `ecall`, so handing out a mutable runtime does not widen the TCB.
   [[nodiscard]] sgx::EnclaveRuntime& host_enclave() { return *enclave_; }
 
-  /// Checkpoint/restore lifecycle counters.
-  struct CheckpointStats {
-    bool enabled = false;            // Options::checkpoint_dir set
-    bool restore_attempted = false;  // a checkpoint file was found and read
-    bool restore_hit = false;        // ...and restored successfully
-    std::size_t restored_entries = 0;
-    std::size_t restored_sessions = 0;  // v2 per-session states installed
-    std::uint64_t written = 0;          // successful checkpoint writes
-    std::uint64_t write_failures = 0;
-  };
-  [[nodiscard]] CheckpointStats checkpoint_stats() const;
-
   /// Where this proxy persists its sealed history (empty when disabled).
   [[nodiscard]] std::filesystem::path checkpoint_path() const;
 
@@ -278,17 +267,16 @@ class XSearchProxy : public ProxyHandler {
   }
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// Lifecycle counters of the bounded session table (active/peak/evicted/
-  /// expired and the EPC bytes its live sessions hold).
-  [[nodiscard]] SessionTable::Stats session_stats() const {
-    return sessions_->stats();
-  }
+  /// `checkpoint.*` (restore_attempts: a checkpoint file was read;
+  /// restore_hits, written, write_failures; gauges restored_entries,
+  /// restored_sessions) merged with the enclave's, the session table's
+  /// and, when enabled, the engine breaker's series.
+  [[nodiscard]] metrics::Snapshot metrics() const;
 
-  /// Proxy→engine circuit breaker state (closed/zeroes when the breaker is
-  /// disabled). Host-side state — see Options::engine_breaker_enabled.
-  [[nodiscard]] CircuitBreaker::Stats engine_breaker_stats() const {
-    if (engine_breaker_ == nullptr) return {};
-    return engine_breaker_->stats();
+  /// The eviction count the end-to-end benchmark reads (`sessions.evicted_lru`).
+  struct SessionStats { std::uint64_t evicted_lru = 0; };
+  [[nodiscard]] SessionStats session_stats() const {
+    return {sessions_->metrics().value("sessions.evicted_lru")};
   }
 
   /// Outcome of the `init` ecall performed at construction. The raw
@@ -377,16 +365,17 @@ class XSearchProxy : public ProxyHandler {
   std::atomic<std::uint64_t> queries_since_checkpoint_{0};
   // Serializes checkpoint writes; periodic polls skip when contended.
   Mutex checkpoint_mutex_;
-  std::atomic<std::uint64_t> checkpoints_written_{0};
-  std::atomic<std::uint64_t> checkpoint_write_failures_{0};
-  bool restore_attempted_ = false;  // set during single-threaded construction
-  bool restore_hit_ = false;
-  std::size_t restored_entries_ = 0;
-  std::size_t restored_sessions_ = 0;
+  metrics::Registry metrics_{"checkpoint"};
+  metrics::Counter& checkpoints_written_ = metrics_.counter("written");
+  metrics::Counter& checkpoint_write_failures_ = metrics_.counter("write_failures");
+  metrics::Counter& restore_attempts_ = metrics_.counter("restore_attempts");
+  metrics::Counter& restore_hits_ = metrics_.counter("restore_hits");
+  metrics::Gauge& restored_entries_ = metrics_.gauge("restored_entries");
+  metrics::Gauge& restored_sessions_ = metrics_.gauge("restored_sessions");
 
   // ---- untrusted host state: engine-path circuit breaker ----
   // Owned by the host half of the proxy and touched only from the `send`
-  // ocall body and stats accessors; null when disabled.
+  // ocall body and metrics(); null when disabled.
   std::unique_ptr<CircuitBreaker> engine_breaker_;
 
   // ---- untrusted host state: the "sockets" behind the ocalls ----

@@ -122,7 +122,7 @@ SessionTable::SessionTable(Options options, sgx::EpcAccountant* epc, Clock clock
 
 SessionTable::~SessionTable() {
   // Release everything still charged; eviction paths released the rest.
-  if (epc_) epc_->release(epc_bytes_.load(std::memory_order_relaxed));
+  if (epc_) epc_->release(epc_bytes_.value());
 }
 
 void SessionTable::remove_locked(
@@ -142,8 +142,8 @@ void SessionTable::remove_locked(
   }
   shard.lru.erase(it->second->lru_it);
   shard.sessions.erase(it);
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  epc_bytes_.fetch_sub(session_epc_bytes(), std::memory_order_relaxed);
+  active_.sub();
+  epc_bytes_.sub(session_epc_bytes());
   if (epc_) epc_->release(session_epc_bytes());
 }
 
@@ -158,7 +158,7 @@ std::size_t SessionTable::evict_expired_locked(Shard& shard, Nanos now) {
     remove_locked(shard, it);
     ++evicted;
   }
-  expired_ttl_.fetch_add(evicted, std::memory_order_relaxed);
+  expired_ttl_.inc(evicted);
   return evicted;
 }
 
@@ -212,23 +212,18 @@ std::uint64_t SessionTable::insert(crypto::SecureChannel channel,
     shard.lru.push_front(id);
     session->lru_it = shard.lru.begin();
     shard.sessions.emplace(id, std::move(session));
-    active_.fetch_add(1, std::memory_order_relaxed);
-    epc_bytes_.fetch_add(session_epc_bytes(), std::memory_order_relaxed);
+    active_.add();
+    epc_bytes_.add(session_epc_bytes());
     if (epc_) epc_->charge(session_epc_bytes());
     while (shard.sessions.size() > shard.capacity) {
       remove_locked(shard, shard.sessions.find(shard.lru.back()));
-      evicted_lru_.fetch_add(1, std::memory_order_relaxed);
+      evicted_lru_.inc();
     }
     break;
   }
 
-  created_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t active = active_.load(std::memory_order_relaxed);
-  std::size_t peak = peak_active_.load(std::memory_order_relaxed);
-  while (active > peak &&
-         !peak_active_.compare_exchange_weak(peak, active,
-                                             std::memory_order_relaxed)) {
-  }
+  created_.inc();
+  peak_active_.raise_to(active_.value());
   return id;
 }
 
@@ -241,7 +236,7 @@ SessionTable::LockedSession SessionTable::acquire(std::uint64_t session_id) {
     evict_expired_locked(shard, now);
     const auto it = shard.sessions.find(session_id);
     if (it == shard.sessions.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_.inc();
       return LockedSession{};
     }
     session = it->second;
@@ -259,7 +254,7 @@ bool SessionTable::erase(std::uint64_t session_id) {
   const auto it = shard.sessions.find(session_id);
   if (it == shard.sessions.end()) return false;
   remove_locked(shard, it);
-  erased_.fetch_add(1, std::memory_order_relaxed);
+  erased_.inc();
   return true;
 }
 
@@ -273,9 +268,7 @@ std::size_t SessionTable::sweep_expired() {
   return total;
 }
 
-std::size_t SessionTable::size() const {
-  return active_.load(std::memory_order_relaxed);
-}
+std::size_t SessionTable::size() const { return active_.value(); }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 SessionTable::checkpoint_generations() const {
@@ -316,19 +309,6 @@ void SessionTable::set_resume_generations(
   for (const auto& [id, count] : generations) {
     if (count > 0) resume_generations_.emplace(id, count);
   }
-}
-
-SessionTable::Stats SessionTable::stats() const {
-  Stats out;
-  out.active = active_.load(std::memory_order_relaxed);
-  out.peak_active = peak_active_.load(std::memory_order_relaxed);
-  out.created = created_.load(std::memory_order_relaxed);
-  out.evicted_lru = evicted_lru_.load(std::memory_order_relaxed);
-  out.expired_ttl = expired_ttl_.load(std::memory_order_relaxed);
-  out.erased = erased_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.epc_bytes = epc_bytes_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace xsearch::core

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "crypto/random.hpp"
@@ -73,18 +74,6 @@ class SessionTable {
     /// global order of add() calls — full replay needs the query
     /// interleaving too, not just the seed.
     std::uint64_t rng_seed = 0x5eed;
-  };
-
-  struct Stats {
-    std::size_t active = 0;
-    std::size_t peak_active = 0;
-    std::uint64_t created = 0;
-    std::uint64_t evicted_lru = 0;
-    std::uint64_t expired_ttl = 0;
-    std::uint64_t erased = 0;
-    std::uint64_t misses = 0;  // acquires of unknown/evicted/expired ids
-    /// Bytes currently charged to the EPC for live sessions.
-    std::size_t epc_bytes = 0;
   };
 
   /// Injectable time source (tests pass a fake; default is wall_now).
@@ -155,7 +144,9 @@ class SessionTable {
   std::size_t sweep_expired();
 
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] Stats stats() const;
+  /// `sessions.*`: created, evicted_lru, expired_ttl, erased, misses
+  /// (unknown ids acquired); gauges active, peak_active, epc_bytes.
+  [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// The per-session obfuscator state a v2 checkpoint seals: for every
@@ -228,14 +219,16 @@ class SessionTable {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::size_t> active_{0};
-  std::atomic<std::size_t> peak_active_{0};
-  std::atomic<std::uint64_t> created_{0};
-  std::atomic<std::uint64_t> evicted_lru_{0};
-  std::atomic<std::uint64_t> expired_ttl_{0};
-  std::atomic<std::uint64_t> erased_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::size_t> epc_bytes_{0};
+
+  metrics::Registry metrics_{"sessions"};
+  metrics::Counter& created_ = metrics_.counter("created");
+  metrics::Counter& evicted_lru_ = metrics_.counter("evicted_lru");
+  metrics::Counter& expired_ttl_ = metrics_.counter("expired_ttl");
+  metrics::Counter& erased_ = metrics_.counter("erased");
+  metrics::Counter& misses_ = metrics_.counter("misses");
+  metrics::Gauge& active_ = metrics_.gauge("active");
+  metrics::Gauge& peak_active_ = metrics_.gauge("peak_active");
+  metrics::Gauge& epc_bytes_ = metrics_.gauge("epc_bytes");
 };
 
 }  // namespace xsearch::core

@@ -125,8 +125,8 @@ TEST_P(ApiClientTest, SearchLazilyConnectsAndReturnsResults) {
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
   EXPECT_TRUE(client->connected());
   EXPECT_FALSE(results.value().empty());
-  EXPECT_EQ(client->stats().searches, 1u);
-  EXPECT_EQ(client->stats().failures, 0u);
+  EXPECT_EQ(client->metrics().value("client.searches"), 1u);
+  EXPECT_EQ(client->metrics().value("client.failures"), 0u);
 }
 
 TEST_P(ApiClientTest, ResultBudgetIsBounded) {
@@ -161,10 +161,11 @@ TEST_P(ApiClientTest, SiblingsSearchConcurrently) {
   for (auto& thread : threads) thread.join();
   for (std::size_t i = 0; i < siblings.size(); ++i) {
     EXPECT_TRUE(statuses[i].is_ok()) << statuses[i].to_string();
-    EXPECT_EQ(siblings[i]->stats().searches, 1u);
+    EXPECT_EQ(siblings[i]->metrics().value("client.searches"), 1u);
     EXPECT_EQ(siblings[i]->privacy_properties().mechanism, GetParam());
   }
-  EXPECT_EQ(client->stats().searches, 0u);  // siblings keep their own stats
+  // Siblings keep their own metrics.
+  EXPECT_EQ(client->metrics().value("client.searches"), 0u);
 }
 
 TEST_P(ApiClientTest, SaturationModeAnswersWithoutAnEngine) {
@@ -280,7 +281,11 @@ TEST(ApiXSearchTest, InProcessBatchTakesOneQueryEcallPerChunk) {
   auto client = make_client("xsearch", Backend{}, config);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
   ASSERT_TRUE(client.value()->connect().is_ok());  // the handshake ecall
-  const auto before = client.value()->privacy_properties().enclave_transitions;
+  const auto transitions = [&] {
+    const auto m = client.value()->metrics();
+    return m.value("enclave.ecalls") + m.value("enclave.ocalls");
+  };
+  const auto before = transitions();
 
   constexpr std::size_t kChunks = 3;
   const std::size_t count = (kChunks - 1) * core::wire::kMaxBatchQueries + 1;
@@ -293,8 +298,7 @@ TEST(ApiXSearchTest, InProcessBatchTakesOneQueryEcallPerChunk) {
   for (const auto& outcome : outcomes) {
     EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
   }
-  EXPECT_EQ(client.value()->privacy_properties().enclave_transitions - before,
-            kChunks);
+  EXPECT_EQ(transitions() - before, kChunks);
 }
 
 // Siblings are further users of ONE deployment: two X-Search siblings
@@ -312,7 +316,7 @@ TEST(ApiXSearchTest, ConcurrentSiblingsShareOneProxy) {
   const auto client =
       make_remote_client("127.0.0.1", server.value()->port(), authority,
                          proxy.value()->measurement(), config);
-  const auto before = proxy.value()->enclave().transition_stats();
+  const auto before = proxy.value()->metrics();
 
   std::vector<ClientPtr> siblings;
   siblings.push_back(client->spawn_sibling(config.seed + 1000));
@@ -330,10 +334,10 @@ TEST(ApiXSearchTest, ConcurrentSiblingsShareOneProxy) {
     EXPECT_TRUE(status.is_ok()) << status.to_string();
   }
 
-  EXPECT_EQ(proxy.value()->session_stats().active, 2u);
+  const auto after = proxy.value()->metrics();
+  EXPECT_EQ(after.value("sessions.active"), 2u);
   // One handshake ecall and one query ecall per sibling.
-  const auto after = proxy.value()->enclave().transition_stats();
-  EXPECT_EQ(after.ecalls - before.ecalls, 4u);
+  EXPECT_EQ(after.value("enclave.ecalls") - before.value("enclave.ecalls"), 4u);
   siblings.clear();
   server.value()->stop();
 }

@@ -59,9 +59,9 @@ TEST(CircuitBreaker, TripsOpenAtFailureRatioAndFastFails) {
   // Open: every call is rejected without touching the dependency.
   EXPECT_FALSE(fake.breaker.allow());
   EXPECT_FALSE(fake.breaker.allow());
-  const auto stats = fake.breaker.stats();
-  EXPECT_EQ(stats.trips, 1u);
-  EXPECT_EQ(stats.rejected, 2u);
+  const auto stats = fake.breaker.metrics();
+  EXPECT_EQ(stats.value("breaker.trips"), 1u);
+  EXPECT_EQ(stats.value("breaker.rejected"), 2u);
 }
 
 TEST(CircuitBreaker, SuccessesKeepItClosed) {
@@ -77,7 +77,7 @@ TEST(CircuitBreaker, SuccessesKeepItClosed) {
     }
   }
   EXPECT_EQ(fake.breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(fake.breaker.stats().trips, 0u);
+  EXPECT_EQ(fake.breaker.metrics().value("breaker.trips"), 0u);
 }
 
 TEST(CircuitBreaker, HalfOpenProbesCloseAfterCooldown) {
@@ -116,7 +116,7 @@ TEST(CircuitBreaker, HalfOpenProbeFailureReopensAndRestartsCooldown) {
   ASSERT_TRUE(fake.breaker.allow());  // half-open probe
   fake.breaker.record_failure();
   EXPECT_EQ(fake.breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(fake.breaker.stats().trips, 2u);
+  EXPECT_EQ(fake.breaker.metrics().value("breaker.trips"), 2u);
   // The cooldown restarted at the re-open: still rejecting...
   EXPECT_FALSE(fake.breaker.allow());
   // ...until it elapses again.

@@ -204,14 +204,14 @@ TEST_F(ProxyTest, HistoryGrowsWithQueries) {
 
 TEST_F(ProxyTest, TransitionCountsMatchNarrowInterface) {
   XSearchProxy proxy(&engine_, authority_, options());
-  const auto before = proxy.enclave().transition_stats();
+  const auto before = proxy.metrics();
   auto broker =
       testutil::in_process_broker(proxy, authority_, proxy.measurement(), 6);
   ASSERT_TRUE(broker.search(log_.records()[0].text).is_ok());
-  const auto after = proxy.enclave().transition_stats();
+  const auto after = proxy.metrics();
   // 1 handshake ecall + 1 query ecall; 4 socket ocalls per engine trip.
-  EXPECT_EQ(after.ecalls - before.ecalls, 2u);
-  EXPECT_EQ(after.ocalls - before.ocalls, 4u);
+  EXPECT_EQ(after.value("enclave.ecalls") - before.value("enclave.ecalls"), 2u);
+  EXPECT_EQ(after.value("enclave.ocalls") - before.value("enclave.ocalls"), 4u);
 }
 
 // A request whose budget is already spent is refused before the request
@@ -223,12 +223,12 @@ TEST_F(ProxyTest, ExpiredDeadlineIsRefusedBeforeTheEcall) {
   ASSERT_TRUE(session.has_value());
   const Bytes record = session->seal_query(log_.records()[0].text);
 
-  const auto before = proxy.enclave().transition_stats();
+  const auto before = proxy.metrics();
   const auto refused =
       proxy.handle_query_record(session->id, record, Deadline::after(0));
   EXPECT_EQ(refused.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(proxy.enclave().transition_stats().ecalls, before.ecalls);
-  EXPECT_EQ(proxy.enclave().transition_stats().ocalls, before.ocalls);
+  EXPECT_EQ(proxy.metrics().value("enclave.ecalls"), before.value("enclave.ecalls"));
+  EXPECT_EQ(proxy.metrics().value("enclave.ocalls"), before.value("enclave.ocalls"));
   EXPECT_EQ(proxy.history_size(), 0u);
 
   const auto served = proxy.handle_query_record(session->id, record, Deadline());
@@ -395,7 +395,7 @@ TEST_F(ProxyTest, SaturationModeSkipsEngine) {
   EXPECT_TRUE(results.value().empty());
   EXPECT_EQ(proxy.history_size(), 1u);  // obfuscation path still runs
   // Only the 2 ecalls happened; no socket ocalls.
-  EXPECT_EQ(proxy.enclave().transition_stats().ocalls, 0u);
+  EXPECT_EQ(proxy.metrics().value("enclave.ocalls"), 0u);
 }
 
 TEST_F(ProxyTest, FilteredResultsRelateToOriginal) {
@@ -434,9 +434,9 @@ TEST_F(ProxyTest, EpcUsageVisible) {
   EXPECT_GT(proxy.enclave().epc().in_use(), before);
   // Enclave occupancy decomposes exactly into the history table plus the
   // per-session channel state held by the bounded session table.
-  EXPECT_EQ(proxy.history_memory_bytes() + proxy.session_stats().epc_bytes,
+  EXPECT_EQ(proxy.history_memory_bytes() + proxy.metrics().value("sessions.epc_bytes"),
             proxy.enclave().epc().in_use());
-  EXPECT_EQ(proxy.session_stats().active, 1u);
+  EXPECT_EQ(proxy.metrics().value("sessions.active"), 1u);
 }
 
 }  // namespace

@@ -55,10 +55,10 @@ TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(broker.search("query " + std::to_string(i)).is_ok());
     }
-    const auto stats = proxy.checkpoint_stats();
-    EXPECT_TRUE(stats.enabled);
-    EXPECT_GE(stats.written, 2u);  // interval 4, 10 queries
-    EXPECT_EQ(stats.write_failures, 0u);
+    EXPECT_FALSE(proxy.checkpoint_path().empty());
+    const auto stats = proxy.metrics();
+    EXPECT_GE(stats.value("checkpoint.written"), 2u);  // interval 4, 10 queries
+    EXPECT_EQ(stats.value("checkpoint.write_failures"), 0u);
     depth_at_crash = proxy.history_size();
     EXPECT_EQ(depth_at_crash, 10u);
   }  // proxy destroyed: the "crash" (no drain-time checkpoint beyond the
@@ -66,10 +66,10 @@ TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
 
   XSearchProxy restarted(nullptr, authority_, checkpointing_options());
   ASSERT_TRUE(restarted.init_status().is_ok());
-  const auto stats = restarted.checkpoint_stats();
-  EXPECT_TRUE(stats.restore_attempted);
-  EXPECT_TRUE(stats.restore_hit);
-  EXPECT_EQ(stats.restored_entries, 8u);  // newest periodic seal
+  const auto stats = restarted.metrics();
+  EXPECT_EQ(stats.value("checkpoint.restore_attempts"), 1u);
+  EXPECT_EQ(stats.value("checkpoint.restore_hits"), 1u);
+  EXPECT_EQ(stats.value("checkpoint.restored_entries"), 8u);  // newest periodic seal
   EXPECT_EQ(restarted.history_size(), 8u);
 
   // The restored table feeds obfuscation immediately: no cold start.
@@ -86,12 +86,13 @@ TEST_F(RecoveryTest, ExplicitCheckpointCapturesFullDepth) {
     for (int i = 0; i < 7; ++i) {
       ASSERT_TRUE(broker.search("q" + std::to_string(i)).is_ok());
     }
-    EXPECT_EQ(proxy.checkpoint_stats().written, 0u);  // interval 0: no periodic
+    // interval 0: no periodic
+    EXPECT_EQ(proxy.metrics().value("checkpoint.written"), 0u);
     ASSERT_TRUE(proxy.checkpoint_now().is_ok());
-    EXPECT_EQ(proxy.checkpoint_stats().written, 1u);
+    EXPECT_EQ(proxy.metrics().value("checkpoint.written"), 1u);
   }
   XSearchProxy restarted(nullptr, authority_, checkpointing_options(0));
-  EXPECT_TRUE(restarted.checkpoint_stats().restore_hit);
+  EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
   EXPECT_EQ(restarted.history_size(), 7u);
 }
 
@@ -103,7 +104,7 @@ TEST_F(RecoveryTest, CheckpointNowWithoutDirIsRefused) {
   XSearchProxy proxy(nullptr, authority_, options);
   const Status status = proxy.checkpoint_now();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(proxy.checkpoint_stats().enabled);
+  EXPECT_TRUE(proxy.checkpoint_path().empty());
 }
 
 TEST_F(RecoveryTest, TamperedCheckpointFallsBackToCleanColdStart) {
@@ -125,9 +126,9 @@ TEST_F(RecoveryTest, TamperedCheckpointFallsBackToCleanColdStart) {
 
   XSearchProxy restarted(nullptr, authority_, checkpointing_options());
   ASSERT_TRUE(restarted.init_status().is_ok());  // rejection is not fatal
-  const auto stats = restarted.checkpoint_stats();
-  EXPECT_TRUE(stats.restore_attempted);
-  EXPECT_FALSE(stats.restore_hit);
+  const auto stats = restarted.metrics();
+  EXPECT_EQ(stats.value("checkpoint.restore_attempts"), 1u);
+  EXPECT_EQ(stats.value("checkpoint.restore_hits"), 0u);
   EXPECT_EQ(restarted.history_size(), 0u);  // cold, never a partial window
 
   // And the cold proxy serves normally.
@@ -156,7 +157,7 @@ TEST_F(RecoveryTest, TruncatedCheckpointFallsBackToCleanColdStart) {
 
   XSearchProxy restarted(nullptr, authority_, checkpointing_options());
   ASSERT_TRUE(restarted.init_status().is_ok());
-  EXPECT_FALSE(restarted.checkpoint_stats().restore_hit);
+  EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 0u);
   EXPECT_EQ(restarted.history_size(), 0u);
 }
 
@@ -177,7 +178,7 @@ TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
   XSearchProxy::Options narrow = checkpointing_options(/*interval=*/0);
   narrow.history_capacity = 10;
   XSearchProxy restarted(nullptr, authority_, narrow);
-  EXPECT_TRUE(restarted.checkpoint_stats().restore_hit);
+  EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
   EXPECT_EQ(restarted.history_size(), 10u);
 }
 
@@ -192,9 +193,10 @@ TEST_F(RecoveryTest, CheckpointSealsPerSessionState) {
     ASSERT_TRUE(proxy.checkpoint_now().is_ok());
   }
   XSearchProxy restarted(nullptr, authority_, checkpointing_options(0));
-  const auto stats = restarted.checkpoint_stats();
-  EXPECT_TRUE(stats.restore_hit);
-  EXPECT_EQ(stats.restored_sessions, 1u);  // the broker's one live session
+  const auto stats = restarted.metrics();
+  EXPECT_EQ(stats.value("checkpoint.restore_hits"), 1u);
+  // the broker's one live session
+  EXPECT_EQ(stats.value("checkpoint.restored_sessions"), 1u);
 }
 
 // The v2 privacy property at the RNG level: a session resumed under its

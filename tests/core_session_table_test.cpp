@@ -74,7 +74,7 @@ TEST(SessionTable, AcquireUnknownIsAMiss) {
   SessionTable table({.capacity = 4, .shards = 1});
   EXPECT_FALSE(static_cast<bool>(table.acquire(42)));
   EXPECT_FALSE(table.erase(42));
-  EXPECT_EQ(table.stats().misses, 1u);
+  EXPECT_EQ(table.metrics().value("sessions.misses"), 1u);
 }
 
 TEST(SessionTable, LruEvictionPrefersColdSessions) {
@@ -90,10 +90,10 @@ TEST(SessionTable, LruEvictionPrefersColdSessions) {
   EXPECT_TRUE(static_cast<bool>(table.acquire(a)));
   EXPECT_TRUE(static_cast<bool>(table.acquire(c)));
   EXPECT_TRUE(static_cast<bool>(table.acquire(d)));
-  const auto stats = table.stats();
-  EXPECT_EQ(stats.evicted_lru, 1u);
-  EXPECT_EQ(stats.active, 3u);
-  EXPECT_EQ(stats.created, 4u);
+  const auto stats = table.metrics();
+  EXPECT_EQ(stats.value("sessions.evicted_lru"), 1u);
+  EXPECT_EQ(stats.value("sessions.active"), 3u);
+  EXPECT_EQ(stats.value("sessions.created"), 4u);
 }
 
 TEST(SessionTable, IdleTtlExpiresSessions) {
@@ -110,7 +110,7 @@ TEST(SessionTable, IdleTtlExpiresSessions) {
 
   fake_now = 2499;  // 1000ns idle since the touch at 1499
   EXPECT_FALSE(static_cast<bool>(table.acquire(a)));
-  EXPECT_EQ(table.stats().expired_ttl, 1u);
+  EXPECT_EQ(table.metrics().value("sessions.expired_ttl"), 1u);
   EXPECT_EQ(table.size(), 0u);
 }
 
@@ -125,7 +125,7 @@ TEST(SessionTable, SweepExpiredReapsIdleSessionsInBulk) {
   fake_now = 1000;
   EXPECT_EQ(table.sweep_expired(), 10u);
   EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.stats().expired_ttl, 10u);
+  EXPECT_EQ(table.metrics().value("sessions.expired_ttl"), 10u);
 }
 
 TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
@@ -138,7 +138,7 @@ TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
       ids.push_back(table.insert(make_server_channel(static_cast<std::uint8_t>(i))));
     }
     EXPECT_EQ(epc.in_use(), 4 * per_session);
-    EXPECT_EQ(table.stats().epc_bytes, 4 * per_session);
+    EXPECT_EQ(table.metrics().value("sessions.epc_bytes"), 4 * per_session);
 
     // LRU eviction releases exactly one session's charge.
     (void)table.insert(make_server_channel(9));
@@ -147,7 +147,7 @@ TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
     // Explicit erase releases too.
     EXPECT_TRUE(table.erase(ids[3]));
     EXPECT_EQ(epc.in_use(), 3 * per_session);
-    EXPECT_EQ(table.stats().erased, 1u);
+    EXPECT_EQ(table.metrics().value("sessions.erased"), 1u);
   }
   // Destruction releases everything still live.
   EXPECT_EQ(epc.in_use(), 0u);
@@ -156,11 +156,13 @@ TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
 TEST(SessionTable, ShardedCapacityBoundsGlobalSize) {
   SessionTable table({.capacity = 8, .shards = 4});
   for (int i = 0; i < 100; ++i) (void)table.insert(make_server_channel(1));
-  const auto stats = table.stats();
-  EXPECT_LE(stats.active, 8u);
-  EXPECT_EQ(stats.created, 100u);
-  EXPECT_EQ(stats.evicted_lru, stats.created - stats.active);
-  EXPECT_LE(stats.peak_active, 8u + 1u);  // insert charges before evicting
+  const auto stats = table.metrics();
+  EXPECT_LE(stats.value("sessions.active"), 8u);
+  EXPECT_EQ(stats.value("sessions.created"), 100u);
+  EXPECT_EQ(stats.value("sessions.evicted_lru"),
+            stats.value("sessions.created") - stats.value("sessions.active"));
+  // insert charges before evicting
+  EXPECT_LE(stats.value("sessions.peak_active"), 8u + 1u);
 }
 
 TEST(SessionTable, ConcurrentInsertAcquireEraseIsSafe) {
@@ -181,13 +183,15 @@ TEST(SessionTable, ConcurrentInsertAcquireEraseIsSafe) {
     });
   }
   for (auto& t : threads) t.join();
-  const auto stats = table.stats();
-  EXPECT_EQ(stats.created, static_cast<std::uint64_t>(kThreads) * kOpsEach);
-  EXPECT_LE(stats.active, 64u);
+  const auto stats = table.metrics();
+  EXPECT_EQ(stats.value("sessions.created"),
+            static_cast<std::uint64_t>(kThreads) * kOpsEach);
+  EXPECT_LE(stats.value("sessions.active"), 64u);
   // Accounting invariant after arbitrary interleaving: live sessions and
   // EPC bytes agree exactly.
-  EXPECT_EQ(stats.epc_bytes, stats.active * SessionTable::session_epc_bytes());
-  EXPECT_EQ(epc.in_use(), stats.epc_bytes);
+  EXPECT_EQ(stats.value("sessions.epc_bytes"),
+            stats.value("sessions.active") * SessionTable::session_epc_bytes());
+  EXPECT_EQ(epc.in_use(), stats.value("sessions.epc_bytes"));
 }
 
 // ---- proxy-level session lifecycle ------------------------------------------
@@ -219,7 +223,7 @@ TEST_P(ProxySessionsEviction, EvictedSessionQueryReturnsNotFound) {
   // The second handshake exceeds the capacity-1 table and evicts `first`.
   auto second = served.broker(authority, proxy.measurement(), 2);
   ASSERT_TRUE(second->connect().is_ok());
-  EXPECT_EQ(proxy.session_stats().evicted_lru, 1u);
+  EXPECT_EQ(proxy.metrics().value("sessions.evicted_lru"), 1u);
 
   // A record for the evicted session id is refused with NOT_FOUND at the
   // proxy API (the first handshake of this proxy allocated id 1).
@@ -229,8 +233,8 @@ TEST_P(ProxySessionsEviction, EvictedSessionQueryReturnsNotFound) {
 
   // The broker recovers transparently: one fresh handshake, one retry.
   EXPECT_TRUE(first->search("after eviction").is_ok());
-  EXPECT_EQ(first->reconnects(), 1u);
-  EXPECT_EQ(proxy.session_stats().evicted_lru, 2u);  // it evicted `second`
+  EXPECT_EQ(first->metrics().value("broker.reconnects"), 1u);
+  EXPECT_EQ(proxy.metrics().value("sessions.evicted_lru"), 2u);  // it evicted `second`
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, ProxySessionsEviction,
@@ -253,8 +257,8 @@ TEST(ProxySessions, IdleSessionExpiresThroughProxy) {
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   // The idle session expired; the broker re-handshakes and retries once.
   EXPECT_TRUE(broker.search("stale").is_ok());
-  EXPECT_EQ(broker.reconnects(), 1u);
-  EXPECT_EQ(proxy.session_stats().expired_ttl, 1u);
+  EXPECT_EQ(broker.metrics().value("broker.reconnects"), 1u);
+  EXPECT_EQ(proxy.metrics().value("sessions.expired_ttl"), 1u);
 }
 
 TEST(ProxySessions, ValidatedCreateChecksSessionCapacityAndInitStatus) {
@@ -323,7 +327,7 @@ TEST(ProxySessions, OneSessionHammeredFromManyThreads) {
 
   EXPECT_EQ(ok, 50);
   EXPECT_EQ(garbage_accepted.load(), 0);  // unauthenticated records all refused
-  EXPECT_EQ(proxy.session_stats().active, 1u);
+  EXPECT_EQ(proxy.metrics().value("sessions.active"), 1u);
 }
 
 }  // namespace

@@ -299,23 +299,25 @@ TEST(FleetFault, WorkerKilledMidSessionIsRespawnedWarm) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_GT(served_during_outage, 0u);
-  EXPECT_GE(broker.reconnects(), 1u);  // the arc re-attested
+  EXPECT_GE(broker.metrics().value("broker.reconnects"), 1u);  // the arc re-attested
 
   ASSERT_TRUE(
-      eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
+      eventually([&] {
+        return supervisor.metrics().value("supervisor.auto_respawns") >= 1;
+      }));
   supervisor.stop();
 
   // The revived worker restored exactly the checkpointed depth (plus any
   // outage traffic that hashed back to it — exclude that by checking the
   // restore counter, not just the live depth).
-  const auto worker = fleet.value()->worker_stats(victim);
-  EXPECT_TRUE(worker.live);
-  EXPECT_TRUE(worker.checkpoint.restore_hit);
-  EXPECT_EQ(worker.checkpoint.restored_entries, checkpointed_depth);
-  const auto stats = fleet.value()->fleet_stats();
-  EXPECT_GE(stats.restore_hits, 1u);
-  EXPECT_EQ(stats.restore_misses, 0u);
-  EXPECT_DOUBLE_EQ(stats.warm_start_ratio, 1.0);
+  const auto stats = fleet.value()->metrics();
+  const std::string worker = net::worker_label(victim);
+  EXPECT_EQ(stats.value("worker.live", worker), 1u);
+  EXPECT_EQ(stats.value("checkpoint.restore_hits", worker), 1u);
+  EXPECT_EQ(stats.value("checkpoint.restored_entries", worker), checkpointed_depth);
+  EXPECT_GE(stats.value("fleet.restore_hits"), 1u);
+  EXPECT_EQ(stats.value("fleet.restore_misses"), 0u);
+  EXPECT_DOUBLE_EQ(net::warm_start_ratio(stats), 1.0);
 
   // Steady state after recovery.
   EXPECT_TRUE(broker.search("after recovery").is_ok());

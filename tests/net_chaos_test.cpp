@@ -368,6 +368,12 @@ class RestartableProxy {
   std::uint16_t port_ = 0;
 };
 
+/// The `breaker.state` series of a broker's or a proxy's metrics.
+template <typename Owner>
+CircuitBreaker::State breaker_state(const Owner& owner) {
+  return static_cast<CircuitBreaker::State>(owner.metrics().value("breaker.state"));
+}
+
 /// Client breaker on an injected clock (the test steps the cooldown by
 /// hand): trips once two of the last eight attempts failed, then admits
 /// one half-open probe.
@@ -401,18 +407,18 @@ TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   // breaker (window min_samples=2, ratio 0.5).
   served.stop();
   EXPECT_FALSE(broker.search("server is down").is_ok());
-  EXPECT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kOpen);
-  EXPECT_GE(broker.breaker_stats().trips, 1u);
+  EXPECT_EQ(breaker_state(broker), CircuitBreaker::State::kOpen);
+  EXPECT_GE(broker.metrics().value("breaker.trips"), 1u);
 
   // Open state: fail fast with a typed verdict and ZERO wire activity.
-  const std::uint64_t frames_before = broker.frames_sent();
+  const std::uint64_t frames_before = broker.metrics().value("broker.frames_sent");
   auto rejected = broker.search("must not touch the wire");
   ASSERT_FALSE(rejected.is_ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUpstreamDown);
   EXPECT_NE(rejected.status().message().find("circuit breaker open"),
             std::string::npos);
-  EXPECT_EQ(broker.frames_sent(), frames_before);
-  EXPECT_GE(broker.breaker_stats().rejected, 1u);
+  EXPECT_EQ(broker.metrics().value("broker.frames_sent"), frames_before);
+  EXPECT_GE(broker.metrics().value("breaker.rejected"), 1u);
 
   // The proxy returns at the same address; stepping the clock past the
   // cooldown admits half-open probes, and the first success closes the
@@ -424,7 +430,7 @@ TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
     recovered = broker.search("recovery probe " + std::to_string(i)).is_ok();
   }
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(breaker_state(broker), CircuitBreaker::State::kClosed);
   served.stop();
 }
 
@@ -444,7 +450,7 @@ TEST_P(ChaosBreaker, RefusedEmptyBatchDoesNotWedgeTheHalfOpenBreaker) {
   served.stop();
   EXPECT_FALSE(broker.search("server is down").is_ok());
   EXPECT_FALSE(broker.search("still down").is_ok());
-  ASSERT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kOpen);
+  ASSERT_EQ(breaker_state(broker), CircuitBreaker::State::kOpen);
   ASSERT_TRUE(served.start().is_ok());
 
   // Past the cooldown the breaker admits one probe (half_open_probes = 1).
@@ -457,7 +463,7 @@ TEST_P(ChaosBreaker, RefusedEmptyBatchDoesNotWedgeTheHalfOpenBreaker) {
   // closes the breaker.
   const auto probe = broker.search("probe after the refused batch");
   EXPECT_TRUE(probe.is_ok()) << probe.status().to_string();
-  EXPECT_EQ(broker.breaker_stats().state, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(breaker_state(broker), CircuitBreaker::State::kClosed);
   served.stop();
 }
 
@@ -499,12 +505,12 @@ TEST_P(ChaosBreaker, EngineOutageSeenThroughSearchTripsTheBreaker) {
     ASSERT_FALSE(results.is_ok());
     EXPECT_EQ(results.status().code(), StatusCode::kUnavailable);
   }
-  EXPECT_EQ(broker->breaker_stats().state, CircuitBreaker::State::kOpen);
+  EXPECT_EQ(breaker_state(*broker), CircuitBreaker::State::kOpen);
 
-  const std::uint64_t frames_before = broker->frames_sent();
+  const std::uint64_t frames_before = broker->metrics().value("broker.frames_sent");
   const auto rejected = broker->search(small.log.records()[2].text);
   EXPECT_EQ(rejected.status().code(), StatusCode::kUpstreamDown);
-  EXPECT_EQ(broker->frames_sent(), frames_before);
+  EXPECT_EQ(broker->metrics().value("broker.frames_sent"), frames_before);
 }
 
 // A batch counts as a failed attempt only when every item failed with a
@@ -529,8 +535,8 @@ TEST_P(ChaosBreaker, BatchTripsTheBreakerOnlyWhenEveryItemFails) {
     EXPECT_TRUE(outcomes.value()[0].status.is_ok());
     EXPECT_FALSE(outcomes.value()[1].status.is_ok());
   }
-  EXPECT_EQ(mixed->breaker_stats().state, CircuitBreaker::State::kClosed);
-  EXPECT_EQ(mixed->breaker_stats().trips, 0u);
+  EXPECT_EQ(breaker_state(*mixed), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(mixed->metrics().value("breaker.trips"), 0u);
 
   // Every engine call fails: two all-failed batches trip the breaker.
   core::XSearchProxy dead(&small.search_engine, authority,
@@ -545,7 +551,7 @@ TEST_P(ChaosBreaker, BatchTripsTheBreakerOnlyWhenEveryItemFails) {
       EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
     }
   }
-  EXPECT_EQ(failing->breaker_stats().state, CircuitBreaker::State::kOpen);
+  EXPECT_EQ(breaker_state(*failing), CircuitBreaker::State::kOpen);
   const auto rejected = failing->search_batch(queries);
   EXPECT_EQ(rejected.status().code(), StatusCode::kUpstreamDown);
 }
@@ -594,14 +600,14 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
   // Engine down: queries fail with a SEALED per-query error (the record was
   // opened and executed — exactly-once still holds), and the breaker trips.
   int outage_queries = 0;
-  while (proxy.engine_breaker_stats().state != CircuitBreaker::State::kOpen &&
+  while (breaker_state(proxy) != CircuitBreaker::State::kOpen &&
          outage_queries < 8) {
     auto results = broker.search(log.records()[outage_queries].text);
     EXPECT_FALSE(results.is_ok());
     ++outage_queries;
   }
-  EXPECT_EQ(proxy.engine_breaker_stats().state, CircuitBreaker::State::kOpen);
-  EXPECT_GE(proxy.engine_breaker_stats().trips, 1u);
+  EXPECT_EQ(breaker_state(proxy), CircuitBreaker::State::kOpen);
+  EXPECT_GE(proxy.metrics().value("breaker.trips"), 1u);
 
   // Open: round trips fail fast WITHOUT invoking the engine path at all —
   // the hook (which sits before the engine) stops being called.
@@ -613,7 +619,7 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
               std::string::npos);
   }
   EXPECT_EQ(engine_calls->load(), calls_at_trip);
-  EXPECT_GE(proxy.engine_breaker_stats().rejected, 1u);
+  EXPECT_GE(proxy.metrics().value("breaker.rejected"), 1u);
 
   // Engine heals; past the cooldown the half-open probe goes through the
   // real engine and the breaker closes.
@@ -624,7 +630,7 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
     recovered = broker.search(log.records()[40 + i].text).is_ok();
   }
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(proxy.engine_breaker_stats().state, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(breaker_state(proxy), CircuitBreaker::State::kClosed);
 }
 
 // --- end-to-end chaos run ----------------------------------------------------
@@ -724,7 +730,7 @@ TEST_P(ChaosEndToEnd, SeededFaultPlansNeverHangAndRecoverCleanly) {
     EXPECT_LE(executed,
               static_cast<std::size_t>(successes) +
                   static_cast<std::size_t>(failures) +
-                  broker.at_least_once_retries());
+                  broker.metrics().value("broker.at_least_once_retries"));
   }
 }
 

@@ -1,7 +1,8 @@
 // FleetSupervisor tests: heartbeat probing, automatic drain→respawn→restore
-// of a crashed worker, fleet-level recovery counters (auto_respawns,
-// restore hits/misses, warm_start_ratio), and the graceful rolling-restart
-// path (drain seals a final checkpoint). Run under ThreadSanitizer in CI
+// of a crashed worker, recovery counters (the supervisor's auto_respawns,
+// the fleet's restore hits/misses and warm_start_ratio), and the graceful
+// rolling-restart path (drain seals a final checkpoint). Run under
+// ThreadSanitizer in CI
 // (label: concurrency).
 #include "net/fleet_supervisor.hpp"
 
@@ -23,6 +24,11 @@ namespace xsearch::net {
 namespace {
 
 using testutil::eventually;
+
+/// Supervisor-driven respawns: counted by the supervisor alone.
+std::uint64_t auto_respawns(const FleetSupervisor& supervisor) {
+  return supervisor.metrics().value("supervisor.auto_respawns");
+}
 
 class FleetSupervisorTest : public ::testing::Test {
  protected:
@@ -72,12 +78,14 @@ TEST_F(FleetSupervisorTest, HealthyFleetIsProbedNotRespawned) {
   auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
   FleetSupervisor supervisor(*fleet.value(), fast_probe());
-  EXPECT_TRUE(eventually([&] { return supervisor.stats().probes >= 6; }));
+  EXPECT_TRUE(eventually([&] {
+    return supervisor.metrics().value("supervisor.probes") >= 6;
+  }));
   supervisor.stop();
-  const auto stats = supervisor.stats();
-  EXPECT_EQ(stats.probe_failures, 0u);
-  EXPECT_EQ(stats.auto_respawns, 0u);
-  EXPECT_EQ(fleet.value()->fleet_stats().auto_respawns, 0u);
+  const auto stats = supervisor.metrics();
+  EXPECT_EQ(stats.value("supervisor.probe_failures"), 0u);
+  EXPECT_EQ(stats.value("supervisor.auto_respawns"), 0u);
+  EXPECT_EQ(fleet.value()->metrics().value("fleet.respawns"), 0u);
 }
 
 TEST_F(FleetSupervisorTest, ColdRespawnCountsAsMiss) {
@@ -87,12 +95,12 @@ TEST_F(FleetSupervisorTest, ColdRespawnCountsAsMiss) {
   FleetSupervisor supervisor(*fleet.value(), fast_probe());
   ASSERT_TRUE(fleet.value()->kill_worker(0).is_ok());
   EXPECT_TRUE(
-      eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
+      eventually([&] { return auto_respawns(supervisor) >= 1; }));
   supervisor.stop();
-  const auto stats = fleet.value()->fleet_stats();
-  EXPECT_EQ(stats.restore_hits, 0u);
-  EXPECT_GE(stats.restore_misses, 1u);
-  EXPECT_DOUBLE_EQ(stats.warm_start_ratio, 0.0);
+  const auto stats = fleet.value()->metrics();
+  EXPECT_EQ(stats.value("fleet.restore_hits"), 0u);
+  EXPECT_GE(stats.value("fleet.restore_misses"), 1u);
+  EXPECT_DOUBLE_EQ(warm_start_ratio(stats), 0.0);
   EXPECT_EQ(fleet.value()->worker_history_depth(0), 0u);  // cold
 }
 
@@ -117,26 +125,27 @@ TEST_P(FleetRecoveryTest, CrashedWorkerIsRespawnedWarm) {
     ASSERT_TRUE(broker->search("warmup " + std::to_string(i)).is_ok());
   }
   const std::size_t checkpointed_depth = 8;  // interval 4, 9 queries → seal at 8
-  EXPECT_EQ(fleet.value()->worker_stats(victim).checkpoint.written, 2u);
+  EXPECT_EQ(fleet.value()->metrics().value("checkpoint.written", worker_label(victim)),
+            2u);
 
   FleetSupervisor supervisor(*fleet.value(), fast_probe());
   ASSERT_TRUE(fleet.value()->kill_worker(victim).is_ok());
 
   EXPECT_TRUE(
-      eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
+      eventually([&] { return auto_respawns(supervisor) >= 1; }));
   supervisor.stop();
-  EXPECT_GE(supervisor.stats().probe_failures, 2u);
-  EXPECT_GE(supervisor.stats().auto_respawns, 1u);
+  EXPECT_GE(supervisor.metrics().value("supervisor.probe_failures"), 2u);
+  EXPECT_GE(auto_respawns(supervisor), 1u);
 
   // Warm restart: the respawned worker's history depth equals the
   // checkpointed depth — the acceptance bar of the recovery subsystem.
-  const auto stats = fleet.value()->fleet_stats();
-  EXPECT_GE(stats.restore_hits, 1u);
-  EXPECT_EQ(stats.restore_misses, 0u);
-  EXPECT_DOUBLE_EQ(stats.warm_start_ratio, 1.0);
+  const auto stats = fleet.value()->metrics();
+  EXPECT_GE(stats.value("fleet.restore_hits"), 1u);
+  EXPECT_EQ(stats.value("fleet.restore_misses"), 0u);
+  EXPECT_DOUBLE_EQ(warm_start_ratio(stats), 1.0);
   EXPECT_EQ(fleet.value()->worker_history_depth(victim), checkpointed_depth);
-  EXPECT_TRUE(fleet.value()->worker_stats(victim).live);
-  EXPECT_EQ(fleet.value()->live_workers(), 2u);
+  EXPECT_EQ(stats.value("worker.live", worker_label(victim)), 1u);
+  EXPECT_EQ(fleet.value()->metrics().sum("worker.live"), 2u);
 
   // The arc re-attests: the broker's next search lands after exactly one
   // transparent re-handshake.
@@ -161,7 +170,7 @@ TEST_P(FleetRecoveryTest, DrainSealsFinalCheckpointForRollingRestart) {
   ASSERT_TRUE(fleet.value()->drain(target).is_ok());
   ASSERT_TRUE(fleet.value()->respawn(target).is_ok());
   EXPECT_EQ(fleet.value()->worker_history_depth(target), 6u);
-  EXPECT_GE(fleet.value()->fleet_stats().restore_hits, 1u);
+  EXPECT_GE(fleet.value()->metrics().value("fleet.restore_hits"), 1u);
   EXPECT_TRUE(broker->search("after rolling restart").is_ok());
 }
 
@@ -202,16 +211,17 @@ TEST_F(FleetSupervisorTest, HungWorkerProbeTimesOutAndIsRespawned) {
   FleetSupervisor supervisor(*fleet.value(), options);
 
   EXPECT_TRUE(
-      eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
-  EXPECT_TRUE(
-      eventually([&] { return supervisor.stats().probe_timeouts >= 2; }));
+      eventually([&] { return auto_respawns(supervisor) >= 1; }));
+  EXPECT_TRUE(eventually([&] {
+    return supervisor.metrics().value("supervisor.probe_timeouts") >= 2;
+  }));
 
   // The replacement answers probes; the healthy worker was never starved
   // behind the hung probe.
   EXPECT_TRUE(eventually([&] { return fleet.value()->heartbeat(0).is_ok(); }));
   EXPECT_TRUE(fleet.value()->heartbeat(1).is_ok());
-  EXPECT_TRUE(fleet.value()->worker_stats(0).live);
-  EXPECT_EQ(fleet.value()->live_workers(), 2u);
+  EXPECT_EQ(fleet.value()->metrics().value("worker.live", worker_label(0)), 1u);
+  EXPECT_EQ(fleet.value()->metrics().sum("worker.live"), 2u);
 
   // Release the wedged ecall BEFORE stopping: stop() joins the abandoned
   // prober, which is still parked inside it.
@@ -221,10 +231,11 @@ TEST_F(FleetSupervisorTest, HungWorkerProbeTimesOutAndIsRespawned) {
     gate->cv.notify_all();
   }
   supervisor.stop();
-  const auto stats = supervisor.stats();
-  EXPECT_GE(stats.probe_timeouts, 2u);
-  EXPECT_GE(stats.probe_failures, stats.probe_timeouts);
-  EXPECT_GE(stats.auto_respawns, 1u);
+  const auto stats = supervisor.metrics();
+  EXPECT_GE(stats.value("supervisor.probe_timeouts"), 2u);
+  EXPECT_GE(stats.value("supervisor.probe_failures"),
+            stats.value("supervisor.probe_timeouts"));
+  EXPECT_GE(stats.value("supervisor.auto_respawns"), 1u);
 }
 
 TEST_F(FleetSupervisorTest, FleetRestartOverExistingCheckpointsIsWarm) {
@@ -237,8 +248,8 @@ TEST_F(FleetSupervisorTest, FleetRestartOverExistingCheckpointsIsWarm) {
       ASSERT_TRUE(broker.search("persisted " + std::to_string(i)).is_ok());
     }
     // Graceful fleet shutdown: drain is refused for the last live worker,
-    // so seal explicitly through the per-worker stats... the workers'
-    // periodic checkpoints (interval 4) are already on disk.
+    // but the workers' periodic checkpoints (interval 4) are already on
+    // disk.
   }
   auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
@@ -248,7 +259,7 @@ TEST_F(FleetSupervisorTest, FleetRestartOverExistingCheckpointsIsWarm) {
     restored_total += fleet.value()->worker_history_depth(w);
   }
   EXPECT_EQ(restored_total, 8u);  // newest periodic seal (interval 4)
-  EXPECT_GE(fleet.value()->fleet_stats().restore_hits, 1u);
+  EXPECT_GE(fleet.value()->metrics().value("fleet.restore_hits"), 1u);
 }
 
 }  // namespace

@@ -200,7 +200,7 @@ TEST_F(HttpFrontendTest, KeepAliveServesMultipleRequests) {
     EXPECT_EQ(status, 200);
   }
   frontend.value()->stop();
-  EXPECT_GE(frontend.value()->requests_served(), 3u);
+  EXPECT_GE(frontend.value()->metrics().value("http.requests"), 3u);
 }
 
 TEST_F(HttpFrontendTest, QueriesGoThroughObfuscation) {

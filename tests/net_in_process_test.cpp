@@ -53,7 +53,7 @@ TEST_F(InProcessStream, HelloGetsHelloReply) {
   auto reply = read_frame(*stream_);
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
   EXPECT_EQ(reply.value().type, FrameType::kHelloReply);
-  EXPECT_EQ(proxy_.session_stats().active, 1u);
+  EXPECT_EQ(proxy_.metrics().value("sessions.active"), 1u);
   EXPECT_TRUE(stream_->valid());
 }
 
@@ -84,7 +84,7 @@ TEST_F(InProcessStream, UnsatisfiableReadFailsAtOnceWithDeadlineExceeded) {
   ASSERT_FALSE(reply.is_ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, std::chrono::seconds(1));
-  EXPECT_EQ(proxy_.session_stats().created, 0u);  // nothing ran
+  EXPECT_EQ(proxy_.metrics().value("sessions.created"), 0u);  // nothing ran
 }
 
 TEST_F(InProcessStream, ExpiredBudgetGetsTypedShedReply) {
@@ -100,7 +100,7 @@ TEST_F(InProcessStream, ExpiredBudgetGetsTypedShedReply) {
   ASSERT_EQ(reply.value().type, FrameType::kErrorStatus);
   EXPECT_EQ(decode_error_status(reply.value().payload).code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(proxy_.session_stats().created, 0u);  // shed before the handler
+  EXPECT_EQ(proxy_.metrics().value("sessions.created"), 0u);  // shed before the handler
 }
 
 }  // namespace

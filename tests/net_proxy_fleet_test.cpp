@@ -142,17 +142,17 @@ TEST(ProxyFleet, SessionsFanOutAndStayPinned) {
     auto first = broker.search("pinned session probe");
     ASSERT_TRUE(first.is_ok()) << first.status().to_string();
     ASSERT_TRUE(broker.search("pinned session probe 2").is_ok());
-    EXPECT_EQ(broker.reconnects(), 0u);
+    EXPECT_EQ(broker.metrics().value("broker.reconnects"), 0u);
   }
   std::uint64_t total_routed = 0;
+  const auto stats = fleet.value()->metrics();
   for (std::size_t w = 0; w < fleet.value()->worker_count(); ++w) {
-    const auto stats = fleet.value()->worker_stats(w);
-    total_routed += stats.routed;
-    if (stats.sessions.created > 0) workers_used.insert(w);
+    total_routed += stats.value("worker.routed", worker_label(w));
+    if (stats.value("sessions.created", worker_label(w)) > 0) workers_used.insert(w);
     // Pinning: a worker only ever saw records for sessions it created, so
     // every routed request either created a session or found it (no
     // cross-worker misses).
-    EXPECT_EQ(stats.sessions.misses, 0u) << "worker " << w;
+    EXPECT_EQ(stats.value("sessions.misses", worker_label(w)), 0u) << "worker " << w;
   }
   // 16 handshakes + 32 query records all found their ring owner.
   EXPECT_EQ(total_routed, 16u + 32u);
@@ -203,7 +203,8 @@ TEST(ProxyFleet, EightConcurrentSessionsAcrossFourWorkersPreserveOrder) {
           }
         }
       }
-      if (broker.reconnects() != 0) ++failures;  // order break would desync
+      // An order break would desync the channel and force a reconnect.
+      if (broker.metrics().value("broker.reconnects") != 0) ++failures;
     });
   }
   for (auto& t : threads) t.join();
@@ -214,10 +215,10 @@ TEST(ProxyFleet, EightConcurrentSessionsAcrossFourWorkersPreserveOrder) {
   // All four workers stayed miss-free: no record was ever routed to a
   // worker that did not own its session.
   std::uint64_t created = 0;
+  const auto stats = fleet.value()->metrics();
   for (std::size_t w = 0; w < 4; ++w) {
-    const auto stats = fleet.value()->worker_stats(w);
-    EXPECT_EQ(stats.sessions.misses, 0u);
-    created += stats.sessions.created;
+    EXPECT_EQ(stats.value("sessions.misses", worker_label(w)), 0u);
+    created += stats.value("sessions.created", worker_label(w));
   }
   EXPECT_EQ(created, kSessions);
   server.value()->stop();
@@ -242,7 +243,7 @@ TEST_P(ProxyFleetDrain, DrainMigratesOnlyTheDrainedWorkersSessions) {
     ASSERT_TRUE(brokers.back()->search("warm").is_ok());
   }
   for (std::size_t w = 0; w < 2; ++w) {
-    ASSERT_GT(fleet.value()->worker_stats(w).sessions.created, 0u)
+    ASSERT_GT(fleet.value()->metrics().value("sessions.created", worker_label(w)), 0u)
         << "seed produced a one-sided session split; adjust seeds";
   }
 
@@ -254,7 +255,7 @@ TEST_P(ProxyFleetDrain, DrainMigratesOnlyTheDrainedWorkersSessions) {
   }
 
   ASSERT_TRUE(fleet.value()->drain(0).is_ok());
-  EXPECT_EQ(fleet.value()->live_workers(), 1u);
+  EXPECT_EQ(fleet.value()->metrics().sum("worker.live"), 1u);
   // Draining the last live worker is refused.
   EXPECT_FALSE(fleet.value()->drain(1).is_ok());
 
@@ -263,27 +264,29 @@ TEST_P(ProxyFleetDrain, DrainMigratesOnlyTheDrainedWorkersSessions) {
   // reconnect); worker-1 sessions never notice.
   for (std::size_t s = 0; s < brokers.size(); ++s) {
     ASSERT_TRUE(brokers[s]->search("after drain").is_ok());
-    EXPECT_EQ(brokers[s]->reconnects(), owner_before[s] == 0 ? 1u : 0u)
+    EXPECT_EQ(brokers[s]->metrics().value("broker.reconnects"),
+              owner_before[s] == 0 ? 1u : 0u)
         << "session " << s;
   }
 
   // Respawn restores worker 0's arc with a fresh enclave (empty table).
   ASSERT_TRUE(fleet.value()->respawn(0).is_ok());
-  EXPECT_EQ(fleet.value()->live_workers(), 2u);
-  EXPECT_EQ(fleet.value()->worker_stats(0).respawns, 1u);
-  EXPECT_EQ(fleet.value()->worker_stats(0).sessions.created, 0u);
+  EXPECT_EQ(fleet.value()->metrics().sum("worker.live"), 2u);
+  const auto respawned = fleet.value()->metrics();
+  EXPECT_EQ(respawned.value("worker.respawns", worker_label(0)), 1u);
+  EXPECT_EQ(respawned.value("sessions.created", worker_label(0)), 0u);
 
   // Again only sessions whose *current* id maps to the respawned (empty)
   // worker must re-attest; the rest proceed with zero new reconnects.
   std::vector<std::uint64_t> reconnects_before;
   std::vector<std::size_t> owner_now;
   for (const auto& broker : brokers) {
-    reconnects_before.push_back(broker->reconnects());
+    reconnects_before.push_back(broker->metrics().value("broker.reconnects"));
     owner_now.push_back(fleet.value()->owner_of(broker->session_id()));
   }
   for (std::size_t s = 0; s < brokers.size(); ++s) {
     ASSERT_TRUE(brokers[s]->search("after respawn").is_ok());
-    EXPECT_EQ(brokers[s]->reconnects() - reconnects_before[s],
+    EXPECT_EQ(brokers[s]->metrics().value("broker.reconnects") - reconnects_before[s],
               owner_now[s] == 0 ? 1u : 0u)
         << "session " << s;
   }
@@ -316,7 +319,7 @@ TEST(ProxyFleet, CounterSessionIdsSkipHostProposedIds) {
     EXPECT_TRUE(ids.insert(response.value().session_id).second)
         << "duplicate session id " << response.value().session_id;
   }
-  EXPECT_EQ(proxy.session_stats().active, 5u);
+  EXPECT_EQ(proxy.metrics().value("sessions.active"), 5u);
 }
 
 // --- remote client batches ---------------------------------------------------
@@ -340,16 +343,13 @@ TEST(ProxyFleet, RemoteClientBatchTravelsAsOneRecord) {
   for (const auto& outcome : outcomes) {
     EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
   }
-  EXPECT_EQ(client->stats().searches, 3u);
+  EXPECT_EQ(client->metrics().value("client.searches"), 3u);
   client->close();
 
   // Three queries, one query record routed (handshakes excluded).
-  std::uint64_t routed = 0, handshakes = 0;
-  for (std::size_t w = 0; w < 2; ++w) {
-    const auto worker = fleet.value()->worker_stats(w);
-    routed += worker.routed;
-    handshakes += worker.sessions.created;
-  }
+  const auto stats = fleet.value()->metrics();
+  const std::uint64_t routed = stats.sum("worker.routed");
+  const std::uint64_t handshakes = stats.sum("sessions.created");
   EXPECT_EQ(routed - handshakes, 1u);
   server.value()->stop();
 }

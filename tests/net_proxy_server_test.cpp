@@ -55,12 +55,14 @@ TEST(ProxyServerPool, ReapsFinishedConnections) {
 
   // The registry shrinks back to zero instead of accumulating one entry
   // (and one thread) per connection ever served.
-  EXPECT_TRUE(eventually([&] { return server.value()->active_connections() == 0; }));
   EXPECT_TRUE(eventually([&] {
-    return server.value()->connections_reaped() == kConnections;
+    return server.value()->metrics().value("reactor.active") == 0;
   }));
-  EXPECT_EQ(server.value()->connections_served(), kConnections);
-  EXPECT_EQ(server.value()->connections_shed(), 0u);
+  EXPECT_TRUE(eventually([&] {
+    return server.value()->metrics().value("reactor.reaped") == kConnections;
+  }));
+  EXPECT_EQ(server.value()->metrics().value("reactor.accepted"), kConnections);
+  EXPECT_EQ(server.value()->metrics().value("reactor.shed"), 0u);
   server.value()->stop();
 }
 
@@ -79,13 +81,15 @@ TEST(ProxyServerPool, ShedsConnectionsBeyondHardCap) {
   auto second = TcpStream::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(second.is_ok());
   ASSERT_TRUE(
-      eventually([&] { return server.value()->active_connections() == 2; }));
+      eventually([&] { return server.value()->metrics().value("reactor.active") == 2; }));
 
   // Third connection is over the cap: shed at accept with a typed
   // OVERLOADED error instead of admitted (or EMFILE'd) silently.
   auto shed = TcpStream::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(shed.is_ok());
-  ASSERT_TRUE(eventually([&] { return server.value()->connections_shed() == 1; }));
+  ASSERT_TRUE(eventually([&] {
+    return server.value()->metrics().value("reactor.shed") == 1;
+  }));
   auto reply = read_frame(shed.value());
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
   EXPECT_EQ(reply.value().type, FrameType::kErrorStatus);
@@ -98,12 +102,12 @@ TEST(ProxyServerPool, ShedsConnectionsBeyondHardCap) {
 
   // The shed connection is not admitted: the cap still has room for the
   // live pair, and the admitted ones keep working.
-  EXPECT_EQ(server.value()->active_connections(), 2u);
+  EXPECT_EQ(server.value()->metrics().value("reactor.active"), 2u);
   RemoteBroker broker("127.0.0.1", server.value()->port(), authority,
                       proxy.measurement(), 9);
   first.value().shutdown_both();  // make room under the cap
   ASSERT_TRUE(eventually(
-      [&] { return server.value()->active_connections() <= 1; }));
+      [&] { return server.value()->metrics().value("reactor.active") <= 1; }));
   ASSERT_TRUE(broker.search("after shed").is_ok());
 
   server.value()->stop();
@@ -183,8 +187,10 @@ TEST(ProxyServerPool, QueuedRequestPastTimeoutIsShedTyped) {
   const Status shed_status = decode_error_status(reply.value().payload);
   EXPECT_EQ(shed_status.code(), StatusCode::kOverloaded);
   EXPECT_NE(shed_status.message().find("expired"), std::string::npos);
-  EXPECT_TRUE(eventually([&] { return server.value()->queue_expired() == 1; }));
-  EXPECT_EQ(server.value()->connections_shed(), 1u);
+  EXPECT_TRUE(eventually([&] {
+    return server.value()->metrics().value("reactor.queue_expired") == 1;
+  }));
+  EXPECT_EQ(server.value()->metrics().value("reactor.shed"), 1u);
 
   server.value()->stop();
 }
@@ -233,7 +239,7 @@ TEST(ProxyServerPool, StressManySessionsBoundedTableStableEpc) {
             ++failures;
           }
         }
-        reconnects += broker.reconnects();
+        reconnects += broker.metrics().value("broker.reconnects");
       }
     });
   }
@@ -243,26 +249,29 @@ TEST(ProxyServerPool, StressManySessionsBoundedTableStableEpc) {
   EXPECT_EQ(completed.load(), kClientThreads * kRounds * kQueriesPerRound);
   EXPECT_GE(completed.load(), 1000);
 
-  const auto stats = proxy.session_stats();
+  const auto stats = proxy.metrics();
   // Far more sessions were created than the cap; the table stayed bounded
   // and evicted the excess.
-  EXPECT_GE(stats.created,
+  EXPECT_GE(stats.value("sessions.created"),
             static_cast<std::uint64_t>(kClientThreads) * kRounds);
-  EXPECT_LE(stats.active, 32u);
-  EXPECT_GT(stats.evicted_lru + stats.expired_ttl, 0u);
+  EXPECT_LE(stats.value("sessions.active"), 32u);
+  EXPECT_GT(stats.value("sessions.evicted_lru") + stats.value("sessions.expired_ttl"),
+            0u);
 
   // EPC accounting is stable: occupancy decomposes exactly into the (full,
   // bounded) history window plus the live sessions' charge — nothing leaked
   // by the eviction/reap churn.
-  EXPECT_EQ(stats.epc_bytes,
-            stats.active * core::SessionTable::session_epc_bytes());
+  EXPECT_EQ(stats.value("sessions.epc_bytes"),
+            stats.value("sessions.active") * core::SessionTable::session_epc_bytes());
   EXPECT_EQ(proxy.enclave().epc().in_use(),
-            proxy.history_memory_bytes() + stats.epc_bytes);
+            proxy.history_memory_bytes() + stats.value("sessions.epc_bytes"));
 
   // All client connections were reaped once the brokers went away.
-  EXPECT_TRUE(eventually([&] { return server.value()->active_connections() == 0; }));
-  EXPECT_EQ(server.value()->connections_served(),
-            server.value()->connections_reaped());
+  EXPECT_TRUE(eventually([&] {
+    return server.value()->metrics().value("reactor.active") == 0;
+  }));
+  EXPECT_EQ(server.value()->metrics().value("reactor.accepted"),
+            server.value()->metrics().value("reactor.reaped"));
 
   server.value()->stop();
 }
@@ -279,7 +288,7 @@ TEST(ProxyServerPool, StopWithLiveConnectionsIsCleanAndIdempotent) {
 
   server.value()->stop();  // must unblock the worker parked in recv
   server.value()->stop();  // idempotent
-  EXPECT_EQ(server.value()->active_connections(), 0u);
+  EXPECT_EQ(server.value()->metrics().value("reactor.active"), 0u);
 
   // stop() released the listener descriptor: the port is immediately free
   // for a replacement server, even while the stopped one is still in scope.
@@ -359,8 +368,8 @@ TEST(RemoteBrokerRetry, LostBatchReplyRetriesAtLeastOnceAndIsCounted) {
   for (const auto& outcome : outcomes.value()) {
     EXPECT_TRUE(outcome.status.is_ok());
   }
-  EXPECT_EQ(broker.reconnects(), 1u);
-  EXPECT_EQ(broker.at_least_once_retries(), 1u);
+  EXPECT_EQ(broker.metrics().value("broker.reconnects"), 1u);
+  EXPECT_EQ(broker.metrics().value("broker.at_least_once_retries"), 1u);
   // The at-least-once window is real: both executions added to the history.
   EXPECT_EQ(proxy.history_size(), 2 * queries.size());
 }
@@ -386,8 +395,8 @@ TEST(RemoteBrokerRetry, RefusedRecordRetriesExactlyOnce) {
   const std::vector<std::string> queries = {"one", "two"};
   auto outcomes = first.search_batch(queries);  // unknown session → retry
   ASSERT_TRUE(outcomes.is_ok()) << outcomes.status().to_string();
-  EXPECT_EQ(first.reconnects(), 1u);
-  EXPECT_EQ(first.at_least_once_retries(), 0u);
+  EXPECT_EQ(first.metrics().value("broker.reconnects"), 1u);
+  EXPECT_EQ(first.metrics().value("broker.at_least_once_retries"), 0u);
   EXPECT_EQ(proxy.history_size(), queries.size());  // executed exactly once
   server.value()->stop();
 }

@@ -310,7 +310,7 @@ TEST(ReactorTest, IdleTtlReapsOnlyIdleConnections) {
   auto active = TcpStream::connect("127.0.0.1", server.reactor->port());
   ASSERT_TRUE(active.is_ok());
   ASSERT_TRUE(
-      eventually([&] { return server.reactor->active_connections() == 2; }));
+      eventually([&] { return server.reactor->metrics().value("reactor.active") == 2; }));
 
   // Keep one connection busy past several TTL windows; the other stays
   // silent and gets reaped.
@@ -323,11 +323,13 @@ TEST(ReactorTest, IdleTtlReapsOnlyIdleConnections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
   }
 
-  EXPECT_TRUE(eventually([&] { return server.reactor->idle_reaped() == 1; }))
-      << "idle_reaped=" << server.reactor->idle_reaped()
-      << " reaped=" << server.reactor->reaped()
-      << " active=" << server.reactor->active_connections();
-  EXPECT_EQ(server.reactor->active_connections(), 1u);
+  EXPECT_TRUE(eventually([&] {
+    return server.reactor->metrics().value("reactor.idle_reaped") == 1;
+  }))
+      << "idle_reaped=" << server.reactor->metrics().value("reactor.idle_reaped")
+      << " reaped=" << server.reactor->metrics().value("reactor.reaped")
+      << " active=" << server.reactor->metrics().value("reactor.active");
+  EXPECT_EQ(server.reactor->metrics().value("reactor.active"), 1u);
   // The reaped peer observes a closed connection.
   auto dead = read_reply(idle.value(), 200 * kMilli);
   EXPECT_FALSE(dead.is_ok());
@@ -372,7 +374,9 @@ TEST(ReactorTest, DeadlineExpiredWhileQueuedIsShedTyped) {
   ASSERT_EQ(doomed_reply.value().type, FrameType::kErrorStatus);
   const Status status = decode_error_status(doomed_reply.value().payload);
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(eventually([&] { return server.reactor->deadline_expired() == 1; }));
+  EXPECT_TRUE(eventually([&] {
+    return server.reactor->metrics().value("reactor.deadline_expired") == 1;
+  }));
   server.reactor->stop();
 }
 
@@ -398,7 +402,9 @@ TEST(ReactorTest, DispatchQueueFullShedsTyped) {
   // ...so a third request has nowhere to go: immediate typed OVERLOADED.
   auto shed = TcpStream::connect("127.0.0.1", server.reactor->port());
   ASSERT_TRUE(shed.is_ok());
-  ASSERT_TRUE(eventually([&] { return server.reactor->active_connections() == 3; }));
+  ASSERT_TRUE(eventually([&] {
+    return server.reactor->metrics().value("reactor.active") == 3;
+  }));
   ASSERT_TRUE(send_query(shed.value(), "echo:overflow").is_ok());
   auto reply = read_reply(shed.value());
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
@@ -406,7 +412,7 @@ TEST(ReactorTest, DispatchQueueFullShedsTyped) {
   const Status status = decode_error_status(reply.value().payload);
   EXPECT_EQ(status.code(), StatusCode::kOverloaded);
   EXPECT_NE(status.message().find("queue full"), std::string::npos);
-  EXPECT_GE(server.reactor->shed(), 1u);
+  EXPECT_GE(server.reactor->metrics().value("reactor.shed"), 1u);
 
   server.env->gate_open.store(true);
   auto held = read_reply(holder.value());
@@ -435,12 +441,14 @@ TEST(ReactorTest, FdExhaustionBacksOffAndRecovers) {
 
   // Backoff, not spin: with a ~20 ms pause per EMFILE, 250 ms allows only
   // a handful of retries. A spinning accept loop would log thousands.
-  EXPECT_GE(server.reactor->fd_exhausted(), 1u);
+  EXPECT_GE(server.reactor->metrics().value("reactor.fd_exhausted"), 1u);
   EXPECT_LE(accept_calls->load(), 40);
 
   // Descriptors come back: the parked connection gets accepted and served.
   exhausted->store(false);
-  ASSERT_TRUE(eventually([&] { return server.reactor->active_connections() == 1; }));
+  ASSERT_TRUE(eventually([&] {
+    return server.reactor->metrics().value("reactor.active") == 1;
+  }));
   ASSERT_TRUE(send_query(client.value(), "echo:recovered").is_ok());
   auto reply = read_reply(client.value());
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
@@ -460,8 +468,9 @@ TEST(ReactorTest, StopIsIdempotentAndFreesThePort) {
 
   server.reactor->stop();
   server.reactor->stop();  // idempotent
-  EXPECT_EQ(server.reactor->active_connections(), 0u);
-  EXPECT_EQ(server.reactor->accepted(), server.reactor->reaped());
+  EXPECT_EQ(server.reactor->metrics().value("reactor.active"), 0u);
+  EXPECT_EQ(server.reactor->metrics().value("reactor.accepted"),
+            server.reactor->metrics().value("reactor.reaped"));
 
   // The listener descriptor is released: the port rebinds immediately.
   auto rebound = TcpListener::bind(port);

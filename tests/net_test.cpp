@@ -189,7 +189,7 @@ TEST_F(NetworkedProxyTest, EndToEndSearchOverTcp) {
   const auto results = broker.search(log_.records()[3].text);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
   server.value()->stop();
-  EXPECT_EQ(server.value()->connections_served(), 1u);
+  EXPECT_EQ(server.value()->metrics().value("reactor.accepted"), 1u);
 }
 
 TEST_F(NetworkedProxyTest, MultipleQueriesOneConnection) {
@@ -202,7 +202,7 @@ TEST_F(NetworkedProxyTest, MultipleQueriesOneConnection) {
         << "query " << i;
   }
   server.value()->stop();
-  EXPECT_EQ(server.value()->connections_served(), 1u);
+  EXPECT_EQ(server.value()->metrics().value("reactor.accepted"), 1u);
   EXPECT_EQ(proxy_.history_size(), 10u);
 }
 
@@ -225,7 +225,7 @@ TEST_F(NetworkedProxyTest, ConcurrentRemoteClients) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   server.value()->stop();
-  EXPECT_EQ(server.value()->connections_served(), kClients);
+  EXPECT_EQ(server.value()->metrics().value("reactor.accepted"), kClients);
 }
 
 TEST_F(NetworkedProxyTest, WrongMeasurementRefusedOverTcp) {

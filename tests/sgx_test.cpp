@@ -103,8 +103,8 @@ TEST(Enclave, EcallDispatchAndCount) {
   const auto out = enclave.ecall(EcallId::kRequest, to_bytes("ping"));
   ASSERT_TRUE(out.is_ok());
   EXPECT_EQ(to_string(out.value()), "ping");
-  EXPECT_EQ(enclave.transition_stats().ecalls, 1u);
-  EXPECT_EQ(enclave.transition_stats().ocalls, 0u);
+  EXPECT_EQ(enclave.metrics().value("enclave.ecalls"), 1u);
+  EXPECT_EQ(enclave.metrics().value("enclave.ocalls"), 0u);
 }
 
 TEST(Enclave, UnregisteredEcallFails) {
@@ -126,7 +126,7 @@ TEST(Enclave, OcallDispatchAndCount) {
   const auto out = enclave.ocall(OcallId::kSend, Bytes{1, 2});
   ASSERT_TRUE(out.is_ok());
   EXPECT_EQ(out.value(), (Bytes{2, 3}));
-  EXPECT_EQ(enclave.transition_stats().ocalls, 1u);
+  EXPECT_EQ(enclave.metrics().value("enclave.ocalls"), 1u);
 }
 
 TEST(Enclave, UnregisteredOcallFails) {
@@ -146,8 +146,8 @@ TEST(Enclave, NestedOcallFromEcall) {
   const auto out = enclave.ecall(EcallId::kRequest, {});
   ASSERT_TRUE(out.is_ok());
   EXPECT_EQ(to_string(out.value()), "host-data");
-  EXPECT_EQ(enclave.transition_stats().ecalls, 1u);
-  EXPECT_EQ(enclave.transition_stats().ocalls, 1u);
+  EXPECT_EQ(enclave.metrics().value("enclave.ecalls"), 1u);
+  EXPECT_EQ(enclave.metrics().value("enclave.ocalls"), 1u);
 }
 
 TEST(Enclave, BoundaryNameTableMatchesEnums) {

@@ -91,6 +91,30 @@ TEST_F(SecretLintTest, WaiverWithoutReasonIsAFinding) {
   EXPECT_NE(r.output.find("no written reason"), std::string::npos) << r.output;
 }
 
+// Metric series named from run-time values (a session id, a query, a user
+// name) are three findings; the real policy's rule fires on the same file,
+// where a config exemption keeps the fixture out of the real-tree gate.
+TEST_F(SecretLintTest, MetricNamesFromRuntimeValuesFail) {
+  const std::string fixture = "tests/lint_fixtures/secret/metric_names_runtime.cpp";
+  const auto r = run(lint(kFixtureConfig, fixture));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("metric-name-literal"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("3 finding(s)"), std::string::npos) << r.output;
+
+  const auto real = run(lint(kRealConfig, fixture));
+  EXPECT_EQ(real.exit_code, 0) << real.output;
+  EXPECT_NE(real.output.find("waived [metric-name-literal]"), std::string::npos)
+      << real.output;
+}
+
+TEST_F(SecretLintTest, LiteralMetricNamesPass) {
+  const auto r = run(lint(
+      kFixtureConfig, "tests/lint_fixtures/secret/metric_names_literal.cpp"));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("0 finding(s), 0 waiver(s)"), std::string::npos)
+      << r.output;
+}
+
 // The acceptance gate: the real tree must lint clean — zero unwaived
 // findings against tools/secret_policy.toml, with every expose() carrying a
 // registered sink tag. A new leak of key material into a log, Status,
