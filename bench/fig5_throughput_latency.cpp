@@ -456,7 +456,8 @@ Scenario recovery(bool warm) {
     proxy.checkpoint_dir = d.checkpoints.path;
     // Closed-loop rates reach thousands of queries per second: a tighter
     // interval would turn the row into a checkpoint-write bench (each seal
-    // snapshots the whole history).
+    // serializes and encrypts the whole window in one pass, and holds the
+    // history's shared lock, which blocks adds, while it serializes).
     proxy.checkpoint_interval_queries = 512;
   };
   s.extras = [](Deployment& d, std::size_t phase) -> std::vector<Field> {

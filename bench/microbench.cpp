@@ -16,6 +16,13 @@
 //                typical filtered-results (4 KiB) and a raw engine-reply
 //                (22 KiB) record
 //   x25519       one key agreement, as each attested handshake pays
+//   history/warm_36k
+//                set-up's history load: 36k logged queries into a fresh
+//                100k window in one `add_all` (xsbench's warm-up size)
+//   checkpoint/seal_restore_100k
+//                one sealed checkpoint of a full, wrapped 100k window and
+//                its restore into a fresh window, as a periodic checkpoint
+//                and a respawn pay
 //
 // Output: a human-readable table on stdout and machine-readable JSON
 // (default BENCH_micro.json, first CLI arg overrides), uploaded by the CI
@@ -25,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -37,10 +45,12 @@
 #include "net/socket.hpp"
 #include "sgx/enclave.hpp"
 #include "crypto/x25519.hpp"
+#include "dataset/synthetic.hpp"
 #include "engine/analytics.hpp"
 #include "text/sparse_vector.hpp"
 #include "text/tokenizer.hpp"
 #include "text/vocabulary.hpp"
+#include "xsearch/checkpoint.hpp"
 #include "xsearch/filter.hpp"
 #include "xsearch/history.hpp"
 #include "xsearch/obfuscator.hpp"
@@ -393,6 +403,58 @@ int main(int argc, char** argv) {
       (void)crypto::x25519(client_eph.private_key, server_static.public_key);
     }
     report("x25519/agree", us_per_op(t0, Clock::now(), iters));
+  }
+
+  // ---- history load and checkpoint round trip ------------------------------
+  {
+    dataset::SyntheticLogConfig log_config;
+    log_config.total_queries = 100'000;
+    const dataset::QueryLog log = dataset::generate_synthetic_log(log_config);
+    std::vector<std::string> queries;
+    queries.reserve(log.size());
+    for (const auto& record : log.records()) queries.push_back(record.text);
+    constexpr std::size_t kWindow = 100'000;
+
+    const std::span<const std::string> warm(queries.data(),
+                                            std::min<std::size_t>(36'000, queries.size()));
+    const std::size_t warm_iters = 40;
+    Clock::duration warm_time{};
+    for (std::size_t i = 0; i < warm_iters; ++i) {
+      sgx::EpcAccountant epc;
+      core::QueryHistory history(kWindow, &epc);
+      const auto t0 = Clock::now();
+      history.add_all(warm);
+      warm_time += Clock::now() - t0;
+      if (history.size() != warm.size()) {
+        std::fprintf(stderr, "history/warm_36k: window holds %zu\n", history.size());
+        return 1;
+      }
+    }
+    report("history/warm_36k",
+           std::chrono::duration<double, std::micro>(warm_time).count() / warm_iters);
+
+    // A full window that has wrapped, so the seal walks both ring runs.
+    sgx::EnclaveRuntime enclave({.code_identity = to_bytes("microbench-checkpoint")});
+    core::QueryHistory source(kWindow, &enclave.epc());
+    source.add_all(queries);
+    source.add_all(std::span<const std::string>(queries).first(queries.size() / 5));
+    const std::size_t checkpoint_iters = 10;
+    Clock::duration checkpoint_time{};
+    for (std::size_t i = 0; i < checkpoint_iters; ++i) {
+      core::QueryHistory restored(kWindow, &enclave.epc());
+      const auto t0 = Clock::now();
+      Bytes sealed = core::seal_history(enclave, source);
+      const Status status = core::restore_history(enclave, std::move(sealed), restored);
+      checkpoint_time += Clock::now() - t0;
+      if (!status.is_ok() || restored.size() != source.size()) {
+        std::fprintf(stderr, "checkpoint/seal_restore_100k: %s\n",
+                     status.to_string().c_str());
+        return 1;
+      }
+    }
+    report("checkpoint/seal_restore_100k",
+           std::chrono::duration<double, std::micro>(checkpoint_time).count() /
+               checkpoint_iters);
   }
 
   // ---- frame parse: blocking copy path vs zero-copy cursor ----------------

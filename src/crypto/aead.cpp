@@ -42,9 +42,10 @@ namespace {
 }  // namespace
 
 void aead_seal_in_place(const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
-                        Bytes& record) {
-  chacha20_xor_inplace(key, nonce, 1, record);
-  const Poly1305Tag tag = compute_tag(derive_mac_key(key, nonce), aad, record);
+                        Bytes& record, std::size_t offset) {
+  const std::span<std::uint8_t> plaintext = std::span(record).subspan(offset);
+  chacha20_xor_inplace(key, nonce, 1, plaintext);
+  const Poly1305Tag tag = compute_tag(derive_mac_key(key, nonce), aad, plaintext);
   append(record, tag);
 }
 

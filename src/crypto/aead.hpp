@@ -30,11 +30,13 @@ using AeadNonce = ChaChaNonce;
 [[nodiscard]] std::optional<Bytes> aead_open(const AeadKey& key, const AeadNonce& nonce,
                                              ByteSpan aad, ByteSpan sealed);
 
-/// `aead_seal` where the plaintext lies: encrypts `record` and appends the
-/// tag. A buffer with kAeadTagSize bytes of spare capacity is sealed with
-/// no copy and no allocation.
+/// `aead_seal` where the plaintext lies: encrypts `record` from byte
+/// `offset` on and appends the tag; the first `offset` bytes (a header the
+/// caller frames the record with) are left as they are. A buffer with
+/// kAeadTagSize bytes of spare capacity is sealed with no copy and no
+/// allocation.
 void aead_seal_in_place(const AeadKey& key, const AeadNonce& nonce, ByteSpan aad,
-                        Bytes& record);
+                        Bytes& record, std::size_t offset = 0);
 
 /// `aead_open` where the record lies: verifies ciphertext || tag, then
 /// decrypts the ciphertext in place and returns it (a prefix of `sealed`).

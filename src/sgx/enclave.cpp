@@ -1,5 +1,6 @@
 #include "sgx/enclave.hpp"
 
+#include <cassert>
 #include <cstring>
 
 #include "crypto/hmac.hpp"
@@ -70,26 +71,46 @@ Result<Bytes> EnclaveRuntime::ocall(OcallId id, ByteSpan input) {
 // --- Sealing -----------------------------------------------------------------
 
 Bytes EnclaveRuntime::seal(ByteSpan plaintext) {
-  const std::uint64_t counter = seal_counter_.fetch_add(1, std::memory_order_relaxed);
-  const crypto::AeadNonce nonce = crypto::make_nonce(kSealNoncePrefix, counter);
-  Bytes out(nonce.begin(), nonce.end());
-  const Bytes sealed = crypto::aead_seal(sealing_key_, nonce, measurement_, plaintext);
-  append(out, sealed);
+  Bytes out;
+  out.reserve(kSealHeaderBytes + plaintext.size() + kSealTrailerBytes);
+  out.resize(kSealHeaderBytes);
+  append(out, plaintext);
+  seal_in_place(out);
   return out;
 }
 
+void EnclaveRuntime::seal_in_place(Bytes& record) {
+  assert(record.size() >= kSealHeaderBytes);
+  const std::uint64_t counter = seal_counter_.fetch_add(1, std::memory_order_relaxed);
+  const crypto::AeadNonce nonce = crypto::make_nonce(kSealNoncePrefix, counter);
+  std::memcpy(record.data(), nonce.data(), nonce.size());
+  crypto::aead_seal_in_place(sealing_key_, nonce, measurement_, record, kSealHeaderBytes);
+}
+
 Result<Bytes> EnclaveRuntime::unseal(ByteSpan sealed) const {
-  if (sealed.size() < crypto::kAeadNonceSize + crypto::kAeadTagSize) {
+  Bytes plain(sealed.begin(), sealed.end());
+  auto opened = unseal_in_place(plain);
+  if (!opened) return opened.status();
+  // The plaintext sits behind the nonce: slide it to the front.
+  const std::size_t size = opened.value().size();
+  plain.erase(plain.begin(), plain.begin() + kSealHeaderBytes);
+  plain.resize(size);
+  return plain;
+}
+
+Result<std::span<std::uint8_t>> EnclaveRuntime::unseal_in_place(
+    std::span<std::uint8_t> sealed) const {
+  if (sealed.size() < kSealHeaderBytes + kSealTrailerBytes) {
     return invalid_argument("sealed blob too short");
   }
   crypto::AeadNonce nonce;
   std::memcpy(nonce.data(), sealed.data(), nonce.size());
-  auto plain = crypto::aead_open(sealing_key_, nonce, measurement_,
-                                 sealed.subspan(nonce.size()));
+  auto plain = crypto::aead_open_in_place(sealing_key_, nonce, measurement_,
+                                          sealed.subspan(kSealHeaderBytes));
   if (!plain) {
     return permission_denied("unseal failed: wrong enclave measurement or tampering");
   }
-  return *std::move(plain);
+  return *plain;
 }
 
 }  // namespace xsearch::sgx

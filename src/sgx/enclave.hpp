@@ -26,6 +26,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -109,12 +110,27 @@ class EnclaveRuntime {
 
   // --- Sealing -----------------------------------------------------------
 
+  /// A sealed blob is a nonce, the ciphertext, then the AEAD tag.
+  static constexpr std::size_t kSealHeaderBytes = crypto::kAeadNonceSize;
+  static constexpr std::size_t kSealTrailerBytes = crypto::kAeadTagSize;
+
   /// Encrypts `plaintext` under the enclave's sealing key (derived from the
   /// measurement, like SGX's MRENCLAVE key policy). Output embeds a nonce.
   [[nodiscard]] Bytes seal(ByteSpan plaintext);
 
+  /// `seal` where the plaintext lies: `record` holds kSealHeaderBytes of
+  /// room for the nonce, then the plaintext, and becomes the sealed blob.
+  /// No copy is made, and no allocation given kSealTrailerBytes of spare
+  /// capacity.
+  void seal_in_place(Bytes& record);
+
   /// Decrypts data sealed by an enclave with the same measurement.
   [[nodiscard]] Result<Bytes> unseal(ByteSpan sealed) const;
+
+  /// `unseal` where the blob lies: decrypts it in place and returns the
+  /// plaintext, a subspan of `sealed`. On failure `sealed` is unchanged.
+  [[nodiscard]] Result<std::span<std::uint8_t>> unseal_in_place(
+      std::span<std::uint8_t> sealed) const;
 
  private:
   Measurement measurement_;

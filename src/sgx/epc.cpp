@@ -12,13 +12,17 @@ void EpcAccountant::charge(std::size_t bytes) {
          !peak_.compare_exchange_weak(seen, after, std::memory_order_relaxed)) {
   }
 
-  // Pages newly pushed beyond the usable limit count as faults.
+  // Pages newly pushed beyond the usable limit count as faults. Both sides
+  // round up: a partial page beyond the limit was counted when it was
+  // first touched, so a charge that ends inside it adds nothing. That
+  // makes the count additive — one charge of a + b faults as many pages as
+  // a charge of a followed by a charge of b.
   if (after > limit_) {
-    const std::size_t over_before = before > limit_ ? before - limit_ : 0;
-    const std::size_t over_after = after - limit_;
-    const std::uint64_t pages_before = over_before / kEpcPageSize;
-    const std::uint64_t pages_after =
-        (over_after + kEpcPageSize - 1) / kEpcPageSize;
+    const auto pages = [](std::size_t over) -> std::uint64_t {
+      return (over + kEpcPageSize - 1) / kEpcPageSize;
+    };
+    const std::uint64_t pages_before = pages(before > limit_ ? before - limit_ : 0);
+    const std::uint64_t pages_after = pages(after - limit_);
     if (pages_after > pages_before) {
       page_faults_.fetch_add(pages_after - pages_before, std::memory_order_relaxed);
     }

@@ -1,7 +1,9 @@
 #include "xsearch/checkpoint.hpp"
 
 #include <fstream>
+#include <string_view>
 #include <system_error>
+#include <utility>
 
 #include "xsearch/wire.hpp"
 
@@ -10,30 +12,49 @@ namespace xsearch::core {
 namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x58534850;  // "XSHP"
 constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::size_t kSessionBytes = 8 + 8;  // session id, obfuscations
 }  // namespace
 
 Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
                    const SessionObfuscationCounts& sessions) {
-  const auto entries = history.snapshot();
-  Bytes plain;
-  wire::put_u32(plain, kCheckpointMagic);
-  wire::put_u32(plain, kCheckpointVersion);
-  wire::put_u32(plain, static_cast<std::uint32_t>(entries.size()));
-  for (const auto& q : entries) wire::put_string(plain, q);
-  wire::put_u32(plain, static_cast<std::uint32_t>(sessions.size()));
+  // One pass over the ring under one shared lock, into the buffer that
+  // becomes the sealed blob, sized exactly up front: no copy of the
+  // window, no regrowth, and the seal encrypts where the bytes lie.
+  Bytes blob = history.with_entries([&](const QueryHistory::Entries& entries) {
+    std::size_t entry_bytes = 0;
+    entries.for_each([&entry_bytes](const std::string& q) { entry_bytes += 4 + q.size(); });
+    Bytes out;
+    out.reserve(sgx::EnclaveRuntime::kSealHeaderBytes + 4 * 4 + entry_bytes +
+                sessions.size() * kSessionBytes + sgx::EnclaveRuntime::kSealTrailerBytes);
+    out.resize(sgx::EnclaveRuntime::kSealHeaderBytes);
+    wire::put_u32(out, kCheckpointMagic);
+    wire::put_u32(out, kCheckpointVersion);
+    wire::put_u32(out, static_cast<std::uint32_t>(entries.size()));
+    const std::size_t at = out.size();
+    out.resize(at + entry_bytes);
+    std::uint8_t* cursor = out.data() + at;
+    entries.for_each([&cursor](const std::string& q) { cursor = wire::write_string(cursor, q); });
+    return out;
+  });
+  wire::put_u32(blob, static_cast<std::uint32_t>(sessions.size()));
   for (const auto& [id, obfuscations] : sessions) {
-    wire::put_u64(plain, id);
-    wire::put_u64(plain, obfuscations);
+    wire::put_u64(blob, id);
+    wire::put_u64(blob, obfuscations);
   }
-  return enclave.seal(plain);
+  enclave.seal_in_place(blob);
+  return blob;
 }
 
-Status restore_history(const sgx::EnclaveRuntime& enclave, ByteSpan sealed,
+Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
                        QueryHistory& history, SessionObfuscationCounts* sessions) {
   if (sessions != nullptr) sessions->clear();
-  auto plain = enclave.unseal(sealed);
+  auto plain = enclave.unseal_in_place(sealed);
   if (!plain) return plain.status();
 
+  // The whole blob is decrypted where it lies, then parsed and validated
+  // as views of it before anything is inserted, so a malformed blob leaves
+  // `history` as it was and each accepted entry is built exactly once, in
+  // the window.
   const ByteSpan raw(plain.value());
   std::size_t offset = 0;
   auto magic = wire::get_u32(raw, offset);
@@ -46,28 +67,38 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, ByteSpan sealed,
   }
   auto count = wire::get_u32(raw, offset);
   if (!count) return count.status();
-  // A checkpoint wider than the restored window would spend the whole
-  // window on entries the replay itself immediately evicts; every parsed
-  // entry still validates the blob, only the add() is skipped.
-  const std::uint64_t skip =
-      count.value() > history.capacity() ? count.value() - history.capacity() : 0;
+  // Every entry holds at least its length word: a count the remaining
+  // bytes cannot hold is refused before anything is reserved.
+  if (count.value() > (raw.size() - offset) / 4) {
+    return data_loss("checkpoint: entry count exceeds blob");
+  }
+  std::vector<std::string_view> entries;
+  entries.reserve(count.value());
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto q = wire::get_string(raw, offset);
+    auto q = wire::get_view(raw, offset);
     if (!q) return q.status();
-    if (i >= skip) history.add(q.value());
+    entries.push_back(q.value());
   }
   auto session_count = wire::get_u32(raw, offset);
   if (!session_count) return session_count.status();
+  if (session_count.value() > (raw.size() - offset) / kSessionBytes) {
+    return data_loss("checkpoint: session count exceeds blob");
+  }
+  SessionObfuscationCounts parsed_sessions;
+  parsed_sessions.reserve(session_count.value());
   for (std::uint32_t i = 0; i < session_count.value(); ++i) {
     auto id = wire::get_u64(raw, offset);
     if (!id) return id.status();
     auto obfuscations = wire::get_u64(raw, offset);
     if (!obfuscations) return obfuscations.status();
-    if (sessions != nullptr) {
-      sessions->emplace_back(id.value(), obfuscations.value());
-    }
+    parsed_sessions.emplace_back(id.value(), obfuscations.value());
   }
   if (offset != raw.size()) return data_loss("checkpoint: trailing bytes");
+
+  // A checkpoint wider than the window keeps only its newest entries: the
+  // history skips those the load itself would evict.
+  history.add_all(entries);
+  if (sessions != nullptr) *sessions = std::move(parsed_sessions);
   return Status::ok();
 }
 

@@ -37,22 +37,26 @@ using SessionObfuscationCounts =
 
 /// Serializes the full history contents (oldest first) plus the
 /// per-session obfuscation counts and seals them to `enclave`'s
-/// measurement (format v2). Runs inside the trusted side.
+/// measurement (format v2). Reads the window in one pass under one shared
+/// lock, without copying it, into the buffer that is sealed in place. Runs
+/// inside the trusted side.
 [[nodiscard]] Bytes seal_history(sgx::EnclaveRuntime& enclave,
                                  const QueryHistory& history,
                                  const SessionObfuscationCounts& sessions = {});
 
-/// Unseals a v2 checkpoint and replays it into `history` (appending, in the
-/// checkpointed order). A checkpoint holding more entries than
-/// `history.capacity()` replays only the *newest* capacity entries — the
-/// older ones would be evicted by the very replay that inserted them.
-/// When `sessions` is non-null, the blob's per-session obfuscation counts
-/// are written there. Fails if the blob was sealed by different enclave
-/// code or tampered with; a blob of any other version is refused with
-/// "unsupported version" before `history` is touched. After other
-/// failures `history` may hold a partial replay and should be discarded.
+/// Unseals a v2 checkpoint where it lies (the function owns `sealed`; move
+/// the blob in to spare a copy) and loads it into `history` (appending, in
+/// the checkpointed order) with one `add_all`. A checkpoint holding more
+/// entries than `history.capacity()` keeps only the *newest* capacity
+/// entries — the older ones would be evicted by the very load that
+/// inserted them. When `sessions` is non-null, the blob's per-session
+/// obfuscation counts are written there. Fails if the blob was sealed by
+/// different enclave code, tampered with or malformed; a blob of any other
+/// version is refused with "unsupported version". The whole blob is
+/// validated before anything is inserted, so after any failure `history`
+/// is unchanged and `sessions` is empty.
 [[nodiscard]] Status restore_history(const sgx::EnclaveRuntime& enclave,
-                                     ByteSpan sealed, QueryHistory& history,
+                                     Bytes sealed, QueryHistory& history,
                                      SessionObfuscationCounts* sessions = nullptr);
 
 /// Host-side helpers: persist / load the opaque blob. The write is

@@ -1,6 +1,7 @@
 #include "xsearch/history.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <unordered_map>
 #include <utility>
@@ -16,36 +17,61 @@ QueryHistory::~QueryHistory() {
   if (epc_) epc_->release(bytes_);
 }
 
-void QueryHistory::add(std::string_view query) {
-  WriterLock lock(mutex_);
-  std::string incoming(query);
+template <typename Str>
+void QueryHistory::insert(std::span<const Str> queries) {
+  // Entries this very call would evict never go in: only the last
+  // capacity_ of the batch survive it.
+  if (queries.size() > capacity_) queries = queries.last(capacity_);
+  if (queries.empty()) return;
 
-  if (count_ < capacity_) {
-    // Growing phase: the slot and its contents are newly enclave-resident.
-    ring_.push_back(std::move(incoming));
-    const std::size_t new_bytes = entry_bytes(ring_.back());
-    charged_.push_back(new_bytes);
-    bytes_ += new_bytes;
-    if (epc_) epc_->charge(new_bytes);
-    ++count_;
-    head_ = (head_ + 1) % capacity_;
-  } else {
-    // Sliding phase: evict the oldest entry (the slot head_ points at),
-    // releasing exactly what that slot was charged for.
-    std::string& slot = ring_[head_];
-    const std::size_t old_bytes = charged_[head_];
-    slot = std::move(incoming);
-    const std::size_t new_bytes = entry_bytes(slot);
-    charged_[head_] = new_bytes;
-    if (epc_) {
-      epc_->release(old_bytes);
-      epc_->charge(new_bytes);
+  WriterLock lock(mutex_);
+  // Reserve once for the batch, bounded by the window. Growth stays
+  // geometric with headroom, so the first live add after a warm-up does
+  // not move the whole ring.
+  const std::size_t needed = std::min(capacity_, count_ + queries.size());
+  if (needed > ring_.capacity()) {
+    const std::size_t target =
+        std::min(capacity_, std::max(std::bit_ceil(needed), 2 * ring_.capacity()));
+    ring_.reserve(target);
+    charged_.reserve(target);
+  }
+
+  std::size_t charged = 0;
+  std::size_t released = 0;
+  for (const Str& query : queries) {
+    if (count_ < capacity_) {
+      // Growing phase: the slot and its contents are newly enclave-resident.
+      ring_.emplace_back(query);
+      charged_.push_back(entry_bytes(ring_.back()));
+      charged += charged_.back();
+      ++count_;
+    } else {
+      // Sliding phase: evict the oldest entry (the slot head_ points at),
+      // releasing exactly what that slot was charged for. Swapping in a
+      // fresh string frees the evicted buffer (move-assigning a short
+      // string would keep it), so a slot's size depends on its entry
+      // alone and a batch that skips entries ends where the loop would.
+      released += charged_[head_];
+      std::string(query).swap(ring_[head_]);
+      charged_[head_] = entry_bytes(ring_[head_]);
+      charged += charged_[head_];
     }
-    bytes_ += new_bytes;
-    bytes_ -= old_bytes;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
+  }
+  bytes_ = bytes_ + charged - released;
+  if (epc_) {
+    if (released > 0) epc_->release(released);
+    epc_->charge(charged);
   }
 }
+
+void QueryHistory::add(std::string_view query) {
+  insert(std::span<const std::string_view>(&query, 1));
+}
+
+void QueryHistory::add_all(std::span<const std::string> queries) { insert(queries); }
+
+void QueryHistory::add_all(std::span<const std::string_view> queries) { insert(queries); }
 
 std::vector<std::string> QueryHistory::sample(
     std::size_t k, Rng& rng, std::optional<std::string_view> exclude) const {
@@ -85,20 +111,20 @@ std::vector<std::string> QueryHistory::sample(
   return out;
 }
 
+QueryHistory::Entries QueryHistory::entries() const {
+  // While the window grows head_ == count_, so `older` is empty and vector
+  // order is insertion order; once full, head_ points at the oldest entry.
+  const std::span<const std::string> live(ring_.data(), count_);
+  return {live.subspan(head_), live.first(head_)};
+}
+
 std::vector<std::string> QueryHistory::snapshot() const {
-  ReaderLock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(count_);
-  if (count_ < capacity_) {
-    // Still growing: insertion order is vector order.
-    out.assign(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(count_));
-  } else {
-    // Full ring: head_ points at the oldest entry.
-    for (std::size_t i = 0; i < count_; ++i) {
-      out.push_back(ring_[(head_ + i) % capacity_]);
-    }
-  }
-  return out;
+  return with_entries([](const Entries& entries) {
+    std::vector<std::string> out;
+    out.reserve(entries.size());
+    entries.for_each([&out](const std::string& entry) { out.push_back(entry); });
+    return out;
+  });
 }
 
 std::size_t QueryHistory::size() const {

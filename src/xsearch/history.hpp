@@ -11,14 +11,18 @@
 //
 // Locking is reader/writer: `sample` (the per-query hot path, k string
 // copies) takes a shared lock so concurrent sessions sample in parallel;
-// only `add` (one string move plus O(1) accounting) takes the exclusive
-// lock. The previous single mutex serialized every session's sampling.
+// only inserts take the exclusive lock. A single `add` is the one-entry
+// case of `add_all`, which loads a whole batch (a warm-up, a restored
+// checkpoint) under one lock with one EPC charge: the lock and the
+// accounting are paid once per batch, not once per entry.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -40,6 +44,14 @@ class QueryHistory {
   /// Thread-safe (exclusive lock).
   void add(std::string_view query);
 
+  /// Inserts `queries` in order, as the same number of `add` calls would,
+  /// under one exclusive lock. Entries the batch itself would evict (all
+  /// but the last `capacity()`) are skipped. The window's contents, order
+  /// and charged bytes equal the one-at-a-time result; the EPC sees one
+  /// release and one charge for the batch.
+  void add_all(std::span<const std::string> queries);
+  void add_all(std::span<const std::string_view> queries);
+
   /// Samples `k` past queries uniformly at random (with replacement across
   /// calls, without replacement within one call when possible), skipping
   /// every entry whose text equals `exclude` — pass the real query, which
@@ -52,7 +64,30 @@ class QueryHistory {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// All live entries, oldest first (for sealed checkpoints). Thread-safe.
+  /// The live entries, oldest first, as the ring's two contiguous runs.
+  struct Entries {
+    std::span<const std::string> older;  // oldest entry .. end of the ring
+    std::span<const std::string> newer;  // start of the ring .. newest entry
+
+    [[nodiscard]] std::size_t size() const { return older.size() + newer.size(); }
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (const std::string& entry : older) fn(entry);
+      for (const std::string& entry : newer) fn(entry);
+    }
+  };
+
+  /// Returns `fn(entries)` for the live entries, oldest first, read under
+  /// one shared lock and without copying them (sealed checkpoints serialize
+  /// straight from the ring). The views die with the call, and `fn` must
+  /// not call back into this history.
+  template <typename Fn>
+  decltype(auto) with_entries(Fn&& fn) const {
+    ReaderLock lock(mutex_);
+    return std::forward<Fn>(fn)(entries());
+  }
+
+  /// All live entries, oldest first. Thread-safe.
   [[nodiscard]] std::vector<std::string> snapshot() const;
 
   /// Estimated bytes of enclave memory held by the table.
@@ -64,6 +99,13 @@ class QueryHistory {
   [[nodiscard]] static std::size_t entry_bytes(const std::string& s) {
     return sizeof(std::string) + s.capacity() + 1;
   }
+
+  /// The one insert routine behind `add` and both `add_all`s.
+  template <typename Str>
+  void insert(std::span<const Str> queries);
+
+  /// The only place that knows the ring order.
+  [[nodiscard]] Entries entries() const XS_REQUIRES_SHARED(mutex_);
 
   const std::size_t capacity_;
   sgx::EpcAccountant* epc_;

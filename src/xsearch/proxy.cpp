@@ -110,7 +110,7 @@ Result<std::unique_ptr<XSearchProxy>> XSearchProxy::create(
 }
 
 void XSearchProxy::warm_history(const std::vector<std::string>& queries) {
-  for (const auto& query : queries) history_->add(query);
+  history_->add_all(queries);
 }
 
 XSearchProxy::XSearchProxy(const engine::SearchEngine* engine,
@@ -300,15 +300,10 @@ void XSearchProxy::restore_checkpoint() {
 
   SessionObfuscationCounts sessions;
   const Status restored =
-      restore_history(*enclave_, blob.value(), *history_, &sessions);
-  if (!restored.is_ok()) {
-    // Tampered or truncated blob: discard the (possibly partial) replay
-    // and fall back to a clean cold start rather than a corrupt window.
-    history_ =
-        std::make_unique<QueryHistory>(options_.history_capacity, &enclave_->epc());
-    obfuscator_ = std::make_unique<Obfuscator>(*history_, options_.k);
-    return;
-  }
+      restore_history(*enclave_, std::move(blob).value(), *history_, &sessions);
+  // A tampered or truncated blob leaves the fresh history untouched: a
+  // clean cold start, never a partial window.
+  if (!restored.is_ok()) return;
   restore_hits_.inc();
   restored_entries_.set(history_->size());
   restored_sessions_.set(sessions.size());

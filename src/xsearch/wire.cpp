@@ -51,9 +51,12 @@ void put_string(Bytes& out, std::string_view s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-namespace {
+std::uint8_t* write_string(std::uint8_t* at, std::string_view s) {
+  store_be32(at, static_cast<std::uint32_t>(s.size()));
+  if (!s.empty()) std::memcpy(at + 4, s.data(), s.size());
+  return at + 4 + s.size();
+}
 
-/// Reads a u32-length-prefixed string as a view of `in`, advancing `offset`.
 Result<std::string_view> get_view(ByteSpan in, std::size_t& offset) {
   auto len = get_u32(in, offset);
   if (!len) return len.status();
@@ -62,6 +65,8 @@ Result<std::string_view> get_view(ByteSpan in, std::size_t& offset) {
   offset += len.value();
   return s;
 }
+
+namespace {
 
 /// Encoded size of `put_result(out, r)`.
 std::size_t result_wire_size(const engine::ResultView& r) {

@@ -26,8 +26,18 @@ namespace xsearch::core::wire {
 /// Appends a u32-length-prefixed string.
 void put_string(Bytes& out, std::string_view s);
 
+/// Writes `put_string`'s encoding of `s` at `at`, which must have room for
+/// its 4 + s.size() bytes, and returns the end. Encoders that size their
+/// buffer up front write many strings this way without a per-string
+/// capacity check.
+std::uint8_t* write_string(std::uint8_t* at, std::string_view s);
+
 /// Reads a u32-length-prefixed string, advancing `offset`.
 [[nodiscard]] Result<std::string> get_string(ByteSpan in, std::size_t& offset);
+
+/// `get_string` without the copy: the view points into `in`, which must
+/// outlive it.
+[[nodiscard]] Result<std::string_view> get_view(ByteSpan in, std::size_t& offset);
 
 void put_u32(Bytes& out, std::uint32_t v);
 [[nodiscard]] Result<std::uint32_t> get_u32(ByteSpan in, std::size_t& offset);

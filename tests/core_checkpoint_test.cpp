@@ -218,6 +218,33 @@ TEST(Checkpoint, V1BlobIsRefused) {
   EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
 }
 
+TEST(Checkpoint, TruncatedLastEntryLeavesHistoryUntouched) {
+  // A correctly sealed v2 plaintext whose last entry claims more bytes than
+  // the blob holds: the restore validates the whole blob before inserting,
+  // so the two good entries before it must not land either.
+  auto enclave = make_enclave();
+  Bytes plain;
+  wire::put_u32(plain, 0x58534850);  // "XSHP"
+  wire::put_u32(plain, 2);
+  wire::put_u32(plain, 3);
+  wire::put_string(plain, "good one");
+  wire::put_string(plain, "good two");
+  wire::put_u32(plain, 64);  // the last entry's length, with 4 bytes behind it
+  append(plain, to_bytes("trun"));
+  const Bytes sealed = enclave.seal(plain);
+
+  sgx::EpcAccountant epc;
+  QueryHistory restored(10, &epc);
+  restored.add("already here");
+  const std::size_t bytes_before = restored.memory_bytes();
+  SessionObfuscationCounts sessions = {{1, 1}};
+  EXPECT_FALSE(restore_history(enclave, sealed, restored, &sessions).is_ok());
+  EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
+  EXPECT_EQ(restored.memory_bytes(), bytes_before);
+  EXPECT_EQ(epc.in_use(), bytes_before);
+  EXPECT_TRUE(sessions.empty());
+}
+
 TEST(Checkpoint, RestoredHistoryFeedsObfuscation) {
   auto enclave = make_enclave();
   QueryHistory original(100);

@@ -204,6 +204,28 @@ TEST(Wire, PrimitivesRejectTruncation) {
   EXPECT_FALSE(wire::get_u64(ByteSpan(buf.data(), 4), offset).is_ok());
 }
 
+TEST(Wire, WriteStringMatchesPutStringAndReadsBackAsView) {
+  Bytes put;
+  for (const std::string_view s : {"", "q", "a query of some length"}) wire::put_string(put, s);
+  Bytes written(put.size());
+  std::uint8_t* cursor = written.data();
+  for (const std::string_view s : {"", "q", "a query of some length"}) {
+    cursor = wire::write_string(cursor, s);
+  }
+  EXPECT_EQ(cursor, written.data() + written.size());
+  EXPECT_EQ(written, put);
+
+  std::size_t offset = 0;
+  EXPECT_EQ(wire::get_view(written, offset).value(), "");
+  EXPECT_EQ(wire::get_view(written, offset).value(), "q");
+  const auto last = wire::get_view(written, offset);
+  ASSERT_TRUE(last.is_ok());
+  EXPECT_EQ(last.value(), "a query of some length");
+  EXPECT_EQ(last.value().data(), reinterpret_cast<const char*>(written.data()) + 13);
+  offset = 9;  // the last string's length word: one byte short is refused
+  EXPECT_FALSE(wire::get_view(ByteSpan(written).first(written.size() - 1), offset).is_ok());
+}
+
 TEST(Wire, DoubleRoundTrip) {
   Bytes buf;
   wire::put_double(buf, -123.456e-7);

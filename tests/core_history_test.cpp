@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 #include <unordered_set>
 
+#include "sgx/epc.hpp"
 #include "xsearch/obfuscator.hpp"
 
 namespace xsearch::core {
@@ -133,6 +135,53 @@ TEST(QueryHistory, ConcurrentAddAndSample) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(h.size(), 1000u);
+}
+
+TEST(QueryHistory, ConcurrentBatchesSamplesAndReaders) {
+  // Batch loads, single adds, samples and whole-window readers (the
+  // checkpoint seal's path) on one history: each reader sees a consistent
+  // window, oldest first, and the accounting ends exact.
+  sgx::EpcAccountant epc;
+  QueryHistory h(500, &epc);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int round = 0; round < 40; ++round) {
+        std::vector<std::string> batch;
+        for (int i = 0; i < 60; ++i) {
+          batch.push_back("t" + std::to_string(t) + " r" + std::to_string(round) +
+                          " q" + std::to_string(i));
+        }
+        h.add_all(batch);
+        h.add("single " + std::to_string(t));
+      }
+    });
+  }
+  threads.emplace_back([&h] {
+    Rng rng(9);
+    for (int i = 0; i < 2000; ++i) (void)h.sample(3, rng);
+  });
+  threads.emplace_back([&h] {
+    for (int i = 0; i < 200; ++i) {
+      // Oldest first: each writer's batch entries appear in the order it
+      // inserted them (numbered round * 100 + position).
+      const std::size_t seen = h.with_entries([](const QueryHistory::Entries& entries) {
+        int last[2] = {-1, -1};
+        entries.for_each([&last](const std::string& q) {
+          int t = 0, round = 0, i = 0;
+          if (std::sscanf(q.c_str(), "t%d r%d q%d", &t, &round, &i) != 3) return;
+          EXPECT_GT(round * 100 + i, last[t]) << q;
+          last[t] = round * 100 + i;
+        });
+        return entries.size();
+      });
+      EXPECT_LE(seen, 500u);
+      EXPECT_LE(h.snapshot().size(), 500u);
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(h.size(), 500u);
+  EXPECT_EQ(h.memory_bytes(), epc.in_use());
 }
 
 // ---- Obfuscator (Algorithm 1) --------------------------------------------------

@@ -157,6 +157,13 @@ TEST(Aead, InPlaceSealAndOpenMatchCopyingForms) {
     aead_seal_in_place(key, nonce, aad, record);
     EXPECT_EQ(record, aead_seal(key, nonce, aad, plaintext)) << "len=" << len;
 
+    // Behind a header: the header stays as it is, the rest is the same record.
+    Bytes framed = plaintext;
+    framed.insert(framed.begin(), {0xaa, 0xbb, 0xcc});
+    aead_seal_in_place(key, nonce, aad, framed, 3);
+    EXPECT_EQ(Bytes(framed.begin(), framed.begin() + 3), (Bytes{0xaa, 0xbb, 0xcc}));
+    EXPECT_EQ(Bytes(framed.begin() + 3, framed.end()), record) << "len=" << len;
+
     Bytes tampered = record;
     tampered[tampered.size() / 2] ^= 1;
     const Bytes before = tampered;

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <string_view>
 #include <tuple>
 #include <unordered_set>
 
 #include "common/rng.hpp"
 #include "engine/document.hpp"
+#include "sgx/epc.hpp"
 #include "xsearch/filter.hpp"
 #include "xsearch/history.hpp"
 #include "xsearch/obfuscator.hpp"
@@ -165,6 +167,91 @@ TEST_P(HistoryGrid, SnapshotMatchesSizeAndOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, HistoryGrid,
                          ::testing::Values<std::size_t>(1, 2, 7, 32, 100));
+
+// ---- Bulk insert against the one-at-a-time model ---------------------------------
+//
+// `add_all` must leave the window exactly as the same entries added one by
+// one would: contents, order, size, charged bytes. Only the EPC's
+// high-water mark and fault count may differ, and only when the batch
+// evicts (one-at-a-time pays a release and a charge per evicted slot, the
+// batch one of each); whenever the batch fits the window they match too.
+
+class HistoryBulkModel : public ::testing::TestWithParam<int> {};
+
+std::vector<std::string> random_queries(Rng& rng, std::size_t n) {
+  std::vector<std::string> out(n);
+  for (auto& q : out) {
+    // Lengths straddle the small-string buffer, so slot sizes vary.
+    q = "q" + std::to_string(rng.next() % 1000) + ":";
+    q.append(rng.uniform(40), static_cast<char>('a' + rng.uniform(26)));
+  }
+  return out;
+}
+
+TEST_P(HistoryBulkModel, BatchMatchesOneAtATimeLoop) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t capacity = 1 + rng.uniform(48);
+    // A small EPC limit so charges cross it and page faults are counted.
+    const std::size_t limit = 256 + rng.uniform(4096);
+    sgx::EpcAccountant bulk_epc(limit);
+    sgx::EpcAccountant loop_epc(limit);
+    QueryHistory bulk(capacity, &bulk_epc);
+    QueryHistory loop(capacity, &loop_epc);
+
+    // The same prefix through the same path: empty, partly full or full.
+    for (const auto& q : random_queries(rng, rng.uniform(2 * capacity + 1))) {
+      bulk.add(q);
+      loop.add(q);
+    }
+    const std::size_t before = loop.size();
+
+    // Growing, sliding or overflowing the window in one batch.
+    const auto batch = random_queries(rng, rng.uniform(2 * capacity + 4));
+    bulk.add_all(batch);
+    for (const auto& q : batch) loop.add(q);
+
+    SCOPED_TRACE("capacity=" + std::to_string(capacity) +
+                 " before=" + std::to_string(before) +
+                 " batch=" + std::to_string(batch.size()));
+    EXPECT_EQ(bulk.snapshot(), loop.snapshot());
+    EXPECT_EQ(bulk.size(), loop.size());
+    EXPECT_EQ(bulk.memory_bytes(), loop.memory_bytes());
+    EXPECT_EQ(bulk_epc.in_use(), loop_epc.in_use());
+    EXPECT_EQ(bulk_epc.in_use(), bulk.memory_bytes());
+    if (before + batch.size() <= capacity) {
+      EXPECT_EQ(bulk_epc.peak(), loop_epc.peak());
+      EXPECT_EQ(bulk_epc.page_faults(), loop_epc.page_faults());
+    }
+  }
+}
+
+TEST_P(HistoryBulkModel, BatchSequenceTracksModelWindow) {
+  // The window after any sequence of batches is the last `capacity`
+  // entries ever inserted, oldest first, and sampling only ever draws
+  // from it.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  const std::size_t capacity = 1 + rng.uniform(32);
+  sgx::EpcAccountant epc;
+  QueryHistory history(capacity, &epc);
+  std::vector<std::string> model;
+  for (int step = 0; step < 30; ++step) {
+    const auto batch = random_queries(rng, rng.uniform(capacity + capacity / 2 + 2));
+    std::vector<std::string_view> views(batch.begin(), batch.end());
+    history.add_all(views);
+    model.insert(model.end(), batch.begin(), batch.end());
+    if (model.size() > capacity) {
+      model.erase(model.begin(), model.end() - static_cast<std::ptrdiff_t>(capacity));
+    }
+    ASSERT_EQ(history.snapshot(), model);
+    ASSERT_EQ(epc.in_use(), history.memory_bytes());
+    for (const auto& fake : history.sample(3, rng)) {
+      EXPECT_NE(std::find(model.begin(), model.end(), fake), model.end());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HistoryBulkModel, ::testing::Range(1, 9));
 
 // ---- wire format round-trips over structured random inputs -------------------------
 

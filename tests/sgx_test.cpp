@@ -57,6 +57,31 @@ TEST(Epc, PartialPageBeyondLimitCountsOneFault) {
   EXPECT_EQ(epc.page_faults(), 1u);
 }
 
+TEST(Epc, ChargesInsideACountedPageAddNoFault) {
+  // The partial page beyond the limit faults once, when first touched;
+  // later charges that stay inside it must not count it again.
+  EpcAccountant epc(kEpcPageSize);
+  epc.charge(kEpcPageSize);
+  epc.charge(100);
+  epc.charge(100);
+  EXPECT_EQ(epc.page_faults(), 1u);
+}
+
+TEST(Epc, FaultCountIsAdditiveAcrossCharges) {
+  // One charge of the sum faults exactly as many pages as the pieces.
+  EpcAccountant pieces(kEpcPageSize * 2);
+  EpcAccountant whole(kEpcPageSize * 2);
+  std::size_t total = 0;
+  for (std::size_t bytes : {5000u, 3000u, 1u, 4095u, 700u, 9000u, 12u}) {
+    pieces.charge(bytes);
+    total += bytes;
+  }
+  whole.charge(total);
+  EXPECT_EQ(pieces.page_faults(), whole.page_faults());
+  EXPECT_EQ(pieces.page_faults(),
+            (total - kEpcPageSize * 2 + kEpcPageSize - 1) / kEpcPageSize);
+}
+
 TEST(Epc, ConcurrentChargesConsistent) {
   EpcAccountant epc(std::size_t{1} << 30);
   constexpr int kThreads = 8;
@@ -173,6 +198,34 @@ TEST(Enclave, SealUnsealRoundTrip) {
   const auto opened = enclave.unseal(sealed);
   ASSERT_TRUE(opened.is_ok());
   EXPECT_EQ(opened.value(), secret);
+}
+
+TEST(Enclave, InPlaceSealAndUnsealMatchCopyingForms) {
+  EnclaveRuntime enclave(test_config());
+  const Bytes secret = to_bytes("a checkpoint written where it lies");
+  Bytes record = secret;
+  record.insert(record.begin(), EnclaveRuntime::kSealHeaderBytes, 0);
+  record.reserve(record.size() + EnclaveRuntime::kSealTrailerBytes);
+  const std::uint8_t* const buffer = record.data();
+  enclave.seal_in_place(record);
+  EXPECT_EQ(record.data(), buffer);  // no reallocation
+  EXPECT_EQ(record.size(), EnclaveRuntime::kSealHeaderBytes + secret.size() +
+                               EnclaveRuntime::kSealTrailerBytes);
+  // Same format as `seal`: the copying unseal opens it.
+  const auto copied = enclave.unseal(record);
+  ASSERT_TRUE(copied.is_ok());
+  EXPECT_EQ(copied.value(), secret);
+
+  const auto opened = enclave.unseal_in_place(record);
+  ASSERT_TRUE(opened.is_ok());
+  EXPECT_EQ(opened.value().data(), record.data() + EnclaveRuntime::kSealHeaderBytes);
+  EXPECT_EQ(Bytes(opened.value().begin(), opened.value().end()), secret);
+
+  Bytes tampered = enclave.seal(secret);
+  tampered[tampered.size() / 2] ^= 1;
+  const Bytes before = tampered;
+  EXPECT_FALSE(enclave.unseal_in_place(tampered).is_ok());
+  EXPECT_EQ(tampered, before);
 }
 
 TEST(Enclave, SealedBlobsDifferAcrossCalls) {
