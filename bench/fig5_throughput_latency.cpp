@@ -511,12 +511,11 @@ Scenario degraded() {
       if (!d.engine_degraded.load(std::memory_order_relaxed)) return {};
       return d.engine_faults->engine_call();
     };
-    proxy.engine_breaker_enabled = true;
-    proxy.engine_breaker.window = 32;
-    proxy.engine_breaker.min_samples = 8;
-    proxy.engine_breaker.failure_ratio = 0.5;
-    proxy.engine_breaker.open_cooldown = 50 * kMilli;
-    proxy.engine_breaker.half_open_probes = 2;
+    proxy.engine_breaker = CircuitBreaker::Options{.window = 32,
+                                                   .min_samples = 8,
+                                                   .failure_ratio = 0.5,
+                                                   .open_cooldown = 50 * kMilli,
+                                                   .half_open_probes = 2};
   };
   s.extras = [](Deployment& d, std::size_t) -> std::vector<Field> {
     const metrics::Snapshot stats = d.fleet->metrics();

@@ -1,8 +1,6 @@
 #include "baselines/peas/peas.hpp"
 
-#include <cstring>
-
-#include "crypto/hmac.hpp"
+#include "crypto/envelope.hpp"
 #include "text/tokenizer.hpp"
 #include "xsearch/filter.hpp"
 #include "xsearch/wire.hpp"
@@ -11,20 +9,8 @@ namespace xsearch::baselines::peas {
 
 namespace {
 
-constexpr char kEnvelopeInfo[] = "peas-envelope-v1";
-constexpr std::uint32_t kNonceRequest = 0x50455152;   // "PEQR"
-constexpr std::uint32_t kNonceResponse = 0x50455250;  // "PERP"
-
-crypto::AeadKey derive_envelope_key(crypto::X25519Key shared) {
-  // By value on purpose: guaranteed copy elision makes the call-site prvalue
-  // this very parameter, so the wipe below reaches the only copy of the DH
-  // shared secret (rule: wipe lingering secret temporaries).
-  const crypto::AeadKey key =
-      crypto::hkdf(/*salt=*/{}, shared, to_bytes(kEnvelopeInfo), crypto::kAeadKeySize)
-          .slice<crypto::kAeadKeySize>();
-  secure_wipe(shared);
-  return key;
-}
+// Associated data binding every PEAS envelope and reply to this protocol.
+constexpr char kEnvelopeAad[] = "peas-envelope-v1";
 
 }  // namespace
 
@@ -58,28 +44,18 @@ PeasIssuer::PeasIssuer(const engine::SearchEngine* engine, std::uint64_t seed)
 }
 
 Result<Bytes> PeasIssuer::handle(ByteSpan envelope) {
-  if (envelope.size() < crypto::kX25519KeySize + crypto::kAeadTagSize) {
-    return invalid_argument("peas: envelope too short");
-  }
-  crypto::X25519Key client_eph;
-  std::memcpy(client_eph.data(), envelope.data(), client_eph.size());
-  const crypto::AeadKey key =
-      derive_envelope_key(crypto::x25519(keys_.private_key, client_eph));
+  auto opened = crypto::envelope_open(keys_, to_bytes(kEnvelopeAad), envelope);
+  if (!opened) return opened.status();
 
-  auto plain = crypto::aead_open(key, crypto::make_nonce(kNonceRequest, 0),
-                                 to_bytes(kEnvelopeInfo),
-                                 envelope.subspan(client_eph.size()));
-  if (!plain) return permission_denied("peas: envelope authentication failed");
-
-  auto request = core::wire::parse_engine_request(*plain);
+  auto request = core::wire::parse_engine_request(opened.value().plaintext);
   if (!request) return request.status();
 
   const Bytes payload =
       engine_ != nullptr ? engine_->search_or_encoded(request.value().sub_queries,
                                                       request.value().top_k_each)
                          : core::wire::serialize_results({});
-  return crypto::aead_seal(key, crypto::make_nonce(kNonceResponse, 0),
-                           to_bytes(kEnvelopeInfo), payload);
+  return crypto::envelope_reply_seal(opened.value().response_key,
+                                     to_bytes(kEnvelopeAad), payload);
 }
 
 // --- PeasReceiver ------------------------------------------------------------
@@ -115,39 +91,25 @@ std::vector<std::string> PeasClient::protect(std::string_view query) {
   return sub_queries;
 }
 
-Bytes PeasClient::encrypt_to_issuer(const std::vector<std::string>& sub_queries,
-                                    std::uint32_t top_k_each) {
-  const auto ephemeral = crypto::x25519_keypair_from_seed(secure_rng_.key());
-  const crypto::AeadKey key =
-      derive_envelope_key(crypto::x25519(ephemeral.private_key, issuer_public_key_));
-
-  core::wire::EngineRequest request;
-  request.sub_queries = sub_queries;
-  request.top_k_each = top_k_each;
-
-  Bytes envelope(ephemeral.public_key.begin(), ephemeral.public_key.end());
-  append(envelope, crypto::aead_seal(key, crypto::make_nonce(kNonceRequest, 0),
-                                     to_bytes(kEnvelopeInfo),
-                                     core::wire::serialize_engine_request(request)));
-  // Remember the session key for the response (stored in the envelope's
-  // ephemeral slot client-side).
-  last_key_ = key;
-  return envelope;
-}
-
 Result<std::vector<engine::SearchResult>> PeasClient::search(std::string_view query,
                                                              std::uint32_t top_k_each) {
   const std::vector<std::string> sub_queries = protect(query);
-  const Bytes envelope = encrypt_to_issuer(sub_queries, top_k_each);
+  core::wire::EngineRequest request;
+  request.sub_queries = sub_queries;
+  request.top_k_each = top_k_each;
+  crypto::AeadKey response_key{};
+  const Bytes envelope = crypto::envelope_seal(
+      issuer_public_key_, secure_rng_, to_bytes(kEnvelopeAad),
+      core::wire::serialize_engine_request(request), &response_key);
 
   auto sealed_response = receiver_->forward(client_id_, envelope);
   if (!sealed_response) return sealed_response.status();
 
-  auto payload = crypto::aead_open(last_key_, crypto::make_nonce(kNonceResponse, 0),
-                                   to_bytes(kEnvelopeInfo), sealed_response.value());
-  if (!payload) return permission_denied("peas: response authentication failed");
+  auto payload = crypto::envelope_reply_open(response_key, to_bytes(kEnvelopeAad),
+                                             sealed_response.value());
+  if (!payload) return payload.status();
 
-  auto results = core::wire::parse_results(*payload);
+  auto results = core::wire::parse_results(payload.value());
   if (!results) return results.status();
 
   // Client-side filtering: the client knows which sub-query was real.

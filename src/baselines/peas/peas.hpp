@@ -8,7 +8,7 @@
 //    co-occurrence graph of past user queries and OR-aggregated with the
 //    real one in random order.
 //  * The *receiver* proxy sees the client identity but only a ciphertext of
-//    the query (hybrid X25519+AEAD to the issuer's key).
+//    the query (a crypto/envelope sealed to the issuer's key).
 //  * The *issuer* proxy decrypts and executes the query against the engine
 //    but never learns who asked.
 //
@@ -25,7 +25,6 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
-#include "crypto/aead.hpp"
 #include "crypto/random.hpp"
 #include "crypto/x25519.hpp"
 #include "dataset/query_log.hpp"
@@ -110,9 +109,6 @@ class PeasClient {
   [[nodiscard]] std::size_t k() const { return k_; }
 
  private:
-  [[nodiscard]] Bytes encrypt_to_issuer(const std::vector<std::string>& sub_queries,
-                                        std::uint32_t top_k_each);
-
   std::uint32_t client_id_;
   PeasReceiver* receiver_;
   crypto::X25519Key issuer_public_key_;
@@ -120,7 +116,6 @@ class PeasClient {
   std::size_t k_;
   Rng rng_;
   crypto::SecureRandom secure_rng_;
-  crypto::AeadKey last_key_{};  // session key of the in-flight request
 };
 
 }  // namespace xsearch::baselines::peas

@@ -1,5 +1,6 @@
 #include "net/fleet_supervisor.hpp"
 
+#include <cassert>
 #include <chrono>
 #include <utility>
 
@@ -9,7 +10,9 @@ FleetSupervisor::FleetSupervisor(ProxyFleet& fleet, Options options)
     : fleet_(&fleet),
       options_(options),
       consecutive_failures_(fleet.worker_count(), 0),
-      probe_thread_([this] { run(); }) {}
+      probe_thread_([this] { run(); }) {
+  assert(options_.probe_budget > 0 && "probe_budget must be positive");
+}
 
 FleetSupervisor::~FleetSupervisor() { stop(); }
 
@@ -95,9 +98,6 @@ void FleetSupervisor::ensure_prober() {
 
 Status FleetSupervisor::probe_worker(std::size_t index, bool& timed_out) {
   timed_out = false;
-  if (options_.probe_budget <= 0) {
-    return fleet_->heartbeat(index);  // legacy inline probe, no deadline
-  }
   ensure_prober();
   const std::shared_ptr<ProbeTask> task = probe_task_;
   {

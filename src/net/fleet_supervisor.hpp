@@ -46,10 +46,9 @@ class FleetSupervisor {
     Nanos probe_interval = 20 * kMilli;
     /// Consecutive heartbeat failures before a worker is respawned.
     std::uint32_t failure_threshold = 3;
-    /// Deadline for one heartbeat probe: a probe still running past it
-    /// counts as a failure (the worker is hung, not merely crashed) and
-    /// the sweep moves on. 0 = probe inline without a deadline (legacy;
-    /// a hung worker then wedges the probe loop).
+    /// Deadline for one heartbeat probe (must be positive): a probe still
+    /// running past it counts as a failure (the worker is hung, not merely
+    /// crashed) and the sweep moves on.
     Nanos probe_budget = kSecond;
   };
 

@@ -66,8 +66,6 @@ Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {
   // Blocking shim over the incremental parser: one parse logic for both the
   // reactor's zero-copy path and the clients' exact-read path.
   Bytes buffer;
-  Deadline deadline = options.io_deadline;
-  bool body_bounded = false;
   for (;;) {
     const auto step = FrameCursor::parse(buffer);
     switch (step.state) {
@@ -83,13 +81,8 @@ Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {
       }
       case FrameCursor::State::kNeedHeader:
       case FrameCursor::State::kNeedBody: {
-        // Once the length word is in, the frame has started: the (optional)
-        // body budget applies on top of the caller's overall deadline.
-        if (buffer.size() >= 4 && !body_bounded && options.body_budget > 0) {
-          body_bounded = true;
-          deadline = deadline.min(Deadline::after(options.body_budget));
-        }
-        auto chunk = stream.read_exact(step.need - buffer.size(), deadline);
+        auto chunk =
+            stream.read_exact(step.need - buffer.size(), options.io_deadline);
         if (!chunk) return chunk.status();
         append(buffer, chunk.value());
         break;

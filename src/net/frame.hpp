@@ -54,14 +54,8 @@ struct FrameWriteOptions {
 };
 
 struct FrameReadOptions {
-  /// How long to wait for the frame to start (and, absent a body budget,
-  /// for the whole frame). Infinite by default — servers idle here between
-  /// requests on a healthy connection.
+  /// Deadline for reading the whole frame. Infinite by default.
   Deadline io_deadline;
-  /// Once the length word has arrived, extra bound on reading the rest of
-  /// the frame (0 = none). This is the anti-slowloris knob: an idle peer is
-  /// fine, a peer that *starts* a frame must finish it promptly.
-  Nanos body_budget = 0;
 };
 
 /// Incremental, zero-copy frame parser over a connection's receive buffer.

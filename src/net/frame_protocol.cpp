@@ -83,13 +83,8 @@ class FrameProtocol final : public ConnectionProtocol {
         result.close = true;
         return result;
       }
-      Bytes body;
-      core::wire::put_u64(body, response.value().session_id);
-      const Bytes quote = response.value().quote.serialize();
-      core::wire::put_u32(body, static_cast<std::uint32_t>(quote.size()));
-      append(body, quote);
-      append(body, response.value().server_ephemeral_pub);
-      push_frame(result.reply, FrameType::kHelloReply, std::move(body));
+      push_frame(result.reply, FrameType::kHelloReply,
+                 core::wire::serialize_handshake_response(response.value()));
       return result;
     }
 

@@ -143,6 +143,32 @@ Result<HttpRequest> parse_http_request(ByteSpan raw) {
   return request;
 }
 
+Result<std::size_t> http_content_length(std::string_view headers) {
+  static constexpr std::string_view kName = "content-length:";
+  while (!headers.empty()) {
+    const auto line_end = headers.find("\r\n");
+    const std::string_view line = headers.substr(0, line_end);
+    headers.remove_prefix(line_end == std::string_view::npos ? headers.size()
+                                                             : line_end + 2);
+    if (line.size() < kName.size() ||
+        !std::equal(kName.begin(), kName.end(), line.begin(), [](char name, char c) {
+          return name == std::tolower(static_cast<unsigned char>(c));
+        })) {
+      continue;
+    }
+    const std::string_view value = trim(line.substr(kName.size()));
+    std::uint64_t length = 0;
+    const auto [end, error] =
+        std::from_chars(value.data(), value.data() + value.size(), length);
+    if (error != std::errc{} || end != value.data() + value.size() ||
+        length > kMaxBodyBytes) {
+      return data_loss("http: bad or oversized Content-Length");
+    }
+    return static_cast<std::size_t>(length);
+  }
+  return std::size_t{0};
+}
+
 Bytes make_http_response(int status, std::string_view reason,
                          std::string_view content_type, std::string_view body) {
   std::string head = "HTTP/1.1 " + std::to_string(status) + " " + std::string(reason) +
@@ -178,16 +204,9 @@ Result<std::string> read_http_response_body(TcpStream& stream, int* status_out) 
     *status_out = status;
   }
 
-  std::size_t length = 0;
-  const std::string lower = to_lower(head);
-  const auto pos = lower.find("content-length:");
-  if (pos != std::string::npos) {
-    const char* begin = lower.data() + pos + 15;
-    while (*begin == ' ') ++begin;
-    (void)std::from_chars(begin, lower.data() + lower.size(), length);
-  }
-  if (length > kMaxBodyBytes) return data_loss("http: response too large");
-  auto body = stream.read_exact(length);
+  const auto length = http_content_length(head);
+  if (!length) return length.status();
+  auto body = stream.read_exact(length.value());
   if (!body) return body.status();
   return to_string(body.value());
 }

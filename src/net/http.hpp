@@ -41,6 +41,13 @@ struct HttpRequest {
 /// including the blank line and any Content-Length body).
 [[nodiscard]] Result<HttpRequest> parse_http_request(ByteSpan raw);
 
+/// The Content-Length of a complete header block (a request's or a
+/// response's; the field name matches case-insensitively); 0 when absent.
+/// A value that is not a decimal number, or that exceeds the 1 MiB body
+/// cap — one too large for a size_t included — is refused with DATA_LOSS,
+/// so a length that would wrap can never reframe the stream.
+[[nodiscard]] Result<std::size_t> http_content_length(std::string_view headers);
+
 /// Serializes a response with Content-Length framing.
 [[nodiscard]] Bytes make_http_response(int status, std::string_view reason,
                                        std::string_view content_type,

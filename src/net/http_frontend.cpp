@@ -1,7 +1,6 @@
 #include "net/http_frontend.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 
 #include "net/frame_protocol.hpp"
@@ -12,7 +11,6 @@ namespace {
 
 // A peer may not hold more than this much unparsed request in our memory.
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
-constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
 
 /// Finds the end of the header block (`\r\n\r\n`); npos if incomplete.
 std::size_t find_header_end(ByteSpan buffered) {
@@ -21,33 +19,6 @@ std::size_t find_header_end(ByteSpan buffered) {
                               std::begin(kSep), std::end(kSep));
   if (it == buffered.end()) return std::string::npos;
   return static_cast<std::size_t>(it - buffered.begin()) + sizeof kSep;
-}
-
-/// Content-Length of the (complete) header block; 0 when absent.
-std::size_t parse_content_length(ByteSpan headers) {
-  static constexpr std::string_view kName = "content-length:";
-  std::size_t line_start = 0;
-  for (std::size_t i = 0; i + 1 < headers.size(); ++i) {
-    if (headers[i] != '\r' || headers[i + 1] != '\n') continue;
-    std::size_t j = line_start;
-    std::size_t k = 0;
-    while (j < i && k < kName.size() &&
-           std::tolower(headers[j]) == kName[k]) {
-      ++j;
-      ++k;
-    }
-    if (k == kName.size()) {
-      std::size_t value = 0;
-      while (j < i && (headers[j] == ' ' || headers[j] == '\t')) ++j;
-      while (j < i && headers[j] >= '0' && headers[j] <= '9') {
-        value = value * 10 + (headers[j] - '0');
-        ++j;
-      }
-      return value;
-    }
-    line_start = i + 2;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -71,12 +42,15 @@ class HttpProtocol final : public ConnectionProtocol {
       action.mid_message = !buffered.empty();
       return action;
     }
-    const std::size_t body = parse_content_length(buffered.first(header_end));
-    if (body > kMaxBodyBytes) {
+    // An unreadable or oversized length closes the connection: reading
+    // on would frame the next request from the wrong byte.
+    const auto body = http_content_length(std::string_view(
+        reinterpret_cast<const char*>(buffered.data()), header_end));
+    if (!body) {
       action.close = true;
       return action;
     }
-    const std::size_t total = header_end + body;
+    const std::size_t total = header_end + body.value();
     if (buffered.size() < total) {
       action.need = total;
       action.mid_message = true;
@@ -133,16 +107,11 @@ Result<std::unique_ptr<HttpFrontend>> HttpFrontend::start(
     XS_RETURN_IF_ERROR(frontend->broker_->connect());
   }
 
-  Reactor::Options options;
   HttpFrontend* raw = frontend.get();
-  options.protocol_factory = [raw] {
-    return std::make_unique<HttpProtocol>(raw);
-  };
-  options.encode_shed = [](const Status& status) {
-    return HttpProtocol::encode_shed_response(status);
-  };
-  auto reactor = Reactor::start(std::move(listener).value(),
-                                std::move(options));
+  auto reactor = Reactor::start(
+      std::move(listener).value(),
+      [raw] { return std::make_unique<HttpProtocol>(raw); },
+      HttpProtocol::encode_shed_response, ReactorOptions{});
   if (!reactor) return reactor.status();
   frontend->reactor_ = std::move(reactor).value();
   return frontend;

@@ -212,11 +212,6 @@ Result<core::HandshakeResponse> ProxyFleet::handshake(
 }
 
 Result<Bytes> ProxyFleet::handle_query_record(std::uint64_t session_id,
-                                              ByteSpan record) {
-  return handle_query_record(session_id, record, Deadline());
-}
-
-Result<Bytes> ProxyFleet::handle_query_record(std::uint64_t session_id,
                                               ByteSpan record,
                                               const Deadline& deadline) {
   std::shared_ptr<core::XSearchProxy> proxy;

@@ -106,11 +106,10 @@ class ProxyFleet : public core::ProxyHandler {
   /// The worker call runs WITHOUT the fleet lock (the worker is pinned by
   /// shared ownership), so a hung enclave stalls only its own arc's
   /// requests — routing, drain and respawn stay responsive.
-  [[nodiscard]] Result<Bytes> handle_query_record(std::uint64_t session_id,
-                                                  ByteSpan record) override;
   [[nodiscard]] Result<Bytes> handle_query_record(
       std::uint64_t session_id, ByteSpan record,
       const Deadline& deadline) override;
+  using ProxyHandler::handle_query_record;
 
   [[nodiscard]] sgx::Measurement measurement() const override;
 
@@ -224,9 +223,11 @@ class ProxyFleet : public core::ProxyHandler {
   const sgx::AttestationAuthority* authority_;
   const Options options_;
 
-  // Guards the ring and worker slots. Routing holds it shared for the
-  // duration of the worker call, so drain/respawn (exclusive) waits out
-  // in-flight requests instead of destroying a proxy under them.
+  // Guards the ring and worker slots. Routing holds it shared only for the
+  // ring lookup and the copy of the owner's proxy pointer; the worker call
+  // runs after release, and that shared_ptr keeps the proxy alive, so
+  // drain/respawn (exclusive) never waits on an in-flight request and
+  // never destroys a proxy under one.
   mutable SharedMutex mutex_;
   // Worker slots: the vector (and each Worker's live/respawns fields, which
   // the analysis cannot tie to a guard owned by another object) follow the

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "net/reactor.hpp"
@@ -41,42 +40,12 @@ namespace xsearch::net {
 
 class ProxyServer {
  public:
-  struct Options {
-    /// Dispatch workers running enclave/handler work (0 = max(8,
-    /// hardware_concurrency)). Workers are occupied per *request*, not per
-    /// connection — idle sessions hold no worker.
-    std::size_t workers = 0;
-    /// Requests that may wait for a free dispatch worker; beyond this the
-    /// server sheds with a typed "server busy" error.
-    std::size_t max_pending_connections = 128;
-    /// How long a queued request may wait for a worker before being shed
-    /// with a typed OVERLOADED error instead of served (its client has
-    /// likely timed out already). 0 = wait forever (historical).
-    Nanos queue_timeout = 0;
-    /// Budget for reading a frame's body once its header arrived (slow-
-    /// writer bound) and for draining replies to slow readers. 0 =
-    /// unbounded. Waiting for the NEXT frame is always unbounded — idle
-    /// connections are legal — unless `idle_ttl` says otherwise.
-    Nanos io_budget = 0;
-    /// Event-loop shards (0 = 1). Each shard multiplexes its share of the
-    /// connections on one epoll descriptor.
-    std::size_t shards = 0;
-    /// Reap sessions idle longer than this (no frame in progress, nothing
-    /// to write). 0 = never.
-    Nanos idle_ttl = 0;
-    /// Hard cap on live connections, enforced at accept with a typed
-    /// OVERLOADED reply; set below RLIMIT_NOFILE so the typed shed fires
-    /// before the kernel's EMFILE. 0 = unbounded.
-    std::size_t max_connections = 0;
-    /// Test seam: simulate an errno at accept time (see Reactor::Options).
-    std::function<int()> accept_fault;
-  };
+  /// The reactor's tuning, as is (see ReactorOptions).
+  using Options = ReactorOptions;
 
   /// Binds loopback:`port` (0 = ephemeral) and starts the reactor.
   [[nodiscard]] static Result<std::unique_ptr<ProxyServer>> start(
-      core::ProxyHandler& proxy, std::uint16_t port = 0);
-  [[nodiscard]] static Result<std::unique_ptr<ProxyServer>> start(
-      core::ProxyHandler& proxy, std::uint16_t port, Options options);
+      core::ProxyHandler& proxy, std::uint16_t port = 0, Options options = {});
 
   ~ProxyServer();
 

@@ -111,13 +111,16 @@ struct Reactor::Shard {
 };
 
 Result<std::unique_ptr<Reactor>> Reactor::start(TcpListener listener,
-                                                Options options) {
-  if (!options.protocol_factory) {
+                                                ProtocolFactory protocol_factory,
+                                                ShedEncoder encode_shed,
+                                                ReactorOptions options) {
+  if (!protocol_factory) {
     return invalid_argument("reactor needs a protocol factory");
   }
   XS_RETURN_IF_ERROR(listener.set_nonblocking(true));
   auto reactor = std::unique_ptr<Reactor>(
-      new Reactor(std::move(listener), std::move(options)));
+      new Reactor(std::move(listener), std::move(protocol_factory),
+                  std::move(encode_shed), std::move(options)));
 
   const Nanos now = wall_now();
   const std::size_t shard_count = resolve_shards(reactor->options_.shards);
@@ -155,7 +158,7 @@ Result<std::unique_ptr<Reactor>> Reactor::start(TcpListener listener,
   }
 
   reactor->pool_ = std::make_unique<ThreadPool>(
-      resolve_workers(reactor->options_.dispatch_workers),
+      resolve_workers(reactor->options_.workers),
       std::max<std::size_t>(1, reactor->options_.dispatch_queue));
   for (auto& shard : reactor->shards_) {
     Shard* raw = shard.get();
@@ -166,8 +169,12 @@ Result<std::unique_ptr<Reactor>> Reactor::start(TcpListener listener,
   return reactor;
 }
 
-Reactor::Reactor(TcpListener listener, Options options)
-    : listener_(std::move(listener)), options_(std::move(options)) {}
+Reactor::Reactor(TcpListener listener, ProtocolFactory protocol_factory,
+                 ShedEncoder encode_shed, ReactorOptions options)
+    : listener_(std::move(listener)),
+      protocol_factory_(std::move(protocol_factory)),
+      encode_shed_(std::move(encode_shed)),
+      options_(std::move(options)) {}
 
 Reactor::~Reactor() { stop(); }
 
@@ -305,8 +312,8 @@ void Reactor::drain_accept(Shard& shard) {
       // nonblocking write virtually always takes the few error bytes.
       shed_.inc();
       reaped_.inc();
-      if (options_.encode_shed) {
-        const Bytes reply = options_.encode_shed(
+      if (encode_shed_) {
+        const Bytes reply = encode_shed_(
             overloaded("server busy: connection limit reached"));
         const ConstBuffer buffer{reply.data(), reply.size()};
         (void)stream.write_some(std::span<const ConstBuffer>(&buffer, 1));
@@ -355,7 +362,7 @@ void Reactor::adopt_connection(Shard& shard, TcpStream stream,
   auto conn = std::make_unique<Connection>();
   conn->stream = std::move(stream);
   conn->id = id;
-  conn->protocol = options_.protocol_factory();
+  conn->protocol = protocol_factory_();
   conn->last_activity = wall_now();
 
   epoll_event ev{};

@@ -95,48 +95,56 @@ class ConnectionProtocol {
   [[nodiscard]] virtual JobResult shed(const Status& status) = 0;
 };
 
+/// Tuning of a Reactor — and of the frontends built on one (ProxyServer,
+/// HttpFrontend), which take this struct as is.
+struct ReactorOptions {
+  /// Event-loop shards (0 = 1). Each shard is one thread + one epoll fd;
+  /// connections are assigned round-robin at accept.
+  std::size_t shards = 0;
+  /// Dispatch workers executing run_job (0 = max(8, hw concurrency)).
+  /// Workers are occupied per *request*, not per connection — idle
+  /// sessions hold no worker.
+  std::size_t workers = 0;
+  /// Jobs that may wait for a free dispatch worker (at least 1); beyond
+  /// this new requests are shed with typed OVERLOADED.
+  std::size_t dispatch_queue = 128;
+  /// A job queued longer than this is shed (typed OVERLOADED) instead of
+  /// run — its client has likely timed out. 0 = wait forever.
+  Nanos queue_timeout = 0;
+  /// Budget for a peer to finish a started message (slow-writer bound)
+  /// and for draining a reply to a slow reader. 0 = unbounded. Waiting
+  /// for the NEXT message is always unbounded — idle connections are
+  /// legal — unless `idle_ttl` says otherwise.
+  Nanos io_budget = 0;
+  /// Reap connections idle (no message in progress, nothing to write)
+  /// longer than this. 0 = never.
+  Nanos idle_ttl = 0;
+  /// Hard cap on concurrently live connections, enforced at accept with
+  /// a typed OVERLOADED reply. 0 = unbounded. Deployments should set
+  /// this safely below RLIMIT_NOFILE so the typed shed fires before the
+  /// kernel's EMFILE does.
+  std::size_t max_connections = 0;
+  /// Test seam (mirrors the proxy's engine_fault_hook idiom): called
+  /// before every real accept; a nonzero return simulates that errno at
+  /// accept time. Lets tests exercise the EMFILE path deterministically.
+  std::function<int()> accept_fault;
+};
+
 class Reactor {
  public:
-  struct Options {
-    /// Event-loop shards (0 = 1). Each shard is one thread + one epoll fd;
-    /// connections are assigned round-robin at accept.
-    std::size_t shards = 0;
-    /// Dispatch workers executing run_job (0 = max(8, hw concurrency)).
-    std::size_t dispatch_workers = 0;
-    /// Jobs that may wait for a free dispatch worker; beyond this new
-    /// requests are shed with typed OVERLOADED.
-    std::size_t dispatch_queue = 128;
-    /// A job queued longer than this is shed (typed OVERLOADED) instead of
-    /// run — its client has likely timed out. 0 = wait forever.
-    Nanos queue_timeout = 0;
-    /// Budget for a peer to finish a started message (slow-writer bound)
-    /// and for draining a reply to a slow reader. 0 = unbounded. Waiting
-    /// for the NEXT message is always unbounded — idle connections are
-    /// legal — unless `idle_ttl` says otherwise.
-    Nanos io_budget = 0;
-    /// Reap connections idle (no message in progress, nothing to write)
-    /// longer than this. 0 = never.
-    Nanos idle_ttl = 0;
-    /// Hard cap on concurrently live connections, enforced at accept with
-    /// a typed OVERLOADED reply. 0 = unbounded. Deployments should set
-    /// this safely below RLIMIT_NOFILE so the typed shed fires before the
-    /// kernel's EMFILE does.
-    std::size_t max_connections = 0;
-    /// Creates the per-connection protocol instance. Required.
-    std::function<std::unique_ptr<ConnectionProtocol>()> protocol_factory;
-    /// Encodes the accept-time shed reply (max_connections exceeded). The
-    /// peer has not spoken yet, so this is protocol-wide, not
-    /// per-connection. Optional: absent, shed connections are just closed.
-    std::function<Bytes(const Status&)> encode_shed;
-    /// Test seam (mirrors the proxy's engine_fault_hook idiom): called
-    /// before every real accept; a nonzero return simulates that errno at
-    /// accept time. Lets tests exercise the EMFILE path deterministically.
-    std::function<int()> accept_fault;
-  };
+  /// Creates the per-connection protocol instance.
+  using ProtocolFactory = std::function<std::unique_ptr<ConnectionProtocol>()>;
+  /// Encodes the accept-time shed reply (max_connections exceeded). The
+  /// peer has not spoken yet, so this is protocol-wide, not
+  /// per-connection.
+  using ShedEncoder = std::function<Bytes(const Status&)>;
 
   /// Takes ownership of a bound listener and starts the shard loops.
+  /// `protocol_factory` is required; an empty `encode_shed` closes shed
+  /// connections without a reply.
   [[nodiscard]] static Result<std::unique_ptr<Reactor>> start(
-      TcpListener listener, Options options);
+      TcpListener listener, ProtocolFactory protocol_factory,
+      ShedEncoder encode_shed, ReactorOptions options);
 
   ~Reactor();
 
@@ -159,7 +167,8 @@ class Reactor {
   struct Shard;
   struct Connection;
 
-  Reactor(TcpListener listener, Options options);
+  Reactor(TcpListener listener, ProtocolFactory protocol_factory,
+          ShedEncoder encode_shed, ReactorOptions options);
 
   void shard_loop(Shard& shard);
   void drain_accept(Shard& shard);
@@ -193,7 +202,9 @@ class Reactor {
   void wake(Shard& shard);
 
   TcpListener listener_;
-  Options options_;
+  const ProtocolFactory protocol_factory_;
+  const ShedEncoder encode_shed_;
+  const ReactorOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;
 

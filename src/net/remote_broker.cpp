@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "xsearch/wire.hpp"
@@ -87,8 +86,8 @@ RemoteBroker::RemoteBroker(Connector connect,
       options_(std::move(options)),
       retry_budget_(options_.retry_budget),
       jitter_rng_(seed) {  // backoff jitter needs no crypto strength
-  if (options_.breaker_enabled) {
-    breaker_ = std::make_unique<CircuitBreaker>(options_.breaker);
+  if (options_.breaker.has_value()) {
+    breaker_ = std::make_unique<CircuitBreaker>(*options_.breaker);
   }
 }
 
@@ -131,30 +130,18 @@ Status RemoteBroker::connect_within(const Deadline& deadline) {
     return data_loss("unexpected frame type in handshake");
   }
 
-  const ByteSpan payload(reply.value().payload);
-  std::size_t offset = 0;
-  auto session = core::wire::get_u64(payload, offset);
-  if (!session) return session.status();
-  auto quote_len = core::wire::get_u32(payload, offset);
-  if (!quote_len) return quote_len.status();
-  if (offset + quote_len.value() + crypto::kX25519KeySize != payload.size()) {
-    return data_loss("malformed hello reply");
-  }
-  auto quote = sgx::Quote::deserialize(payload.subspan(offset, quote_len.value()));
-  if (!quote) return quote.status();
-  offset += quote_len.value();
-  crypto::X25519Key server_eph;
-  std::memcpy(server_eph.data(), payload.data() + offset, server_eph.size());
+  auto hello = core::wire::parse_handshake_response(reply.value().payload);
+  if (!hello) return hello.status();
 
   // Attestation gate: refuse to key the channel unless the quote is genuine
   // and names the expected enclave code.
-  auto static_pub = sgx::verify_and_extract_channel_key(*authority_, quote.value(),
-                                                        expected_measurement_);
+  auto static_pub = sgx::verify_and_extract_channel_key(
+      *authority_, hello.value().quote, expected_measurement_);
   if (!static_pub) return static_pub.status();
 
-  channel_.emplace(
-      crypto::SecureChannel::initiator(ephemeral, static_pub.value(), server_eph));
-  session_id_ = session.value();
+  channel_.emplace(crypto::SecureChannel::initiator(
+      ephemeral, static_pub.value(), hello.value().server_ephemeral_pub));
+  session_id_ = hello.value().session_id;
   return Status::ok();
 }
 

@@ -78,10 +78,10 @@ struct RemoteBrokerOptions {
   RetryPolicy retry;
   /// Token bucket damping retry storms across the connection's lifetime.
   RetryBudget::Options retry_budget;
-  /// Client-side breaker over transport-level outcomes. Disabled by
-  /// default; when enabled, open-state calls fail fast without wire I/O.
-  bool breaker_enabled = false;
-  CircuitBreaker::Options breaker;
+  /// Client-side breaker over transport-level outcomes. Absent (the
+  /// default) = no breaker; when set, open-state calls fail fast without
+  /// wire I/O.
+  std::optional<CircuitBreaker::Options> breaker;
 };
 
 class RemoteBroker {

@@ -56,55 +56,43 @@ class HostDeadlineScope {
 
 Bytes XSearchProxy::code_identity() { return to_bytes(kCodeIdentity); }
 
-Status XSearchProxy::Options::validate() const {
-  if (k == 0) {
-    return invalid_argument("options.k must be >= 1: k = 0 sends the user's "
-                            "query without any obfuscation");
-  }
-  if (history_capacity == 0) {
-    return invalid_argument("options.history_capacity must be >= 1: the "
-                            "obfuscator draws fakes from the history window");
-  }
-  if (results_per_subquery == 0) {
-    return invalid_argument("options.results_per_subquery must be >= 1: the "
-                            "engine would return nothing to filter");
-  }
-  if (session_capacity == 0) {
-    return invalid_argument("options.session_capacity must be >= 1: the "
-                            "proxy could never hold a client session");
-  }
-  return Status::ok();
-}
-
 Result<std::unique_ptr<XSearchProxy>> XSearchProxy::create(
     const engine::SearchEngine* engine, const sgx::AttestationAuthority& authority,
     Options options) {
-  XS_RETURN_IF_ERROR(options.validate());
-  if (options.engine_tls_public_key.has_value()) {
-    return invalid_argument(
-        "engine_tls_public_key requires the SecureEngineGateway overload");
-  }
-  if (engine == nullptr && options.contact_engine) {
-    return failed_precondition(
-        "an engine is required unless contact_engine is disabled");
-  }
-  auto proxy = std::unique_ptr<XSearchProxy>(
-      new XSearchProxy(engine, authority, options));
-  XS_RETURN_IF_ERROR(proxy->init_status_);
-  return proxy;
+  return create_checked(engine, nullptr, authority, std::move(options));
 }
 
 Result<std::unique_ptr<XSearchProxy>> XSearchProxy::create(
     const SecureEngineGateway& gateway, const sgx::AttestationAuthority& authority,
     Options options) {
-  XS_RETURN_IF_ERROR(options.validate());
-  if (options.engine_tls_public_key.has_value() &&
-      !(options.engine_tls_public_key == gateway.public_key())) {
-    return invalid_argument(
-        "engine_tls_public_key must match the gateway's public key");
+  return create_checked(nullptr, &gateway, authority, std::move(options));
+}
+
+Result<std::unique_ptr<XSearchProxy>> XSearchProxy::create_checked(
+    const engine::SearchEngine* engine, const SecureEngineGateway* gateway,
+    const sgx::AttestationAuthority& authority, Options options) {
+  if (options.k == 0) {
+    return invalid_argument("options.k must be >= 1: k = 0 sends the user's "
+                            "query without any obfuscation");
+  }
+  if (options.history_capacity == 0) {
+    return invalid_argument("options.history_capacity must be >= 1: the "
+                            "obfuscator draws fakes from the history window");
+  }
+  if (options.results_per_subquery == 0) {
+    return invalid_argument("options.results_per_subquery must be >= 1: the "
+                            "engine would return nothing to filter");
+  }
+  if (options.session_capacity == 0) {
+    return invalid_argument("options.session_capacity must be >= 1: the "
+                            "proxy could never hold a client session");
+  }
+  if (engine == nullptr && gateway == nullptr && options.contact_engine) {
+    return failed_precondition(
+        "an engine is required unless contact_engine is disabled");
   }
   auto proxy = std::unique_ptr<XSearchProxy>(
-      new XSearchProxy(gateway, authority, options));
+      new XSearchProxy(engine, gateway, authority, std::move(options)));
   XS_RETURN_IF_ERROR(proxy->init_status_);
   return proxy;
 }
@@ -115,42 +103,34 @@ void XSearchProxy::warm_history(const std::vector<std::string>& queries) {
 
 XSearchProxy::XSearchProxy(const engine::SearchEngine* engine,
                            const sgx::AttestationAuthority& authority, Options options)
-    : engine_(engine),
-      authority_(&authority),
-      options_(options),
-      filter_(options.filter_scoring),
-      secure_rng_(crypto::domain_seed(options.seed, /*tag=*/0x42)) {
-  assert((engine_ != nullptr || !options_.contact_engine) &&
-         "engine required unless contact_engine is disabled");
-  assert(!options_.engine_tls_public_key.has_value() &&
-         "encrypted engine link requires the gateway constructor");
-  init_status_ = install_boundary();
-}
+    : XSearchProxy(engine, nullptr, authority, std::move(options)) {}
 
 XSearchProxy::XSearchProxy(const SecureEngineGateway& gateway,
                            const sgx::AttestationAuthority& authority, Options options)
-    : engine_(nullptr),
-      gateway_(&gateway),
+    : XSearchProxy(nullptr, &gateway, authority, std::move(options)) {}
+
+XSearchProxy::XSearchProxy(const engine::SearchEngine* engine,
+                           const SecureEngineGateway* gateway,
+                           const sgx::AttestationAuthority& authority, Options options)
+    : engine_(engine),
+      gateway_(gateway),
       authority_(&authority),
-      options_(options),
-      filter_(options.filter_scoring),
-      secure_rng_(crypto::domain_seed(options.seed, /*tag=*/0x42)) {
-  if (!options_.engine_tls_public_key.has_value()) {
-    options_.engine_tls_public_key = gateway.public_key();
-  }
-  assert(options_.engine_tls_public_key == gateway.public_key() &&
-         "pinned engine key must match the gateway");
+      options_(std::move(options)),
+      engine_link_key_(gateway != nullptr
+                           ? std::optional(gateway->public_key())
+                           : std::nullopt),
+      secure_rng_(crypto::domain_seed(options_.seed, /*tag=*/0x42)) {
+  assert((engine_ != nullptr || gateway_ != nullptr || !options_.contact_engine) &&
+         "engine required unless contact_engine is disabled");
   init_status_ = install_boundary();
 }
 
 Status XSearchProxy::install_boundary() {
-  if (options_.engine_breaker_enabled) {
-    engine_breaker_ = std::make_unique<CircuitBreaker>(options_.engine_breaker);
+  if (options_.engine_breaker.has_value()) {
+    engine_breaker_ = std::make_unique<CircuitBreaker>(*options_.engine_breaker);
   }
-  sgx::EnclaveRuntime::Config config;
-  config.code_identity = code_identity();
-  config.usable_epc_bytes = options_.usable_epc_bytes;
-  enclave_ = std::make_unique<sgx::EnclaveRuntime>(std::move(config));
+  enclave_ = std::make_unique<sgx::EnclaveRuntime>(
+      sgx::EnclaveRuntime::Config{.code_identity = code_identity()});
 
   // Enclave-private key material and query table. Construction is
   // single-threaded, but the DRBG is guarded uniformly so the analysis has
@@ -431,16 +411,10 @@ Result<Bytes> XSearchProxy::trusted_handshake(ByteSpan payload) {
     return failed_precondition("handshake: proposed session id already in use");
   }
 
-  const sgx::Quote quote =
-      quote_channel_key(*authority_, *enclave_, static_keys_.public_key);
-
-  Bytes out;
-  wire::put_u64(out, session_id);
-  const Bytes quote_bytes = quote.serialize();
-  wire::put_u32(out, static_cast<std::uint32_t>(quote_bytes.size()));
-  append(out, quote_bytes);
-  append(out, ephemeral.public_key);
-  return out;
+  return wire::serialize_handshake_response(
+      {.session_id = session_id,
+       .quote = quote_channel_key(*authority_, *enclave_, static_keys_.public_key),
+       .server_ephemeral_pub = ephemeral.public_key});
 }
 
 Result<Bytes> XSearchProxy::trusted_query(ByteSpan payload) {
@@ -554,9 +528,9 @@ Result<Bytes> XSearchProxy::query_engine(const ObfuscatedQuery& obfuscated,
   crypto::AeadKey response_key{};
   Bytes send_payload;
   wire::put_u64(send_payload, sock.value());
-  if (options_.engine_tls_public_key.has_value()) {
+  if (engine_link_key_.has_value()) {
     append(send_payload,
-           crypto::envelope_seal(*options_.engine_tls_public_key, session_rng,
+           crypto::envelope_seal(*engine_link_key_, session_rng,
                                  to_bytes("xsearch-engine-link-v1"), request_bytes,
                                  &response_key));
   } else {
@@ -575,14 +549,14 @@ Result<Bytes> XSearchProxy::query_engine(const ObfuscatedQuery& obfuscated,
   (void)enclave_->ocall(sgx::OcallId::kClose, sock_payload);
   if (!response) return response.status();
 
-  if (options_.engine_tls_public_key.has_value()) {
+  if (engine_link_key_.has_value()) {
     return crypto::envelope_reply_open(
         response_key, to_bytes("xsearch-engine-link-v1"), response.value());
   }
   return response;
 }
 
-Result<XSearchProxy::HandshakeResponse> XSearchProxy::handshake(
+Result<HandshakeResponse> XSearchProxy::handshake(
     const crypto::X25519Key& client_ephemeral_pub,
     std::uint64_t proposed_session_id) {
   // Sized once, then filled: a push_back followed by an append here draws
@@ -594,30 +568,7 @@ Result<XSearchProxy::HandshakeResponse> XSearchProxy::handshake(
   if (proposed_session_id != 0) wire::put_u64(payload, proposed_session_id);
   auto raw = enclave_->ecall(sgx::EcallId::kRequest, payload);
   if (!raw) return raw.status();
-
-  std::size_t offset = 0;
-  HandshakeResponse out;
-  auto session_id = wire::get_u64(raw.value(), offset);
-  if (!session_id) return session_id.status();
-  out.session_id = session_id.value();
-  auto quote_len = wire::get_u32(raw.value(), offset);
-  if (!quote_len) return quote_len.status();
-  if (offset + quote_len.value() + crypto::kX25519KeySize != raw.value().size()) {
-    return data_loss("handshake: malformed enclave response");
-  }
-  auto quote = sgx::Quote::deserialize(
-      ByteSpan(raw.value().data() + offset, quote_len.value()));
-  if (!quote) return quote.status();
-  out.quote = std::move(quote).value();
-  offset += quote_len.value();
-  std::memcpy(out.server_ephemeral_pub.data(), raw.value().data() + offset,
-              out.server_ephemeral_pub.size());
-  return out;
-}
-
-Result<Bytes> XSearchProxy::handle_query_record(std::uint64_t session_id,
-                                                ByteSpan record) {
-  return handle_query_record(session_id, record, Deadline());
+  return wire::parse_handshake_response(raw.value());
 }
 
 Result<Bytes> XSearchProxy::handle_query_record(std::uint64_t session_id,

@@ -41,17 +41,13 @@
 #include "xsearch/history.hpp"
 #include "xsearch/obfuscator.hpp"
 #include "xsearch/session_table.hpp"
+#include "xsearch/wire.hpp"
 
 namespace xsearch::core {
 
-/// What the host returns to a connecting client: a fresh session, the
-/// enclave's attestation quote over its static channel key, and the
-/// session's server ephemeral key.
-struct HandshakeResponse {
-  std::uint64_t session_id = 0;
-  sgx::Quote quote;
-  crypto::X25519Key server_ephemeral_pub{};
-};
+/// What the host returns to a connecting client (its wire form lives in
+/// xsearch/wire.hpp).
+using HandshakeResponse = wire::HandshakeResponse;
 
 /// The narrow host surface a frontend needs from "something that terminates
 /// the proxy protocol" — one enclave proxy, or a whole fleet of them behind
@@ -78,18 +74,16 @@ class ProxyHandler {
   }
 
   /// Processes one encrypted query-batch record; returns the encrypted
-  /// results-batch record.
+  /// results-batch record. The request must finish before `deadline` or
+  /// fail DEADLINE_EXCEEDED. A refusal *before* any trusted work is
+  /// exactly-once safe — the record was never opened.
   [[nodiscard]] virtual Result<Bytes> handle_query_record(
-      std::uint64_t session_id, ByteSpan record) = 0;
+      std::uint64_t session_id, ByteSpan record, const Deadline& deadline) = 0;
 
-  /// Deadline-aware variant: the request must finish before `deadline` or
-  /// fail DEADLINE_EXCEEDED. Handlers that enforce budgets override this;
-  /// the default ignores the deadline (legacy behaviour). A refusal *before*
-  /// any trusted work is exactly-once safe — the record was never opened.
+  /// The same without a deadline (an infinite one).
   [[nodiscard]] virtual Result<Bytes> handle_query_record(
-      std::uint64_t session_id, ByteSpan record, const Deadline& deadline) {
-    (void)deadline;
-    return handle_query_record(session_id, record);
+      std::uint64_t session_id, ByteSpan record) {
+    return handle_query_record(session_id, record, Deadline());
   }
 
   /// The enclave code identity clients pin during attestation. By value:
@@ -109,18 +103,10 @@ class XSearchProxy : public ProxyHandler {
     std::uint32_t results_per_subquery = 20;
     /// Deterministic seed for enclave-private randomness.
     std::uint64_t seed = 0x5eed;
-    /// Usable EPC budget of the enclave.
-    std::size_t usable_epc_bytes = sgx::kDefaultUsableEpcBytes;
     /// When false the proxy replies immediately after obfuscation without
     /// contacting the engine — the configuration used for the saturation
     /// measurements of Figure 5 (§6.3).
     bool contact_engine = true;
-    /// Filter scoring variant (ablation).
-    FilterScoring filter_scoring = FilterScoring::kCommonWords;
-    /// When set, the enclave encrypts engine requests end-to-end to this
-    /// key (the engine frontend's TLS stand-in; paper footnote 2). Requires
-    /// constructing the proxy with a SecureEngineGateway.
-    std::optional<crypto::X25519Key> engine_tls_public_key;
     /// Maximum live client sessions the enclave keeps; the least recently
     /// used session is evicted beyond it (its client must re-handshake).
     /// Bounds the EPC held by per-session channel state.
@@ -141,9 +127,8 @@ class XSearchProxy : public ProxyHandler {
     /// logic never reads a clock: after a rolling window of engine failures
     /// (including deadline expiries) it fast-fails the round trip with
     /// UPSTREAM_DOWN instead of hammering a dead engine. Its `breaker.*`
-    /// series are part of metrics().
-    bool engine_breaker_enabled = false;
-    CircuitBreaker::Options engine_breaker;
+    /// series are part of metrics(). Absent = no breaker.
+    std::optional<CircuitBreaker::Options> engine_breaker;
     /// Host-side fault injection on the engine path, called in the `send`
     /// ocall body before the engine is contacted; a non-OK status fails the
     /// round trip. Used by the chaos harness and the fig5 degraded bench.
@@ -158,25 +143,19 @@ class XSearchProxy : public ProxyHandler {
     /// latency spike on that one query. Size the interval against the
     /// history depth (cost is O(history) per checkpoint).
     std::uint64_t checkpoint_interval_queries = 0;
-
-    /// Rejects configurations the proxy would otherwise silently mishandle:
-    /// `k == 0` (no obfuscation), an empty history window, a zero per-sub-
-    /// query fetch size, or a zero session capacity. Gateway consistency is
-    /// checked by `create`.
-    [[nodiscard]] Status validate() const;
   };
 
   /// Validating factory: surfaces a bad configuration as a Status instead of
-  /// constructing a proxy that silently misbehaves. Also rejects
-  /// `engine_tls_public_key` without a gateway, and a null engine while
+  /// constructing a proxy that silently misbehaves — `k == 0` (no
+  /// obfuscation), an empty history window, a zero per-sub-query fetch
+  /// size, a zero session capacity, or a null engine while
   /// `contact_engine` is set. Prefer this over the raw constructors.
   [[nodiscard]] static Result<std::unique_ptr<XSearchProxy>> create(
       const engine::SearchEngine* engine,
       const sgx::AttestationAuthority& authority, Options options);
 
   /// Encrypted-engine-link variant of the factory (footnote 2): requests
-  /// leave the enclave sealed to `gateway`'s public key;
-  /// `options.engine_tls_public_key`, when set, must match it.
+  /// leave the enclave sealed to `gateway`'s public key.
   [[nodiscard]] static Result<std::unique_ptr<XSearchProxy>> create(
       const SecureEngineGateway& gateway,
       const sgx::AttestationAuthority& authority, Options options);
@@ -187,9 +166,7 @@ class XSearchProxy : public ProxyHandler {
   XSearchProxy(const engine::SearchEngine* engine,
                const sgx::AttestationAuthority& authority, Options options);
 
-  /// Unvalidated encrypted engine link variant (footnote 2): requests leave
-  /// the enclave sealed to `gateway`'s public key;
-  /// `options.engine_tls_public_key` must equal `gateway.public_key()`.
+  /// Unvalidated encrypted engine link variant (footnote 2).
   XSearchProxy(const SecureEngineGateway& gateway,
                const sgx::AttestationAuthority& authority, Options options);
 
@@ -197,8 +174,6 @@ class XSearchProxy : public ProxyHandler {
   XSearchProxy& operator=(const XSearchProxy&) = delete;
 
   // --- untrusted host API -------------------------------------------------
-
-  using HandshakeResponse = ::xsearch::core::HandshakeResponse;
 
   using ProxyHandler::handshake;
 
@@ -209,19 +184,17 @@ class XSearchProxy : public ProxyHandler {
       const crypto::X25519Key& client_ephemeral_pub,
       std::uint64_t proposed_session_id) override;
 
+  using ProxyHandler::handle_query_record;
+
   /// Processes one encrypted query-batch record (one AEAD open/seal per
-  /// batch, a single search being a batch of one); returns the encrypted
-  /// results-batch record
-  /// (routed through the `request` ecall). When periodic checkpointing is
+  /// batch, a single search being a batch of one) through the `request`
+  /// ecall and returns the encrypted results-batch record. Refuses with
+  /// DEADLINE_EXCEEDED *before* the ecall when the budget is spent
+  /// (exactly-once safe — the record was never opened), and exposes the
+  /// deadline to the host-side engine path (checked again before the
+  /// engine call in the `send` ocall body). When periodic checkpointing is
   /// configured, the host persists a freshly sealed checkpoint every
   /// `checkpoint_interval_queries` queries from here.
-  [[nodiscard]] Result<Bytes> handle_query_record(std::uint64_t session_id,
-                                                  ByteSpan record) override;
-
-  /// Deadline-aware variant: refuses with DEADLINE_EXCEEDED *before* the
-  /// ecall when the budget is spent (exactly-once safe — the record was
-  /// never opened), and exposes the deadline to the host-side engine path
-  /// (checked again before the engine call in the `send` ocall body).
   [[nodiscard]] Result<Bytes> handle_query_record(
       std::uint64_t session_id, ByteSpan record,
       const Deadline& deadline) override;
@@ -295,6 +268,18 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] static Bytes code_identity();
 
  private:
+  /// The one constructor body: exactly one of `engine` (plain link, may be
+  /// null without `contact_engine`) and `gateway` (encrypted link) is used.
+  XSearchProxy(const engine::SearchEngine* engine,
+               const SecureEngineGateway* gateway,
+               const sgx::AttestationAuthority& authority, Options options);
+
+  /// What both `create` overloads run: validates, constructs, and surfaces
+  /// the `init` ecall's outcome.
+  [[nodiscard]] static Result<std::unique_ptr<XSearchProxy>> create_checked(
+      const engine::SearchEngine* engine, const SecureEngineGateway* gateway,
+      const sgx::AttestationAuthority& authority, Options options);
+
   // Trusted-side implementations of the two ecalls.
   [[nodiscard]] Result<Bytes> ecall_init(ByteSpan payload);
   [[nodiscard]] Result<Bytes> ecall_request(ByteSpan payload);
@@ -342,6 +327,10 @@ class XSearchProxy : public ProxyHandler {
   std::unique_ptr<sgx::EnclaveRuntime> enclave_;
 
   // ---- enclave-private state (conceptually inside the TEE) ----
+  // The engine link's key, copied in once at construction (paper
+  // footnote 2): query_engine seals every request to it and never reads
+  // the host's gateway object. Absent = plain link.
+  const std::optional<crypto::X25519Key> engine_link_key_;
   crypto::X25519KeyPair static_keys_{};
   std::unique_ptr<QueryHistory> history_;
   std::unique_ptr<Obfuscator> obfuscator_;

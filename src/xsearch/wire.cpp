@@ -205,6 +205,37 @@ Result<EngineRequest> parse_engine_request(ByteSpan raw) {
   return req;
 }
 
+Bytes serialize_handshake_response(const HandshakeResponse& response) {
+  const Bytes quote = response.quote.serialize();
+  Bytes out;
+  out.reserve(8 + 4 + quote.size() + response.server_ephemeral_pub.size());
+  put_u64(out, response.session_id);
+  put_u32(out, static_cast<std::uint32_t>(quote.size()));
+  append(out, quote);
+  append(out, response.server_ephemeral_pub);
+  return out;
+}
+
+Result<HandshakeResponse> parse_handshake_response(ByteSpan raw) {
+  std::size_t offset = 0;
+  HandshakeResponse out;
+  auto session_id = get_u64(raw, offset);
+  if (!session_id) return session_id.status();
+  out.session_id = session_id.value();
+  auto quote_len = get_u32(raw, offset);
+  if (!quote_len) return quote_len.status();
+  if (offset + quote_len.value() + crypto::kX25519KeySize != raw.size()) {
+    return data_loss("wire: malformed handshake response");
+  }
+  auto quote = sgx::Quote::deserialize(raw.subspan(offset, quote_len.value()));
+  if (!quote) return quote.status();
+  out.quote = std::move(quote).value();
+  offset += quote_len.value();
+  std::memcpy(out.server_ephemeral_pub.data(), raw.data() + offset,
+              out.server_ephemeral_pub.size());
+  return out;
+}
+
 Bytes frame_query_batch(const std::vector<std::string>& queries) {
   std::size_t size = 1 + 4;
   for (const auto& q : queries) size += 4 + q.size();

@@ -1,7 +1,7 @@
 // Wire formats used across the X-Search deployment:
 //
-//  * client <-> proxy: query batches and their per-item results carried
-//    inside SecureChannel records;
+//  * client <-> proxy: the attested handshake's reply, then query batches
+//    and their per-item results carried inside SecureChannel records;
 //  * enclave <-> host <-> engine: the "socket" payloads crossing the ocall
 //    boundary (an OR-query request and a serialized result list).
 //
@@ -17,7 +17,9 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "crypto/x25519.hpp"
 #include "engine/document.hpp"
+#include "sgx/attestation.hpp"
 
 namespace xsearch::core::wire {
 
@@ -82,6 +84,25 @@ struct EngineRequest {
 
 [[nodiscard]] Bytes serialize_engine_request(const EngineRequest& request);
 [[nodiscard]] Result<EngineRequest> parse_engine_request(ByteSpan raw);
+
+// --- handshake reply (enclave -> host -> client, in the clear) ----------------
+
+/// What the host returns to a connecting client: a fresh session, the
+/// enclave's attestation quote over its static channel key, and the
+/// session's server ephemeral key.
+struct HandshakeResponse {
+  std::uint64_t session_id = 0;
+  sgx::Quote quote;
+  crypto::X25519Key server_ephemeral_pub{};
+};
+
+/// u64 session || u32 quote_len || quote || server ephemeral key. The
+/// enclave writes it, the host relays it as the hello reply, the client
+/// reads it.
+[[nodiscard]] Bytes serialize_handshake_response(const HandshakeResponse& response);
+/// Refuses (DATA_LOSS) input whose length is not exactly what its quote
+/// length implies: truncated, or with trailing bytes.
+[[nodiscard]] Result<HandshakeResponse> parse_handshake_response(ByteSpan raw);
 
 // --- client messages (inside SecureChannel records) ------------------------
 

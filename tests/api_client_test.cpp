@@ -267,7 +267,7 @@ TEST(ApiRegistryTest, TranslationsKeepUnderlyingDefaults) {
   EXPECT_EQ(proxy.session_idle_ttl, proxy_defaults.session_idle_ttl);
   EXPECT_EQ(supervisor_options(config).probe_budget,
             net::FleetSupervisor::Options{}.probe_budget);
-  EXPECT_FALSE(remote_broker_options(config).breaker_enabled);
+  EXPECT_FALSE(remote_broker_options(config).breaker.has_value());
 }
 
 // --- X-Search batch path ------------------------------------------------------

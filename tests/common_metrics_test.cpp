@@ -84,7 +84,7 @@ TEST(Metrics, SnapshotOrderIsTheSameOnEveryRun) {
   sgx::AttestationAuthority authority(to_bytes("metrics-test-root"));
   core::XSearchProxy::Options options;
   options.contact_engine = false;
-  options.engine_breaker_enabled = true;
+  options.engine_breaker.emplace();
   core::XSearchProxy first(nullptr, authority, options);
   core::XSearchProxy second(nullptr, authority, options);
   const Snapshot a = first.metrics();

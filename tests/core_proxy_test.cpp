@@ -114,13 +114,6 @@ TEST_F(ProxyTest, CreateValidatesOptions) {
       XSearchProxy::create(&engine_, authority_, bad_fetch).status().code(),
       StatusCode::kInvalidArgument);
 
-  // engine_tls_public_key without a SecureEngineGateway is a config error.
-  auto orphan_key = options();
-  orphan_key.engine_tls_public_key = crypto::X25519Key{};
-  EXPECT_EQ(
-      XSearchProxy::create(&engine_, authority_, orphan_key).status().code(),
-      StatusCode::kInvalidArgument);
-
   // A null engine requires saturation mode.
   EXPECT_EQ(XSearchProxy::create(nullptr, authority_, options()).status().code(),
             StatusCode::kFailedPrecondition);

@@ -2,9 +2,9 @@
 //
 // Three layers, bottom up:
 //  * frame-level fault satellites — partial writes/reads, dropped and
-//    garbage-corrupted frames, truncated/oversized headers, the slow-writer
-//    body budget — each forced deterministically through a single-fault
-//    FaultPlan (probability 1 for the targeted action);
+//    garbage-corrupted frames, truncated/oversized headers — each forced
+//    deterministically through a single-fault FaultPlan (probability 1 for
+//    the targeted action);
 //  * circuit breakers — the RemoteBroker's client-side breaker fast-fails
 //    without wire I/O while open, counts one outcome per attempt (a batch
 //    fails only when every item does), and recovers through half-open
@@ -166,21 +166,6 @@ TEST(ChaosFrame, ZeroAndOversizedLengthsAreDataLoss) {
     ASSERT_FALSE(frame.is_ok());
     EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
   }
-}
-
-TEST(ChaosFrame, BodyBudgetBoundsSlowWriter) {
-  Loopback wire = make_loopback();
-  // The anti-slowloris knob: a peer that starts a frame must finish it.
-  const Bytes header = {0x00, 0x00, 0x00, 0x20};  // promises 32 bytes, sends 0
-  ASSERT_TRUE(wire.client.write_all(header).is_ok());
-  FrameReadOptions read_options;
-  read_options.body_budget = 30 * kMilli;
-  const auto started = std::chrono::steady_clock::now();
-  auto frame = read_frame(wire.server, read_options);
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  ASSERT_FALSE(frame.is_ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(elapsed, std::chrono::seconds(3));  // bounded, not a hang
 }
 
 TEST(ChaosSocketFaults, PartialWriteResetsBothSides) {
@@ -380,13 +365,13 @@ CircuitBreaker::State breaker_state(const Owner& owner) {
 RemoteBroker::Options client_breaker_options(Nanos& fake_now) {
   RemoteBroker::Options options;
   options.request_budget = 2 * kSecond;
-  options.breaker_enabled = true;
-  options.breaker.window = 8;
-  options.breaker.min_samples = 2;
-  options.breaker.failure_ratio = 0.5;
-  options.breaker.open_cooldown = 50 * kMilli;
-  options.breaker.half_open_probes = 1;
-  options.breaker.now = [&fake_now] { return fake_now; };
+  options.breaker = CircuitBreaker::Options{
+      .window = 8,
+      .min_samples = 2,
+      .failure_ratio = 0.5,
+      .open_cooldown = 50 * kMilli,
+      .half_open_probes = 1,
+      .now = [&fake_now] { return fake_now; }};
   return options;
 }
 
@@ -426,7 +411,7 @@ TEST_P(ChaosBreaker, OpenBreakerFastFailsWithoutWireIoThenRecovers) {
   ASSERT_TRUE(served.start().is_ok());
   bool recovered = false;
   for (int i = 0; i < 5 && !recovered; ++i) {
-    fake_now += options.breaker.open_cooldown;
+    fake_now += options.breaker->open_cooldown;
     recovered = broker.search("recovery probe " + std::to_string(i)).is_ok();
   }
   EXPECT_TRUE(recovered);
@@ -455,7 +440,7 @@ TEST_P(ChaosBreaker, RefusedEmptyBatchDoesNotWedgeTheHalfOpenBreaker) {
 
   // Past the cooldown the breaker admits one probe (half_open_probes = 1).
   // An empty batch is refused before it can take that probe...
-  fake_now += options.breaker.open_cooldown;
+  fake_now += options.breaker->open_cooldown;
   const auto refused = broker.search_batch({});
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 
@@ -578,13 +563,13 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
   core::XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 4096;
-  options.engine_breaker_enabled = true;
-  options.engine_breaker.window = 8;
-  options.engine_breaker.min_samples = 2;
-  options.engine_breaker.failure_ratio = 0.5;
-  options.engine_breaker.open_cooldown = 50 * kMilli;
-  options.engine_breaker.half_open_probes = 1;
-  options.engine_breaker.now = [&fake_now] { return fake_now; };
+  options.engine_breaker = CircuitBreaker::Options{
+      .window = 8,
+      .min_samples = 2,
+      .failure_ratio = 0.5,
+      .open_cooldown = 50 * kMilli,
+      .half_open_probes = 1,
+      .now = [&fake_now] { return fake_now; }};
   options.engine_fault_hook = [engine_down, engine_calls]() -> Status {
     engine_calls->fetch_add(1, std::memory_order_relaxed);
     if (engine_down->load(std::memory_order_relaxed)) {
@@ -626,7 +611,7 @@ TEST(ChaosEngineBreaker, DeadEngineTripsBreakerAndHalfOpenProbesRecover) {
   engine_down->store(false, std::memory_order_relaxed);
   bool recovered = false;
   for (int i = 0; i < 5 && !recovered; ++i) {
-    fake_now += options.engine_breaker.open_cooldown;
+    fake_now += options.engine_breaker->open_cooldown;
     recovered = broker.search(log.records()[40 + i].text).is_ok();
   }
   EXPECT_TRUE(recovered);

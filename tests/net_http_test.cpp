@@ -86,6 +86,21 @@ TEST(HttpParse, ResponseSerialization) {
   EXPECT_TRUE(text.ends_with("\r\n\r\nhello"));
 }
 
+TEST(HttpParse, ContentLength) {
+  EXPECT_EQ(http_content_length("GET / HTTP/1.1\r\nHost: l\r\n\r\n").value(), 0u);
+  EXPECT_EQ(http_content_length("POST / HTTP/1.1\r\ncOnTeNt-LeNgTh:  12 \r\n\r\n").value(),
+            12u);
+  EXPECT_EQ(http_content_length("HTTP/1.1 200 OK\r\nContent-Length: 1048576\r\n\r\n")
+                .value(),
+            1048576u);
+  for (const char* bad : {"1048577", "18446744073709551615", "18446744073709551617",
+                          "-1", "12abc", ""}) {
+    const std::string head =
+        std::string("GET / HTTP/1.1\r\nContent-Length: ") + bad + "\r\n\r\n";
+    EXPECT_EQ(http_content_length(head).status().code(), StatusCode::kDataLoss) << bad;
+  }
+}
+
 // ---- frontend over real sockets ------------------------------------------------------
 
 class HttpFrontendTest : public ::testing::Test {
@@ -201,6 +216,25 @@ TEST_F(HttpFrontendTest, KeepAliveServesMultipleRequests) {
   }
   frontend.value()->stop();
   EXPECT_GE(frontend.value()->metrics().value("http.requests"), 3u);
+}
+
+TEST_F(HttpFrontendTest, OverflowingContentLengthClosesWithoutReply) {
+  auto frontend = HttpFrontend::start(proxy_, authority_);
+  ASSERT_TRUE(frontend.is_ok());
+  auto stream = TcpStream::connect("127.0.0.1", frontend.value()->port());
+  ASSERT_TRUE(stream.is_ok());
+  // 2^64 + 1 wraps to 1 in a size_t: read that way, the 'X' would be the
+  // body and the second GET a new request.
+  ASSERT_TRUE(stream.value()
+                  .write_all(to_bytes("GET /healthz HTTP/1.1\r\nHost: l\r\n"
+                                      "Content-Length: 18446744073709551617\r\n\r\n"
+                                      "XGET /healthz HTTP/1.1\r\nHost: l\r\n\r\n"))
+                  .is_ok());
+  const auto reply = stream.value().read_exact(1, Deadline::after(5 * kSecond));
+  ASSERT_FALSE(reply.is_ok()) << "the server answered a wrapped length";
+  EXPECT_NE(reply.status().code(), StatusCode::kDeadlineExceeded)
+      << "the connection was left open instead of closed";
+  frontend.value()->stop();
 }
 
 TEST_F(HttpFrontendTest, QueriesGoThroughObfuscation) {

@@ -125,13 +125,13 @@ class GateHandler final : public core::ProxyHandler {
     return inner_->handshake(client_ephemeral_pub, proposed_session_id);
   }
 
-  Result<Bytes> handle_query_record(std::uint64_t session_id,
-                                    ByteSpan record) override {
+  Result<Bytes> handle_query_record(std::uint64_t session_id, ByteSpan record,
+                                    const Deadline& deadline) override {
     entered_.fetch_add(1, std::memory_order_release);
     while (!open_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return inner_->handle_query_record(session_id, record);
+    return inner_->handle_query_record(session_id, record, deadline);
   }
 
   [[nodiscard]] sgx::Measurement measurement() const override {
@@ -155,7 +155,7 @@ TEST(ProxyServerPool, QueuedRequestPastTimeoutIsShedTyped) {
   GateHandler gate(proxy);
   ProxyServer::Options options;
   options.workers = 1;
-  options.max_pending_connections = 1;
+  options.dispatch_queue = 1;
   options.queue_timeout = 30 * kMilli;
   auto server = ProxyServer::start(gate, 0, options);
   ASSERT_TRUE(server.is_ok());

@@ -7,7 +7,7 @@
 //  * the write path — a multi-hundred-KiB reply draining to a deliberately
 //    slow reader through partial vectored writes and EPOLLOUT;
 //  * timer-wheel housekeeping — idle-TTL reaping that spares active
-//    sessions;
+//    sessions, and the io budget dropping a peer that stalls mid-frame;
 //  * layered shedding — dispatch-queue overflow, requests whose frame
 //    deadline expired while queued, and EMFILE/ENFILE accept backoff (bounded retry
 //    rate, typed counter, full recovery);
@@ -127,17 +127,16 @@ struct EchoServer {
   std::shared_ptr<EchoEnv> env;
 };
 
-EchoServer start_echo(Reactor::Options options = {}) {
+EchoServer start_echo(ReactorOptions options = {}) {
   EchoServer server;
   server.env = std::make_shared<EchoEnv>();
   auto env = server.env;
-  options.protocol_factory = [env] {
-    return std::make_unique<EchoProtocol>(env);
-  };
-  options.encode_shed = encode_error_frame;
   auto listener = TcpListener::bind(0);
   EXPECT_TRUE(listener.is_ok()) << listener.status().to_string();
-  auto reactor = Reactor::start(std::move(listener).value(), std::move(options));
+  auto reactor = Reactor::start(
+      std::move(listener).value(),
+      [env] { return std::make_unique<EchoProtocol>(env); }, encode_error_frame,
+      std::move(options));
   EXPECT_TRUE(reactor.is_ok()) << reactor.status().to_string();
   server.reactor = std::move(reactor).value();
   return server;
@@ -301,7 +300,7 @@ TEST(ReactorTest, LargeReplyDrainsToSlowReader) {
 // --- reactor: timers ---------------------------------------------------------
 
 TEST(ReactorTest, IdleTtlReapsOnlyIdleConnections) {
-  Reactor::Options options;
+  ReactorOptions options;
   options.idle_ttl = 60 * kMilli;
   auto server = start_echo(std::move(options));
 
@@ -341,11 +340,42 @@ TEST(ReactorTest, IdleTtlReapsOnlyIdleConnections) {
   server.reactor->stop();
 }
 
+// The anti-slowloris bound: a peer that starts a frame and then stalls is
+// dropped once io_budget runs out; a peer that has started nothing is idle,
+// which is legal.
+TEST(ReactorTest, IoBudgetDropsAPeerThatStallsMidFrame) {
+  ReactorOptions options;
+  options.io_budget = 50 * kMilli;
+  auto server = start_echo(std::move(options));
+
+  auto idle = TcpStream::connect("127.0.0.1", server.reactor->port());
+  ASSERT_TRUE(idle.is_ok());
+  auto stalled = TcpStream::connect("127.0.0.1", server.reactor->port());
+  ASSERT_TRUE(stalled.is_ok());
+  ASSERT_TRUE(
+      eventually([&] { return server.reactor->metrics().value("reactor.active") == 2; }));
+
+  const Bytes header = {0x00, 0x00, 0x00, 0x20};  // promises 32 bytes, sends 0
+  ASSERT_TRUE(stalled.value().write_all(header).is_ok());
+  EXPECT_TRUE(
+      eventually([&] { return server.reactor->metrics().value("reactor.active") == 1; }));
+  const auto dead = read_reply(stalled.value(), 2 * kSecond);
+  ASSERT_FALSE(dead.is_ok());
+  EXPECT_NE(dead.status().code(), StatusCode::kDeadlineExceeded)
+      << "the stalled peer was left connected";
+
+  ASSERT_TRUE(send_query(idle.value(), "echo:idle is fine").is_ok());
+  auto reply = read_reply(idle.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(to_string(reply.value().payload), "idle is fine");
+  server.reactor->stop();
+}
+
 // --- reactor: layered shedding -----------------------------------------------
 
 TEST(ReactorTest, DeadlineExpiredWhileQueuedIsShedTyped) {
-  Reactor::Options options;
-  options.dispatch_workers = 1;
+  ReactorOptions options;
+  options.workers = 1;
   auto server = start_echo(std::move(options));
   server.env->gate_open.store(false);
 
@@ -381,8 +411,8 @@ TEST(ReactorTest, DeadlineExpiredWhileQueuedIsShedTyped) {
 }
 
 TEST(ReactorTest, DispatchQueueFullShedsTyped) {
-  Reactor::Options options;
-  options.dispatch_workers = 1;
+  ReactorOptions options;
+  options.workers = 1;
   options.dispatch_queue = 1;
   auto server = start_echo(std::move(options));
   server.env->gate_open.store(false);
@@ -426,7 +456,7 @@ TEST(ReactorTest, DispatchQueueFullShedsTyped) {
 TEST(ReactorTest, FdExhaustionBacksOffAndRecovers) {
   auto exhausted = std::make_shared<std::atomic<bool>>(true);
   auto accept_calls = std::make_shared<std::atomic<int>>(0);
-  Reactor::Options options;
+  ReactorOptions options;
   options.accept_fault = [exhausted, accept_calls] {
     accept_calls->fetch_add(1, std::memory_order_relaxed);
     return exhausted->load(std::memory_order_relaxed) ? EMFILE : 0;

@@ -389,6 +389,35 @@ TEST_P(WireGrid, ResultViewParserStaysInBoundsUnderByteMutations) {
   }
 }
 
+// The handshake reply the enclave writes, the host relays and the client
+// reads: one encoder, one parser, exact length.
+TEST_P(WireGrid, HandshakeResponseRoundTripsAndRefusesTruncationAndATrailingByte) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) ^ 0x4e110);
+  wire::HandshakeResponse response;
+  response.session_id = rng.next();
+  for (auto& b : response.quote.measurement) b = static_cast<std::uint8_t>(rng.next());
+  response.quote.report_data.resize(rng.uniform(64));
+  for (auto& b : response.quote.report_data) b = static_cast<std::uint8_t>(rng.next());
+  for (auto& b : response.quote.mac) b = static_cast<std::uint8_t>(rng.next());
+  for (auto& b : response.server_ephemeral_pub) b = static_cast<std::uint8_t>(rng.next());
+
+  const Bytes raw = wire::serialize_handshake_response(response);
+  const auto parsed = wire::parse_handshake_response(raw);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().session_id, response.session_id);
+  EXPECT_EQ(parsed.value().quote.serialize(), response.quote.serialize());
+  EXPECT_EQ(parsed.value().server_ephemeral_pub, response.server_ephemeral_pub);
+
+  for (std::size_t cut = 0; cut < raw.size(); ++cut) {
+    EXPECT_FALSE(wire::parse_handshake_response(ByteSpan(raw.data(), cut)).is_ok()) << cut;
+  }
+  Bytes trailing = raw;
+  trailing.push_back(0);
+  const auto refused = wire::parse_handshake_response(trailing);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WireGrid, ::testing::Range(1, 9));
 
 }  // namespace
