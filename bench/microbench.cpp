@@ -2,9 +2,11 @@
 //
 // Times the stages a query pays inside the proxy, in isolation:
 //
-//   obfuscate    Algorithm 1: history sample + shuffle + history add
+//   obfuscate    Algorithm 1: history sample + shuffle + history add, one
+//                distinct logged query per op into a window warmed with 20k
 //   obfuscate_mt same, from N threads over one shared history (the
-//                lock-free-obfuscation claim, measured)
+//                lock-free-obfuscation claim, measured), each thread on its
+//                own slice of the log
 //   filter       Algorithm 2 at k=7, results_per_subquery=10 (R=80), both
 //                scorings, against an embedded *reference* implementation —
 //                a verbatim copy of the pre-optimization per-pair scorer —
@@ -220,17 +222,29 @@ int main(int argc, char** argv) {
               kFilterK, kResultsPerSubquery);
   Rng rng(42);
 
+  // One synthetic log feeds the obfuscate stages (warm-up, then the users'
+  // queries, each op a different one) and the history load stages.
+  dataset::SyntheticLogConfig log_config;
+  log_config.total_queries = 100'000;
+  const dataset::QueryLog log = dataset::generate_synthetic_log(log_config);
+  std::vector<std::string> queries;
+  queries.reserve(log.size());
+  for (const auto& record : log.records()) queries.push_back(record.text);
+  constexpr std::size_t kObfuscateWarm = 20'000;
+  const auto user_queries = std::span<const std::string>(queries).subspan(kObfuscateWarm);
+  const auto warm_obfuscator_history = [&queries](core::QueryHistory& history) {
+    for (std::size_t i = 0; i < kObfuscateWarm; ++i) history.add(queries[i]);
+  };
+
   // ---- obfuscate ----------------------------------------------------------
   {
     core::QueryHistory history(100'000);
-    for (std::size_t i = 0; i < 20'000; ++i) {
-      history.add("warm query " + std::to_string(i));
-    }
+    warm_obfuscator_history(history);
     core::Obfuscator obfuscator(history, kFilterK);
     const std::size_t iters = 20'000;
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      (void)obfuscator.obfuscate("the user query", rng);
+      (void)obfuscator.obfuscate(user_queries[i], rng);
     }
     report("obfuscate", us_per_op(t0, Clock::now(), iters));
   }
@@ -238,9 +252,7 @@ int main(int argc, char** argv) {
   // ---- obfuscate_mt: shared history, one RNG stream per thread ------------
   for (const std::size_t threads : {1u, 2u, 4u}) {
     core::QueryHistory history(100'000);
-    for (std::size_t i = 0; i < 20'000; ++i) {
-      history.add("warm query " + std::to_string(i));
-    }
+    warm_obfuscator_history(history);
     core::Obfuscator obfuscator(history, kFilterK);
     const std::size_t iters_each = 8'000;
     std::vector<std::thread> pool;
@@ -248,8 +260,9 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
         Rng thread_rng(1000 + t);  // the per-session stream, modeled
-        for (std::size_t i = 0; i < iters_each; ++i) {
-          (void)obfuscator.obfuscate("the user query", thread_rng);
+        const auto mine = user_queries.subspan(t * iters_each, iters_each);
+        for (const std::string& query : mine) {
+          (void)obfuscator.obfuscate(query, thread_rng);
         }
       });
     }
@@ -407,12 +420,6 @@ int main(int argc, char** argv) {
 
   // ---- history load and checkpoint round trip ------------------------------
   {
-    dataset::SyntheticLogConfig log_config;
-    log_config.total_queries = 100'000;
-    const dataset::QueryLog log = dataset::generate_synthetic_log(log_config);
-    std::vector<std::string> queries;
-    queries.reserve(log.size());
-    for (const auto& record : log.records()) queries.push_back(record.text);
     constexpr std::size_t kWindow = 100'000;
 
     const std::span<const std::string> warm(queries.data(),
@@ -433,7 +440,7 @@ int main(int argc, char** argv) {
     report("history/warm_36k",
            std::chrono::duration<double, std::micro>(warm_time).count() / warm_iters);
 
-    // A full window that has wrapped, so the seal walks both ring runs.
+    // A full window that has slid, so the seal starts inside its oldest chunk.
     sgx::EnclaveRuntime enclave({.code_identity = to_bytes("microbench-checkpoint")});
     core::QueryHistory source(kWindow, &enclave.epc());
     source.add_all(queries);

@@ -1,18 +1,29 @@
 #include "net/fleet_supervisor.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <utility>
 
+#include "common/check.hpp"
+
 namespace xsearch::net {
+
+namespace {
+
+// Checked before the probe thread starts: with a budget of zero every
+// probe's deadline is already past, so each sweep would declare every
+// worker hung and respawn it.
+FleetSupervisor::Options checked(FleetSupervisor::Options options) {
+  XS_CHECK(options.probe_budget > 0, "probe_budget must be positive");
+  return options;
+}
+
+}  // namespace
 
 FleetSupervisor::FleetSupervisor(ProxyFleet& fleet, Options options)
     : fleet_(&fleet),
-      options_(options),
+      options_(checked(options)),
       consecutive_failures_(fleet.worker_count(), 0),
-      probe_thread_([this] { run(); }) {
-  assert(options_.probe_budget > 0 && "probe_budget must be positive");
-}
+      probe_thread_([this] { run(); }) {}
 
 FleetSupervisor::~FleetSupervisor() { stop(); }
 

@@ -17,12 +17,12 @@ constexpr std::size_t kSessionBytes = 8 + 8;  // session id, obfuscations
 
 Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
                    const SessionObfuscationCounts& sessions) {
-  // One pass over the ring under one shared lock, into the buffer that
-  // becomes the sealed blob, sized exactly up front: no copy of the
-  // window, no regrowth, and the seal encrypts where the bytes lie.
+  // One pass over the window's chunks, into the buffer that becomes the
+  // sealed blob, sized exactly up front: no copy of the window, no
+  // regrowth, and the seal encrypts where the bytes lie.
   Bytes blob = history.with_entries([&](const QueryHistory::Entries& entries) {
     std::size_t entry_bytes = 0;
-    entries.for_each([&entry_bytes](const std::string& q) { entry_bytes += 4 + q.size(); });
+    entries.for_each([&entry_bytes](std::string_view q) { entry_bytes += 4 + q.size(); });
     Bytes out;
     out.reserve(sgx::EnclaveRuntime::kSealHeaderBytes + 4 * 4 + entry_bytes +
                 sessions.size() * kSessionBytes + sgx::EnclaveRuntime::kSealTrailerBytes);
@@ -33,7 +33,7 @@ Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
     const std::size_t at = out.size();
     out.resize(at + entry_bytes);
     std::uint8_t* cursor = out.data() + at;
-    entries.for_each([&cursor](const std::string& q) { cursor = wire::write_string(cursor, q); });
+    entries.for_each([&cursor](std::string_view q) { cursor = wire::write_string(cursor, q); });
     return out;
   });
   wire::put_u32(blob, static_cast<std::uint32_t>(sessions.size()));
@@ -53,8 +53,8 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
 
   // The whole blob is decrypted where it lies, then parsed and validated
   // as views of it before anything is inserted, so a malformed blob leaves
-  // `history` as it was and each accepted entry is built exactly once, in
-  // the window.
+  // `history` as it was and each accepted entry is copied exactly once,
+  // into the window's chunks.
   const ByteSpan raw(plain.value());
   std::size_t offset = 0;
   auto magic = wire::get_u32(raw, offset);

@@ -1,8 +1,8 @@
 #include "xsearch/proxy.hpp"
 
-#include <cassert>
 #include <cstring>
 
+#include "common/check.hpp"
 #include "crypto/envelope.hpp"
 #include "engine/analytics.hpp"
 #include "xsearch/checkpoint.hpp"
@@ -120,8 +120,8 @@ XSearchProxy::XSearchProxy(const engine::SearchEngine* engine,
                            ? std::optional(gateway->public_key())
                            : std::nullopt),
       secure_rng_(crypto::domain_seed(options_.seed, /*tag=*/0x42)) {
-  assert((engine_ != nullptr || gateway_ != nullptr || !options_.contact_engine) &&
-         "engine required unless contact_engine is disabled");
+  XS_CHECK(engine_ != nullptr || gateway_ != nullptr || !options_.contact_engine,
+           "engine required unless contact_engine is disabled");
   init_status_ = install_boundary();
 }
 
@@ -142,6 +142,10 @@ Status XSearchProxy::install_boundary() {
     seed = secure_rng_.key();
   }
   static_keys_ = crypto::x25519_keypair_from_seed(seed);
+  // The quote covers only the measurement and the static channel key,
+  // which never change for a running enclave: issued once, sent with every
+  // handshake.
+  channel_quote_ = quote_channel_key(*authority_, *enclave_, static_keys_.public_key);
   history_ = std::make_unique<QueryHistory>(options_.history_capacity, &enclave_->epc());
   obfuscator_ = std::make_unique<Obfuscator>(*history_, options_.k);
   sessions_ = std::make_unique<SessionTable>(
@@ -413,7 +417,7 @@ Result<Bytes> XSearchProxy::trusted_handshake(ByteSpan payload) {
 
   return wire::serialize_handshake_response(
       {.session_id = session_id,
-       .quote = quote_channel_key(*authority_, *enclave_, static_keys_.public_key),
+       .quote = channel_quote_,
        .server_ephemeral_pub = ephemeral.public_key});
 }
 

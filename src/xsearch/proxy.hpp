@@ -332,6 +332,7 @@ class XSearchProxy : public ProxyHandler {
   // the host's gateway object. Absent = plain link.
   const std::optional<crypto::X25519Key> engine_link_key_;
   crypto::X25519KeyPair static_keys_{};
+  sgx::Quote channel_quote_;  // over static_keys_.public_key
   std::unique_ptr<QueryHistory> history_;
   std::unique_ptr<Obfuscator> obfuscator_;
   ResultFilter filter_;

@@ -68,9 +68,27 @@ Result<std::string_view> get_view(ByteSpan in, std::size_t& offset) {
 
 namespace {
 
-/// Encoded size of `put_result(out, r)`.
+/// Encoded size of one result in the list format.
 std::size_t result_wire_size(const engine::ResultView& r) {
   return kMinResultBytes + r.title.size() + r.description.size() + r.url.size();
+}
+
+std::uint8_t* write_u32(std::uint8_t* at, std::uint32_t v) {
+  store_be32(at, v);
+  return at + 4;
+}
+
+/// Writes one result in the list format at `at`, which must have room for
+/// its result_wire_size bytes, and returns the end.
+std::uint8_t* write_result(std::uint8_t* at, const engine::ResultView& r) {
+  at = write_u32(at, r.doc);
+  at = write_string(at, r.title);
+  at = write_string(at, r.description);
+  at = write_string(at, r.url);
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &r.score, sizeof bits);
+  store_be64(at, bits);
+  return at + 8;
 }
 
 }  // namespace
@@ -79,14 +97,6 @@ Result<std::string> get_string(ByteSpan in, std::size_t& offset) {
   auto s = get_view(in, offset);
   if (!s) return s.status();
   return std::string(s.value());
-}
-
-void put_result(Bytes& out, const engine::ResultView& r) {
-  put_u32(out, r.doc);
-  put_string(out, r.title);
-  put_string(out, r.description);
-  put_string(out, r.url);
-  put_double(out, r.score);
 }
 
 namespace {
@@ -154,10 +164,9 @@ Status check_batch_count(std::uint32_t count) {
 Bytes serialize_results(const std::vector<engine::SearchResult>& results) {
   std::size_t size = 4;  // count
   for (const auto& r : results) size += result_wire_size(engine::view_of(r));
-  Bytes out;
-  out.reserve(size);
-  put_u32(out, static_cast<std::uint32_t>(results.size()));
-  for (const auto& r : results) put_result(out, engine::view_of(r));
+  Bytes out(size);
+  std::uint8_t* cursor = write_u32(out.data(), static_cast<std::uint32_t>(results.size()));
+  for (const auto& r : results) cursor = write_result(cursor, engine::view_of(r));
   return out;
 }
 
@@ -256,10 +265,13 @@ void put_results_item(Bytes& out, std::span<const engine::ResultView> results,
                       std::span<const std::size_t> kept, std::size_t spare) {
   std::size_t size = 1 + 4;
   for (const std::size_t i : kept) size += result_wire_size(results[i]);
-  out.reserve(out.size() + size + spare);
-  out.push_back(1);
-  put_u32(out, static_cast<std::uint32_t>(kept.size()));
-  for (const std::size_t i : kept) put_result(out, results[i]);
+  const std::size_t at = out.size();
+  out.reserve(at + size + spare);
+  out.resize(at + size);
+  std::uint8_t* cursor = out.data() + at;
+  *cursor++ = 1;
+  cursor = write_u32(cursor, static_cast<std::uint32_t>(kept.size()));
+  for (const std::size_t i : kept) cursor = write_result(cursor, results[i]);
 }
 
 void put_error_item(Bytes& out, std::string_view error) {

@@ -70,9 +70,6 @@ inline constexpr std::size_t kMinResultBytes = 4 + 3 * 4 + 8;
 /// outlive the views.
 [[nodiscard]] Result<std::vector<engine::ResultView>> parse_result_views(ByteSpan raw);
 
-/// Appends one result in the list format.
-void put_result(Bytes& out, const engine::ResultView& result);
-
 // --- engine request (crosses the ocall "socket") --------------------------
 
 /// What the enclave writes to the engine socket: the sub-queries of the OR
@@ -139,7 +136,8 @@ void begin_results_batch(Bytes& out, std::size_t items);
 
 /// Appends a results item holding `results[i]` for each i of `kept`, in
 /// that order. Reserves the item's exact size plus `spare` bytes first (the
-/// enclave keeps room for the seal's tag).
+/// enclave keeps room for the seal's tag), then writes every field through
+/// one cursor.
 void put_results_item(Bytes& out, std::span<const engine::ResultView> results,
                       std::span<const std::size_t> kept, std::size_t spare);
 

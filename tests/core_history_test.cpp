@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
@@ -167,7 +169,8 @@ TEST(QueryHistory, ConcurrentBatchesSamplesAndReaders) {
       // inserted them (numbered round * 100 + position).
       const std::size_t seen = h.with_entries([](const QueryHistory::Entries& entries) {
         int last[2] = {-1, -1};
-        entries.for_each([&last](const std::string& q) {
+        entries.for_each([&last](std::string_view entry) {
+          const std::string q(entry);
           int t = 0, round = 0, i = 0;
           if (std::sscanf(q.c_str(), "t%d r%d q%d", &t, &round, &i) != 3) return;
           EXPECT_GT(round * 100 + i, last[t]) << q;
@@ -182,6 +185,83 @@ TEST(QueryHistory, ConcurrentBatchesSamplesAndReaders) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(h.size(), 500u);
   EXPECT_EQ(h.memory_bytes(), epc.in_use());
+}
+
+TEST(QueryHistory, SnapshotRefreshRacesEvictionSafely) {
+  // A 256-entry window has 4-entry chunks, so the writer opens one chunk
+  // and drops another every 4 inserts while samplers refresh their
+  // snapshots and whole-window readers walk the chunks. Entry i is "e<i>".
+  // Every draw must be an entry that was in the last x at some point during
+  // its call, every reader sees consecutive entries oldest first, and the
+  // accounting ends exact once the samplers' snapshots are gone.
+  constexpr std::size_t kWindow = 256;
+  constexpr std::uint64_t kEntries = 30'000;
+  sgx::EpcAccountant epc;
+  QueryHistory h(kWindow, &epc);
+  ASSERT_EQ(h.chunk_entries(), 4u);
+  const auto number = [](std::string_view entry) {
+    return std::stoull(std::string(entry.substr(1)));
+  };
+  std::atomic<std::uint64_t> started{0};   // entries whose insert began
+  std::atomic<std::uint64_t> inserted{0};  // entries whose insert returned
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    Rng rng(5);
+    std::vector<std::string> batch;
+    for (std::uint64_t next = 0; next < kEntries;) {
+      const std::uint64_t count = std::min<std::uint64_t>(1 + rng.uniform(9), kEntries - next);
+      batch.clear();
+      for (std::uint64_t i = 0; i < count; ++i) batch.push_back("e" + std::to_string(next + i));
+      started.store(next + count);
+      if (count == 1) {
+        h.add(batch.front());
+      } else {
+        h.add_all(batch);
+      }
+      next += count;
+      inserted.store(next);
+    }
+  });
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(t) + 11);
+      while (inserted.load() < kEntries) {
+        const std::uint64_t floor = inserted.load();
+        const auto fakes = h.sample(5, rng);
+        const std::uint64_t ceiling = started.load();
+        for (const auto& fake : fakes) {
+          const std::uint64_t n = number(fake);
+          ASSERT_LT(n, ceiling) << fake;
+          ASSERT_GE(n + kWindow, floor) << fake;
+        }
+        if (t == 0 && rng.uniform(16) == 0) {
+          h.with_entries([&](const QueryHistory::Entries& entries) {
+            std::uint64_t expected = 0;
+            bool first = true;
+            entries.for_each([&](std::string_view entry) {
+              const std::uint64_t n = number(entry);
+              if (!first) EXPECT_EQ(n, expected) << entry;
+              first = false;
+              expected = n + 1;
+            });
+            EXPECT_LE(entries.size(), kWindow);
+          });
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(h.size(), kWindow);
+  EXPECT_LE(h.resident(), kWindow + h.chunk_entries() - 1);
+  EXPECT_EQ(h.memory_bytes(), epc.in_use());
+  const auto window = h.snapshot();
+  EXPECT_EQ(window.front(), "e" + std::to_string(kEntries - kWindow));
+  EXPECT_EQ(window.back(), "e" + std::to_string(kEntries - 1));
+}
+
+TEST(QueryHistoryDeathTest, ZeroCapacityAbortsInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(QueryHistory(0), "at least one entry");
 }
 
 // ---- Obfuscator (Algorithm 1) --------------------------------------------------

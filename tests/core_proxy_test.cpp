@@ -125,6 +125,38 @@ TEST_F(ProxyTest, CreateValidatesOptions) {
   EXPECT_TRUE(broker.connect().is_ok());
 }
 
+TEST_F(ProxyTest, HandshakeQuoteIsIssuedOnceAndMatchesAFreshOne) {
+  // The quote covers only the measurement and the static channel key, so
+  // every handshake carries the same bytes, and they are what the
+  // authority issues for that key today.
+  XSearchProxy proxy(&engine_, authority_, options());
+  std::vector<Bytes> quotes;
+  for (std::uint8_t client = 1; client <= 3; ++client) {
+    crypto::X25519Key seed{};
+    seed[0] = client;
+    const auto ephemeral = crypto::x25519_keypair_from_seed(crypto::X25519Secret(seed));
+    auto handshake = proxy.handshake(ephemeral.public_key);
+    ASSERT_TRUE(handshake.is_ok()) << handshake.status().to_string();
+    quotes.push_back(handshake.value().quote.serialize());
+  }
+  EXPECT_EQ(quotes[0], quotes[1]);
+  EXPECT_EQ(quotes[0], quotes[2]);
+
+  auto quote = sgx::Quote::deserialize(quotes[0]);
+  ASSERT_TRUE(quote.is_ok());
+  auto channel_key =
+      sgx::verify_and_extract_channel_key(authority_, quote.value(), proxy.measurement());
+  ASSERT_TRUE(channel_key.is_ok());
+  EXPECT_EQ(authority_.issue(proxy.measurement(), channel_key.value()).serialize(), quotes[0]);
+}
+
+TEST_F(ProxyTest, EnginelessProxyThatContactsTheEngineAbortsInEveryBuild) {
+  // create() refuses this with a status; the constructor's contract stops
+  // the process instead of running a proxy with nothing to query.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(XSearchProxy(nullptr, authority_, options()), "engine required");
+}
+
 TEST_F(ProxyTest, WarmHistoryPreloadsDecoys) {
   auto proxy = XSearchProxy::create(&engine_, authority_, options());
   ASSERT_TRUE(proxy.is_ok());

@@ -88,6 +88,17 @@ TEST_F(FleetSupervisorTest, HealthyFleetIsProbedNotRespawned) {
   EXPECT_EQ(fleet.value()->metrics().value("fleet.respawns"), 0u);
 }
 
+TEST_F(FleetSupervisorTest, ZeroProbeBudgetAbortsInEveryBuild) {
+  // Every probe would be late before it starts, so every sweep would
+  // declare every worker hung: the contract stops the process first.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(1, /*checkpointing=*/false));
+  ASSERT_TRUE(fleet.is_ok());
+  FleetSupervisor::Options options = fast_probe();
+  options.probe_budget = 0;
+  EXPECT_DEATH(FleetSupervisor(*fleet.value(), options), "probe_budget must be positive");
+}
+
 TEST_F(FleetSupervisorTest, ColdRespawnCountsAsMiss) {
   auto fleet = ProxyFleet::create(nullptr, authority_,
                                   fleet_options(2, /*checkpointing=*/false));

@@ -251,6 +251,127 @@ TEST_P(HistoryBulkModel, BatchSequenceTracksModelWindow) {
   }
 }
 
+// The chunked window against a sequential reference: every entry ever
+// inserted in a vector, the window its last x, and sampling the same
+// partial Fisher–Yates over logical positions (0 = oldest). Windows sit
+// around and beyond one 1024-entry chunk (C = clamp(x / 64, 1, 1024) gives
+// C = 15, 16, 16, 48 there) and at a 64-chunk window of 1024-entry chunks,
+// under random interleavings of add, add_all, sample and snapshot with
+// batches of C − 1, C, C + 1 and 3C + 7 entries, and of x ± 1.
+struct WindowReference {
+  std::size_t capacity;
+  std::vector<std::string> inserted;
+
+  void add_all(std::span<const std::string> batch) {
+    if (batch.size() > capacity) batch = batch.last(capacity);
+    inserted.insert(inserted.end(), batch.begin(), batch.end());
+  }
+  [[nodiscard]] std::span<const std::string> window() const {
+    return std::span<const std::string>(inserted).last(std::min(capacity, inserted.size()));
+  }
+  [[nodiscard]] std::vector<std::string> sample(std::size_t k, Rng& rng,
+                                                std::string_view exclude) const {
+    const auto live = window();
+    std::vector<std::string> out;
+    if (k == 0 || live.empty()) return out;
+    if (k >= live.size()) {
+      for (const auto& entry : live) {
+        if (entry != exclude) out.push_back(entry);
+      }
+      for (std::size_t i = out.size(); i > 1; --i) std::swap(out[i - 1], out[rng.uniform(i)]);
+      return out;
+    }
+    std::vector<std::size_t> order(live.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = 0; i < live.size() && out.size() < k; ++i) {
+      std::swap(order[i], order[i + rng.uniform(live.size() - i)]);
+      if (live[order[i]] != exclude) out.push_back(live[order[i]]);
+    }
+    return out;
+  }
+};
+
+void expect_window_matches(const QueryHistory& history, const WindowReference& model,
+                           const sgx::EpcAccountant& epc) {
+  ASSERT_EQ(history.size(), model.window().size());
+  ASSERT_EQ(history.memory_bytes(), epc.in_use());
+  ASSERT_GE(history.resident(), history.size());
+  ASSERT_LE(history.resident(), history.capacity() + history.chunk_entries() - 1);
+}
+
+TEST_P(HistoryBulkModel, ChunkedWindowTracksSequentialReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863);
+  std::vector<std::size_t> capacities = {1023, 1024, 1025, 3079};
+  if (GetParam() <= 2) capacities.push_back(65'543);  // C = 1024
+  for (const std::size_t capacity : capacities) {
+    sgx::EpcAccountant epc;
+    QueryHistory history(capacity, &epc);
+    WindowReference model{capacity, {}};
+    const std::size_t c = history.chunk_entries();
+    ASSERT_EQ(c, std::clamp<std::size_t>(capacity / 64, 1, 1024));
+    const std::size_t sizes[] = {c - 1, c, c + 1, 3 * c + 7, capacity - 1, capacity,
+                                 capacity + 1};
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    for (int step = 0; step < 60; ++step) {
+      switch (rng.uniform(4)) {
+        case 0: {  // single adds
+          const auto queries = random_queries(rng, 1 + rng.uniform(2 * c));
+          for (const auto& q : queries) history.add(q);
+          model.add_all(queries);
+          break;
+        }
+        case 1: {  // one batch
+          const std::size_t n = rng.uniform(3) == 0 ? rng.uniform(4 * c)
+                                                    : sizes[rng.uniform(std::size(sizes))];
+          const auto batch = random_queries(rng, n);
+          history.add_all(batch);
+          model.add_all(batch);
+          break;
+        }
+        case 2: {  // samples: only the last x, the reference's exact draws
+          const std::size_t k = std::vector<std::size_t>{1, 3, 7, c + 1}[rng.uniform(4)];
+          const auto live = model.window();
+          const std::string exclude =
+              live.empty() || rng.uniform(2) == 0 ? std::string("-")
+                                                  : live[rng.uniform(live.size())];
+          const std::uint64_t seed = rng.next();
+          Rng drawn(seed);
+          Rng reference(seed);
+          const auto fakes = history.sample(k, drawn, exclude);
+          ASSERT_EQ(fakes, model.sample(k, reference, exclude));
+          for (const auto& fake : fakes) {
+            EXPECT_NE(fake, exclude);
+            EXPECT_NE(std::find(live.begin(), live.end(), fake), live.end()) << fake;
+          }
+          break;
+        }
+        default: {  // whole-window readers, oldest first
+          const auto live = model.window();
+          ASSERT_TRUE(std::ranges::equal(history.snapshot(), live));
+          break;
+        }
+      }
+      expect_window_matches(history, model, epc);
+    }
+    ASSERT_TRUE(std::ranges::equal(history.snapshot(), model.window()));
+  }
+}
+
+TEST(HistoryChunks, ColdStartSamplesTheOpenChunk) {
+  // A 100k window has 1024-entry chunks; after k + 1 inserts every other
+  // entry sits in the open chunk, and a sample must still find all k.
+  for (const std::size_t k : {1, 3, 7}) {
+    QueryHistory history(100'000);
+    ASSERT_EQ(history.chunk_entries(), 1024u);
+    for (std::size_t i = 0; i <= k; ++i) history.add("cold " + std::to_string(i));
+    Rng rng(k);
+    const std::string own = "cold " + std::to_string(k);
+    const auto fakes = history.sample(k, rng, own);
+    ASSERT_EQ(fakes.size(), k);
+    for (const auto& fake : fakes) EXPECT_NE(fake, own);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HistoryBulkModel, ::testing::Range(1, 9));
 
 // ---- wire format round-trips over structured random inputs -------------------------
@@ -277,6 +398,16 @@ std::vector<engine::SearchResult> random_results(Rng& rng, std::size_t max_count
   return results;
 }
 
+// One result in the list format, appended field by field through the
+// put_* primitives.
+void put_result_fields(Bytes& out, const engine::SearchResult& r) {
+  wire::put_u32(out, r.doc);
+  wire::put_string(out, r.title);
+  wire::put_string(out, r.description);
+  wire::put_string(out, r.url);
+  wire::put_double(out, r.score);
+}
+
 TEST_P(WireGrid, ResultListRoundTripsForRandomContent) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   std::vector<engine::SearchResult> results;
@@ -298,9 +429,44 @@ TEST_P(WireGrid, ResultListRoundTripsForRandomContent) {
     r.score = rng.normal(0, 100);
     results.push_back(std::move(r));
   }
-  const auto parsed = wire::parse_results(wire::serialize_results(results));
+  const Bytes encoded = wire::serialize_results(results);
+  const auto parsed = wire::parse_results(encoded);
   ASSERT_TRUE(parsed.is_ok());
   EXPECT_EQ(parsed.value(), results);
+
+  // The cursor encoders write exactly what the field-by-field put_*
+  // encoding appends: the list, and a results item over a random subset
+  // in a random order.
+  Bytes expected;
+  wire::put_u32(expected, static_cast<std::uint32_t>(results.size()));
+  for (const auto& r : results) put_result_fields(expected, r);
+  EXPECT_EQ(encoded, expected);
+
+  std::vector<engine::ResultView> views;
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    views.push_back(engine::view_of(results[i]));
+    if (rng.uniform(3) != 0) kept.push_back(i);
+  }
+  std::shuffle(kept.begin(), kept.end(), rng);
+  Bytes item;
+  wire::begin_results_batch(item, 1);
+  wire::put_results_item(item, views, kept, /*spare=*/16);
+  Bytes expected_item;
+  expected_item.push_back(static_cast<std::uint8_t>(wire::ClientMessageType::kResultsBatch));
+  wire::put_u32(expected_item, 1);
+  expected_item.push_back(1);
+  wire::put_u32(expected_item, static_cast<std::uint32_t>(kept.size()));
+  for (const std::size_t i : kept) put_result_fields(expected_item, results[i]);
+  EXPECT_EQ(item, expected_item);
+  EXPECT_GE(item.capacity(), item.size() + 16);
+  const auto message = wire::parse_client_message(item);
+  ASSERT_TRUE(message.is_ok()) << message.status().to_string();
+  ASSERT_EQ(message.value().batch.size(), 1u);
+  ASSERT_EQ(message.value().batch[0].results.size(), kept.size());
+  for (std::size_t j = 0; j < kept.size(); ++j) {
+    EXPECT_EQ(message.value().batch[0].results[j], results[kept[j]]);
+  }
 }
 
 TEST_P(WireGrid, TruncationNeverCrashesParser) {
