@@ -64,13 +64,6 @@ bool is_health_failure(const Status& status) {
 RemoteBroker::RemoteBroker(std::string host, std::uint16_t port,
                            const sgx::AttestationAuthority& authority,
                            const sgx::Measurement& expected_measurement,
-                           std::uint64_t seed)
-    : RemoteBroker(std::move(host), port, authority, expected_measurement, seed,
-                   Options{}) {}
-
-RemoteBroker::RemoteBroker(std::string host, std::uint16_t port,
-                           const sgx::AttestationAuthority& authority,
-                           const sgx::Measurement& expected_measurement,
                            std::uint64_t seed, Options options)
     : RemoteBroker(tcp_connector(std::move(host), port), authority,
                    expected_measurement, seed, std::move(options)) {}

@@ -21,10 +21,10 @@
 //    `Options::request_budget` (0 = none). The deadline bounds every socket
 //    operation, rides the wire as the frame budget so the server can
 //    refuse work it cannot finish in time, and caps the retry loop.
-//  * The proxy's session table is bounded (LRU + idle TTL), so an
-//    established session can legitimately disappear between two queries;
-//    the connection can also die (server restart, shed connection). The
-//    broker recovers by discarding the channel, re-attesting through a
+//  * The proxy's session table is bounded (LRU), so an established
+//    session can legitimately disappear between two queries; the
+//    connection can also die (server restart, shed connection). The broker
+//    recovers by discarding the channel, re-attesting through a
 //    fresh handshake, and retrying under `Options::retry` — capped
 //    attempts with decorrelated-jitter backoff — as long as the
 //    per-connection `RetryBudget` has tokens and the deadline has time.
@@ -97,11 +97,8 @@ class RemoteBroker {
   /// Over TCP to host:port.
   RemoteBroker(std::string host, std::uint16_t port,
                const sgx::AttestationAuthority& authority,
-               const sgx::Measurement& expected_measurement, std::uint64_t seed);
-  RemoteBroker(std::string host, std::uint16_t port,
-               const sgx::AttestationAuthority& authority,
                const sgx::Measurement& expected_measurement, std::uint64_t seed,
-               Options options);
+               Options options = {});
 
   /// Connects, attests, establishes the channel. Idempotent.
   [[nodiscard]] Status connect();
@@ -118,7 +115,7 @@ class RemoteBroker {
   /// transport failures are the returned status; per-query failures are
   /// per-item. Runs within the request budget and transparently
   /// re-handshakes and retries (policy- and budget-capped) when the proxy
-  /// evicted/expired the session or the connection broke mid-request.
+  /// evicted the session or the connection broke mid-request.
   ///
   /// Retry semantics are *at-least-once*, and only where unavoidable. The
   /// batch travels as one frame, so per-item delivery states do not exist:

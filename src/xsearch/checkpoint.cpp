@@ -3,7 +3,6 @@
 #include <fstream>
 #include <string_view>
 #include <system_error>
-#include <utility>
 
 #include "xsearch/wire.hpp"
 
@@ -11,12 +10,11 @@ namespace xsearch::core {
 
 namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x58534850;  // "XSHP"
-constexpr std::uint32_t kCheckpointVersion = 2;
-constexpr std::size_t kSessionBytes = 8 + 8;  // session id, obfuscations
+constexpr std::uint32_t kCheckpointVersion = 3;
 }  // namespace
 
 Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
-                   const SessionObfuscationCounts& sessions) {
+                   std::uint64_t epoch) {
   // One pass over the window's chunks, into the buffer that becomes the
   // sealed blob, sized exactly up front: no copy of the window, no
   // regrowth, and the seal encrypts where the bytes lie.
@@ -24,11 +22,12 @@ Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
     std::size_t entry_bytes = 0;
     entries.for_each([&entry_bytes](std::string_view q) { entry_bytes += 4 + q.size(); });
     Bytes out;
-    out.reserve(sgx::EnclaveRuntime::kSealHeaderBytes + 4 * 4 + entry_bytes +
-                sessions.size() * kSessionBytes + sgx::EnclaveRuntime::kSealTrailerBytes);
+    out.reserve(sgx::EnclaveRuntime::kSealHeaderBytes + 3 * 4 + 8 + entry_bytes +
+                sgx::EnclaveRuntime::kSealTrailerBytes);
     out.resize(sgx::EnclaveRuntime::kSealHeaderBytes);
     wire::put_u32(out, kCheckpointMagic);
     wire::put_u32(out, kCheckpointVersion);
+    wire::put_u64(out, epoch);
     wire::put_u32(out, static_cast<std::uint32_t>(entries.size()));
     const std::size_t at = out.size();
     out.resize(at + entry_bytes);
@@ -36,18 +35,12 @@ Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
     entries.for_each([&cursor](std::string_view q) { cursor = wire::write_string(cursor, q); });
     return out;
   });
-  wire::put_u32(blob, static_cast<std::uint32_t>(sessions.size()));
-  for (const auto& [id, obfuscations] : sessions) {
-    wire::put_u64(blob, id);
-    wire::put_u64(blob, obfuscations);
-  }
   enclave.seal_in_place(blob);
   return blob;
 }
 
 Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
-                       QueryHistory& history, SessionObfuscationCounts* sessions) {
-  if (sessions != nullptr) sessions->clear();
+                       QueryHistory& history, std::uint64_t* epoch) {
   auto plain = enclave.unseal_in_place(sealed);
   if (!plain) return plain.status();
 
@@ -65,6 +58,8 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
   if (!version || version.value() != kCheckpointVersion) {
     return data_loss("checkpoint: unsupported version");
   }
+  auto sealed_epoch = wire::get_u64(raw, offset);
+  if (!sealed_epoch) return sealed_epoch.status();
   auto count = wire::get_u32(raw, offset);
   if (!count) return count.status();
   // Every entry holds at least its length word: a count the remaining
@@ -79,26 +74,12 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
     if (!q) return q.status();
     entries.push_back(q.value());
   }
-  auto session_count = wire::get_u32(raw, offset);
-  if (!session_count) return session_count.status();
-  if (session_count.value() > (raw.size() - offset) / kSessionBytes) {
-    return data_loss("checkpoint: session count exceeds blob");
-  }
-  SessionObfuscationCounts parsed_sessions;
-  parsed_sessions.reserve(session_count.value());
-  for (std::uint32_t i = 0; i < session_count.value(); ++i) {
-    auto id = wire::get_u64(raw, offset);
-    if (!id) return id.status();
-    auto obfuscations = wire::get_u64(raw, offset);
-    if (!obfuscations) return obfuscations.status();
-    parsed_sessions.emplace_back(id.value(), obfuscations.value());
-  }
   if (offset != raw.size()) return data_loss("checkpoint: trailing bytes");
 
   // A checkpoint wider than the window keeps only its newest entries: the
   // history skips those the load itself would evict.
   history.add_all(entries);
-  if (sessions != nullptr) *sessions = std::move(parsed_sessions);
+  if (epoch != nullptr) *epoch = sealed_epoch.value();
   return Status::ok();
 }
 

@@ -148,11 +148,15 @@ Status XSearchProxy::install_boundary() {
   channel_quote_ = quote_channel_key(*authority_, *enclave_, static_keys_.public_key);
   history_ = std::make_unique<QueryHistory>(options_.history_capacity, &enclave_->epc());
   obfuscator_ = std::make_unique<Obfuscator>(*history_, options_.k);
+  // Warm restart: replay the sealed checkpoint (if one exists) into the
+  // fresh history before serving, and key every session stream of this run
+  // by the next epoch. Runs at construction, conceptually part of enclave
+  // init — the host supplies only the opaque blob.
+  const std::uint64_t epoch = restore_checkpoint();
   sessions_ = std::make_unique<SessionTable>(
       SessionTable::Options{.capacity = options_.session_capacity,
-                            .idle_ttl = options_.session_idle_ttl,
-                            .shards = options_.session_shards,
-                            .rng_seed = options_.seed},
+                            .rng_seed = options_.seed,
+                            .epoch = epoch},
       &enclave_->epc());
 
   // The paper's narrowed enclave interface, keyed by the typed boundary
@@ -257,18 +261,20 @@ Status XSearchProxy::install_boundary() {
     return Bytes{};
   });
 
-  // Warm restart: replay the sealed checkpoint (if one exists) into the
-  // fresh history before serving. Runs at construction, conceptually part
-  // of enclave init — the host supplies only the opaque blob.
-  restore_checkpoint();
-
   // Configure the trusted side through the init ecall, as the SDK would.
   // A failure here (the enclave refusing the host's configuration) is
   // recorded and surfaced by `create`, not swallowed.
   Bytes init_payload;
   wire::put_u32(init_payload, static_cast<std::uint32_t>(options_.k));
   wire::put_u32(init_payload, options_.results_per_subquery);
-  return enclave_->ecall(sgx::EcallId::kInit, init_payload).status();
+  const Status init = enclave_->ecall(sgx::EcallId::kInit, init_payload).status();
+  if (!init.is_ok()) return init;
+  // A warm start seals its own epoch before it serves a session, so a run
+  // that dies before its first periodic checkpoint cannot hand the same
+  // epoch (and with it the same session streams) to the next run. A failed
+  // write is counted in `checkpoint.write_failures`, like any other.
+  if (epoch > 0) (void)checkpoint_now();
+  return Status::ok();
 }
 
 std::filesystem::path XSearchProxy::checkpoint_path() const {
@@ -276,22 +282,21 @@ std::filesystem::path XSearchProxy::checkpoint_path() const {
   return options_.checkpoint_dir / kCheckpointFileName;
 }
 
-void XSearchProxy::restore_checkpoint() {
-  if (options_.checkpoint_dir.empty()) return;
+std::uint64_t XSearchProxy::restore_checkpoint() {
+  if (options_.checkpoint_dir.empty()) return 0;
   auto blob = read_checkpoint_file(checkpoint_path());
-  if (!blob) return;  // no checkpoint yet: plain cold start
+  if (!blob) return 0;  // no checkpoint yet: plain cold start
   restore_attempts_.inc();
 
-  SessionObfuscationCounts sessions;
+  std::uint64_t sealed_epoch = 0;
   const Status restored =
-      restore_history(*enclave_, std::move(blob).value(), *history_, &sessions);
+      restore_history(*enclave_, std::move(blob).value(), *history_, &sealed_epoch);
   // A tampered or truncated blob leaves the fresh history untouched: a
   // clean cold start, never a partial window.
-  if (!restored.is_ok()) return;
+  if (!restored.is_ok()) return 0;
   restore_hits_.inc();
   restored_entries_.set(history_->size());
-  restored_sessions_.set(sessions.size());
-  sessions_->set_resume_generations(std::move(sessions));
+  return sealed_epoch + 1;
 }
 
 Status XSearchProxy::checkpoint_now() {
@@ -433,8 +438,8 @@ Result<Bytes> XSearchProxy::trusted_query(ByteSpan payload) {
   // other sessions are untouched by this lock.
   auto session = sessions_->acquire(session_id.value());
   if (!session) {
-    return not_found("query: unknown session (never opened, idle-expired, "
-                     "or evicted by the bounded session table)");
+    return not_found("query: unknown session (never opened, or evicted by "
+                     "the bounded session table)");
   }
   crypto::SecureChannel& channel = session.channel();
 
@@ -473,10 +478,10 @@ Result<Bytes> XSearchProxy::trusted_heartbeat() {
 }
 
 Result<Bytes> XSearchProxy::trusted_checkpoint() {
-  // Seal the history plus each session's cumulative stream generation
-  // (format v2). Runs inside the enclave; only the sealed blob crosses out.
-  return Bytes(
-      seal_history(*enclave_, *history_, sessions_->checkpoint_generations()));
+  // Seal the history plus this run's epoch (format v3), so the next warm
+  // start keys its session streams past it. Runs inside the enclave; only
+  // the sealed blob crosses out.
+  return seal_history(*enclave_, *history_, sessions_->options().epoch);
 }
 
 Status XSearchProxy::run_trusted_query(const std::string& query,
@@ -486,7 +491,6 @@ Status XSearchProxy::run_trusted_query(const std::string& query,
   // private stream (guarded by the held session lock), so concurrent
   // sessions obfuscate in parallel: no global RNG lock exists on this path.
   ObfuscatedQuery obfuscated = obfuscator_->obfuscate(query, session.rng());
-  session.note_obfuscation();
   queries_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
 
   if (!options_.contact_engine) {

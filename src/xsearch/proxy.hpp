@@ -111,16 +111,14 @@ class XSearchProxy : public ProxyHandler {
     /// used session is evicted beyond it (its client must re-handshake).
     /// Bounds the EPC held by per-session channel state.
     std::size_t session_capacity = 4096;
-    /// Sessions idle longer than this expire (0 = never).
-    Nanos session_idle_ttl = 0;
-    /// Lock shards of the session table.
-    std::size_t session_shards = 8;
     /// When non-empty, the proxy keeps a sealed checkpoint of its history
-    /// (format v2, see checkpoint.hpp) at `<checkpoint_dir>/history.ckpt`:
-    /// it restores the file at construction (falling back to a cold start
-    /// when the file is missing, truncated, or tampered with) and re-seals
-    /// every `checkpoint_interval_queries` queries. The host only ever
-    /// handles the sealed blob.
+    /// and restart epoch (format v3, see checkpoint.hpp) at
+    /// `<checkpoint_dir>/history.ckpt`: it restores the file at
+    /// construction, before it builds its session table (falling back to a
+    /// cold start when the file is missing, truncated, or tampered with),
+    /// re-seals at once after a successful restore so the file carries the
+    /// new epoch, and re-seals every `checkpoint_interval_queries` queries. The host
+    /// only ever handles the sealed blob.
     std::filesystem::path checkpoint_dir;
     /// Host-side circuit breaker on the proxy→engine path. The breaker
     /// lives in the `send` ocall *body* — untrusted host code — so trusted
@@ -206,8 +204,8 @@ class XSearchProxy : public ProxyHandler {
   /// health probe keys its respawn decision on.
   [[nodiscard]] Status heartbeat();
 
-  /// Seals the current history (+ per-session obfuscator state) inside the
-  /// enclave and persists the blob crash-atomically to the checkpoint file.
+  /// Seals the current history (+ the restart epoch) inside the enclave
+  /// and persists the blob crash-atomically to the checkpoint file.
   /// Requires Options::checkpoint_dir.
   [[nodiscard]] Status checkpoint_now();
 
@@ -241,9 +239,9 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// `checkpoint.*` (restore_attempts: a checkpoint file was read;
-  /// restore_hits, written, write_failures; gauges restored_entries,
-  /// restored_sessions) merged with the enclave's, the session table's
-  /// and, when enabled, the engine breaker's series.
+  /// restore_hits, written, write_failures; gauge restored_entries) merged
+  /// with the enclave's, the session table's and, when enabled, the engine
+  /// breaker's series.
   [[nodiscard]] metrics::Snapshot metrics() const;
 
   /// The eviction count the end-to-end benchmark reads (`sessions.evicted_lru`).
@@ -290,9 +288,10 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] Result<Bytes> trusted_checkpoint();
 
   /// Restores the sealed checkpoint (if any) into the fresh history during
-  /// construction; a bad blob falls back to a cold start, never a partial
-  /// window.
-  void restore_checkpoint();
+  /// construction and returns the epoch this run's session streams are
+  /// keyed by: one past the sealed epoch, or 0 on a cold start. A bad blob
+  /// falls back to a cold start, never a partial window.
+  [[nodiscard]] std::uint64_t restore_checkpoint();
 
   /// Periodic-checkpoint poll on the host path; skips when another thread
   /// is already writing.
@@ -344,8 +343,8 @@ class XSearchProxy : public ProxyHandler {
   crypto::SecureRandom secure_rng_ XS_GUARDED_BY(handshake_mutex_);
 
   // Bounded session subsystem: per-session channel locking + RNG streams,
-  // LRU + idle-TTL eviction, EPC accounting (see session_table.hpp for the
-  // locking order).
+  // LRU eviction, EPC accounting (see session_table.hpp for the locking
+  // order).
   std::unique_ptr<SessionTable> sessions_;
   Status init_status_;
 
@@ -361,7 +360,6 @@ class XSearchProxy : public ProxyHandler {
   metrics::Counter& restore_attempts_ = metrics_.counter("restore_attempts");
   metrics::Counter& restore_hits_ = metrics_.counter("restore_hits");
   metrics::Gauge& restored_entries_ = metrics_.gauge("restored_entries");
-  metrics::Gauge& restored_sessions_ = metrics_.gauge("restored_sessions");
 
   // ---- untrusted host state: engine-path circuit breaker ----
   // Owned by the host half of the proxy and touched only from the `send`

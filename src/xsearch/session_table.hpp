@@ -18,33 +18,36 @@
 // reference but the in-flight `LockedSession` keeps the session alive until
 // the request finishes.
 //
-// The table is bounded two ways, so sessions cannot exhaust the ~90 MiB EPC
-// no matter how many clients connect (the unbounded map this replaces grew
-// forever): a capacity cap with LRU eviction, and an optional idle TTL.
-// Every live session is charged against the enclave's EpcAccountant, which
-// is how the Figure 6 methodology meters enclave occupancy.
+// The table is bounded by one cap, so sessions cannot exhaust the ~90 MiB
+// EPC no matter how many clients connect: past `capacity`, the least
+// recently used session is evicted. Idle reaping is the host's business
+// (the reactor's idle TTL closes quiet connections), so trusted code here
+// never reads a clock. Every live session is charged against the enclave's
+// EpcAccountant, which is how the Figure 6 methodology meters enclave
+// occupancy.
 //
 // Each session also owns its *random number streams*: a fast Rng for
 // obfuscation sampling and a ChaCha-based SecureRandom for engine-link
 // envelope seals, both derived deterministically from (Options::rng_seed,
-// session id). They live behind the per-session lock, so the query hot path
-// draws randomness with no cross-session serialization — this is what let
-// the proxy drop its global rng_mutex_ (see ARCHITECTURE.md "Hot path &
-// performance").
+// the table's insert ordinal, Options::epoch). They live behind the
+// per-session lock, so the query hot path draws randomness with no
+// cross-session serialization (see ARCHITECTURE.md "Hot path &
+// performance"). They are keyed by the ordinal, not the session id, because
+// the host proposes ids and may reuse one within a run. The epoch is the
+// proxy's restart count, sealed in its checkpoints: a session created after
+// a warm restart draws from a stream no earlier run drew from, even when it
+// reuses a pre-crash session id.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
@@ -62,25 +65,24 @@ class SessionTable {
     /// capacity/shards is spread over the first shards); session ids are
     /// assigned round-robin, so the shards fill evenly.
     std::size_t capacity = 4096;
-    /// Sessions idle longer than this are expired (0 = never expire).
-    Nanos idle_ttl = 0;
     /// Lock shards; more shards = less contention between sessions.
     std::size_t shards = 8;
     /// Base seed the per-session RNG streams are forked from. Every
-    /// session's streams are a pure function of (rng_seed, session id), so
-    /// a given seed replays each session's random draws exactly. The
-    /// obfuscation decisions built from those draws also depend on the
-    /// shared QueryHistory's contents at query time, which track the
-    /// global order of add() calls — full replay needs the query
-    /// interleaving too, not just the seed.
+    /// session's streams are a pure function of (rng_seed, insert ordinal,
+    /// epoch) — the n-th insert of a table draws the n-th stream whatever
+    /// id it gets — so a given seed, epoch and insert order replay each
+    /// session's random draws exactly. The obfuscation decisions built from
+    /// those draws also depend on the shared QueryHistory's contents at
+    /// query time, which track the global order of add() calls — full
+    /// replay needs the query interleaving too, not just the seed.
     std::uint64_t rng_seed = 0x5eed;
+    /// Restart epoch: 0 on a cold start, one past the sealed checkpoint's
+    /// epoch on a warm one (the proxy restores before it builds the
+    /// table). Epoch 0 is the plain (rng_seed, ordinal) derivation.
+    std::uint64_t epoch = 0;
   };
 
-  /// Injectable time source (tests pass a fake; default is wall_now).
-  using Clock = std::function<Nanos()>;
-
-  explicit SessionTable(Options options, sgx::EpcAccountant* epc = nullptr,
-                        Clock clock = {});
+  explicit SessionTable(Options options, sgx::EpcAccountant* epc = nullptr);
   ~SessionTable();
 
   SessionTable(const SessionTable&) = delete;
@@ -92,7 +94,7 @@ class SessionTable {
  public:
   /// RAII view of one live session: holds the session alive and its lock,
   /// so the caller may use the channel without racing other threads on the
-  /// same session. Falsy when the session is unknown, expired, or evicted.
+  /// same session. Falsy when the session is unknown or evicted.
   class LockedSession {
    public:
     LockedSession() = default;
@@ -111,12 +113,6 @@ class SessionTable {
     /// held per-session lock.
     [[nodiscard]] crypto::SecureRandom& secure_rng();
 
-    /// Records one obfuscation performed on this session (the proxy calls
-    /// it per query). The count is what v2 checkpoints seal as per-session
-    /// obfuscator state.
-    void note_obfuscation();
-    [[nodiscard]] std::uint64_t obfuscations() const;
-
    private:
     friend class SessionTable;
     explicit LockedSession(std::shared_ptr<Session> session);
@@ -133,39 +129,14 @@ class SessionTable {
   [[nodiscard]] std::uint64_t insert(crypto::SecureChannel channel,
                                      std::uint64_t proposed_id = 0);
 
-  /// Looks up a session, refreshes its LRU/idle position, and returns it
-  /// locked. Expired sessions encountered on the way are evicted.
+  /// Looks up a session, refreshes its LRU position, and returns it locked.
   [[nodiscard]] LockedSession acquire(std::uint64_t session_id);
 
-  /// Removes a session explicitly (client teardown). False when unknown.
-  bool erase(std::uint64_t session_id);
-
-  /// Evicts every idle-expired session; returns how many were removed.
-  std::size_t sweep_expired();
-
   [[nodiscard]] std::size_t size() const;
-  /// `sessions.*`: created, evicted_lru, expired_ttl, erased, misses
-  /// (unknown ids acquired); gauges active, peak_active, epc_bytes.
+  /// `sessions.*`: created, evicted_lru, misses (unknown ids acquired);
+  /// gauges active, peak_active, epc_bytes.
   [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
   [[nodiscard]] const Options& options() const { return options_; }
-
-  /// The per-session obfuscator state a v2 checkpoint seals: for every
-  /// live session its *cumulative* stream position (restored base
-  /// generation + obfuscations performed since), plus the carried-forward
-  /// entries of restored ids that never resumed. Cumulative so generations
-  /// only ever advance across repeated crash/restore cycles — a regressed
-  /// generation would re-derive an already-spent decoy stream.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  checkpoint_generations() const;
-
-  /// Installs restored per-session obfuscator state: a session later
-  /// inserted under one of these ids derives its RNG streams from
-  /// (rng_seed, id, generation) instead of (rng_seed, id), so a session
-  /// resumed under its pre-crash id never replays the decoy draws it
-  /// already spent. Must be called before the table is used concurrently
-  /// (the proxy calls it during construction); the map is immutable after.
-  void set_resume_generations(
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> generations);
 
   /// EPC bytes accounted per live session (channel state + table node
   /// bookkeeping) — what `insert` charges and eviction releases.
@@ -183,48 +154,20 @@ class SessionTable {
   [[nodiscard]] Shard& shard_for(std::uint64_t session_id) {
     return *shards_[session_id % shards_.size()];
   }
-  [[nodiscard]] const Shard& shard_for(std::uint64_t session_id) const {
-    return *shards_[session_id % shards_.size()];
-  }
-
-  /// Removes the session `it` points at. Caller holds the shard mutex.
-  void remove_locked(Shard& shard,
-                     std::unordered_map<std::uint64_t,
-                                        std::shared_ptr<Session>>::iterator it)
-      XS_REQUIRES(shard.mutex);
-  /// Evicts idle-expired sessions from the shard's cold end. Caller holds
-  /// the shard mutex. Returns the number evicted.
-  std::size_t evict_expired_locked(Shard& shard, Nanos now)
-      XS_REQUIRES(shard.mutex);
 
   const Options options_;
   sgx::EpcAccountant* epc_;
-  Clock now_;
-
-  // Restored (session id -> generation) map; written once during
-  // single-threaded construction, read-only afterwards (see
-  // set_resume_generations).
-  std::unordered_map<std::uint64_t, std::uint64_t> resume_generations_;
-
-  // Cumulative stream positions of sessions that were evicted, expired, or
-  // erased — checkpoints must remember spent streams of departed ids, not
-  // just live ones. 16 bytes per departed session with draws; reset by a
-  // restart (the checkpoint round-trips the entries that matter). Locking
-  // order: a shard mutex may be held when taking this mutex, never the
-  // reverse.
-  mutable Mutex retained_generations_mutex_;
-  std::unordered_map<std::uint64_t, std::uint64_t> retained_generations_
-      XS_GUARDED_BY(retained_generations_mutex_);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> next_id_{1};
+  // Insert ordinal that keys each session's RNG streams; never reused
+  // within a table, unlike ids, which the host may propose again.
+  std::atomic<std::uint64_t> next_stream_{1};
 
   metrics::Registry metrics_{"sessions"};
   metrics::Counter& created_ = metrics_.counter("created");
   metrics::Counter& evicted_lru_ = metrics_.counter("evicted_lru");
-  metrics::Counter& expired_ttl_ = metrics_.counter("expired_ttl");
-  metrics::Counter& erased_ = metrics_.counter("erased");
   metrics::Counter& misses_ = metrics_.counter("misses");
   metrics::Gauge& active_ = metrics_.gauge("active");
   metrics::Gauge& peak_active_ = metrics_.gauge("peak_active");

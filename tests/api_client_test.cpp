@@ -261,10 +261,6 @@ TEST(ApiRegistryTest, DuplicateRegistrationIsRejected) {
 // translations must not replace them with values of their own.
 TEST(ApiRegistryTest, TranslationsKeepUnderlyingDefaults) {
   const ClientConfig config;
-  const core::XSearchProxy::Options proxy = xsearch_proxy_options(config);
-  const core::XSearchProxy::Options proxy_defaults;
-  EXPECT_EQ(proxy.session_shards, proxy_defaults.session_shards);
-  EXPECT_EQ(proxy.session_idle_ttl, proxy_defaults.session_idle_ttl);
   EXPECT_EQ(supervisor_options(config).probe_budget,
             net::FleetSupervisor::Options{}.probe_budget);
   EXPECT_FALSE(remote_broker_options(config).breaker.has_value());

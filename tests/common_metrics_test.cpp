@@ -182,10 +182,13 @@ TEST_F(FleetRecoveryMetricsTest, RespawnAndRestoreCountsSurviveRespawn) {
   EXPECT_EQ(snapshot.value("worker.respawns", net::worker_label(0)), 2u);
   EXPECT_EQ(snapshot.value("worker.respawns", net::worker_label(1)), 1u);
   // The proxy series are the current proxy's: worker 1's replacement
-  // restored, worker 0's did not and has written nothing yet.
+  // restored and has written only the seal a warm start makes of its new
+  // epoch (its predecessor wrote one), worker 0's did not and has written
+  // nothing yet.
   EXPECT_EQ(snapshot.value("checkpoint.restore_hits", net::worker_label(1)), 1u);
   EXPECT_EQ(snapshot.value("checkpoint.restore_hits", net::worker_label(0)), 0u);
-  EXPECT_EQ(snapshot.value("checkpoint.written", net::worker_label(1)), 0u);
+  EXPECT_EQ(snapshot.value("checkpoint.written", net::worker_label(1)), 1u);
+  EXPECT_EQ(snapshot.value("checkpoint.written", net::worker_label(0)), 0u);
 }
 
 TEST_F(FleetRecoveryMetricsTest, SupervisorRespawnIsCountedOnce) {

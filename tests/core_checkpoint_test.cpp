@@ -181,51 +181,57 @@ TEST(Checkpoint, OverCapacityRestoreKeepsNewestEntries) {
                                       "q96", "q97", "q98", "q99"}));
 }
 
-TEST(Checkpoint, V2CarriesPerSessionObfuscatorState) {
+TEST(Checkpoint, V3CarriesTheRestartEpoch) {
   auto enclave = make_enclave();
   QueryHistory original(10);
   original.add("warm");
-  const SessionObfuscationCounts sealed_sessions = {{11, 7}, {42, 1000}};
-  const Bytes sealed = seal_history(enclave, original, sealed_sessions);
-
-  QueryHistory restored(10);
-  SessionObfuscationCounts restored_sessions;
-  ASSERT_TRUE(
-      restore_history(enclave, sealed, restored, &restored_sessions).is_ok());
-  EXPECT_EQ(restored_sessions, sealed_sessions);
-  EXPECT_EQ(restored.size(), 1u);
+  for (const std::uint64_t epoch : {std::uint64_t{0}, std::uint64_t{7},
+                                    ~std::uint64_t{0}}) {
+    const Bytes sealed = seal_history(enclave, original, epoch);
+    QueryHistory restored(10);
+    std::uint64_t restored_epoch = 12345;
+    ASSERT_TRUE(restore_history(enclave, sealed, restored, &restored_epoch).is_ok());
+    EXPECT_EQ(restored_epoch, epoch);
+    EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"warm"});
+  }
 }
 
-TEST(Checkpoint, V1BlobIsRefused) {
-  // Hand-build a v1 plaintext (magic, version=1, entries — no session
-  // section) and seal it under the right measurement: format v1 is
-  // retired, so the restore is refused before any entry is replayed.
+// Formats v1 (entries only) and v2 (entries + per-session counts) are
+// retired: a correctly sealed blob of either is refused before any entry is
+// replayed, and the proxy starts cold.
+TEST(Checkpoint, OlderVersionsAreRefused) {
   auto enclave = make_enclave();
-  Bytes plain;
-  wire::put_u32(plain, 0x58534850);  // "XSHP"
-  wire::put_u32(plain, 1);
-  wire::put_u32(plain, 2);
-  wire::put_string(plain, "old one");
-  wire::put_string(plain, "old two");
-  const Bytes sealed = enclave.seal(plain);
+  for (const std::uint32_t version : {1u, 2u}) {
+    Bytes plain;
+    wire::put_u32(plain, 0x58534850);  // "XSHP"
+    wire::put_u32(plain, version);
+    wire::put_u32(plain, 2);
+    wire::put_string(plain, "old one");
+    wire::put_string(plain, "old two");
+    if (version == 2) wire::put_u32(plain, 0);  // empty session section
+    const Bytes sealed = enclave.seal(plain);
 
-  QueryHistory restored(10);
-  restored.add("already here");
-  const Status status = restore_history(enclave, sealed, restored);
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-  EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
-      << status.to_string();
-  EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
+    QueryHistory restored(10);
+    restored.add("already here");
+    std::uint64_t epoch = 12345;
+    const Status status = restore_history(enclave, sealed, restored, &epoch);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
+        << status.to_string();
+    EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
+    EXPECT_EQ(epoch, 12345u);
+  }
 }
 
 TEST(Checkpoint, TruncatedLastEntryLeavesHistoryUntouched) {
-  // A correctly sealed v2 plaintext whose last entry claims more bytes than
+  // A correctly sealed v3 plaintext whose last entry claims more bytes than
   // the blob holds: the restore validates the whole blob before inserting,
   // so the two good entries before it must not land either.
   auto enclave = make_enclave();
   Bytes plain;
   wire::put_u32(plain, 0x58534850);  // "XSHP"
-  wire::put_u32(plain, 2);
+  wire::put_u32(plain, 3);
+  wire::put_u64(plain, 5);  // epoch
   wire::put_u32(plain, 3);
   wire::put_string(plain, "good one");
   wire::put_string(plain, "good two");
@@ -237,12 +243,12 @@ TEST(Checkpoint, TruncatedLastEntryLeavesHistoryUntouched) {
   QueryHistory restored(10, &epc);
   restored.add("already here");
   const std::size_t bytes_before = restored.memory_bytes();
-  SessionObfuscationCounts sessions = {{1, 1}};
-  EXPECT_FALSE(restore_history(enclave, sealed, restored, &sessions).is_ok());
+  std::uint64_t epoch = 12345;
+  EXPECT_FALSE(restore_history(enclave, sealed, restored, &epoch).is_ok());
   EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
   EXPECT_EQ(restored.memory_bytes(), bytes_before);
   EXPECT_EQ(epc.in_use(), bytes_before);
-  EXPECT_TRUE(sessions.empty());
+  EXPECT_EQ(epoch, 12345u);
 }
 
 TEST(Checkpoint, RestoredHistoryFeedsObfuscation) {

@@ -2,8 +2,8 @@
 //
 // The proxy's query hot path holds no global lock: each session draws
 // obfuscation randomness from its own stream (a deterministic fork of the
-// proxy seed by session id, held in the SessionTable behind the session
-// lock) and history sampling takes a shared reader lock. This suite pins
+// proxy seed by the table's insert ordinal, held in the SessionTable behind
+// the session lock) and history sampling takes a shared reader lock. This suite pins
 // both halves of that design:
 //
 //  * determinism — same seed, same session order, same queries ⇒ the exact
@@ -92,8 +92,8 @@ TEST_F(ParallelObfuscationTest, SameSeedSameSessionOrderSameFakes) {
   const auto first = observed_or_queries(0xdeed);
   const auto second = observed_or_queries(0xdeed);
   ASSERT_EQ(first.size(), 20u);
-  // Per-session streams are pure functions of (seed, session id): replaying
-  // the script reproduces every OR query — fakes, order and insert position.
+  // Per-session streams are pure functions of (seed, insert ordinal, epoch):
+  // replaying the script reproduces every OR query — fakes, order and insert position.
   EXPECT_EQ(first, second);
 }
 

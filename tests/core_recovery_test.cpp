@@ -1,16 +1,22 @@
 // Warm-restart tests for the proxy-integrated checkpointer: periodic
 // sealing during traffic, restore at construction, clean cold-start
-// fallback on tampered/truncated blobs, and the v2 per-session obfuscator
-// state that keeps resumed sessions off their spent decoy streams.
+// fallback on tampered/truncated blobs, and the v3 restart epoch that keeps
+// every post-restart session off the decoy streams an earlier run spent.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broker_util.hpp"
 #include "crypto/x25519.hpp"
+#include "dataset/synthetic.hpp"
+#include "engine/corpus.hpp"
+#include "engine/search_engine.hpp"
 #include "sgx/attestation.hpp"
 #include "xsearch/checkpoint.hpp"
 #include "xsearch/proxy.hpp"
@@ -182,27 +188,48 @@ TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
   EXPECT_EQ(restarted.history_size(), 10u);
 }
 
-TEST_F(RecoveryTest, CheckpointSealsPerSessionState) {
-  {
-    XSearchProxy proxy(nullptr, authority_, checkpointing_options(/*interval=*/0));
-    auto broker =
-        testutil::in_process_broker(proxy, authority_, proxy.measurement(), 8);
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(broker.search("session state " + std::to_string(i)).is_ok());
-    }
-    ASSERT_TRUE(proxy.checkpoint_now().is_ok());
-  }
-  XSearchProxy restarted(nullptr, authority_, checkpointing_options(0));
-  const auto stats = restarted.metrics();
-  EXPECT_EQ(stats.value("checkpoint.restore_hits"), 1u);
-  // the broker's one live session
-  EXPECT_EQ(stats.value("checkpoint.restored_sessions"), 1u);
+// The epoch the proxy's current checkpoint file was sealed with.
+std::uint64_t sealed_epoch(const std::filesystem::path& path) {
+  auto blob = read_checkpoint_file(path);
+  EXPECT_TRUE(blob.is_ok()) << blob.status().to_string();
+  if (!blob) return ~std::uint64_t{0};
+  sgx::EnclaveRuntime enclave({.code_identity = XSearchProxy::code_identity()});
+  QueryHistory history(1'000);
+  std::uint64_t epoch = ~std::uint64_t{0};
+  const Status status =
+      restore_history(enclave, std::move(blob).value(), history, &epoch);
+  EXPECT_TRUE(status.is_ok()) << status.to_string();
+  return epoch;
 }
 
-// The v2 privacy property at the RNG level: a session resumed under its
-// pre-crash id must not replay the decoy draws the crashed proxy already
-// made — identical draws would let the engine link pre- and post-restart
-// traffic. The restored generation advances the stream derivation.
+TEST_F(RecoveryTest, EachWarmRestartSealsTheNextEpoch) {
+  {
+    XSearchProxy cold(nullptr, authority_, checkpointing_options(/*interval=*/0));
+    EXPECT_EQ(cold.metrics().value("checkpoint.written"), 0u);  // cold: no seal yet
+    ASSERT_TRUE(cold.checkpoint_now().is_ok());
+  }
+  EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), 0u);
+  for (std::uint64_t restart = 1; restart <= 2; ++restart) {
+    XSearchProxy warm(nullptr, authority_, checkpointing_options(0));
+    EXPECT_EQ(warm.metrics().value("checkpoint.restore_hits"), 1u);
+    // A warm start seals its epoch before it serves anything.
+    EXPECT_EQ(warm.metrics().value("checkpoint.written"), 1u);
+    EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), restart);
+    ASSERT_TRUE(warm.checkpoint_now().is_ok());
+    EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), restart);
+  }
+  // A run that dies before any periodic or explicit checkpoint still moved
+  // the epoch on at start, so the run after it does not reuse epoch 3.
+  { XSearchProxy unsealed(nullptr, authority_, checkpointing_options(0)); }
+  EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), 3u);
+  XSearchProxy again(nullptr, authority_, checkpointing_options(0));
+  EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), 4u);
+}
+
+// The privacy property at the RNG level: every session's streams are keyed
+// by (seed, insert ordinal, epoch), so each epoch draws different streams,
+// epoch 0 — a cold start — is the plain (seed, ordinal) stream, and an id
+// that comes back within one run does not bring its old streams back.
 TEST_F(RecoveryTest, ResumedSessionDoesNotReplayDecoyStream) {
   const auto make_channel = [] {
     crypto::X25519Key static_seed{};
@@ -216,87 +243,188 @@ TEST_F(RecoveryTest, ResumedSessionDoesNotReplayDecoyStream) {
     const auto client = crypto::x25519_keypair_from_seed(crypto::X25519Secret(client_seed));
     return crypto::SecureChannel::responder(statics, eph, client.public_key);
   };
-  constexpr std::uint64_t kSessionId = 777;
-  constexpr std::uint64_t kSeed = 42;
 
-  const auto first_draws = [&](SessionTable& table) {
-    const std::uint64_t id = table.insert(make_channel(), kSessionId);
-    EXPECT_EQ(id, kSessionId);
-    auto session = table.acquire(kSessionId);
+  struct Draws {
+    std::vector<std::uint64_t> rng;
+    Bytes secure_rng;
+  };
+  const auto draw = [](SessionTable& table, std::uint64_t id) {
+    auto session = table.acquire(id);
     EXPECT_TRUE(static_cast<bool>(session));
-    std::vector<std::uint64_t> draws;
-    for (int i = 0; i < 4; ++i) draws.push_back(session.rng().next());
+    Draws draws;
+    if (!session) return draws;
+    for (int i = 0; i < 4; ++i) draws.rng.push_back(session.rng().next());
+    draws.secure_rng = session.secure_rng().bytes(16);
     return draws;
   };
+  // A fresh table's first session, under the counter's first id.
+  const auto first_draws = [&](std::uint64_t epoch) {
+    SessionTable table({.rng_seed = 42, .epoch = epoch});
+    EXPECT_EQ(table.insert(make_channel()), 1u);
+    return draw(table, 1);
+  };
 
-  SessionTable::Options options;
-  options.rng_seed = kSeed;
+  // Epoch 0, a cold start, is the plain (seed, 1) stream a fresh proxy's
+  // first session has always drawn; pinned so a change to the derivation
+  // cannot silently alter cold-start draws.
+  const Draws epoch0 = first_draws(0);
+  EXPECT_EQ(epoch0.rng,
+            (std::vector<std::uint64_t>{0x2fcd8d44ddf09827ULL, 0x1b035635de0f5d7fULL,
+                                        0x888b092fcf6501b8ULL, 0xc6cceba97135c2a8ULL}));
+  EXPECT_EQ(hex_encode(epoch0.secure_rng), "90c3c6df2f1aa05fa0eb8d7f54ffbd2e");
 
-  SessionTable original(options);
-  const auto pre_crash = first_draws(original);
-
-  // Same seed, same id, no restored state: the stream replays — this is
-  // exactly the exposure the v2 session section exists to close.
-  SessionTable naive(options);
-  EXPECT_EQ(first_draws(naive), pre_crash);
-
-  // With the checkpointed obfuscation count installed, the resumed session
-  // draws a fresh stream.
-  SessionTable restored(options);
-  restored.set_resume_generations({{kSessionId, 4}});
-  EXPECT_NE(first_draws(restored), pre_crash);
-
-  // Sessions under other ids are untouched by the restored state.
-  SessionTable other(options);
-  other.set_resume_generations({{kSessionId + 1, 9}});
-  EXPECT_EQ(first_draws(other), pre_crash);
-
-  // Generations accumulate across a SECOND crash: the restored table's own
-  // checkpoint seals base + obfuscations-since (here 4 + 4), so the next
-  // restore derives yet another fresh stream instead of regressing to one
-  // already spent — and carries forward restored ids that never resumed.
-  {
-    auto session = restored.acquire(kSessionId);
-    ASSERT_TRUE(static_cast<bool>(session));
-    for (int i = 0; i < 4; ++i) session.note_obfuscation();
+  Draws previous = epoch0;
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    const Draws next = first_draws(epoch);
+    EXPECT_NE(next.rng, previous.rng) << "epoch " << epoch;
+    EXPECT_NE(next.secure_rng, previous.secure_rng) << "epoch " << epoch;
+    EXPECT_NE(next.rng, epoch0.rng) << "epoch " << epoch;
+    previous = next;
   }
-  const auto generations = restored.checkpoint_generations();
-  ASSERT_EQ(generations.size(), 1u);
-  EXPECT_EQ(generations.front(), (std::pair<std::uint64_t, std::uint64_t>{
-                                     kSessionId, 8u}));
-  SessionTable restored2(options);
-  restored2.set_resume_generations(generations);
-  const auto second_restore = first_draws(restored2);
-  EXPECT_NE(second_restore, pre_crash);
-  // ...and differs from the first restore's stream too (generation 8 ≠ 4).
-  SessionTable restored_again(options);
-  restored_again.set_resume_generations({{kSessionId, 4}});
-  EXPECT_NE(second_restore, first_draws(restored_again));
-  // Carried forward without being resumed: a table that restored the state
-  // but never saw the session re-checkpoints it unchanged.
-  SessionTable idle(options);
-  idle.set_resume_generations(generations);
-  EXPECT_EQ(idle.checkpoint_generations(), generations);
+  // Within an epoch the derivation is deterministic.
+  EXPECT_EQ(first_draws(2).rng, first_draws(2).rng);
 
-  // Eviction must not rewind a stream either: after the id departs (LRU)
-  // and returns within one run, it resumes past the spent draws, and the
-  // spent position survives into checkpoints taken while the id is gone.
-  SessionTable::Options tiny = options;
-  tiny.capacity = 1;
-  SessionTable churn(tiny);
-  const auto spent = first_draws(churn);  // id 777, 4 raw draws
-  {
-    auto session = churn.acquire(kSessionId);
-    ASSERT_TRUE(static_cast<bool>(session));
-    for (int i = 0; i < 3; ++i) session.note_obfuscation();
+  // Eviction must not rewind a stream either. The host proposes session
+  // ids, so it can propose X, push X out of the LRU, and propose X again;
+  // the returning X must draw new streams, or its decoys and envelope
+  // ephemerals would repeat within the run.
+  constexpr std::uint64_t kProposed = 777;
+  SessionTable churn({.capacity = 1, .rng_seed = 42});
+  ASSERT_EQ(churn.insert(make_channel(), kProposed), kProposed);
+  const Draws before = draw(churn, kProposed);
+  ASSERT_EQ(churn.insert(make_channel(), kProposed + 1), kProposed + 1);
+  ASSERT_FALSE(static_cast<bool>(churn.acquire(kProposed)));  // evicted
+  ASSERT_EQ(churn.insert(make_channel(), kProposed), kProposed);
+  const Draws after = draw(churn, kProposed);
+  EXPECT_NE(after.rng, before.rng);
+  EXPECT_NE(after.secure_rng, before.secure_rng);
+}
+
+// A proxy with a live engine whose observer records every OR query — the
+// adversary's view of the traffic.
+class ObservedRecoveryTest : public RecoveryTest {
+ protected:
+  static dataset::QueryLog make_log() {
+    dataset::SyntheticLogConfig config;
+    config.num_users = 30;
+    config.total_queries = 2000;
+    config.vocab_size = 1200;
+    config.num_topics = 12;
+    config.words_per_topic = 80;
+    return dataset::generate_synthetic_log(config);
   }
-  ASSERT_EQ(churn.insert(make_channel(), kSessionId + 1), kSessionId + 1);
-  EXPECT_EQ(churn.size(), 1u);  // capacity 1: id 777 was evicted
-  const auto checkpointed = churn.checkpoint_generations();
-  ASSERT_EQ(checkpointed.size(), 1u);  // 778 has no draws; 777 retained
-  EXPECT_EQ(checkpointed.front(),
-            (std::pair<std::uint64_t, std::uint64_t>{kSessionId, 3u}));
-  EXPECT_NE(first_draws(churn), spent);  // re-insert resumes, not replays
+
+  ObservedRecoveryTest()
+      : log_(make_log()),
+        corpus_(log_, engine::CorpusConfig{.seed = 2, .num_documents = 1500}),
+        engine_(corpus_) {
+    engine_.set_observer([this](std::string_view query) {
+      std::lock_guard lock(observed_mutex_);
+      observed_.emplace_back(query);
+    });
+  }
+
+  XSearchProxy::Options engine_options() const {
+    XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
+    options.contact_engine = true;
+    return options;
+  }
+
+  std::vector<std::string> take_observed() {
+    std::lock_guard lock(observed_mutex_);
+    return std::exchange(observed_, {});
+  }
+
+  dataset::QueryLog log_;
+  engine::Corpus corpus_;
+  engine::SearchEngine engine_;
+  std::mutex observed_mutex_;
+  std::vector<std::string> observed_;
+};
+
+// A session created *after* the last checkpoint has no state of its own in
+// the blob; after a warm restart a new session under the same id must
+// still not send the engine an OR query the crashed run sent.
+TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart) {
+  const std::vector<std::string> queries = {"alpha beta", "gamma", "delta epsilon",
+                                            "zeta", "eta theta", "iota"};
+  std::vector<std::string> warm;
+  for (const auto& record : log_.records()) {
+    if (warm.size() == 300) break;
+    warm.push_back(record.text);
+  }
+
+  std::uint64_t b_id = 0;
+  std::vector<std::string> pre_crash;
+  {
+    XSearchProxy proxy(&engine_, authority_, engine_options());
+    ASSERT_TRUE(proxy.init_status().is_ok());
+    proxy.warm_history(warm);
+    auto a = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
+    ASSERT_TRUE(a.search("session a").is_ok());
+    ASSERT_TRUE(proxy.checkpoint_now().is_ok());  // A live, B not yet born
+    (void)take_observed();
+
+    auto b = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 2);
+    for (const auto& query : queries) ASSERT_TRUE(b.search(query).is_ok());
+    b_id = b.session_id();
+    pre_crash = take_observed();
+  }  // crash: no checkpoint after B's traffic
+  ASSERT_EQ(pre_crash.size(), queries.size());
+
+  XSearchProxy restarted(&engine_, authority_, engine_options());
+  ASSERT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
+  // Reopen sessions until one lands on B's id (ids restart at 1), with the
+  // same history contents B saw before the crash.
+  auto a = testutil::in_process_broker(restarted, authority_,
+                                       restarted.measurement(), 1);
+  ASSERT_TRUE(a.connect().is_ok());
+  auto b = testutil::in_process_broker(restarted, authority_,
+                                       restarted.measurement(), 2);
+  ASSERT_TRUE(b.connect().is_ok());
+  ASSERT_EQ(b.session_id(), b_id);
+  for (const auto& query : queries) ASSERT_TRUE(b.search(query).is_ok());
+  const std::vector<std::string> post_restart = take_observed();
+  ASSERT_EQ(post_restart.size(), queries.size());
+
+  int replayed = 0;
+  for (const auto& or_query : post_restart) {
+    for (const auto& seen : pre_crash) replayed += or_query == seen ? 1 : 0;
+  }
+  EXPECT_EQ(replayed, 0) << "OR queries the engine saw before the crash";
+}
+
+// The sealed blob holds the history and one epoch: its size must not grow
+// with the number of sessions that ever existed.
+TEST_F(RecoveryTest, SealedSizeIndependentOfSessionCount) {
+  XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
+  options.session_capacity = 16;
+  XSearchProxy proxy(nullptr, authority_, options);
+  // A full window of equal-length entries: every later query replaces one
+  // entry with another of the same length, so the history's share of the
+  // blob stays fixed.
+  const auto numbered = [](const char* prefix, int i) {
+    char buffer[16];
+    std::snprintf(buffer, sizeof buffer, "%s %04d", prefix, i);
+    return std::string(buffer);
+  };
+  std::vector<std::string> warm;
+  for (int i = 0; i < 1'000; ++i) warm.push_back(numbered("warm", i));
+  proxy.warm_history(warm);
+
+  const auto sealed_size = [&] {
+    EXPECT_TRUE(proxy.checkpoint_now().is_ok());
+    return std::filesystem::file_size(proxy.checkpoint_path());
+  };
+  const auto with_no_sessions = sealed_size();
+  for (int i = 0; i < 1'000; ++i) {
+    auto broker = testutil::in_process_broker(
+        proxy, authority_, proxy.measurement(), static_cast<std::uint64_t>(i));
+    ASSERT_TRUE(broker.search(numbered("live", i)).is_ok());
+  }
+  EXPECT_EQ(proxy.metrics().value("sessions.created"), 1'000u);
+  EXPECT_EQ(proxy.history_size(), 1'000u);
+  EXPECT_EQ(sealed_size(), with_no_sessions);
 }
 
 }  // namespace

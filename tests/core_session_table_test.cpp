@@ -1,13 +1,16 @@
-// Session lifecycle subsystem tests: bounded SessionTable (LRU + idle-TTL
-// eviction, EPC charge/release symmetry, per-session locking) and the
-// proxy-level behaviors built on it — evicted/expired sessions answering
-// NOT_FOUND and the regression test for the SecureChannel data race
-// (one session hammered from many threads; run under TSan in CI).
+// Session lifecycle subsystem tests: bounded SessionTable (LRU eviction,
+// checked against a sequential reference model; EPC charge/release
+// symmetry; per-session locking) and the proxy-level behaviors built on it —
+// evicted sessions answering NOT_FOUND and the regression test for the
+// SecureChannel data race (one session hammered from many threads; run
+// under TSan in CI).
 #include "xsearch/session_table.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,7 +76,6 @@ TEST(SessionTable, InsertAcquireRoundTrip) {
 TEST(SessionTable, AcquireUnknownIsAMiss) {
   SessionTable table({.capacity = 4, .shards = 1});
   EXPECT_FALSE(static_cast<bool>(table.acquire(42)));
-  EXPECT_FALSE(table.erase(42));
   EXPECT_EQ(table.metrics().value("sessions.misses"), 1u);
 }
 
@@ -96,46 +98,13 @@ TEST(SessionTable, LruEvictionPrefersColdSessions) {
   EXPECT_EQ(stats.value("sessions.created"), 4u);
 }
 
-TEST(SessionTable, IdleTtlExpiresSessions) {
-  Nanos fake_now = 0;
-  SessionTable table({.capacity = 8, .idle_ttl = 1000, .shards = 1},
-                     /*epc=*/nullptr, [&] { return fake_now; });
-  const auto a = table.insert(make_server_channel(1));
-
-  fake_now = 500;
-  EXPECT_TRUE(static_cast<bool>(table.acquire(a)));  // touch resets idleness
-
-  fake_now = 1499;
-  EXPECT_TRUE(static_cast<bool>(table.acquire(a)));
-
-  fake_now = 2499;  // 1000ns idle since the touch at 1499
-  EXPECT_FALSE(static_cast<bool>(table.acquire(a)));
-  EXPECT_EQ(table.metrics().value("sessions.expired_ttl"), 1u);
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(SessionTable, SweepExpiredReapsIdleSessionsInBulk) {
-  Nanos fake_now = 0;
-  SessionTable table({.capacity = 16, .idle_ttl = 100, .shards = 4},
-                     /*epc=*/nullptr, [&] { return fake_now; });
-  for (int i = 0; i < 10; ++i) (void)table.insert(make_server_channel(1));
-  EXPECT_EQ(table.size(), 10u);
-  EXPECT_EQ(table.sweep_expired(), 0u);
-
-  fake_now = 1000;
-  EXPECT_EQ(table.sweep_expired(), 10u);
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.metrics().value("sessions.expired_ttl"), 10u);
-}
-
 TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
   sgx::EpcAccountant epc(1 << 20);
   const std::size_t per_session = SessionTable::session_epc_bytes();
   {
     SessionTable table({.capacity = 4, .shards = 1}, &epc);
-    std::vector<std::uint64_t> ids;
     for (int i = 0; i < 4; ++i) {
-      ids.push_back(table.insert(make_server_channel(static_cast<std::uint8_t>(i))));
+      (void)table.insert(make_server_channel(static_cast<std::uint8_t>(i)));
     }
     EXPECT_EQ(epc.in_use(), 4 * per_session);
     EXPECT_EQ(table.metrics().value("sessions.epc_bytes"), 4 * per_session);
@@ -143,11 +112,7 @@ TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
     // LRU eviction releases exactly one session's charge.
     (void)table.insert(make_server_channel(9));
     EXPECT_EQ(epc.in_use(), 4 * per_session);
-
-    // Explicit erase releases too.
-    EXPECT_TRUE(table.erase(ids[3]));
-    EXPECT_EQ(epc.in_use(), 3 * per_session);
-    EXPECT_EQ(table.metrics().value("sessions.erased"), 1u);
+    EXPECT_EQ(table.metrics().value("sessions.evicted_lru"), 1u);
   }
   // Destruction releases everything still live.
   EXPECT_EQ(epc.in_use(), 0u);
@@ -165,9 +130,147 @@ TEST(SessionTable, ShardedCapacityBoundsGlobalSize) {
   EXPECT_LE(stats.value("sessions.peak_active"), 8u + 1u);
 }
 
-TEST(SessionTable, ConcurrentInsertAcquireEraseIsSafe) {
+// Sequential reference for one table: per shard, an LRU list (front = most
+// recent) under that shard's quota, plus the shared id counter. Mirrors the
+// documented contract, not the implementation's containers.
+class ReferenceTable {
+ public:
+  ReferenceTable(std::size_t capacity, std::size_t shards) : lru_(shards) {
+    for (std::size_t i = 0; i < shards; ++i) {
+      quota_.push_back(capacity / shards + (i < capacity % shards ? 1 : 0));
+    }
+  }
+
+  /// The id `insert` returns (0 = refused proposal); `evicted` receives the
+  /// id pushed out of its shard, or 0.
+  std::uint64_t insert(std::uint64_t proposed_id, std::uint64_t& evicted) {
+    evicted = 0;
+    std::uint64_t id = proposed_id;
+    if (id != 0) {
+      if (contains(id)) return 0;
+    } else {
+      // Counter ids skip over ids a proposal already took.
+      do {
+        id = next_id_++;
+      } while (contains(id));
+    }
+    auto& lru = shard(id);
+    lru.push_front(id);
+    if (lru.size() > quota_[id % lru_.size()]) {
+      evicted = lru.back();
+      lru.pop_back();
+      ++evicted_lru;
+    }
+    ++created;
+    return id;
+  }
+
+  bool acquire(std::uint64_t id) {
+    auto& lru = shard(id);
+    const auto it = std::find(lru.begin(), lru.end(), id);
+    if (it == lru.end()) {
+      ++misses;
+      return false;
+    }
+    lru.splice(lru.begin(), lru, it);
+    return true;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t id) const {
+    const auto& lru = lru_[id % lru_.size()];
+    return std::find(lru.begin(), lru.end(), id) != lru.end();
+  }
+
+  [[nodiscard]] std::size_t active() const {
+    std::size_t n = 0;
+    for (const auto& lru : lru_) n += lru.size();
+    return n;
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> members() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& lru : lru_) out.insert(out.end(), lru.begin(), lru.end());
+    return out;
+  }
+
+  std::uint64_t created = 0;
+  std::uint64_t evicted_lru = 0;
+  std::uint64_t misses = 0;
+
+ private:
+  std::list<std::uint64_t>& shard(std::uint64_t id) { return lru_[id % lru_.size()]; }
+
+  std::vector<std::list<std::uint64_t>> lru_;
+  std::vector<std::size_t> quota_;
+  std::uint64_t next_id_ = 1;
+};
+
+// Model-based check: seeded random inserts (counter ids and proposed ids
+// drawn from the counter's own range, so proposals collide with live ids
+// and counter ids land on proposed ones) and acquires (hits and misses),
+// replayed against the sequential reference. After every step the table
+// must agree on the returned id, on which session was evicted, on every
+// counter and on the EPC charge.
+TEST(SessionTable, MatchesSequentialLruModel) {
+  const std::size_t per_session = SessionTable::session_epc_bytes();
+  const crypto::SecureChannel prototype = make_server_channel(1);
+  struct Shape {
+    std::size_t capacity;
+    std::size_t shards;
+  };
+  for (const Shape shape : {Shape{1, 1}, Shape{5, 1}, Shape{7, 3}, Shape{16, 4}}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(shape.capacity) + ", shards " +
+                   std::to_string(shape.shards) + ", seed " + std::to_string(seed));
+      sgx::EpcAccountant epc(1 << 20);
+      SessionTable table({.capacity = shape.capacity, .shards = shape.shards}, &epc);
+      ReferenceTable model(shape.capacity, shape.shards);
+      Rng rng(seed);
+      std::uint64_t issued = 0;  // highest id handed out so far
+
+      for (int step = 0; step < 600; ++step) {
+        const std::uint64_t roll = rng.uniform(10);
+        const std::uint64_t pool = issued + 4;  // live, departed and future ids
+        if (roll < 4) {
+          std::uint64_t evicted = 0;
+          const std::uint64_t proposed = roll < 2 ? 1 + rng.uniform(pool) : 0;
+          const std::uint64_t want = model.insert(proposed, evicted);
+          const std::uint64_t got = table.insert(crypto::SecureChannel(prototype), proposed);
+          ASSERT_EQ(got, want) << "step " << step << ", proposed " << proposed;
+          issued = std::max(issued, got);
+          if (evicted != 0) {
+            // The evicted session is gone (a miss, for both sides).
+            EXPECT_FALSE(model.acquire(evicted));
+            ASSERT_FALSE(static_cast<bool>(table.acquire(evicted)))
+                << "step " << step << ": expected " << evicted << " evicted";
+          }
+        } else {
+          const std::uint64_t id = 1 + rng.uniform(pool);
+          ASSERT_EQ(static_cast<bool>(table.acquire(id)), model.acquire(id))
+              << "step " << step << ", id " << id;
+        }
+        const auto stats = table.metrics();
+        ASSERT_EQ(stats.value("sessions.created"), model.created);
+        ASSERT_EQ(stats.value("sessions.evicted_lru"), model.evicted_lru);
+        ASSERT_EQ(stats.value("sessions.misses"), model.misses);
+        ASSERT_EQ(stats.value("sessions.active"), model.active());
+        ASSERT_EQ(table.size(), model.active());
+        ASSERT_EQ(epc.in_use(), model.active() * per_session);
+      }
+      // Every session the model holds is live in the table.
+      for (const std::uint64_t id : model.members()) {
+        EXPECT_TRUE(static_cast<bool>(table.acquire(id))) << "id " << id;
+      }
+    }
+  }
+}
+
+// Many threads insert and acquire through a table far smaller than the
+// sessions they create, so LRU eviction runs concurrently with acquires of
+// the same and other sessions (TSan covers the interleavings).
+TEST(SessionTable, ConcurrentInsertAcquireUnderEvictionIsSafe) {
   sgx::EpcAccountant epc(8 << 20);
-  SessionTable table({.capacity = 64, .shards = 8}, &epc);
+  SessionTable table({.capacity = 16, .shards = 8}, &epc);
   constexpr int kThreads = 8;
   constexpr int kOpsEach = 200;
   std::vector<std::thread> threads;
@@ -178,7 +281,7 @@ TEST(SessionTable, ConcurrentInsertAcquireEraseIsSafe) {
       for (int i = 0; i < kOpsEach; ++i) {
         mine.push_back(table.insert(make_server_channel(static_cast<std::uint8_t>(t))));
         (void)table.acquire(mine[static_cast<std::size_t>(i) / 2]);
-        if (i % 3 == 0) (void)table.erase(mine.back());
+        (void)table.acquire(mine.back());
       }
     });
   }
@@ -186,7 +289,9 @@ TEST(SessionTable, ConcurrentInsertAcquireEraseIsSafe) {
   const auto stats = table.metrics();
   EXPECT_EQ(stats.value("sessions.created"),
             static_cast<std::uint64_t>(kThreads) * kOpsEach);
-  EXPECT_LE(stats.value("sessions.active"), 64u);
+  EXPECT_EQ(stats.value("sessions.active"), 16u);
+  EXPECT_EQ(stats.value("sessions.evicted_lru"),
+            stats.value("sessions.created") - stats.value("sessions.active"));
   // Accounting invariant after arbitrary interleaving: live sessions and
   // EPC bytes agree exactly.
   EXPECT_EQ(stats.value("sessions.epc_bytes"),
@@ -212,7 +317,6 @@ TEST_P(ProxySessionsEviction, EvictedSessionQueryReturnsNotFound) {
   sgx::AttestationAuthority authority(to_bytes("session-test-root"));
   auto options = saturation_options();
   options.session_capacity = 1;
-  options.session_shards = 1;
   XSearchProxy proxy(nullptr, authority, options);
   const testutil::ServedProxy served(GetParam(), proxy);
 
@@ -241,25 +345,6 @@ INSTANTIATE_TEST_SUITE_P(Transports, ProxySessionsEviction,
                          ::testing::Values(Transport::kTcp,
                                            Transport::kInProcess),
                          testutil::transport_name);
-
-TEST(ProxySessions, IdleSessionExpiresThroughProxy) {
-  sgx::AttestationAuthority authority(to_bytes("session-test-root"));
-  auto options = saturation_options();
-  // Wide enough that the handshake→query gap of one search cannot span it
-  // even under TSan on a loaded runner (a 1 ms TTL flaked there: the FIRST
-  // search's own session expired mid-call, yielding a second reconnect).
-  options.session_idle_ttl = 200 * kMilli;
-  XSearchProxy proxy(nullptr, authority, options);
-
-  auto broker =
-      testutil::in_process_broker(proxy, authority, proxy.measurement(), 3);
-  ASSERT_TRUE(broker.search("fresh").is_ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  // The idle session expired; the broker re-handshakes and retries once.
-  EXPECT_TRUE(broker.search("stale").is_ok());
-  EXPECT_EQ(broker.metrics().value("broker.reconnects"), 1u);
-  EXPECT_EQ(proxy.metrics().value("sessions.expired_ttl"), 1u);
-}
 
 TEST(ProxySessions, ValidatedCreateChecksSessionCapacityAndInitStatus) {
   sgx::AttestationAuthority authority(to_bytes("session-test-root"));

@@ -206,7 +206,6 @@ TEST(ProxyServerPool, StressManySessionsBoundedTableStableEpc) {
   sgx::AttestationAuthority authority(to_bytes("pool-test-root"));
   auto options = saturation_options();
   options.session_capacity = 32;
-  options.session_shards = 4;
   core::XSearchProxy proxy(nullptr, authority, options);
 
   ProxyServer::Options server_options;
@@ -255,8 +254,7 @@ TEST(ProxyServerPool, StressManySessionsBoundedTableStableEpc) {
   EXPECT_GE(stats.value("sessions.created"),
             static_cast<std::uint64_t>(kClientThreads) * kRounds);
   EXPECT_LE(stats.value("sessions.active"), 32u);
-  EXPECT_GT(stats.value("sessions.evicted_lru") + stats.value("sessions.expired_ttl"),
-            0u);
+  EXPECT_GT(stats.value("sessions.evicted_lru"), 0u);
 
   // EPC accounting is stable: occupancy decomposes exactly into the (full,
   // bounded) history window plus the live sessions' charge — nothing leaked

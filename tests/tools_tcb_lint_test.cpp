@@ -66,6 +66,14 @@ TEST_F(TcbLintTest, TrustedFileCallingRecvFails) {
   EXPECT_NE(r.output.find("bad_recv.cpp"), std::string::npos) << r.output;
 }
 
+TEST_F(TcbLintTest, TrustedFileReadingWallClockFails) {
+  const auto r =
+      run(lint(kFixtureConfig, "tests/lint_fixtures/trusted/bad_clock.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("trusted-wall-clock"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("bad_clock.cpp"), std::string::npos) << r.output;
+}
+
 TEST_F(TcbLintTest, WaivedLinePassesAndIsCounted) {
   const auto r =
       run(lint(kFixtureConfig, "tests/lint_fixtures/trusted/waived_recv.cpp"));
@@ -101,6 +109,17 @@ TEST_F(TcbLintTest, RealTreeIsClean) {
   const auto r = run(lint(kRealConfig));
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("0 finding(s)"), std::string::npos) << r.output;
+}
+
+// Trusted code takes time only as host input (deadlines are enforced
+// host-side, idle reaping lives in the reactor), so the real tree needs no
+// escape hatch from the clock rule: a new waiver for it is a design change
+// to argue for, not a line to slip in.
+TEST_F(TcbLintTest, RealTreeHasNoTrustedClockWaiver) {
+  const auto r = run(lint(kRealConfig));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("waived [trusted-wall-clock]"), std::string::npos)
+      << r.output;
 }
 
 }  // namespace
