@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -29,6 +28,7 @@
 #include <utility>
 
 #include "common/bytes.hpp"
+#include "common/check.hpp"
 
 namespace xsearch {
 
@@ -151,7 +151,8 @@ class SecretBytes {
   /// material (e.g. HKDF okm) without any expose() site in between.
   template <std::size_t N>
   [[nodiscard]] Secret<N> slice(std::size_t offset = 0) const {
-    assert(offset + N <= bytes_.size());
+    XS_CHECK(N <= bytes_.size() && offset <= bytes_.size() - N,
+             "slice past the end of the secret");
     typename Secret<N>::Raw raw{};
     std::memcpy(raw.data(), bytes_.data() + offset, N);
     return Secret<N>::absorb(raw);

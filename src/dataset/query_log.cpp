@@ -1,8 +1,6 @@
 #include "dataset/query_log.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 namespace xsearch::dataset {
 
@@ -92,43 +90,6 @@ TrainTestSplit split_per_user(const QueryLog& log, double train_fraction) {
     }
   }
   return TrainTestSplit{QueryLog(std::move(train)), QueryLog(std::move(test))};
-}
-
-Status save_tsv(const QueryLog& log, const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) return unavailable("cannot open for writing: " + path.string());
-  for (const auto& r : log.records()) {
-    out << r.user << '\t' << r.timestamp << '\t' << r.text << '\n';
-  }
-  return out.good() ? Status::ok() : data_loss("short write: " + path.string());
-}
-
-Result<QueryLog> load_tsv(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) return unavailable("cannot open for reading: " + path.string());
-  std::vector<QueryRecord> records;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto tab1 = line.find('\t');
-    const auto tab2 = tab1 == std::string::npos ? std::string::npos
-                                                : line.find('\t', tab1 + 1);
-    if (tab2 == std::string::npos) {
-      return data_loss("malformed TSV at line " + std::to_string(line_no));
-    }
-    QueryRecord r;
-    try {
-      r.user = static_cast<UserId>(std::stoul(line.substr(0, tab1)));
-      r.timestamp = std::stoll(line.substr(tab1 + 1, tab2 - tab1 - 1));
-    } catch (const std::exception&) {
-      return data_loss("bad numeric field at line " + std::to_string(line_no));
-    }
-    r.text = line.substr(tab2 + 1);
-    records.push_back(std::move(r));
-  }
-  return QueryLog(std::move(records));
 }
 
 }  // namespace xsearch::dataset

@@ -8,12 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.hpp"
 
 namespace xsearch::dataset {
 
@@ -72,11 +70,5 @@ struct TrainTestSplit {
 /// go to training (the adversary's preliminary knowledge, §3), the rest to
 /// test. Matches the paper's 2/3 - 1/3 methodology (§5.1).
 [[nodiscard]] TrainTestSplit split_per_user(const QueryLog& log, double train_fraction);
-
-/// Saves as TSV lines "user<TAB>timestamp<TAB>text".
-[[nodiscard]] Status save_tsv(const QueryLog& log, const std::filesystem::path& path);
-
-/// Loads a TSV produced by save_tsv.
-[[nodiscard]] Result<QueryLog> load_tsv(const std::filesystem::path& path);
 
 }  // namespace xsearch::dataset

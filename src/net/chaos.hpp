@@ -91,7 +91,7 @@ class FaultPlan {
 /// talking to a server), but any ByteStream works — the fault decisions
 /// are drawn per *operation*, independent of how the underlying transport
 /// moves bytes, so the plan composes unchanged with servers that read
-/// those bytes through nonblocking readiness loops (net/reactor.hpp): a
+/// those bytes through a nonblocking readiness loop (net/reactor.hpp): a
 /// kPartialThenReset write, say, surfaces there as a short read followed
 /// by EOF mid-frame.
 class ChaosSocket final : public ByteStream {

@@ -3,7 +3,7 @@
 // `make_frame_protocol` is the per-connection state machine behind the
 // framed wire of net/frame.hpp: HELLO (attested handshake) then any number
 // of QUERY frames, every error a typed kErrorStatus frame.
-// The reactor (net/proxy_server.hpp) drives it from epoll loops and
+// The reactor (net/proxy_server.hpp) drives it from its epoll loop and
 // dispatch workers.
 //
 // `in_process_connector` drives the very same protocol object without

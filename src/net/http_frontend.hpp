@@ -6,7 +6,7 @@
 // the proxy's own frame protocol) into the enclave,
 // and renders the filtered results as JSON.
 //
-// Connections are served by the same net::Reactor event loops as the
+// Connections are served by the same net::Reactor event loop as the
 // framed proxy frontend — requests are assembled incrementally out of each
 // connection's receive buffer and handled on dispatch workers — so the
 // frontend no longer keeps its own thread-per-connection registry.

@@ -17,6 +17,10 @@ namespace {
 
 constexpr std::size_t kHandshakeIdAttempts = 8;
 
+// Virtual nodes per worker on the hash ring. More nodes = smoother session
+// spread and smaller remap arcs on drain, at O(nodes·workers) ring memory.
+constexpr std::size_t kVirtualNodes = 64;
+
 }  // namespace
 
 Result<std::unique_ptr<ProxyFleet>> ProxyFleet::create(
@@ -24,9 +28,6 @@ Result<std::unique_ptr<ProxyFleet>> ProxyFleet::create(
     Options options) {
   if (options.workers == 0) {
     return invalid_argument("fleet: options.workers must be >= 1");
-  }
-  if (options.virtual_nodes == 0) {
-    return invalid_argument("fleet: options.virtual_nodes must be >= 1");
   }
   auto fleet = std::unique_ptr<ProxyFleet>(
       new ProxyFleet(engine, authority, std::move(options)));
@@ -85,10 +86,10 @@ void ProxyFleet::account_restore(const core::XSearchProxy& proxy,
 
 void ProxyFleet::rebuild_ring_locked() {
   ring_.clear();
-  ring_.reserve(workers_.size() * options_.virtual_nodes);
+  ring_.reserve(workers_.size() * kVirtualNodes);
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w]->live.value() == 0) continue;
-    for (std::size_t v = 0; v < options_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       const std::uint64_t point =
           mix64(mix64(w + 1) ^ (v * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL));
       ring_.emplace_back(point, static_cast<std::uint32_t>(w));

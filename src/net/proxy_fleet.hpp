@@ -71,10 +71,6 @@ class ProxyFleet : public core::ProxyHandler {
   struct Options {
     /// Proxy workers in the fleet.
     std::size_t workers = 2;
-    /// Virtual nodes per worker on the hash ring. More nodes = smoother
-    /// session spread and smaller remap arcs on drain, at O(nodes·workers)
-    /// ring memory.
-    std::size_t virtual_nodes = 64;
     /// Per-worker proxy configuration. Each worker's seed is domain-
     /// separated from `proxy.seed` by its index, so workers draw
     /// independent key material while a fleet run stays reproducible.

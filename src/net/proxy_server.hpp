@@ -2,12 +2,13 @@
 //
 // Hosts a core::ProxyHandler — a single XSearchProxy or a net::ProxyFleet —
 // behind a loopback TCP listener, speaking the framed protocol of
-// net/frame.hpp: HELLO (attested handshake) then any number of QUERY or
-// BATCH_QUERY frames per connection. This is the untrusted host component
-// of the deployment — it moves ciphertext between sockets and the enclave
-// and never sees a plaintext query.
+// net/frame.hpp: HELLO (attested handshake) then any number of QUERY
+// frames per connection, each carrying a batch of one or more queries.
+// This is the untrusted host component of the deployment — it moves
+// ciphertext between sockets and the enclave and never sees a plaintext
+// query.
 //
-// Connections are served by a net::Reactor: event-loop shards multiplex
+// Connections are served by a net::Reactor: one event loop multiplexes
 // every socket with epoll instead of parking one pool thread per
 // connection, frames are parsed incrementally (zero-copy FrameCursor) out
 // of each connection's receive buffer, and only complete requests are
@@ -54,7 +55,7 @@ class ProxyServer {
 
   [[nodiscard]] std::uint16_t port() const { return reactor_->port(); }
 
-  /// Stops accepting, closes every connection, joins the shard loops and
+  /// Stops accepting, closes every connection, joins the event loop and
   /// dispatch workers. Idempotent; the port rebinds immediately after.
   void stop();
 

@@ -9,9 +9,6 @@
 #include <cstring>
 #include <deque>
 #include <thread>
-#include <unordered_map>
-
-#include "net/timer_wheel.hpp"
 
 namespace xsearch::net {
 
@@ -29,10 +26,6 @@ constexpr Nanos kAcceptBackoff = 20 * kMilli;
 constexpr std::size_t kMinReadChunk = 4 * 1024;
 constexpr std::size_t kMaxReadChunk = 64 * 1024;
 
-std::size_t resolve_shards(std::size_t requested) {
-  return requested > 0 ? requested : 1;
-}
-
 std::size_t resolve_workers(std::size_t requested) {
   if (requested > 0) return requested;
   return std::max<std::size_t>(8, std::thread::hardware_concurrency());
@@ -40,9 +33,9 @@ std::size_t resolve_workers(std::size_t requested) {
 
 }  // namespace
 
-/// Per-connection state. Owned and touched exclusively by its shard's loop
-/// thread; dispatch workers only ever see the (shared_ptr) protocol and
-/// communicate back through the shard inbox.
+/// Per-connection state. Owned and touched exclusively by the loop thread;
+/// dispatch workers only ever see the (shared_ptr) protocol and communicate
+/// back through the completion inbox.
 struct Reactor::Connection {
   enum class State : std::uint8_t {
     kReadingHeader,  // between messages (idle TTL applies)
@@ -78,38 +71,6 @@ struct Reactor::Connection {
   Nanos write_deadline = 0;  // abs ns; 0 = none (slow-reader bound)
 };
 
-/// One event loop: epoll fd + eventfd + timer wheel + the connections it
-/// owns. Only `inbox` is shared with other threads.
-struct Reactor::Shard {
-  explicit Shard(Nanos now) : wheel(now) {}
-
-  FileDescriptor epoll;
-  FileDescriptor wakefd;
-  TimerWheel wheel;
-  std::size_t index = 0;
-  bool owns_listener = false;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
-  std::thread thread;
-
-  struct Completion {
-    std::uint64_t id = 0;
-    std::uint64_t generation = 0;
-    std::vector<Bytes> reply;
-    bool close = false;
-  };
-  struct Incoming {
-    TcpStream stream;
-    std::uint64_t id = 0;
-  };
-  struct Inbox {
-    Mutex mutex;
-    std::vector<Completion> completions XS_GUARDED_BY(mutex);
-    std::vector<Incoming> incoming XS_GUARDED_BY(mutex);
-    bool stop XS_GUARDED_BY(mutex) = false;
-  };
-  Inbox inbox;
-};
-
 Result<std::unique_ptr<Reactor>> Reactor::start(TcpListener listener,
                                                 ProtocolFactory protocol_factory,
                                                 ShedEncoder encode_shed,
@@ -117,55 +78,43 @@ Result<std::unique_ptr<Reactor>> Reactor::start(TcpListener listener,
   if (!protocol_factory) {
     return invalid_argument("reactor needs a protocol factory");
   }
+  if (options.shards > 1) {
+    return invalid_argument(
+        "reactor runs one event loop: shards must be 0 or 1");
+  }
   XS_RETURN_IF_ERROR(listener.set_nonblocking(true));
   auto reactor = std::unique_ptr<Reactor>(
       new Reactor(std::move(listener), std::move(protocol_factory),
                   std::move(encode_shed), std::move(options)));
 
-  const Nanos now = wall_now();
-  const std::size_t shard_count = resolve_shards(reactor->options_.shards);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>(now);
-    shard->index = i;
-    shard->owns_listener = i == 0;
-    shard->epoll = FileDescriptor(::epoll_create1(EPOLL_CLOEXEC));
-    if (!shard->epoll.valid()) {
-      return unavailable(std::string("epoll_create1: ") + std::strerror(errno));
-    }
-    shard->wakefd = FileDescriptor(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
-    if (!shard->wakefd.valid()) {
-      return unavailable(std::string("eventfd: ") + std::strerror(errno));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeTag;
-    if (::epoll_ctl(shard->epoll.get(), EPOLL_CTL_ADD, shard->wakefd.get(),
-                    &ev) != 0) {
-      return unavailable(std::string("epoll_ctl(wake): ") +
-                         std::strerror(errno));
-    }
-    if (shard->owns_listener) {
-      epoll_event lev{};
-      lev.events = EPOLLIN;  // level-triggered: drain_accept reads to EAGAIN
-      lev.data.u64 = kListenerTag;
-      if (::epoll_ctl(shard->epoll.get(), EPOLL_CTL_ADD,
-                      reactor->listener_.native_fd(), &lev) != 0) {
-        return unavailable(std::string("epoll_ctl(listener): ") +
-                           std::strerror(errno));
-      }
-    }
-    reactor->shards_.push_back(std::move(shard));
+  reactor->epoll_ = FileDescriptor(::epoll_create1(EPOLL_CLOEXEC));
+  if (!reactor->epoll_.valid()) {
+    return unavailable(std::string("epoll_create1: ") + std::strerror(errno));
+  }
+  reactor->wakefd_ = FileDescriptor(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
+  if (!reactor->wakefd_.valid()) {
+    return unavailable(std::string("eventfd: ") + std::strerror(errno));
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeTag;
+  if (::epoll_ctl(reactor->epoll_.get(), EPOLL_CTL_ADD, reactor->wakefd_.get(),
+                  &ev) != 0) {
+    return unavailable(std::string("epoll_ctl(wake): ") + std::strerror(errno));
+  }
+  epoll_event lev{};
+  lev.events = EPOLLIN;  // level-triggered: drain_accept reads to EAGAIN
+  lev.data.u64 = kListenerTag;
+  if (::epoll_ctl(reactor->epoll_.get(), EPOLL_CTL_ADD,
+                  reactor->listener_.native_fd(), &lev) != 0) {
+    return unavailable(std::string("epoll_ctl(listener): ") +
+                       std::strerror(errno));
   }
 
   reactor->pool_ = std::make_unique<ThreadPool>(
       resolve_workers(reactor->options_.workers),
       std::max<std::size_t>(1, reactor->options_.dispatch_queue));
-  for (auto& shard : reactor->shards_) {
-    Shard* raw = shard.get();
-    shard->thread = std::thread([reactor = reactor.get(), raw] {
-      reactor->shard_loop(*raw);
-    });
-  }
+  reactor->loop_thread_ = std::thread([raw = reactor.get()] { raw->loop(); });
   return reactor;
 }
 
@@ -174,7 +123,8 @@ Reactor::Reactor(TcpListener listener, ProtocolFactory protocol_factory,
     : listener_(std::move(listener)),
       protocol_factory_(std::move(protocol_factory)),
       encode_shed_(std::move(encode_shed)),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      wheel_(wall_now()) {}
 
 Reactor::~Reactor() { stop(); }
 
@@ -184,35 +134,30 @@ void Reactor::stop() {
   stopped_ = true;
   stopping_.store(true, std::memory_order_release);
   listener_.close();
-  for (auto& shard : shards_) {
-    {
-      MutexLock inbox_lock(shard->inbox.mutex);
-      shard->inbox.stop = true;
-    }
-    wake(*shard);
+  {
+    MutexLock inbox_lock(inbox_mutex_);
+    inbox_stopped_ = true;
   }
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
+  wake();
+  if (loop_thread_.joinable()) loop_thread_.join();
   // In-flight jobs finish against their shared protocol objects; their
-  // completions are dropped at the (now stopping) inboxes.
+  // completions are dropped at the (now stopped) inbox.
   if (pool_) pool_->shutdown();
   // No thread can be inside the listener anymore: free the port.
   listener_.release();
 }
 
-void Reactor::wake(Shard& shard) {
+void Reactor::wake() {
   const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(shard.wakefd.get(), &one, sizeof one);
+  [[maybe_unused]] const ssize_t n = ::write(wakefd_.get(), &one, sizeof one);
 }
 
-void Reactor::shard_loop(Shard& shard) {
+void Reactor::loop() {
   std::vector<epoll_event> events(64);
   std::vector<TimerWheel::Entry> fired;
   for (;;) {
-    const int timeout = shard.wheel.poll_timeout_millis(wall_now());
-    const int n = ::epoll_wait(shard.epoll.get(), events.data(),
+    const int timeout = wheel_.poll_timeout_millis(wall_now());
+    const int n = ::epoll_wait(epoll_.get(), events.data(),
                                static_cast<int>(events.size()), timeout);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -224,57 +169,51 @@ void Reactor::shard_loop(Shard& shard) {
       if (ev.data.u64 == kWakeTag) {
         std::uint64_t drain = 0;
         [[maybe_unused]] const ssize_t r =
-            ::read(shard.wakefd.get(), &drain, sizeof drain);
+            ::read(wakefd_.get(), &drain, sizeof drain);
         bool stop_now = false;
-        std::vector<Shard::Completion> completions;
-        std::vector<Shard::Incoming> incoming;
+        std::vector<Completion> completions;
         {
-          MutexLock lock(shard.inbox.mutex);
-          stop_now = shard.inbox.stop;
-          completions.swap(shard.inbox.completions);
-          incoming.swap(shard.inbox.incoming);
-        }
-        for (auto& in : incoming) {
-          adopt_connection(shard, std::move(in.stream), in.id);
+          MutexLock lock(inbox_mutex_);
+          stop_now = inbox_stopped_;
+          completions.swap(completions_);
         }
         for (auto& c : completions) {
-          apply_completion(shard, c.id, c.generation, std::move(c.reply),
-                           c.close);
+          apply_completion(c.id, c.generation, std::move(c.reply), c.close);
         }
         if (stop_now) {
-          // Tear down every connection this shard owns and leave.
+          // Tear down every connection and leave.
           std::vector<std::uint64_t> ids;
-          ids.reserve(shard.conns.size());
-          for (const auto& [id, conn] : shard.conns) ids.push_back(id);
-          for (const std::uint64_t id : ids) destroy_connection(shard, id);
+          ids.reserve(conns_.size());
+          for (const auto& [id, conn] : conns_) ids.push_back(id);
+          for (const std::uint64_t id : ids) destroy_connection(id);
           return;
         }
         continue;
       }
       if (ev.data.u64 == kListenerTag) {
-        drain_accept(shard);
+        drain_accept();
         continue;
       }
       const std::uint64_t id = ev.data.u64;
       if ((ev.events & (EPOLLERR | EPOLLHUP)) != 0) {
         // Hard error: nothing more can be read or written.
-        destroy_connection(shard, id);
+        destroy_connection(id);
         continue;
       }
-      if ((ev.events & EPOLLOUT) != 0) on_writable(shard, id);
-      if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) on_readable(shard, id);
+      if ((ev.events & EPOLLOUT) != 0) on_writable(id);
+      if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) on_readable(id);
     }
 
     const Nanos now = wall_now();
     fired.clear();
-    shard.wheel.advance(now, fired);
-    for (const auto& entry : fired) on_timer(shard, entry.key, now);
+    wheel_.advance(now, fired);
+    for (const auto& entry : fired) on_timer(entry.key, now);
   }
 }
 
 // ---- accept path -----------------------------------------------------------
 
-void Reactor::drain_accept(Shard& shard) {
+void Reactor::drain_accept() {
   if (accept_paused_) return;
   for (;;) {
     if (stopping_.load(std::memory_order_relaxed)) return;
@@ -300,7 +239,7 @@ void Reactor::drain_accept(Shard& shard) {
       // backlog. Retrying immediately would spin on the same error, so
       // park the accept loop and let the timer wheel resume it.
       fd_exhausted_.inc();
-      pause_accept(shard);
+      pause_accept();
       return;
     }
 
@@ -322,43 +261,30 @@ void Reactor::drain_accept(Shard& shard) {
     }
 
     active_.add();
-    const std::uint64_t id =
-        next_id_.fetch_add(1, std::memory_order_relaxed);
-    Shard& target = *shards_[id % shards_.size()];
-    if (&target == &shard) {
-      adopt_connection(shard, std::move(stream), id);
-    } else {
-      {
-        MutexLock lock(target.inbox.mutex);
-        target.inbox.incoming.push_back(
-            Shard::Incoming{std::move(stream), id});
-      }
-      wake(target);
-    }
+    adopt_connection(std::move(stream));
   }
 }
 
-void Reactor::pause_accept(Shard& shard) {
+void Reactor::pause_accept() {
   if (accept_paused_) return;
   accept_paused_ = true;
-  (void)::epoll_ctl(shard.epoll.get(), EPOLL_CTL_DEL, listener_.native_fd(),
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, listener_.native_fd(),
                     nullptr);
-  shard.wheel.schedule(kListenerTag, wall_now() + kAcceptBackoff);
+  wheel_.schedule(kListenerTag, wall_now() + kAcceptBackoff);
 }
 
-void Reactor::resume_accept(Shard& shard) {
+void Reactor::resume_accept() {
   if (!accept_paused_) return;
   accept_paused_ = false;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenerTag;
-  (void)::epoll_ctl(shard.epoll.get(), EPOLL_CTL_ADD, listener_.native_fd(),
-                    &ev);
-  drain_accept(shard);
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, listener_.native_fd(), &ev);
+  drain_accept();
 }
 
-void Reactor::adopt_connection(Shard& shard, TcpStream stream,
-                               std::uint64_t id) {
+void Reactor::adopt_connection(TcpStream stream) {
+  const std::uint64_t id = next_id_++;
   auto conn = std::make_unique<Connection>();
   conn->stream = std::move(stream);
   conn->id = id;
@@ -368,43 +294,38 @@ void Reactor::adopt_connection(Shard& shard, TcpStream stream,
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
   ev.data.u64 = id;
-  if (::epoll_ctl(shard.epoll.get(), EPOLL_CTL_ADD, conn->stream.native_fd(),
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, conn->stream.native_fd(),
                   &ev) != 0) {
     active_.sub();
     reaped_.inc();
     return;
   }
-  Connection& ref = *conn;
-  shard.conns.emplace(id, std::move(conn));
   if (options_.idle_ttl > 0) {
-    schedule_conn_timer(shard, ref, ref.last_activity + options_.idle_ttl);
+    wheel_.schedule(id, conn->last_activity + options_.idle_ttl);
   }
+  conns_.emplace(id, std::move(conn));
   // Data may have arrived before the fd joined the epoll set; with
   // edge-triggered registration that edge is already behind us.
-  on_readable(shard, id);
+  on_readable(id);
 }
 
-void Reactor::destroy_connection(Shard& shard, std::uint64_t id) {
-  const auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;
+void Reactor::destroy_connection(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
   // If a worker still runs this connection's job it holds its own
   // shared_ptr to the protocol; the completion will miss the id and drop.
-  (void)::epoll_ctl(shard.epoll.get(), EPOLL_CTL_DEL,
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL,
                     it->second->stream.native_fd(), nullptr);
-  shard.conns.erase(it);
+  conns_.erase(it);
   active_.sub();
   reaped_.inc();
 }
 
-void Reactor::schedule_conn_timer(Shard& shard, Connection& conn, Nanos due) {
-  shard.wheel.schedule(conn.id, due);
-}
-
 // ---- read path -------------------------------------------------------------
 
-void Reactor::on_readable(Shard& shard, std::uint64_t id) {
-  auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;
+void Reactor::on_readable(std::uint64_t id) {
+  auto it = conns_.find(id);
+  if (it == conns_.end()) return;
   Connection* conn = it->second.get();
 
   // While a job is dispatched or a reply is draining we stop reading: the
@@ -428,7 +349,7 @@ void Reactor::on_readable(Shard& shard, std::uint64_t id) {
         std::span<std::uint8_t>(conn->rbuf.data() + old_size, chunk));
     if (!progress) {
       conn->rbuf.resize(old_size);
-      destroy_connection(shard, id);
+      destroy_connection(id);
       return;
     }
     conn->rbuf.resize(old_size + progress.value().bytes);
@@ -439,26 +360,26 @@ void Reactor::on_readable(Shard& shard, std::uint64_t id) {
       // dies once outstanding work and writes drain.
       conn->peer_eof = true;
       conn->pending_close = true;
-      process_input(shard, *conn);
+      process_input(*conn);
       // process_input may have destroyed the connection or dispatched.
-      const auto again = shard.conns.find(id);
-      if (again == shard.conns.end()) return;
+      const auto again = conns_.find(id);
+      if (again == conns_.end()) return;
       conn = again->second.get();
       if (conn->state != Connection::State::kDispatched &&
           conn->state != Connection::State::kWriting) {
-        destroy_connection(shard, id);
+        destroy_connection(id);
       }
       return;
     }
     conn->last_activity = wall_now();
-    process_input(shard, *conn);
-    const auto again = shard.conns.find(id);
-    if (again == shard.conns.end()) return;
+    process_input(*conn);
+    const auto again = conns_.find(id);
+    if (again == conns_.end()) return;
     conn = again->second.get();
   }
 }
 
-void Reactor::process_input(Shard& shard, Connection& conn) {
+void Reactor::process_input(Connection& conn) {
   const std::uint64_t id = conn.id;
   for (;;) {
     if (conn.state == Connection::State::kDispatched ||
@@ -493,7 +414,7 @@ void Reactor::process_input(Shard& shard, Connection& conn) {
       conn.state = Connection::State::kReadingBody;
       if (options_.io_budget > 0 && conn.body_deadline == 0) {
         conn.body_deadline = wall_now() + options_.io_budget;
-        schedule_conn_timer(shard, conn, conn.body_deadline);
+        wheel_.schedule(conn.id, conn.body_deadline);
       }
     } else {
       conn.state = Connection::State::kReadingHeader;
@@ -507,19 +428,19 @@ void Reactor::process_input(Shard& shard, Connection& conn) {
       chunks.push_back(std::move(action.reply));
       enqueue_reply(conn, std::move(chunks), /*close=*/false);
       conn.state = Connection::State::kWriting;
-      if (!flush_writes(shard, conn)) return;
-      if (shard.conns.find(id) == shard.conns.end()) return;
+      if (!flush_writes(conn)) return;
+      if (conns_.find(id) == conns_.end()) return;
       if (conn.state == Connection::State::kWriting) return;
     }
 
     if (action.dispatch) {
-      dispatch_job(shard, conn, std::move(action.job), action.deadline);
+      dispatch_job(conn, std::move(action.job), action.deadline);
       return;
     }
 
     if (conn.pending_close && conn.wqueue.empty() &&
         conn.state != Connection::State::kDispatched) {
-      destroy_connection(shard, id);
+      destroy_connection(id);
       return;
     }
 
@@ -529,7 +450,7 @@ void Reactor::process_input(Shard& shard, Connection& conn) {
 
 // ---- dispatch path ---------------------------------------------------------
 
-void Reactor::dispatch_job(Shard& shard, Connection& conn, Bytes job,
+void Reactor::dispatch_job(Connection& conn, Bytes job,
                            const Deadline& deadline) {
   conn.state = Connection::State::kDispatched;
   conn.body_deadline = 0;
@@ -539,12 +460,11 @@ void Reactor::dispatch_job(Shard& shard, Connection& conn, Bytes job,
                                  : Deadline();
   const std::uint64_t id = conn.id;
   auto protocol = conn.protocol;
-  Shard* shard_ptr = &shard;
   const bool queued = pool_->submit(
-      [this, shard_ptr, id, generation, protocol, job = std::move(job),
-       deadline, queue_deadline]() mutable {
-        run_dispatched(*shard_ptr, id, generation, protocol, std::move(job),
-                       deadline, queue_deadline);
+      [this, id, generation, protocol, job = std::move(job), deadline,
+       queue_deadline]() mutable {
+        run_dispatched(id, generation, protocol, std::move(job), deadline,
+                       queue_deadline);
       });
   if (!queued) {
     // Dispatch queue full: shed this request right here on the loop thread
@@ -552,12 +472,12 @@ void Reactor::dispatch_job(Shard& shard, Connection& conn, Bytes job,
     shed_.inc();
     auto result =
         conn.protocol->shed(overloaded("server busy: dispatch queue full"));
-    apply_completion(shard, id, generation, std::move(result.reply),
+    apply_completion(id, generation, std::move(result.reply),
                      result.close);
   }
 }
 
-void Reactor::run_dispatched(Shard& shard, std::uint64_t id,
+void Reactor::run_dispatched(std::uint64_t id,
                              std::uint64_t generation,
                              const std::shared_ptr<ConnectionProtocol>& protocol,
                              Bytes job, const Deadline& deadline,
@@ -581,25 +501,25 @@ void Reactor::run_dispatched(Shard& shard, std::uint64_t id,
     result = protocol->run_job(job, deadline);
   }
   {
-    MutexLock lock(shard.inbox.mutex);
-    if (shard.inbox.stop) return;
-    shard.inbox.completions.push_back(Shard::Completion{
-        id, generation, std::move(result.reply), result.close});
+    MutexLock lock(inbox_mutex_);
+    if (inbox_stopped_) return;
+    completions_.push_back(
+        Completion{id, generation, std::move(result.reply), result.close});
   }
-  wake(shard);
+  wake();
 }
 
-void Reactor::apply_completion(Shard& shard, std::uint64_t id,
+void Reactor::apply_completion(std::uint64_t id,
                                std::uint64_t generation,
                                std::vector<Bytes> reply, bool close) {
-  const auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;  // connection died while dispatched
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;  // connection died while dispatched
   Connection& conn = *it->second;
   if (conn.generation != generation) return;  // stale completion
   conn.state = Connection::State::kWriting;
   enqueue_reply(conn, std::move(reply), close);
-  if (!flush_writes(shard, conn)) return;
-  if (conn.state != Connection::State::kWriting) finish_request(shard, id);
+  if (!flush_writes(conn)) return;
+  if (conn.state != Connection::State::kWriting) finish_request(id);
 }
 
 // ---- write path ------------------------------------------------------------
@@ -612,7 +532,7 @@ void Reactor::enqueue_reply(Connection& conn, std::vector<Bytes> reply,
   if (close) conn.pending_close = true;
 }
 
-bool Reactor::flush_writes(Shard& shard, Connection& conn) {
+bool Reactor::flush_writes(Connection& conn) {
   const std::uint64_t id = conn.id;
   while (!conn.wqueue.empty()) {
     // Gather up to a write's worth of queued chunks into one syscall.
@@ -628,7 +548,7 @@ bool Reactor::flush_writes(Shard& shard, Connection& conn) {
     auto progress =
         conn.stream.write_some(std::span<const ConstBuffer>(buffers, count));
     if (!progress) {
-      destroy_connection(shard, id);
+      destroy_connection(id);
       return false;
     }
     if (progress.value().would_block) {
@@ -638,12 +558,12 @@ bool Reactor::flush_writes(Shard& shard, Connection& conn) {
         epoll_event ev{};
         ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
         ev.data.u64 = id;
-        (void)::epoll_ctl(shard.epoll.get(), EPOLL_CTL_MOD,
+        (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD,
                           conn.stream.native_fd(), &ev);
       }
       if (options_.io_budget > 0 && conn.write_deadline == 0) {
         conn.write_deadline = wall_now() + options_.io_budget;
-        schedule_conn_timer(shard, conn, conn.write_deadline);
+        wheel_.schedule(conn.id, conn.write_deadline);
       }
       conn.state = Connection::State::kWriting;
       return true;
@@ -679,42 +599,42 @@ bool Reactor::flush_writes(Shard& shard, Connection& conn) {
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
     ev.data.u64 = id;
-    (void)::epoll_ctl(shard.epoll.get(), EPOLL_CTL_MOD,
+    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD,
                       conn.stream.native_fd(), &ev);
   }
   if (conn.pending_close && conn.state != Connection::State::kDispatched) {
-    destroy_connection(shard, id);
+    destroy_connection(id);
     return false;
   }
   return true;
 }
 
-void Reactor::on_writable(Shard& shard, std::uint64_t id) {
-  const auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;
+void Reactor::on_writable(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
   Connection& conn = *it->second;
   if (conn.wqueue.empty()) return;
   const bool was_writing = conn.state == Connection::State::kWriting;
-  if (!flush_writes(shard, conn)) return;
+  if (!flush_writes(conn)) return;
   if (was_writing && conn.state == Connection::State::kReadingHeader) {
-    finish_request(shard, id);
+    finish_request(id);
   }
 }
 
-void Reactor::finish_request(Shard& shard, std::uint64_t id) {
-  const auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;
+void Reactor::finish_request(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
   Connection& conn = *it->second;
   conn.state = Connection::State::kReadingHeader;
   if (conn.peer_eof) {
     // Half-closed peer: serve whatever is still buffered, then go away.
-    process_input(shard, conn);
-    const auto again = shard.conns.find(id);
-    if (again == shard.conns.end()) return;
+    process_input(conn);
+    const auto again = conns_.find(id);
+    if (again == conns_.end()) return;
     Connection& after = *again->second;
     if (after.state != Connection::State::kDispatched &&
         after.state != Connection::State::kWriting) {
-      destroy_connection(shard, id);
+      destroy_connection(id);
     }
     return;
   }
@@ -722,20 +642,20 @@ void Reactor::finish_request(Shard& shard, std::uint64_t id) {
   // the request was in flight — parse first, then poll the socket for
   // anything that arrived meanwhile (edge-triggered events for it are
   // behind us).
-  process_input(shard, conn);
-  if (shard.conns.find(id) == shard.conns.end()) return;
-  on_readable(shard, id);
+  process_input(conn);
+  if (conns_.find(id) == conns_.end()) return;
+  on_readable(id);
 }
 
 // ---- timers ----------------------------------------------------------------
 
-void Reactor::on_timer(Shard& shard, std::uint64_t id, Nanos now) {
+void Reactor::on_timer(std::uint64_t id, Nanos now) {
   if (id == kListenerTag) {
-    resume_accept(shard);
+    resume_accept();
     return;
   }
-  const auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;  // timer outlived its connection
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;  // timer outlived its connection
   Connection& conn = *it->second;
 
   // Lazily validated deadlines: act on whichever is genuinely due, else
@@ -743,12 +663,12 @@ void Reactor::on_timer(Shard& shard, std::uint64_t id, Nanos now) {
   if (conn.body_deadline != 0 && now >= conn.body_deadline &&
       conn.state == Connection::State::kReadingBody) {
     // Slow writer: the peer started a message and never finished it.
-    destroy_connection(shard, id);
+    destroy_connection(id);
     return;
   }
   if (conn.write_deadline != 0 && now >= conn.write_deadline) {
     // Slow reader: the reply has not drained within the io budget.
-    destroy_connection(shard, id);
+    destroy_connection(id);
     return;
   }
   if (options_.idle_ttl > 0 &&
@@ -756,7 +676,7 @@ void Reactor::on_timer(Shard& shard, std::uint64_t id, Nanos now) {
       conn.wqueue.empty() && conn.rbuf.size() == conn.rpos &&
       now - conn.last_activity >= options_.idle_ttl) {
     idle_reaped_.inc();
-    destroy_connection(shard, id);
+    destroy_connection(id);
     return;
   }
 
@@ -767,7 +687,7 @@ void Reactor::on_timer(Shard& shard, std::uint64_t id, Nanos now) {
   consider(conn.body_deadline);
   consider(conn.write_deadline);
   if (options_.idle_ttl > 0) consider(conn.last_activity + options_.idle_ttl);
-  if (next > 0) schedule_conn_timer(shard, conn, next);
+  if (next > 0) wheel_.schedule(conn.id, next);
 }
 
 }  // namespace xsearch::net

@@ -1,23 +1,23 @@
-// Event-driven data plane: epoll readiness loops for the proxy frontends.
+// Event-driven data plane: one epoll readiness loop for the proxy frontends.
 //
 // `Reactor` replaces the thread-per-connection pool that served the paper's
-// proxy: N event-loop shards, each owning an epoll descriptor, a hashed
-// timer wheel (idle TTL, slow-writer/slow-reader budgets, accept backoff)
-// and an eventfd wakeup, drive per-connection state machines
+// proxy: one event-loop thread, owning an epoll descriptor, a hashed timer
+// wheel (idle TTL, slow-writer/slow-reader budgets, accept backoff) and an
+// eventfd wakeup, drives per-connection state machines
 //
 //     kReadingHeader → kReadingBody → kDispatched → kWriting
 //                 ↖______________________________________↙
 //
 // over nonblocking sockets with edge-triggered readiness and vectored
 // writes. A connection costs a buffer and a table entry instead of a parked
-// thread, which is what makes 10k–100k mostly-idle sessions feasible
-// (ROADMAP item 2; the userspace-middlebox motivation of MiddleNet/mmb).
+// thread, which is what makes 10k–100k mostly-idle sessions feasible (the
+// userspace-middlebox motivation of MiddleNet/mmb).
 //
 // Protocol logic lives behind `ConnectionProtocol`: the loop thread feeds
 // it buffered bytes (`on_input`, zero-copy — views into the recv buffer),
 // and complete requests are copied ONCE into a job and executed on a small
 // dispatch worker pool (`run_job`) so slow crypto or enclave work never
-// stalls a readiness loop. One request is in flight per connection at a
+// stalls the readiness loop. One request is in flight per connection at a
 // time, so a protocol object is only ever touched by one thread at a time
 // — the loop while reading/writing, one worker while dispatched — with the
 // dispatch queue's lock providing the hand-off ordering.
@@ -34,6 +34,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -44,6 +46,7 @@
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 #include "net/socket.hpp"
+#include "net/timer_wheel.hpp"
 
 namespace xsearch::net {
 
@@ -98,8 +101,8 @@ class ConnectionProtocol {
 /// Tuning of a Reactor — and of the frontends built on one (ProxyServer,
 /// HttpFrontend), which take this struct as is.
 struct ReactorOptions {
-  /// Event-loop shards (0 = 1). Each shard is one thread + one epoll fd;
-  /// connections are assigned round-robin at accept.
+  /// Event loops: 0 and 1 both mean the reactor's one loop; `start`
+  /// refuses anything larger with INVALID_ARGUMENT.
   std::size_t shards = 0;
   /// Dispatch workers executing run_job (0 = max(8, hw concurrency)).
   /// Workers are occupied per *request*, not per connection — idle
@@ -139,7 +142,7 @@ class Reactor {
   /// per-connection.
   using ShedEncoder = std::function<Bytes(const Status&)>;
 
-  /// Takes ownership of a bound listener and starts the shard loops.
+  /// Takes ownership of a bound listener and starts the event loop.
   /// `protocol_factory` is required; an empty `encode_shed` closes shed
   /// connections without a reply.
   [[nodiscard]] static Result<std::unique_ptr<Reactor>> start(
@@ -153,8 +156,8 @@ class Reactor {
 
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
 
-  /// Stops accepting, closes every connection, joins shard threads and the
-  /// dispatch pool. Idempotent; the listener port is immediately
+  /// Stops accepting, closes every connection, joins the loop thread and
+  /// the dispatch pool. Idempotent; the listener port is immediately
   /// rebindable afterwards.
   void stop();
 
@@ -164,57 +167,70 @@ class Reactor {
   [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
 
  private:
-  struct Shard;
   struct Connection;
+  /// A finished job, handed from a dispatch worker back to the loop.
+  struct Completion {
+    std::uint64_t id = 0;
+    std::uint64_t generation = 0;
+    std::vector<Bytes> reply;
+    bool close = false;
+  };
 
   Reactor(TcpListener listener, ProtocolFactory protocol_factory,
           ShedEncoder encode_shed, ReactorOptions options);
 
-  void shard_loop(Shard& shard);
-  void drain_accept(Shard& shard);
-  void pause_accept(Shard& shard);
-  void resume_accept(Shard& shard);
-  void adopt_connection(Shard& shard, TcpStream stream, std::uint64_t id);
+  void loop();
+  void drain_accept();
+  void pause_accept();
+  void resume_accept();
+  void adopt_connection(TcpStream stream);
   // Event handlers look connections up by id and re-validate after every
   // step that can destroy one.
-  void on_readable(Shard& shard, std::uint64_t id);
-  void on_writable(Shard& shard, std::uint64_t id);
-  void on_timer(Shard& shard, std::uint64_t id, Nanos now);
+  void on_readable(std::uint64_t id);
+  void on_writable(std::uint64_t id);
+  void on_timer(std::uint64_t id, Nanos now);
   /// Parses buffered input until it blocks, dispatches, or closes.
-  void process_input(Shard& shard, Connection& conn);
-  void dispatch_job(Shard& shard, Connection& conn, Bytes job,
-                    const Deadline& deadline);
-  void run_dispatched(Shard& shard, std::uint64_t id, std::uint64_t generation,
+  void process_input(Connection& conn);
+  void dispatch_job(Connection& conn, Bytes job, const Deadline& deadline);
+  void run_dispatched(std::uint64_t id, std::uint64_t generation,
                       const std::shared_ptr<ConnectionProtocol>& protocol,
                       Bytes job, const Deadline& deadline,
                       const Deadline& queue_deadline);
-  void apply_completion(Shard& shard, std::uint64_t id,
-                        std::uint64_t generation,
+  void apply_completion(std::uint64_t id, std::uint64_t generation,
                         std::vector<Bytes> reply, bool close);
   /// Flushes the write queue; arms EPOLLOUT on would-block. Returns false
   /// if the connection was destroyed.
-  [[nodiscard]] bool flush_writes(Shard& shard, Connection& conn);
+  [[nodiscard]] bool flush_writes(Connection& conn);
   /// Reply flushed: resume reading (possibly on already-buffered input).
-  void finish_request(Shard& shard, std::uint64_t id);
+  void finish_request(std::uint64_t id);
   void enqueue_reply(Connection& conn, std::vector<Bytes> reply, bool close);
-  void destroy_connection(Shard& shard, std::uint64_t id);
-  void schedule_conn_timer(Shard& shard, Connection& conn, Nanos due);
-  void wake(Shard& shard);
+  void destroy_connection(std::uint64_t id);
+  void wake();
 
   TcpListener listener_;
   const ProtocolFactory protocol_factory_;
   const ShedEncoder encode_shed_;
   const ReactorOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;
+  std::thread loop_thread_;
+
+  // The event loop's state: touched only by the loop thread once it runs.
+  FileDescriptor epoll_;
+  FileDescriptor wakefd_;
+  TimerWheel wheel_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  std::uint64_t next_id_ = 2;  // 0 = wake tag, 1 = listener tag
+  bool accept_paused_ = false;
+
+  // The one thing dispatch workers share with the loop.
+  Mutex inbox_mutex_;
+  std::vector<Completion> completions_ XS_GUARDED_BY(inbox_mutex_);
+  bool inbox_stopped_ XS_GUARDED_BY(inbox_mutex_) = false;
 
   std::atomic<bool> stopping_{false};
   Mutex stop_mutex_;
   bool stopped_ XS_GUARDED_BY(stop_mutex_) = false;
-  // Accept-side pacing state lives on shard 0's loop thread.
-  bool accept_paused_ = false;
 
-  std::atomic<std::uint64_t> next_id_{2};  // 0 = wake tag, 1 = listener tag
   metrics::Registry metrics_{"reactor"};
   metrics::Counter& accepted_ = metrics_.counter("accepted");
   metrics::Counter& reaped_ = metrics_.counter("reaped");

@@ -1,9 +1,9 @@
 // Hashed timer wheel for the reactor's deadline and idle-TTL bookkeeping.
 //
-// Each reactor shard owns one wheel and drives it from its event loop, so
-// the wheel is deliberately single-threaded: no locks, no atomics. Timers
-// are lazily validated — `schedule` never cancels and a key may have any
-// number of live entries; when an entry fires the shard checks the
+// The reactor owns one wheel and drives it from its event loop, so the
+// wheel is deliberately single-threaded: no locks, no atomics. Timers are
+// lazily validated — `schedule` never cancels and a key may have any
+// number of live entries; when an entry fires the reactor checks the
 // connection's *actual* deadlines and either acts or re-schedules. That
 // makes arming O(1) and keeps the hot path (a connection touching its
 // idle deadline on every frame) free of bookkeeping: activity just updates

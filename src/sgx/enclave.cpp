@@ -1,8 +1,8 @@
 #include "sgx/enclave.hpp"
 
-#include <cassert>
 #include <cstring>
 
+#include "common/check.hpp"
 #include "crypto/hmac.hpp"
 
 namespace xsearch::sgx {
@@ -14,7 +14,7 @@ constexpr std::uint32_t kSealNoncePrefix = 0x5345414c;  // "SEAL"
 
 EnclaveRuntime::EnclaveRuntime(Config config)
     : measurement_(crypto::Sha256::hash(config.code_identity)),
-      epc_(config.usable_epc_bytes) {
+      epc_(kDefaultUsableEpcBytes) {
   // Sealing key: HKDF(measurement) — the simulation analogue of the
   // MRENCLAVE-policy EGETKEY derivation. slice() keeps the key secret-typed
   // end to end (no raw staging buffer exists).
@@ -80,7 +80,8 @@ Bytes EnclaveRuntime::seal(ByteSpan plaintext) {
 }
 
 void EnclaveRuntime::seal_in_place(Bytes& record) {
-  assert(record.size() >= kSealHeaderBytes);
+  XS_CHECK(record.size() >= kSealHeaderBytes,
+           "record shorter than the seal header");
   const std::uint64_t counter = seal_counter_.fetch_add(1, std::memory_order_relaxed);
   const crypto::AeadNonce nonce = crypto::make_nonce(kSealNoncePrefix, counter);
   std::memcpy(record.data(), nonce.data(), nonce.size());

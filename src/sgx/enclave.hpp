@@ -55,7 +55,6 @@ class EnclaveRuntime {
   struct Config {
     /// Bytes measured as the enclave's code identity (MRENCLAVE input).
     Bytes code_identity;
-    std::size_t usable_epc_bytes = kDefaultUsableEpcBytes;
   };
 
   explicit EnclaveRuntime(Config config);
@@ -148,37 +147,6 @@ class EnclaveRuntime {
   metrics::Counter& ecall_count_ = metrics_.counter("ecalls");
   metrics::Counter& ocall_count_ = metrics_.counter("ocalls");
   std::atomic<std::uint64_t> seal_counter_{0};
-};
-
-/// STL-compatible allocator charging an EpcAccountant, so containers owned
-/// by enclave code are metered automatically.
-template <typename T>
-class EnclaveAllocator {
- public:
-  using value_type = T;
-
-  explicit EnclaveAllocator(EpcAccountant* epc) noexcept : epc_(epc) {}
-  template <typename U>
-  EnclaveAllocator(const EnclaveAllocator<U>& other) noexcept : epc_(other.epc()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    epc_->charge(n * sizeof(T));
-    return std::allocator<T>().allocate(n);
-  }
-
-  void deallocate(T* p, std::size_t n) noexcept {
-    epc_->release(n * sizeof(T));
-    std::allocator<T>().deallocate(p, n);
-  }
-
-  [[nodiscard]] EpcAccountant* epc() const noexcept { return epc_; }
-
-  friend bool operator==(const EnclaveAllocator& a, const EnclaveAllocator& b) {
-    return a.epc_ == b.epc_;
-  }
-
- private:
-  EpcAccountant* epc_;
 };
 
 }  // namespace xsearch::sgx

@@ -138,6 +138,12 @@ TEST(SecretBytes, SliceCutsASecretWithoutExposure) {
   EXPECT_FALSE(constant_time_equal(first, second));
 }
 
+TEST(SecretBytesDeathTest, SlicePastTheEndAbortsInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const SecretBytes okm{Bytes(64, 0x5a)};
+  EXPECT_DEATH((void)okm.slice<32>(33), "slice past the end of the secret");
+}
+
 TEST(SecretBytes, ConstantTimeEquality) {
   const SecretBytes a(Bytes(10, 7));
   const SecretBytes b(Bytes(10, 7));

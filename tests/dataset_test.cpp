@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <unordered_set>
 
 #include "dataset/query_log.hpp"
@@ -85,20 +84,6 @@ TEST(QueryLog, SplitHandlesTinyUsers) {
   const auto split = split_per_user(QueryLog({{1, 0, "only"}}), 2.0 / 3.0);
   EXPECT_EQ(split.train.size(), 0u);
   EXPECT_EQ(split.test.size(), 1u);
-}
-
-TEST(QueryLog, TsvRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "xs_test_log.tsv";
-  const QueryLog log = small_log();
-  ASSERT_TRUE(save_tsv(log, path).is_ok());
-  const auto loaded = load_tsv(path);
-  ASSERT_TRUE(loaded.is_ok());
-  EXPECT_EQ(loaded.value().records(), log.records());
-  std::filesystem::remove(path);
-}
-
-TEST(QueryLog, LoadMissingFileFails) {
-  EXPECT_FALSE(load_tsv("/nonexistent/path/queries.tsv").is_ok());
 }
 
 // ---- synthetic generator ----------------------------------------------------

@@ -122,9 +122,6 @@ TEST(WireBatch, OversizedAndEmptyBatchRejected) {
 TEST(ProxyFleet, RejectsDegenerateOptions) {
   sgx::AttestationAuthority authority(to_bytes("fleet-test-root"));
   EXPECT_FALSE(ProxyFleet::create(nullptr, authority, fleet_options(0)).is_ok());
-  ProxyFleet::Options no_nodes = fleet_options(2);
-  no_nodes.virtual_nodes = 0;
-  EXPECT_FALSE(ProxyFleet::create(nullptr, authority, no_nodes).is_ok());
 }
 
 TEST(ProxyFleet, SessionsFanOutAndStayPinned) {

@@ -1,7 +1,8 @@
-// Reactor data-plane tests (ISSUE 10 acceptance suite).
+// Reactor data-plane tests.
 //
-// Exercises the epoll event loops and per-connection state machines
+// Exercises the epoll event loop and per-connection state machines
 // directly, through a minimal frame-based echo protocol:
+//  * one loop — `shards` 0 and 1 serve, more is refused at start;
 //  * incremental zero-copy parsing — FrameCursor fed one byte at a time,
 //    and a live connection trickling a frame byte by byte;
 //  * the write path — a multi-hundred-KiB reply draining to a deliberately
@@ -503,6 +504,40 @@ TEST(ReactorTest, StopIsIdempotentAndFreesThePort) {
             server.reactor->metrics().value("reactor.reaped"));
 
   // The listener descriptor is released: the port rebinds immediately.
+  auto rebound = TcpListener::bind(port);
+  EXPECT_TRUE(rebound.is_ok()) << rebound.status().to_string();
+}
+
+TEST(ReactorTest, RunsOneLoopAndRefusesMoreAtStart) {
+  // 0 and 1 both mean the reactor's one event loop.
+  for (const std::size_t shards : {0u, 1u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ReactorOptions options;
+    options.shards = shards;
+    auto server = start_echo(std::move(options));
+    auto client = TcpStream::connect("127.0.0.1", server.reactor->port());
+    ASSERT_TRUE(client.is_ok());
+    ASSERT_TRUE(send_query(client.value(), "echo:one loop").is_ok());
+    auto reply = read_reply(client.value());
+    ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+    EXPECT_EQ(to_string(reply.value().payload), "one loop");
+    server.reactor->stop();
+  }
+
+  // More loops are refused up front, and the listener handed in is closed,
+  // not leaked: its port rebinds at once.
+  auto listener = TcpListener::bind(0);
+  ASSERT_TRUE(listener.is_ok());
+  const std::uint16_t port = listener.value().port();
+  ReactorOptions options;
+  options.shards = 2;
+  auto env = std::make_shared<EchoEnv>();
+  auto refused = Reactor::start(
+      std::move(listener).value(),
+      [env] { return std::make_unique<EchoProtocol>(env); }, encode_error_frame,
+      std::move(options));
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
   auto rebound = TcpListener::bind(port);
   EXPECT_TRUE(rebound.is_ok()) << rebound.status().to_string();
 }

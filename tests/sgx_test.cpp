@@ -228,6 +228,14 @@ TEST(Enclave, InPlaceSealAndUnsealMatchCopyingForms) {
   EXPECT_EQ(tampered, before);
 }
 
+TEST(EnclaveDeathTest, SealInPlaceOfAShortRecordAbortsInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EnclaveRuntime enclave(test_config());
+  Bytes record(EnclaveRuntime::kSealHeaderBytes - 1, 0);
+  EXPECT_DEATH(enclave.seal_in_place(record),
+               "record shorter than the seal header");
+}
+
 TEST(Enclave, SealedBlobsDifferAcrossCalls) {
   EnclaveRuntime enclave(test_config());
   EXPECT_NE(enclave.seal(to_bytes("x")), enclave.seal(to_bytes("x")));
@@ -257,16 +265,6 @@ TEST(Enclave, UnsealRejectsTampering) {
 TEST(Enclave, UnsealRejectsTruncation) {
   EnclaveRuntime enclave(test_config());
   EXPECT_FALSE(enclave.unseal(Bytes{1, 2, 3}).is_ok());
-}
-
-TEST(EnclaveAllocator, MetersVectors) {
-  EpcAccountant epc(1 << 20);
-  {
-    std::vector<int, EnclaveAllocator<int>> v{EnclaveAllocator<int>(&epc)};
-    v.reserve(1000);
-    EXPECT_GE(epc.in_use(), 1000 * sizeof(int));
-  }
-  EXPECT_EQ(epc.in_use(), 0u);
 }
 
 // ---- Attestation --------------------------------------------------------------
