@@ -34,7 +34,6 @@ int main() {
       core::XSearchProxy::Options options;
       options.k = k;
       options.history_capacity = 100'000;
-      options.contact_engine = false;
       core::XSearchProxy proxy(nullptr, authority, options);
       net::RemoteBroker broker(net::in_process_connector(proxy), authority,
                                proxy.measurement(), 1);

@@ -7,14 +7,15 @@
 // queries, with the proxies replying immediately (no live engine).
 //
 // One table, one runner. Each entry of `kScenarios` names where the proxy
-// runs (an in-process mechanism by registry name, one proxy behind a
+// runs (an in-process mechanism by api::make_client name, one proxy behind a
 // ProxyServer, or an N-worker ProxyFleet behind one, optionally supervised),
 // how load arrives (an open-loop rate grid, loadgen::run_open_loop, or C
 // closed-loop clients, loadgen::run_closed_loop), its sweep axes (rates,
 // held sessions, fleet workers × batch size), named phases with an action
 // run before each (kill a worker, degrade the engine), and the extra fields
-// only it reports. A name not in the table runs as a registered mechanism
-// on the generic open-loop grid, so a sixth mechanism is benchable by name.
+// only it reports. A name not in the table runs as an api::make_client
+// mechanism on the generic open-loop grid, so a sixth mechanism is
+// benchable by name.
 //
 // Every client is a spawn_sibling of one api::ClientPtr (make_client
 // in-process, make_remote_client against the scenario's ProxyServer) and
@@ -187,9 +188,10 @@ struct Scenario {
   /// The JSON `system` value and the command-line name.
   std::string name;
   Topology topology = Topology::kMechanism;
-  /// kMechanism: registry name (empty = `name`).
+  /// kMechanism: api::make_client name (empty = `name`).
   std::string mechanism;
-  /// kFleet: a FleetSupervisor probes the workers and respawns dead ones.
+  /// kFleet: a FleetSupervisor probes the workers every 5 ms and respawns
+  /// one after two failed heartbeats.
   bool supervised = false;
   /// Proxies contact the testbed engine instead of replying immediately.
   bool live_engine = false;
@@ -237,7 +239,6 @@ std::unique_ptr<Deployment> deploy(const Scenario& s, const bench::Testbed& bed,
                                    std::size_t workers, std::size_t held) {
   auto d = std::make_unique<Deployment>();
   api::ClientConfig config;
-  config.contact_engine = s.live_engine;
   config.k = 3;
   config.top_k = 20;
   config.history_capacity = 100'000;
@@ -279,7 +280,8 @@ std::unique_ptr<Deployment> deploy(const Scenario& s, const bench::Testbed& bed,
     d->server = std::move(server).value();
     if (s.supervised) {
       d->supervisor = std::make_unique<net::FleetSupervisor>(
-          *d->fleet, api::supervisor_options(config));
+          *d->fleet, net::FleetSupervisor::Options{.probe_interval = 5 * kMilli,
+                                                   .failure_threshold = 2});
     }
     d->client = api::make_remote_client("127.0.0.1", d->server->port(),
                                         d->authority, handler->measurement(),
@@ -445,10 +447,8 @@ Scenario recovery(bool warm) {
                          }},
                         {"post-recovery", {}}},
              .labels = {text("mode", warm ? "warm" : "cold")}};
-  s.configure = [warm](Deployment& d, api::ClientConfig& config,
+  s.configure = [warm](Deployment& d, api::ClientConfig&,
                        core::XSearchProxy::Options& proxy) {
-    config.recovery.probe_interval = 5 * kMilli;
-    config.recovery.failure_threshold = 2;
     if (!warm) return;
     d.checkpoints.path = std::filesystem::temp_directory_path() /
                          ("fig5_recovery_" + std::to_string(::getpid()));
@@ -493,11 +493,11 @@ Scenario degraded() {
                         {"recovered", set_fault(false)}}};
   s.configure = [](Deployment& d, api::ClientConfig& config,
                    core::XSearchProxy::Options& proxy) {
-    config.robustness = {.request_budget = 500 * kMilli,
-                         .connect_budget = kSecond,
-                         .retry_attempts = 2,
-                         .retry_initial_backoff = kMilli,
-                         .retry_max_backoff = 10 * kMilli};
+    config.broker = {.request_budget = 500 * kMilli,
+                     .connect_budget = kSecond,
+                     .retry = {.max_attempts = 2,
+                               .initial_backoff = kMilli,
+                               .max_backoff = 10 * kMilli}};
     net::FaultPlan::Options plan;
     plan.seed = 42;
     plan.fault_ops = 1'000'000;  // never exhausts inside the window

@@ -467,12 +467,15 @@ int main(int argc, char** argv) {
   // ---- frame parse: blocking copy path vs zero-copy cursor ----------------
   //
   // The same 512-byte kQuery frame, decoded two ways. parse_copy is the
-  // historical read_frame() shape: one read_exact per wire field, each
-  // allocating and copying (served here from an in-memory replay stream, so
-  // the delta is pure decode cost — no syscalls on either side). parse_cursor
-  // is the reactor's FrameCursor over an already-buffered wire image: header
-  // fields are decoded in place and the payload comes back as a span into
-  // the buffer, zero allocations per frame.
+  // blocking read_frame(), a shim over FrameCursor: three read_exact calls
+  // (length word, budget word, then type byte and payload together), each
+  // answered with a fresh allocation that is appended to a growing buffer,
+  // and a final copy of the payload out of it (served here from an
+  // in-memory replay stream, so the delta is pure decode cost — no syscalls
+  // on either side). parse_cursor is the reactor's FrameCursor over an
+  // already-buffered wire image: header fields are decoded in place and the
+  // payload comes back as a span into the buffer, zero allocations per
+  // frame.
   {
     const Bytes payload(512, 0x5a);
     auto header = net::encode_frame_header(net::FrameType::kQuery, payload.size());

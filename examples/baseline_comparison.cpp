@@ -1,15 +1,15 @@
 // Baseline comparison: the same query through every system.
 //
-// Runs one query through every mechanism registered in the
-// MechanismRegistry — Direct, TrackMeNot, Tor, PEAS and X-Search — against
-// the same simulated engine, and prints (a) what the search engine observes
-// in each case, (b) what the user gets back, and (c) the mechanism's
-// self-reported privacy properties — a compact demonstration of the
+// Runs one query through every built-in mechanism of api::make_client —
+// Direct, TrackMeNot, Tor, PEAS and X-Search — against the same simulated
+// engine, and prints (a) what the search engine observes in each case,
+// (b) what the user gets back, and (c) the mechanism's self-reported
+// privacy properties — a compact demonstration of the
 // privacy/functionality trade-off the paper's §2 taxonomy describes.
 //
 // No mechanism-specific code: each client is built by name through the
-// unified API, so a sixth registered mechanism would appear here
-// automatically.
+// unified API, so a sixth mechanism (one more row in the mechanism table)
+// would appear here automatically.
 //
 // Run: ./build/examples/baseline_comparison
 #include <cstdio>
@@ -67,7 +67,7 @@ int main() {
   backend.fake_source = &log;
 
   std::uint64_t seed = 1;
-  for (const auto& name : api::MechanismRegistry::instance().mechanism_names()) {
+  for (const auto& name : api::mechanism_names()) {
     api::ClientConfig config;
     config.k = 3;
     config.top_k = 20;

@@ -7,7 +7,8 @@
 // PrivateSearchClient surface as every in-process mechanism.
 //
 // The second act is kill-and-recover: a 2-worker ProxyFleet with sealed
-// checkpointing (api::RecoveryConfig) under a FleetSupervisor. One worker's
+// checkpointing (api::RecoveryConfig) under a net::FleetSupervisor that
+// probes every 5 ms and respawns after two failed heartbeats. One worker's
 // enclave is crashed mid-session; the supervisor's heartbeat probes notice,
 // drain its ring arc and respawn it — and the replacement restores the
 // crashed worker's decoy table from its sealed checkpoint, so the restart
@@ -98,8 +99,6 @@ int main() {
   fleet_config.seed = 7;
   fleet_config.recovery.checkpoint_dir = checkpoint_dir.string();
   fleet_config.recovery.checkpoint_interval_queries = 32;
-  fleet_config.recovery.probe_interval = 5 * kMilli;
-  fleet_config.recovery.failure_threshold = 2;
 
   auto fleet = net::ProxyFleet::create(
       &search_engine, intel,
@@ -114,8 +113,10 @@ int main() {
                  fleet_server.status().to_string().c_str());
     return 1;
   }
-  net::FleetSupervisor supervisor(*fleet.value(),
-                                  api::supervisor_options(fleet_config));
+  net::FleetSupervisor supervisor(
+      *fleet.value(),
+      net::FleetSupervisor::Options{.probe_interval = 5 * kMilli,
+                                    .failure_threshold = 2});
 
   api::ClientConfig carol_config = fleet_config;
   carol_config.seed = 3;

@@ -2,8 +2,8 @@
 // private web search.
 //
 //   1. build a synthetic query log and a search engine over a matching corpus;
-//   2. ask the MechanismRegistry for an "xsearch" client — behind the one
-//      call, a proxy boots inside a (simulated) SGX enclave;
+//   2. ask api::make_client for an "xsearch" client — behind the one call,
+//      a proxy boots inside a (simulated) SGX enclave;
 //   3. connect — the client broker attests the enclave and opens the secure
 //      channel;
 //   4. search — the engine only ever sees an obfuscated OR query, and the

@@ -9,7 +9,7 @@
 // issuer, same enclave proxy), which is exactly the multi-client
 // deployment the paper load-tests in Figure 5.
 #include <algorithm>
-#include <cassert>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -344,7 +344,7 @@ class XSearchAdapter final : public PrivateSearchClient {
     if (!broker_.has_value()) {
       broker_.emplace(endpoint_->connect, *endpoint_->authority,
                       endpoint_->measurement, config().seed,
-                      remote_broker_options(config()));
+                      config().broker);
     }
     return broker_->connect();
   }
@@ -445,6 +445,19 @@ Result<ClientPtr> make_xsearch(const Backend& backend, const ClientConfig& confi
   return ClientPtr(std::make_unique<XSearchAdapter>(config, std::move(endpoint)));
 }
 
+// The built-in mechanisms, one row each: a sixth mechanism is one more row.
+struct Mechanism {
+  std::string_view name;
+  Result<ClientPtr> (*make)(const Backend&, const ClientConfig&);
+};
+constexpr Mechanism kMechanisms[] = {
+    {"direct", make_direct},
+    {"tmn", make_tmn},
+    {"tor", make_tor},
+    {"peas", make_peas},
+    {"xsearch", make_xsearch},
+};
+
 }  // namespace
 
 ClientPtr make_remote_client(std::string host, std::uint16_t port,
@@ -465,40 +478,26 @@ core::XSearchProxy::Options xsearch_proxy_options(const ClientConfig& config) {
   options.history_capacity = config.history_capacity;
   options.results_per_subquery = static_cast<std::uint32_t>(config.top_k);
   options.seed = config.seed ^ 0x5eed;
-  options.contact_engine = config.contact_engine;
   options.session_capacity = config.session_capacity;
   options.checkpoint_dir = config.recovery.checkpoint_dir;
   options.checkpoint_interval_queries = config.recovery.checkpoint_interval_queries;
   return options;
 }
 
-net::FleetSupervisor::Options supervisor_options(const ClientConfig& config) {
-  net::FleetSupervisor::Options options;
-  options.probe_interval = config.recovery.probe_interval;
-  options.failure_threshold = config.recovery.failure_threshold;
-  return options;
+Result<ClientPtr> make_client(std::string_view mechanism, const Backend& backend,
+                              const ClientConfig& config) {
+  for (const Mechanism& row : kMechanisms) {
+    if (row.name == mechanism) return row.make(backend, config);
+  }
+  return not_found("unknown mechanism: " + std::string(mechanism));
 }
 
-net::RemoteBroker::Options remote_broker_options(const ClientConfig& config) {
-  net::RemoteBroker::Options options;
-  options.request_budget = config.robustness.request_budget;
-  options.connect_budget = config.robustness.connect_budget;
-  options.retry.max_attempts = config.robustness.retry_attempts;
-  options.retry.initial_backoff = config.robustness.retry_initial_backoff;
-  options.retry.max_backoff = config.robustness.retry_max_backoff;
-  return options;
-}
-
-void register_builtin_mechanisms(MechanismRegistry& registry) {
-  const auto must = [](Status status) {
-    (void)status;
-    assert(status.is_ok());
-  };
-  must(registry.register_mechanism("direct", make_direct));
-  must(registry.register_mechanism("tmn", make_tmn));
-  must(registry.register_mechanism("tor", make_tor));
-  must(registry.register_mechanism("peas", make_peas));
-  must(registry.register_mechanism("xsearch", make_xsearch));
+std::vector<std::string> mechanism_names() {
+  std::vector<std::string> names;
+  names.reserve(std::size(kMechanisms));
+  for (const Mechanism& row : kMechanisms) names.emplace_back(row.name);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace xsearch::api

@@ -16,11 +16,11 @@
 #include <string_view>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "engine/document.hpp"
+#include "net/remote_broker.hpp"
 
 namespace xsearch::api {
 
@@ -29,37 +29,13 @@ namespace xsearch::api {
 /// `checkpoint_dir` set, the proxy (or each fleet worker, under its own
 /// subdirectory) periodically seals its query history to disk and restores
 /// it on restart — a warm restart instead of the cold-start obfuscation
-/// window a crash otherwise opens. The supervisor knobs drive
-/// net::FleetSupervisor for fleet deployments.
+/// window a crash otherwise opens. A fleet deployment that also wants
+/// automatic respawns builds its own net::FleetSupervisor.
 struct RecoveryConfig {
   /// Directory for sealed history checkpoints (empty = checkpointing off).
   std::string checkpoint_dir;
   /// Queries between periodic checkpoints (0 = explicit/drain-time only).
   std::uint64_t checkpoint_interval_queries = 256;
-  /// Supervisor pause between heartbeat sweeps over the fleet.
-  Nanos probe_interval = 20 * kMilli;
-  /// Consecutive heartbeat failures before a worker is auto-respawned.
-  std::uint32_t failure_threshold = 3;
-};
-
-/// End-to-end robustness knobs for the X-Search client broker: request
-/// deadlines and budgeted retries with backoff. All default to the
-/// historical behavior (no deadline, retry exactly once; the broker's
-/// client-side breaker stays off). The in-process and the remote X-Search
-/// clients run the same broker and honour every knob; the other
-/// mechanisms ignore them.
-struct RobustnessConfig {
-  /// End-to-end budget per search/batch call, covering every attempt,
-  /// backoff pause and socket operation; also carried on the wire so the
-  /// server sheds work it cannot finish in time. 0 = unbounded.
-  Nanos request_budget = 0;
-  /// Budget for TCP connect + attested handshake (0 = unbounded).
-  Nanos connect_budget = 0;
-  /// Total attempts per call, including the first (1 = never retry).
-  std::uint32_t retry_attempts = 2;
-  /// Backoff curve between attempts (capped decorrelated jitter).
-  Nanos retry_initial_backoff = kMilli;
-  Nanos retry_max_backoff = 50 * kMilli;
 };
 
 /// Mechanism-agnostic client configuration. Every knob that several
@@ -77,19 +53,20 @@ struct ClientConfig {
   /// Client identity as seen by identity-observing components (PEAS
   /// receiver; also used to diversify siblings).
   std::uint32_t client_id = 0;
-  /// When false, mechanisms reply without contacting the engine — the
-  /// saturation configuration of the Figure 5 bench (§6.3).
-  bool contact_engine = true;
   /// Sliding-window size of the X-Search in-enclave history table.
   std::size_t history_capacity = 100'000;
   /// Bound on live X-Search client sessions held in enclave memory; the
   /// least recently used session beyond it is evicted and its client must
   /// re-handshake (the client broker does so transparently).
   std::size_t session_capacity = 4096;
-  /// Crash-recovery configuration (checkpointing + fleet supervision).
+  /// Crash-recovery configuration (sealed history checkpoints).
   RecoveryConfig recovery;
-  /// Deadlines and retries (X-Search client broker).
-  RobustnessConfig robustness;
+  /// Deadlines, budgeted retries and the optional client-side breaker of
+  /// the X-Search client broker, handed to every broker as is (defaults:
+  /// no deadline, two attempts, 1 ms → 50 ms backoff, no breaker). The
+  /// in-process and the remote X-Search clients honour all of it; the
+  /// other mechanisms ignore it.
+  net::RemoteBrokerOptions broker;
 };
 
 /// What a mechanism exposes to whom — the §2 taxonomy, made introspectable.

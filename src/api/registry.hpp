@@ -4,19 +4,15 @@
 // mechanism-agnostic config into a ready `PrivateSearchClient`, so a bench
 // or example covers every mechanism × workload combination with a one-line
 // config change and zero concrete mechanism headers. The five paper
-// mechanisms self-register; out-of-tree mechanisms join through
-// `MechanismRegistry::register_mechanism` (see ARCHITECTURE.md for the
-// "sixth mechanism" recipe).
+// mechanisms are the rows of one fixed table in adapters.cpp; a sixth
+// mechanism is one more row (see ARCHITECTURE.md for the recipe).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/client.hpp"
-#include "common/mutex.hpp"
 #include "dataset/query_log.hpp"
 #include "engine/search_engine.hpp"
 
@@ -25,42 +21,22 @@ namespace xsearch::api {
 /// The shared world a client is built against. Everything mechanism-side
 /// (proxies, relays, enclaves, key material) is owned by the client itself.
 struct Backend {
-  /// The search engine to query. May be null only when
-  /// `ClientConfig::contact_engine` is false (saturation benches).
+  /// The search engine to query. Null is the saturation configuration of
+  /// the Figure 5 bench (§6.3): every mechanism answers without contacting
+  /// an engine.
   const engine::SearchEngine* engine = nullptr;
   /// Past-query log used by mechanisms that synthesize fake queries from
   /// user history (PEAS co-occurrence walks). Required by "peas".
   const dataset::QueryLog* fake_source = nullptr;
 };
 
-class MechanismRegistry {
- public:
-  using Factory =
-      std::function<Result<ClientPtr>(const Backend&, const ClientConfig&)>;
-
-  /// The process-wide registry, with the five built-in mechanisms
-  /// ("direct", "tmn", "tor", "peas", "xsearch") already registered.
-  [[nodiscard]] static MechanismRegistry& instance();
-
-  /// Registers a mechanism; duplicate names are rejected.
-  [[nodiscard]] Status register_mechanism(std::string name, Factory factory);
-
-  /// Builds a client for a registered mechanism name.
-  [[nodiscard]] Result<ClientPtr> make_client(std::string_view name,
-                                              const Backend& backend,
-                                              const ClientConfig& config) const;
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> mechanism_names() const;
-
- private:
-  mutable Mutex mutex_;
-  std::map<std::string, Factory, std::less<>> factories_ XS_GUARDED_BY(mutex_);
-};
-
-/// Convenience: `MechanismRegistry::instance().make_client(...)`.
+/// Builds a client for one of the built-in mechanisms ("direct", "tmn",
+/// "tor", "peas", "xsearch"); NOT_FOUND for any other name.
 [[nodiscard]] Result<ClientPtr> make_client(std::string_view mechanism,
                                             const Backend& backend,
                                             const ClientConfig& config = {});
+
+/// The built-in mechanism names, sorted.
+[[nodiscard]] std::vector<std::string> mechanism_names();
 
 }  // namespace xsearch::api

@@ -1,7 +1,8 @@
 #include "crypto/hmac.hpp"
 
-#include <cassert>
 #include <cstring>
+
+#include "common/check.hpp"
 
 namespace xsearch::crypto {
 
@@ -44,7 +45,10 @@ Sha256Digest hmac_sha256(ByteSpan key, ByteSpan data) {
 Sha256Digest hkdf_extract(ByteSpan salt, ByteSpan ikm) { return hmac_sha256(salt, ikm); }
 
 SecretBytes hkdf_expand(ByteSpan prk, ByteSpan info, std::size_t length) {
-  assert(length <= 255 * kSha256DigestSize);
+  // RFC 5869's bound: past 255 blocks the one-byte counter wraps to 0 and
+  // the output is no longer HKDF.
+  XS_CHECK(length <= 255 * kSha256DigestSize,
+           "HKDF-Expand length exceeds 255 * HashLen");
   Bytes okm;
   // Reserved up front so the SecretBytes adoption below owns the only
   // allocation the key material ever touched (no realloc leaves a copy).

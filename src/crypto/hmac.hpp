@@ -17,8 +17,9 @@ namespace xsearch::crypto {
 /// HKDF-Extract: PRK = HMAC(salt, ikm).
 [[nodiscard]] Sha256Digest hkdf_extract(ByteSpan salt, ByteSpan ikm);
 
-/// HKDF-Expand: derives `length` bytes (<= 255*32) from a PRK and context
-/// string `info`. The output is keying material by definition, so it comes
+/// HKDF-Expand: derives `length` bytes from a PRK and context string
+/// `info`. `length` must be at most 255*32 (RFC 5869), checked in every
+/// build. The output is keying material by definition, so it comes
 /// back as SecretBytes (zeroized, sliceable into fixed-size keys).
 [[nodiscard]] SecretBytes hkdf_expand(ByteSpan prk, ByteSpan info, std::size_t length);
 

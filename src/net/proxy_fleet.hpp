@@ -77,9 +77,9 @@ class ProxyFleet : public core::ProxyHandler {
     core::XSearchProxy::Options proxy;
   };
 
-  /// Builds `options.workers` proxies over the shared `engine` (which may
-  /// be null when `options.proxy.contact_engine` is false) and `authority`;
-  /// both must outlive the fleet. Every worker runs the same enclave code,
+  /// Builds `options.workers` proxies over the shared `engine` (null for
+  /// the engine-less saturation mode) and `authority`; both must outlive
+  /// the fleet. Every worker runs the same enclave code,
   /// so clients pin the one shared measurement.
   [[nodiscard]] static Result<std::unique_ptr<ProxyFleet>> create(
       const engine::SearchEngine* engine,

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/check.hpp"
 #include "crypto/envelope.hpp"
 #include "engine/analytics.hpp"
 #include "xsearch/checkpoint.hpp"
@@ -87,10 +86,6 @@ Result<std::unique_ptr<XSearchProxy>> XSearchProxy::create_checked(
     return invalid_argument("options.session_capacity must be >= 1: the "
                             "proxy could never hold a client session");
   }
-  if (engine == nullptr && gateway == nullptr && options.contact_engine) {
-    return failed_precondition(
-        "an engine is required unless contact_engine is disabled");
-  }
   auto proxy = std::unique_ptr<XSearchProxy>(
       new XSearchProxy(engine, gateway, authority, std::move(options)));
   XS_RETURN_IF_ERROR(proxy->init_status_);
@@ -119,9 +114,8 @@ XSearchProxy::XSearchProxy(const engine::SearchEngine* engine,
       engine_link_key_(gateway != nullptr
                            ? std::optional(gateway->public_key())
                            : std::nullopt),
+      has_engine_link_(engine != nullptr || gateway != nullptr),
       secure_rng_(crypto::domain_seed(options_.seed, /*tag=*/0x42)) {
-  XS_CHECK(engine_ != nullptr || gateway_ != nullptr || !options_.contact_engine,
-           "engine required unless contact_engine is disabled");
   init_status_ = install_boundary();
 }
 
@@ -222,10 +216,6 @@ Status XSearchProxy::install_boundary() {
     } else {
       auto request = wire::parse_engine_request(body);
       if (!request) return request.status();
-      if (engine_ == nullptr) {
-        if (engine_breaker_ != nullptr) engine_breaker_->record_failure();
-        return unavailable("no engine connected");
-      }
       response = engine_->search_or_encoded(request.value().sub_queries,
                                             request.value().top_k_each);
     }
@@ -493,7 +483,7 @@ Status XSearchProxy::run_trusted_query(const std::string& query,
   ObfuscatedQuery obfuscated = obfuscator_->obfuscate(query, session.rng());
   queries_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
 
-  if (!options_.contact_engine) {
+  if (!has_engine_link_) {
     wire::put_results_item(reply, {}, {}, crypto::kAeadTagSize);
     return Status::ok();
   }

@@ -103,10 +103,6 @@ class XSearchProxy : public ProxyHandler {
     std::uint32_t results_per_subquery = 20;
     /// Deterministic seed for enclave-private randomness.
     std::uint64_t seed = 0x5eed;
-    /// When false the proxy replies immediately after obfuscation without
-    /// contacting the engine — the configuration used for the saturation
-    /// measurements of Figure 5 (§6.3).
-    bool contact_engine = true;
     /// Maximum live client sessions the enclave keeps; the least recently
     /// used session is evicted beyond it (its client must re-handshake).
     /// Bounds the EPC held by per-session channel state.
@@ -146,8 +142,10 @@ class XSearchProxy : public ProxyHandler {
   /// Validating factory: surfaces a bad configuration as a Status instead of
   /// constructing a proxy that silently misbehaves — `k == 0` (no
   /// obfuscation), an empty history window, a zero per-sub-query fetch
-  /// size, a zero session capacity, or a null engine while
-  /// `contact_engine` is set. Prefer this over the raw constructors.
+  /// size or a zero session capacity. Prefer this over the raw
+  /// constructors. A null `engine` is the saturation configuration of
+  /// Figure 5 (§6.3): the proxy replies right after obfuscation, without
+  /// contacting any engine.
   [[nodiscard]] static Result<std::unique_ptr<XSearchProxy>> create(
       const engine::SearchEngine* engine,
       const sgx::AttestationAuthority& authority, Options options);
@@ -158,9 +156,9 @@ class XSearchProxy : public ProxyHandler {
       const SecureEngineGateway& gateway,
       const sgx::AttestationAuthority& authority, Options options);
 
-  /// Unvalidated construction; `engine` may be null only when
-  /// `options.contact_engine` is false. Tests use this to build
-  /// deliberately degenerate proxies — production callers use `create`.
+  /// Unvalidated construction; a null `engine` means saturation mode, as
+  /// for `create`. Tests use this to build deliberately degenerate
+  /// proxies — production callers use `create`.
   XSearchProxy(const engine::SearchEngine* engine,
                const sgx::AttestationAuthority& authority, Options options);
 
@@ -266,8 +264,9 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] static Bytes code_identity();
 
  private:
-  /// The one constructor body: exactly one of `engine` (plain link, may be
-  /// null without `contact_engine`) and `gateway` (encrypted link) is used.
+  /// The one constructor body: at most one of `engine` (plain link) and
+  /// `gateway` (encrypted link) is non-null; with neither, the proxy has no
+  /// engine link and runs in saturation mode.
   XSearchProxy(const engine::SearchEngine* engine,
                const SecureEngineGateway* gateway,
                const sgx::AttestationAuthority& authority, Options options);
@@ -330,6 +329,10 @@ class XSearchProxy : public ProxyHandler {
   // footnote 2): query_engine seals every request to it and never reads
   // the host's gateway object. Absent = plain link.
   const std::optional<crypto::X25519Key> engine_link_key_;
+  // Whether the proxy was built with an engine link (an engine or a
+  // gateway), fixed at construction. Without one, each query is answered
+  // right after obfuscation: the saturation mode of Figure 5 (§6.3).
+  const bool has_engine_link_;
   crypto::X25519KeyPair static_keys_{};
   sgx::Quote channel_quote_;  // over static_keys_.public_key
   std::unique_ptr<QueryHistory> history_;

@@ -1,13 +1,13 @@
 // The unified-API contract, asserted identically across all five
 // mechanisms: session lifecycle, sync search, siblings searching in
 // parallel, introspection, and error paths. Value-parameterized on the
-// registered mechanism name, so a sixth mechanism joins the suite by adding
-// its name.
+// mechanism name, so a sixth mechanism joins the suite by adding its name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -169,9 +169,8 @@ TEST_P(ApiClientTest, SiblingsSearchConcurrently) {
 }
 
 TEST_P(ApiClientTest, SaturationModeAnswersWithoutAnEngine) {
-  ClientConfig config = small_config();
-  config.contact_engine = false;
-  Backend backend;  // no engine at all
+  const ClientConfig config = small_config();
+  Backend backend;  // no engine at all: the saturation configuration
   backend.fake_source = &World::instance().log();
   auto client = make_client(GetParam(), backend, config);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
@@ -208,20 +207,13 @@ TEST(ApiRegistryTest, UnknownMechanismIsNotFound) {
 }
 
 TEST(ApiRegistryTest, ListsAllBuiltinMechanisms) {
-  const auto names = MechanismRegistry::instance().mechanism_names();
+  const auto names = mechanism_names();
+  EXPECT_EQ(names.size(), std::size(kMechanisms));
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* name : kMechanisms) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;
   }
-}
-
-TEST(ApiRegistryTest, NullEngineRequiresSaturationMode) {
-  Backend backend;
-  backend.fake_source = &World::instance().log();
-  ClientConfig config;  // contact_engine defaults to true
-  const auto client = make_client("direct", backend, config);
-  ASSERT_FALSE(client.is_ok());
-  EXPECT_EQ(client.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ApiRegistryTest, XSearchRejectsDegenerateOptions) {
@@ -248,32 +240,14 @@ TEST(ApiRegistryTest, PeasRequiresAFakeSource) {
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ApiRegistryTest, DuplicateRegistrationIsRejected) {
-  auto& registry = MechanismRegistry::instance();
-  const auto status = registry.register_mechanism(
-      "direct", [](const Backend&, const ClientConfig&) -> Result<ClientPtr> {
-        return not_found("never called");
-      });
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-}
-
-// ClientConfig leaves these knobs to the underlying options' defaults; the
-// translations must not replace them with values of their own.
-TEST(ApiRegistryTest, TranslationsKeepUnderlyingDefaults) {
-  const ClientConfig config;
-  EXPECT_EQ(supervisor_options(config).probe_budget,
-            net::FleetSupervisor::Options{}.probe_budget);
-  EXPECT_FALSE(remote_broker_options(config).breaker.has_value());
-}
-
 // --- X-Search batch path ------------------------------------------------------
 
 // The in-process X-Search client runs the same broker as the remote one, so
 // a batch travels as one batch frame per wire-bound chunk: one query ecall
 // per chunk, not one per query.
 TEST(ApiXSearchTest, InProcessBatchTakesOneQueryEcallPerChunk) {
-  ClientConfig config;
-  config.contact_engine = false;  // no engine ocalls: transitions = ecalls
+  const ClientConfig config;
+  // No engine, so no engine ocalls: transitions = ecalls.
   auto client = make_client("xsearch", Backend{}, config);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
   ASSERT_TRUE(client.value()->connect().is_ok());  // the handshake ecall
@@ -302,8 +276,8 @@ TEST(ApiXSearchTest, InProcessBatchTakesOneQueryEcallPerChunk) {
 // enclave runs both of their searches.
 TEST(ApiXSearchTest, ConcurrentSiblingsShareOneProxy) {
   sgx::AttestationAuthority authority(to_bytes("api-sibling-root"));
-  ClientConfig config;
-  config.contact_engine = false;  // no engine ocalls: transitions = ecalls
+  const ClientConfig config;
+  // No engine, so no engine ocalls: transitions = ecalls.
   auto proxy = core::XSearchProxy::create(nullptr, authority,
                                           xsearch_proxy_options(config));
   ASSERT_TRUE(proxy.is_ok()) << proxy.status().to_string();

@@ -83,7 +83,6 @@ TEST(Metrics, SnapshotOrderIsTheSameOnEveryRun) {
   // order, and a repeated snapshot of an idle one is identical.
   sgx::AttestationAuthority authority(to_bytes("metrics-test-root"));
   core::XSearchProxy::Options options;
-  options.contact_engine = false;
   options.engine_breaker.emplace();
   core::XSearchProxy first(nullptr, authority, options);
   core::XSearchProxy second(nullptr, authority, options);
@@ -112,7 +111,6 @@ core::XSearchProxy::Options worker_options() {
   core::XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 4096;
-  options.contact_engine = false;
   return options;
 }
 

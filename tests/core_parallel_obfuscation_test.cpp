@@ -138,9 +138,7 @@ TEST_F(ParallelObfuscationTest, ManyThreadsManySessionsRaceFree) {
   // traffic: 6 threads × 2 sessions each × 40 queries against one proxy.
   // TSan verifies the lock-free hot path (per-session streams, shared-lock
   // history sampling, shared-lock ecall dispatch) is race-free.
-  XSearchProxy::Options opt = options(0x1234);
-  opt.contact_engine = false;
-  XSearchProxy proxy(nullptr, authority_, opt);
+  XSearchProxy proxy(nullptr, authority_, options(0x1234));
 
   constexpr int kThreads = 6;
   constexpr int kQueries = 40;

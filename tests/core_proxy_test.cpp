@@ -114,10 +114,6 @@ TEST_F(ProxyTest, CreateValidatesOptions) {
       XSearchProxy::create(&engine_, authority_, bad_fetch).status().code(),
       StatusCode::kInvalidArgument);
 
-  // A null engine requires saturation mode.
-  EXPECT_EQ(XSearchProxy::create(nullptr, authority_, options()).status().code(),
-            StatusCode::kFailedPrecondition);
-
   auto proxy = XSearchProxy::create(&engine_, authority_, options());
   ASSERT_TRUE(proxy.is_ok()) << proxy.status().to_string();
   auto broker = testutil::in_process_broker(*proxy.value(), authority_,
@@ -148,13 +144,6 @@ TEST_F(ProxyTest, HandshakeQuoteIsIssuedOnceAndMatchesAFreshOne) {
       sgx::verify_and_extract_channel_key(authority_, quote.value(), proxy.measurement());
   ASSERT_TRUE(channel_key.is_ok());
   EXPECT_EQ(authority_.issue(proxy.measurement(), channel_key.value()).serialize(), quotes[0]);
-}
-
-TEST_F(ProxyTest, EnginelessProxyThatContactsTheEngineAbortsInEveryBuild) {
-  // create() refuses this with a status; the constructor's contract stops
-  // the process instead of running a proxy with nothing to query.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(XSearchProxy(nullptr, authority_, options()), "engine required");
 }
 
 TEST_F(ProxyTest, WarmHistoryPreloadsDecoys) {
@@ -410,9 +399,7 @@ TEST_F(ProxyTest, ConcurrentClients) {
 }
 
 TEST_F(ProxyTest, SaturationModeSkipsEngine) {
-  XSearchProxy::Options opt = options();
-  opt.contact_engine = false;
-  XSearchProxy proxy(nullptr, authority_, opt);
+  XSearchProxy proxy(nullptr, authority_, options());  // no engine link
   auto broker =
       testutil::in_process_broker(proxy, authority_, proxy.measurement(), 12);
   const auto results = broker.search("a query");

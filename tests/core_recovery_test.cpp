@@ -41,7 +41,6 @@ class RecoveryTest : public ::testing::Test {
     XSearchProxy::Options options;
     options.k = 2;
     options.history_capacity = 1'000;
-    options.contact_engine = false;  // isolate the checkpoint/session path
     options.checkpoint_dir = dir_;
     options.checkpoint_interval_queries = interval;
     return options;
@@ -106,7 +105,6 @@ TEST_F(RecoveryTest, CheckpointNowWithoutDirIsRefused) {
   XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 100;
-  options.contact_engine = false;
   XSearchProxy proxy(nullptr, authority_, options);
   const Status status = proxy.checkpoint_now();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
@@ -324,12 +322,6 @@ class ObservedRecoveryTest : public RecoveryTest {
     });
   }
 
-  XSearchProxy::Options engine_options() const {
-    XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
-    options.contact_engine = true;
-    return options;
-  }
-
   std::vector<std::string> take_observed() {
     std::lock_guard lock(observed_mutex_);
     return std::exchange(observed_, {});
@@ -357,7 +349,7 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
   std::uint64_t b_id = 0;
   std::vector<std::string> pre_crash;
   {
-    XSearchProxy proxy(&engine_, authority_, engine_options());
+    XSearchProxy proxy(&engine_, authority_, checkpointing_options(/*interval=*/0));
     ASSERT_TRUE(proxy.init_status().is_ok());
     proxy.warm_history(warm);
     auto a = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
@@ -372,7 +364,7 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
   }  // crash: no checkpoint after B's traffic
   ASSERT_EQ(pre_crash.size(), queries.size());
 
-  XSearchProxy restarted(&engine_, authority_, engine_options());
+  XSearchProxy restarted(&engine_, authority_, checkpointing_options(/*interval=*/0));
   ASSERT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
   // Reopen sessions until one lands on B's id (ids restart at 1), with the
   // same history contents B saw before the crash.

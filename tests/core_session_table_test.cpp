@@ -305,7 +305,6 @@ XSearchProxy::Options saturation_options() {
   XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 1000;
-  options.contact_engine = false;  // no engine: session paths in isolation
   return options;
 }
 

@@ -96,6 +96,15 @@ TEST(Hkdf, ExpandLengthExact) {
   }
 }
 
+TEST(HkdfDeathTest, ExpandPastTheRfcBoundAbortsInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Sha256Digest prk = hkdf_extract(to_bytes("salt"), to_bytes("ikm"));
+  EXPECT_EQ(hkdf_expand(prk, {}, 255 * kSha256DigestSize).size(),
+            255 * kSha256DigestSize);
+  EXPECT_DEATH((void)hkdf_expand(prk, {}, 255 * kSha256DigestSize + 1),
+               "HKDF-Expand length exceeds");
+}
+
 TEST(Hkdf, InfoSeparatesKeys) {
   const SecretBytes a = hkdf(to_bytes("s"), to_bytes("ikm"), to_bytes("client"), 32);
   const SecretBytes b = hkdf(to_bytes("s"), to_bytes("ikm"), to_bytes("server"), 32);

@@ -260,7 +260,6 @@ TEST(FleetFault, WorkerKilledMidSessionIsRespawnedWarm) {
   options.workers = 2;
   options.proxy.k = 2;
   options.proxy.history_capacity = 4096;
-  options.proxy.contact_engine = false;
   options.proxy.checkpoint_dir = dir;
   options.proxy.checkpoint_interval_queries = 4;
   auto fleet = net::ProxyFleet::create(nullptr, authority, options);

@@ -264,7 +264,6 @@ core::XSearchProxy::Options proxy_only_options() {
   core::XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 4096;
-  options.contact_engine = false;
   return options;
 }
 

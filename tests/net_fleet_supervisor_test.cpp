@@ -55,7 +55,6 @@ class FleetSupervisorTest : public ::testing::Test {
     options.workers = workers;
     options.proxy.k = 2;
     options.proxy.history_capacity = 4096;
-    options.proxy.contact_engine = false;
     if (checkpointing) {
       options.proxy.checkpoint_dir = dir_;
       options.proxy.checkpoint_interval_queries = 4;

@@ -31,7 +31,6 @@ class InProcessStream : public ::testing::Test {
     core::XSearchProxy::Options options;
     options.k = 2;
     options.history_capacity = 64;
-    options.contact_engine = false;
     return options;
   }
 

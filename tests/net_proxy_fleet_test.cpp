@@ -36,7 +36,6 @@ core::XSearchProxy::Options saturation_options() {
   core::XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 4096;
-  options.contact_engine = false;  // isolate the proxy/session/routing path
   return options;
 }
 
@@ -329,7 +328,6 @@ TEST(ProxyFleet, RemoteClientBatchTravelsAsOneRecord) {
   ASSERT_TRUE(server.is_ok());
 
   api::ClientConfig config;
-  config.contact_engine = false;
   config.seed = 4242;
   auto client = api::make_remote_client("127.0.0.1", server.value()->port(),
                                         authority, fleet.value()->measurement(),

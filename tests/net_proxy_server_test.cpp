@@ -32,7 +32,6 @@ core::XSearchProxy::Options saturation_options() {
   core::XSearchProxy::Options options;
   options.k = 2;
   options.history_capacity = 4096;
-  options.contact_engine = false;  // isolate the proxy/session path
   return options;
 }
 

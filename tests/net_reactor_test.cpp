@@ -21,14 +21,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/chaos.hpp"
 #include "net/frame.hpp"
 #include "net/frame_protocol.hpp"
@@ -225,6 +229,104 @@ TEST(TimerWheelTest, AlreadyDueEntryFiresOnNextAdvance) {
   wheel.advance(101 * tick, fired);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].key, 7u);
+}
+
+// Model test: seeded random schedule/advance sequences against a sequential
+// reference of the documented contract. An entry scheduled while the wheel
+// stands at tick S with deadline `due` has the target tick
+// max(ceil(due / tick), S + 1). It fires exactly once, never while
+// `due > now`, and no later than the first advance whose tick reaches its
+// target. `empty()` tracks the reference's pending set, and
+// `poll_timeout_millis` is -1 exactly when nothing is pending and otherwise
+// wakes at the first whole millisecond at or after the next tick boundary.
+TEST(TimerWheelTest, ModelRandomSchedulesAndAdvances) {
+  struct Shape {
+    Nanos tick;
+    std::size_t slots;
+  };
+  struct Pending {
+    Nanos due;
+    std::uint64_t target_tick;
+  };
+  for (const Shape shape : {Shape{10 * kMilli, 256}, Shape{kMilli, 8},
+                            Shape{7 * kMilli, 3}, Shape{250 * kMicro, 1},
+                            Shape{3 * kMilli + 1, 17}}) {
+    const Nanos tick = shape.tick;
+    const Nanos revolution = tick * static_cast<Nanos>(shape.slots);
+    const auto tick_of = [tick](Nanos at) {
+      return at <= 0 ? std::uint64_t{0} : static_cast<std::uint64_t>(at / tick);
+    };
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE("tick " + std::to_string(tick) + " slots " +
+                   std::to_string(shape.slots) + " seed " + std::to_string(seed));
+      Rng rng(seed);
+      const auto below = [&rng](Nanos bound) {
+        return static_cast<Nanos>(rng.uniform(static_cast<std::uint64_t>(bound)));
+      };
+      Nanos now = below(40 * tick);
+      TimerWheel wheel(now, tick, shape.slots);
+      std::uint64_t wheel_tick = tick_of(now);
+      std::map<std::uint64_t, Pending> pending;  // key -> reference entry
+      std::uint64_t next_key = 1;
+      std::size_t fired_total = 0;
+
+      const auto check_poll = [&] {
+        ASSERT_EQ(wheel.empty(), pending.empty());
+        const int timeout = wheel.poll_timeout_millis(now);
+        if (pending.empty()) {
+          ASSERT_EQ(timeout, -1);
+          return;
+        }
+        ASSERT_GE(timeout, 1);
+        const Nanos boundary = static_cast<Nanos>(tick_of(now) + 1) * tick;
+        EXPECT_GE(now + static_cast<Nanos>(timeout) * kMilli, boundary);
+        EXPECT_LT(now + static_cast<Nanos>(timeout - 1) * kMilli, boundary);
+      };
+      const auto advance_to = [&](Nanos to) {
+        now = to;
+        std::vector<TimerWheel::Entry> fired;
+        wheel.advance(now, fired);
+        wheel_tick = std::max(wheel_tick, tick_of(now));
+        for (const TimerWheel::Entry& entry : fired) {
+          const auto it = pending.find(entry.key);
+          ASSERT_NE(it, pending.end()) << "key " << entry.key << " fired twice";
+          EXPECT_EQ(entry.due, it->second.due);
+          EXPECT_LE(entry.due, now) << "key " << entry.key << " fired early";
+          pending.erase(it);
+          ++fired_total;
+        }
+        for (const auto& [key, entry] : pending) {
+          ASSERT_GT(entry.target_tick, wheel_tick)
+              << "key " << key << " missed its boundary (due " << entry.due
+              << ", now " << now << ")";
+        }
+        check_poll();
+      };
+
+      for (int op = 0; op < 600; ++op) {
+        if (rng.uniform(3) != 0) {
+          // Dues from three revolutions in the past to three out, plus the
+          // occasional zero.
+          const Nanos due =
+              rng.uniform(20) == 0 ? 0 : now + below(6 * revolution) - 3 * revolution;
+          const std::uint64_t ceil_tick = tick_of(due > 0 ? due + tick - 1 : 0);
+          pending[next_key] = {due, std::max(ceil_tick, wheel_tick + 1)};
+          wheel.schedule(next_key++, due);
+          check_poll();
+        } else {
+          // Steps from none to sub-tick to several revolutions long.
+          const Nanos steps[] = {0, tick / 3, tick, 3 * tick, revolution - 1,
+                                 revolution, 2 * revolution + tick / 2};
+          advance_to(now + steps[rng.uniform(std::size(steps))] + below(tick));
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      advance_to(now + 4 * revolution + tick);
+      EXPECT_TRUE(pending.empty());
+      EXPECT_TRUE(wheel.empty());
+      EXPECT_EQ(fired_total, next_key - 1);
+    }
+  }
 }
 
 // --- reactor: happy path and incremental delivery ----------------------------
