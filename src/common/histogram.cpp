@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstdio>
+
+#include "common/check.hpp"
 
 namespace xsearch {
 
 Histogram::Histogram(int sub_bucket_bits)
     : sub_bucket_bits_(sub_bucket_bits),
       sub_bucket_count_(std::int64_t{1} << sub_bucket_bits) {
-  assert(sub_bucket_bits >= 1 && sub_bucket_bits <= 16);
+  XS_CHECK(sub_bucket_bits >= 1 && sub_bucket_bits <= 16,
+           "sub_bucket_bits must lie in [1, 16]");
   counts_.resize(static_cast<std::size_t>(sub_bucket_count_) * 2, 0);
 }
 
@@ -56,7 +58,8 @@ void Histogram::record_n(std::int64_t value, std::uint64_t count) {
 }
 
 void Histogram::merge(const Histogram& other) {
-  assert(sub_bucket_bits_ == other.sub_bucket_bits_);
+  XS_CHECK(sub_bucket_bits_ == other.sub_bucket_bits_,
+           "merged histograms must share one bucket layout");
   ensure_capacity(other.counts_.empty() ? 0 : other.counts_.size() - 1);
   for (std::size_t i = 0; i < other.counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_count_ += other.total_count_;

@@ -6,6 +6,8 @@
 namespace xsearch {
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
+  // assert, not XS_CHECK: samplers are sized from generator configs, whose
+  // sizes generate_synthetic_log XS_CHECKs before building any sampler.
   assert(n >= 1);
   cdf_.resize(n);
   double total = 0.0;
@@ -24,6 +26,7 @@ std::size_t ZipfSampler::sample(Rng& rng) const {
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {
+  // assert, not XS_CHECK: a per-rank lookup, kept as cheap as sample().
   assert(rank < cdf_.size());
   return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
 }

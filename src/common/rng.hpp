@@ -58,6 +58,7 @@ class Rng {
   /// Uniform integer in [0, bound). `bound` must be > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   std::uint64_t uniform(std::uint64_t bound) {
+    // assert, not XS_CHECK: runs on every decoy draw of the query path.
     assert(bound > 0);
     std::uint64_t x = next();
     __uint128_t m = static_cast<__uint128_t>(x) * bound;
@@ -75,6 +76,7 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    // assert, not XS_CHECK: a per-draw check inlined into generator loops.
     assert(lo <= hi);
     const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(uniform(range));
@@ -109,6 +111,7 @@ class Rng {
 
   /// Exponential draw with rate `lambda` (> 0).
   double exponential(double lambda) {
+    // assert, not XS_CHECK: a per-draw check, inlined like uniform()'s.
     assert(lambda > 0);
     double u = uniform_double();
     while (u <= 1e-300) u = uniform_double();

@@ -109,12 +109,15 @@ class [[nodiscard]] Result {
  public:
   Result(T value) : data_(std::move(value)) {}                 // NOLINT(google-explicit-constructor)
   Result(Status status) : data_(std::move(status)) {           // NOLINT(google-explicit-constructor)
+    // assert, not XS_CHECK: every error return on every path builds a Result.
     assert(!std::get<Status>(data_).is_ok() && "OK status carries no value");
   }
 
   [[nodiscard]] bool is_ok() const { return std::holds_alternative<T>(data_); }
   explicit operator bool() const { return is_ok(); }
 
+  // The accessors assert, not XS_CHECK: every unwrap on the query path
+  // passes here, always after an is_ok() test by the caller.
   [[nodiscard]] const T& value() const& {
     assert(is_ok());
     return std::get<T>(data_);

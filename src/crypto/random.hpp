@@ -1,8 +1,10 @@
 // Cryptographic random byte generation.
 //
-// A ChaCha20-based deterministic random bit generator. Seeded from
-// std::random_device by default; tests and the deterministic simulation
-// seed it explicitly so key material is reproducible when desired.
+// A ChaCha20-based deterministic random bit generator. The default
+// constructor is the tree's one entropy ingress (std::random_device), and
+// sgx::EnclaveRuntime is its one trusted caller: every enclave secret comes
+// from the runtime's DRBG. Host-side components and tests seed it
+// explicitly, so their draws are reproducible.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +17,7 @@ namespace xsearch::crypto {
 /// ChaCha20-backed DRBG. Not thread-safe; create one per thread.
 class SecureRandom {
  public:
-  /// Seeds from std::random_device entropy.
+  /// Seeds from std::random_device entropy (the enclave runtime's source).
   SecureRandom();
 
   /// Deterministic seeding (tests / reproducible simulations).

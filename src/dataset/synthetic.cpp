@@ -1,11 +1,11 @@
 #include "dataset/synthetic.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace xsearch::dataset {
@@ -47,13 +47,15 @@ std::string make_word(std::uint64_t index, std::uint64_t seed,
 }  // namespace
 
 QueryLog generate_synthetic_log(const SyntheticLogConfig& config) {
-  assert(config.num_users > 0);
-  assert(config.vocab_size > 0);
-  assert(config.num_topics > 0);
-  assert(config.min_query_words >= 1);
-  assert(config.min_query_words <= config.max_query_words);
-  assert(config.min_topics_per_user >= 1);
-  assert(config.min_topics_per_user <= config.max_topics_per_user);
+  XS_CHECK(config.num_users > 0, "synthetic log needs at least one user");
+  XS_CHECK(config.vocab_size > 0, "synthetic log needs a vocabulary");
+  XS_CHECK(config.num_topics > 0, "synthetic log needs at least one topic");
+  XS_CHECK(config.min_query_words >= 1, "queries need at least one word");
+  XS_CHECK(config.min_query_words <= config.max_query_words,
+           "min_query_words exceeds max_query_words");
+  XS_CHECK(config.min_topics_per_user >= 1, "users need at least one topic");
+  XS_CHECK(config.min_topics_per_user <= config.max_topics_per_user,
+           "min_topics_per_user exceeds max_topics_per_user");
 
   xsearch::Rng rng(config.seed);
 

@@ -1,11 +1,11 @@
 #include "engine/index.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <string>
 #include <utility>
 
+#include "common/check.hpp"
 #include "text/tokenizer.hpp"
 
 namespace xsearch::engine {
@@ -80,7 +80,7 @@ InvertedIndex::InvertedIndex(const std::vector<Document>& documents, Bm25Params 
 
   for (std::size_t d = 0; d < documents.size(); ++d) {
     const Document& doc = documents[d];
-    assert(doc.id == d && "documents must have dense ids");
+    XS_CHECK(doc.id == d, "documents must have dense ids");
     double length = 0.0;
     current.clear();
     add_field(doc.title, params.title_boost, length);

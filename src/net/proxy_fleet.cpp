@@ -15,7 +15,11 @@ namespace {
   return splitmix64(x);  // splitmix64 advances its state arg; x is a copy
 }
 
-constexpr std::size_t kHandshakeIdAttempts = 8;
+// Session-id draws per handshake. A draw lands on a worker that already
+// failed this call about as often as that worker's share of the ring, so a
+// bound well past the live workers' count keeps a handshake from failing
+// while one live worker remains.
+constexpr std::size_t kHandshakeIdDraws = 64;
 
 // Virtual nodes per worker on the hash ring. More nodes = smoother session
 // spread and smaller remap arcs on drain, at O(nodes·workers) ring memory.
@@ -57,14 +61,9 @@ ProxyFleet::ProxyFleet(const engine::SearchEngine* engine,
       session_id_rng_(mix64(options_.proxy.seed ^ 0xf1ee7)) {}
 
 core::XSearchProxy::Options ProxyFleet::worker_options(std::size_t index) const {
+  // Every worker and every respawn keys itself from its own enclave's
+  // entropy, so the options differ only in where a worker checkpoints.
   core::XSearchProxy::Options worker = options_.proxy;
-  // Domain-separate each worker's key material and RNG streams; mix with
-  // the respawn count so a respawned worker never replays its predecessor's
-  // draws.
-  const std::uint64_t generation =
-      workers_.size() > index ? workers_[index]->respawns.value() : 0;
-  worker.seed = mix64(options_.proxy.seed ^ mix64((index + 1) * 0x9e3779b97f4a7c15ULL +
-                                                  generation));
   // Each worker checkpoints under its own subdirectory, named by slot (not
   // generation): a respawned worker must find exactly its predecessor's
   // sealed history, and never a sibling's.
@@ -179,37 +178,46 @@ sgx::Measurement ProxyFleet::measurement() const {
 Result<core::HandshakeResponse> ProxyFleet::handshake(
     const crypto::X25519Key& client_ephemeral_pub,
     std::uint64_t proposed_session_id) {
-  // A caller-proposed id is routed like any other; otherwise draw ids until
-  // the owning worker accepts one (collisions are ~2^-64, but the loop also
-  // absorbs an id of 0, which is the "no proposal" sentinel).
-  for (std::size_t attempt = 0; attempt < kHandshakeIdAttempts; ++attempt) {
+  // A caller-proposed id is routed like any other and gets its worker's
+  // answer. Otherwise draw ids until a worker accepts one: on an id already
+  // in use (FAILED_PRECONDITION; collisions are ~2^-64) draw again, and on
+  // a crashed enclave (UNAVAILABLE) also skip that worker for the rest of
+  // the call. A dead worker stays on the ring until the supervisor drains
+  // it, and its arc must not fail the handshakes routed there meanwhile.
+  std::vector<std::size_t> skipped;
+  Status last = resource_exhausted("fleet: could not place a session id");
+  for (std::size_t draw = 0; draw < kHandshakeIdDraws; ++draw) {
     std::uint64_t session_id = proposed_session_id;
     if (session_id == 0) {
       MutexLock rng_lock(rng_mutex_);
       session_id = session_id_rng_.next();
     }
-    if (session_id == 0) continue;
+    if (session_id == 0) continue;  // the "no proposal" sentinel
 
+    std::size_t owner = 0;
     std::shared_ptr<core::XSearchProxy> proxy;
     {
       ReaderLock lock(mutex_);
-      const std::size_t owner = owner_locked(session_id);
+      owner = owner_locked(session_id);
       if (owner >= workers_.size()) {
         return unavailable("fleet: no live workers");
       }
+      if (std::ranges::find(skipped, owner) != skipped.end()) continue;
       Worker& worker = *workers_[owner];
       worker.routed.inc();
       proxy = worker.proxy;
     }
     auto response = proxy->handshake(client_ephemeral_pub, session_id);
-    if (response.is_ok() ||
-        response.status().code() != StatusCode::kFailedPrecondition ||
-        proposed_session_id != 0) {
+    if (response.is_ok() || proposed_session_id != 0) return response;
+    const StatusCode code = response.status().code();
+    if (code == StatusCode::kUnavailable) {
+      skipped.push_back(owner);
+    } else if (code != StatusCode::kFailedPrecondition) {
       return response;
     }
-    // Id already in use on that worker — draw another.
+    last = response.status();
   }
-  return resource_exhausted("fleet: could not place a session id");
+  return last;
 }
 
 Result<Bytes> ProxyFleet::handle_query_record(std::uint64_t session_id,
@@ -269,20 +277,17 @@ Status ProxyFleet::drain(std::size_t index, bool seal_final) {
 }
 
 Status ProxyFleet::respawn(std::size_t index) {
-  core::XSearchProxy::Options options;
   {
     WriterLock lock(mutex_);
     if (index >= workers_.size()) return invalid_argument("fleet: no such worker");
     workers_[index]->respawns.inc();
-    options = worker_options(index);
   }
   // The expensive part — enclave init plus reading and replaying the
   // sealed checkpoint — runs without the fleet lock, so queries on healthy
   // workers (shared lock) flow while the replacement warms up. Routing
   // still sends the dead arc's records to the old slot until the swap;
   // they fail/migrate exactly as during the outage itself.
-  auto proxy =
-      core::XSearchProxy::create(engine_, *authority_, options);
+  auto proxy = core::XSearchProxy::create(engine_, *authority_, worker_options(index));
   if (!proxy) return proxy.status();
   // The fresh proxy already ran its restore in create(): with a sealed
   // checkpoint on disk this respawn was warm, otherwise cold.

@@ -71,9 +71,9 @@ class ProxyFleet : public core::ProxyHandler {
   struct Options {
     /// Proxy workers in the fleet.
     std::size_t workers = 2;
-    /// Per-worker proxy configuration. Each worker's seed is domain-
-    /// separated from `proxy.seed` by its index, so workers draw
-    /// independent key material while a fleet run stays reproducible.
+    /// Per-worker proxy configuration. `proxy.seed` seeds the router's
+    /// session-id draws only; every worker keys itself from its own
+    /// enclave's entropy.
     core::XSearchProxy::Options proxy;
   };
 
@@ -92,6 +92,8 @@ class ProxyFleet : public core::ProxyHandler {
 
   /// Routes the handshake: draws a session id (or honors a caller
   /// proposal), finds its ring owner, and proposes the id to that worker.
+  /// A router-drawn id whose worker answers UNAVAILABLE (a crashed enclave
+  /// the supervisor has not drained yet) is redrawn onto another worker.
   [[nodiscard]] Result<core::HandshakeResponse> handshake(
       const crypto::X25519Key& client_ephemeral_pub,
       std::uint64_t proposed_session_id) override;
@@ -189,7 +191,6 @@ class ProxyFleet : public core::ProxyHandler {
     metrics::Registry metrics{"worker"};
     /// 1 while on the ring (routing state, written under the exclusive lock).
     metrics::Gauge& live = metrics.gauge("live");
-    /// Also the generation a respawned worker's seed is mixed with.
     metrics::Counter& respawns = metrics.counter("respawns");
     metrics::Counter& routed = metrics.counter("routed");
   };
@@ -198,10 +199,8 @@ class ProxyFleet : public core::ProxyHandler {
                       const sgx::AttestationAuthority& authority,
                       Options options);
 
-  /// Derives worker `index`'s per-slot proxy options. Reads the worker's
-  /// respawn count, so the caller holds `mutex_` (either mode).
-  [[nodiscard]] core::XSearchProxy::Options worker_options(std::size_t index)
-      const XS_REQUIRES_SHARED(mutex_);
+  /// Derives worker `index`'s per-slot proxy options.
+  [[nodiscard]] core::XSearchProxy::Options worker_options(std::size_t index) const;
 
   /// Rebuilds ring_ from the live workers. Caller holds `mutex_` exclusive.
   void rebuild_ring_locked() XS_REQUIRES(mutex_);
@@ -231,9 +230,10 @@ class ProxyFleet : public core::ProxyHandler {
   std::vector<std::unique_ptr<Worker>> workers_ XS_GUARDED_BY(mutex_);
   /// (point on the 64-bit ring, worker index), sorted by point.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_ XS_GUARDED_BY(mutex_);
-  /// Session-id source for handshakes (ids are routing metadata, so a
-  /// deterministic stream is fine — uniqueness per worker is enforced by
-  /// the worker's table refusing duplicate proposals).
+  /// Session-id source for handshakes, seeded from `proxy.seed` (ids are
+  /// routing metadata, so a deterministic stream is fine — uniqueness per
+  /// worker is enforced by the worker's table refusing duplicate
+  /// proposals).
   Mutex rng_mutex_;
   Rng session_id_rng_ XS_GUARDED_BY(rng_mutex_);
 

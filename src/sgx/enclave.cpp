@@ -9,7 +9,6 @@ namespace xsearch::sgx {
 
 namespace {
 constexpr char kSealingInfo[] = "sgx-sealing-key-mrenclave-v1";
-constexpr std::uint32_t kSealNoncePrefix = 0x5345414c;  // "SEAL"
 }  // namespace
 
 EnclaveRuntime::EnclaveRuntime(Config config)
@@ -68,6 +67,11 @@ Result<Bytes> EnclaveRuntime::ocall(OcallId id, ByteSpan input) {
   return handler(input);
 }
 
+crypto::ChaChaKey EnclaveRuntime::random_key() {
+  MutexLock lock(entropy_mutex_);
+  return entropy_.key();
+}
+
 // --- Sealing -----------------------------------------------------------------
 
 Bytes EnclaveRuntime::seal(ByteSpan plaintext) {
@@ -82,8 +86,11 @@ Bytes EnclaveRuntime::seal(ByteSpan plaintext) {
 void EnclaveRuntime::seal_in_place(Bytes& record) {
   XS_CHECK(record.size() >= kSealHeaderBytes,
            "record shorter than the seal header");
-  const std::uint64_t counter = seal_counter_.fetch_add(1, std::memory_order_relaxed);
-  const crypto::AeadNonce nonce = crypto::make_nonce(kSealNoncePrefix, counter);
+  crypto::AeadNonce nonce;
+  {
+    MutexLock lock(entropy_mutex_);
+    entropy_.fill(nonce);
+  }
   std::memcpy(record.data(), nonce.data(), nonce.size());
   crypto::aead_seal_in_place(sealing_key_, nonce, measurement_, record, kSealHeaderBytes);
 }

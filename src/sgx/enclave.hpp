@@ -13,7 +13,10 @@
 //    array index, never a string lookup;
 //  * *EPC metering* of all enclave-resident state via EpcAccountant;
 //  * *sealed storage*: AEAD encryption under a key derived from the
-//    measurement, so only the same enclave code can unseal.
+//    measurement, so only the same enclave code can unseal;
+//  * *trusted entropy*, like `sgx_read_rand`: one DRBG seeded at
+//    construction, the source of every enclave secret and seal nonce.
+//    Nothing the host passes in seeds it.
 //
 // What hardware SGX adds beyond this model — actual memory encryption and
 // isolation enforcement — does not change control flow or capacity limits,
@@ -34,6 +37,7 @@
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "crypto/aead.hpp"
+#include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
 #include "sgx/boundary.hpp"
 #include "sgx/epc.hpp"
@@ -107,6 +111,12 @@ class EnclaveRuntime {
   [[nodiscard]] EpcAccountant& epc() { return epc_; }
   [[nodiscard]] const EpcAccountant& epc() const { return epc_; }
 
+  // --- Entropy -----------------------------------------------------------
+
+  /// A fresh 32-byte key from the enclave's DRBG: the seed of every
+  /// enclave key pair and session-stream key. Thread-safe.
+  [[nodiscard]] crypto::ChaChaKey random_key();
+
   // --- Sealing -----------------------------------------------------------
 
   /// A sealed blob is a nonce, the ciphertext, then the AEAD tag.
@@ -114,7 +124,9 @@ class EnclaveRuntime {
   static constexpr std::size_t kSealTrailerBytes = crypto::kAeadTagSize;
 
   /// Encrypts `plaintext` under the enclave's sealing key (derived from the
-  /// measurement, like SGX's MRENCLAVE key policy). Output embeds a nonce.
+  /// measurement, like SGX's MRENCLAVE key policy). Output embeds a fresh
+  /// 96-bit nonce from the enclave's DRBG, as `sgx_seal_data` draws its IV,
+  /// so enclaves of one measurement never reuse a (key, nonce) pair.
   [[nodiscard]] Bytes seal(ByteSpan plaintext);
 
   /// `seal` where the plaintext lies: `record` holds kSealHeaderBytes of
@@ -146,7 +158,10 @@ class EnclaveRuntime {
   metrics::Registry metrics_{"enclave"};
   metrics::Counter& ecall_count_ = metrics_.counter("ecalls");
   metrics::Counter& ocall_count_ = metrics_.counter("ocalls");
-  std::atomic<std::uint64_t> seal_counter_{0};
+
+  // Seeded once, through SecureRandom's entropy ingress.
+  Mutex entropy_mutex_;
+  crypto::SecureRandom entropy_ XS_GUARDED_BY(entropy_mutex_);
 };
 
 }  // namespace xsearch::sgx

@@ -21,6 +21,7 @@ std::optional<TermId> Vocabulary::lookup(std::string_view term) const {
 }
 
 const std::string& Vocabulary::term(TermId id) const {
+  // assert, not XS_CHECK: a per-term lookup in the co-occurrence samplers' loops.
   assert(id < terms_.size());
   return terms_[id];
 }

@@ -10,11 +10,10 @@ namespace xsearch::core {
 
 namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x58534850;  // "XSHP"
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 }  // namespace
 
-Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
-                   std::uint64_t epoch) {
+Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history) {
   // One pass over the window's chunks, into the buffer that becomes the
   // sealed blob, sized exactly up front: no copy of the window, no
   // regrowth, and the seal encrypts where the bytes lie.
@@ -22,12 +21,11 @@ Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
     std::size_t entry_bytes = 0;
     entries.for_each([&entry_bytes](std::string_view q) { entry_bytes += 4 + q.size(); });
     Bytes out;
-    out.reserve(sgx::EnclaveRuntime::kSealHeaderBytes + 3 * 4 + 8 + entry_bytes +
+    out.reserve(sgx::EnclaveRuntime::kSealHeaderBytes + 3 * 4 + entry_bytes +
                 sgx::EnclaveRuntime::kSealTrailerBytes);
     out.resize(sgx::EnclaveRuntime::kSealHeaderBytes);
     wire::put_u32(out, kCheckpointMagic);
     wire::put_u32(out, kCheckpointVersion);
-    wire::put_u64(out, epoch);
     wire::put_u32(out, static_cast<std::uint32_t>(entries.size()));
     const std::size_t at = out.size();
     out.resize(at + entry_bytes);
@@ -40,7 +38,7 @@ Bytes seal_history(sgx::EnclaveRuntime& enclave, const QueryHistory& history,
 }
 
 Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
-                       QueryHistory& history, std::uint64_t* epoch) {
+                       QueryHistory& history) {
   auto plain = enclave.unseal_in_place(sealed);
   if (!plain) return plain.status();
 
@@ -58,8 +56,6 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
   if (!version || version.value() != kCheckpointVersion) {
     return data_loss("checkpoint: unsupported version");
   }
-  auto sealed_epoch = wire::get_u64(raw, offset);
-  if (!sealed_epoch) return sealed_epoch.status();
   auto count = wire::get_u32(raw, offset);
   if (!count) return count.status();
   // Every entry holds at least its length word: a count the remaining
@@ -79,7 +75,6 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
   // A checkpoint wider than the window keeps only its newest entries: the
   // history skips those the load itself would evict.
   history.add_all(entries);
-  if (epoch != nullptr) *epoch = sealed_epoch.value();
   return Status::ok();
 }
 

@@ -7,13 +7,12 @@
 // enclave running the same code — and only such an enclave — can restore
 // it. The queries never touch the host in plaintext.
 //
-// Format v3 is `magic || version 3 || epoch u64 || entries`. The epoch
-// counts warm restarts: a proxy that restores epoch e runs epoch e + 1 and
-// seals it at once, and every session's decoy stream is keyed by (seed,
-// insert ordinal, epoch), so a session created after the restart never
-// replays an OR query the crashed run sent — replayed decoys would let an
-// engine-side observer link pre- and post-restart traffic. The blob's size depends on the history alone,
-// not on how many sessions ever existed.
+// Format v4 is `magic || version 4 || entries`: the history and nothing
+// else, so the blob's size depends on the history alone, not on how many
+// sessions ever existed. Nothing in it keys a session stream. Each run keys
+// its streams from the enclave's own entropy, so a blob restored twice, or
+// not at all, never brings back the decoys or envelope keys of an earlier
+// run (ARCHITECTURE.md, "Enclave entropy").
 //
 // This is an extension beyond the paper's prototype, built from the
 // sealing primitive its §2.3 describes.
@@ -28,27 +27,25 @@
 
 namespace xsearch::core {
 
-/// Serializes the full history contents (oldest first) and the run's
-/// restart `epoch`, and seals them to `enclave`'s measurement (format v3).
-/// Reads the window in one pass under one shared lock, without copying it,
-/// into the buffer that is sealed in place. Runs inside the trusted side.
+/// Serializes the full history contents (oldest first) and seals them to
+/// `enclave`'s measurement (format v4). Reads the window in one pass,
+/// without copying it, into the buffer that is sealed in place. Runs inside
+/// the trusted side.
 [[nodiscard]] Bytes seal_history(sgx::EnclaveRuntime& enclave,
-                                 const QueryHistory& history,
-                                 std::uint64_t epoch = 0);
+                                 const QueryHistory& history);
 
-/// Unseals a v3 checkpoint where it lies (the function owns `sealed`; move
+/// Unseals a v4 checkpoint where it lies (the function owns `sealed`; move
 /// the blob in to spare a copy) and loads it into `history` (appending, in
 /// the checkpointed order) with one `add_all`. A checkpoint holding more
 /// entries than `history.capacity()` keeps only the *newest* capacity
 /// entries — the older ones would be evicted by the very load that
-/// inserted them. When `epoch` is non-null, the sealed epoch is written
-/// there. Fails if the blob was sealed by different enclave code, tampered
-/// with or malformed; a blob of any other version is refused with
-/// "unsupported version". The whole blob is validated before anything is
-/// inserted, so after any failure `history` and `*epoch` are unchanged.
+/// inserted them. Fails if the blob was sealed by different enclave code,
+/// tampered with or malformed; a blob of any other version (v3 included)
+/// is refused with "unsupported version". The whole blob is validated
+/// before anything is inserted, so after any failure `history` is
+/// unchanged.
 [[nodiscard]] Status restore_history(const sgx::EnclaveRuntime& enclave,
-                                     Bytes sealed, QueryHistory& history,
-                                     std::uint64_t* epoch = nullptr);
+                                     Bytes sealed, QueryHistory& history);
 
 /// Host-side helpers: persist / load the opaque blob. The write is
 /// crash-atomic — the blob lands in a temp file in the target's directory

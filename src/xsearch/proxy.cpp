@@ -111,11 +111,12 @@ XSearchProxy::XSearchProxy(const engine::SearchEngine* engine,
       gateway_(gateway),
       authority_(&authority),
       options_(std::move(options)),
+      enclave_(std::make_unique<sgx::EnclaveRuntime>(
+          sgx::EnclaveRuntime::Config{.code_identity = code_identity()})),
       engine_link_key_(gateway != nullptr
                            ? std::optional(gateway->public_key())
                            : std::nullopt),
-      has_engine_link_(engine != nullptr || gateway != nullptr),
-      secure_rng_(crypto::domain_seed(options_.seed, /*tag=*/0x42)) {
+      has_engine_link_(engine != nullptr || gateway != nullptr) {
   init_status_ = install_boundary();
 }
 
@@ -123,19 +124,10 @@ Status XSearchProxy::install_boundary() {
   if (options_.engine_breaker.has_value()) {
     engine_breaker_ = std::make_unique<CircuitBreaker>(*options_.engine_breaker);
   }
-  enclave_ = std::make_unique<sgx::EnclaveRuntime>(
-      sgx::EnclaveRuntime::Config{.code_identity = code_identity()});
-
-  // Enclave-private key material and query table. Construction is
-  // single-threaded, but the DRBG is guarded uniformly so the analysis has
-  // one rule to check (the lock is free of contention here). The seed stays
-  // secret-typed from DRBG to key pair — no raw staging buffer.
-  crypto::X25519Secret seed;
-  {
-    MutexLock lock(handshake_mutex_);
-    seed = secure_rng_.key();
-  }
-  static_keys_ = crypto::x25519_keypair_from_seed(seed);
+  // Enclave-private key material and query table. Every secret comes from
+  // the enclave's own entropy, never from an option the host set; the seed
+  // stays secret-typed from DRBG to key pair — no raw staging buffer.
+  static_keys_ = crypto::x25519_keypair_from_seed(enclave_->random_key());
   // The quote covers only the measurement and the static channel key,
   // which never change for a running enclave: issued once, sent with every
   // handshake.
@@ -143,15 +135,12 @@ Status XSearchProxy::install_boundary() {
   history_ = std::make_unique<QueryHistory>(options_.history_capacity, &enclave_->epc());
   obfuscator_ = std::make_unique<Obfuscator>(*history_, options_.k);
   // Warm restart: replay the sealed checkpoint (if one exists) into the
-  // fresh history before serving, and key every session stream of this run
-  // by the next epoch. Runs at construction, conceptually part of enclave
-  // init — the host supplies only the opaque blob.
-  const std::uint64_t epoch = restore_checkpoint();
+  // fresh history before serving. Runs at construction, conceptually part
+  // of enclave init — the host supplies only the opaque blob.
+  restore_checkpoint();
   sessions_ = std::make_unique<SessionTable>(
-      SessionTable::Options{.capacity = options_.session_capacity,
-                            .rng_seed = options_.seed,
-                            .epoch = epoch},
-      &enclave_->epc());
+      SessionTable::Options{.capacity = options_.session_capacity},
+      enclave_->random_key(), &enclave_->epc());
 
   // The paper's narrowed enclave interface, keyed by the typed boundary
   // table (sgx/boundary.hpp) — no string dispatch anywhere on the path.
@@ -257,14 +246,7 @@ Status XSearchProxy::install_boundary() {
   Bytes init_payload;
   wire::put_u32(init_payload, static_cast<std::uint32_t>(options_.k));
   wire::put_u32(init_payload, options_.results_per_subquery);
-  const Status init = enclave_->ecall(sgx::EcallId::kInit, init_payload).status();
-  if (!init.is_ok()) return init;
-  // A warm start seals its own epoch before it serves a session, so a run
-  // that dies before its first periodic checkpoint cannot hand the same
-  // epoch (and with it the same session streams) to the next run. A failed
-  // write is counted in `checkpoint.write_failures`, like any other.
-  if (epoch > 0) (void)checkpoint_now();
-  return Status::ok();
+  return enclave_->ecall(sgx::EcallId::kInit, init_payload).status();
 }
 
 std::filesystem::path XSearchProxy::checkpoint_path() const {
@@ -272,21 +254,16 @@ std::filesystem::path XSearchProxy::checkpoint_path() const {
   return options_.checkpoint_dir / kCheckpointFileName;
 }
 
-std::uint64_t XSearchProxy::restore_checkpoint() {
-  if (options_.checkpoint_dir.empty()) return 0;
+void XSearchProxy::restore_checkpoint() {
+  if (options_.checkpoint_dir.empty()) return;
   auto blob = read_checkpoint_file(checkpoint_path());
-  if (!blob) return 0;  // no checkpoint yet: plain cold start
+  if (!blob) return;  // no checkpoint yet: plain cold start
   restore_attempts_.inc();
-
-  std::uint64_t sealed_epoch = 0;
-  const Status restored =
-      restore_history(*enclave_, std::move(blob).value(), *history_, &sealed_epoch);
   // A tampered or truncated blob leaves the fresh history untouched: a
   // clean cold start, never a partial window.
-  if (!restored.is_ok()) return 0;
+  if (!restore_history(*enclave_, std::move(blob).value(), *history_).is_ok()) return;
   restore_hits_.inc();
   restored_entries_.set(history_->size());
-  return sealed_epoch + 1;
 }
 
 Status XSearchProxy::checkpoint_now() {
@@ -394,12 +371,8 @@ Result<Bytes> XSearchProxy::trusted_handshake(ByteSpan payload) {
   crypto::X25519Key client_pub;
   std::memcpy(client_pub.data(), payload.data(), client_pub.size());
 
-  crypto::X25519Secret eph_seed;
-  {
-    MutexLock lock(handshake_mutex_);
-    eph_seed = secure_rng_.key();
-  }
-  const crypto::X25519KeyPair ephemeral = crypto::x25519_keypair_from_seed(eph_seed);
+  const crypto::X25519KeyPair ephemeral =
+      crypto::x25519_keypair_from_seed(enclave_->random_key());
 
   // The table is bounded: this may evict the least-recently-used session
   // (whose client will be told "unknown session" and must re-handshake).
@@ -468,10 +441,8 @@ Result<Bytes> XSearchProxy::trusted_heartbeat() {
 }
 
 Result<Bytes> XSearchProxy::trusted_checkpoint() {
-  // Seal the history plus this run's epoch (format v3), so the next warm
-  // start keys its session streams past it. Runs inside the enclave; only
-  // the sealed blob crosses out.
-  return seal_history(*enclave_, *history_, sessions_->options().epoch);
+  // Runs inside the enclave; only the sealed blob crosses out.
+  return seal_history(*enclave_, *history_);
 }
 
 Status XSearchProxy::run_trusted_query(const std::string& query,

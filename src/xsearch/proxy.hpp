@@ -101,20 +101,21 @@ class XSearchProxy : public ProxyHandler {
     std::size_t history_capacity = 1'000'000;
     /// Results fetched per sub-query from the engine.
     std::uint32_t results_per_subquery = 20;
-    /// Deterministic seed for enclave-private randomness.
+    /// Non-secret seed. A standalone proxy reads none of it; a ProxyFleet
+    /// seeds its router's session-id draws (routing metadata) from it. No
+    /// enclave key, session stream or seal nonce derives from it: those
+    /// come from the enclave runtime's own entropy.
     std::uint64_t seed = 0x5eed;
     /// Maximum live client sessions the enclave keeps; the least recently
     /// used session is evicted beyond it (its client must re-handshake).
     /// Bounds the EPC held by per-session channel state.
     std::size_t session_capacity = 4096;
     /// When non-empty, the proxy keeps a sealed checkpoint of its history
-    /// and restart epoch (format v3, see checkpoint.hpp) at
-    /// `<checkpoint_dir>/history.ckpt`: it restores the file at
-    /// construction, before it builds its session table (falling back to a
-    /// cold start when the file is missing, truncated, or tampered with),
-    /// re-seals at once after a successful restore so the file carries the
-    /// new epoch, and re-seals every `checkpoint_interval_queries` queries. The host
-    /// only ever handles the sealed blob.
+    /// (format v4, see checkpoint.hpp) at `<checkpoint_dir>/history.ckpt`:
+    /// it restores the file at construction (falling back to a cold start
+    /// when the file is missing, truncated, or tampered with) and re-seals
+    /// every `checkpoint_interval_queries` queries. The host only ever
+    /// handles the sealed blob.
     std::filesystem::path checkpoint_dir;
     /// Host-side circuit breaker on the proxy→engine path. The breaker
     /// lives in the `send` ocall *body* — untrusted host code — so trusted
@@ -202,8 +203,8 @@ class XSearchProxy : public ProxyHandler {
   /// health probe keys its respawn decision on.
   [[nodiscard]] Status heartbeat();
 
-  /// Seals the current history (+ the restart epoch) inside the enclave
-  /// and persists the blob crash-atomically to the checkpoint file.
+  /// Seals the current history inside the enclave and persists the blob
+  /// crash-atomically to the checkpoint file.
   /// Requires Options::checkpoint_dir.
   [[nodiscard]] Status checkpoint_now();
 
@@ -287,10 +288,9 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] Result<Bytes> trusted_checkpoint();
 
   /// Restores the sealed checkpoint (if any) into the fresh history during
-  /// construction and returns the epoch this run's session streams are
-  /// keyed by: one past the sealed epoch, or 0 on a cold start. A bad blob
-  /// falls back to a cold start, never a partial window.
-  [[nodiscard]] std::uint64_t restore_checkpoint();
+  /// construction. A bad blob falls back to a cold start, never a partial
+  /// window.
+  void restore_checkpoint();
 
   /// Periodic-checkpoint poll on the host path; skips when another thread
   /// is already writing.
@@ -333,17 +333,15 @@ class XSearchProxy : public ProxyHandler {
   // gateway), fixed at construction. Without one, each query is answered
   // right after obfuscation: the saturation mode of Figure 5 (§6.3).
   const bool has_engine_link_;
+  // The static channel key and each handshake's ephemeral are drawn from
+  // the enclave runtime's DRBG. The steady-state query path never touches
+  // it: each session draws from its own RNG streams held in the session
+  // table, so concurrent sessions obfuscate and seal without a shared lock.
   crypto::X25519KeyPair static_keys_{};
   sgx::Quote channel_quote_;  // over static_keys_.public_key
   std::unique_ptr<QueryHistory> history_;
   std::unique_ptr<Obfuscator> obfuscator_;
   ResultFilter filter_;
-  // Key-derivation DRBG used at construction and by the handshake path
-  // only. The steady-state query path never touches it: each session draws
-  // from its own RNG streams held in the session table, so concurrent
-  // sessions obfuscate and seal without any shared RNG lock.
-  Mutex handshake_mutex_;
-  crypto::SecureRandom secure_rng_ XS_GUARDED_BY(handshake_mutex_);
 
   // Bounded session subsystem: per-session channel locking + RNG streams,
   // LRU eviction, EPC accounting (see session_table.hpp for the locking

@@ -7,30 +7,27 @@ namespace xsearch::core {
 
 namespace {
 
-// Deterministic fork of the table seed for one session's fast RNG stream.
-// `stream` is the table's insert ordinal, never the session id: the host
+// One session's stream seeds: ChaCha20 block 0 of (stream key, nonce =
+// insert ordinal). `stream` is the ordinal, never the session id: the host
 // proposes ids and may bring one back within a run, but no ordinal repeats
-// within a table, and each restart epoch forks new streams, so no run
-// replays decoy draws or envelope ephemerals an earlier session made.
-// Epoch 0 reduces to the plain (base_seed, stream) fork.
-[[nodiscard]] std::uint64_t fork_seed(std::uint64_t base_seed, std::uint64_t stream,
-                                      std::uint64_t epoch) {
-  std::uint64_t state = base_seed ^ (stream * 0x9e3779b97f4a7c15ULL) ^
-                        (epoch * 0xbf58476d1ce4e5b9ULL);
-  return splitmix64(state);
-}
+// within a table, and each table's key is fresh enclave entropy.
+struct StreamSeeds {
+  std::uint64_t rng = 0;
+  crypto::ChaChaKey secure_rng;
+};
 
-// Deterministic ChaCha key for one session's SecureRandom. Domain-separated
-// from the proxy-level DRBG (which tags byte 31 with 0x42).
-[[nodiscard]] crypto::ChaChaKey fork_chacha_seed(std::uint64_t base_seed,
-                                                 std::uint64_t stream,
-                                                 std::uint64_t epoch) {
-  crypto::ChaChaKey::Raw raw{};
-  store_le64(raw.data(), base_seed);
-  store_le64(raw.data() + 8, stream);
-  store_le64(raw.data() + 16, epoch);
-  raw[31] = 0x53;  // 'S' for session
-  return crypto::ChaChaKey::absorb(raw);
+[[nodiscard]] StreamSeeds fork_streams(const crypto::ChaChaKey& key,
+                                       std::uint64_t stream) {
+  crypto::ChaChaNonce nonce{};
+  store_le64(nonce.data(), stream);
+  auto block = crypto::chacha20_block(key, nonce, 0);
+  StreamSeeds seeds;
+  seeds.rng = load_le64(block.data() + crypto::kChaChaKeySize);
+  crypto::ChaChaKey::Raw raw;
+  std::copy_n(block.begin(), raw.size(), raw.begin());
+  seeds.secure_rng = crypto::ChaChaKey::absorb(raw);
+  secure_wipe(block);
+  return seeds;
 }
 
 }  // namespace
@@ -39,10 +36,8 @@ namespace {
 // streams; `lru_it` is guarded by the owning shard's mutex, never by
 // `mutex`.
 struct SessionTable::Session {
-  Session(crypto::SecureChannel ch, std::uint64_t stream, const Options& options)
-      : channel(std::move(ch)),
-        rng(fork_seed(options.rng_seed, stream, options.epoch)),
-        secure_rng(fork_chacha_seed(options.rng_seed, stream, options.epoch)) {}
+  Session(crypto::SecureChannel ch, StreamSeeds seeds)
+      : channel(std::move(ch)), rng(seeds.rng), secure_rng(seeds.secure_rng) {}
 
   Mutex mutex;
   crypto::SecureChannel channel XS_GUARDED_BY(mutex);
@@ -81,22 +76,17 @@ std::size_t SessionTable::session_epc_bytes() {
   return sizeof(Session) + 64 + 8 * sizeof(void*);
 }
 
-SessionTable::SessionTable(Options options, sgx::EpcAccountant* epc)
-    : options_([&] {
-        Options o = options;
-        o.capacity = std::max<std::size_t>(1, o.capacity);
-        o.shards = std::max<std::size_t>(1, std::min(o.shards, o.capacity));
-        return o;
-      }()),
-      epc_(epc) {
-  shards_.reserve(options_.shards);
+SessionTable::SessionTable(Options options, const crypto::ChaChaKey& stream_key,
+                           sgx::EpcAccountant* epc)
+    : stream_key_(stream_key), epc_(epc) {
+  const std::size_t capacity = std::max<std::size_t>(1, options.capacity);
+  const std::size_t shards = std::max<std::size_t>(1, std::min(options.shards, capacity));
+  shards_.reserve(shards);
   // Quotas sum to exactly Options::capacity: the division remainder goes
   // one-each to the first shards.
-  const std::size_t base = options_.capacity / options_.shards;
-  const std::size_t remainder = options_.capacity % options_.shards;
-  for (std::size_t i = 0; i < options_.shards; ++i) {
+  for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->capacity = base + (i < remainder ? 1 : 0);
+    shards_.back()->capacity = capacity / shards + (i < capacity % shards ? 1 : 0);
   }
 }
 
@@ -112,7 +102,8 @@ std::uint64_t SessionTable::insert(crypto::SecureChannel channel,
   for (;;) {
     id = proposed_id != 0 ? proposed_id
                           : next_id_.fetch_add(1, std::memory_order_relaxed);
-    auto session = std::make_shared<Session>(std::move(channel), stream, options_);
+    auto session =
+        std::make_shared<Session>(std::move(channel), fork_streams(stream_key_, stream));
 
     Shard& shard = shard_for(id);
     MutexLock lock(shard.mutex);

@@ -28,15 +28,14 @@
 //
 // Each session also owns its *random number streams*: a fast Rng for
 // obfuscation sampling and a ChaCha-based SecureRandom for engine-link
-// envelope seals, both derived deterministically from (Options::rng_seed,
-// the table's insert ordinal, Options::epoch). They live behind the
-// per-session lock, so the query hot path draws randomness with no
-// cross-session serialization (see ARCHITECTURE.md "Hot path &
-// performance"). They are keyed by the ordinal, not the session id, because
-// the host proposes ids and may reuse one within a run. The epoch is the
-// proxy's restart count, sealed in its checkpoints: a session created after
-// a warm restart draws from a stream no earlier run drew from, even when it
-// reuses a pre-crash session id.
+// envelope seals, both forked from the table's stream key and the insert
+// ordinal with one ChaCha20 block. The proxy draws that key from the
+// enclave's entropy for each table, so no host-set value and no earlier
+// run determines a stream. They live behind the per-session lock, so the
+// query hot path draws randomness with no cross-session serialization (see
+// ARCHITECTURE.md "Hot path & performance"). They are keyed by the
+// ordinal, not the session id, because the host proposes ids and may reuse
+// one within a run.
 #pragma once
 
 #include <atomic>
@@ -67,22 +66,12 @@ class SessionTable {
     std::size_t capacity = 4096;
     /// Lock shards; more shards = less contention between sessions.
     std::size_t shards = 8;
-    /// Base seed the per-session RNG streams are forked from. Every
-    /// session's streams are a pure function of (rng_seed, insert ordinal,
-    /// epoch) — the n-th insert of a table draws the n-th stream whatever
-    /// id it gets — so a given seed, epoch and insert order replay each
-    /// session's random draws exactly. The obfuscation decisions built from
-    /// those draws also depend on the shared QueryHistory's contents at
-    /// query time, which track the global order of add() calls — full
-    /// replay needs the query interleaving too, not just the seed.
-    std::uint64_t rng_seed = 0x5eed;
-    /// Restart epoch: 0 on a cold start, one past the sealed checkpoint's
-    /// epoch on a warm one (the proxy restores before it builds the
-    /// table). Epoch 0 is the plain (rng_seed, ordinal) derivation.
-    std::uint64_t epoch = 0;
   };
 
-  explicit SessionTable(Options options, sgx::EpcAccountant* epc = nullptr);
+  /// `stream_key` keys every session's RNG streams: the n-th insert forks
+  /// its streams from (stream_key, n), whatever id it gets.
+  SessionTable(Options options, const crypto::ChaChaKey& stream_key,
+               sgx::EpcAccountant* epc = nullptr);
   ~SessionTable();
 
   SessionTable(const SessionTable&) = delete;
@@ -106,8 +95,8 @@ class SessionTable {
     [[nodiscard]] explicit operator bool() const { return session_ != nullptr; }
     [[nodiscard]] crypto::SecureChannel& channel();
 
-    /// The session's private obfuscation RNG stream (deterministic fork of
-    /// the table seed). Guarded by the held per-session lock.
+    /// The session's private obfuscation RNG stream (forked from the table's
+    /// stream key). Guarded by the held per-session lock.
     [[nodiscard]] Rng& rng();
     /// The session's private ChaCha DRBG for envelope seals. Guarded by the
     /// held per-session lock.
@@ -136,7 +125,6 @@ class SessionTable {
   /// `sessions.*`: created, evicted_lru, misses (unknown ids acquired);
   /// gauges active, peak_active, epc_bytes.
   [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
-  [[nodiscard]] const Options& options() const { return options_; }
 
   /// EPC bytes accounted per live session (channel state + table node
   /// bookkeeping) — what `insert` charges and eviction releases.
@@ -155,7 +143,7 @@ class SessionTable {
     return *shards_[session_id % shards_.size()];
   }
 
-  const Options options_;
+  const crypto::ChaChaKey stream_key_;
   sgx::EpcAccountant* epc_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -186,5 +186,15 @@ TEST(Histogram, QuantilesNeverExceedRecordedRange) {
   }
 }
 
+TEST(HistogramDeathTest, LayoutContractsAbortInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(Histogram(0), "must lie in \\[1, 16\\]");
+  EXPECT_DEATH(Histogram(17), "must lie in \\[1, 16\\]");
+  Histogram coarse(4);
+  const Histogram fine(8);
+  const auto merge_mismatched = [&] { coarse.merge(fine); };
+  EXPECT_DEATH(merge_mismatched(), "share one bucket layout");
+}
+
 }  // namespace
 }  // namespace xsearch

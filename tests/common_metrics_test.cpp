@@ -180,12 +180,11 @@ TEST_F(FleetRecoveryMetricsTest, RespawnAndRestoreCountsSurviveRespawn) {
   EXPECT_EQ(snapshot.value("worker.respawns", net::worker_label(0)), 2u);
   EXPECT_EQ(snapshot.value("worker.respawns", net::worker_label(1)), 1u);
   // The proxy series are the current proxy's: worker 1's replacement
-  // restored and has written only the seal a warm start makes of its new
-  // epoch (its predecessor wrote one), worker 0's did not and has written
-  // nothing yet.
+  // restored what its predecessor wrote, worker 0's did not, and neither
+  // replacement has written anything yet.
   EXPECT_EQ(snapshot.value("checkpoint.restore_hits", net::worker_label(1)), 1u);
   EXPECT_EQ(snapshot.value("checkpoint.restore_hits", net::worker_label(0)), 0u);
-  EXPECT_EQ(snapshot.value("checkpoint.written", net::worker_label(1)), 1u);
+  EXPECT_EQ(snapshot.value("checkpoint.written", net::worker_label(1)), 0u);
   EXPECT_EQ(snapshot.value("checkpoint.written", net::worker_label(0)), 0u);
 }
 

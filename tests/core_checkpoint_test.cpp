@@ -181,30 +181,32 @@ TEST(Checkpoint, OverCapacityRestoreKeepsNewestEntries) {
                                       "q96", "q97", "q98", "q99"}));
 }
 
-TEST(Checkpoint, V3CarriesTheRestartEpoch) {
+// The blob is `magic || version 4 || entries`: nothing but the history.
+TEST(Checkpoint, V4HoldsTheHistoryAlone) {
   auto enclave = make_enclave();
   QueryHistory original(10);
   original.add("warm");
-  for (const std::uint64_t epoch : {std::uint64_t{0}, std::uint64_t{7},
-                                    ~std::uint64_t{0}}) {
-    const Bytes sealed = seal_history(enclave, original, epoch);
-    QueryHistory restored(10);
-    std::uint64_t restored_epoch = 12345;
-    ASSERT_TRUE(restore_history(enclave, sealed, restored, &restored_epoch).is_ok());
-    EXPECT_EQ(restored_epoch, epoch);
-    EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"warm"});
-  }
+  const auto plain = enclave.unseal(seal_history(enclave, original));
+  ASSERT_TRUE(plain.is_ok());
+  Bytes expected;
+  wire::put_u32(expected, 0x58534850);  // "XSHP"
+  wire::put_u32(expected, 4);
+  wire::put_u32(expected, 1);
+  wire::put_string(expected, "warm");
+  EXPECT_EQ(plain.value(), expected);
 }
 
-// Formats v1 (entries only) and v2 (entries + per-session counts) are
-// retired: a correctly sealed blob of either is refused before any entry is
-// replayed, and the proxy starts cold.
+// Formats v1 (entries only), v2 (entries + per-session counts) and v3
+// (entries behind a restart epoch) are retired: a correctly sealed blob of
+// any of them is refused before any entry is replayed, and the proxy
+// starts cold.
 TEST(Checkpoint, OlderVersionsAreRefused) {
   auto enclave = make_enclave();
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     Bytes plain;
     wire::put_u32(plain, 0x58534850);  // "XSHP"
     wire::put_u32(plain, version);
+    if (version == 3) wire::put_u64(plain, 5);  // the restart epoch
     wire::put_u32(plain, 2);
     wire::put_string(plain, "old one");
     wire::put_string(plain, "old two");
@@ -213,25 +215,22 @@ TEST(Checkpoint, OlderVersionsAreRefused) {
 
     QueryHistory restored(10);
     restored.add("already here");
-    std::uint64_t epoch = 12345;
-    const Status status = restore_history(enclave, sealed, restored, &epoch);
-    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    const Status status = restore_history(enclave, sealed, restored);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "v" << version;
     EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
         << status.to_string();
     EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
-    EXPECT_EQ(epoch, 12345u);
   }
 }
 
 TEST(Checkpoint, TruncatedLastEntryLeavesHistoryUntouched) {
-  // A correctly sealed v3 plaintext whose last entry claims more bytes than
+  // A correctly sealed v4 plaintext whose last entry claims more bytes than
   // the blob holds: the restore validates the whole blob before inserting,
   // so the two good entries before it must not land either.
   auto enclave = make_enclave();
   Bytes plain;
   wire::put_u32(plain, 0x58534850);  // "XSHP"
-  wire::put_u32(plain, 3);
-  wire::put_u64(plain, 5);  // epoch
+  wire::put_u32(plain, 4);
   wire::put_u32(plain, 3);
   wire::put_string(plain, "good one");
   wire::put_string(plain, "good two");
@@ -243,12 +242,10 @@ TEST(Checkpoint, TruncatedLastEntryLeavesHistoryUntouched) {
   QueryHistory restored(10, &epc);
   restored.add("already here");
   const std::size_t bytes_before = restored.memory_bytes();
-  std::uint64_t epoch = 12345;
-  EXPECT_FALSE(restore_history(enclave, sealed, restored, &epoch).is_ok());
+  EXPECT_FALSE(restore_history(enclave, sealed, restored).is_ok());
   EXPECT_EQ(restored.snapshot(), std::vector<std::string>{"already here"});
   EXPECT_EQ(restored.memory_bytes(), bytes_before);
   EXPECT_EQ(epc.in_use(), bytes_before);
-  EXPECT_EQ(epoch, 12345u);
 }
 
 TEST(Checkpoint, RestoredHistoryFeedsObfuscation) {

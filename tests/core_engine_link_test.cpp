@@ -159,7 +159,7 @@ TEST_F(EngineLinkTest, EngineStillSeesObfuscatedQuery) {
 
 TEST_F(EngineLinkTest, ResultsMatchPlainLink) {
   // The encrypted link is transport-only: same results as the plain link
-  // for the same proxy seed.
+  // when no decoy is drawn.
   XSearchProxy::Options options;
   options.k = 0;  // no randomness in sub-query choice
   options.history_capacity = 100;

@@ -1,20 +1,23 @@
 // Parallel obfuscation: per-session RNG streams and lock-free history.
 //
 // The proxy's query hot path holds no global lock: each session draws
-// obfuscation randomness from its own stream (a deterministic fork of the
-// proxy seed by the table's insert ordinal, held in the SessionTable behind
-// the session lock) and history sampling takes a shared reader lock. This suite pins
-// both halves of that design:
+// obfuscation randomness from its own stream (forked from a key the enclave
+// draws from its own entropy, by the table's insert ordinal, held in the
+// SessionTable behind the session lock) and history sampling reads the
+// window without a lock. This suite pins both halves of that design:
 //
-//  * determinism — same seed, same session order, same queries ⇒ the exact
-//    same OR queries leave the enclave, and a different seed diverges;
+//  * the streams' output — every OR query carries its real query and k
+//    decoys from the history, and two proxies of one configuration diverge,
+//    since no option seeds the streams;
 //  * data-race freedom — many threads × many sessions hammer one proxy
 //    while the history absorbs concurrent add/sample traffic. Run under
 //    ThreadSanitizer in CI (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,22 +50,27 @@ class ParallelObfuscationTest : public ::testing::Test {
         engine_(corpus_),
         authority_(to_bytes("parallel-root")) {}
 
-  XSearchProxy::Options options(std::uint64_t seed) {
+  static XSearchProxy::Options options() {
     XSearchProxy::Options opt;
     opt.k = 3;
     opt.history_capacity = 10'000;
-    opt.seed = seed;
     return opt;
   }
 
-  /// Runs the same deterministic script against a fresh proxy: warm the
-  /// history, open two sessions in a fixed order, alternate queries between
-  /// them, and record every OR query the engine observes.
-  std::vector<std::string> observed_or_queries(std::uint64_t seed) {
-    XSearchProxy proxy(&engine_, authority_, options(seed));
+  std::vector<std::string> warm_queries() const {
     std::vector<std::string> warm;
     for (std::size_t i = 0; i < 40; ++i) warm.push_back(log_.records()[i].text);
-    proxy.warm_history(warm);
+    return warm;
+  }
+  std::string alice_query(std::size_t i) const { return log_.records()[100 + i].text; }
+  std::string bob_query(std::size_t i) const { return log_.records()[200 + i].text; }
+
+  /// Runs the same script against a fresh proxy: warm the history, open two
+  /// sessions in a fixed order, alternate queries between them, and record
+  /// every OR query the engine observes.
+  std::vector<std::string> observed_or_queries() {
+    XSearchProxy proxy(&engine_, authority_, options());
+    proxy.warm_history(warm_queries());
 
     std::vector<std::string> observed;
     engine_.set_observer(
@@ -75,8 +83,8 @@ class ParallelObfuscationTest : public ::testing::Test {
     EXPECT_TRUE(alice.connect().is_ok());
     EXPECT_TRUE(bob.connect().is_ok());
     for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_TRUE(alice.search(log_.records()[100 + i].text).is_ok());
-      EXPECT_TRUE(bob.search(log_.records()[200 + i].text).is_ok());
+      EXPECT_TRUE(alice.search(alice_query(i)).is_ok());
+      EXPECT_TRUE(bob.search(bob_query(i)).is_ok());
     }
     engine_.set_observer(nullptr);
     return observed;
@@ -88,21 +96,39 @@ class ParallelObfuscationTest : public ::testing::Test {
   sgx::AttestationAuthority authority_;
 };
 
-TEST_F(ParallelObfuscationTest, SameSeedSameSessionOrderSameFakes) {
-  const auto first = observed_or_queries(0xdeed);
-  const auto second = observed_or_queries(0xdeed);
-  ASSERT_EQ(first.size(), 20u);
-  // Per-session streams are pure functions of (seed, insert ordinal, epoch):
-  // replaying the script reproduces every OR query — fakes, order and insert position.
-  EXPECT_EQ(first, second);
+// Algorithm 1 as the engine sees it: each OR query holds its real query
+// once and k decoys, every decoy a query the window held at that moment
+// (the warm set or an earlier real query), never the real query itself.
+TEST_F(ParallelObfuscationTest, EveryOrQueryCarriesItsQueryAndKHistoryDecoys) {
+  const auto observed = observed_or_queries();
+  ASSERT_EQ(observed.size(), 20u);
+  const std::vector<std::string> warm = warm_queries();
+  std::set<std::string> window(warm.begin(), warm.end());
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    const std::string real = i % 2 == 0 ? alice_query(i / 2) : bob_query(i / 2);
+    std::vector<std::string> parts;
+    std::size_t start = 0;
+    for (std::size_t at; (at = observed[i].find(" OR ", start)) != std::string::npos;
+         start = at + 4) {
+      parts.push_back(observed[i].substr(start, at - start));
+    }
+    parts.push_back(observed[i].substr(start));
+    ASSERT_EQ(parts.size(), options().k + 1) << observed[i];
+    EXPECT_EQ(std::count(parts.begin(), parts.end(), real), 1) << observed[i];
+    for (const auto& part : parts) {
+      if (part != real) EXPECT_TRUE(window.contains(part)) << part;
+    }
+    window.insert(real);
+  }
 }
 
-TEST_F(ParallelObfuscationTest, DifferentSeedDivergesSomewhere) {
-  const auto first = observed_or_queries(0xdeed);
-  const auto other = observed_or_queries(0xfeed);
+// No option seeds the streams, so two proxies of one configuration running
+// one script draw different decoys: 20 draws of 3 fakes from a 40+-entry
+// window would repeat in full only if the streams repeated.
+TEST_F(ParallelObfuscationTest, TwoProxiesOfOneConfigurationDiverge) {
+  const auto first = observed_or_queries();
+  const auto other = observed_or_queries();
   ASSERT_EQ(first.size(), other.size());
-  // 20 draws of 3 fakes from a 40+-entry history under a different seed:
-  // identical output would mean the seed never reached the streams.
   EXPECT_NE(first, other);
 }
 
@@ -113,10 +139,8 @@ TEST_F(ParallelObfuscationTest, SessionsHaveIndependentStreams) {
   // the sessions swap creation order — the stream belongs to the session,
   // not to the call sequence. Cheap proxy: two sessions, same single query
   // each, OR queries almost surely differ (k=3 fakes from 40 entries).
-  XSearchProxy proxy(&engine_, authority_, options(0xabcd));
-  std::vector<std::string> warm;
-  for (std::size_t i = 0; i < 40; ++i) warm.push_back(log_.records()[i].text);
-  proxy.warm_history(warm);
+  XSearchProxy proxy(&engine_, authority_, options());
+  proxy.warm_history(warm_queries());
 
   std::vector<std::string> observed;
   engine_.set_observer(
@@ -138,7 +162,7 @@ TEST_F(ParallelObfuscationTest, ManyThreadsManySessionsRaceFree) {
   // traffic: 6 threads × 2 sessions each × 40 queries against one proxy.
   // TSan verifies the lock-free hot path (per-session streams, shared-lock
   // history sampling, shared-lock ecall dispatch) is race-free.
-  XSearchProxy proxy(nullptr, authority_, options(0x1234));
+  XSearchProxy proxy(nullptr, authority_, options());
 
   constexpr int kThreads = 6;
   constexpr int kQueries = 40;

@@ -1,26 +1,34 @@
 // Warm-restart tests for the proxy-integrated checkpointer: periodic
 // sealing during traffic, restore at construction, clean cold-start
-// fallback on tampered/truncated blobs, and the v3 restart epoch that keeps
-// every post-restart session off the decoy streams an earlier run spent.
+// fallback on tampered/truncated blobs, and the enclave entropy that keeps
+// every run's sessions off the decoy streams and envelope keys an earlier
+// run spent, and out of reach of the host that sets every option.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "broker_util.hpp"
+#include "common/rng.hpp"
+#include "crypto/random.hpp"
 #include "crypto/x25519.hpp"
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
 #include "engine/search_engine.hpp"
 #include "sgx/attestation.hpp"
 #include "xsearch/checkpoint.hpp"
+#include "xsearch/engine_gateway.hpp"
+#include "xsearch/obfuscator.hpp"
 #include "xsearch/proxy.hpp"
 #include "xsearch/session_table.hpp"
+#include "xsearch/wire.hpp"
 
 namespace xsearch::core {
 namespace {
@@ -186,48 +194,11 @@ TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
   EXPECT_EQ(restarted.history_size(), 10u);
 }
 
-// The epoch the proxy's current checkpoint file was sealed with.
-std::uint64_t sealed_epoch(const std::filesystem::path& path) {
-  auto blob = read_checkpoint_file(path);
-  EXPECT_TRUE(blob.is_ok()) << blob.status().to_string();
-  if (!blob) return ~std::uint64_t{0};
-  sgx::EnclaveRuntime enclave({.code_identity = XSearchProxy::code_identity()});
-  QueryHistory history(1'000);
-  std::uint64_t epoch = ~std::uint64_t{0};
-  const Status status =
-      restore_history(enclave, std::move(blob).value(), history, &epoch);
-  EXPECT_TRUE(status.is_ok()) << status.to_string();
-  return epoch;
-}
-
-TEST_F(RecoveryTest, EachWarmRestartSealsTheNextEpoch) {
-  {
-    XSearchProxy cold(nullptr, authority_, checkpointing_options(/*interval=*/0));
-    EXPECT_EQ(cold.metrics().value("checkpoint.written"), 0u);  // cold: no seal yet
-    ASSERT_TRUE(cold.checkpoint_now().is_ok());
-  }
-  EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), 0u);
-  for (std::uint64_t restart = 1; restart <= 2; ++restart) {
-    XSearchProxy warm(nullptr, authority_, checkpointing_options(0));
-    EXPECT_EQ(warm.metrics().value("checkpoint.restore_hits"), 1u);
-    // A warm start seals its epoch before it serves anything.
-    EXPECT_EQ(warm.metrics().value("checkpoint.written"), 1u);
-    EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), restart);
-    ASSERT_TRUE(warm.checkpoint_now().is_ok());
-    EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), restart);
-  }
-  // A run that dies before any periodic or explicit checkpoint still moved
-  // the epoch on at start, so the run after it does not reuse epoch 3.
-  { XSearchProxy unsealed(nullptr, authority_, checkpointing_options(0)); }
-  EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), 3u);
-  XSearchProxy again(nullptr, authority_, checkpointing_options(0));
-  EXPECT_EQ(sealed_epoch(dir_ / "history.ckpt"), 4u);
-}
-
-// The privacy property at the RNG level: every session's streams are keyed
-// by (seed, insert ordinal, epoch), so each epoch draws different streams,
-// epoch 0 — a cold start — is the plain (seed, ordinal) stream, and an id
-// that comes back within one run does not bring its old streams back.
+// The privacy property at the RNG level: a table's session streams are
+// forked from its stream key and the insert ordinal, and the proxy draws
+// that key from enclave entropy for each run, so the n-th session of two
+// runs draws different streams, and an id that comes back within one run
+// does not bring its old streams back.
 TEST_F(RecoveryTest, ResumedSessionDoesNotReplayDecoyStream) {
   const auto make_channel = [] {
     crypto::X25519Key static_seed{};
@@ -256,38 +227,35 @@ TEST_F(RecoveryTest, ResumedSessionDoesNotReplayDecoyStream) {
     return draws;
   };
   // A fresh table's first session, under the counter's first id.
-  const auto first_draws = [&](std::uint64_t epoch) {
-    SessionTable table({.rng_seed = 42, .epoch = epoch});
+  const auto first_draws = [&](const crypto::ChaChaKey& key) {
+    SessionTable table({}, key);
     EXPECT_EQ(table.insert(make_channel()), 1u);
     return draw(table, 1);
   };
 
-  // Epoch 0, a cold start, is the plain (seed, 1) stream a fresh proxy's
-  // first session has always drawn; pinned so a change to the derivation
-  // cannot silently alter cold-start draws.
-  const Draws epoch0 = first_draws(0);
-  EXPECT_EQ(epoch0.rng,
-            (std::vector<std::uint64_t>{0x2fcd8d44ddf09827ULL, 0x1b035635de0f5d7fULL,
-                                        0x888b092fcf6501b8ULL, 0xc6cceba97135c2a8ULL}));
-  EXPECT_EQ(hex_encode(epoch0.secure_rng), "90c3c6df2f1aa05fa0eb8d7f54ffbd2e");
-
-  Draws previous = epoch0;
-  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
-    const Draws next = first_draws(epoch);
-    EXPECT_NE(next.rng, previous.rng) << "epoch " << epoch;
-    EXPECT_NE(next.secure_rng, previous.secure_rng) << "epoch " << epoch;
-    EXPECT_NE(next.rng, epoch0.rng) << "epoch " << epoch;
-    previous = next;
+  // Three runs — two of one enclave instance, one of a restarted instance
+  // of the same code — each key their table afresh.
+  sgx::EnclaveRuntime enclave({.code_identity = XSearchProxy::code_identity()});
+  sgx::EnclaveRuntime restarted({.code_identity = XSearchProxy::code_identity()});
+  const std::vector<Draws> runs = {first_draws(enclave.random_key()),
+                                   first_draws(enclave.random_key()),
+                                   first_draws(restarted.random_key())};
+  for (std::size_t a = 0; a < runs.size(); ++a) {
+    for (std::size_t b = a + 1; b < runs.size(); ++b) {
+      EXPECT_NE(runs[a].rng, runs[b].rng) << "runs " << a << ", " << b;
+      EXPECT_NE(runs[a].secure_rng, runs[b].secure_rng) << "runs " << a << ", " << b;
+    }
   }
-  // Within an epoch the derivation is deterministic.
-  EXPECT_EQ(first_draws(2).rng, first_draws(2).rng);
+  // Under one key the fork is a function of the ordinal alone.
+  const crypto::ChaChaKey key = enclave.random_key();
+  EXPECT_EQ(first_draws(key).rng, first_draws(key).rng);
 
   // Eviction must not rewind a stream either. The host proposes session
   // ids, so it can propose X, push X out of the LRU, and propose X again;
   // the returning X must draw new streams, or its decoys and envelope
   // ephemerals would repeat within the run.
   constexpr std::uint64_t kProposed = 777;
-  SessionTable churn({.capacity = 1, .rng_seed = 42});
+  SessionTable churn({.capacity = 1}, key);
   ASSERT_EQ(churn.insert(make_channel(), kProposed), kProposed);
   const Draws before = draw(churn, kProposed);
   ASSERT_EQ(churn.insert(make_channel(), kProposed + 1), kProposed + 1);
@@ -327,6 +295,14 @@ class ObservedRecoveryTest : public RecoveryTest {
     return std::exchange(observed_, {});
   }
 
+  /// The first 300 logged queries: a window deep enough that a repeated OR
+  /// query means a repeated random stream.
+  std::vector<std::string> warm_queries() const {
+    std::vector<std::string> warm;
+    for (std::size_t i = 0; i < 300; ++i) warm.push_back(log_.records()[i].text);
+    return warm;
+  }
+
   dataset::QueryLog log_;
   engine::Corpus corpus_;
   engine::SearchEngine engine_;
@@ -340,18 +316,13 @@ class ObservedRecoveryTest : public RecoveryTest {
 TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart) {
   const std::vector<std::string> queries = {"alpha beta", "gamma", "delta epsilon",
                                             "zeta", "eta theta", "iota"};
-  std::vector<std::string> warm;
-  for (const auto& record : log_.records()) {
-    if (warm.size() == 300) break;
-    warm.push_back(record.text);
-  }
 
   std::uint64_t b_id = 0;
   std::vector<std::string> pre_crash;
   {
     XSearchProxy proxy(&engine_, authority_, checkpointing_options(/*interval=*/0));
     ASSERT_TRUE(proxy.init_status().is_ok());
-    proxy.warm_history(warm);
+    proxy.warm_history(warm_queries());
     auto a = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
     ASSERT_TRUE(a.search("session a").is_ok());
     ASSERT_TRUE(proxy.checkpoint_now().is_ok());  // A live, B not yet born
@@ -386,8 +357,175 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
   EXPECT_EQ(replayed, 0) << "OR queries the engine saw before the crash";
 }
 
-// The sealed blob holds the history and one epoch: its size must not grow
-// with the number of sessions that ever existed.
+// What the untrusted host holds: every Options value, the sealed checkpoint
+// (whose key, in this simulator, derives from the public measurement), the
+// attested handshake and the OR queries the engine receives. The enclave
+// once derived its secrets from the host-set seed; this host replays those
+// derivations — a handshake DRBG keyed by domain_seed(seed, 0x42), and
+// session streams forked from (seed, insert ordinal, restart epoch) — and
+// must match neither the attested static key, nor the handshake's
+// ephemeral, nor the session's first decoy draw.
+TEST_F(ObservedRecoveryTest, HostCannotRecomputeEnclaveSecrets) {
+  XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
+  options.seed = 0xC0FFEE;
+  {
+    XSearchProxy sealer(&engine_, authority_, options);
+    sealer.warm_history(warm_queries());
+    ASSERT_TRUE(sealer.checkpoint_now().is_ok());
+  }
+  XSearchProxy proxy(&engine_, authority_, options);
+  ASSERT_EQ(proxy.metrics().value("checkpoint.restore_hits"), 1u);
+
+  // Session 1 is a bare handshake: its reply carries the attested static
+  // key (the quote's report data) and the enclave's ephemeral.
+  crypto::X25519Key client_seed{};
+  client_seed[0] = 0x5c;
+  const auto client = crypto::x25519_keypair_from_seed(crypto::X25519Secret(client_seed));
+  const auto hello = proxy.handshake(client.public_key);
+  ASSERT_TRUE(hello.is_ok()) << hello.status().to_string();
+  // Session 2 sends one query; the engine sees its OR query.
+  (void)take_observed();
+  const std::string query = "chronic pain clinic";
+  auto broker = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 9);
+  ASSERT_TRUE(broker.search(query).is_ok());
+  const std::vector<std::string> observed = take_observed();
+  ASSERT_EQ(observed.size(), 1u);
+
+  // The handshake DRBG's first keys: the static key pair came first, each
+  // handshake's ephemeral after it.
+  crypto::SecureRandom handshake_rng(crypto::domain_seed(options.seed, /*tag=*/0x42));
+  for (int draw = 0; draw < 8; ++draw) {
+    const auto guess = crypto::x25519_keypair_from_seed(handshake_rng.key());
+    EXPECT_NE(Bytes(guess.public_key.begin(), guess.public_key.end()),
+              hello.value().quote.report_data)
+        << "static key is draw " << draw;
+    EXPECT_NE(guess.public_key, hello.value().server_ephemeral_pub)
+        << "ephemeral is draw " << draw;
+  }
+
+  // Each session stream the seed could key, at any restart epoch the blob
+  // could imply, replayed through Algorithm 1 over the history the blob
+  // holds.
+  const auto blob = read_checkpoint_file(proxy.checkpoint_path());
+  ASSERT_TRUE(blob.is_ok());
+  const sgx::EnclaveRuntime host_copy({.code_identity = XSearchProxy::code_identity()});
+  for (std::uint64_t ordinal = 1; ordinal <= 2; ++ordinal) {
+    for (std::uint64_t epoch = 0; epoch <= 3; ++epoch) {
+      QueryHistory history(options.history_capacity);
+      ASSERT_TRUE(restore_history(host_copy, blob.value(), history).is_ok());
+      std::uint64_t state = options.seed ^ (ordinal * 0x9e3779b97f4a7c15ULL) ^
+                            (epoch * 0xbf58476d1ce4e5b9ULL);
+      Rng rng(splitmix64(state));
+      const ObfuscatedQuery guess = Obfuscator(history, options.k).obfuscate(query, rng);
+      EXPECT_NE(guess.to_query_string(), observed.front())
+          << "ordinal " << ordinal << ", epoch " << epoch;
+    }
+  }
+}
+
+// The same observer behind the encrypted engine link (footnote 2), whose
+// host relay also records each request envelope's ephemeral public key:
+// with the gateway's key fixed, it fixes the envelope's AEAD keys.
+class ObservedLinkRecoveryTest : public ObservedRecoveryTest {
+ protected:
+  ObservedLinkRecoveryTest() : gateway_(&engine_, /*seed=*/11) {}
+
+  /// Replaces `proxy`'s socket ocalls with a relay to the gateway that
+  /// records every envelope key (one socket at a time, as these
+  /// single-threaded tests use it).
+  void relay_and_record(XSearchProxy& proxy) {
+    sgx::EnclaveRuntime& host = proxy.host_enclave();
+    host.register_ocall(sgx::OcallId::kSockConnect, [](ByteSpan) -> Result<Bytes> {
+      Bytes sock;
+      wire::put_u64(sock, 1);
+      return sock;
+    });
+    host.register_ocall(sgx::OcallId::kSend, [this](ByteSpan payload) -> Result<Bytes> {
+      const ByteSpan envelope = payload.subspan(sizeof(std::uint64_t));  // behind the socket id
+      envelope_keys_.emplace_back(envelope.begin(),
+                                  envelope.begin() + crypto::kX25519KeySize);
+      auto reply = gateway_.handle(envelope);
+      if (!reply) return reply.status();
+      reply_ = std::move(reply).value();
+      return Bytes{};
+    });
+    host.register_ocall(sgx::OcallId::kRecv,
+                        [this](ByteSpan) -> Result<Bytes> { return std::move(reply_); });
+    host.register_ocall(sgx::OcallId::kClose,
+                        [](ByteSpan) -> Result<Bytes> { return Bytes{}; });
+  }
+
+  SecureEngineGateway gateway_;
+  std::vector<Bytes> envelope_keys_;
+  Bytes reply_;
+};
+
+// Two cold starts, and one sealed blob restored twice, each serve one
+// script on their second session over the same history. Each run draws
+// its streams from fresh enclave entropy, so the engine sees different
+// decoys and the link different envelope keys every time.
+TEST_F(ObservedLinkRecoveryTest, RestartsDrawFreshStreams) {
+  const std::vector<std::string> queries = {"alpha beta", "gamma", "delta epsilon",
+                                            "zeta"};
+  struct Seen {
+    std::vector<std::string> or_queries;
+    std::vector<Bytes> envelope_keys;
+  };
+  const auto serve = [&](XSearchProxy& proxy) {
+    relay_and_record(proxy);
+    auto first = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
+    EXPECT_TRUE(first.connect().is_ok());
+    (void)take_observed();
+    envelope_keys_.clear();
+    auto second = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 2);
+    for (const auto& query : queries) EXPECT_TRUE(second.search(query).is_ok());
+    Seen seen{take_observed(), std::exchange(envelope_keys_, {})};
+    EXPECT_EQ(seen.or_queries.size(), queries.size());
+    EXPECT_EQ(seen.envelope_keys.size(), queries.size());
+    return seen;
+  };
+  const auto shared = [](const auto& a, const auto& b) {
+    std::ptrdiff_t n = 0;
+    for (const auto& x : a) n += std::count(b.begin(), b.end(), x);
+    return n;
+  };
+  const auto expect_fresh = [&](const Seen& a, const Seen& b, const char* runs) {
+    EXPECT_EQ(shared(a.or_queries, b.or_queries), 0) << runs << ": replayed OR queries";
+    EXPECT_EQ(shared(a.envelope_keys, b.envelope_keys), 0)
+        << runs << ": replayed envelope keys";
+  };
+
+  XSearchProxy::Options cold = checkpointing_options(/*interval=*/0);
+  cold.checkpoint_dir.clear();
+  std::vector<Seen> cold_runs;
+  for (int start = 0; start < 2; ++start) {
+    XSearchProxy proxy(gateway_, authority_, cold);
+    proxy.warm_history(warm_queries());
+    cold_runs.push_back(serve(proxy));
+  }
+  expect_fresh(cold_runs[0], cold_runs[1], "two cold starts");
+
+  {
+    XSearchProxy sealer(gateway_, authority_, checkpointing_options(/*interval=*/0));
+    sealer.warm_history(warm_queries());
+    ASSERT_TRUE(sealer.checkpoint_now().is_ok());
+  }
+  const auto path = dir_ / "history.ckpt";
+  const auto blob = read_checkpoint_file(path);
+  ASSERT_TRUE(blob.is_ok());
+  std::vector<Seen> restored_runs;
+  for (int restore = 0; restore < 2; ++restore) {
+    // The host puts the same sealed blob back before each start.
+    ASSERT_TRUE(write_checkpoint_file(path, blob.value()).is_ok());
+    XSearchProxy proxy(gateway_, authority_, checkpointing_options(/*interval=*/0));
+    ASSERT_EQ(proxy.metrics().value("checkpoint.restore_hits"), 1u);
+    restored_runs.push_back(serve(proxy));
+  }
+  expect_fresh(restored_runs[0], restored_runs[1], "one blob restored twice");
+}
+
+// The sealed blob holds the history alone: its size must not grow with the
+// number of sessions that ever existed.
 TEST_F(RecoveryTest, SealedSizeIndependentOfSessionCount) {
   XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
   options.session_capacity = 16;

@@ -58,8 +58,12 @@ crypto::SecureChannel make_server_channel(std::uint8_t tag) {
   return std::move(make_channel_pair(tag).server);
 }
 
+// The key a table forks its session streams from; a proxy draws it from its
+// enclave's entropy, these tests need only some key.
+const crypto::ChaChaKey kStreamKey{};
+
 TEST(SessionTable, InsertAcquireRoundTrip) {
-  SessionTable table({.capacity = 8, .shards = 2});
+  SessionTable table({.capacity = 8, .shards = 2}, kStreamKey);
   auto pair = make_channel_pair(1);
   const std::uint64_t id = table.insert(std::move(pair.server));
   EXPECT_GT(id, 0u);
@@ -74,13 +78,13 @@ TEST(SessionTable, InsertAcquireRoundTrip) {
 }
 
 TEST(SessionTable, AcquireUnknownIsAMiss) {
-  SessionTable table({.capacity = 4, .shards = 1});
+  SessionTable table({.capacity = 4, .shards = 1}, kStreamKey);
   EXPECT_FALSE(static_cast<bool>(table.acquire(42)));
   EXPECT_EQ(table.metrics().value("sessions.misses"), 1u);
 }
 
 TEST(SessionTable, LruEvictionPrefersColdSessions) {
-  SessionTable table({.capacity = 3, .shards = 1});
+  SessionTable table({.capacity = 3, .shards = 1}, kStreamKey);
   const auto a = table.insert(make_server_channel(1));
   const auto b = table.insert(make_server_channel(2));
   const auto c = table.insert(make_server_channel(3));
@@ -102,7 +106,7 @@ TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
   sgx::EpcAccountant epc(1 << 20);
   const std::size_t per_session = SessionTable::session_epc_bytes();
   {
-    SessionTable table({.capacity = 4, .shards = 1}, &epc);
+    SessionTable table({.capacity = 4, .shards = 1}, kStreamKey, &epc);
     for (int i = 0; i < 4; ++i) {
       (void)table.insert(make_server_channel(static_cast<std::uint8_t>(i)));
     }
@@ -119,7 +123,7 @@ TEST(SessionTable, EpcChargeAndReleaseAreSymmetric) {
 }
 
 TEST(SessionTable, ShardedCapacityBoundsGlobalSize) {
-  SessionTable table({.capacity = 8, .shards = 4});
+  SessionTable table({.capacity = 8, .shards = 4}, kStreamKey);
   for (int i = 0; i < 100; ++i) (void)table.insert(make_server_channel(1));
   const auto stats = table.metrics();
   EXPECT_LE(stats.value("sessions.active"), 8u);
@@ -223,7 +227,8 @@ TEST(SessionTable, MatchesSequentialLruModel) {
       SCOPED_TRACE("capacity " + std::to_string(shape.capacity) + ", shards " +
                    std::to_string(shape.shards) + ", seed " + std::to_string(seed));
       sgx::EpcAccountant epc(1 << 20);
-      SessionTable table({.capacity = shape.capacity, .shards = shape.shards}, &epc);
+      SessionTable table({.capacity = shape.capacity, .shards = shape.shards},
+                         kStreamKey, &epc);
       ReferenceTable model(shape.capacity, shape.shards);
       Rng rng(seed);
       std::uint64_t issued = 0;  // highest id handed out so far
@@ -270,7 +275,7 @@ TEST(SessionTable, MatchesSequentialLruModel) {
 // the same and other sessions (TSan covers the interleavings).
 TEST(SessionTable, ConcurrentInsertAcquireUnderEvictionIsSafe) {
   sgx::EpcAccountant epc(8 << 20);
-  SessionTable table({.capacity = 16, .shards = 8}, &epc);
+  SessionTable table({.capacity = 16, .shards = 8}, kStreamKey, &epc);
   constexpr int kThreads = 8;
   constexpr int kOpsEach = 200;
   std::vector<std::thread> threads;

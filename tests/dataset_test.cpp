@@ -117,6 +117,41 @@ TEST(Synthetic, DifferentSeedsDiffer) {
   EXPECT_NE(a.records(), b.records());
 }
 
+// The generator's config contract holds in every build: each of the seven
+// checks aborts with its own message instead of sampling from an empty
+// range.
+TEST(SyntheticDeathTest, InvalidConfigAbortsInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto breaks = [](auto mutate) {
+    SyntheticLogConfig config = tiny_config();
+    mutate(config);
+    return config;
+  };
+  EXPECT_DEATH((void)generate_synthetic_log(
+                   breaks([](SyntheticLogConfig& c) { c.num_users = 0; })),
+               "at least one user");
+  EXPECT_DEATH((void)generate_synthetic_log(
+                   breaks([](SyntheticLogConfig& c) { c.vocab_size = 0; })),
+               "needs a vocabulary");
+  EXPECT_DEATH((void)generate_synthetic_log(
+                   breaks([](SyntheticLogConfig& c) { c.num_topics = 0; })),
+               "at least one topic");
+  EXPECT_DEATH((void)generate_synthetic_log(
+                   breaks([](SyntheticLogConfig& c) { c.min_query_words = 0; })),
+               "at least one word");
+  EXPECT_DEATH((void)generate_synthetic_log(breaks([](SyntheticLogConfig& c) {
+                 c.min_query_words = c.max_query_words + 1;
+               })),
+               "min_query_words exceeds max_query_words");
+  EXPECT_DEATH((void)generate_synthetic_log(
+                   breaks([](SyntheticLogConfig& c) { c.min_topics_per_user = 0; })),
+               "users need at least one topic");
+  EXPECT_DEATH((void)generate_synthetic_log(breaks([](SyntheticLogConfig& c) {
+                 c.min_topics_per_user = c.max_topics_per_user + 1;
+               })),
+               "min_topics_per_user exceeds max_topics_per_user");
+}
+
 TEST(Synthetic, TimestampsWithinWindowAndSorted) {
   const auto config = tiny_config();
   const QueryLog log = generate_synthetic_log(config);

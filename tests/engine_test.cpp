@@ -139,6 +139,13 @@ TEST_F(IndexTest, ReusedOutputMatchesFreshSearch) {
 
 // ---- corpus + engine -----------------------------------------------------------
 
+TEST(IndexDeathTest, SparseDocumentIdsAbortInEveryBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Document> sparse = {{.id = 0, .title = "first", .body = "a"},
+                                        {.id = 2, .title = "gap", .body = "b"}};
+  EXPECT_DEATH(InvertedIndex{sparse}, "dense ids");
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   static dataset::QueryLog make_log() {

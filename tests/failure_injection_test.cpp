@@ -324,5 +324,38 @@ TEST(FleetFault, WorkerKilledMidSessionIsRespawnedWarm) {
   std::filesystem::remove_all(dir);
 }
 
+// A crashed worker stays on the ring until the supervisor's probes drain
+// it. Until then the router must not hand the crash to clients: every
+// router-drawn handshake that lands on the dead arc is redrawn onto a live
+// worker, so no probe has to run first. A caller-proposed id keeps its
+// worker's answer.
+TEST(FleetFault, HandshakesAvoidAKilledWorkerBeforeAnyProbe) {
+  sgx::AttestationAuthority authority(to_bytes("fleet-fault-root"));
+  net::ProxyFleet::Options options;
+  options.workers = 2;
+  options.proxy.k = 2;
+  options.proxy.history_capacity = 64;
+  auto fleet = net::ProxyFleet::create(nullptr, authority, options);
+  ASSERT_TRUE(fleet.is_ok()) << fleet.status().to_string();
+  ASSERT_TRUE(fleet.value()->kill_worker(0).is_ok());
+
+  crypto::X25519Key client{};
+  client[0] = 0x9;
+  for (int i = 0; i < 64; ++i) {
+    const auto hello = fleet.value()->handshake(client, /*proposed_session_id=*/0);
+    ASSERT_TRUE(hello.is_ok()) << "handshake " << i << ": " << hello.status().to_string();
+    EXPECT_EQ(fleet.value()->owner_of(hello.value().session_id), 1u);
+  }
+  EXPECT_GT(fleet.value()->metrics().value("worker.routed", net::worker_label(0)), 0u)
+      << "no draw landed on the dead arc";
+
+  std::uint64_t dead_arc_id = 0;
+  for (std::uint64_t id = 1; dead_arc_id == 0; ++id) {
+    if (fleet.value()->owner_of(id) == 0) dead_arc_id = id;
+  }
+  EXPECT_EQ(fleet.value()->handshake(client, dead_arc_id).status().code(),
+            StatusCode::kUnavailable);
+}
+
 }  // namespace
 }  // namespace xsearch::core

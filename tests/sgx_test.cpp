@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -246,6 +248,65 @@ TEST(Enclave, UnsealAcrossSameMeasurement) {
   EnclaveRuntime b(test_config());
   const Bytes sealed = a.seal(to_bytes("shared state"));
   EXPECT_TRUE(b.unseal(sealed).is_ok());  // same code identity
+}
+
+// Enclaves of one code identity share a sealing key, so they must not
+// share a nonce either: under one (key, nonce) the XOR of two ciphertexts
+// is the XOR of their plaintexts, readable by any host holding both blobs.
+TEST(Enclave, SameIdentityEnclavesNeverShareASealNonce) {
+  EnclaveRuntime a(test_config());
+  EnclaveRuntime b(test_config());
+  const Bytes first = to_bytes("user one searched: chronic pain");
+  const Bytes second = to_bytes("user two searched: tax evasion!");
+  ASSERT_EQ(first.size(), second.size());
+  const Bytes sealed_a = a.seal(first);
+  const Bytes sealed_b = b.seal(second);
+  const auto nonce = [](const Bytes& blob) {
+    return Bytes(blob.begin(), blob.begin() + EnclaveRuntime::kSealHeaderBytes);
+  };
+  EXPECT_NE(nonce(sealed_a), nonce(sealed_b));
+  Bytes cipher_xor(first.size());
+  Bytes plain_xor(first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    cipher_xor[i] = sealed_a[EnclaveRuntime::kSealHeaderBytes + i] ^
+                    sealed_b[EnclaveRuntime::kSealHeaderBytes + i];
+    plain_xor[i] = first[i] ^ second[i];
+  }
+  EXPECT_NE(cipher_xor, plain_xor);
+  EXPECT_EQ(b.unseal(sealed_a).value(), first);
+  EXPECT_EQ(a.unseal(sealed_b).value(), second);
+}
+
+// Any serving thread may seal (a periodic checkpoint runs on the query
+// thread that crosses the interval), so concurrent seals share the
+// runtime's DRBG: none may race, repeat a nonce or break a blob.
+TEST(Enclave, ConcurrentSealsDrawDistinctNonces) {
+  EnclaveRuntime enclave(test_config());
+  constexpr int kThreads = 4;
+  constexpr int kSeals = 64;
+  const auto plaintext = [](int t, int i) {
+    return to_bytes("thread " + std::to_string(t) + " seal " + std::to_string(i));
+  };
+  std::vector<std::vector<Bytes>> blobs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kSeals; ++i) blobs[t].push_back(enclave.seal(plaintext(t, i)));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::set<Bytes> nonces;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kSeals; ++i) {
+      const Bytes& blob = blobs[t][i];
+      nonces.emplace(blob.begin(), blob.begin() + EnclaveRuntime::kSealHeaderBytes);
+      const auto opened = enclave.unseal(blob);
+      ASSERT_TRUE(opened.is_ok()) << "thread " << t << " seal " << i;
+      EXPECT_EQ(opened.value(), plaintext(t, i));
+    }
+  }
+  EXPECT_EQ(nonces.size(), std::size_t{kThreads * kSeals});
 }
 
 TEST(Enclave, UnsealRejectsDifferentMeasurement) {

@@ -74,6 +74,16 @@ TEST_F(TcbLintTest, TrustedFileReadingWallClockFails) {
   EXPECT_NE(r.output.find("bad_clock.cpp"), std::string::npos) << r.output;
 }
 
+// Every host entropy source the rule knows, one per line: the enclave
+// runtime's DRBG is the TCB's only source, so each line is a finding.
+TEST_F(TcbLintTest, TrustedFileDrawingHostEntropyFails) {
+  const auto r =
+      run(lint(kFixtureConfig, "tests/lint_fixtures/trusted/bad_entropy.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("trusted-insecure-rng"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("7 finding(s)"), std::string::npos) << r.output;
+}
+
 TEST_F(TcbLintTest, WaivedLinePassesAndIsCounted) {
   const auto r =
       run(lint(kFixtureConfig, "tests/lint_fixtures/trusted/waived_recv.cpp"));
@@ -119,6 +129,22 @@ TEST_F(TcbLintTest, RealTreeHasNoTrustedClockWaiver) {
   const auto r = run(lint(kRealConfig));
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_EQ(r.output.find("waived [trusted-wall-clock]"), std::string::npos)
+      << r.output;
+}
+
+// The enclave's secrets come from one DRBG, seeded through one ingress:
+// SecureRandom's default constructor in src/crypto/random.cpp. A second
+// waived entropy source in trusted code would be a second seed to audit.
+TEST_F(TcbLintTest, RealTreeHasOneEntropyWaiver) {
+  const auto r = run(lint(kRealConfig));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::string waiver = "waived [trusted-insecure-rng]";
+  const std::size_t first = r.output.find(waiver);
+  ASSERT_NE(first, std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find(waiver, first + 1), std::string::npos) << r.output;
+  const std::size_t line_end = r.output.find('\n', first);
+  EXPECT_NE(r.output.substr(first, line_end - first).find("src/crypto/random.cpp"),
+            std::string::npos)
       << r.output;
 }
 
