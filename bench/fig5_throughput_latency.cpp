@@ -55,6 +55,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/client.hpp"
@@ -167,6 +168,9 @@ struct Deployment {
   std::size_t victim = 0;
   std::size_t rss_before_kb = 0;  // around connecting the held sessions
   std::size_t rss_held_kb = 0;
+  /// Per fleet slot: the proxy and its `checkpoint.written` at the last read.
+  std::vector<std::pair<std::weak_ptr<core::XSearchProxy>, std::uint64_t>>
+      checkpoints_seen;
 
   sgx::AttestationAuthority authority{to_bytes("fig5-root")};
   std::unique_ptr<core::XSearchProxy> proxy;
@@ -191,8 +195,9 @@ struct Scenario {
   Topology topology = Topology::kMechanism;
   /// kMechanism: api::make_client name (empty = `name`).
   std::string mechanism;
-  /// kFleet: a FleetSupervisor probes the workers every 5 ms and respawns
-  /// one after two failed heartbeats.
+  /// kFleet: a FleetSupervisor probes the workers every 5 ms (sealing the
+  /// checkpointing ones when due) and respawns one after two failed
+  /// heartbeats.
   bool supervised = false;
   /// Proxies contact the testbed engine instead of replying immediately.
   bool live_engine = false;
@@ -429,11 +434,31 @@ std::size_t busiest_worker(const net::ProxyFleet& fleet) {
   return best;
 }
 
+/// Checkpoints the fleet's workers wrote since the previous call. Each
+/// slot is read from the proxy it holds now; a respawned slot counts its
+/// new proxy's seals from zero.
+std::uint64_t checkpoints_since(Deployment& d) {
+  d.checkpoints_seen.resize(d.fleet->worker_count());
+  std::uint64_t sum = 0;
+  for (std::size_t w = 0; w < d.checkpoints_seen.size(); ++w) {
+    auto& [seen_proxy, seen] = d.checkpoints_seen[w];
+    const std::shared_ptr<core::XSearchProxy> proxy = d.fleet->worker_proxy(w);
+    const std::uint64_t written = proxy->metrics().value("checkpoint.written");
+    if (seen_proxy.lock() != proxy) seen = 0;
+    sum += written - seen;
+    seen_proxy = proxy;
+    seen = written;
+  }
+  return sum;
+}
+
 /// Kill-and-recover: two supervised workers under closed-loop TCP load; the
 /// busiest worker's enclave is crashed at the start of the "recovery"
-/// phase, and the supervisor detects and respawns it. `history_depth` is
-/// the victim's depth before the kill, then the depth its replacement
-/// restored — the checkpoint when warm, 0 when cold.
+/// phase, and the supervisor detects and respawns it. When warm, the
+/// supervisor's sweeps also seal each healthy worker; `checkpoints_written`
+/// counts those seals per phase. `history_depth` is the victim's depth
+/// before the kill, then the depth its replacement restored — the last
+/// seal when warm, 0 when cold.
 Scenario recovery(bool warm) {
   Scenario s{.name = "xsearch-recovery",
              .topology = Topology::kFleet,
@@ -455,11 +480,6 @@ Scenario recovery(bool warm) {
                          ("fig5_recovery_" + std::to_string(::getpid()));
     std::filesystem::remove_all(d.checkpoints.path);
     proxy.checkpoint_dir = d.checkpoints.path;
-    // Closed-loop rates reach thousands of queries per second: a tighter
-    // interval would turn the row into a checkpoint-write bench (each seal
-    // serializes and encrypts the whole window in one pass, on the query
-    // thread that crosses the interval).
-    proxy.checkpoint_interval_queries = 512;
   };
   s.extras = [](Deployment& d, std::size_t phase) -> std::vector<Field> {
     const net::ProxyFleet& fleet = *d.fleet;
@@ -468,6 +488,7 @@ Scenario recovery(bool warm) {
                    : fleet.metrics().value("checkpoint.restored_entries",
                                            net::worker_label(d.victim));
     return {count("history_depth", depth),
+            count("checkpoints_written", checkpoints_since(d)),
             count("auto_respawns",
                   d.supervisor->metrics().value("supervisor.auto_respawns"))};
   };

@@ -8,7 +8,8 @@
 //
 // The second act is kill-and-recover: a 2-worker ProxyFleet with sealed
 // checkpointing (api::RecoveryConfig) under a net::FleetSupervisor that
-// probes every 5 ms and respawns after two failed heartbeats. One worker's
+// probes every 5 ms, seals each healthy worker's history when its seal is
+// due, and respawns after two failed heartbeats. One worker's
 // enclave is crashed mid-session; the supervisor's heartbeat probes notice,
 // drain its ring arc and respawn it — and the replacement restores the
 // crashed worker's decoy table from its sealed checkpoint, so the restart
@@ -98,7 +99,6 @@ int main() {
   fleet_config.k = 3;
   fleet_config.seed = 7;
   fleet_config.recovery.checkpoint_dir = checkpoint_dir.string();
-  fleet_config.recovery.checkpoint_interval_queries = 32;
 
   auto fleet = net::ProxyFleet::create(
       &search_engine, intel,
@@ -126,6 +126,9 @@ int main() {
   for (std::size_t i = 0; i < 120; ++i) {
     (void)carol->search(log.records()[i * 7].text);
   }
+  // Carol pauses. Meanwhile the supervisor's sweeps seal the warmed
+  // history; a crash loses only the queries after a worker's last seal.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   // The untrusted host now loses a worker mid-session (power event, EPC
   // wipe): every ecall into that enclave fails from here on. Kill the

@@ -480,7 +480,6 @@ core::XSearchProxy::Options xsearch_proxy_options(const ClientConfig& config) {
   options.seed = config.seed ^ 0x5eed;
   options.session_capacity = config.session_capacity;
   options.checkpoint_dir = config.recovery.checkpoint_dir;
-  options.checkpoint_interval_queries = config.recovery.checkpoint_interval_queries;
   return options;
 }
 

@@ -24,18 +24,16 @@
 
 namespace xsearch::api {
 
-/// Crash-recovery knobs of checkpointing deployments (X-Search only; other
-/// mechanisms hold no server-side state worth restoring). With
+/// Crash-recovery settings of checkpointing deployments (X-Search only;
+/// other mechanisms hold no server-side state worth restoring). With
 /// `checkpoint_dir` set, the proxy (or each fleet worker, under its own
-/// subdirectory) periodically seals its query history to disk and restores
-/// it on restart — a warm restart instead of the cold-start obfuscation
-/// window a crash otherwise opens. A fleet deployment that also wants
-/// automatic respawns builds its own net::FleetSupervisor.
+/// subdirectory) restores its sealed query history on restart — a warm
+/// restart instead of the cold-start obfuscation window a crash otherwise
+/// opens. The seals come from a net::FleetSupervisor's sweeps (and a
+/// drain's final seal); the deployment builds its own supervisor.
 struct RecoveryConfig {
   /// Directory for sealed history checkpoints (empty = checkpointing off).
   std::string checkpoint_dir;
-  /// Queries between periodic checkpoints (0 = explicit/drain-time only).
-  std::uint64_t checkpoint_interval_queries = 256;
 };
 
 /// Mechanism-agnostic client configuration. Every knob that several

@@ -11,7 +11,7 @@
 //
 // Locking idiom: prefer the RAII guards (MutexLock / ReaderLock /
 // WriterLock). For try-lock paths, call `try_lock()` explicitly and adopt
-// the held lock into a MutexLock (see XSearchProxy::maybe_checkpoint).
+// the held lock into a MutexLock (see QueryHistory::insert).
 // Condition waits go through CondVar, whose wait() requires the annotated
 // Mutex held — the analysis then sees the capability held across the wait,
 // which matches reality at entry and exit.

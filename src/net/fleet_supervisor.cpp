@@ -22,7 +22,7 @@ FleetSupervisor::Options checked(FleetSupervisor::Options options) {
 FleetSupervisor::FleetSupervisor(ProxyFleet& fleet, Options options)
     : fleet_(&fleet),
       options_(checked(options)),
-      consecutive_failures_(fleet.worker_count(), 0),
+      slots_(fleet.worker_count()),
       probe_thread_([this] { run(); }) {}
 
 FleetSupervisor::~FleetSupervisor() { stop(); }
@@ -81,16 +81,16 @@ void FleetSupervisor::run() {
 
 void FleetSupervisor::prober_main(std::shared_ptr<ProbeTask> task) {
   for (;;) {
-    std::size_t worker = 0;
+    std::function<Status()> job;
     {
       MutexLock lock(task->mutex);
       while (!task->has_job && !task->shutdown) task->cv.wait(task->mutex);
       if (task->shutdown) return;
-      worker = task->worker;
+      job = std::move(task->job);
     }
     // May block arbitrarily long on a hung enclave — that is exactly what
     // this thread exists to absorb.
-    Status result = fleet_->heartbeat(worker);
+    Status result = job();
     MutexLock lock(task->mutex);
     task->has_job = false;
     task->result = std::move(result);
@@ -107,13 +107,13 @@ void FleetSupervisor::ensure_prober() {
       [this, task = probe_task_]() mutable { prober_main(std::move(task)); });
 }
 
-Status FleetSupervisor::probe_worker(std::size_t index, bool& timed_out) {
+Status FleetSupervisor::run_bounded(std::function<Status()> job, bool& timed_out) {
   timed_out = false;
   ensure_prober();
   const std::shared_ptr<ProbeTask> task = probe_task_;
   {
     MutexLock lock(task->mutex);
-    task->worker = index;
+    task->job = std::move(job);
     task->has_job = true;
     task->done = false;
   }
@@ -127,9 +127,9 @@ Status FleetSupervisor::probe_worker(std::size_t index, bool& timed_out) {
       if (task->cv.wait_until(task->mutex, deadline) ==
               std::cv_status::timeout &&
           !task->done) {
-        // Probe still running past its budget: the worker is HUNG (a
-        // crashed enclave fails the ecall immediately). Abandon this
-        // prober — it retires itself when the stuck call returns.
+        // Still running past its budget: the worker is HUNG (a crashed
+        // enclave fails the ecall immediately). Abandon this prober — it
+        // retires itself when the stuck call returns.
         task->abandoned = true;
         timed_out = true;
         break;
@@ -139,22 +139,41 @@ Status FleetSupervisor::probe_worker(std::size_t index, bool& timed_out) {
   }
   abandoned_probers_.push_back(std::move(prober_thread_));
   probe_task_.reset();  // next probe gets a fresh prober
-  return deadline_exceeded("supervisor: heartbeat probe timed out");
+  return deadline_exceeded("supervisor: probe or seal timed out");
+}
+
+bool FleetSupervisor::seal_if_due(std::size_t index, Slot& slot, bool& timed_out) {
+  const std::shared_ptr<core::XSearchProxy> proxy = fleet_->worker_proxy(index);
+  if (proxy->checkpoint_path().empty()) return true;
+  const auto start = std::chrono::steady_clock::now();
+  if (slot.sealed.lock() == proxy && start < slot.next_seal) return true;
+  // A failed seal other than a timeout (say, a full disk) is the proxy's
+  // `checkpoint.write_failures`, not a sign of a dead enclave.
+  (void)run_bounded([proxy] { return proxy->checkpoint_now(); }, timed_out);
+  if (timed_out) return false;  // still due: the next sweep retries it
+  const auto end = std::chrono::steady_clock::now();
+  slot.sealed = proxy;
+  slot.next_seal = end + (end - start) * kSealSpacing;
+  return true;
 }
 
 void FleetSupervisor::probe_once() {
   MutexLock sweep(sweep_mutex_);
-  for (std::size_t i = 0; i < consecutive_failures_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
     bool timed_out = false;
-    const Status alive = probe_worker(i, timed_out);
+    const bool answered =
+        run_bounded([this, i] { return fleet_->heartbeat(i); }, timed_out).is_ok();
     probes_.inc();
-    if (alive.is_ok()) {
-      consecutive_failures_[i] = 0;
+    // A healthy worker is sealed when due; a seal that overruns the budget
+    // marks the worker hung, as a hung heartbeat does.
+    if (answered && seal_if_due(i, slot, timed_out)) {
+      slot.failures = 0;
       continue;
     }
     probe_failures_.inc();
     if (timed_out) probe_timeouts_.inc();
-    if (++consecutive_failures_[i] < options_.failure_threshold) continue;
+    if (++slot.failures < options_.failure_threshold) continue;
 
     // Declared dead: migrate its arc first (drain is refused for the last
     // live worker and is a no-op on an already-drained one), then bring up
@@ -162,11 +181,11 @@ void FleetSupervisor::probe_once() {
     // one. On respawn failure the counter stays saturated, so the next
     // sweep retries immediately. A HUNG worker is drained without the
     // final checkpoint — the seal ecall could wedge just like the probe —
-    // so its recovery point is the last periodic checkpoint.
+    // so its recovery point is the sweep's last seal.
     (void)fleet_->drain(i, /*seal_final=*/!timed_out);
     if (fleet_->respawn(i).is_ok()) {
       auto_respawns_.inc();
-      consecutive_failures_[i] = 0;
+      slot.failures = 0;
     }
   }
 }

@@ -6,16 +6,21 @@
 // with a heartbeat ecall each `probe_interval`; a worker failing
 // `failure_threshold` consecutive probes is declared dead and respawned
 // (drain first, so its ring arc migrates before the replacement attests).
-// With per-worker checkpointing enabled on the fleet, the respawn is a
-// *warm* restart — the replacement proxy restores the crashed worker's
-// sealed history, so its decoy quality resumes at the last checkpoint
-// instead of the cold-start window the paper's threat model cares about.
 //
-// Probes carry their own deadline (`probe_budget`): the heartbeat ecall is
-// a synchronous blocking call, so a worker that HANGS (wedged enclave, not
-// a crashed one) would otherwise block the probe loop forever and the
-// supervisor would never notice any other worker dying. Each probe runs on
-// a dedicated prober thread; when it overruns its budget the supervisor
+// The sweep is also the fleet's checkpoint schedule: with per-worker
+// checkpointing on, a worker whose heartbeat succeeds is sealed
+// (`XSearchProxy::checkpoint_now`) at once on its first healthy sweep
+// after a spawn, then no sooner than `kSealSpacing` times its previous
+// seal's duration — near 1% of a core per worker at any window size. No
+// query waits for a seal, a crash loses the queries since the last one,
+// and the respawn is a *warm* restart: the replacement restores that seal
+// instead of reopening the cold-start window.
+//
+// Probes and seals carry their own deadline (`probe_budget`): both are
+// synchronous blocking ecalls, so a worker that HANGS (wedged enclave, not
+// a crashed one) would otherwise block the sweep forever and the
+// supervisor would never notice any other worker dying. Each runs on a
+// dedicated prober thread; when one overruns its budget the supervisor
 // abandons that prober (it retires itself when the stuck ecall eventually
 // returns), counts a timeout failure, and — at the threshold — drains the
 // worker WITHOUT the final checkpoint (a seal ecall on a wedged enclave
@@ -27,7 +32,9 @@
 // respawns is availability loss, not privacy loss.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -46,11 +53,14 @@ class FleetSupervisor {
     Nanos probe_interval = 20 * kMilli;
     /// Consecutive heartbeat failures before a worker is respawned.
     std::uint32_t failure_threshold = 3;
-    /// Deadline for one heartbeat probe (must be positive): a probe still
-    /// running past it counts as a failure (the worker is hung, not merely
-    /// crashed) and the sweep moves on.
+    /// Deadline for one heartbeat probe or one seal (must be positive): a
+    /// call still running past it counts as a failure (the worker is hung,
+    /// not merely crashed) and the sweep moves on.
     Nanos probe_budget = kSecond;
   };
+
+  /// A worker's next seal waits this many times its last seal's duration.
+  static constexpr int kSealSpacing = 100;
 
   /// Starts supervising `fleet` (which must outlive this object) on a
   /// background thread. Stops on destruction.
@@ -71,13 +81,22 @@ class FleetSupervisor {
   /// respawns (`fleet.respawns` counts every respawn).
   [[nodiscard]] metrics::Snapshot metrics() const { return metrics_.snapshot(); }
 
-  /// One synchronous probe sweep over all workers (exactly what the
-  /// background thread runs per interval). Exposed so tests and the
-  /// recovery bench can step the state machine deterministically; safe to
-  /// call while the background thread runs (sweeps serialize).
+  /// One synchronous sweep over all workers — probe, seal when due,
+  /// respawn at the threshold — exactly what the background thread runs
+  /// per interval. Exposed so tests can step the state machine
+  /// deterministically; safe to call while the background thread runs
+  /// (sweeps serialize).
   void probe_once();
 
  private:
+  struct Slot {
+    /// Consecutive failed probes (or seals that overran the budget).
+    std::uint32_t failures = 0;
+    /// The proxy last sealed: any other proxy (a respawn) is due at once.
+    std::weak_ptr<core::XSearchProxy> sealed;
+    std::chrono::steady_clock::time_point next_seal{};
+  };
+
   /// Mailbox between a sweep and its prober thread. Shared ownership: an
   /// abandoned prober keeps its task alive after the sweep moved on.
   struct ProbeTask {
@@ -87,14 +106,18 @@ class FleetSupervisor {
     bool done XS_GUARDED_BY(mutex) = false;
     bool abandoned XS_GUARDED_BY(mutex) = false;
     bool shutdown XS_GUARDED_BY(mutex) = false;
-    std::size_t worker XS_GUARDED_BY(mutex) = 0;
+    std::function<Status()> job XS_GUARDED_BY(mutex);
     Status result XS_GUARDED_BY(mutex);
   };
 
   void run();
-  /// One deadline-bounded heartbeat. Sets `timed_out` when the probe
-  /// overran `probe_budget` (the returned status is DEADLINE_EXCEEDED).
-  [[nodiscard]] Status probe_worker(std::size_t index, bool& timed_out)
+  /// Runs `job` (a heartbeat or a seal) on the prober thread. Sets
+  /// `timed_out` when it overran `probe_budget` (the status is then
+  /// DEADLINE_EXCEEDED).
+  [[nodiscard]] Status run_bounded(std::function<Status()> job, bool& timed_out)
+      XS_REQUIRES(sweep_mutex_);
+  /// Seals worker `index` if due; false when the seal timed out (hung).
+  [[nodiscard]] bool seal_if_due(std::size_t index, Slot& slot, bool& timed_out)
       XS_REQUIRES(sweep_mutex_);
   /// Spawns the prober thread lazily (and again after an abandonment).
   void ensure_prober() XS_REQUIRES(sweep_mutex_);
@@ -103,10 +126,10 @@ class FleetSupervisor {
   ProxyFleet* fleet_;
   const Options options_;
 
-  /// Serializes probe sweeps and guards the per-worker failure counters
-  /// plus the prober-thread machinery.
+  /// Serializes sweeps and guards the per-worker slots plus the
+  /// prober-thread machinery.
   Mutex sweep_mutex_;
-  std::vector<std::uint32_t> consecutive_failures_ XS_GUARDED_BY(sweep_mutex_);
+  std::vector<Slot> slots_ XS_GUARDED_BY(sweep_mutex_);
   std::shared_ptr<ProbeTask> probe_task_ XS_GUARDED_BY(sweep_mutex_);
   std::thread prober_thread_ XS_GUARDED_BY(sweep_mutex_);
   /// Probers whose heartbeat overran the budget: each exits on its own

@@ -56,10 +56,12 @@ Result<Bytes> encode_frame_header(FrameType type, std::size_t payload_size,
 
 Status write_frame(ByteStream& stream, FrameType type, ByteSpan payload,
                    const FrameWriteOptions& options) {
-  auto header = encode_frame_header(type, payload.size(), options);
-  if (!header) return header.status();
-  XS_RETURN_IF_ERROR(stream.write_all(header.value(), options.io_deadline));
-  return stream.write_all(payload, options.io_deadline);
+  auto frame = encode_frame_header(type, payload.size(), options);
+  if (!frame) return frame.status();
+  // One write per frame: a header sent alone would cost its own send(2)
+  // and, under TCP_NODELAY, its own segment. The payloads here are small.
+  append(frame.value(), payload);
+  return stream.write_all(frame.value(), options.io_deadline);
 }
 
 Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {

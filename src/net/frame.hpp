@@ -108,7 +108,7 @@ class FrameCursor {
     FrameType type, std::size_t payload_size,
     const FrameWriteOptions& options = {});
 
-/// Writes one frame.
+/// Writes one frame: header and payload in one `write_all`.
 [[nodiscard]] Status write_frame(ByteStream& stream, FrameType type,
                                  ByteSpan payload,
                                  const FrameWriteOptions& options = {});

@@ -241,8 +241,6 @@ Result<Bytes> ProxyFleet::handle_query_record(std::uint64_t session_id,
   return proxy->handle_query_record(session_id, record, deadline);
 }
 
-Status ProxyFleet::drain(std::size_t index) { return drain(index, /*seal_final=*/true); }
-
 Status ProxyFleet::drain(std::size_t index, bool seal_final) {
   {
     WriterLock lock(mutex_);
@@ -258,7 +256,7 @@ Status ProxyFleet::drain(std::size_t index, bool seal_final) {
   }
   // Graceful exit: seal what the worker learned so its successor restores
   // a full window. Best effort — a crashed enclave fails the seal ecall,
-  // leaving the last *periodic* checkpoint as the recovery point; a HUNG
+  // leaving the supervisor's last seal as the recovery point; a HUNG
   // enclave (probe timeout) is drained with `seal_final = false`, because
   // the seal ecall itself could block forever. The seal runs outside the
   // fleet lock (shared ownership pins the proxy across a concurrent

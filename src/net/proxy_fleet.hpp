@@ -35,7 +35,9 @@
 //    enclave is exactly its own arc, never the fleet.
 //
 // FleetSupervisor (fleet_supervisor.hpp) automates the crash half:
-// heartbeat probes per worker, drain+respawn after a failure threshold.
+// heartbeat probes per worker, a seal of each healthy checkpointing worker
+// when due, drain+respawn after a failure threshold. The fleet itself
+// seals only on drain.
 //
 // The fleet implements core::ProxyHandler, so net::ProxyServer fronts a
 // fleet exactly as it fronts a single proxy, and net::RemoteBroker works
@@ -116,16 +118,12 @@ class ProxyFleet : public core::ProxyHandler {
   /// Removes worker `index` from the ring (its sessions migrate to ring
   /// successors on their next query). The worker object stays alive until
   /// respawn so in-flight requests finish. Draining the last live worker
-  /// is refused. A checkpointing worker seals a final checkpoint on its
-  /// way out (best effort — a crashed enclave cannot, and that is what
-  /// the periodic interval is for).
-  [[nodiscard]] Status drain(std::size_t index);
-
-  /// `drain` with control over the final checkpoint. The supervisor passes
-  /// `seal_final = false` when it drains a worker that timed out (hung, not
-  /// crashed): a checkpoint ecall on a wedged enclave could block forever,
-  /// and the periodic checkpoint is the designated recovery point anyway.
-  [[nodiscard]] Status drain(std::size_t index, bool seal_final);
+  /// is refused. With `seal_final`, a checkpointing worker seals a final
+  /// checkpoint on its way out (best effort — a crashed enclave cannot,
+  /// and its recovery point is then the supervisor's last seal). The
+  /// supervisor passes false for a worker that timed out (hung, not
+  /// crashed): a seal ecall on a wedged enclave could block forever.
+  [[nodiscard]] Status drain(std::size_t index, bool seal_final = true);
 
   /// Replaces worker `index` with a freshly keyed proxy and restores its
   /// ring arc. The replacement restores the worker's sealed checkpoint

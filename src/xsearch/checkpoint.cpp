@@ -1,5 +1,8 @@
 #include "xsearch/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <string_view>
 #include <system_error>
@@ -80,31 +83,34 @@ Status restore_history(const sgx::EnclaveRuntime& enclave, Bytes sealed,
 
 Status write_checkpoint_file(const std::filesystem::path& path, ByteSpan sealed) {
   std::error_code ec;
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path(), ec);  // best effort
-  }
+  const std::filesystem::path dir =
+      path.has_parent_path() ? path.parent_path() : std::filesystem::path(".");
+  std::filesystem::create_directories(dir, ec);  // best effort
   // Crash atomicity: a temp file in the same directory (rename does not
-  // cross filesystems) replaces the target only once fully written. A crash
-  // at any point leaves the previous checkpoint intact or an ignorable
-  // *.tmp — never a truncated blob at `path`.
+  // cross filesystems) replaces the target only once written and fsynced,
+  // and the directory is fsynced after the rename, so a crash or power
+  // loss leaves the old or the new checkpoint — never a truncated blob.
   const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return unavailable("cannot open checkpoint for writing: " + tmp.string());
-    out.write(reinterpret_cast<const char*>(sealed.data()),
-              static_cast<std::streamsize>(sealed.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return data_loss("short checkpoint write: " + tmp.string());
-    }
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  if (fd < 0) return unavailable("cannot open checkpoint for writing: " + tmp.string());
+  // A regular file takes the whole blob in one write unless the disk fails.
+  const bool synced =
+      ::write(fd, sealed.data(), sealed.size()) == static_cast<ssize_t>(sealed.size()) &&
+      ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    std::filesystem::remove(tmp, ec);
+    return data_loss("short or unsynced checkpoint write: " + tmp.string());
   }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
     return data_loss("checkpoint rename failed: " + path.string());
   }
+  // The rename itself is durable only once the directory entry is.
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool dir_synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!dir_synced) return data_loss("checkpoint directory fsync failed: " + dir.string());
   return Status::ok();
 }
 

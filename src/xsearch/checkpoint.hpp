@@ -48,10 +48,11 @@ namespace xsearch::core {
                                      Bytes sealed, QueryHistory& history);
 
 /// Host-side helpers: persist / load the opaque blob. The write is
-/// crash-atomic — the blob lands in a temp file in the target's directory
-/// and is rename(2)d into place — so a crash mid-write leaves either the
-/// previous checkpoint or none, never a truncated blob that poisons the
-/// next restore.
+/// crash-atomic and durable — the blob lands in a temp file in the
+/// target's directory, is fsynced, rename(2)d into place, and the
+/// directory is fsynced — so a crash or power loss mid-write leaves either
+/// the previous checkpoint or the new one, never a truncated blob that
+/// poisons the next restore. A failed write or fsync is an error.
 [[nodiscard]] Status write_checkpoint_file(const std::filesystem::path& path,
                                            ByteSpan sealed);
 [[nodiscard]] Result<Bytes> read_checkpoint_file(const std::filesystem::path& path);

@@ -271,27 +271,6 @@ Status XSearchProxy::checkpoint_now() {
     return failed_precondition("checkpointing disabled: no checkpoint_dir");
   }
   MutexLock lock(checkpoint_mutex_);
-  return checkpoint_locked();
-}
-
-void XSearchProxy::maybe_checkpoint() {
-  if (options_.checkpoint_dir.empty() ||
-      options_.checkpoint_interval_queries == 0) {
-    return;
-  }
-  if (queries_since_checkpoint_.load(std::memory_order_relaxed) <
-      options_.checkpoint_interval_queries) {
-    return;
-  }
-  // Contended means a checkpoint is being written right now — skip instead
-  // of queueing a redundant one behind it.
-  if (!checkpoint_mutex_.try_lock()) return;
-  MutexLock lock(checkpoint_mutex_, std::adopt_lock);
-  (void)checkpoint_locked();
-}
-
-Status XSearchProxy::checkpoint_locked() {
-  queries_since_checkpoint_.store(0, std::memory_order_relaxed);
   // The sealing runs inside the enclave (the checkpoint tag of the
   // `request` ecall); the host persists the opaque blob it gets back.
   Bytes payload;
@@ -452,7 +431,6 @@ Status XSearchProxy::run_trusted_query(const std::string& query,
   // private stream (guarded by the held session lock), so concurrent
   // sessions obfuscate in parallel: no global RNG lock exists on this path.
   ObfuscatedQuery obfuscated = obfuscator_->obfuscate(query, session.rng());
-  queries_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
 
   if (!has_engine_link_) {
     wire::put_results_item(reply, {}, {}, crypto::kAeadTagSize);
@@ -553,15 +531,8 @@ Result<Bytes> XSearchProxy::handle_query_record(std::uint64_t session_id,
   payload.push_back(kTagQuery);
   wire::put_u64(payload, session_id);
   append(payload, record);
-  auto response = [&] {
-    HostDeadlineScope scope(deadline);
-    return enclave_->ecall(sgx::EcallId::kRequest, payload);
-  }();
-  // Periodic checkpoint poll, host side: the trusted counter says how many
-  // queries (including batch items, which the host cannot see inside the
-  // sealed record) ran since the last seal.
-  if (response.is_ok()) maybe_checkpoint();
-  return response;
+  HostDeadlineScope scope(deadline);
+  return enclave_->ecall(sgx::EcallId::kRequest, payload);
 }
 
 }  // namespace xsearch::core

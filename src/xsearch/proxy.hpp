@@ -114,8 +114,8 @@ class XSearchProxy : public ProxyHandler {
     /// (format v4, see checkpoint.hpp) at `<checkpoint_dir>/history.ckpt`:
     /// it restores the file at construction (falling back to a cold start
     /// when the file is missing, truncated, or tampered with) and re-seals
-    /// every `checkpoint_interval_queries` queries. The host only ever
-    /// handles the sealed blob.
+    /// on `checkpoint_now` only — a net::FleetSupervisor's sweep, never a
+    /// query. The host only ever handles the sealed blob.
     std::filesystem::path checkpoint_dir;
     /// Host-side circuit breaker on the proxy→engine path. The breaker
     /// lives in the `send` ocall *body* — untrusted host code — so trusted
@@ -128,16 +128,6 @@ class XSearchProxy : public ProxyHandler {
     /// ocall body before the engine is contacted; a non-OK status fails the
     /// round trip. Used by the chaos harness and the fig5 degraded bench.
     std::function<Status()> engine_fault_hook;
-    /// Queries between periodic checkpoints (0 = only explicit
-    /// `checkpoint_now` calls write). Ignored without `checkpoint_dir`.
-    /// The seal + write runs synchronously on the query thread that
-    /// crosses the interval (one full-history snapshot+seal and a file
-    /// write), a deliberate tradeoff: it keeps the sealed depth
-    /// deterministic w.r.t. the query stream — what the recovery tests
-    /// and the warm-vs-cold bench compare — at the cost of a periodic
-    /// latency spike on that one query. Size the interval against the
-    /// history depth (cost is O(history) per checkpoint).
-    std::uint64_t checkpoint_interval_queries = 0;
   };
 
   /// Validating factory: surfaces a bad configuration as a Status instead of
@@ -189,9 +179,7 @@ class XSearchProxy : public ProxyHandler {
   /// DEADLINE_EXCEEDED *before* the ecall when the budget is spent
   /// (exactly-once safe — the record was never opened), and exposes the
   /// deadline to the host-side engine path (checked again before the
-  /// engine call in the `send` ocall body). When periodic checkpointing is
-  /// configured, the host persists a freshly sealed checkpoint every
-  /// `checkpoint_interval_queries` queries from here.
+  /// engine call in the `send` ocall body).
   [[nodiscard]] Result<Bytes> handle_query_record(
       std::uint64_t session_id, ByteSpan record,
       const Deadline& deadline) override;
@@ -203,9 +191,9 @@ class XSearchProxy : public ProxyHandler {
   /// health probe keys its respawn decision on.
   [[nodiscard]] Status heartbeat();
 
-  /// Seals the current history inside the enclave and persists the blob
-  /// crash-atomically to the checkpoint file.
-  /// Requires Options::checkpoint_dir.
+  /// Seals the history inside the enclave and persists the blob
+  /// crash-atomically: the one writer of checkpoints. Safe beside queries;
+  /// concurrent calls serialize. Requires Options::checkpoint_dir.
   [[nodiscard]] Status checkpoint_now();
 
   /// Host-side fault injection: destroys the enclave under the proxy (see
@@ -292,13 +280,6 @@ class XSearchProxy : public ProxyHandler {
   /// window.
   void restore_checkpoint();
 
-  /// Periodic-checkpoint poll on the host path; skips when another thread
-  /// is already writing.
-  void maybe_checkpoint();
-
-  /// Seal + persist. Caller holds `checkpoint_mutex_`.
-  [[nodiscard]] Status checkpoint_locked() XS_REQUIRES(checkpoint_mutex_);
-
   /// One batch item's trusted work — obfuscate, engine round trip,
   /// filter — appended to the results-batch frame `reply` as a results
   /// item. On failure nothing is appended. The caller holds the session
@@ -350,10 +331,8 @@ class XSearchProxy : public ProxyHandler {
   Status init_status_;
 
   // ---- recovery state ----
-  // Queries processed since the last checkpoint (bumped on the trusted
-  // side, polled by the host to decide when a periodic checkpoint is due).
-  std::atomic<std::uint64_t> queries_since_checkpoint_{0};
-  // Serializes checkpoint writes; periodic polls skip when contended.
+  // Serializes checkpoint writes (a supervisor's seal and a drain's final
+  // seal can meet), so the newer blob is never overwritten by an older one.
   Mutex checkpoint_mutex_;
   metrics::Registry metrics_{"checkpoint"};
   metrics::Counter& checkpoints_written_ = metrics_.counter("written");

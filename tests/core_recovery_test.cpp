@@ -1,5 +1,6 @@
-// Warm-restart tests for the proxy-integrated checkpointer: periodic
-// sealing during traffic, restore at construction, clean cold-start
+// Warm-restart tests for the proxy-integrated checkpointer: sealing only
+// on checkpoint_now (never on the query path), restore at construction,
+// clean cold-start
 // fallback on tampered/truncated blobs, and the enclave entropy that keeps
 // every run's sessions off the decoy streams and envelope keys an earlier
 // run spent, and out of reach of the host that sets every option.
@@ -45,12 +46,11 @@ class RecoveryTest : public ::testing::Test {
   }
   ~RecoveryTest() override { std::filesystem::remove_all(dir_); }
 
-  XSearchProxy::Options checkpointing_options(std::uint64_t interval = 4) const {
+  XSearchProxy::Options checkpointing_options() const {
     XSearchProxy::Options options;
     options.k = 2;
     options.history_capacity = 1'000;
     options.checkpoint_dir = dir_;
-    options.checkpoint_interval_queries = interval;
     return options;
   }
 
@@ -58,8 +58,24 @@ class RecoveryTest : public ::testing::Test {
   sgx::AttestationAuthority authority_;
 };
 
-TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
-  std::size_t depth_at_crash = 0;
+// The query path never seals: with no supervisor calling checkpoint_now,
+// a checkpointing proxy writes nothing however many queries it serves.
+TEST_F(RecoveryTest, QueriesAloneNeverSeal) {
+  XSearchProxy proxy(nullptr, authority_, checkpointing_options());
+  ASSERT_TRUE(proxy.init_status().is_ok());
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
+  for (int i = 0; i < 1'000; ++i) {
+    ASSERT_TRUE(broker.search("query " + std::to_string(i)).is_ok());
+  }
+  EXPECT_EQ(proxy.history_size(), 1'000u);
+  const auto stats = proxy.metrics();
+  EXPECT_EQ(stats.value("checkpoint.written"), 0u);
+  EXPECT_EQ(stats.value("checkpoint.write_failures"), 0u);
+  EXPECT_FALSE(std::filesystem::exists(proxy.checkpoint_path()));
+}
+
+TEST_F(RecoveryTest, CheckpointThenWarmRestartRestoresTheSealedDepth) {
   {
     XSearchProxy proxy(nullptr, authority_, checkpointing_options());
     ASSERT_TRUE(proxy.init_status().is_ok());
@@ -67,22 +83,24 @@ TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
         testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(broker.search("query " + std::to_string(i)).is_ok());
+      if (i == 7) ASSERT_TRUE(proxy.checkpoint_now().is_ok());
     }
     EXPECT_FALSE(proxy.checkpoint_path().empty());
     const auto stats = proxy.metrics();
-    EXPECT_GE(stats.value("checkpoint.written"), 2u);  // interval 4, 10 queries
+    EXPECT_EQ(stats.value("checkpoint.written"), 1u);
     EXPECT_EQ(stats.value("checkpoint.write_failures"), 0u);
-    depth_at_crash = proxy.history_size();
-    EXPECT_EQ(depth_at_crash, 10u);
-  }  // proxy destroyed: the "crash" (no drain-time checkpoint beyond the
-     // periodic ones — last seal was at query 8)
+    EXPECT_EQ(proxy.history_size(), 10u);
+  }  // proxy destroyed: the "crash" loses the two queries after the seal
+  // The write left no temp file behind.
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "history.ckpt"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "history.ckpt.tmp"));
 
   XSearchProxy restarted(nullptr, authority_, checkpointing_options());
   ASSERT_TRUE(restarted.init_status().is_ok());
   const auto stats = restarted.metrics();
   EXPECT_EQ(stats.value("checkpoint.restore_attempts"), 1u);
   EXPECT_EQ(stats.value("checkpoint.restore_hits"), 1u);
-  EXPECT_EQ(stats.value("checkpoint.restored_entries"), 8u);  // newest periodic seal
+  EXPECT_EQ(stats.value("checkpoint.restored_entries"), 8u);
   EXPECT_EQ(restarted.history_size(), 8u);
 
   // The restored table feeds obfuscation immediately: no cold start.
@@ -93,18 +111,17 @@ TEST_F(RecoveryTest, PeriodicCheckpointThenWarmRestart) {
 
 TEST_F(RecoveryTest, ExplicitCheckpointCapturesFullDepth) {
   {
-    XSearchProxy proxy(nullptr, authority_, checkpointing_options(/*interval=*/0));
+    XSearchProxy proxy(nullptr, authority_, checkpointing_options());
     auto broker =
         testutil::in_process_broker(proxy, authority_, proxy.measurement(), 3);
     for (int i = 0; i < 7; ++i) {
       ASSERT_TRUE(broker.search("q" + std::to_string(i)).is_ok());
     }
-    // interval 0: no periodic
     EXPECT_EQ(proxy.metrics().value("checkpoint.written"), 0u);
     ASSERT_TRUE(proxy.checkpoint_now().is_ok());
     EXPECT_EQ(proxy.metrics().value("checkpoint.written"), 1u);
   }
-  XSearchProxy restarted(nullptr, authority_, checkpointing_options(0));
+  XSearchProxy restarted(nullptr, authority_, checkpointing_options());
   EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
   EXPECT_EQ(restarted.history_size(), 7u);
 }
@@ -127,6 +144,7 @@ TEST_F(RecoveryTest, TamperedCheckpointFallsBackToCleanColdStart) {
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(broker.search("secret " + std::to_string(i)).is_ok());
     }
+    ASSERT_TRUE(proxy.checkpoint_now().is_ok());
   }
   // Byzantine host flips one ciphertext byte.
   const auto path = dir_ / "history.ckpt";
@@ -157,6 +175,7 @@ TEST_F(RecoveryTest, TruncatedCheckpointFallsBackToCleanColdStart) {
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(broker.search("will truncate " + std::to_string(i)).is_ok());
     }
+    ASSERT_TRUE(proxy.checkpoint_now().is_ok());
   }
   const auto path = dir_ / "history.ckpt";
   auto blob = read_checkpoint_file(path);
@@ -175,7 +194,7 @@ TEST_F(RecoveryTest, TruncatedCheckpointFallsBackToCleanColdStart) {
 
 TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
   {
-    XSearchProxy::Options wide = checkpointing_options(/*interval=*/0);
+    XSearchProxy::Options wide = checkpointing_options();
     wide.history_capacity = 100;
     XSearchProxy proxy(nullptr, authority_, wide);
     auto broker =
@@ -187,7 +206,7 @@ TEST_F(RecoveryTest, RestoreRespectsNarrowerWindow) {
   }
   // Operator shrinks the window across the restart: only the newest
   // `capacity` checkpointed entries may land.
-  XSearchProxy::Options narrow = checkpointing_options(/*interval=*/0);
+  XSearchProxy::Options narrow = checkpointing_options();
   narrow.history_capacity = 10;
   XSearchProxy restarted(nullptr, authority_, narrow);
   EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
@@ -320,7 +339,7 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
   std::uint64_t b_id = 0;
   std::vector<std::string> pre_crash;
   {
-    XSearchProxy proxy(&engine_, authority_, checkpointing_options(/*interval=*/0));
+    XSearchProxy proxy(&engine_, authority_, checkpointing_options());
     ASSERT_TRUE(proxy.init_status().is_ok());
     proxy.warm_history(warm_queries());
     auto a = testutil::in_process_broker(proxy, authority_, proxy.measurement(), 1);
@@ -335,7 +354,7 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
   }  // crash: no checkpoint after B's traffic
   ASSERT_EQ(pre_crash.size(), queries.size());
 
-  XSearchProxy restarted(&engine_, authority_, checkpointing_options(/*interval=*/0));
+  XSearchProxy restarted(&engine_, authority_, checkpointing_options());
   ASSERT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
   // Reopen sessions until one lands on B's id (ids restart at 1), with the
   // same history contents B saw before the crash.
@@ -366,7 +385,7 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
 // must match neither the attested static key, nor the handshake's
 // ephemeral, nor the session's first decoy draw.
 TEST_F(ObservedRecoveryTest, HostCannotRecomputeEnclaveSecrets) {
-  XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
+  XSearchProxy::Options options = checkpointing_options();
   options.seed = 0xC0FFEE;
   {
     XSearchProxy sealer(&engine_, authority_, options);
@@ -495,7 +514,7 @@ TEST_F(ObservedLinkRecoveryTest, RestartsDrawFreshStreams) {
         << runs << ": replayed envelope keys";
   };
 
-  XSearchProxy::Options cold = checkpointing_options(/*interval=*/0);
+  XSearchProxy::Options cold = checkpointing_options();
   cold.checkpoint_dir.clear();
   std::vector<Seen> cold_runs;
   for (int start = 0; start < 2; ++start) {
@@ -506,7 +525,7 @@ TEST_F(ObservedLinkRecoveryTest, RestartsDrawFreshStreams) {
   expect_fresh(cold_runs[0], cold_runs[1], "two cold starts");
 
   {
-    XSearchProxy sealer(gateway_, authority_, checkpointing_options(/*interval=*/0));
+    XSearchProxy sealer(gateway_, authority_, checkpointing_options());
     sealer.warm_history(warm_queries());
     ASSERT_TRUE(sealer.checkpoint_now().is_ok());
   }
@@ -517,7 +536,7 @@ TEST_F(ObservedLinkRecoveryTest, RestartsDrawFreshStreams) {
   for (int restore = 0; restore < 2; ++restore) {
     // The host puts the same sealed blob back before each start.
     ASSERT_TRUE(write_checkpoint_file(path, blob.value()).is_ok());
-    XSearchProxy proxy(gateway_, authority_, checkpointing_options(/*interval=*/0));
+    XSearchProxy proxy(gateway_, authority_, checkpointing_options());
     ASSERT_EQ(proxy.metrics().value("checkpoint.restore_hits"), 1u);
     restored_runs.push_back(serve(proxy));
   }
@@ -527,7 +546,7 @@ TEST_F(ObservedLinkRecoveryTest, RestartsDrawFreshStreams) {
 // The sealed blob holds the history alone: its size must not grow with the
 // number of sessions that ever existed.
 TEST_F(RecoveryTest, SealedSizeIndependentOfSessionCount) {
-  XSearchProxy::Options options = checkpointing_options(/*interval=*/0);
+  XSearchProxy::Options options = checkpointing_options();
   options.session_capacity = 16;
   XSearchProxy proxy(nullptr, authority_, options);
   // A full window of equal-length entries: every later query replaces one

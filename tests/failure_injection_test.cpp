@@ -261,14 +261,14 @@ TEST(FleetFault, WorkerKilledMidSessionIsRespawnedWarm) {
   options.proxy.k = 2;
   options.proxy.history_capacity = 4096;
   options.proxy.checkpoint_dir = dir;
-  options.proxy.checkpoint_interval_queries = 4;
   auto fleet = net::ProxyFleet::create(nullptr, authority, options);
   ASSERT_TRUE(fleet.is_ok()) << fleet.status().to_string();
   auto server = net::ProxyServer::start(*fleet.value());
   ASSERT_TRUE(server.is_ok()) << server.status().to_string();
 
-  // One attested session over real TCP, warmed past two checkpoint
-  // intervals — the sealed depth a warm respawn must come back with.
+  // One attested session over real TCP, warmed with 9 queries — the
+  // sealed depth a warm respawn must come back with once the supervisor's
+  // first healthy sweep has sealed the worker.
   net::RemoteBroker broker("127.0.0.1", server.value()->port(), authority,
                            fleet.value()->measurement(), 99);
   ASSERT_TRUE(broker.connect().is_ok());
@@ -276,12 +276,16 @@ TEST(FleetFault, WorkerKilledMidSessionIsRespawnedWarm) {
   for (int i = 0; i < 9; ++i) {
     ASSERT_TRUE(broker.search("fleet warmup " + std::to_string(i)).is_ok());
   }
-  const std::size_t checkpointed_depth = 8;  // interval 4: last seal at 8
+  const std::size_t checkpointed_depth = 9;
 
   net::FleetSupervisor::Options probe;
   probe.probe_interval = 2 * kMilli;
   probe.failure_threshold = 2;
   net::FleetSupervisor supervisor(*fleet.value(), probe);
+  ASSERT_TRUE(eventually([&] {
+    return fleet.value()->metrics().value("checkpoint.written",
+                                          net::worker_label(victim)) >= 1;
+  }));
 
   // Mid-session kill: the Byzantine host drops the worker's ocall sockets
   // and stops servicing its enclave; the broker still holds a live channel

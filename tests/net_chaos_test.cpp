@@ -172,8 +172,8 @@ TEST(ChaosSocketFaults, PartialWriteResetsBothSides) {
   Loopback wire = make_loopback();
   ChaosSocket chaotic(std::move(wire.client),
                       single_fault_plan(FaultAction::kPartialThenReset));
-  // The header write moves only half its bytes, then the connection resets:
-  // the writer sees a typed transport error...
+  // The frame's one write moves only half its bytes (less than a header),
+  // then the connection resets: the writer sees a typed transport error...
   const Status written =
       write_frame(chaotic, FrameType::kQuery, to_bytes("doomed"));
   ASSERT_FALSE(written.is_ok());
@@ -201,17 +201,17 @@ TEST(ChaosSocketFaults, DroppedWriteIsSilentUntilTheReadDeadline) {
   Loopback wire = make_loopback();
   ChaosSocket chaotic(std::move(wire.client),
                       single_fault_plan(FaultAction::kDrop));
-  // The insidious fault: the frame header vanishes in flight and the WRITER
-  // sees success — only a read deadline can surface it.
+  // The insidious fault: the frame vanishes in flight and the WRITER sees
+  // success — only a read deadline can surface it.
   ASSERT_TRUE(write_frame(chaotic, FrameType::kQuery, to_bytes("vanishes"))
                   .is_ok());
   FrameReadOptions read_options;
   read_options.io_deadline = Deadline::after(100 * kMilli);
   auto frame = read_frame(wire.server, read_options);
   ASSERT_FALSE(frame.is_ok());
-  // The payload bytes arrive without their header: the reader misparses
-  // them as an out-of-range length (DATA_LOSS) or times out waiting for
-  // bytes that never come — typed either way, never a hang.
+  // The reader misparses whatever arrives as an out-of-range length
+  // (DATA_LOSS) or times out waiting for bytes that never come — typed
+  // either way, never a hang.
   EXPECT_TRUE(frame.status().code() == StatusCode::kDataLoss ||
               frame.status().code() == StatusCode::kDeadlineExceeded)
       << frame.status().to_string();

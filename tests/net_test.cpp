@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "dataset/synthetic.hpp"
 #include "engine/corpus.hpp"
@@ -128,6 +129,48 @@ TEST(Framing, OversizedFrameRejectedBySender) {
   ASSERT_TRUE(client.is_ok());
   const Bytes huge(kMaxFramePayload + 1, 0);
   EXPECT_FALSE(write_frame(client.value(), FrameType::kQuery, huge).is_ok());
+}
+
+/// Records every write_all call; reads nothing.
+class CountingStream : public ByteStream {
+ public:
+  using ByteStream::read_exact;
+  using ByteStream::write_all;
+  Status write_all(ByteSpan data, const Deadline&) override {
+    writes.emplace_back(data.begin(), data.end());
+    return Status::ok();
+  }
+  Result<Bytes> read_exact(std::size_t, const Deadline&) override {
+    return unavailable("counting stream reads nothing");
+  }
+  void shutdown_both() override {}
+  [[nodiscard]] bool valid() const override { return true; }
+
+  std::vector<Bytes> writes;
+};
+
+TEST(Framing, OneWritePerFrame) {
+  // A hello key and a sealed query record each leave in one write: one
+  // send(2), and under TCP_NODELAY one segment, per frame.
+  const Bytes key(32, 0x42);
+  const Bytes record(200, 0x17);
+  CountingStream stream;
+  FrameWriteOptions options;
+  options.budget_millis = 250;
+  ASSERT_TRUE(write_frame(stream, FrameType::kHello, key).is_ok());
+  ASSERT_TRUE(write_frame(stream, FrameType::kQuery, record, options).is_ok());
+  ASSERT_EQ(stream.writes.size(), 2u);
+
+  // Each write is exactly one whole frame.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto step = FrameCursor::parse(stream.writes[i]);
+    ASSERT_EQ(step.state, FrameCursor::State::kFrame);
+    EXPECT_EQ(step.frame.frame_bytes, stream.writes[i].size());
+    EXPECT_EQ(step.frame.type, i == 0 ? FrameType::kHello : FrameType::kQuery);
+    EXPECT_EQ(step.frame.budget_millis, i == 0 ? 0u : 250u);
+    const Bytes payload(step.frame.payload.begin(), step.frame.payload.end());
+    EXPECT_EQ(payload, i == 0 ? key : record);
+  }
 }
 
 TEST(Framing, GarbageLengthRejectedByReader) {
