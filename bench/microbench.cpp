@@ -170,9 +170,9 @@ FilterWorkload make_filter_workload(Rng& rng) {
 // ---- replay stream: serves a prepared wire image forever ------------------
 //
 // Backs the frame/parse_copy stage: read_frame() pulls the length word,
-// budget word and body as separate read_exact calls, each of which this
-// stream answers with a freshly allocated copy — exactly the per-field
-// allocation profile the blocking connection loop paid per frame.
+// then the rest of the frame, as two read_exact calls, each of which this
+// stream answers with a freshly allocated copy — the allocation profile of
+// the blocking client's read path.
 class ReplayStream final : public net::ByteStream {
  public:
   explicit ReplayStream(Bytes wire) : wire_(std::move(wire)) {}
@@ -467,12 +467,11 @@ int main(int argc, char** argv) {
   // ---- frame parse: blocking copy path vs zero-copy cursor ----------------
   //
   // The same 512-byte kQuery frame, decoded two ways. parse_copy is the
-  // blocking read_frame(), a shim over FrameCursor: three read_exact calls
-  // (length word, budget word, then type byte and payload together), each
-  // answered with a fresh allocation that is appended to a growing buffer,
-  // and a final copy of the payload out of it (served here from an
-  // in-memory replay stream, so the delta is pure decode cost — no syscalls
-  // on either side). parse_cursor is the reactor's FrameCursor over an
+  // blocking read_frame(): two read_exact calls (the length word, then the
+  // budget word, type byte and payload together), each answered with a
+  // fresh allocation, and the payload slid to the front of the second
+  // (served here from an in-memory replay stream, so the delta is pure
+  // decode cost — no syscalls on either side). parse_cursor is the reactor's FrameCursor over an
   // already-buffered wire image: header fields are decoded in place and the
   // payload comes back as a span into the buffer, zero allocations per
   // frame.

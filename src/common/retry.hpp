@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "common/clock.hpp"
@@ -64,6 +66,10 @@ class RetryState {
 /// failing dependency degrades to one attempt per request instead of
 /// multiplying load by max_attempts (the classic retry-stampede amplifier).
 ///
+/// The balance is kept in whole micro-tokens, so deposits add up exactly:
+/// ten deposits of 0.1 pay for one retry, where a double balance would
+/// stop at 0.9999999999999999 and refuse it.
+///
 /// Not internally synchronized: brokers are single-caller by contract
 /// (api::PrivateSearchClient serializes on sync_mutex_).
 class RetryBudget {
@@ -75,26 +81,33 @@ class RetryBudget {
 
   RetryBudget() : RetryBudget(Options{}) {}
   explicit RetryBudget(Options options)
-      : options_(options), tokens_(options.capacity) {}
+      : capacity_(to_units(options.capacity)),
+        deposit_(to_units(options.deposit_per_request)),
+        units_(capacity_) {}
 
   /// A request completed (any outcome): earn back some retry headroom.
-  void record_request() {
-    tokens_ += options_.deposit_per_request;
-    if (tokens_ > options_.capacity) tokens_ = options_.capacity;
-  }
+  void record_request() { units_ = std::min(units_ + deposit_, capacity_); }
 
   /// Try to pay for one retry.
   [[nodiscard]] bool try_spend() {
-    if (tokens_ < 1.0) return false;
-    tokens_ -= 1.0;
+    if (units_ < kUnitsPerToken) return false;
+    units_ -= kUnitsPerToken;
     return true;
   }
 
-  [[nodiscard]] double tokens() const { return tokens_; }
+  [[nodiscard]] double tokens() const {
+    return static_cast<double>(units_) / kUnitsPerToken;
+  }
 
  private:
-  Options options_;
-  double tokens_;
+  static constexpr std::int64_t kUnitsPerToken = 1'000'000;
+  [[nodiscard]] static std::int64_t to_units(double tokens) {
+    return std::llround(tokens * kUnitsPerToken);
+  }
+
+  std::int64_t capacity_;
+  std::int64_t deposit_;
+  std::int64_t units_;
 };
 
 }  // namespace xsearch

@@ -4,20 +4,27 @@ namespace xsearch::net {
 
 namespace {
 // Length word + budget word; the type byte follows.
-constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kLengthBytes = 4;
+constexpr std::size_t kBudgetBytes = 4;
+constexpr std::size_t kHeaderBytes = kLengthBytes + kBudgetBytes;
+
+// `length` counts the type byte and the payload.
+[[nodiscard]] bool length_in_range(std::uint32_t length) {
+  return length != 0 && length <= kMaxFramePayload + 1;
+}
 }  // namespace
 
 FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
   Step step;
-  if (buffered.size() < 4) {
+  if (buffered.size() < kLengthBytes) {
     step.state = State::kNeedHeader;
-    step.need = 4;
+    step.need = kLengthBytes;
     return step;
   }
   // Validate the length word as soon as it is in, before waiting for the
   // budget word: a garbage header is refused on its first four bytes.
   const std::uint32_t length = load_be32(buffered.data());
-  if (length == 0 || length > kMaxFramePayload + 1) {
+  if (!length_in_range(length)) {
     step.state = State::kError;
     step.error = data_loss("frame length out of range");
     return step;
@@ -65,32 +72,24 @@ Status write_frame(ByteStream& stream, FrameType type, ByteSpan payload,
 }
 
 Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {
-  // Blocking shim over the incremental parser: one parse logic for both the
-  // reactor's zero-copy path and the clients' exact-read path.
-  Bytes buffer;
-  for (;;) {
-    const auto step = FrameCursor::parse(buffer);
-    switch (step.state) {
-      case FrameCursor::State::kError:
-        return step.error;
-      case FrameCursor::State::kFrame: {
-        Frame frame;
-        frame.type = step.frame.type;
-        frame.budget_millis = step.frame.budget_millis;
-        frame.payload.assign(step.frame.payload.begin(),
-                             step.frame.payload.end());
-        return frame;
-      }
-      case FrameCursor::State::kNeedHeader:
-      case FrameCursor::State::kNeedBody: {
-        auto chunk =
-            stream.read_exact(step.need - buffer.size(), options.io_deadline);
-        if (!chunk) return chunk.status();
-        append(buffer, chunk.value());
-        break;
-      }
-    }
-  }
+  // Two reads per frame: the length word, refused at once if out of range,
+  // then the rest of the frame (budget word, type byte, payload) in one
+  // call, whose buffer becomes the payload.
+  auto length_word = stream.read_exact(kLengthBytes, options.io_deadline);
+  if (!length_word) return length_word.status();
+  const std::uint32_t length = load_be32(length_word.value().data());
+  if (!length_in_range(length)) return data_loss("frame length out of range");
+  // The budget word, then `length` bytes: the type byte and the payload.
+  auto rest = stream.read_exact(kBudgetBytes + length, options.io_deadline);
+  if (!rest) return rest.status();
+  Bytes& body = rest.value();
+  Frame frame;
+  frame.budget_millis = load_be32(body.data());
+  frame.type = static_cast<FrameType>(body[kBudgetBytes]);
+  // The one copy: the payload slides to the front of its own buffer.
+  body.erase(body.begin(), body.begin() + kBudgetBytes + 1);
+  frame.payload = std::move(body);
+  return frame;
 }
 
 Bytes encode_error_status(const Status& status) {

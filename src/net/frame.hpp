@@ -60,7 +60,7 @@ struct FrameReadOptions {
 
 /// Incremental, zero-copy frame parser over a connection's receive buffer.
 ///
-/// Where `read_frame` pulls fresh `Bytes` out of a stream field by field,
+/// Where `read_frame` pulls fresh `Bytes` out of a blocking stream,
 /// the cursor examines whatever bytes the reactor has buffered and either
 /// reports how many more are needed or yields a `View` whose payload is a
 /// span *into the caller's buffer* — no allocation, no copy (the PR 3
@@ -113,8 +113,9 @@ class FrameCursor {
                                  ByteSpan payload,
                                  const FrameWriteOptions& options = {});
 
-/// Reads one frame; DATA_LOSS on malformed/oversized input
-/// or mid-frame EOF, DEADLINE_EXCEEDED past the read options' deadlines.
+/// Reads one frame in two reads (the length word, then the rest); the
+/// second read's buffer becomes the payload. DATA_LOSS on malformed/oversized
+/// input or mid-frame EOF, DEADLINE_EXCEEDED past the read options' deadlines.
 [[nodiscard]] Result<Frame> read_frame(ByteStream& stream,
                                        const FrameReadOptions& options = {});
 

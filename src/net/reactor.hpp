@@ -98,8 +98,7 @@ class ConnectionProtocol {
   [[nodiscard]] virtual JobResult shed(const Status& status) = 0;
 };
 
-/// Tuning of a Reactor — and of the frontends built on one (ProxyServer,
-/// HttpFrontend), which take this struct as is.
+/// Tuning of a Reactor — and of ProxyServer, which takes this struct as is.
 struct ReactorOptions {
   /// Event loops: 0 and 1 both mean the reactor's one loop; `start`
   /// refuses anything larger with INVALID_ARGUMENT.

@@ -9,15 +9,28 @@ namespace xsearch::sgx {
 
 namespace {
 constexpr char kSealingInfo[] = "sgx-sealing-key-mrenclave-v1";
+
+// The simulated CPU's fused sealing secret: drawn once per process through
+// SecureRandom's entropy ingress, as a package's root key is fused once, and
+// never handed to host code. Every enclave in the process shares it, so an
+// in-process restart unseals what its predecessor sealed; a blob carried to
+// another process meets another secret and does not open, as one moved to
+// another CPU would not.
+const crypto::ChaChaKey& platform_secret() {
+  static const crypto::ChaChaKey secret = crypto::SecureRandom{}.key();
+  return secret;
+}
 }  // namespace
 
 EnclaveRuntime::EnclaveRuntime(Config config)
     : measurement_(crypto::Sha256::hash(config.code_identity)),
       epc_(kDefaultUsableEpcBytes) {
-  // Sealing key: HKDF(measurement) — the simulation analogue of the
-  // MRENCLAVE-policy EGETKEY derivation. slice() keeps the key secret-typed
-  // end to end (no raw staging buffer exists).
-  sealing_key_ = crypto::hkdf(/*salt=*/{}, measurement_, to_bytes(kSealingInfo),
+  // Sealing key: HKDF(salt = platform secret, ikm = measurement) — the
+  // simulation analogue of the MRENCLAVE-policy EGETKEY derivation. The
+  // measurement is public; the salt is what keeps the host out. slice()
+  // keeps the key secret-typed end to end (no raw staging buffer exists).
+  sealing_key_ = crypto::hkdf(platform_secret().expose(SecretSink::kKdf),
+                              measurement_, to_bytes(kSealingInfo),
                               crypto::kAeadKeySize)
                      .slice<crypto::kAeadKeySize>();
 }

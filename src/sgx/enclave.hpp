@@ -13,7 +13,8 @@
 //    array index, never a string lookup;
 //  * *EPC metering* of all enclave-resident state via EpcAccountant;
 //  * *sealed storage*: AEAD encryption under a key derived from the
-//    measurement, so only the same enclave code can unseal;
+//    measurement and a per-process platform secret (the CPU's fused key),
+//    so only the same enclave code on the same "CPU" can unseal;
 //  * *trusted entropy*, like `sgx_read_rand`: one DRBG seeded at
 //    construction, the source of every enclave secret and seal nonce.
 //    Nothing the host passes in seeds it.
@@ -124,9 +125,10 @@ class EnclaveRuntime {
   static constexpr std::size_t kSealTrailerBytes = crypto::kAeadTagSize;
 
   /// Encrypts `plaintext` under the enclave's sealing key (derived from the
-  /// measurement, like SGX's MRENCLAVE key policy). Output embeds a fresh
-  /// 96-bit nonce from the enclave's DRBG, as `sgx_seal_data` draws its IV,
-  /// so enclaves of one measurement never reuse a (key, nonce) pair.
+  /// measurement and the platform secret, like SGX's MRENCLAVE key policy).
+  /// Output embeds a fresh 96-bit nonce from the enclave's DRBG, as
+  /// `sgx_seal_data` draws its IV, so enclaves of one measurement never
+  /// reuse a (key, nonce) pair.
   [[nodiscard]] Bytes seal(ByteSpan plaintext);
 
   /// `seal` where the plaintext lies: `record` holds kSealHeaderBytes of

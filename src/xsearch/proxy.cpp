@@ -33,6 +33,23 @@ constexpr char kCodeIdentity[] =
 // (handle_query_record) and before the engine call (`send` ocall).
 thread_local Deadline t_host_request_deadline;  // default: infinite
 
+// The host's side of the engine "socket". A query's sock_connect, send,
+// recv and close ocalls all run inside its request ecall, on the calling
+// thread, so the socket table is one slot per thread: connect opens it,
+// send parks the engine's answer in it, recv moves the answer out and
+// close empties it. An id that is not this thread's open socket of this
+// proxy gets NOT_FOUND from send and recv, and close ignores it.
+struct EngineSocket {
+  const XSearchProxy* owner = nullptr;
+  std::uint64_t id = 0;  // ids start at 1: 0 is "none open"
+  Bytes answer;
+
+  [[nodiscard]] bool is_open(const XSearchProxy* proxy, std::uint64_t sock) const {
+    return id != 0 && id == sock && owner == proxy;
+  }
+};
+thread_local EngineSocket t_engine_socket;
+
 /// Publishes a request's deadline for the duration of its ecall and
 /// restores the previous value on exit, so it never leaks into the next
 /// request served by the same thread.
@@ -152,11 +169,7 @@ Status XSearchProxy::install_boundary() {
   enclave_->register_ocall(sgx::OcallId::kSockConnect, [this](ByteSpan) -> Result<Bytes> {
     const std::uint64_t id =
         next_socket_id_.fetch_add(1, std::memory_order_relaxed);
-    {
-      SocketShard& shard = socket_shard(id);
-      MutexLock lock(shard.mutex);
-      shard.buffers[id] = {};
-    }
+    t_engine_socket = {.owner = this, .id = id, .answer = {}};
     Bytes out;
     wire::put_u64(out, id);
     return out;
@@ -209,11 +222,8 @@ Status XSearchProxy::install_boundary() {
                                             request.value().top_k_each);
     }
     if (engine_breaker_ != nullptr) engine_breaker_->record_success();
-    SocketShard& shard = socket_shard(sock.value());
-    MutexLock lock(shard.mutex);
-    const auto it = shard.buffers.find(sock.value());
-    if (it == shard.buffers.end()) return not_found("send: bad socket");
-    it->second = std::move(response);
+    if (!t_engine_socket.is_open(this, sock.value())) return not_found("send: bad socket");
+    t_engine_socket.answer = std::move(response);
     return Bytes{};
   });
 
@@ -221,22 +231,17 @@ Status XSearchProxy::install_boundary() {
     std::size_t offset = 0;
     auto sock = wire::get_u64(payload, offset);
     if (!sock) return sock.status();
-    SocketShard& shard = socket_shard(sock.value());
-    MutexLock lock(shard.mutex);
-    const auto it = shard.buffers.find(sock.value());
-    if (it == shard.buffers.end()) return not_found("recv: bad socket");
+    if (!t_engine_socket.is_open(this, sock.value())) return not_found("recv: bad socket");
     // Moved out, not copied: the response crosses the boundary exactly once
-    // and the subsequent `close` erases the (now empty) slot anyway.
-    return std::move(it->second);
+    // and the subsequent `close` empties the slot anyway.
+    return std::move(t_engine_socket.answer);
   });
 
   enclave_->register_ocall(sgx::OcallId::kClose, [this](ByteSpan payload) -> Result<Bytes> {
     std::size_t offset = 0;
     auto sock = wire::get_u64(payload, offset);
     if (!sock) return sock.status();
-    SocketShard& shard = socket_shard(sock.value());
-    MutexLock lock(shard.mutex);
-    shard.buffers.erase(sock.value());
+    if (t_engine_socket.is_open(this, sock.value())) t_engine_socket = {};
     return Bytes{};
   });
 

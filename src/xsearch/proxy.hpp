@@ -19,7 +19,6 @@
 //   5. the enclave seals the surviving results back to the client.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -346,19 +345,8 @@ class XSearchProxy : public ProxyHandler {
   // ocall body and metrics(); null when disabled.
   std::unique_ptr<CircuitBreaker> engine_breaker_;
 
-  // ---- untrusted host state: the "sockets" behind the ocalls ----
-  // Sharded by socket id so concurrent sessions' engine round trips do not
-  // serialize on one lock (each shard's critical sections are O(1) map
-  // bookkeeping; the engine search itself runs outside any lock).
-  struct SocketShard {
-    Mutex mutex;
-    std::unordered_map<std::uint64_t, Bytes> buffers XS_GUARDED_BY(mutex);
-  };
-  static constexpr std::size_t kSocketShards = 8;
-  [[nodiscard]] SocketShard& socket_shard(std::uint64_t sock) {
-    return socket_shards_[sock % kSocketShards];
-  }
-  std::array<SocketShard, kSocketShards> socket_shards_;
+  // ---- untrusted host state: the ids of the "sockets" behind the ocalls ----
+  // Each thread's open socket lives in a thread-local slot (proxy.cpp).
   std::atomic<std::uint64_t> next_socket_id_{1};
 };
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 
@@ -92,6 +95,53 @@ TEST(RetryBudget, DepositsClampAtCapacity) {
   EXPECT_DOUBLE_EQ(budget.tokens(), 1.0);
   EXPECT_TRUE(budget.try_spend());
   EXPECT_FALSE(budget.try_spend());  // capacity 1 means one retry in reserve
+}
+
+// A deposit a caller can set (RemoteBrokerOptions::retry_budget) that a
+// binary double cannot hold: ten of them pay for exactly one retry.
+TEST(RetryBudget, TenDepositsOfATenthPayForOneRetry) {
+  RetryBudget::Options options;
+  options.capacity = 1.0;
+  options.deposit_per_request = 0.1;
+  RetryBudget budget(options);
+  ASSERT_TRUE(budget.try_spend());
+  for (int i = 0; i < 9; ++i) budget.record_request();
+  EXPECT_FALSE(budget.try_spend());
+  budget.record_request();
+  EXPECT_TRUE(budget.try_spend());
+  EXPECT_FALSE(budget.try_spend());
+}
+
+// Random record_request/try_spend sequences against an exact integer
+// reference: the balance in twentieths of a token, with deposits that are
+// multiples of 0.05 in (0, 1] and capacities of 1 to 20 tokens.
+TEST(RetryBudget, ModelRandomSequences) {
+  constexpr std::int64_t kUnits = 20;  // reference units per token
+  Rng rng(0xb0d9e7);
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto capacity = static_cast<std::int64_t>(1 + rng.uniform(20));
+    const auto deposit = static_cast<std::int64_t>(1 + rng.uniform(kUnits));
+    RetryBudget::Options options;
+    options.capacity = static_cast<double>(capacity);
+    options.deposit_per_request = static_cast<double>(deposit) * 0.05;
+    RetryBudget budget(options);
+    std::int64_t reference = capacity * kUnits;
+    const double spend_share = rng.uniform_double();
+    for (int op = 0; op < 400; ++op) {
+      if (rng.bernoulli(spend_share)) {
+        const bool expected = reference >= kUnits;
+        if (expected) reference -= kUnits;
+        ASSERT_EQ(budget.try_spend(), expected)
+            << "trial " << trial << " op " << op << " capacity " << capacity
+            << " deposit " << options.deposit_per_request;
+      } else {
+        budget.record_request();
+        reference = std::min(reference + deposit, capacity * kUnits);
+      }
+      ASSERT_EQ(budget.tokens(), static_cast<double>(reference) / kUnits)
+          << "trial " << trial << " op " << op;
+    }
+  }
 }
 
 }  // namespace

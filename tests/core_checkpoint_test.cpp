@@ -51,7 +51,8 @@ TEST(Checkpoint, EmptyHistory) {
 }
 
 TEST(Checkpoint, RestoreAcrossEnclaveInstances) {
-  // Same code identity = same sealing key: a restarted proxy can restore.
+  // Same code identity on the same platform (this process) = same sealing
+  // key: a restarted proxy can restore.
   auto first = make_enclave();
   QueryHistory original(10);
   original.add("persisted across restart");

@@ -327,6 +327,52 @@ TEST_F(ProxyTest, RequestDeadlineDoesNotLeakIntoTheNextRequest) {
   EXPECT_TRUE(reply.value().ok) << reply.value().error;
 }
 
+// The host's engine socket table is one slot per thread: only the id this
+// thread's connect opened is live. Any other id, one closed already or one
+// opened on another thread gets NOT_FOUND from send and recv, and close
+// ignores it.
+TEST_F(ProxyTest, OnlyTheThreadsOpenSocketIsLive) {
+  XSearchProxy proxy(&engine_, authority_, options());
+  sgx::EnclaveRuntime& host = proxy.host_enclave();
+  const auto on = [](const Bytes& id, ByteSpan body = {}) {
+    Bytes payload = id;
+    append(payload, body);
+    return payload;
+  };
+  wire::EngineRequest request;
+  request.sub_queries = {log_.records()[2].text};
+  request.top_k_each = 5;
+  const Bytes body = wire::serialize_engine_request(request);
+
+  auto sock = host.ocall(sgx::OcallId::kSockConnect, Bytes{});
+  ASSERT_TRUE(sock.is_ok());
+  std::size_t offset = 0;
+  const auto id = wire::get_u64(sock.value(), offset);
+  ASSERT_TRUE(id.is_ok());
+  Bytes other;
+  wire::put_u64(other, id.value() + 1);
+  EXPECT_EQ(host.ocall(sgx::OcallId::kSend, on(other, body)).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(host.ocall(sgx::OcallId::kRecv, on(other)).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(host.ocall(sgx::OcallId::kClose, on(other)).is_ok());
+
+  // The open socket is untouched by the stray close, and live on its
+  // thread only.
+  ASSERT_TRUE(host.ocall(sgx::OcallId::kSend, on(sock.value(), body)).is_ok());
+  std::thread([&] {
+    EXPECT_EQ(host.ocall(sgx::OcallId::kRecv, on(sock.value())).status().code(),
+              StatusCode::kNotFound);
+  }).join();
+  auto answer = host.ocall(sgx::OcallId::kRecv, on(sock.value()));
+  ASSERT_TRUE(answer.is_ok());
+  EXPECT_TRUE(wire::parse_result_views(answer.value()).is_ok());
+
+  ASSERT_TRUE(host.ocall(sgx::OcallId::kClose, on(sock.value())).is_ok());
+  EXPECT_EQ(host.ocall(sgx::OcallId::kRecv, on(sock.value())).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST_F(ProxyTest, WrongMeasurementRejectedByBroker) {
   XSearchProxy proxy(&engine_, authority_, options());
   sgx::Measurement wrong{};

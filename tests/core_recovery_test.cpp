@@ -18,6 +18,8 @@
 
 #include "broker_util.hpp"
 #include "common/rng.hpp"
+#include "crypto/aead.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/random.hpp"
 #include "crypto/x25519.hpp"
 #include "dataset/synthetic.hpp"
@@ -124,6 +126,41 @@ TEST_F(RecoveryTest, ExplicitCheckpointCapturesFullDepth) {
   XSearchProxy restarted(nullptr, authority_, checkpointing_options());
   EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
   EXPECT_EQ(restarted.history_size(), 7u);
+}
+
+// The host holds the enclave code, so it knows the measurement. A sealing
+// key derived from the measurement alone (HKDF with no salt, the key before
+// the platform secret was modelled) must not open a real checkpoint: only
+// the process's fused secret does, and the host never sees it.
+TEST_F(RecoveryTest, HostHoldingTheCodeCannotOpenTheCheckpoint) {
+  XSearchProxy proxy(nullptr, authority_, checkpointing_options());
+  ASSERT_TRUE(proxy.init_status().is_ok());
+  auto broker =
+      testutil::in_process_broker(proxy, authority_, proxy.measurement(), 4);
+  ASSERT_TRUE(broker.search("a past query").is_ok());
+  ASSERT_TRUE(proxy.checkpoint_now().is_ok());
+
+  auto blob = read_checkpoint_file(proxy.checkpoint_path());
+  ASSERT_TRUE(blob.is_ok());
+  const Bytes& sealed = blob.value();
+  ASSERT_GT(sealed.size(), sgx::EnclaveRuntime::kSealHeaderBytes);
+
+  const sgx::Measurement measurement = proxy.measurement();
+  const auto host_key =
+      crypto::hkdf({}, measurement, to_bytes("sgx-sealing-key-mrenclave-v1"),
+                   crypto::kAeadKeySize)
+          .slice<crypto::kAeadKeySize>();
+  crypto::AeadNonce nonce;
+  std::copy_n(sealed.begin(), nonce.size(), nonce.begin());
+  const auto opened = crypto::aead_open(
+      host_key, nonce, measurement,
+      ByteSpan(sealed).subspan(sgx::EnclaveRuntime::kSealHeaderBytes));
+  EXPECT_FALSE(opened.has_value());
+
+  // The same process restarts warm: its enclave shares the fused secret.
+  XSearchProxy restarted(nullptr, authority_, checkpointing_options());
+  EXPECT_EQ(restarted.metrics().value("checkpoint.restore_hits"), 1u);
+  EXPECT_EQ(restarted.history_size(), proxy.history_size());
 }
 
 TEST_F(RecoveryTest, CheckpointNowWithoutDirIsRefused) {
@@ -376,9 +413,12 @@ TEST_F(ObservedRecoveryTest, SessionBornAfterCheckpointDoesNotReplayAfterRestart
   EXPECT_EQ(replayed, 0) << "OR queries the engine saw before the crash";
 }
 
-// What the untrusted host holds: every Options value, the sealed checkpoint
-// (whose key, in this simulator, derives from the public measurement), the
-// attested handshake and the OR queries the engine receives. The enclave
+// What the untrusted host holds: every Options value, the sealed checkpoint,
+// the attested handshake and the OR queries the engine receives. As a worst
+// case it is also handed the sealed history in clear (below, through an
+// enclave of the same code in this process, which shares the platform
+// secret; a real host cannot open the blob, see
+// HostHoldingTheCodeCannotOpenTheCheckpoint). The enclave
 // once derived its secrets from the host-set seed; this host replays those
 // derivations — a handshake DRBG keyed by domain_seed(seed, 0x42), and
 // session streams forked from (seed, insert ordinal, restart epoch) — and

@@ -131,7 +131,8 @@ TEST(Framing, OversizedFrameRejectedBySender) {
   EXPECT_FALSE(write_frame(client.value(), FrameType::kQuery, huge).is_ok());
 }
 
-/// Records every write_all call; reads nothing.
+/// Records every write_all call, and counts the read_exact calls it serves
+/// from `inbound` (running dry mid-read is DATA_LOSS, as a peer close is).
 class CountingStream : public ByteStream {
  public:
   using ByteStream::read_exact;
@@ -140,13 +141,21 @@ class CountingStream : public ByteStream {
     writes.emplace_back(data.begin(), data.end());
     return Status::ok();
   }
-  Result<Bytes> read_exact(std::size_t, const Deadline&) override {
-    return unavailable("counting stream reads nothing");
+  Result<Bytes> read_exact(std::size_t n, const Deadline&) override {
+    ++reads;
+    if (inbound.size() - consumed < n) return data_loss("peer closed mid-message");
+    Bytes out(inbound.begin() + static_cast<std::ptrdiff_t>(consumed),
+              inbound.begin() + static_cast<std::ptrdiff_t>(consumed + n));
+    consumed += n;
+    return out;
   }
   void shutdown_both() override {}
   [[nodiscard]] bool valid() const override { return true; }
 
   std::vector<Bytes> writes;
+  Bytes inbound;
+  std::size_t consumed = 0;
+  std::size_t reads = 0;
 };
 
 TEST(Framing, OneWritePerFrame) {
@@ -171,6 +180,40 @@ TEST(Framing, OneWritePerFrame) {
     const Bytes payload(step.frame.payload.begin(), step.frame.payload.end());
     EXPECT_EQ(payload, i == 0 ? key : record);
   }
+}
+
+TEST(Framing, TwoReadsPerFrame) {
+  // The reader takes the length word, then the rest of the frame in one
+  // read: a search reply pays two reads, not one per header field.
+  const Bytes reply(7'000, 0x5c);
+  CountingStream stream;
+  FrameWriteOptions options;
+  options.budget_millis = 40;
+  ASSERT_TRUE(write_frame(stream, FrameType::kQueryReply, reply, options).is_ok());
+  ASSERT_TRUE(write_frame(stream, FrameType::kHello, {}).is_ok());
+  for (const Bytes& frame : stream.writes) append(stream.inbound, frame);
+
+  auto first = read_frame(stream);
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_EQ(stream.reads, 2u);
+  EXPECT_EQ(first.value().type, FrameType::kQueryReply);
+  EXPECT_EQ(first.value().budget_millis, 40u);
+  EXPECT_EQ(first.value().payload, reply);
+
+  auto second = read_frame(stream);
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(stream.reads, 4u);
+  EXPECT_EQ(second.value().type, FrameType::kHello);
+  EXPECT_TRUE(second.value().payload.empty());
+  EXPECT_EQ(stream.consumed, stream.inbound.size());
+
+  // A bad length word is refused on the first read, before any other.
+  CountingStream garbage;
+  garbage.inbound = {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0x01};
+  auto refused = read_frame(garbage);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(garbage.reads, 1u);
 }
 
 TEST(Framing, GarbageLengthRejectedByReader) {
